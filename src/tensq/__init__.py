@@ -17,7 +17,7 @@ from .engel import (EngelScanConfig, EngelScanResult, engel_power_scan,
                     engel_degree, fitting_subgroup, is_left_n_engel,
                     left_engel_set)
 from .errors import (AmbientMismatchError, CapacityError,
-                     EnumerationLimitError, StateError)
+                     EnumerationLimitError, InvariantError, StateError)
 from .linalg import abelian_invariants, invariant_factors_from_cyclic
 from .liering import (GradedElement, GradedLieRing, PGroupSeries,
                       ad_nilpotency_index, dimension_subgroups,
@@ -29,10 +29,8 @@ from .nu import (NuGroup, TensorReport, VerificationReport, build_nu,
                  verify_nu_relations, verify_tensor_set_closed,
                  verify_decomposition)
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
-                   closure, commutator, center, derived_subgroup,
-                   format_perm_group, iterated_commutator,
-                   lower_central_series, normal_closure, parse_cycles,
-                   parse_perm_group, power_subgroup, quotient_action)
+                   commutator, format_perm_group, iterated_commutator,
+                   parse_cycles, parse_perm_group, power_subgroup)
 from .words import (Presentation, Word, free_reduce, parse_presentation,
                     parse_word)
 

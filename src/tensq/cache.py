@@ -2,8 +2,10 @@
 
 Keys hash the canonical JSON of the inputs (generators or presentation
 text, mode, limits) together with the tool version, so a version bump
-is a cache miss.  Writes are atomic (write-then-rename); a corrupt
-entry is ignored with a warning and recomputed.  There is no global
+is a cache miss.  Each entry starts with a header line naming its key
+and the SHA-256 of the body that follows.  Writes are atomic
+(write-then-rename); an entry whose header or body digest does not
+match is ignored with a warning and recomputed.  There is no global
 index, so the cache is crash-safe by construction.
 """
 
@@ -17,7 +19,7 @@ import warnings
 from .report import canonical_json
 
 ENV_VAR = "TENSQ_CACHE_DIR"
-_HEADER = "tensq-cache 1"
+_HEADER = "tensq-cache 2"
 
 
 def cache_dir():
@@ -36,10 +38,15 @@ def _path_for(key):
     return os.path.join(cache_dir(), key + ".json")
 
 
+def _header(key, body):
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f"{_HEADER} {key} {digest}"
+
+
 def cache_store(key, report_json):
     d = cache_dir()
     os.makedirs(d, exist_ok=True)
-    blob = f"{_HEADER} {key}\n" + report_json
+    blob = _header(key, report_json) + "\n" + report_json
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -52,15 +59,17 @@ def cache_store(key, report_json):
 
 
 def cache_load(key):
-    """Cached report JSON for ``key``, or None (cold or corrupt)."""
+    """Cached report JSON for ``key``, or None (cold, corrupt or
+    damaged)."""
     path = _path_for(key)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # undecodable bytes become U+FFFD, so the digest check rejects them
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             blob = fh.read()
     except OSError:
         return None
     header, _, body = blob.partition("\n")
-    if header.strip() != f"{_HEADER} {key}":
+    if header != _header(key, body):
         warnings.warn(f"ignoring corrupt cache entry {path}")
         return None
     return body

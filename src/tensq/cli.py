@@ -1,8 +1,15 @@
 """Command-line interface.
 
+Every subcommand runs through one pipeline, ``run``: resolve the group,
+look up the result cache, compute, build the report, print its summary,
+store it in the cache, write ``--json`` and return the exit status.  A
+subcommand supplies a compute function returning ``(results, passed)``
+and a summary function that derives the printed lines from ``results``
+alone, so a cache hit prints the same lines.
+
 Exit status: 0 when every requested check passes, 1 when a
-counterexample or failed check is found, 2 for usage, parse, capacity
-or enumeration-limit errors.
+counterexample or failed check is found or an internal invariant
+fails, 2 for usage, parse, capacity or enumeration-limit errors.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from .cache import cache_key, cache_load, cache_store
 from .catalog import catalog, resolve_group
 from .coset import EnumerationLimits
 from .engel import EngelScanConfig, engel_power_scan, engel_stack_identity
-from .errors import CapacityError, EnumerationLimitError
+from .errors import CapacityError, EnumerationLimitError, InvariantError
 from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
                       verify_lie_axioms)
@@ -62,100 +69,45 @@ def _group_payload(descriptor, extra):
     return payload
 
 
-def _emit(args, report, passed):
-    if args.json:
-        write_report(report, args.json)
-    return 0 if passed else 1
+# -- per-command compute and summary -----------------------------------------
 
 
-def _cached(args, payload):
-    if args.no_cache:
-        return None, None
-    key = cache_key(payload, __version__)
-    return key, cache_load(key)
-
-
-def _finish_cached(args, key, report):
-    if key is not None:
-        cache_store(key, report.to_json())
-
-
-def cmd_tensor(args):
-    group, pres, desc = resolve_group(args.group)
-    payload = _group_payload(desc, {"command": "tensor", "mode": args.mode,
-                                    "max_group": args.max_group})
-    key, hit = _cached(args, payload)
-    if hit is not None:
-        data = json.loads(hit)
-        print(f"tensor {args.group}: (cached) "
-              f"tensor order {data['results']['tensor_order']}, "
-              f"nu order {data['results']['nu_order']}")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(hit)
-        return 0
-    start = time.monotonic()
-    nu = build_nu(group, pres if args.mode in ("auto", "gens") else None,
-                  args.mode, limits=_limits(args),
+def compute_tensor(args, group, pres):
+    nu = build_nu(group, pres, args.mode, limits=_limits(args),
                   max_group_order=args.max_group)
-    rep = tensor_report(nu)
-    report = Report(command="tensor", input=desc, results=rep.to_dict(),
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    print(f"tensor {args.group}: tensor order {rep.tensor_order}, "
-          f"nu order {rep.nu_order}, mu order {rep.mu_order}, "
-          f"abelian={rep.tensor_abelian}")
-    _finish_cached(args, key, report)
-    return _emit(args, report, True)
+    return tensor_report(nu).to_dict(), True
 
 
-def cmd_nu(args):
-    group, pres, desc = resolve_group(args.group)
-    payload = _group_payload(desc, {"command": "nu", "mode": args.mode,
-                                    "max_group": args.max_group})
-    key, hit = _cached(args, payload)
-    if hit is not None:
-        data = json.loads(hit)
-        passed = data["results"].get("passed", True)
-        print(f"nu {args.group}: (cached) order "
-              f"{data['results']['nu_order']}")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(hit)
-        return 0 if passed else 1
-    start = time.monotonic()
-    results = {}
-    passed = True
+def tensor_summary(args, r):
+    return [f"tensor {args.group}: tensor order {r['tensor_order']}, "
+            f"nu order {r['nu_order']}, mu order {r['mu_order']}, "
+            f"abelian={r['tensor_abelian']}"]
+
+
+def compute_nu(args, group, pres):
     if args.mode == "auto" and pres is not None:
         check, nu_all, _ = route_independence(
             group, pres, limits=_limits(args),
             max_group_order=args.max_group)
-        rep = tensor_report(nu_all)
-        results = rep.to_dict()
+        results = tensor_report(nu_all).to_dict()
         results["route_independence"] = check.to_dict()
         passed = check.passed
-        print(f"nu {args.group}: order {rep.nu_order} "
-              f"(route independence: {'ok' if passed else 'FAILED'})")
     else:
-        mode = args.mode if args.mode != "auto" else \
-            ("gens" if pres is not None else "all")
-        nu = build_nu(group, pres if mode == "gens" else None, mode,
-                      limits=_limits(args), max_group_order=args.max_group)
-        rep = tensor_report(nu)
-        results = rep.to_dict()
-        print(f"nu {args.group}: order {rep.nu_order} (mode {mode})")
+        results, passed = compute_tensor(args, group, pres)
     results["passed"] = passed
-    report = Report(command="nu", input=desc, results=results,
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    _finish_cached(args, key, report)
-    return _emit(args, report, passed)
+    return results, passed
 
 
-def cmd_verify(args):
-    group, pres, desc = resolve_group(args.group)
+def nu_summary(args, r):
+    if "route_independence" in r:
+        how = f"route independence: {'ok' if r['passed'] else 'FAILED'}"
+    else:
+        how = f"mode {r['mode']}"
+    return [f"nu {args.group}: order {r['nu_order']} ({how})"]
+
+
+def compute_verify(args, group, pres):
     lemmas = _parse_lemmas(args.lemmas)
-    start = time.monotonic()
     nu = build_nu(group, pres, "auto", limits=_limits(args),
                   max_group_order=args.max_group)
     reports = []
@@ -171,47 +123,32 @@ def cmd_verify(args):
     if "rho" in lemmas:
         reports.append(derived_map_check(nu))
     passed = all(r.passed for r in reports)
-    for r in reports:
-        for c in r.checks:
-            print(f"{'PASS' if c.passed else 'FAIL'}  {r.name}: {c.label}")
-    report = Report(command="verify", input=desc,
-                    results={"reports": [r.to_dict() for r in reports],
-                             "passed": passed},
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    return _emit(args, report, passed)
+    return {"reports": [r.to_dict() for r in reports], "passed": passed}, \
+        passed
 
 
-def cmd_engel(args):
-    group, pres, desc = resolve_group(args.group)
-    start = time.monotonic()
+def verify_summary(args, r):
+    return [f"{'PASS' if c['passed'] else 'FAIL'}  {rep['name']}: "
+            f"{c['label']}"
+            for rep in r["reports"] for c in rep["checks"]]
+
+
+def compute_engel(args, group, pres):
     nu = build_nu(group, pres, "auto", limits=_limits(args),
                   max_group_order=args.max_group)
-    cfg = EngelScanConfig(p=args.p, m=args.m, n=args.n)
-    scan = engel_power_scan(nu, cfg)
-    passed = scan.all_pairs_satisfied
-    print(f"engel {args.group} (p={args.p}, m={args.m}, n={args.n}): "
-          f"{'all pairs satisfied' if passed else 'unsatisfied pairs found'}")
-    report = Report(command="engel", input=desc, results=scan.to_dict(),
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    return _emit(args, report, passed)
+    scan = engel_power_scan(nu, EngelScanConfig(p=args.p, m=args.m,
+                                                n=args.n))
+    return scan.to_dict(), scan.all_pairs_satisfied
 
 
-def cmd_lie(args):
-    group, pres, desc = resolve_group(args.group)
-    payload = _group_payload(desc, {"command": "lie", "p": args.p,
-                                    "lazard": args.lazard})
-    key, hit = _cached(args, payload)
-    if hit is not None:
-        data = json.loads(hit)
-        passed = data["results"].get("passed", True)
-        print(f"lie {args.group}: (cached)")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(hit)
-        return 0 if passed else 1
-    start = time.monotonic()
+def engel_summary(args, r):
+    verdict = "all pairs satisfied" if r["all_pairs_satisfied"] \
+        else "unsatisfied pairs found"
+    return [f"engel {args.group} (p={args.p}, m={args.m}, n={args.n}): "
+            f"{verdict}"]
+
+
+def compute_lie(args, group, pres):
     series = dimension_subgroups(group, args.p)
     oracle = jennings_recursion(group, args.p)
     ring = lie_ring(series)
@@ -233,44 +170,77 @@ def cmd_lie(args):
     passed = (results["series_matches_recursion"] and axioms.passed
               and all(r.passed for r in lazard))
     results["passed"] = passed
-    print(f"lie {args.group} (p={args.p}): dims {ring.dims}, "
-          f"class {results['nilpotency_class']}, "
-          f"{'ok' if passed else 'FAILED'}")
-    report = Report(command="lie", input=desc, results=results,
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    _finish_cached(args, key, report)
-    return _emit(args, report, passed)
+    return results, passed
 
 
-def cmd_identity_f(args):
-    group, _, desc = resolve_group(args.group)
-    start = time.monotonic()
+def lie_summary(args, r):
+    return [f"lie {args.group} (p={args.p}): "
+            f"dims {r['graded_dimensions']}, "
+            f"class {r['nilpotency_class']}, "
+            f"{'ok' if r['passed'] else 'FAILED'}"]
+
+
+def compute_identity_f(args, group, pres):
     holds = engel_stack_identity(group, args.n, args.p, args.m)
-    print(f"identity-f {args.group} (n={args.n}, p={args.p}, m={args.m}): "
-          f"{'holds' if holds else 'fails'}")
-    report = Report(command="identity-f", input=desc,
-                    results={"holds": holds, "n": args.n, "p": args.p,
-                             "m": args.m},
-                    seed=args.seed, version=__version__,
-                    timing={"seconds": time.monotonic() - start})
-    return _emit(args, report, holds)
+    return {"holds": holds, "n": args.n, "p": args.p, "m": args.m}, holds
 
 
-def cmd_catalog(args):
-    if args.action != "list":
-        raise ValueError(f"unknown catalog action {args.action!r}")
-    entries = catalog()
-    for name, e in entries.items():
-        print(f"{name:8s} order {e.order:4d}  {e.description}")
-    report = Report(command="catalog", input={"action": "list"},
-                    results={"entries": [
-                        {"name": e.name, "order": e.order,
-                         "description": e.description,
-                         "has_presentation": e.presentation_text is not None}
-                        for e in entries.values()]},
-                    seed=None, version=__version__)
-    return _emit(args, report, True)
+def identity_f_summary(args, r):
+    return [f"identity-f {args.group} (n={args.n}, p={args.p}, "
+            f"m={args.m}): {'holds' if r['holds'] else 'fails'}"]
+
+
+def compute_catalog(args, group, pres):
+    return {"entries": [
+        {"name": e.name, "order": e.order, "description": e.description,
+         "has_presentation": e.presentation_text is not None}
+        for e in catalog().values()]}, True
+
+
+def catalog_summary(args, r):
+    return [f"{e['name']:8s} order {e['order']:4d}  {e['description']}"
+            for e in r["entries"]]
+
+
+# -- the pipeline ------------------------------------------------------------
+
+
+def run(args):
+    """Run one parsed subcommand end to end; returns the exit status."""
+    if args.group is None:
+        group = pres = None
+        desc = {"action": args.action}
+    else:
+        group, pres, desc = resolve_group(args.group)
+    key = None
+    if args.cache_on and not args.no_cache:
+        payload = _group_payload(desc, {
+            "command": args.command,
+            **{name: getattr(args, name) for name in args.cache_on}})
+        key = cache_key(payload, __version__)
+    start = time.monotonic()
+    hit = cache_load(key) if key is not None else None
+    if hit is None:
+        results, passed = args.compute(args, group, pres)
+    else:
+        results = json.loads(hit)["results"]
+        # tensor results carry no "passed": that command cannot fail
+        passed = results.get("passed", True)
+    timing = {"seconds": time.monotonic() - start}
+    if hit is not None:
+        timing["cache"] = "hit"
+    report = Report(command=args.command, input=desc, results=results,
+                    seed=args.seed, version=__version__, timing=timing)
+    lines = args.summary(args, results)
+    if hit is not None:
+        lines[-1] += " (cached)"
+    for line in lines:
+        print(line)
+    if key is not None and hit is None:
+        cache_store(key, report.to_json())
+    if args.json:
+        write_report(report, args.json)
+    return 0 if passed else 1
 
 
 def build_parser():
@@ -281,10 +251,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
-        if group:
-            p.add_argument("group",
-                           help="catalog name, @file.perm or @file.pres")
+    def common(p):
+        p.add_argument("group", help="catalog name, @file.perm or @file.pres")
         p.add_argument("--json", help="write the JSON report here")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled checks")
@@ -297,20 +265,23 @@ def build_parser():
     p = sub.add_parser("tensor", help="tensor square report")
     common(p)
     p.add_argument("--mode", choices=("auto", "all", "gens"), default="auto")
-    p.set_defaults(fn=cmd_tensor)
+    p.set_defaults(compute=compute_tensor, summary=tensor_summary,
+                   cache_on=("mode", "max_group"))
 
     p = sub.add_parser("nu", help="build nu(G); default mode cross-checks "
                                   "both construction routes")
     common(p)
     p.add_argument("--mode", choices=("auto", "all", "gens"), default="auto")
-    p.set_defaults(fn=cmd_nu)
+    p.set_defaults(compute=compute_nu, summary=nu_summary,
+                   cache_on=("mode", "max_group"))
 
     p = sub.add_parser("verify", help="verify tensor-commutator identities")
     common(p)
     p.add_argument("--lemmas", default="i..v,closed,decomp,rho")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--exhaustive-cap", type=int, default=8)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(compute=compute_verify, summary=verify_summary,
+                   cache_on=())
 
     p = sub.add_parser("engel", help="scan tensor powers for left n-Engel "
                                      "behaviour in nu(G)")
@@ -318,7 +289,8 @@ def build_parser():
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(fn=cmd_engel)
+    p.set_defaults(compute=compute_engel, summary=engel_summary,
+                   cache_on=())
 
     p = sub.add_parser("lie", help="dimension subgroups and graded Lie ring")
     common(p)
@@ -326,7 +298,8 @@ def build_parser():
     p.add_argument("--lazard", type=int, default=None,
                    help="check the adjoint-power identity at this q "
                         "(default: p and p^2)")
-    p.set_defaults(fn=cmd_lie)
+    p.set_defaults(compute=compute_lie, summary=lie_summary,
+                   cache_on=("p", "lazard"))
 
     p = sub.add_parser("identity-f", help="evaluate the stacked Engel word "
                                           "over all triples")
@@ -334,12 +307,14 @@ def build_parser():
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.set_defaults(fn=cmd_identity_f)
+    p.set_defaults(compute=compute_identity_f,
+                   summary=identity_f_summary, cache_on=())
 
     p = sub.add_parser("catalog", help="catalog operations")
     p.add_argument("action", choices=("list",))
     p.add_argument("--json", help="write the JSON report here")
-    p.set_defaults(fn=cmd_catalog)
+    p.set_defaults(compute=compute_catalog, summary=catalog_summary,
+                   cache_on=(), group=None, seed=None)
     return parser
 
 
@@ -347,7 +322,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return run(args)
+    except InvariantError as exc:
+        print(f"invariant error: {exc}", file=sys.stderr)
+        return 1
     except (EnumerationLimitError, CapacityError) as exc:
         print(f"limit error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,8 @@
 """Todd-Coxeter coset enumeration.
 
-HLT strategy with a lookahead-and-compact pass as the default; a naive
-Felsch (definition plus full deduction saturation) is available behind
-``strategy="felsch"`` for small presentations.  Coincidences are handled
-with the standard union-find over coset representatives and full
-deduction replay.  Relator scan order is declaration order and new
+HLT enumeration with a lookahead-and-compact pass.  Coincidences are
+handled with the standard union-find over coset representatives and
+full deduction replay.  Relator scan order is declaration order and new
 cosets fill the first undefined entry in row-major order, so identical
 inputs produce identical tables.
 
@@ -53,7 +51,6 @@ class CosetTable:
         self.alive = 1
         self.status = "in-progress"
         self._deadline = None
-        self._changes = 0
         self._ticker = 0
 
     # -- union-find over coset labels ------------------------------------
@@ -74,7 +71,6 @@ class CosetTable:
             lo, hi = (k, lam) if k < lam else (lam, k)
             self.p[hi] = lo
             self.alive -= 1
-            self._changes += 1
             queue.append(hi)
 
     def _coincidence(self, a, b):
@@ -114,7 +110,6 @@ class CosetTable:
         self.table.append([-1] * self.ncols)
         self.p.append(b)
         self.alive += 1
-        self._changes += 1
         self.table[a][x] = b
         self.table[b][x ^ 1] = a
         return b
@@ -146,7 +141,6 @@ class CosetTable:
             if j == i:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
-                self._changes += 1
                 return
             if not fill:
                 return
@@ -157,7 +151,7 @@ class CosetTable:
             raise EnumerationLimitError(
                 f"time limit {self.limits.time_limit}s exceeded", table=self)
 
-    # -- strategies ----------------------------------------------------------
+    # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
         for c in range(len(self.table)):
@@ -214,51 +208,11 @@ class CosetTable:
                                    len(self.table) + lookahead_at)
             self._check_time()
 
-    def _run_felsch(self):
-        for w in self.subgroup_words:
-            self._scan(0, w, fill=True)
-        self._saturate()
-        while True:
-            target = None
-            for c in range(len(self.table)):
-                if self.p[c] != c:
-                    continue
-                row = self.table[c]
-                for x in range(self.ncols):
-                    if row[x] < 0:
-                        target = (c, x)
-                        break
-                if target:
-                    break
-            if target is None:
-                return
-            self._define(*target)
-            self._saturate()
-
-    def _saturate(self):
-        while True:
-            before = self._changes
-            for c in range(len(self.table)):
-                if self.p[c] != c:
-                    continue
-                for r in self.relators:
-                    self._scan(c, r, fill=False)
-                    if self.p[c] != c:
-                        break
-            self._check_time()
-            if self._changes == before:
-                return
-
     # -- public -----------------------------------------------------------
 
-    def run(self, strategy="hlt"):
+    def run(self):
         self._deadline = time.monotonic() + self.limits.time_limit
-        if strategy == "hlt":
-            self._run_hlt()
-        elif strategy == "felsch":
-            self._run_felsch()
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        self._run_hlt()
         self._compact()
         self.status = "closed"
         self.verify()
@@ -310,14 +264,13 @@ class CosetTable:
                         dtype=np.int32, count=len(self.table)))
 
 
-def tc_enumerate(presentation, subgroup_words=(), limits=None,
-                 strategy="hlt"):
+def tc_enumerate(presentation, subgroup_words=(), limits=None):
     """Enumerate cosets of the subgroup generated by ``subgroup_words``
     in the presented group; returns a closed, compacted, verified
     table."""
     table = CosetTable(presentation, subgroup_words,
                        limits or EnumerationLimits())
-    return table.run(strategy=strategy)
+    return table.run()
 
 
 def to_perm_group(table, *, name=None, max_order=None):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import invariant
 from .nu import Check, VerificationReport
 
 
@@ -23,7 +24,6 @@ class EngelScanConfig:
     p: int
     m: int
     n: int
-    search_bound: int = 10
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % d == 0
@@ -145,8 +145,8 @@ def fitting_subgroup(group):
     for s in nilpotents:
         gens.extend(s.generators)
     fit = group.subgroup(list(dict.fromkeys(gens)))
-    assert fit.as_group().is_nilpotent(), \
-        "join of nilpotent normal subgroups failed to be nilpotent"
+    invariant(fit.as_group().is_nilpotent(),
+              "join of nilpotent normal subgroups failed to be nilpotent")
     return fit
 
 

@@ -23,3 +23,15 @@ class EnumerationLimitError(RuntimeError):
 class StateError(RuntimeError):
     """An operation was applied to an object in the wrong state
     (e.g. reading permutations off a table that is not closed)."""
+
+
+class InvariantError(RuntimeError):
+    """A theorem-level invariant of a computed structure failed; this
+    means a bug or an inconsistent enumeration, never bad input."""
+
+
+def invariant(ok, message):
+    """Raise InvariantError with ``message`` unless ``ok``; unlike
+    ``assert``, this survives ``python -O``."""
+    if not ok:
+        raise InvariantError(message)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import invariant
 from .linalg import extend_basis, mat_pow_mod, rref_mod
 from .nu import Check, VerificationReport
 from .perm import SeriesReport
@@ -93,8 +94,8 @@ def dimension_subgroups(group, p):
         if d_i.order() == 1:
             break
         i += 1
-    if len(terms) == 1 and terms[0].order() != 1:
-        raise AssertionError("series failed to reach the identity")
+    invariant(len(terms) > 1 or terms[0].order() == 1,
+              "series failed to reach the identity")
     return PGroupSeries(p=p, terms=tuple(terms), gamma=gamma)
 
 
@@ -177,8 +178,8 @@ class GradedLieRing:
                 chosen.append(idx)
                 powers = [g.pow_idx(idx, e) for e in range(p)]
                 span = {g.mul_idx(s, pe) for s in span for pe in powers}
-            if len(chosen) != dim or len(span) != d_i.order():
-                raise AssertionError("transversal selection failed")
+            invariant(len(chosen) == dim and len(span) == d_i.order(),
+                      "transversal selection failed")
             lifts = list(chosen)
             if shift_transversal and d_next.order() > 1:
                 t = d_next.indices()[-1]
@@ -190,10 +191,9 @@ class GradedLieRing:
                     rep = g.mul_idx(rep, g.pow_idx(t, e))
                 for dn in d_next.indices():
                     member = g.mul_idx(rep, dn)
-                    if coords.setdefault(member, vec) != vec:
-                        raise AssertionError("coset labeling conflict")
-            if len(coords) != d_i.order():
-                raise AssertionError("coset labeling incomplete")
+                    invariant(coords.setdefault(member, vec) == vec,
+                              "coset labeling conflict")
+            invariant(len(coords) == d_i.order(), "coset labeling incomplete")
             self.dims.append(dim)
             self.basis_lifts.append(tuple(lifts))
             self.coords_of.append(coords)
@@ -216,9 +216,8 @@ class GradedLieRing:
                 for a, xa in enumerate(self.basis_lifts[i - 1]):
                     for b, yb in enumerate(self.basis_lifts[j - 1]):
                         z = g.comm_idx(xa, yb)
-                        if not terms[i + j - 1].contains_index(z):
-                            raise AssertionError(
-                                "[D_i, D_j] escaped D_{i+j}")
+                        invariant(terms[i + j - 1].contains_index(z),
+                                  "[D_i, D_j] escaped D_{i+j}")
                         arr[a, b, :] = self.class_coords(i + j, z)
                 self.constants[(i, j)] = arr
 
@@ -458,7 +457,10 @@ def verify_lie_axioms(ring):
 
 def verify_lazard(ring, q):
     """Compare (ad x~)^q with ad of the class of x^q for every basis
-    lift x, and the ad-nilpotency bound when x^q = 1."""
+    lift x, and the ad-nilpotency bound when x^q = 1.
+
+    For x of degree i, (ad x~)^q has degree q*i, so x^q is taken at
+    degree q*i: its class there is zero when x^q lies deeper."""
     if q < 1:
         raise ValueError("q must be positive")
     g = ring.group
@@ -477,14 +479,15 @@ def verify_lazard(ring, q):
             lhs = mat_pow_mod(ring.ad_matrix(e), q, p)
             y = g.pow_idx(e.lift, q)
             if y == 0:
-                rhs = np.zeros_like(lhs)
                 idx = ad_nilpotency_index(e, ring)
                 checks.append(Check(
                     f"ad-nilpotency bound at degree {i} basis {t}",
                     idx is not None and idx <= p ** s,
                     {"index": idx, "bound": p ** s}))
+            d = ring.series.depth_of(y)
+            if d is None or d > q * i:
+                rhs = np.zeros_like(lhs)
             else:
-                d = ring.series.depth_of(y)
                 rhs = ring.ad_matrix(
                     ring.homogeneous(d, ring.class_coords(d, y), lift=y))
             checks.append(Check(

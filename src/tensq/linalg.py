@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .errors import invariant
+
 
 def smith_normal_form(rows, ncols):
     """Diagonal of the Smith normal form of an integer matrix.
@@ -162,9 +164,11 @@ def abelian_invariants(sub):
             else:
                 vec_of[f] = w
                 queue.append(f)
-    assert len(vec_of) == sub.order()
+    invariant(len(vec_of) == sub.order(),
+              "the generator sweep missed elements of the subgroup")
     factors = invariant_factors_from_relations(sorted(relations), k)
-    assert math.prod(factors) == sub.order()
+    invariant(math.prod(factors) == sub.order(),
+              "invariant factors do not multiply to the subgroup order")
     return factors
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .coset import (EnumerationLimits, multiplication_table_presentation,
                     tc_enumerate, to_perm_group)
+from .errors import invariant
 from .linalg import abelian_invariants
 from .perm import FiniteGroup, Subgroup
 from .words import Presentation, Word, commutator_word, conjugate_word
@@ -215,7 +216,7 @@ def _validate_presentation_for(group, pres):
 
 
 def build_nu(group, presentation=None, mode="auto", *, limits=None,
-             max_group_order=DEFAULT_GROUP_CAP, strategy="hlt"):
+             max_group_order=DEFAULT_GROUP_CAP):
     """Enumerate nu(G) and identify its distinguished pieces.
 
     ``mode`` is "all" (multiplication-table route), "gens"
@@ -244,8 +245,7 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         raise ValueError(f"unknown mode {mode!r}")
 
     pres = nu_presentation(base, mode)
-    table = tc_enumerate(pres, (), limits or EnumerationLimits(),
-                         strategy=strategy)
+    table = tc_enumerate(pres, (), limits or EnumerationLimits())
     ambient = to_perm_group(table, name=f"nu({group.name or 'G'})")
 
     gen_idx = [ambient.index_of(g) for g in ambient.generators]
@@ -283,13 +283,14 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
             if rho[b] < 0:
                 rho[b] = group.mul_idx(int(rho[a]), rho_gen[t])
                 queue.append(b)
-    assert qi == N
+    invariant(qi == N, "the rho sweep missed elements of nu(G)")
     for a in range(N):
         ra = int(rho[a])
         for t, gt in enumerate(gen_idx):
-            if rho[ambient.mul_idx(a, gt)] != group.mul_idx(ra, rho_gen[t]):
-                raise AssertionError("rho is not a homomorphism; "
-                                     "enumeration is inconsistent")
+            invariant(rho[ambient.mul_idx(a, gt)]
+                      == group.mul_idx(ra, rho_gen[t]),
+                      "rho is not a homomorphism; "
+                      "enumeration is inconsistent")
 
     gsub = [group.index_of(g) for g in group.generators]
     seeds = [ambient.element(ambient.comm_idx(int(left[a]), int(right[b])))
@@ -299,19 +300,25 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     mu = Subgroup._from_indices(ambient, tuple(mu_idx))
 
     # construction invariants (theorem-level; failures mean a bug)
-    assert len(set(int(i) for i in left)) == n
-    assert len(set(int(i) for i in right)) == n
+    invariant(len(set(int(i) for i in left)) == n,
+              "the left copy of G is not injective")
+    invariant(len(set(int(i) for i in right)) == n,
+              "the right copy of G is not injective")
     for i in range(n):
         for j in range(n):
             ij = group.mul_idx(i, j)
-            assert ambient.mul_idx(int(left[i]), int(left[j])) == left[ij]
-            assert ambient.mul_idx(int(right[i]), int(right[j])) == right[ij]
-        assert rho[left[i]] == i and rho[right[i]] == i
-    assert N == tensor.order() * n * n, \
-        f"order law fails: {N} != {tensor.order()} * {n}^2"
+            invariant(ambient.mul_idx(int(left[i]), int(left[j])) == left[ij],
+                      "the left copy of G is not a homomorphism")
+            invariant(
+                ambient.mul_idx(int(right[i]), int(right[j])) == right[ij],
+                "the right copy of G is not a homomorphism")
+        invariant(rho[left[i]] == i and rho[right[i]] == i,
+                  "rho does not split the copies of G")
+    invariant(N == tensor.order() * n * n,
+              f"order law fails: {N} != {tensor.order()} * {n}^2")
     for m in mu.indices():
         for gt in gen_idx:
-            assert ambient.comm_idx(m, gt) == 0, "mu is not central"
+            invariant(ambient.comm_idx(m, gt) == 0, "mu is not central")
 
     rho.setflags(write=False)
     left.setflags(write=False)
@@ -653,9 +660,13 @@ def route_independence(group, presentation, **kwargs):
     checks = [
         Check("nu orders agree", rep_all.nu_order == rep_gens.nu_order,
               {"all": rep_all.nu_order, "gens": rep_gens.nu_order}),
+        # plain_equals_normal is recorded per group, not required:
+        # whether the generator tensors already generate the tensor
+        # subgroup as a plain subgroup
         Check("tensor orders agree",
               rep_all.tensor_order == rep_gens.tensor_order,
-              {"all": rep_all.tensor_order, "gens": rep_gens.tensor_order}),
+              {"all": rep_all.tensor_order, "gens": rep_gens.tensor_order,
+               "plain_equals_normal": _plain_equals_normal(nu_all)}),
         Check("tensor abelian invariants agree",
               rep_all.tensor_invariants == rep_gens.tensor_invariants,
               {"all": list(rep_all.tensor_invariants or ()),
@@ -663,10 +674,6 @@ def route_independence(group, presentation, **kwargs):
         Check("tensor nilpotency classes agree",
               rep_all.tensor_class == rep_gens.tensor_class,
               {"all": rep_all.tensor_class, "gens": rep_gens.tensor_class}),
-        # recorded per group, not required: whether the generator tensors
-        # already generate the tensor subgroup as a plain subgroup
-        Check("plain-closure status recorded", True,
-              {"plain_equals_normal": _plain_equals_normal(nu_all)}),
     ]
     return VerificationReport(name="route-independence", checks=checks), \
         nu_all, nu_gens

@@ -778,27 +778,6 @@ class SeriesReport:
     stabilized: bool
 
 
-def closure(gens, ambient):
-    """Smallest subgroup of ``ambient`` containing ``gens``."""
-    return ambient.subgroup(gens)
-
-
-def normal_closure(gens, ambient):
-    return ambient.normal_closure(gens)
-
-
-def derived_subgroup(group):
-    return group.derived_subgroup()
-
-
-def lower_central_series(group):
-    return group.lower_central_series()
-
-
-def center(group):
-    return group.center()
-
-
 def power_subgroup(sub, k):
     """Subgroup generated by the k-th powers of all members of ``sub``."""
     if k < 1:
@@ -812,7 +791,3 @@ def power_subgroup(sub, k):
             seen.add(j)
             gens.append(parent.element(j))
     return Subgroup(parent, gens)
-
-
-def quotient_action(group, normal):
-    return group.quotient_action(normal)

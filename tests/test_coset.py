@@ -44,23 +44,6 @@ class TestEnumeration:
         t2 = tc_enumerate(pres(S3), ())
         assert t1.table == t2.table
 
-    def test_felsch_agrees_with_hlt(self):
-        for text in (C2, S3, "gens: a\nrels: a^27\n",
-                     "gens: a b\nrels: a^3, b^2, (a b)^3\n"):
-            p = pres(text)
-            assert tc_enumerate(p, (), strategy="felsch").coset_count == \
-                tc_enumerate(p, ()).coset_count
-
-    def test_felsch_agrees_on_nu_presentations(self):
-        from tensq import multiplication_table_presentation
-        from tensq.nu import nu_presentation
-        for name, expected in [("C2", 8), ("C3", 27)]:
-            tp = multiplication_table_presentation(get_group(name))
-            doubled = nu_presentation(tp.presentation, "all")
-            assert tc_enumerate(doubled, ()).coset_count == expected
-            assert tc_enumerate(doubled, (),
-                                strategy="felsch").coset_count == expected
-
     def test_coset_limit_preserves_table(self):
         with pytest.raises(EnumerationLimitError) as info:
             tc_enumerate(pres(S3), (), EnumerationLimits(max_cosets=3))
@@ -71,10 +54,6 @@ class TestEnumeration:
         table = tc_enumerate(pres(S3), (),
                              EnumerationLimits(lookahead_threshold=4))
         assert table.coset_count == 6
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            tc_enumerate(pres(C2), (), strategy="nope")
 
     def test_verification_runs_after_close(self):
         table = tc_enumerate(pres(S3), ())

@@ -188,6 +188,17 @@ class TestLazard:
         ring = lie_ring(dimension_subgroups(get_group("D4"), 2))
         assert verify_lazard(ring, 6).passed
 
+    def test_wreath_product_generating_set(self):
+        # C2 wr C2 wr C2 from a generating set whose basis lifts include
+        # an x with x^2 deeper than degree 2i: the class of x^2 at
+        # degree 2i is zero, as is (ad x~)^2
+        g = FiniteGroup([parse_cycles(c, 8) for c in (
+            "(0 2)(5 6)", "(0 7 2 4 5 1 6 3)", "(0 6)(1 4 7 3)(2 5)")])
+        assert g.order() == 128
+        ring = lie_ring(dimension_subgroups(g, 2))
+        for q in (2, 4):
+            assert verify_lazard(ring, q).passed
+
     def test_rejects_bad_q(self):
         ring = lie_ring(dimension_subgroups(get_group("C4"), 2))
         with pytest.raises(ValueError):

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -78,6 +83,35 @@ class TestBuild:
         for m in nu.mu.indices():
             for g in amb.generators:
                 assert amb.comm_idx(m, amb.index_of(g)) == 0
+
+    def test_invariants_survive_optimize_flag(self):
+        # under python -O, a wrong tensor subgroup must still be caught by
+        # the order law |nu(G)| = |G (x) G| * |G|^2
+        script = textwrap.dedent("""
+            import sys
+            from tensq import FiniteGroup, InvariantError, build_nu, get_group
+            if __debug__:
+                sys.exit("not running under -O")
+
+            def trivial_closure(self, gens):
+                return self.trivial_subgroup()
+
+            FiniteGroup.normal_closure = trivial_closure
+            try:
+                build_nu(get_group("S3"))
+            except InvariantError as exc:
+                print(exc)
+            else:
+                sys.exit("build_nu accepted a trivial tensor subgroup")
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert "order law fails" in proc.stdout
 
 
 class TestAbelianOracle:

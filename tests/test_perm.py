@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
                    Permutation, abelian_invariants, commutator,
                    format_perm_group, get_group, iterated_commutator,
-                   parse_cycles, parse_perm_group, power_subgroup,
-                   quotient_action)
+                   parse_cycles, parse_perm_group, power_subgroup)
 from tensq.catalog import catalog
 
 
@@ -354,19 +353,19 @@ class TestAbelianInvariants:
 class TestQuotientAction:
     def test_trivial_normal_gives_regular(self):
         s3 = get_group("S3")
-        q = quotient_action(s3, s3.trivial_subgroup())
+        q = s3.quotient_action(s3.trivial_subgroup())
         assert q.order() == 6
         assert q.degree == 6
 
     def test_full_normal_gives_trivial(self):
         s3 = get_group("S3")
-        q = quotient_action(s3, s3.full_subgroup())
+        q = s3.quotient_action(s3.full_subgroup())
         assert q.order() == 1
 
     def test_s3_mod_a3(self):
         s3 = get_group("S3")
         a3 = s3.normal_closure([perm("(0 1 2)", 3)])
-        q = quotient_action(s3, a3)
+        q = s3.quotient_action(a3)
         assert q.order() == 2
         assert q.degree == 2
 
@@ -374,13 +373,13 @@ class TestQuotientAction:
         s3 = get_group("S3")
         h = s3.subgroup([perm("(0 1)", 3)])
         with pytest.raises(ValueError):
-            quotient_action(s3, h)
+            s3.quotient_action(h)
 
     def test_order_is_exact_quotient(self):
         for name in ("D4", "Q8", "A4", "C2xC4"):
             g = get_group(name)
             n = g.derived_subgroup()
-            assert quotient_action(g, n).order() == g.order() // n.order()
+            assert g.quotient_action(n).order() == g.order() // n.order()
 
 
 class TestGroupFileFormat:

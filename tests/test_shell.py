@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from tensq import (catalog, get_group, get_presentation, resolve_group,
-                   tc_enumerate)
+from tensq import (FiniteGroup, catalog, get_group, get_presentation,
+                   resolve_group, tc_enumerate)
 from tensq.cache import cache_key, cache_load, cache_store
 from tensq.cli import main
 from tensq.report import Report, canonical_json
@@ -123,7 +123,42 @@ class TestCli:
         # second run hits the cache
         capsys.readouterr()
         assert self.run("tensor", "C2") == 0
-        assert "(cached)" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "tensor C2: tensor order 2, nu order 8, mu order 2, "
+            "abelian=True (cached)\n")
+
+    def test_cache_hit_report(self, tmp_path, monkeypatch):
+        # a hit reports its own time and marks it; results are unchanged
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / "cache"))
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        for path in (cold, warm):
+            assert self.run("lie", "D4", "-p", "2", "--json", str(path)) == 0
+        c, w = json.loads(cold.read_text()), json.loads(warm.read_text())
+        assert "cache" not in c["timing"]
+        assert w["timing"]["cache"] == "hit"
+        assert w["timing"]["seconds"] != c["timing"]["seconds"]
+        c.pop("timing"), w.pop("timing")
+        assert canonical_json(c) == canonical_json(w)
+
+    @pytest.mark.parametrize("damage", ["truncate", "empty-results",
+                                        "undecodable"])
+    def test_damaged_cache_body_recomputed(self, tmp_path, monkeypatch,
+                                           damage):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+        assert self.run("tensor", "C2") == 0
+        [entry] = cache.glob("*.json")
+        header, _, body = entry.read_text().partition("\n")
+        results = json.loads(body)["results"]
+        damaged = {"truncate": body[:len(body) // 2].encode(),
+                   "empty-results": b'{"results": {}}\n',
+                   "undecodable": body.encode()[:-2] + b"\xff\n"}[damage]
+        entry.write_bytes(header.encode() + b"\n" + damaged)
+        with pytest.warns(UserWarning):
+            assert self.run("tensor", "C2") == 0
+        rewritten = cache_load(entry.stem)
+        assert rewritten is not None
+        assert json.loads(rewritten)["results"] == results
 
     def test_nu_runs_route_check(self, tmp_path):
         report_path = tmp_path / "nu.json"
@@ -185,6 +220,12 @@ class TestCli:
     def test_limit_error_exit_2(self):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
 
+    def test_invariant_failure_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(FiniteGroup, "normal_closure",
+                            lambda self, gens: self.trivial_subgroup())
+        assert self.run("tensor", "S3", "--no-cache") == 1
+        assert "order law fails" in capsys.readouterr().err
+
     def test_golden_examples_current(self, tmp_path):
         # docs/examples/ must match what the CLI produces now, up to timing
         import pathlib
@@ -192,6 +233,12 @@ class TestCli:
             "examples"
         for args, golden in [
             (["tensor", "C2", "--no-cache"], "tensor.json"),
+            (["nu", "C2", "--no-cache"], "nu.json"),
+            (["verify", "C2", "--lemmas", "i..v,closed,decomp,rho",
+              "--seed", "0", "--no-cache"], "verify.json"),
+            (["engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--no-cache"],
+             "engel.json"),
+            (["lie", "C4", "-p", "2", "--no-cache"], "lie.json"),
             (["catalog", "list"], "catalog.json"),
             (["identity-f", "C2", "-n", "1", "-p", "2", "-m", "1"],
              "identity-f.json"),
