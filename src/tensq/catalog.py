@@ -122,13 +122,13 @@ def get_presentation(name):
     return p
 
 
-def resolve_group(designator):
+def resolve_group(designator, limits=None):
     """Resolve a CLI group argument.
 
     ``designator`` is a catalog name, ``@file.perm`` (permutation-group
     file), or ``@file.pres`` (presentation file; the group is realized
-    through its regular coset action).  Returns (group,
-    presentation-or-None, input descriptor).
+    through its regular coset action, enumerated within ``limits``).
+    Returns (group, presentation-or-None, input descriptor).
     """
     if designator.startswith("@"):
         path = designator[1:]
@@ -141,7 +141,7 @@ def resolve_group(designator):
                                  "text": text}
         if path.endswith(".pres"):
             pres = parse_presentation(text)
-            table = tc_enumerate(pres, ())
+            table = tc_enumerate(pres, (), limits)
             group = to_perm_group(table, name=stem)
             return group, pres, {"kind": "pres-file", "path": path,
                                  "text": text}

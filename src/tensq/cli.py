@@ -134,10 +134,10 @@ def verify_summary(args, r):
 
 
 def compute_engel(args, group, pres):
+    config = EngelScanConfig(p=args.p, m=args.m, n=args.n)
     nu = build_nu(group, pres, "auto", limits=_limits(args),
                   max_group_order=args.max_group)
-    scan = engel_power_scan(nu, EngelScanConfig(p=args.p, m=args.m,
-                                                n=args.n))
+    scan = engel_power_scan(nu, config)
     return scan.to_dict(), scan.all_pairs_satisfied
 
 
@@ -211,7 +211,7 @@ def run(args):
         group = pres = None
         desc = {"action": args.action}
     else:
-        group, pres, desc = resolve_group(args.group)
+        group, pres, desc = resolve_group(args.group, _limits(args))
     key = None
     if args.cache_on and not args.no_cache:
         payload = _group_payload(desc, {

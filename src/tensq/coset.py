@@ -8,6 +8,16 @@ inputs produce identical tables.
 
 Columns come in pairs: column 2g is generator g, column 2g+1 its
 inverse (``col ^ 1`` flips direction).  Row 0 is the subgroup coset.
+
+The table is one ``int32`` array (-1 marks an undefined entry) that
+doubles in place when full; scan, define and coincidence read and write single
+entries through a memoryview of it.  Before HLT scans a block of
+cosets, one numpy gather per relator letter finds every (coset,
+relator) pair that already scans to closure, and only the rest are
+scanned.  Skipping them changes nothing: a closed scan makes no
+deduction, and it stays closed under later definitions and
+coincidences, which only fill entries and merge cosets.  ``verify``
+re-checks a closed table with whole-column gathers.
 """
 
 from __future__ import annotations
@@ -20,6 +30,12 @@ import numpy as np
 from .errors import EnumerationLimitError, StateError
 from .perm import FiniteGroup, Permutation
 from .words import Presentation, Word
+
+# Rows of a fresh table; the array doubles whenever it is full.
+_INITIAL_ROWS = 1024
+# (coset, relator) pairs per closed-relator pre-check: a block is this
+# many divided by the relator count, and at least one coset.
+_PRECHECK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -46,12 +62,38 @@ class CosetTable:
         self.subgroup_words = tuple(_columns(w.free_reduce())
                                     for w in subgroup_words)
         self.limits = limits
-        self.table = [[-1] * self.ncols]
+        # Rows [0, _n) are cosets; every row past them stays -1, and at
+        # least one always exists, so a gather from entry -1 reads the
+        # last row and an undefined entry stays undefined along a path.
+        self._rows = np.full((_INITIAL_ROWS, self.ncols), -1, dtype=np.int32)
+        self._t = memoryview(self._rows)
+        self._n = 1
         self.p = [0]
         self.alive = 1
+        self.defined = 1
         self.status = "in-progress"
+        self._start = None
         self._deadline = None
         self._ticker = 0
+        # The pre-check walks relators longest first, so the relators
+        # still walking at letter i are a prefix of that order, and
+        # _letters[i] holds their i-th letters.
+        walk = sorted(range(len(self.relators)),
+                      key=lambda r: -len(self.relators[r]))
+        self._rank = np.argsort(walk)
+        words = [self.relators[r] for r in walk]
+        k = len(words)
+        self._letters = []
+        for i in range(len(words[0]) if words else 0):
+            while len(words[k - 1]) <= i:
+                k -= 1
+            self._letters.append(np.array([w[i] for w in words[:k]],
+                                          dtype=np.intp)[:, None])
+
+    @property
+    def table(self):
+        """Coset table: entry [c, x] is the coset c.x, or -1 if undefined."""
+        return self._rows[:self._n]
 
     # -- union-find over coset labels ------------------------------------
 
@@ -76,51 +118,68 @@ class CosetTable:
     def _coincidence(self, a, b):
         queue = []
         self._merge(a, b, queue)
-        table = self.table
+        t = self._t
         qi = 0
         while qi < len(queue):
             g = queue[qi]
             qi += 1
-            row = table[g]
             for x in range(self.ncols):
-                d = row[x]
+                d = t[g, x]
                 if d >= 0:
-                    table[d][x ^ 1] = -1
+                    t[d, x ^ 1] = -1
                     mu = self._rep(g)
                     nu = self._rep(d)
-                    if table[mu][x] >= 0:
-                        self._merge(nu, table[mu][x], queue)
-                    elif table[nu][x ^ 1] >= 0:
-                        self._merge(mu, table[nu][x ^ 1], queue)
+                    if t[mu, x] >= 0:
+                        self._merge(nu, t[mu, x], queue)
+                    elif t[nu, x ^ 1] >= 0:
+                        self._merge(mu, t[nu, x ^ 1], queue)
                     else:
-                        table[mu][x] = nu
-                        table[nu][x ^ 1] = mu
+                        t[mu, x] = nu
+                        t[nu, x ^ 1] = mu
 
     # -- scanning ----------------------------------------------------------
 
     def _define(self, a, x):
         if self.alive >= self.limits.max_cosets:
-            raise EnumerationLimitError(
-                f"coset limit {self.limits.max_cosets} exceeded", table=self)
+            raise self._limit_error(
+                f"coset limit {self.limits.max_cosets} exceeded")
         self._ticker += 1
         if self._ticker >= 4096:
             self._ticker = 0
             self._check_time()
-        b = len(self.table)
-        self.table.append([-1] * self.ncols)
+        b = self._n
+        if b + 1 == len(self._rows):
+            self._grow()
+        self._n = b + 1
         self.p.append(b)
         self.alive += 1
-        self.table[a][x] = b
-        self.table[b][x ^ 1] = a
+        self.defined += 1
+        self._t[a, x] = b
+        self._t[b, x ^ 1] = a
         return b
 
+    def _grow(self):
+        rows = len(self._rows)
+        # a scan still holding the old view fails loudly instead of
+        # writing to freed memory
+        self._t.release()
+        try:
+            # in place, so the old and the new array never coexist
+            self._rows.resize((2 * rows, self.ncols))
+        except ValueError:
+            # something else (a profiler, say) still refers to the array
+            self._rows = np.concatenate([self._rows,
+                                         np.empty_like(self._rows)])
+        self._rows[rows:] = -1
+        self._t = memoryview(self._rows)
+
     def _scan(self, a, word, fill):
-        table = self.table
+        t = self._t
         i, j = 0, len(word) - 1
         f = b = a
         while True:
             while i <= j:
-                d = table[f][word[i]]
+                d = t[f, word[i]]
                 if d < 0:
                     break
                 f = d
@@ -130,7 +189,7 @@ class CosetTable:
                     self._coincidence(f, b)
                 return
             while j >= i:
-                d = table[b][word[j] ^ 1]
+                d = t[b, word[j] ^ 1]
                 if d < 0:
                     break
                 b = d
@@ -139,79 +198,128 @@ class CosetTable:
                 self._coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                t[f, word[i]] = b
+                t[b, word[i] ^ 1] = f
                 return
             if not fill:
                 return
             self._define(f, word[i])
+            t = self._t
+
+    def _open_relators(self, cosets):
+        """Boolean (cosets, relators) array: True where the relator does
+        not yet scan to closure from the coset (an entry on its path is
+        undefined or it ends elsewhere)."""
+        start = np.array(cosets, dtype=np.intp)
+        f = np.empty((len(self.relators), len(start)), dtype=np.intp)
+        f[:] = start
+        flat = self._rows.reshape(-1)
+        # an undefined entry (-1) indexes the free last row, all -1
+        for letters in self._letters:
+            step = f[:len(letters)]
+            step *= self.ncols
+            step += letters
+            step[:] = flat[step]
+        return (f != start)[self._rank].T
+
+    def _precheck_from(self, a):
+        """Pre-check the next block of live cosets from ``a`` on.  Returns
+        the end of the block and, for each of its live cosets, the flags
+        of its open relators."""
+        block = max(1, _PRECHECK_PAIRS // max(1, len(self.relators)))
+        live = []
+        c = a
+        while c < self._n and len(live) < block:
+            if self.p[c] == c:
+                live.append(c)
+            c += 1
+        return c, dict(zip(live, self._open_relators(live)))
+
+    def _scan_open(self, c, open_relators, fill):
+        """Scan from live coset ``c`` the relators flagged open, in
+        declaration order, until one kills ``c``."""
+        for r in np.flatnonzero(open_relators).tolist():
+            self._scan(c, self.relators[r], fill)
+            if self.p[c] != c:
+                return
 
     def _check_time(self):
         if self._deadline is not None and time.monotonic() > self._deadline:
-            raise EnumerationLimitError(
-                f"time limit {self.limits.time_limit}s exceeded", table=self)
+            raise self._limit_error(
+                f"time limit {self.limits.time_limit}s exceeded")
+
+    def _limit_error(self, what):
+        elapsed = time.monotonic() - self._start
+        return EnumerationLimitError(
+            f"{what} ({self.alive} live cosets, {self.defined} cosets "
+            f"defined, {elapsed:.2f}s elapsed)", table=self)
 
     # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
-        for c in range(len(self.table)):
-            if self.p[c] != c:
-                continue
-            for r in self.relators:
-                self._scan(c, r, fill=False)
-                if self.p[c] != c:
-                    break
+        hi = 0
+        while hi < self._n:
+            hi, flags = self._precheck_from(hi)
+            for c, open_ in flags.items():
+                if self.p[c] == c:
+                    self._scan_open(c, open_, fill=False)
             self._check_time()
 
     def _compact(self):
-        """Renumber live cosets in discovery order; returns old cursor
-        remapper."""
-        old_to_new = {}
-        newtable = []
-        for c in range(len(self.table)):
-            if self.p[c] == c:
-                old_to_new[c] = len(newtable)
-                newtable.append(self.table[c])
-        for row in newtable:
-            for x in range(self.ncols):
-                if row[x] >= 0:
-                    row[x] = old_to_new[self._rep(row[x])]
-        self.table = newtable
-        self.p = list(range(len(newtable)))
-        return old_to_new
+        """Renumber live cosets in discovery order."""
+        n = self._n
+        p = np.array(self.p, dtype=np.intp)
+        rep = p
+        while True:
+            nxt = rep[rep]
+            if np.array_equal(nxt, rep):
+                break
+            rep = nxt
+        live = np.flatnonzero(p == np.arange(n))
+        old_to_new = np.empty(n, dtype=np.int32)
+        old_to_new[live] = np.arange(len(live), dtype=np.int32)
+        rows = np.full((len(live) + 1, self.ncols), -1, dtype=np.int32)
+        kept = self._rows[live]
+        defined = kept >= 0
+        kept[defined] = old_to_new[rep[kept[defined]]]
+        rows[:len(live)] = kept
+        self._t.release()
+        self._rows = rows
+        self._t = memoryview(rows)
+        self._n = len(live)
+        self.p = list(range(len(live)))
 
     def _run_hlt(self):
         lookahead_at = self.limits.lookahead_threshold
         for w in self.subgroup_words:
             self._scan(0, w, fill=True)
-        a = 0
-        while a < len(self.table):
+        a = hi = 0
+        while a < self._n:
+            if a >= hi:
+                hi, flags = self._precheck_from(a)
             if self.p[a] == a:
-                for r in self.relators:
-                    self._scan(a, r, fill=True)
-                    if self.p[a] != a:
-                        break
+                self._scan_open(a, flags[a], fill=True)
                 if self.p[a] == a:
-                    row = self.table[a]
                     for x in range(self.ncols):
-                        if row[x] < 0:
+                        if self._t[a, x] < 0:
                             self._define(a, x)
             a += 1
-            if len(self.table) >= lookahead_at:
+            if self._n >= lookahead_at:
                 self._lookahead()
-                if self.alive < len(self.table) // 2:
-                    live_before = sum(1 for c in range(a)
-                                      if self.p[c] == c)
+                if self.alive < self._n // 2:
+                    a = sum(1 for c in range(a) if self.p[c] == c)
                     self._compact()
-                    a = live_before
+                # a compaction renumbers the cosets of the block
+                hi = a
                 lookahead_at = max(lookahead_at * 2,
-                                   len(self.table) + lookahead_at)
+                                   self._n + lookahead_at)
             self._check_time()
 
     # -- public -----------------------------------------------------------
 
     def run(self):
-        self._deadline = time.monotonic() + self.limits.time_limit
+        self._start = time.monotonic()
+        self._deadline = self._start + self.limits.time_limit
         self._run_hlt()
         self._compact()
         self.status = "closed"
@@ -233,23 +341,25 @@ class CosetTable:
         the columns are mutually inverse bijections."""
         if self.status != "closed":
             raise StateError("table is not closed")
-        n = len(self.table)
-        for c, row in enumerate(self.table):
-            for x in range(self.ncols):
-                d = row[x]
-                if d < 0 or self.table[d][x ^ 1] != c:
-                    raise StateError("closed table has inconsistent columns")
+        # cols[x] is column x, so each gather below is contiguous
+        cols = self.table.T.astype(np.intp)
+        n = cols.shape[1]
+        cosets = np.arange(n)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise StateError("closed table has inconsistent columns")
+        for x in range(self.ncols):
+            if not np.array_equal(cols[x ^ 1][cols[x]], cosets):
+                raise StateError("closed table has inconsistent columns")
         for word in self.relators:
-            for c in range(n):
-                f = c
-                for x in word:
-                    f = self.table[f][x]
-                if f != c:
-                    raise StateError("relator does not scan to closure")
+            f = cosets
+            for x in word:
+                f = cols[x][f]
+            if not np.array_equal(f, cosets):
+                raise StateError("relator does not scan to closure")
         for word in self.subgroup_words:
             f = 0
             for x in word:
-                f = self.table[f][x]
+                f = cols[x][f]
             if f != 0:
                 raise StateError("subgroup word leaves the subgroup coset")
         return True
@@ -258,10 +368,7 @@ class CosetTable:
         """Action of generator ``gen`` on the cosets."""
         if self.status != "closed":
             raise StateError("table is not closed")
-        col = 2 * gen
-        return Permutation(
-            np.fromiter((row[col] for row in self.table),
-                        dtype=np.int32, count=len(self.table)))
+        return Permutation(self.table[:, 2 * gen])
 
 
 def tc_enumerate(presentation, subgroup_words=(), limits=None):

@@ -17,7 +17,8 @@ of element indices) so that hot loops can run in index space instead of
 composing permutation arrays.  Regular permutation groups (degree equal
 to order, identity at point 0, as produced by coset enumeration) build
 their table by a breadth-first sweep over right-multiplication columns
-without ever materializing element arrays.
+without ever materializing element arrays; each column is written as
+one contiguous row of the table's transpose.
 """
 
 from __future__ import annotations
@@ -344,25 +345,28 @@ class FiniteGroup:
             self._close_generic()
             return
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        table = np.full((n, n), -1, dtype=dtype)
-        cols = [g.images for g in self.generators]
+        # cols[k] is column k of the table (element k acting by right
+        # multiplication), so each column is filled as one contiguous row
+        cols = np.empty((n, n), dtype=dtype)
+        gens = [g.images for g in self.generators]
         parents = [None] * n
         parents[0] = (-1, -1)
-        table[:, 0] = np.arange(n, dtype=dtype)
+        cols[0] = np.arange(n, dtype=dtype)
         queue = [0]
         qi = 0
         while qi < len(queue):
             j = queue[qi]
             qi += 1
-            colj = table[:, j]
-            for gi, cg in enumerate(cols):
+            colj = cols[j]
+            for gi, cg in enumerate(gens):
                 k = int(cg[j])           # j * gen_gi, acting at the identity
                 if parents[k] is None:
-                    table[:, k] = cg[colj]
+                    cols[k] = cg[colj]
                     parents[k] = (j, gi)
                     queue.append(k)
         if qi != n:
             raise ValueError("action is not transitive; not a regular group")
+        table = cols.T
         table.setflags(write=False)
         self._parents = parents
         self._table = table
@@ -477,7 +481,14 @@ class FiniteGroup:
         if self._inv_idx is None:
             t = self.table()
             if t is not None:
-                inv = np.argmax(t == 0, axis=1).astype(np.int32)
+                # i^-1 is the row holding the identity (index 0, the
+                # least entry) in column i; blocks of columns keep
+                # argmin's temporaries small
+                n = t.shape[0]
+                step = max(1, (1 << 20) // n)
+                inv = np.concatenate([
+                    t[:, lo:lo + step].argmin(axis=0)
+                    for lo in range(0, n, step)]).astype(np.int32)
             else:
                 inv = np.fromiter(
                     (self.index_of(e.inverse()) for e in self.elements()),

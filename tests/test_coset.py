@@ -1,7 +1,13 @@
+import cProfile
+import hashlib
+import re
+
+import numpy as np
 import pytest
 
 from tensq import (EnumerationLimitError, EnumerationLimits, StateError,
-                   get_group, multiplication_table_presentation,
+                   Word, get_group, get_presentation,
+                   multiplication_table_presentation, nu_presentation,
                    parse_presentation, parse_word, tc_enumerate,
                    to_perm_group)
 from tensq.catalog import catalog
@@ -42,13 +48,32 @@ class TestEnumeration:
     def test_determinism(self):
         t1 = tc_enumerate(pres(S3), ())
         t2 = tc_enumerate(pres(S3), ())
-        assert t1.table == t2.table
+        assert np.array_equal(t1.table, t2.table)
+
+    def _progress(self, info, prefix):
+        """Live and defined coset counts from a limit error's message,
+        checked against the partial table it carries."""
+        table = info.value.table
+        m = re.fullmatch(re.escape(prefix) + r" \((\d+) live cosets, "
+                         r"(\d+) cosets defined, \d+\.\d\ds elapsed\)",
+                         str(info.value))
+        assert m is not None, str(info.value)
+        assert int(m.group(1)) == table.alive
+        assert int(m.group(2)) == table.defined >= table.alive
 
     def test_coset_limit_preserves_table(self):
         with pytest.raises(EnumerationLimitError) as info:
             tc_enumerate(pres(S3), (), EnumerationLimits(max_cosets=3))
         assert info.value.table is not None
         assert info.value.table.status == "in-progress"
+        self._progress(info, "coset limit 3 exceeded")
+        assert info.value.table.alive == 3
+
+    def test_time_limit_reports_progress(self):
+        with pytest.raises(EnumerationLimitError) as info:
+            tc_enumerate(pres(S3), (), EnumerationLimits(time_limit=0.0))
+        assert info.value.table.status == "in-progress"
+        self._progress(info, "time limit 0.0s exceeded")
 
     def test_lookahead_path(self):
         table = tc_enumerate(pres(S3), (),
@@ -58,6 +83,87 @@ class TestEnumeration:
     def test_verification_runs_after_close(self):
         table = tc_enumerate(pres(S3), ())
         assert table.verify()
+
+
+def _s3_subgroup_a():
+    p = pres(S3)
+    return p, (parse_word("a", p.generator_names),)
+
+
+def _first_generator(name):
+    return get_presentation(name), (Word([(0, 1)]),)
+
+
+def _nu(name, mode, lookahead):
+    if mode == "gens":
+        base = get_presentation(name)
+    else:
+        base = multiplication_table_presentation(get_group(name)).presentation
+    return (nu_presentation(base, mode), (),
+            EnumerationLimits(lookahead_threshold=lookahead))
+
+
+# sha256 of closed tables (rows of little-endian int32), recorded from
+# the list-of-lists enumerator that scanned every relator from every
+# coset; the closed-relator pre-check must not change a single entry
+GOLDEN_TABLES = [
+    ("S3/<a>", _s3_subgroup_a,
+     "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
+    ("D4/<a>", lambda: _first_generator("D4"),
+     "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
+    ("A4/<a>", lambda: _first_generator("A4"),
+     "134d2bd89be057f27f9df10b8978090dd54f07e991374bd7e43c974d03335602"),
+    ("Q8/<a>", lambda: _first_generator("Q8"),
+     "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
+    ("nu(D4)-gens", lambda: _nu("D4", "gens", 500),
+     "5466b85be74b2aa87cd2f3befafb17a2cdb868b9a2c1b99eb08cfd4fc0955dc8"),
+    ("nu(A4)-gens", lambda: _nu("A4", "gens", 500),
+     "f5d74147f9e9cd306ac66d0874f639d22d48a723377027a88556f2b660348050"),
+    ("nu(Q8)-gens", lambda: _nu("Q8", "gens", 500),
+     "e14f9fe0be08f8ba21664ca1691f6f48c9ad61fffe3c2b84334cdfe7cf724791"),
+    ("nu(S3)-all", lambda: _nu("S3", "all", 300),
+     "9922078034a0122e19018ee5a9225aee47bdca5d44451fd55afff62345159511"),
+]
+
+
+def _digest(table):
+    data = np.ascontiguousarray(table.table, dtype="<i4").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("make, digest", [g[1:] for g in GOLDEN_TABLES],
+                         ids=[g[0] for g in GOLDEN_TABLES])
+def test_closed_table_matches_recorded_digest(make, digest):
+    assert _digest(tc_enumerate(*make())) == digest
+
+
+def test_table_grown_under_a_profiler():
+    # a profiler holds a reference to the array while it grows, so it
+    # grows by a copy instead of in place; the table is the same
+    _, make, digest = GOLDEN_TABLES[4]
+    assert _digest(cProfile.Profile().runcall(tc_enumerate, *make())) \
+        == digest
+
+
+class TestVerifyRejects:
+    def test_inconsistent_columns(self):
+        table = tc_enumerate(pres(S3), ())
+        t = table.table
+        t[[0, 1], 0] = t[[1, 0], 0]
+        with pytest.raises(StateError, match="inconsistent columns"):
+            table.verify()
+
+    def test_relator_not_closing(self):
+        table = tc_enumerate(pres(S3), ())
+        table.relators += ((0, 2),)           # a b has order 3, not 1
+        with pytest.raises(StateError, match="does not scan to closure"):
+            table.verify()
+
+    def test_subgroup_word_leaving_coset_0(self):
+        table = tc_enumerate(pres(S3), ())    # regular: a moves coset 0
+        table.subgroup_words = ((0,),)
+        with pytest.raises(StateError, match="leaves the subgroup coset"):
+            table.verify()
 
 
 class TestToPermGroup:

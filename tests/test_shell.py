@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
                    resolve_group, tc_enumerate)
 from tensq.cache import cache_key, cache_load, cache_store
+from tensq import cli
 from tensq.cli import main
 from tensq.report import Report, canonical_json
 
@@ -219,6 +221,25 @@ class TestCli:
 
     def test_limit_error_exit_2(self):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
+
+    @pytest.mark.parametrize("limit", [("--time-limit", "0.01"),
+                                       ("--max-cosets", "10")])
+    def test_pres_file_obeys_limits(self, tmp_path, capsys, limit):
+        # the default limits would let this enumeration run for 60 s
+        path = tmp_path / "C.pres"
+        path.write_text("gens: a\nrels: a^40000\n")
+        start = time.monotonic()
+        assert self.run("tensor", f"@{path}", *limit, "--no-cache") == 2
+        assert time.monotonic() - start < 1.0
+        assert "limit error:" in capsys.readouterr().err
+
+    def test_engel_rejects_p_before_building_nu(self, monkeypatch, capsys):
+        def build_nu(*args, **kwargs):
+            raise AssertionError("build_nu called before -p was checked")
+        monkeypatch.setattr(cli, "build_nu", build_nu)
+        assert self.run("engel", "C3xC3", "-p", "4", "-m", "1", "-n", "1",
+                        "--no-cache") == 2
+        assert "p must be prime" in capsys.readouterr().err
 
     def test_invariant_failure_exit_1(self, monkeypatch, capsys):
         monkeypatch.setattr(FiniteGroup, "normal_closure",

@@ -1,5 +1,5 @@
 """Differential test of coset enumeration against sympy's FpGroup.order()
-on presentations of groups known to be finite."""
+and FpGroup.index() on presentations of groups known to be finite."""
 
 import functools
 import operator
@@ -61,15 +61,42 @@ def presentations(draw):
     return ngens, draw(st.permutations(out))
 
 
-@settings(max_examples=40, deadline=None)
-@given(presentations())
-def test_coset_count_matches_sympy_order(case):
-    ngens, relators = case
+@st.composite
+def subgroup_cases(draw):
+    """A drawn presentation plus one subgroup generator, a word of one
+    to four letters."""
+    ngens, relators = draw(presentations())
+    letters = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    return ngens, relators, draw(st.lists(letters, min_size=1, max_size=4))
+
+
+def _both(ngens, relators):
+    """The presentation for tc_enumerate, and sympy's free group, its
+    generators and FpGroup."""
     names = tuple(f"x{i}" for i in range(ngens))
     pres = Presentation(names, tuple(Word(r) for r in relators))
     free, *gens = free_groups.free_group(" ".join(names))
-    words = [functools.reduce(operator.mul, (gens[g] ** e for g, e in r),
-                              free.identity)
-             for r in relators]
-    expected = fp_groups.FpGroup(free, words).order()
-    assert tc_enumerate(pres).coset_count == expected
+    group = fp_groups.FpGroup(free, [_sympy_word(free, gens, r)
+                                     for r in relators])
+    return pres, free, gens, group
+
+
+def _sympy_word(free, gens, letters):
+    return functools.reduce(operator.mul, (gens[g] ** e for g, e in letters),
+                            free.identity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_coset_count_matches_sympy_order(case):
+    pres, _, _, group = _both(*case)
+    assert tc_enumerate(pres).coset_count == group.order()
+
+
+@settings(max_examples=40, deadline=None)
+@given(subgroup_cases())
+def test_subgroup_index_matches_sympy(case):
+    ngens, relators, letters = case
+    pres, free, gens, group = _both(ngens, relators)
+    expected = group.index([_sympy_word(free, gens, letters)])
+    assert tc_enumerate(pres, (Word(letters),)).coset_count == expected
