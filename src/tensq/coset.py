@@ -36,6 +36,10 @@ _INITIAL_ROWS = 1024
 # (coset, relator) pairs per closed-relator pre-check: a block is this
 # many divided by the relator count, and at least one coset.
 _PRECHECK_PAIRS = 4096
+# Letters the pre-check walks between tests of the time limit and of
+# whether every path still walking has stopped at an undefined entry.
+# Most relators are shorter, so their walks pay for neither test.
+_WALK_CHECK_LETTERS = 16
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,16 @@ class CosetTable:
         f[:] = start
         flat = self._rows.reshape(-1)
         # an undefined entry (-1) indexes the free last row, all -1
-        for letters in self._letters:
+        for i, letters in enumerate(self._letters, 1):
             step = f[:len(letters)]
             step *= self.ncols
             step += letters
             step[:] = flat[step]
+            if i % _WALK_CHECK_LETTERS == 0:
+                # every path still walking is undefined: all stay open
+                if not (step >= 0).any():
+                    break
+                self._check_time()
         return (f != start)[self._rank].T
 
     def _precheck_from(self, a):

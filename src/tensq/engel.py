@@ -6,6 +6,13 @@ the ambient group.  Iteration of z |-> [z, y] is a self-map of a finite
 group, so reaching the identity is decidable exactly: once a value
 repeats without hitting 1, it never will.  The search bound therefore
 only caps the *reported* minimal degree, never the yes/no answer.
+
+On a group with a Cayley table the Engel iterations run in index space
+over whole columns: the stacked word of ``engel_stack_identity``
+depends on (x1, y1) only through c = [x1, y1], so it is swept over all
+z at once for each distinct commutator.  ``fitting_subgroup`` joins
+normal subgroups as product sets, AB of order |A||B|/|A n B|, and
+builds a subgroup only for a join the lattice does not hold yet.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 
 from .errors import invariant
 from .nu import Check, VerificationReport
+from .perm import commutator_sweep
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,7 @@ def _is_left_n_engel_idx(yi, ambient, n):
     t = ambient.table()
     if t is not None:
         inv = np.asarray(ambient.inverse_indices())
-        iy = int(inv[yi])
-        v = np.arange(ambient.order())
-        for _ in range(n):
-            v = t[t[inv[v], iy], t[v, yi]]
+        v = _engel_steps(t, inv, np.arange(ambient.order()), yi, n)
         return bool(np.all(v == 0))
     order = ambient.order()
     for x in range(order):
@@ -79,6 +84,15 @@ def _is_left_n_engel_idx(yi, ambient, n):
         if c != 0:
             return False
     return True
+
+
+def _engel_steps(t, inv, v, y, n):
+    """[v, n y] for every entry of the index array ``v``, over Cayley
+    table ``t`` with inverse indices ``inv``."""
+    iy = inv[y]
+    for _ in range(n):
+        v = t[t[inv[v], iy], t[v, y]]
+    return v
 
 
 def engel_degree(y, ambient, bound=10):
@@ -117,6 +131,11 @@ def left_engel_set(group, bound):
     return out
 
 
+def _bits(sub):
+    """A subgroup's element indices as the set bits of an int."""
+    return sum(1 << i for i in sub.indices())
+
+
 def fitting_subgroup(group):
     """Largest nilpotent normal subgroup, by enumerating the normal
     subgroup lattice from normal closures of single elements.
@@ -124,21 +143,32 @@ def fitting_subgroup(group):
     Independent oracle for the set of left Engel elements of a finite
     group; shares nothing with the Engel iteration.
     """
-    atoms = {}
+    normals = {}
     for i in range(group.order()):
         nc = group.normal_closure([group.element(i)])
-        atoms.setdefault(nc.index_set(), nc)
-    normals = dict(atoms)
-    work = list(atoms.values())
+        normals.setdefault(_bits(nc), nc)
+    work = list(normals.items())
+    # Every member is normal, so the join of A and B is the product set
+    # AB, of order |A||B|/|A n B|: a member of that order containing A
+    # and B is their join, and only a join no member matches is built.
+    by_order = {}
+    for bits, s in work:
+        by_order.setdefault(s.order(), []).append(bits)
     while work:
-        a = work.pop()
-        for b in list(normals.values()):
+        abits, a = work.pop()
+        for bbits, b in list(normals.items()):
+            both = abits | bbits
+            order = a.order() * b.order() // (abits & bbits).bit_count()
+            if any(both & ~m == 0 for m in by_order.get(order, ())):
+                continue
             joined = group.subgroup(
                 list(dict.fromkeys(a.generators + b.generators)))
-            key = joined.index_set()
-            if key not in normals:
-                normals[key] = joined
-                work.append(joined)
+            invariant(joined.order() == order,
+                      "join of normal subgroups differs from their product")
+            bits = _bits(joined)
+            normals[bits] = joined
+            by_order.setdefault(order, []).append(bits)
+            work.append((bits, joined))
     nilpotents = [s for s in normals.values()
                   if s.as_group().is_nilpotent()]
     gens = []
@@ -207,6 +237,21 @@ def engel_stack_identity(group, n, p, m):
     g = group
     order = g.order()
     powers = [p ** j for j in range(m + 1)]
+    t = g.table()
+    if t is not None:
+        # the word depends on (x1, y1) only through c: sweep every z at
+        # once for each distinct commutator
+        inv = np.asarray(g.inverse_indices(), dtype=np.intp)
+        for c in commutator_sweep(g, range(order)):
+            w = np.arange(order)
+            for q in powers:
+                w = _engel_steps(t, inv, w, g.pow_idx(c, q), n)
+                w = w[w != 0]
+                if not w.size:
+                    break
+            if w.size:
+                return False
+        return True
     for x1 in range(order):
         for y1 in range(order):
             c = g.comm_idx(x1, y1)

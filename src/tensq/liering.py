@@ -9,7 +9,10 @@ of the quotients D_i/D_{i+1} is a graded Lie ring over F_p whose
 bracket is induced by group commutators of coset representatives.  A
 classical recursion D_i = [D_{i-1}, G] * (D_ceil(i/p))^p computes the
 same series and serves as an independent oracle for the product
-formula.
+formula.  On a group with a Cayley table, its commutator step
+[D_{i-1}, G] is one gather over the table, deduplicated in the order
+a loop over element pairs meets the commutators, so each term keeps the
+generators, and the element order, that loop gives it.
 
 Only the bracket structure is realized here (no p-power operation on
 the ring); adjoint maps are matrices over F_p in the full graded basis.
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import invariant
 from .linalg import extend_basis, mat_pow_mod, rref_mod
 from .nu import Check, VerificationReport
-from .perm import SeriesReport
+from .perm import SeriesReport, commutator_sweep
 
 
 def _check_p_group(group, p):
@@ -111,10 +114,13 @@ def jennings_recursion(group, p):
     while True:
         prev = terms[-1]
         half = terms[math.ceil(i / p) - 1]
-        gens = {}
-        for d in prev.indices():
-            for g in range(group.order()):
-                gens.setdefault(group.comm_idx(d, g))
+        if group.table() is not None:
+            gens = dict.fromkeys(commutator_sweep(group, prev.indices()))
+        else:
+            gens = {}
+            for d in prev.indices():
+                for g in range(group.order()):
+                    gens.setdefault(group.comm_idx(d, g))
         for d in half.indices():
             gens.setdefault(group.pow_idx(d, p))
         d_i = group.subgroup([group.element(g) for g in gens])

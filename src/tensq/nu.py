@@ -28,7 +28,7 @@ from .coset import (EnumerationLimits, multiplication_table_presentation,
                     tc_enumerate, to_perm_group)
 from .errors import invariant
 from .linalg import abelian_invariants
-from .perm import FiniteGroup, Subgroup
+from .perm import FiniteGroup, Subgroup, bfs_levels
 from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
@@ -270,27 +270,21 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
 
     # rho: fold the quotient map nu(G) ->> G over a breadth-first sweep,
     # then certify it is a homomorphism on every edge of the Cayley graph.
+    # gright[i, t] is G's element i times the image of generator t.
     N = ambient.order()
+    T = ambient.table()
+    gright = np.array([[group.mul_idx(i, r) for r in rho_gen]
+                       for i in range(n)])
     rho = np.full(N, -1, dtype=np.int32)
     rho[0] = 0
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for t, gt in enumerate(gen_idx):
-            b = ambient.mul_idx(a, gt)
-            if rho[b] < 0:
-                rho[b] = group.mul_idx(int(rho[a]), rho_gen[t])
-                queue.append(b)
-    invariant(qi == N, "the rho sweep missed elements of nu(G)")
-    for a in range(N):
-        ra = int(rho[a])
-        for t, gt in enumerate(gen_idx):
-            invariant(rho[ambient.mul_idx(a, gt)]
-                      == group.mul_idx(ra, rho_gen[t]),
-                      "rho is not a homomorphism; "
-                      "enumeration is inconsistent")
+    for src, gen, new in bfs_levels(T, gen_idx):
+        rho[new] = gright[rho[src], gen]
+    invariant(bool((rho >= 0).all()),
+              "the rho sweep missed elements of nu(G)")
+    for t, g in enumerate(gen_idx):
+        invariant(np.array_equal(rho[T[:, g]], gright[rho, t]),
+                  "rho is not a homomorphism; "
+                  "enumeration is inconsistent")
 
     gsub = [group.index_of(g) for g in group.generators]
     seeds = [ambient.element(ambient.comm_idx(int(left[a]), int(right[b])))

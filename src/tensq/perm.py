@@ -14,11 +14,21 @@ then assign), which keeps concurrent reads safe.
 
 Groups of modest order additionally carry a Cayley table (numpy array
 of element indices) so that hot loops can run in index space instead of
-composing permutation arrays.  Regular permutation groups (degree equal
-to order, identity at point 0, as produced by coset enumeration) build
-their table by a breadth-first sweep over right-multiplication columns
-without ever materializing element arrays; each column is written as
-one contiguous row of the table's transpose.
+composing permutation arrays.  Both kinds of group build it by one
+breadth-first sweep over right-multiplication columns: column k of the
+table is the column of k's breadth-first parent, mapped through the
+generator on the edge between them, and it is written as one
+contiguous row of the table's transpose.  A regular permutation group
+(degree equal to order, identity at point 0, as produced by coset
+enumeration) reads those columns off its generators' images, so it
+never materializes element arrays; a generic group records them while
+it enumerates its elements.
+
+Subgroup closure and the other index-space sweeps gather a whole
+breadth-first level from the table at once and keep first occurrences,
+which visits elements in exactly the order of a scalar queue.  Groups
+without a table (generic groups above ``GENERIC_TABLE_CAP``) run the
+scalar loops over ``mul_idx``.
 """
 
 from __future__ import annotations
@@ -38,6 +48,15 @@ DEFAULT_MAX_ORDER = 100_000
 # the n^2 multiplications are cheap.
 REGULAR_TABLE_CAP = 20_000
 GENERIC_TABLE_CAP = 512
+
+# Entries one step of an index-space sweep gathers: a breadth-first
+# level is cut into chunks of about this many (element, generator)
+# products, which keeps the temporaries small when a subgroup has
+# hundreds of generators.
+SWEEP_ENTRIES = 8192
+# Mark of an element index that a sweep has not reached yet; larger
+# than any position in a gathered chunk.
+_UNSEEN = np.iinfo(np.intp).max
 
 
 class Permutation:
@@ -255,6 +274,86 @@ def format_perm_group(group):
     return "\n".join(lines) + "\n"
 
 
+def _sweep_table(right, parents, order):
+    """Cayley table from right-multiplication columns, ``right[g][i] =
+    index(element_i * generator_g)``: in breadth-first ``order``, the
+    column of element k with parent edge (p, g) is ``right[g]`` applied
+    to the column of p, since x * (e_p * g) = (x * e_p) * g."""
+    n = len(parents)
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    # cols[k] is column k of the table, filled as one contiguous row
+    cols = np.empty((n, n), dtype=dtype)
+    cols[0] = np.arange(n, dtype=dtype)
+    for k in order[1:]:
+        p, g = parents[k]
+        cols[k] = right[g][cols[p]]
+    table = cols.T
+    table.setflags(write=False)
+    return table
+
+
+def _first_new(values, marks):
+    """Positions in ``values`` of the first occurrence of each entry not
+    yet seen, in order.  ``marks`` holds -1 at seen element indices and
+    ``_UNSEEN`` elsewhere; the entries found become seen."""
+    pos = np.flatnonzero(marks[values] == _UNSEEN)
+    new = values[pos]
+    # each new entry's mark takes its least position, which picks out
+    # the first occurrences without sorting
+    np.minimum.at(marks, new, pos)
+    pos = pos[marks[new] == pos]
+    marks[new] = -1
+    return pos
+
+
+def bfs_levels(t, gens):
+    """Breadth-first sweep from the identity over right multiplication
+    by the element indices ``gens``, a level at a time, on Cayley table
+    ``t``.  Yields ``(sources, generator positions, new elements)``:
+    element ``new[i]`` is ``sources[i] * gens[positions[i]]``.  The new
+    elements come in the order a scalar queue discovers them, since each
+    chunk of a level is gathered row-major and keeps first
+    occurrences."""
+    k = len(gens)
+    if not k:
+        return
+    gens = np.asarray(gens, dtype=np.intp)
+    marks = np.full(t.shape[0], _UNSEEN, dtype=np.intp)
+    marks[0] = -1
+    step = max(1, SWEEP_ENTRIES // k)
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        level = []
+        for lo in range(0, frontier.size, step):
+            src = frontier[lo:lo + step]
+            cand = t[src[:, None], gens].ravel()
+            pos = _first_new(cand, marks)
+            if pos.size:
+                new = cand[pos]
+                yield src[pos // k], pos % k, new
+                level.append(new)
+        frontier = np.concatenate(level) if level else frontier[:0]
+
+
+def commutator_sweep(group, rows):
+    """Distinct commutators [r, g] over ``rows`` and every element g of
+    ``group``, in first-occurrence order of the row-major sweep.  Needs
+    the group's Cayley table."""
+    t = group.table()
+    n = t.shape[0]
+    inv = np.asarray(group.inverse_indices(), dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    marks = np.full(n, _UNSEEN, dtype=np.intp)
+    out = []
+    step = max(1, SWEEP_ENTRIES // n)
+    for lo in range(0, rows.size, step):
+        r = rows[lo:lo + step]
+        # [r, g] = r^-1 g^-1 r g
+        c = t[t[inv[r, None], inv], t[r]].ravel()
+        out.extend(c[_first_new(c, marks)].tolist())
+    return out
+
+
 class FiniteGroup:
     """A finite group given by permutation generators of equal degree.
 
@@ -284,6 +383,7 @@ class FiniteGroup:
         self._elements = None
         self._index = None
         self._parents = None
+        self._right = None
         self._table = None
         self._inv_idx = None
         self._orders_idx = None
@@ -315,22 +415,27 @@ class FiniteGroup:
         els = [self.identity]
         index = {els[0].key: 0}
         parents = [(-1, -1)]
+        # right[gi][i] = index(element_i * generator_gi)
+        right = [[] for _ in gens]
         i = 0
         while i < len(els):
             e = els[i]
             for gi, g in enumerate(gens):
                 f = e * g
                 k = f.key
-                if k not in index:
+                j = index.get(k)
+                if j is None:
                     if len(els) >= self.max_order:
                         raise CapacityError(
                             f"group exceeds element cap {self.max_order}")
-                    index[k] = len(els)
+                    j = index[k] = len(els)
                     els.append(f)
                     parents.append((i, gi))
+                right[gi].append(j)
             i += 1
         self._elements = tuple(els)
         self._parents = parents
+        self._right = np.array(right, dtype=np.int32)
         self._index = index
 
     def _close_regular(self):
@@ -344,32 +449,25 @@ class FiniteGroup:
         if n > REGULAR_TABLE_CAP:
             self._close_generic()
             return
-        dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        # cols[k] is column k of the table (element k acting by right
-        # multiplication), so each column is filled as one contiguous row
-        cols = np.empty((n, n), dtype=dtype)
-        gens = [g.images for g in self.generators]
+        # generator g maps point j to index(element_j * g)
+        right = [g.images for g in self.generators]
+        steps = [r.tolist() for r in right]
         parents = [None] * n
         parents[0] = (-1, -1)
-        cols[0] = np.arange(n, dtype=dtype)
         queue = [0]
         qi = 0
         while qi < len(queue):
             j = queue[qi]
             qi += 1
-            colj = cols[j]
-            for gi, cg in enumerate(gens):
-                k = int(cg[j])           # j * gen_gi, acting at the identity
+            for gi, step in enumerate(steps):
+                k = step[j]
                 if parents[k] is None:
-                    cols[k] = cg[colj]
                     parents[k] = (j, gi)
                     queue.append(k)
         if qi != n:
             raise ValueError("action is not transitive; not a regular group")
-        table = cols.T
-        table.setflags(write=False)
         self._parents = parents
-        self._table = table
+        self._table = _sweep_table(right, parents, queue)
 
     def _close(self):
         if self._regular:
@@ -458,23 +556,12 @@ class FiniteGroup:
         or None when the group is too large to afford one."""
         if self._table is not None:
             return self._table
-        if self._regular:
-            self._close()
-            if self._table is not None:
-                return self._table
-        n = self.order()
-        if n > GENERIC_TABLE_CAP and not self._regular:
-            return None
+        self._close()
         if self._table is None:
-            els = self.elements()
-            dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-            table = np.empty((n, n), dtype=dtype)
-            for j in range(n):
-                gj = els[j].images
-                for i in range(n):
-                    table[i, j] = self._index[gj[els[i].images].tobytes()]
-            table.setflags(write=False)
-            self._table = table
+            n = self.order()
+            if n > GENERIC_TABLE_CAP and not self._regular:
+                return None
+            self._table = _sweep_table(self._right, self._parents, range(n))
         return self._table
 
     def inverse_indices(self):
@@ -694,7 +781,15 @@ class Subgroup:
 
     def _close_indices(self, gen_idx):
         parent = self.parent
+        cap = parent.max_order
         order = [0]
+        t = parent.table()
+        if t is not None:
+            for _, _, new in bfs_levels(t, gen_idx):
+                order.extend(new.tolist())
+                if len(order) > cap:
+                    raise CapacityError(f"subgroup exceeds element cap {cap}")
+            return tuple(order)
         seen = {0}
         i = 0
         while i < len(order):
@@ -702,9 +797,9 @@ class Subgroup:
             for g in gen_idx:
                 f = parent.mul_idx(e, g)
                 if f not in seen:
-                    if len(order) >= parent.max_order:
+                    if len(order) >= cap:
                         raise CapacityError(
-                            f"subgroup exceeds element cap {parent.max_order}")
+                            f"subgroup exceeds element cap {cap}")
                     seen.add(f)
                     order.append(f)
             i += 1

@@ -1,6 +1,7 @@
 import cProfile
 import hashlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tensq import (EnumerationLimitError, EnumerationLimits, StateError,
                    parse_presentation, parse_word, tc_enumerate,
                    to_perm_group)
 from tensq.catalog import catalog
+from tensq import coset
 from tensq.coset import CosetTable
 
 
@@ -74,6 +76,32 @@ class TestEnumeration:
             tc_enumerate(pres(S3), (), EnumerationLimits(time_limit=0.0))
         assert info.value.table.status == "in-progress"
         self._progress(info, "time limit 0.0s exceeded")
+
+    def test_precheck_stops_when_every_path_is_undefined(self):
+        # from a lone coset, a^40000 is undefined after one letter; the
+        # pre-check stops at its next test instead of walking all
+        # 40,000 letters
+        table = CosetTable(pres("gens: a\nrels: a^40000, a^2\n"))
+        walked = []
+
+        class Counting(list):
+            def __iter__(self):
+                for letters in super().__iter__():
+                    walked.append(letters)
+                    yield letters
+
+        table._letters = Counting(table._letters)
+        assert table._open_relators([0]).tolist() == [[True, True]]
+        assert len(walked) == coset._WALK_CHECK_LETTERS
+
+    def test_precheck_checks_the_time_limit(self):
+        table = CosetTable(pres("gens: a\nrels: a^40000\n"))
+        table._start = time.monotonic()
+        table._deadline = table._start - 1.0
+        for c in range(coset._WALK_CHECK_LETTERS):
+            table._define(c, 0)  # defined steps past the first test
+        with pytest.raises(EnumerationLimitError, match="time limit"):
+            table._open_relators([0])
 
     def test_lookahead_path(self):
         table = tc_enumerate(pres(S3), (),

@@ -1,0 +1,314 @@
+"""Differential tests of the index-space group kernels.
+
+Each kernel that runs over the Cayley table is compared with an
+independent version: permutation products, a scalar breadth-first
+closure, the brute-force triple loop of the stacked Engel word, values
+recorded from the scalar implementation, and the table-less path that
+generic groups above ``GENERIC_TABLE_CAP`` take.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
+                   build_nu, commutator, engel_stack_identity,
+                   fitting_subgroup, get_group, get_presentation)
+from tensq import perm as perm_module
+from tensq.catalog import catalog
+from tensq.liering import jennings_recursion
+
+
+def product(*groups):
+    """Direct product acting on the disjoint union of the points."""
+    degree = sum(g.degree for g in groups)
+    gens = []
+    offset = 0
+    for g in groups:
+        for p in g.generators:
+            images = list(range(degree))
+            for i, x in enumerate(p.images):
+                images[offset + i] = offset + int(x)
+            gens.append(Permutation(images))
+        offset += g.degree
+    return FiniteGroup(gens, name="x".join(g.name for g in groups))
+
+
+def fresh(name):
+    """A new, unclosed copy of a catalog group (no cached table)."""
+    g = get_group(name)
+    return FiniteGroup(g.generators, name=name)
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def scalar_closure(group, gens):
+    """Breadth-first closure by permutation products, one queue."""
+    order = [0]
+    seen = {0}
+    i = 0
+    while i < len(order):
+        e = group.element(order[i])
+        for g in gens:
+            f = group.index_of(e * g)
+            if f not in seen:
+                seen.add(f)
+                order.append(f)
+        i += 1
+    return tuple(order)
+
+
+# -- Cayley tables ------------------------------------------------------------
+
+def assert_table_matches_products(group):
+    t = group.table()
+    els = group.elements()
+    n = group.order()
+    assert t.shape == (n, n)
+    for i, j in itertools.product(range(n), repeat=2):
+        assert t[i, j] == group.index_of(els[i] * els[j]), (i, j)
+
+
+@pytest.mark.parametrize("name", list(catalog()))
+def test_generic_table_matches_products(name):
+    assert_table_matches_products(fresh(name))
+
+
+def test_table_of_a_nu_ambient_subgroup(nu_of):
+    # a generic group on 2048 points whose elements come from the
+    # regular nu(D4)
+    nu = nu_of("D4")
+    tensor = nu.tensor.as_group()
+    assert tensor.order() == nu.tensor.order()
+    assert_table_matches_products(tensor)
+
+
+def test_regular_table_matches_products(nu_of):
+    assert_table_matches_products(nu_of("S3", "all").ambient)
+
+
+# -- subgroup closure ---------------------------------------------------------
+
+closure_cases = st.tuples(
+    st.sampled_from(["S4", "Heis3", "D4", "A4", "M27"]),
+    st.lists(st.integers(0, 10_000), max_size=12),
+    st.integers(1, 40))
+
+
+@given(closure_cases)
+@settings(max_examples=60, deadline=None)
+def test_subgroup_indices_match_scalar_closure(case):
+    name, picks, chunk = case
+    g = get_group(name)
+    gens = [g.element(k % g.order()) for k in picks]
+    scalar = scalar_closure(g, gens)
+    saved = perm_module.SWEEP_ENTRIES
+    perm_module.SWEEP_ENTRIES = chunk       # cut levels into chunks
+    try:
+        sub = g.subgroup(gens)
+    finally:
+        perm_module.SWEEP_ENTRIES = saved
+    assert sub.indices() == scalar
+    assert sub.generators == tuple(gens)
+
+
+@pytest.mark.parametrize("table_cap", [perm_module.GENERIC_TABLE_CAP, 0])
+def test_subgroup_capacity_error_at_max_order(monkeypatch, table_cap):
+    monkeypatch.setattr(perm_module, "GENERIC_TABLE_CAP", table_cap)
+    g = fresh("D4")
+    assert (g.table() is None) == (table_cap == 0)
+    g.max_order = 4
+    rotation = g.generators[0]
+    assert g.subgroup([rotation]).order() == 4      # exactly at the cap
+    with pytest.raises(CapacityError):
+        g.subgroup(g.generators)
+
+
+# -- the stacked Engel word ---------------------------------------------------
+
+def brute_stack_identity(group, n, p, m):
+    """[z, n c, n c^p, ..., n c^(p^m)] = 1 for every triple (z, x1, y1),
+    c = [x1, y1], by permutation arithmetic."""
+    els = group.elements()
+    for x1, y1, z in itertools.product(els, repeat=3):
+        c = commutator(x1, y1)
+        w = z
+        for j in range(m + 1):
+            cp = c ** (p ** j)
+            for _ in range(n):
+                w = commutator(w, cp)
+        if not w.is_identity():
+            return False
+    return True
+
+
+STACK_GRID = [(1, 2, 0), (2, 2, 0), (1, 2, 1), (1, 3, 1), (2, 3, 0),
+              (3, 2, 1)]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+@pytest.mark.parametrize("n,p,m", STACK_GRID)
+def test_stack_identity_matches_triple_loop(name, n, p, m):
+    g = get_group(name)
+    assert engel_stack_identity(g, n, p, m) == \
+        brute_stack_identity(g, n, p, m)
+
+
+def test_stack_identity_s4_matches_triple_loop():
+    s4 = get_group("S4")
+    for n, p, m in [(1, 2, 0), (2, 3, 1)]:
+        assert engel_stack_identity(s4, n, p, m) == \
+            brute_stack_identity(s4, n, p, m)
+
+
+def test_stack_identity_grid_has_both_answers():
+    results = {engel_stack_identity(get_group(name), n, p, m)
+               for name in ["S3", "D4", "Q8", "A4"]
+               for n, p, m in STACK_GRID}
+    assert results == {True, False}
+
+
+# -- Fitting subgroup and Jennings series, recorded from the scalar loops ----
+
+# order, digest of indices(), digest of the generators' images
+FITTING_RECORDED = {
+    "C1": [1, "91d6039a01f57163", "db407f11d7ede59a"],
+    "C2": [2, "a5cabe61309cbdb1", "c1b92cfd1182059c"],
+    "C3": [3, "eae0f06c46ca0f14", "1fb472377f9fb6bf"],
+    "C4": [4, "c5c25158dde5b90a", "a3359022663e6a89"],
+    "C2xC2": [4, "c5c25158dde5b90a", "074eb013df6a860d"],
+    "C5": [5, "93f21536d27c36af", "5443b6139c9bab1f"],
+    "C6": [6, "3a06086c62e636d4", "5bed5ca8ac424ac8"],
+    "S3": [3, "1d81c36ffd2cf367", "69032b2f01ba0a43"],
+    "C8": [8, "47812a023d21e7df", "069f5b47cdb804ec"],
+    "C2xC4": [8, "71347777824d0062", "a77f44d8b50d8459"],
+    "D4": [8, "c177f284290a0191", "6c4d35a558caafba"],
+    "Q8": [8, "d2cbb675bd3e73b4", "60d8d52e61c8e4d0"],
+    "C9": [9, "d1cd164c79aaaaf3", "0f16c5076f6034fc"],
+    "C3xC3": [9, "2c029166b421accd", "c80e237a7354fdb1"],
+    "D5": [5, "fcfb4d1753fdac51", "5443b6139c9bab1f"],
+    "A4": [4, "e0f19b94c1b5e186", "171d610e473d7ebe"],
+    "S4": [4, "1dbc9bd594dd351c", "665acea3d19a0e24"],
+    "Heis3": [27, "c41997a238d162f5", "ff36e222c88fc994"],
+    "M27": [27, "419a711a07554945", "ad454bf428db32f5"],
+    "C27": [27, "aae8abadecd64265", "7c0c0d9dcdeb67b1"],
+    "S3xS3": [9, "3ab5c8285d6af063", "5ed2efee199c9b6b"],
+    "A4xC2": [8, "b721cec2d7644b2d", "65112d08148fb4c5"],
+    "D4xC2": [16, "3e082b3b8640dd7c", "bbfe4be0424ba960"],
+    "S3xC3": [9, "879e02fa8cb7c6ff", "cb598c1b2b79cf04"],
+    "S4xC2": [8, "fc6e9df89f29de20", "0db012d77c0cbddc"],
+    "D4xD4": [64, "185423220f0addb5", "15805dd68c7d02f6"],
+}
+
+# term orders, digest of every term's indices()
+JENNINGS_RECORDED = {
+    ("C2", 2): [[2, 1], "3ac6e77761462525"],
+    ("C4", 2): [[4, 2, 1], "b3dc1725c1799921"],
+    ("C2xC2", 2): [[4, 1], "e0f8a32a562912b9"],
+    ("C8", 2): [[8, 4, 2, 2, 1], "dfed5be1f63a8f24"],
+    ("C2xC4", 2): [[8, 2, 1], "6ecf07800207c3d7"],
+    ("D4", 2): [[8, 2, 1], "c7dfc196e6d866b3"],
+    ("Q8", 2): [[8, 2, 1], "c7dfc196e6d866b3"],
+    ("C9", 3): [[9, 3, 3, 1], "2279f269d57b6951"],
+    ("C3xC3", 3): [[9, 1], "fce75cca002eefe4"],
+    ("Heis3", 3): [[27, 3, 1], "7538015e5d12e4d3"],
+    ("M27", 3): [[27, 3, 3, 1], "d104517ff3562e1d"],
+    ("C27", 3): [[27, 9, 9, 3, 3, 3, 3, 3, 3, 1], "cb620d36ad87cecf"],
+    ("D4xC2", 2): [[16, 2, 1], "e8677b249e3986b0"],
+    ("Q8xC4", 2): [[32, 4, 1], "93809627eb4308c1"],
+    ("Heis3xC3", 3): [[81, 3, 1], "cd6efe31cb792c5c"],
+}
+
+
+PRODUCTS = {"S3xS3": ("S3", "S3"), "A4xC2": ("A4", "C2"),
+            "D4xC2": ("D4", "C2"), "S3xC3": ("S3", "C3"),
+            "S4xC2": ("S4", "C2"), "D4xD4": ("D4", "D4"),
+            "Q8xC4": ("Q8", "C4"), "Heis3xC3": ("Heis3", "C3")}
+
+
+def build_product(name):
+    if name in PRODUCTS:
+        return product(*(fresh(part) for part in PRODUCTS[name]))
+    return fresh(name)
+
+
+def fitting_record(group):
+    fit = fitting_subgroup(group)
+    return [fit.order(), digest(fit.indices()),
+            digest([g.images.tolist() for g in fit.generators])]
+
+
+def jennings_record(group, p):
+    series = jennings_recursion(group, p)
+    return [[t.order() for t in series.terms],
+            digest([t.indices() for t in series.terms])]
+
+
+@pytest.mark.parametrize("name", list(FITTING_RECORDED))
+def test_fitting_matches_recorded(name):
+    assert fitting_record(build_product(name)) == FITTING_RECORDED[name]
+
+
+@pytest.mark.parametrize("name,p", list(JENNINGS_RECORDED))
+def test_jennings_matches_recorded(name, p):
+    assert jennings_record(build_product(name), p) == \
+        JENNINGS_RECORDED[(name, p)]
+
+
+# -- the table-less path ------------------------------------------------------
+
+def without_table(monkeypatch, make):
+    monkeypatch.setattr(perm_module, "GENERIC_TABLE_CAP", 0)
+    group = make()
+    assert group.table() is None
+    return group
+
+
+@pytest.mark.parametrize("name", ["S4", "Heis3", "D4xC2"])
+def test_tableless_closure_and_fitting_agree(monkeypatch, name):
+    with_table = build_product(name)
+    assert with_table.table() is not None
+    picks = [with_table.element(i) for i in (1, 5, 7)]
+    expected = (with_table.subgroup(picks).indices(),
+                fitting_record(with_table))
+    bare = without_table(monkeypatch, lambda: build_product(name))
+    picks = [bare.element(i) for i in (1, 5, 7)]
+    assert (bare.subgroup(picks).indices(), fitting_record(bare)) == expected
+
+
+@pytest.mark.parametrize("name,p", [("D4", 2), ("Heis3", 3),
+                                    ("D4xC2", 2), ("C27", 3)])
+def test_tableless_jennings_agrees(monkeypatch, name, p):
+    expected = jennings_record(build_product(name), p)
+    bare = without_table(monkeypatch, lambda: build_product(name))
+    assert jennings_record(bare, p) == expected
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4"])
+def test_tableless_stack_identity_agrees(monkeypatch, name):
+    expected = [engel_stack_identity(fresh(name), n, p, m)
+                for n, p, m in STACK_GRID]
+    bare = without_table(monkeypatch, lambda: fresh(name))
+    assert [engel_stack_identity(bare, n, p, m)
+            for n, p, m in STACK_GRID] == expected
+
+
+# -- the rho certificate of build_nu ------------------------------------------
+
+def test_rho_certificate_catches_a_wrong_product(monkeypatch):
+    g = fresh("S3")
+    a = g.index_of(g.generators[0])
+    right = g.mul_idx
+
+    def wrong(i, j):
+        # a * a reported as a instead of the identity
+        return a if (i, j) == (a, a) else right(i, j)
+
+    monkeypatch.setattr(g, "mul_idx", wrong)
+    with pytest.raises(InvariantError, match="rho is not a homomorphism"):
+        build_nu(g, get_presentation("S3"), "gens")
