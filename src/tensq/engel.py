@@ -10,9 +10,11 @@ only caps the *reported* minimal degree, never the yes/no answer.
 On a group with a Cayley table the Engel iterations run in index space
 over whole columns: the stacked word of ``engel_stack_identity``
 depends on (x1, y1) only through c = [x1, y1], so it is swept over all
-z at once for each distinct commutator.  ``fitting_subgroup`` joins
-normal subgroups as product sets, AB of order |A||B|/|A n B|, and
-builds a subgroup only for a join the lattice does not hold yet.
+z at once for each distinct commutator, and ``left_engel_set`` decides
+each y by one sweep over all x.  ``fitting_subgroup`` joins normal
+subgroups as product sets, AB of order |A||B|/|A n B|, builds a
+subgroup only for a join the lattice does not hold yet, and runs each
+member's lower central series in the parent's index space.
 """
 
 from __future__ import annotations
@@ -123,12 +125,12 @@ def engel_degree(y, ambient, bound=10):
 
 def left_engel_set(group, bound):
     """Elements y with [x, n y] = 1 for all x, for some n <= bound."""
-    out = []
-    for yi in range(group.order()):
-        is_engel, degree = engel_degree(yi, group, bound=bound)
-        if is_engel and degree is not None and degree <= bound:
-            out.append(group.element(yi))
-    return out
+    if bound < 1:
+        return []
+    # 1 is fixed by z |-> [z, y], so y has degree <= bound exactly when
+    # [x, bound y] = 1 for every x
+    return [group.element(yi) for yi in range(group.order())
+            if _is_left_n_engel_idx(yi, group, bound)]
 
 
 def _bits(sub):
@@ -170,7 +172,7 @@ def fitting_subgroup(group):
             by_order.setdefault(order, []).append(bits)
             work.append((bits, joined))
     nilpotents = [s for s in normals.values()
-                  if s.as_group().is_nilpotent()]
+                  if _is_nilpotent_normal(group, s)]
     gens = []
     for s in nilpotents:
         gens.extend(s.generators)
@@ -178,6 +180,21 @@ def fitting_subgroup(group):
     invariant(fit.as_group().is_nilpotent(),
               "join of nilpotent normal subgroups failed to be nilpotent")
     return fit
+
+
+def _is_nilpotent_normal(group, sub):
+    """Whether the normal subgroup ``sub`` = N is nilpotent, by its lower
+    central series in the parent's index space: gamma_{i+1}(N) =
+    [gamma_i(N), N].  Both factors are normal in the parent, so the
+    commutators generate each term as a plain subgroup."""
+    term = sub
+    while term.order() > 1:
+        comms = commutator_sweep(group, term.indices(), sub.indices())
+        nxt = group.subgroup([group.element(c) for c in comms])
+        if nxt.order() == term.order():
+            return False
+        term = nxt
+    return True
 
 
 def engel_projection_check(nu, x, y, q, n):

@@ -114,13 +114,7 @@ def jennings_recursion(group, p):
     while True:
         prev = terms[-1]
         half = terms[math.ceil(i / p) - 1]
-        if group.table() is not None:
-            gens = dict.fromkeys(commutator_sweep(group, prev.indices()))
-        else:
-            gens = {}
-            for d in prev.indices():
-                for g in range(group.order()):
-                    gens.setdefault(group.comm_idx(d, g))
+        gens = dict.fromkeys(commutator_sweep(group, prev.indices()))
         for d in half.indices():
             gens.setdefault(group.pow_idx(d, p))
         d_i = group.subgroup([group.element(g) for g in gens])

@@ -270,19 +270,20 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
 
     # rho: fold the quotient map nu(G) ->> G over a breadth-first sweep,
     # then certify it is a homomorphism on every edge of the Cayley graph.
+    # R[t] is right multiplication by generator t of nu(G), and
     # gright[i, t] is G's element i times the image of generator t.
     N = ambient.order()
-    T = ambient.table()
+    R = ambient.right_columns(gen_idx)
     gright = np.array([[group.mul_idx(i, r) for r in rho_gen]
                        for i in range(n)])
     rho = np.full(N, -1, dtype=np.int32)
     rho[0] = 0
-    for src, gen, new in bfs_levels(T, gen_idx):
+    for src, gen, new in bfs_levels(R):
         rho[new] = gright[rho[src], gen]
     invariant(bool((rho >= 0).all()),
               "the rho sweep missed elements of nu(G)")
-    for t, g in enumerate(gen_idx):
-        invariant(np.array_equal(rho[T[:, g]], gright[rho, t]),
+    for t in range(len(gen_idx)):
+        invariant(np.array_equal(rho[R[t]], gright[rho, t]),
                   "rho is not a homomorphism; "
                   "enumeration is inconsistent")
 

@@ -12,23 +12,30 @@ deterministic and stable across runs.  Everything is immutable after
 construction; internal caches are filled idempotently (compute fully,
 then assign), which keeps concurrent reads safe.
 
-Groups of modest order additionally carry a Cayley table (numpy array
-of element indices) so that hot loops can run in index space instead of
-composing permutation arrays.  Both kinds of group build it by one
+A regular permutation group (degree equal to order, identity at point 0,
+as produced by coset enumeration) numbers each element by its image of
+0.  Then index(e_i * e_j) = e_j(i): the image array of element j is
+column j of its Cayley table, and right multiplication by any element
+is one gather through that element's images.  A regular group keeps
+only its generators' images and the breadth-first parent edges, and
+builds an element's images on demand by composing generator images
+along its word; a generic group enumerates and stores every element.
+
+The full Cayley table (numpy array of element indices) is built on
+first use.  A regular group needs it only where a caller wants every
+product (the Engel sweeps, the commutator sweep and the Jennings step);
+a generic group also reads single products from it, which otherwise
+cost a permutation composition and a lookup each.  Both fill it by one
 breadth-first sweep over right-multiplication columns: column k of the
 table is the column of k's breadth-first parent, mapped through the
 generator on the edge between them, and it is written as one
-contiguous row of the table's transpose.  A regular permutation group
-(degree equal to order, identity at point 0, as produced by coset
-enumeration) reads those columns off its generators' images, so it
-never materializes element arrays; a generic group records them while
-it enumerates its elements.
+contiguous row of the table's transpose.  Groups above their table cap
+have none, and those callers run their scalar loops over ``mul_idx``.
 
-Subgroup closure and the other index-space sweeps gather a whole
-breadth-first level from the table at once and keep first occurrences,
-which visits elements in exactly the order of a scalar queue.  Groups
-without a table (generic groups above ``GENERIC_TABLE_CAP``) run the
-scalar loops over ``mul_idx``.
+Subgroup closure and the rho sweep of ``build_nu`` gather a whole
+breadth-first level from right-multiplication columns at once and keep
+first occurrences, which visits elements in exactly the order of a
+scalar queue.  Generic groups without a table run the scalar queue.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ from .errors import AmbientMismatchError, CapacityError
 
 DEFAULT_MAX_ORDER = 100_000
 
-# Cayley tables: regular groups build one up to this order (the table is
-# the enumeration itself); generic groups only for small orders, where
-# the n^2 multiplications are cheap.
+# Cayley tables, built only when a caller needs every product: regular
+# groups up to this order (element j's images are already column j, so
+# the table is never needed for single products); generic groups only
+# for small orders, where the n^2 multiplications are cheap.
 REGULAR_TABLE_CAP = 20_000
 GENERIC_TABLE_CAP = 512
 
@@ -281,11 +289,12 @@ def _sweep_table(right, parents, order):
     to the column of p, since x * (e_p * g) = (x * e_p) * g."""
     n = len(parents)
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    edges = parents.tolist()
     # cols[k] is column k of the table, filled as one contiguous row
     cols = np.empty((n, n), dtype=dtype)
     cols[0] = np.arange(n, dtype=dtype)
     for k in order[1:]:
-        p, g = parents[k]
+        p, g = edges[k]
         cols[k] = right[g][cols[p]]
     table = cols.T
     table.setflags(write=False)
@@ -306,19 +315,19 @@ def _first_new(values, marks):
     return pos
 
 
-def bfs_levels(t, gens):
+def bfs_levels(right):
     """Breadth-first sweep from the identity over right multiplication
-    by the element indices ``gens``, a level at a time, on Cayley table
-    ``t``.  Yields ``(sources, generator positions, new elements)``:
-    element ``new[i]`` is ``sources[i] * gens[positions[i]]``.  The new
-    elements come in the order a scalar queue discovers them, since each
-    chunk of a level is gathered row-major and keeps first
-    occurrences."""
-    k = len(gens)
+    by k elements, a level at a time, given their right-multiplication
+    columns: ``right[t][i]`` is the index of element i times element t
+    of the k.  Yields ``(sources, column positions, new elements)``:
+    element ``new[i]`` is ``sources[i]`` times the element of column
+    ``positions[i]``.  The new elements come in the order a scalar queue
+    discovers them, since each chunk of a level is gathered row-major
+    and keeps first occurrences."""
+    k, n = right.shape
     if not k:
         return
-    gens = np.asarray(gens, dtype=np.intp)
-    marks = np.full(t.shape[0], _UNSEEN, dtype=np.intp)
+    marks = np.full(n, _UNSEEN, dtype=np.intp)
     marks[0] = -1
     step = max(1, SWEEP_ENTRIES // k)
     frontier = np.zeros(1, dtype=np.intp)
@@ -326,7 +335,7 @@ def bfs_levels(t, gens):
         level = []
         for lo in range(0, frontier.size, step):
             src = frontier[lo:lo + step]
-            cand = t[src[:, None], gens].ravel()
+            cand = right[:, src].T.ravel()
             pos = _first_new(cand, marks)
             if pos.size:
                 new = cand[pos]
@@ -335,21 +344,27 @@ def bfs_levels(t, gens):
         frontier = np.concatenate(level) if level else frontier[:0]
 
 
-def commutator_sweep(group, rows):
+def commutator_sweep(group, rows, cols=None):
     """Distinct commutators [r, g] over ``rows`` and every element g of
-    ``group``, in first-occurrence order of the row-major sweep.  Needs
-    the group's Cayley table."""
+    ``group`` (or of ``cols``), in first-occurrence order of the
+    row-major sweep; scalar over ``comm_idx`` when the group has no
+    Cayley table."""
     t = group.table()
-    n = t.shape[0]
+    if cols is None:
+        cols = range(group.order())
+    if t is None:
+        return list(dict.fromkeys(group.comm_idx(r, g)
+                                  for r in rows for g in cols))
     inv = np.asarray(group.inverse_indices(), dtype=np.intp)
     rows = np.asarray(rows, dtype=np.intp)
-    marks = np.full(n, _UNSEEN, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    marks = np.full(t.shape[0], _UNSEEN, dtype=np.intp)
     out = []
-    step = max(1, SWEEP_ENTRIES // n)
+    step = max(1, SWEEP_ENTRIES // cols.size)
     for lo in range(0, rows.size, step):
-        r = rows[lo:lo + step]
+        r = rows[lo:lo + step, None]
         # [r, g] = r^-1 g^-1 r g
-        c = t[t[inv[r, None], inv], t[r]].ravel()
+        c = t[t[inv[r], inv[cols]], t[r, cols]].ravel()
         out.extend(c[_first_new(c, marks)].tolist())
     return out
 
@@ -379,15 +394,17 @@ class FiniteGroup:
         self._degree = degree
         self._regular = bool(regular)
         self._order_hint = order_hint
-        # caches (idempotent fill)
-        self._elements = None
-        self._index = None
-        self._parents = None
-        self._right = None
+        # caches (idempotent fill); _parents is assigned last by a closure
+        self._elements = None       # generic: every element, in order
+        self._index = None          # generic: image bytes -> index
+        self._parents = None        # (n, 2): breadth-first parent, generator
+        self._bfs = None            # element indices in breadth-first order
+        self._right = None          # (k, n): index(element_i * generator_t)
         self._table = None
         self._inv_idx = None
         self._orders_idx = None
-        self._element_cache = {}
+        self._element_cache = {}    # regular: the elements asked for
+        self._inverses = {}         # regular: the inverses asked for
         self._words = {}
 
     # -- basics -----------------------------------------------------------
@@ -402,14 +419,14 @@ class FiniteGroup:
 
     def __repr__(self):
         label = self.name or f"degree-{self._degree} group"
-        if self._table is not None or self._elements is not None:
+        if self._parents is not None:
             return f"FiniteGroup({label}, order={self.order()})"
         return f"FiniteGroup({label})"
 
     # -- enumeration ------------------------------------------------------
 
     def _close_generic(self):
-        if self._index is not None:
+        if self._parents is not None:
             return
         gens = self.generators
         els = [self.identity]
@@ -434,40 +451,34 @@ class FiniteGroup:
                 right[gi].append(j)
             i += 1
         self._elements = tuple(els)
-        self._parents = parents
-        self._right = np.array(right, dtype=np.int32)
         self._index = index
+        self._right = np.array(right, dtype=np.int32)
+        self._bfs = range(len(els))
+        self._parents = np.array(parents, dtype=np.int32)
 
     def _close_regular(self):
-        if self._table is not None or self._index is not None:
+        if self._parents is not None:
             return
         n = self._order_hint if self._order_hint is not None else self._degree
         if n != self._degree:
             raise ValueError("regular group must have degree == order")
         if n > self.max_order:
             raise CapacityError(f"group exceeds element cap {self.max_order}")
-        if n > REGULAR_TABLE_CAP:
-            self._close_generic()
-            return
-        # generator g maps point j to index(element_j * g)
-        right = [g.images for g in self.generators]
-        steps = [r.tolist() for r in right]
-        parents = [None] * n
-        parents[0] = (-1, -1)
-        queue = [0]
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            for gi, step in enumerate(steps):
-                k = step[j]
-                if parents[k] is None:
-                    parents[k] = (j, gi)
-                    queue.append(k)
-        if qi != n:
+        # generator t maps point i to index(element_i * generator_t)
+        right = np.stack([g.images for g in self.generators])
+        parents = np.full((n, 2), -1, dtype=np.int32)
+        levels = [np.zeros(1, dtype=np.int32)]
+        for src, gen, new in bfs_levels(right):
+            parents[new, 0] = src
+            parents[new, 1] = gen
+            levels.append(new)
+        bfs = np.concatenate(levels)
+        if bfs.size != n:
             raise ValueError("action is not transitive; not a regular group")
+        self._right = right
+        self._bfs = bfs
+        self._order_hint = n
         self._parents = parents
-        self._table = _sweep_table(right, parents, queue)
 
     def _close(self):
         if self._regular:
@@ -476,33 +487,33 @@ class FiniteGroup:
             self._close_generic()
 
     def order(self):
-        if self._order_hint is not None:
-            return self._order_hint
-        self._close()
-        n = self._table.shape[0] if self._table is not None \
-            else len(self._elements)
-        self._order_hint = n
-        return n
+        if self._order_hint is None:
+            self._close()
+            self._order_hint = len(self._parents)
+        return self._order_hint
 
     def elements(self):
         """All elements in deterministic breadth-first order."""
         if self._elements is None:
             self._close()
-            if self._elements is None:       # regular, table-backed
-                n = self.order()
-                self._elements = tuple(self.element(i) for i in range(n))
+            if self._elements is None:       # regular
+                self._elements = tuple(self.element(i)
+                                       for i in range(self.order()))
         return self._elements
 
     def element(self, i):
         """Element number ``i`` of the deterministic order."""
-        if self._elements is not None:
-            return self._elements[i]
-        self._close()
-        if self._elements is not None:
-            return self._elements[i]
         e = self._element_cache.get(i)
         if e is None:
-            e = Permutation._raw(self._table[:, i].astype(np.int32))
+            if not self._regular:
+                return self.elements()[i]
+            # compose generator images along the word of i; only the
+            # element asked for is kept, not the ancestors on its chain
+            word = self.word(i)
+            images = np.arange(self._degree, dtype=np.int32)
+            for g in word:
+                images = self._right[g][images]
+            e = Permutation._raw(images)
             self._element_cache[i] = e
         return e
 
@@ -510,15 +521,14 @@ class FiniteGroup:
         """Index of ``perm`` in the deterministic order."""
         if perm.degree != self._degree:
             raise AmbientMismatchError("degree mismatch with ambient group")
-        self._close()
-        if self._regular and self._table is not None:
+        if self._regular:
             # regular action with the identity at point 0: the element
             # index is its image of 0
-            i = int(perm.images[0])
-            if i < self.order() and np.array_equal(self._table[:, i],
-                                                   perm.images):
+            i = perm(0)
+            if np.array_equal(self.element(i).images, perm.images):
                 return i
             raise KeyError("permutation is not a member of this group")
+        self._close()
         try:
             return self._index[perm.key]
         except KeyError:
@@ -540,7 +550,7 @@ class FiniteGroup:
             chain = []
             j = i
             while True:
-                pj, gj = self._parents[j]
+                pj, gj = self._parents[j].tolist()
                 if pj < 0:
                     break
                 chain.append(gj)
@@ -553,16 +563,28 @@ class FiniteGroup:
 
     def table(self):
         """Cayley table ``t[i, j] = index(element_i * element_j)``,
-        or None when the group is too large to afford one."""
-        if self._table is not None:
-            return self._table
-        self._close()
+        or None when the group is too large to afford one.  Built on
+        the first call."""
         if self._table is None:
-            n = self.order()
-            if n > GENERIC_TABLE_CAP and not self._regular:
+            self._close()
+            cap = REGULAR_TABLE_CAP if self._regular else GENERIC_TABLE_CAP
+            if self.order() > cap:
                 return None
-            self._table = _sweep_table(self._right, self._parents, range(n))
+            self._table = _sweep_table(self._right, self._parents, self._bfs)
         return self._table
+
+    def right_columns(self, idx):
+        """Right multiplication by the elements ``idx``, one row each:
+        ``r[t, i] = index(element_i * element_idx[t])``; None when a
+        generic group has no table."""
+        if self._regular:
+            # element j's images are column j of the Cayley table
+            return np.array([self.element(j).images for j in idx],
+                            dtype=np.int32).reshape(len(idx), self._degree)
+        t = self.table()
+        if t is None:
+            return None
+        return t.T[np.asarray(idx, dtype=np.intp)]
 
     def inverse_indices(self):
         if self._inv_idx is None:
@@ -585,12 +607,23 @@ class FiniteGroup:
         return self._inv_idx
 
     def mul_idx(self, i, j):
+        if self._regular:
+            # index(e_i * e_j) = e_j(i)
+            e = self._element_cache.get(j) or self.element(j)
+            return e._images.item(i)
         t = self.table()
         if t is not None:
-            return int(t[i, j])
+            return t.item(i, j)
         return self.index_of(self.element(i) * self.element(j))
 
     def inv_idx(self, i):
+        if self._regular:
+            j = self._inverses.get(i)
+            if j is None:
+                # element i maps its inverse's index to the identity, 0
+                j = int(self.element(i)._images.argmin())
+                self._inverses[i] = j
+            return j
         return int(self.inverse_indices()[i])
 
     def conj_idx(self, i, j):
@@ -598,9 +631,11 @@ class FiniteGroup:
         return self.mul_idx(self.mul_idx(self.inv_idx(j), i), j)
 
     def comm_idx(self, i, j):
-        """index of [element_i, element_j]."""
-        ij = self.mul_idx(i, j)
-        return self.mul_idx(self.mul_idx(self.inv_idx(i), self.inv_idx(j)), ij)
+        """index of [element_i, element_j] = i^-1 j^-1 i j, multiplied
+        left to right: a regular group reads only the columns of
+        j^-1, i and j, never that of a product."""
+        mul = self.mul_idx
+        return mul(mul(mul(self.inv_idx(i), self.inv_idx(j)), i), j)
 
     def pow_idx(self, i, n):
         if n < 0:
@@ -783,9 +818,9 @@ class Subgroup:
         parent = self.parent
         cap = parent.max_order
         order = [0]
-        t = parent.table()
-        if t is not None:
-            for _, _, new in bfs_levels(t, gen_idx):
+        right = parent.right_columns(gen_idx)
+        if right is not None:
+            for _, _, new in bfs_levels(right):
                 order.extend(new.tolist())
                 if len(order) > cap:
                     raise CapacityError(f"subgroup exceeds element cap {cap}")

@@ -4,11 +4,12 @@ Caches fill idempotently (compute fully, then assign), so racing
 readers must always observe either nothing or a complete value.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from tensq import (build_nu, get_group, get_presentation, lie_ring,
-                   dimension_subgroups, verify_lazard, verify_nu_relations,
-                   verify_tensor_set_closed)
+from tensq import (FiniteGroup, build_nu, get_group, get_presentation,
+                   lie_ring, dimension_subgroups, verify_lazard,
+                   verify_nu_relations, verify_tensor_set_closed)
 
 
 def test_concurrent_group_cache_fill():
@@ -20,6 +21,34 @@ def test_concurrent_group_cache_fill():
                                range(16)))
     assert orders == [8] * 16
     assert all(tables)
+
+
+def test_concurrent_regular_group_cache_fill():
+    amb = build_nu(get_group("S3"), get_presentation("S3")).ambient
+    n = amb.order()
+
+    def read(group, start):
+        # each reader walks the columns from its own offset, so the
+        # element and inverse caches are filled in different orders
+        cols = [(start + 7 * k) % n for k in range(n // 7)]
+        return ([[group.mul_idx(i, j) for i in range(n)] for j in cols],
+                [group.element(j).images.tolist() for j in cols],
+                [group.inv_idx(j) for j in cols],
+                group.table().tolist())
+
+    shared = FiniteGroup(amb.generators, regular=True, order_hint=n)
+    starts = list(range(16))
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda s: read(shared, s), starts,
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(saved)
+    for s, got in zip(starts, results):
+        alone = FiniteGroup(amb.generators, regular=True, order_hint=n)
+        assert got == read(alone, s)
 
 
 def test_concurrent_verifications_share_a_nu_group():

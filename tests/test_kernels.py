@@ -3,20 +3,25 @@
 Each kernel that runs over the Cayley table is compared with an
 independent version: permutation products, a scalar breadth-first
 closure, the brute-force triple loop of the stacked Engel word, values
-recorded from the scalar implementation, and the table-less path that
-generic groups above ``GENERIC_TABLE_CAP`` take.
+recorded from the scalar implementation, the table-less path that
+generic groups above ``GENERIC_TABLE_CAP`` take, and, for regular
+groups, which never need a table for single products, the same group
+with its table built.
 """
 
 import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    build_nu, commutator, engel_stack_identity,
-                   fitting_subgroup, get_group, get_presentation)
+                   fitting_subgroup, get_group, get_presentation,
+                   tc_enumerate, tensor_report, to_perm_group)
 from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.liering import jennings_recursion
@@ -312,3 +317,106 @@ def test_rho_certificate_catches_a_wrong_product(monkeypatch):
     monkeypatch.setattr(g, "mul_idx", wrong)
     with pytest.raises(InvariantError, match="rho is not a homomorphism"):
         build_nu(g, get_presentation("S3"), "gens")
+
+
+# -- regular groups without a Cayley table -------------------------------------
+
+def regular_copy(group):
+    """A new, unclosed regular group on the generators of ``group``."""
+    return FiniteGroup(group.generators, regular=True,
+                       order_hint=group.order())
+
+
+def table_closure(t, gens):
+    """Breadth-first closure over the Cayley table ``t``, one queue."""
+    order = [0]
+    seen = {0}
+    i = 0
+    while i < len(order):
+        for g in gens:
+            f = int(t[order[i], g])
+            if f not in seen:
+                seen.add(f)
+                order.append(f)
+        i += 1
+    return tuple(order)
+
+
+@pytest.mark.parametrize("mode", ["all", "gens"])
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_tableless_regular_group_agrees_with_its_table(nu_of, name, mode):
+    nu = nu_of(name, mode)
+    forced = regular_copy(nu.ambient)
+    t = forced.table()
+    inv = forced.inverse_indices()
+    n = forced.order()
+    rng = random.Random(n)
+    # a fresh copy per block of columns, so that none caches every
+    # element; every product where n is small, sampled rows otherwise
+    block = 512
+    for lo in range(0, n, block):
+        bare = regular_copy(nu.ambient)
+        cols = range(lo, min(n, lo + block))
+        assert np.array_equal(bare.right_columns(cols), t.T[lo:lo + block])
+        for j in cols:
+            rows = range(n) if n <= 256 else rng.sample(range(n), 8)
+            assert [bare.mul_idx(i, j) for i in rows] == \
+                [int(t[i, j]) for i in rows]
+            assert bare.inv_idx(j) == inv[j]
+            assert bare.index_of(bare.element(j)) == j
+        assert bare._table is None and bare._elements is None
+
+    bare = regular_copy(nu.ambient)
+    gens = nu.tensor.generators
+    expected = table_closure(t, [forced.index_of(g) for g in gens])
+    assert bare.subgroup(gens).indices() == expected == nu.tensor.indices()
+
+    # rho is the homomorphism that extends its generator images, on
+    # every edge of the table's Cayley graph
+    G = nu.group
+    gen_idx = [forced.index_of(g) for g in forced.generators]
+    rho = {0: 0}
+    queue = [0]
+    for e in queue:
+        for g in gen_idx:
+            f = int(t[e, g])
+            want = G.mul_idx(rho[e], int(nu.rho[g]))
+            if f not in rho:
+                rho[f] = want
+                queue.append(f)
+            assert rho[f] == want
+    assert [rho[i] for i in range(n)] == nu.rho.tolist()
+
+
+def test_nu_build_and_report_build_no_regular_table(monkeypatch, nu_of):
+    expected = tensor_report(nu_of("D4")).to_dict()
+    group = fresh("D4")
+    group.table()
+    sweep = perm_module._sweep_table
+
+    def small_only(right, parents, order):
+        # generic tables stop at GENERIC_TABLE_CAP; nu(D4) has 4096
+        # elements
+        if len(parents) > perm_module.GENERIC_TABLE_CAP:
+            raise AssertionError("a regular group built its Cayley table")
+        return sweep(right, parents, order)
+
+    monkeypatch.setattr(perm_module, "_sweep_table", small_only)
+    nu = build_nu(group, get_presentation("D4"), "gens")
+    assert tensor_report(nu).to_dict() == expected
+    assert nu.ambient._table is None
+
+
+def test_regular_group_above_the_table_cap(monkeypatch):
+    cosets = tc_enumerate(get_presentation("A4"), ())
+    t = to_perm_group(cosets).table()
+    monkeypatch.setattr(perm_module, "REGULAR_TABLE_CAP", 10)
+    g = to_perm_group(cosets)
+    n = g.order()
+    assert n == 12
+    assert [[g.mul_idx(i, j) for j in range(n)] for i in range(n)] == \
+        t.tolist()
+    els = [g.element(i) for i in range(n)]
+    assert [[g.index_of(a * b) for b in els] for a in els] == t.tolist()
+    assert g._elements is None
+    assert g.table() is None

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tensq
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
                    resolve_group, tc_enumerate)
 from tensq.cache import cache_key, cache_load, cache_store
@@ -287,3 +291,25 @@ class TestCli:
         path.write_text("degree 4\n(0 1)\n(2 3)\n")
         assert self.run("nu", f"@{path}", "--mode", "gens",
                         "--no-cache") == 2
+
+
+def test_tensor_c3xc3_peak_rss(tmp_path):
+    # nu(C3xC3) has 6561 elements; an eager Cayley table of it alone is
+    # 86 MB, and the process peaked at about 125 MB with one.  The peak
+    # is read from VmHWM: a child's ru_maxrss starts from the peak of
+    # the process that forked it, here the test runner's.
+    code = ("import sys\n"
+            "from tensq.cli import main\n"
+            "rc = main(['tensor', 'C3xC3', '--no-cache'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print([l for l in fh if l.startswith('VmHWM')][0])\n"
+            "sys.exit(rc)\n")
+    path = [os.path.dirname(os.path.dirname(tensq.__file__)),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, TENSQ_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    label, kib, unit = done.stdout.split()[-3:]
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(kib) < 90 * 1024
