@@ -7,14 +7,17 @@ group, so reaching the identity is decidable exactly: once a value
 repeats without hitting 1, it never will.  The search bound therefore
 only caps the *reported* minimal degree, never the yes/no answer.
 
-On a group with a Cayley table the Engel iterations run in index space
-over whole columns: the stacked word of ``engel_stack_identity``
-depends on (x1, y1) only through c = [x1, y1], so it is swept over all
-z at once for each distinct commutator, and ``left_engel_set`` decides
-each y by one sweep over all x.  ``fitting_subgroup`` joins normal
-subgroups as product sets, AB of order |A||B|/|A n B|, builds a
-subgroup only for a join the lattice does not hold yet, and runs each
-member's lower central series in the parent's index space.
+The Engel iterations run in index space over whole rows, with no
+Cayley table: the map v |-> [v, y] over every v is one row of
+``commutator_columns``, the conjugates v^-1 y^-1 v swept along the
+breadth-first levels, then multiplied by y through y's column.  A
+block of y is decided at once by composing each y's map n times; the
+stacked word of ``engel_stack_identity`` depends on (x1, y1) only
+through c = [x1, y1], so it is swept over all z at once for each
+distinct commutator.  ``fitting_subgroup`` joins normal subgroups as
+product sets, AB of order |A||B|/|A n B|, builds a subgroup only for a
+join the lattice does not hold yet, and runs each member's lower
+central series in the parent's index space.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import invariant
 from .nu import Check, VerificationReport
-from .perm import commutator_sweep
+from .perm import commutator_sweep, sweep_rows
 
 
 @dataclass(frozen=True)
@@ -73,28 +76,21 @@ def is_left_n_engel(y, ambient, n):
 
 
 def _is_left_n_engel_idx(yi, ambient, n):
-    t = ambient.table()
-    if t is not None:
-        inv = np.asarray(ambient.inverse_indices())
-        v = _engel_steps(t, inv, np.arange(ambient.order()), yi, n)
-        return bool(np.all(v == 0))
-    order = ambient.order()
-    for x in range(order):
-        c = x
-        for _ in range(n):
-            c = ambient.comm_idx(c, yi)
-        if c != 0:
-            return False
-    return True
+    return _left_engel_mask(ambient, [yi], n)[0]
 
 
-def _engel_steps(t, inv, v, y, n):
-    """[v, n y] for every entry of the index array ``v``, over Cayley
-    table ``t`` with inverse indices ``inv``."""
-    iy = inv[y]
-    for _ in range(n):
-        v = t[t[inv[v], iy], t[v, y]]
-    return v
+def _left_engel_mask(group, ys, n):
+    """Whether each y of ``ys`` has [x, n y] = 1 for every x, deciding a
+    block of y at a time."""
+    out = []
+    step = sweep_rows(group.order())
+    for lo in range(0, len(ys), step):
+        e = group.commutator_columns(ys[lo:lo + step])
+        v = e
+        for _ in range(n - 1):
+            v = np.take_along_axis(e, v, axis=1)
+        out.extend((v == 0).all(axis=1).tolist())
+    return out
 
 
 def engel_degree(y, ambient, bound=10):
@@ -106,21 +102,22 @@ def engel_degree(y, ambient, bound=10):
     """
     yi = ambient.index_of(y) if not isinstance(y, (int, np.integer)) \
         else int(y)
-    worst = 0
-    for x in range(ambient.order()):
-        c = ambient.comm_idx(x, yi)
-        k = 1
-        seen = {x, c}
-        while c != 0:
-            c = ambient.comm_idx(c, yi)
-            k += 1
-            if c in seen:
-                if c != 0:
-                    return False, None
-                break
-            seen.add(c)
-        worst = max(worst, k)
-    return True, (worst if worst <= bound else None)
+    # e^(2^k), k = 0, 1, ..., up to a power past the order: an x that
+    # reaches 1 under e (which fixes 1) does so within |G| steps
+    powers = [ambient.commutator_columns([yi])[0]]
+    while 1 << (len(powers) - 1) < ambient.order():
+        powers.append(powers[-1][powers[-1]])
+    if powers[-1].any():
+        return False, None
+    # the longest run e^s != 1 somewhere, by binary lifting
+    v = np.arange(ambient.order())
+    degree = 1
+    for k in reversed(range(len(powers))):
+        w = powers[k][v]
+        if w.any():
+            v = w
+            degree += 1 << k
+    return True, (degree if degree <= bound else None)
 
 
 def left_engel_set(group, bound):
@@ -129,8 +126,8 @@ def left_engel_set(group, bound):
         return []
     # 1 is fixed by z |-> [z, y], so y has degree <= bound exactly when
     # [x, bound y] = 1 for every x
-    return [group.element(yi) for yi in range(group.order())
-            if _is_left_n_engel_idx(yi, group, bound)]
+    mask = _left_engel_mask(group, range(group.order()), bound)
+    return [group.element(yi) for yi, hit in enumerate(mask) if hit]
 
 
 def _bits(sub):
@@ -222,23 +219,18 @@ def engel_power_scan(nu, config):
     """For every pair (x, y) in G x G, the least divisor q of p^m
     (scanning 1, p, p^2, ...) making [x, y']^q left n-Engel in nu(G)."""
     amb = nu.ambient
-    n_elems = nu.group.order()
-    cache = {}
-    result = EngelScanResult(config=config)
-    for x, y in itertools.product(range(n_elems), repeat=2):
+    qs = [config.p ** j for j in range(config.m + 1)]
+    powers = {}
+    for x, y in itertools.product(range(nu.group.order()), repeat=2):
         t = nu.tensor_elem_idx(x, y)
-        found = None
-        for j in range(config.m + 1):
-            q = config.p ** j
-            tq = amb.pow_idx(t, q)
-            hit = cache.get(tq)
-            if hit is None:
-                hit = _is_left_n_engel_idx(tq, amb, config.n)
-                cache[tq] = hit
-            if hit:
-                found = q
-                break
-        result.table[(x, y)] = found
+        powers[(x, y)] = [amb.pow_idx(t, q) for q in qs]
+    # every candidate power, decided in one batch
+    cands = list(dict.fromkeys(itertools.chain(*powers.values())))
+    hits = dict(zip(cands, _left_engel_mask(amb, cands, config.n)))
+    result = EngelScanResult(config=config)
+    for pair, tqs in powers.items():
+        result.table[pair] = next(
+            (q for q, tq in zip(qs, tqs) if hits[tq]), None)
     return result
 
 
@@ -251,35 +243,24 @@ def engel_stack_identity(group, n, p, m):
     everywhere."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    g = group
-    order = g.order()
+    order = group.order()
     powers = [p ** j for j in range(m + 1)]
-    t = g.table()
-    if t is not None:
-        # the word depends on (x1, y1) only through c: sweep every z at
-        # once for each distinct commutator
-        inv = np.asarray(g.inverse_indices(), dtype=np.intp)
-        for c in commutator_sweep(g, range(order)):
+    # the word depends on (x1, y1) only through c: sweep every z at once
+    # for each distinct commutator, a block of commutators at a time
+    comms = commutator_sweep(group, range(order))
+    step = sweep_rows(order * len(powers))
+    for lo in range(0, len(comms), step):
+        block = comms[lo:lo + step]
+        steps = group.commutator_columns([group.pow_idx(c, q) for c in block
+                                          for q in powers])
+        for rows in steps.reshape(len(block), len(powers), order):
             w = np.arange(order)
-            for q in powers:
-                w = _engel_steps(t, inv, w, g.pow_idx(c, q), n)
+            for e in rows:
+                for _ in range(n):
+                    w = e[w]
                 w = w[w != 0]
                 if not w.size:
                     break
             if w.size:
                 return False
-        return True
-    for x1 in range(order):
-        for y1 in range(order):
-            c = g.comm_idx(x1, y1)
-            cpows = [g.pow_idx(c, q) for q in powers]
-            for z in range(order):
-                w = z
-                for cp in cpows:
-                    for _ in range(n):
-                        w = g.comm_idx(w, cp)
-                    if w == 0:
-                        break
-                if w != 0:
-                    return False
     return True

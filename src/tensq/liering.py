@@ -9,10 +9,10 @@ of the quotients D_i/D_{i+1} is a graded Lie ring over F_p whose
 bracket is induced by group commutators of coset representatives.  A
 classical recursion D_i = [D_{i-1}, G] * (D_ceil(i/p))^p computes the
 same series and serves as an independent oracle for the product
-formula.  On a group with a Cayley table, its commutator step
-[D_{i-1}, G] is one gather over the table, deduplicated in the order
-a loop over element pairs meets the commutators, so each term keeps the
-generators, and the element order, that loop gives it.
+formula.  Its commutator step [D_{i-1}, G] is one ``commutator_sweep``
+along the breadth-first levels, with no Cayley table, deduplicated in
+the order a loop over element pairs meets the commutators, so each term
+keeps the generators, and the element order, that loop gives it.
 
 Only the bracket structure is realized here (no p-power operation on
 the ring); adjoint maps are matrices over F_p in the full graded basis.

@@ -311,9 +311,10 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
                   "rho does not split the copies of G")
     invariant(N == tensor.order() * n * n,
               f"order law fails: {N} != {tensor.order()} * {n}^2")
-    for m in mu.indices():
-        for gt in gen_idx:
-            invariant(ambient.comm_idx(m, gt) == 0, "mu is not central")
+    # mu is central: s^-1 m s = m for every generator s
+    members = np.asarray(mu.indices())
+    invariant(bool((ambient.generator_conjugates(members) == members).all()),
+              "mu is not central")
 
     rho.setflags(write=False)
     left.setflags(write=False)

@@ -12,30 +12,27 @@ deterministic and stable across runs.  Everything is immutable after
 construction; internal caches are filled idempotently (compute fully,
 then assign), which keeps concurrent reads safe.
 
-A regular permutation group (degree equal to order, identity at point 0,
-as produced by coset enumeration) numbers each element by its image of
-0.  Then index(e_i * e_j) = e_j(i): the image array of element j is
-column j of its Cayley table, and right multiplication by any element
-is one gather through that element's images.  A regular group keeps
-only its generators' images and the breadth-first parent edges, and
-builds an element's images on demand by composing generator images
-along its word; a generic group enumerates and stores every element.
-
-The full Cayley table (numpy array of element indices) is built on
-first use.  A regular group needs it only where a caller wants every
-product (the Engel sweeps, the commutator sweep and the Jennings step);
-a generic group also reads single products from it, which otherwise
-cost a permutation composition and a lookup each.  Both fill it by one
-breadth-first sweep over right-multiplication columns: column k of the
-table is the column of k's breadth-first parent, mapped through the
-generator on the edge between them, and it is written as one
-contiguous row of the table's transpose.  Groups above their table cap
-have none, and those callers run their scalar loops over ``mul_idx``.
+Every group, regular or generic, is held in index space by the same
+three things: its generators' right-multiplication columns, the
+breadth-first levels ``(sources, generators, new)`` of its closure, and
+left multiplication by each generator's inverse, one sweep along the
+levels since left and right multiplication commute.  Each whole-group
+kernel is a sweep of that kind, one gather per level over O(N) columns:
+the inverses, (p * g)^-1 = g^-1 * p^-1; the conjugates x^-1 a x of a
+fixed a, g^-1 (p^-1 a p) g; and from these the commutators with a over
+every x, which drive the Engel iterations and ``commutator_sweep``.  A
+single product reads one cached column, element j's right
+multiplication, composed from generator columns along j's word.  For a
+regular group (degree equal to order, identity at point 0, as coset
+enumeration produces) that column is element j's image array, since
+index(e_i * e_j) = e_j(i), so a regular group never stores its
+elements; a generic group stores each one once.
 
 Subgroup closure and the rho sweep of ``build_nu`` gather a whole
 breadth-first level from right-multiplication columns at once and keep
 first occurrences, which visits elements in exactly the order of a
-scalar queue.  Generic groups without a table run the scalar queue.
+scalar queue.  No kernel builds an N x N Cayley table; ``table()``
+builds one on request, up to ``TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -50,17 +47,17 @@ from .errors import AmbientMismatchError, CapacityError
 
 DEFAULT_MAX_ORDER = 100_000
 
-# Cayley tables, built only when a caller needs every product: regular
-# groups up to this order (element j's images are already column j, so
-# the table is never needed for single products); generic groups only
-# for small orders, where the n^2 multiplications are cheap.
-REGULAR_TABLE_CAP = 20_000
-GENERIC_TABLE_CAP = 512
+# Largest group whose Cayley table ``table()`` builds.
+TABLE_CAP = 20_000
+# Entries one group's column cache holds; past it a column is composed
+# anew each time, so no sweep over a large group caches an N x N table.
+COLUMN_CACHE_ENTRIES = 1 << 24
 
 # Entries one step of an index-space sweep gathers: a breadth-first
 # level is cut into chunks of about this many (element, generator)
 # products, which keeps the temporaries small when a subgroup has
-# hundreds of generators.
+# hundreds of generators, and a sweep of whole-group rows (commutators,
+# Engel steps) takes about this many entries' worth of rows at a time.
 SWEEP_ENTRIES = 8192
 # Mark of an element index that a sweep has not reached yet; larger
 # than any position in a gathered chunk.
@@ -282,23 +279,26 @@ def format_perm_group(group):
     return "\n".join(lines) + "\n"
 
 
-def _sweep_table(right, parents, order):
-    """Cayley table from right-multiplication columns, ``right[g][i] =
-    index(element_i * generator_g)``: in breadth-first ``order``, the
-    column of element k with parent edge (p, g) is ``right[g]`` applied
-    to the column of p, since x * (e_p * g) = (x * e_p) * g."""
-    n = len(parents)
+def _sweep_table(right, levels):
+    """Cayley table from right-multiplication columns: the column of
+    element k = p * g is ``right[g]`` applied to the column of p, since
+    x * (e_p * g) = (x * e_p) * g, written as one contiguous row of the
+    table's transpose."""
+    n = right.shape[1]
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    edges = parents.tolist()
-    # cols[k] is column k of the table, filled as one contiguous row
     cols = np.empty((n, n), dtype=dtype)
     cols[0] = np.arange(n, dtype=dtype)
-    for k in order[1:]:
-        p, g = edges[k]
-        cols[k] = right[g][cols[p]]
+    for src, gen, new in levels:
+        for p, g, k in zip(src.tolist(), gen.tolist(), new.tolist()):
+            cols[k] = right[g][cols[p]]
     table = cols.T
     table.setflags(write=False)
     return table
+
+
+def sweep_rows(width):
+    """Rows of length ``width`` that one step of a 2-d sweep takes."""
+    return max(1, SWEEP_ENTRIES // width)
 
 
 def _first_new(values, marks):
@@ -317,54 +317,50 @@ def _first_new(values, marks):
 
 def bfs_levels(right):
     """Breadth-first sweep from the identity over right multiplication
-    by k elements, a level at a time, given their right-multiplication
-    columns: ``right[t][i]`` is the index of element i times element t
-    of the k.  Yields ``(sources, column positions, new elements)``:
+    by k elements, given their right-multiplication columns:
+    ``right[t][i]`` is the index of element i times element t of the k.
+    Yields one ``(sources, column positions, new elements)`` per level:
     element ``new[i]`` is ``sources[i]`` times the element of column
-    ``positions[i]``.  The new elements come in the order a scalar queue
-    discovers them, since each chunk of a level is gathered row-major
-    and keeps first occurrences."""
+    ``positions[i]``, and every source lies on an earlier level.  The
+    new elements come in the order a scalar queue discovers them, since
+    each chunk of a level is gathered row-major and keeps first
+    occurrences."""
     k, n = right.shape
     if not k:
         return
     marks = np.full(n, _UNSEEN, dtype=np.intp)
     marks[0] = -1
-    step = max(1, SWEEP_ENTRIES // k)
+    step = sweep_rows(k)
     frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
+    while True:
         level = []
         for lo in range(0, frontier.size, step):
             src = frontier[lo:lo + step]
             cand = right[:, src].T.ravel()
             pos = _first_new(cand, marks)
             if pos.size:
-                new = cand[pos]
-                yield src[pos // k], pos % k, new
-                level.append(new)
-        frontier = np.concatenate(level) if level else frontier[:0]
+                level.append((src[pos // k], pos % k, cand[pos]))
+        if not level:
+            return
+        src, gen, new = level[0] if len(level) == 1 else (
+            np.concatenate(part) for part in zip(*level))
+        yield src, gen, new
+        frontier = new
 
 
 def commutator_sweep(group, rows, cols=None):
     """Distinct commutators [r, g] over ``rows`` and every element g of
     ``group`` (or of ``cols``), in first-occurrence order of the
-    row-major sweep; scalar over ``comm_idx`` when the group has no
-    Cayley table."""
-    t = group.table()
-    if cols is None:
-        cols = range(group.order())
-    if t is None:
-        return list(dict.fromkeys(group.comm_idx(r, g)
-                                  for r in rows for g in cols))
-    inv = np.asarray(group.inverse_indices(), dtype=np.intp)
+    row-major sweep."""
     rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    marks = np.full(t.shape[0], _UNSEEN, dtype=np.intp)
+    cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
+    marks = np.full(group.order(), _UNSEEN, dtype=np.intp)
     out = []
-    step = max(1, SWEEP_ENTRIES // cols.size)
+    step = sweep_rows(group.order())
+    inv = group.inverse_indices()
     for lo in range(0, rows.size, step):
-        r = rows[lo:lo + step, None]
-        # [r, g] = r^-1 g^-1 r g
-        c = t[t[inv[r], inv[cols]], t[r, cols]].ravel()
+        # [r, g] is the inverse of [g, r]
+        c = inv[group.commutator_columns(rows[lo:lo + step])[:, cols]].ravel()
         out.extend(c[_first_new(c, marks)].tolist())
     return out
 
@@ -398,13 +394,13 @@ class FiniteGroup:
         self._elements = None       # generic: every element, in order
         self._index = None          # generic: image bytes -> index
         self._parents = None        # (n, 2): breadth-first parent, generator
-        self._bfs = None            # element indices in breadth-first order
         self._right = None          # (k, n): index(element_i * generator_t)
-        self._table = None
+        self._levels = None         # breadth-first (sources, gens, new)
+        self._left_inv = None       # (k, n): index(generator_t^-1 * e_i)
         self._inv_idx = None
+        self._table = None
         self._orders_idx = None
-        self._element_cache = {}    # regular: the elements asked for
-        self._inverses = {}         # regular: the inverses asked for
+        self._columns = {}          # j -> index(element_i * element_j)
         self._words = {}
 
     # -- basics -----------------------------------------------------------
@@ -438,14 +434,17 @@ class FiniteGroup:
         while i < len(els):
             e = els[i]
             for gi, g in enumerate(gens):
-                f = e * g
-                k = f.key
+                k = (e * g).key
                 j = index.get(k)
                 if j is None:
                     if len(els) >= self.max_order:
                         raise CapacityError(
                             f"group exceeds element cap {self.max_order}")
                     j = index[k] = len(els)
+                    # the element's images are a view of its key, so
+                    # each element is stored once
+                    f = Permutation._raw(np.frombuffer(k, dtype=np.int32))
+                    f._key = k
                     els.append(f)
                     parents.append((i, gi))
                 right[gi].append(j)
@@ -453,7 +452,6 @@ class FiniteGroup:
         self._elements = tuple(els)
         self._index = index
         self._right = np.array(right, dtype=np.int32)
-        self._bfs = range(len(els))
         self._parents = np.array(parents, dtype=np.int32)
 
     def _close_regular(self):
@@ -467,16 +465,14 @@ class FiniteGroup:
         # generator t maps point i to index(element_i * generator_t)
         right = np.stack([g.images for g in self.generators])
         parents = np.full((n, 2), -1, dtype=np.int32)
-        levels = [np.zeros(1, dtype=np.int32)]
-        for src, gen, new in bfs_levels(right):
+        levels = tuple(bfs_levels(right))
+        for src, gen, new in levels:
             parents[new, 0] = src
             parents[new, 1] = gen
-            levels.append(new)
-        bfs = np.concatenate(levels)
-        if bfs.size != n:
+        if 1 + sum(new.size for _, _, new in levels) != n:
             raise ValueError("action is not transitive; not a regular group")
         self._right = right
-        self._bfs = bfs
+        self._levels = levels
         self._order_hint = n
         self._parents = parents
 
@@ -503,19 +499,9 @@ class FiniteGroup:
 
     def element(self, i):
         """Element number ``i`` of the deterministic order."""
-        e = self._element_cache.get(i)
-        if e is None:
-            if not self._regular:
-                return self.elements()[i]
-            # compose generator images along the word of i; only the
-            # element asked for is kept, not the ancestors on its chain
-            word = self.word(i)
-            images = np.arange(self._degree, dtype=np.int32)
-            for g in word:
-                images = self._right[g][images]
-            e = Permutation._raw(images)
-            self._element_cache[i] = e
-        return e
+        if self._regular:
+            return Permutation._raw(self.column(i))
+        return self.elements()[i]
 
     def index_of(self, perm):
         """Index of ``perm`` in the deterministic order."""
@@ -525,7 +511,7 @@ class FiniteGroup:
             # regular action with the identity at point 0: the element
             # index is its image of 0
             i = perm(0)
-            if np.array_equal(self.element(i).images, perm.images):
+            if np.array_equal(self.column(i), perm.images):
                 return i
             raise KeyError("permutation is not a member of this group")
         self._close()
@@ -561,70 +547,114 @@ class FiniteGroup:
 
     # -- index-space operations --------------------------------------------
 
-    def table(self):
-        """Cayley table ``t[i, j] = index(element_i * element_j)``,
-        or None when the group is too large to afford one.  Built on
-        the first call."""
-        if self._table is None:
+    def levels(self):
+        """Breadth-first levels ``(sources, generators, new)`` of the
+        closure, as ``bfs_levels`` yields them over the generators'
+        right-multiplication columns."""
+        if self._levels is None:
             self._close()
-            cap = REGULAR_TABLE_CAP if self._regular else GENERIC_TABLE_CAP
-            if self.order() > cap:
-                return None
-            self._table = _sweep_table(self._right, self._parents, self._bfs)
-        return self._table
+            if self._levels is None:         # generic
+                self._levels = tuple(bfs_levels(self._right))
+        return self._levels
 
-    def right_columns(self, idx):
-        """Right multiplication by the elements ``idx``, one row each:
-        ``r[t, i] = index(element_i * element_idx[t])``; None when a
-        generic group has no table."""
-        if self._regular:
-            # element j's images are column j of the Cayley table
-            return np.array([self.element(j).images for j in idx],
-                            dtype=np.int32).reshape(len(idx), self._degree)
-        t = self.table()
-        if t is None:
-            return None
-        return t.T[np.asarray(idx, dtype=np.intp)]
+    def _left_inverses(self):
+        """Left multiplication by each generator's inverse, one row per
+        generator: ``l[t, i] = index(generator_t^-1 * element_i)``."""
+        if self._left_inv is None:
+            levels = self.levels()
+            right = self._right
+            left = np.empty_like(right)
+            # generator t's inverse is the element it maps to 1, the
+            # least entry; then a * (p * g) = (a * p) * g
+            left[:, 0] = right.argmin(axis=1)
+            for src, gen, new in levels:
+                left[:, new] = right[gen, left[:, src]]
+            left.setflags(write=False)
+            self._left_inv = left
+        return self._left_inv
+
+    def generator_conjugates(self, idx):
+        """``c[t, i] = index(generator_t^-1 * element_idx[i] *
+        generator_t)``: one left and one right gather per generator."""
+        left = self._left_inverses()
+        idx = np.asarray(idx, dtype=np.intp)
+        return np.take_along_axis(self._right, left[:, idx], axis=1)
 
     def inverse_indices(self):
+        """``inv[i] = index(element_i^-1)``, by one sweep along the
+        levels: (p * g)^-1 = g^-1 * p^-1."""
         if self._inv_idx is None:
-            t = self.table()
-            if t is not None:
-                # i^-1 is the row holding the identity (index 0, the
-                # least entry) in column i; blocks of columns keep
-                # argmin's temporaries small
-                n = t.shape[0]
-                step = max(1, (1 << 20) // n)
-                inv = np.concatenate([
-                    t[:, lo:lo + step].argmin(axis=0)
-                    for lo in range(0, n, step)]).astype(np.int32)
-            else:
-                inv = np.fromiter(
-                    (self.index_of(e.inverse()) for e in self.elements()),
-                    dtype=np.int32, count=self.order())
+            left = self._left_inverses()
+            inv = np.zeros(self.order(), dtype=np.int32)
+            for src, gen, new in self.levels():
+                inv[new] = left[gen, inv[src]]
             inv.setflags(write=False)
             self._inv_idx = inv
         return self._inv_idx
 
+    def commutator_columns(self, idx):
+        """``c[t, x] = index([element_x, a])`` for a = element idx[t] and
+        every x.  [x, a] is the conjugate x^-1 a^-1 x times a; for
+        x = p * g that conjugate is g^-1 (p^-1 a^-1 p) g, so the
+        conjugates are one gather per breadth-first level, and the
+        product is one gather through a's column."""
+        a = np.asarray(idx, dtype=np.intp)
+        n = self.order()
+        by_gen = self.generator_conjugates(np.arange(n))
+        conj = np.empty((a.size, n), dtype=np.int32)
+        conj[:, 0] = self.inverse_indices()[a]
+        for src, gen, new in self.levels():
+            conj[:, new] = by_gen[gen, conj[:, src]]
+        return np.take_along_axis(self.right_columns(a.tolist()), conj,
+                                  axis=1)
+
+    def column(self, j):
+        """Right multiplication by element j: ``c[i] = index(element_i *
+        element_j)``, cached up to ``COLUMN_CACHE_ENTRIES``.  It is
+        composed from the generators' columns along the word of j,
+        starting from the nearest ancestor on j's breadth-first chain
+        whose column is cached.  A regular group's column j is element
+        j's image array."""
+        c = self._columns.get(j)
+        if c is None:
+            self._close()
+            letters, k = [], j
+            while k and k not in self._columns:
+                k, g = self._parents[k].tolist()
+                letters.append(g)
+            c = self._columns.get(k, np.arange(self.order(), dtype=np.int32))
+            for g in reversed(letters):
+                c = self._right[g][c]
+            c.setflags(write=False)
+            if len(self._columns) * c.size < COLUMN_CACHE_ENTRIES:
+                self._columns[j] = c
+        return c
+
+    def right_columns(self, idx):
+        """Right multiplication by the elements ``idx``, one row each:
+        ``r[t, i] = index(element_i * element_idx[t])``."""
+        return np.array([self.column(j) for j in idx],
+                        dtype=np.int32).reshape(len(idx), self.order())
+
+    def table(self):
+        """Cayley table ``t[i, j] = index(element_i * element_j)``,
+        or None above ``TABLE_CAP``.  Built on the first call, for tests
+        and benchmarks that want every product; no kernel reads it."""
+        if self._table is None:
+            if self.order() > TABLE_CAP:
+                return None
+            levels = self.levels()
+            self._table = _sweep_table(self._right, levels)
+        return self._table
+
     def mul_idx(self, i, j):
-        if self._regular:
-            # index(e_i * e_j) = e_j(i)
-            e = self._element_cache.get(j) or self.element(j)
-            return e._images.item(i)
-        t = self.table()
-        if t is not None:
-            return t.item(i, j)
-        return self.index_of(self.element(i) * self.element(j))
+        c = self._columns.get(j)
+        if c is None:
+            c = self.column(j)
+        return c.item(i)
 
     def inv_idx(self, i):
-        if self._regular:
-            j = self._inverses.get(i)
-            if j is None:
-                # element i maps its inverse's index to the identity, 0
-                j = int(self.element(i)._images.argmin())
-                self._inverses[i] = j
-            return j
-        return int(self.inverse_indices()[i])
+        return self.inverse_indices().item(i)
 
     def conj_idx(self, i, j):
         """index of element_i ^ element_j."""
@@ -632,8 +662,8 @@ class FiniteGroup:
 
     def comm_idx(self, i, j):
         """index of [element_i, element_j] = i^-1 j^-1 i j, multiplied
-        left to right: a regular group reads only the columns of
-        j^-1, i and j, never that of a product."""
+        left to right: it reads only the columns of j^-1, i and j,
+        never that of a product."""
         mul = self.mul_idx
         return mul(mul(mul(self.inv_idx(i), self.inv_idx(j)), i), j)
 
@@ -808,49 +838,40 @@ class Subgroup:
             if g.degree != parent.degree:
                 raise AmbientMismatchError(
                     "subgroup generator degree differs from parent")
-        self.generators = gens
+        self._generators = gens
         gen_idx = [parent.index_of(g) for g in gens]
         self._indices = self._close_indices(gen_idx)
         self._index_set = frozenset(self._indices)
         self._as_group = None
 
     def _close_indices(self, gen_idx):
-        parent = self.parent
-        cap = parent.max_order
+        cap = self.parent.max_order
         order = [0]
-        right = parent.right_columns(gen_idx)
-        if right is not None:
-            for _, _, new in bfs_levels(right):
-                order.extend(new.tolist())
-                if len(order) > cap:
-                    raise CapacityError(f"subgroup exceeds element cap {cap}")
-            return tuple(order)
-        seen = {0}
-        i = 0
-        while i < len(order):
-            e = order[i]
-            for g in gen_idx:
-                f = parent.mul_idx(e, g)
-                if f not in seen:
-                    if len(order) >= cap:
-                        raise CapacityError(
-                            f"subgroup exceeds element cap {cap}")
-                    seen.add(f)
-                    order.append(f)
-            i += 1
+        for _, _, new in bfs_levels(self.parent.right_columns(gen_idx)):
+            order.extend(new.tolist())
+            if len(order) > cap:
+                raise CapacityError(f"subgroup exceeds element cap {cap}")
         return tuple(order)
 
     @classmethod
-    def _from_indices(cls, parent, indices, generators=()):
-        """Internal: wrap an already-closed index set."""
+    def _from_indices(cls, parent, indices):
+        """Internal: wrap an already-closed index set (generators lazily)."""
         sub = object.__new__(cls)
         sub.parent = parent
-        sub.generators = tuple(generators) or tuple(
-            parent.element(i) for i in indices if i != 0) or (parent.identity,)
+        sub._generators = None
         sub._indices = tuple(indices)
         sub._index_set = frozenset(indices)
         sub._as_group = None
         return sub
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            parent = self.parent
+            self._generators = tuple(
+                parent.element(i) for i in self._indices if i != 0) \
+                or (parent.identity,)
+        return self._generators
 
     def indices(self):
         return self._indices
@@ -886,13 +907,8 @@ class Subgroup:
         return f"Subgroup(order={self.order()} of {self.parent!r})"
 
     def is_normal(self):
-        parent = self.parent
-        for i in self._indices:
-            for g in parent.generators:
-                gi = parent.index_of(g)
-                if parent.conj_idx(i, gi) not in self._index_set:
-                    return False
-        return True
+        conj = self.parent.generator_conjugates(self._indices)
+        return bool(np.isin(conj, self._indices).all())
 
     def as_group(self):
         """The subgroup as a standalone FiniteGroup on the same points."""

@@ -29,7 +29,7 @@ def test_concurrent_regular_group_cache_fill():
 
     def read(group, start):
         # each reader walks the columns from its own offset, so the
-        # element and inverse caches are filled in different orders
+        # column and inverse caches are filled in different orders
         cols = [(start + 7 * k) % n for k in range(n // 7)]
         return ([[group.mul_idx(i, j) for i in range(n)] for j in cols],
                 [group.element(j).images.tolist() for j in cols],
@@ -49,6 +49,49 @@ def test_concurrent_regular_group_cache_fill():
     for s, got in zip(starts, results):
         alone = FiniteGroup(amb.generators, regular=True, order_hint=n)
         assert got == read(alone, s)
+
+
+def read_index_space(group, start):
+    """Fill the lazy index-space caches (breadth-first levels, left
+    multiplication by the generators' inverses, the inverse sweep, the
+    column cache) in an order set by ``start``, and read them back."""
+    n = group.order()
+    cols = [(start + 5 * k) % n for k in range(max(1, n // 5))]
+    reads = [
+        lambda: [[part.tolist() for part in level]
+                 for level in group.levels()],
+        lambda: group._left_inverses().tolist(),
+        lambda: group.inverse_indices().tolist(),
+        lambda: [group.column(j).tolist() for j in cols],
+        lambda: group.commutator_columns(cols[:8]).tolist(),
+    ]
+    got = {}
+    for k in range(len(reads)):
+        i = (start + k) % len(reads)
+        got[i] = reads[i]()
+    return [got[i] for i in range(len(reads))]
+
+
+def test_concurrent_index_space_cache_fill():
+    amb = build_nu(get_group("S3"), get_presentation("S3")).ambient
+    s4 = get_group("S4")
+    makers = [lambda: FiniteGroup(amb.generators, regular=True,
+                                  order_hint=amb.order()),
+              lambda: FiniteGroup(s4.generators)]
+    starts = list(range(16))
+    for make in makers:
+        shared = make()
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(
+                    lambda s: read_index_space(shared, s), starts,
+                    timeout=120))
+        finally:
+            sys.setswitchinterval(saved)
+        for s, got in zip(starts, results):
+            assert got == read_index_space(make(), s)
 
 
 def test_concurrent_verifications_share_a_nu_group():

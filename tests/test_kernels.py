@@ -1,29 +1,43 @@
 """Differential tests of the index-space group kernels.
 
-Each kernel that runs over the Cayley table is compared with an
-independent version: permutation products, a scalar breadth-first
-closure, the brute-force triple loop of the stacked Engel word, values
-recorded from the scalar implementation, the table-less path that
-generic groups above ``GENERIC_TABLE_CAP`` take, and, for regular
-groups, which never need a table for single products, the same group
-with its table built.
+Every whole-group kernel (subgroup closure, inverses, the commutator
+and Engel sweeps, the Fitting and Jennings series, the Lie ring, the
+nu(G) build) runs along breadth-first levels over O(N) columns and
+never reads a Cayley table.  Each is compared with an independent
+version: permutation products, a scalar breadth-first closure, the
+brute-force triple loop of the stacked Engel word, values recorded from
+the earlier scalar and table implementations, and the Cayley table
+itself, which ``table()`` builds only as an oracle.  Inside ``no_table``
+building any table fails, so a kernel that reached for one would fail
+its test.
 """
 
+import contextlib
 import hashlib
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensq
 from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
-                   build_nu, commutator, engel_stack_identity,
-                   fitting_subgroup, get_group, get_presentation,
-                   tc_enumerate, tensor_report, to_perm_group)
+                   build_nu, commutator, dimension_subgroups, engel_degree,
+                   engel_stack_identity, fitting_subgroup, get_group,
+                   get_presentation, left_engel_set, lie_ring,
+                   tc_enumerate, tensor_report, to_perm_group,
+                   verify_nu_relations)
 from tensq import perm as perm_module
 from tensq.catalog import catalog
+from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
 
 
@@ -52,6 +66,16 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def no_table():
+    """Building any Cayley table fails inside this block."""
+    def refuse(*args):
+        raise AssertionError("a kernel built a Cayley table")
+
+    with mock.patch.object(perm_module, "_sweep_table", refuse):
+        yield
+
+
 def scalar_closure(group, gens):
     """Breadth-first closure by permutation products, one queue."""
     order = [0]
@@ -61,6 +85,21 @@ def scalar_closure(group, gens):
         e = group.element(order[i])
         for g in gens:
             f = group.index_of(e * g)
+            if f not in seen:
+                seen.add(f)
+                order.append(f)
+        i += 1
+    return tuple(order)
+
+
+def table_closure(t, gens):
+    """Breadth-first closure over the Cayley table ``t``, one queue."""
+    order = [0]
+    seen = {0}
+    i = 0
+    while i < len(order):
+        for g in gens:
+            f = int(t[order[i], g])
             if f not in seen:
                 seen.add(f)
                 order.append(f)
@@ -122,16 +161,18 @@ def test_subgroup_indices_match_scalar_closure(case):
     assert sub.generators == tuple(gens)
 
 
-@pytest.mark.parametrize("table_cap", [perm_module.GENERIC_TABLE_CAP, 0])
+@pytest.mark.parametrize("table_cap", [512, 0])
 def test_subgroup_capacity_error_at_max_order(monkeypatch, table_cap):
-    monkeypatch.setattr(perm_module, "GENERIC_TABLE_CAP", table_cap)
+    # whether the group has a table built or none, closure ignores it
+    monkeypatch.setattr(perm_module, "TABLE_CAP", table_cap)
     g = fresh("D4")
     assert (g.table() is None) == (table_cap == 0)
     g.max_order = 4
     rotation = g.generators[0]
-    assert g.subgroup([rotation]).order() == 4      # exactly at the cap
-    with pytest.raises(CapacityError):
-        g.subgroup(g.generators)
+    with no_table():
+        assert g.subgroup([rotation]).order() == 4      # exactly at the cap
+        with pytest.raises(CapacityError):
+            g.subgroup(g.generators)
 
 
 # -- the stacked Engel word ---------------------------------------------------
@@ -256,51 +297,101 @@ def jennings_record(group, p):
 
 @pytest.mark.parametrize("name", list(FITTING_RECORDED))
 def test_fitting_matches_recorded(name):
-    assert fitting_record(build_product(name)) == FITTING_RECORDED[name]
+    group = build_product(name)
+    with no_table():
+        assert fitting_record(group) == FITTING_RECORDED[name]
 
 
 @pytest.mark.parametrize("name,p", list(JENNINGS_RECORDED))
 def test_jennings_matches_recorded(name, p):
-    assert jennings_record(build_product(name), p) == \
-        JENNINGS_RECORDED[(name, p)]
+    group = build_product(name)
+    with no_table():
+        assert jennings_record(group, p) == JENNINGS_RECORDED[(name, p)]
 
 
-# -- the table-less path ------------------------------------------------------
-
-def without_table(monkeypatch, make):
-    monkeypatch.setattr(perm_module, "GENERIC_TABLE_CAP", 0)
-    group = make()
-    assert group.table() is None
-    return group
-
+# -- kernels against the table oracle -----------------------------------------
 
 @pytest.mark.parametrize("name", ["S4", "Heis3", "D4xC2"])
-def test_tableless_closure_and_fitting_agree(monkeypatch, name):
+def test_tableless_closure_and_fitting_agree(name):
     with_table = build_product(name)
-    assert with_table.table() is not None
-    picks = [with_table.element(i) for i in (1, 5, 7)]
-    expected = (with_table.subgroup(picks).indices(),
-                fitting_record(with_table))
-    bare = without_table(monkeypatch, lambda: build_product(name))
-    picks = [bare.element(i) for i in (1, 5, 7)]
-    assert (bare.subgroup(picks).indices(), fitting_record(bare)) == expected
+    picks = [1, 5, 7]
+    expected = table_closure(with_table.table(), picks)
+    bare = build_product(name)
+    with no_table():
+        assert bare.subgroup([bare.element(i) for i in picks]).indices() \
+            == expected
+        assert fitting_record(bare) == FITTING_RECORDED[name]
+    assert bare._table is None
+
+
+def table_inverses(t):
+    """inv[i] is the row holding the identity in column i."""
+    return [int(r) for r in t.argmin(axis=0)]
+
+
+def table_jennings(t, p):
+    """D_1 = G, D_i = <[D_{i-1}, G], D_ceil(i/p)^p>, as index sets, by
+    products read from the Cayley table ``t``."""
+    n = len(t)
+    inv = table_inverses(t)
+    terms = [frozenset(range(n))]
+    while len(terms[-1]) > 1:
+        i = len(terms) + 1
+        gens = {int(t[t[t[inv[r], inv[g]], r], g])
+                for r in terms[-1] for g in range(n)}
+        for d in terms[math.ceil(i / p) - 1]:
+            power = 0
+            for _ in range(p):
+                power = int(t[power, d])
+            gens.add(power)
+        terms.append(frozenset(table_closure(t, sorted(gens))))
+    return terms
 
 
 @pytest.mark.parametrize("name,p", [("D4", 2), ("Heis3", 3),
                                     ("D4xC2", 2), ("C27", 3)])
-def test_tableless_jennings_agrees(monkeypatch, name, p):
-    expected = jennings_record(build_product(name), p)
-    bare = without_table(monkeypatch, lambda: build_product(name))
-    assert jennings_record(bare, p) == expected
+def test_tableless_jennings_agrees(name, p):
+    expected = table_jennings(build_product(name).table(), p)
+    bare = build_product(name)
+    with no_table():
+        terms = jennings_recursion(bare, p).terms
+    assert [t.index_set() for t in terms] == expected
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "A4"])
-def test_tableless_stack_identity_agrees(monkeypatch, name):
-    expected = [engel_stack_identity(fresh(name), n, p, m)
+def test_tableless_stack_identity_agrees(name):
+    expected = [brute_stack_identity(fresh(name), n, p, m)
                 for n, p, m in STACK_GRID]
-    bare = without_table(monkeypatch, lambda: fresh(name))
-    assert [engel_stack_identity(bare, n, p, m)
-            for n, p, m in STACK_GRID] == expected
+    bare = fresh(name)
+    with no_table():
+        assert [engel_stack_identity(bare, n, p, m)
+                for n, p, m in STACK_GRID] == expected
+
+
+def scalar_engel_degree(group, y, bound):
+    """The least n with [x, n y] = 1 for every x, by iterating each x
+    alone until it reaches 1 or repeats."""
+    worst = 0
+    for x in range(group.order()):
+        c, k, seen = group.comm_idx(x, y), 1, {x}
+        while c != 0:
+            if c in seen:
+                return False, None
+            seen.add(c)
+            c, k = group.comm_idx(c, y), k + 1
+        worst = max(worst, k)
+    return True, (worst if worst <= bound else None)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "S4", "Heis3",
+                                  "C27", "D4xC2", "Q8xC4"])
+def test_engel_degree_matches_scalar_iteration(name):
+    group = build_product(name)
+    expected = [scalar_engel_degree(group, y, 3)
+                for y in range(group.order())]
+    with no_table():
+        assert [engel_degree(y, group, 3)
+                for y in range(group.order())] == expected
 
 
 # -- the rho certificate of build_nu ------------------------------------------
@@ -319,27 +410,12 @@ def test_rho_certificate_catches_a_wrong_product(monkeypatch):
         build_nu(g, get_presentation("S3"), "gens")
 
 
-# -- regular groups without a Cayley table -------------------------------------
+# -- regular groups without a Cayley table ------------------------------------
 
 def regular_copy(group):
     """A new, unclosed regular group on the generators of ``group``."""
     return FiniteGroup(group.generators, regular=True,
                        order_hint=group.order())
-
-
-def table_closure(t, gens):
-    """Breadth-first closure over the Cayley table ``t``, one queue."""
-    order = [0]
-    seen = {0}
-    i = 0
-    while i < len(order):
-        for g in gens:
-            f = int(t[order[i], g])
-            if f not in seen:
-                seen.add(f)
-                order.append(f)
-        i += 1
-    return tuple(order)
 
 
 @pytest.mark.parametrize("mode", ["all", "gens"])
@@ -388,29 +464,20 @@ def test_tableless_regular_group_agrees_with_its_table(nu_of, name, mode):
     assert [rho[i] for i in range(n)] == nu.rho.tolist()
 
 
-def test_nu_build_and_report_build_no_regular_table(monkeypatch, nu_of):
+def test_nu_build_and_report_build_no_regular_table(nu_of):
     expected = tensor_report(nu_of("D4")).to_dict()
     group = fresh("D4")
     group.table()
-    sweep = perm_module._sweep_table
-
-    def small_only(right, parents, order):
-        # generic tables stop at GENERIC_TABLE_CAP; nu(D4) has 4096
-        # elements
-        if len(parents) > perm_module.GENERIC_TABLE_CAP:
-            raise AssertionError("a regular group built its Cayley table")
-        return sweep(right, parents, order)
-
-    monkeypatch.setattr(perm_module, "_sweep_table", small_only)
-    nu = build_nu(group, get_presentation("D4"), "gens")
-    assert tensor_report(nu).to_dict() == expected
+    with no_table():
+        nu = build_nu(group, get_presentation("D4"), "gens")
+        assert tensor_report(nu).to_dict() == expected
     assert nu.ambient._table is None
 
 
 def test_regular_group_above_the_table_cap(monkeypatch):
     cosets = tc_enumerate(get_presentation("A4"), ())
     t = to_perm_group(cosets).table()
-    monkeypatch.setattr(perm_module, "REGULAR_TABLE_CAP", 10)
+    monkeypatch.setattr(perm_module, "TABLE_CAP", 10)
     g = to_perm_group(cosets)
     n = g.order()
     assert n == 12
@@ -418,5 +485,168 @@ def test_regular_group_above_the_table_cap(monkeypatch):
         t.tolist()
     els = [g.element(i) for i in range(n)]
     assert [[g.index_of(a * b) for b in els] for a in els] == t.tolist()
+    assert list(g.inverse_indices()) == table_inverses(t)
     assert g._elements is None
     assert g.table() is None
+
+
+def test_column_cache_stops_at_its_cap(monkeypatch):
+    t = fresh("S4").table()
+    monkeypatch.setattr(perm_module, "COLUMN_CACHE_ENTRIES", 3 * 24)
+    g = fresh("S4")
+    n = g.order()
+    with no_table():
+        assert [[g.mul_idx(i, j) for j in range(n)] for i in range(n)] == \
+            t.tolist()
+        assert [g.index_of(e) for e in left_engel_set(g, 3)] == \
+            table_left_engel_set(t, 3)
+    assert len(g._columns) == 3
+
+
+# -- no kernel builds a Cayley table ------------------------------------------
+
+NU_D4_REPORT = {"group_order": 8, "nu_order": 2048, "tensor_order": 32,
+                "mu_order": 16, "tensor_abelian": True,
+                "tensor_invariants": [2, 2, 2, 4], "tensor_class": 1}
+
+# (p, m, n) -> digest of the scan's to_dict(), recorded from the table
+# kernel; both routes give the same pairs
+ENGEL_SCAN_RECORDED = {(3, 1, 1): "3f18372043c3db37",
+                       (2, 1, 1): "9d18dd311bc04e06"}
+
+
+@pytest.mark.parametrize("mode", ["all", "gens"])
+def test_nu_kernels_build_no_table(mode):
+    group = fresh("D4")
+    pres = get_presentation("D4") if mode == "gens" else None
+    with no_table():
+        nu = build_nu(group, pres, mode)
+        report = tensor_report(nu).to_dict()
+        relations = verify_nu_relations(nu)
+        scans = {cfg: digest(engel_power_scan(
+            nu, EngelScanConfig(*cfg)).to_dict())
+            for cfg in ENGEL_SCAN_RECORDED}
+        stack = [engel_stack_identity(group, n, p, m)
+                 for n, p, m in STACK_GRID]
+    assert report == dict(NU_D4_REPORT, mode=mode)
+    assert relations.passed
+    assert scans == ENGEL_SCAN_RECORDED
+    assert stack == [brute_stack_identity(group, n, p, m)
+                     for n, p, m in STACK_GRID]
+    assert nu.ambient._table is None and group._table is None
+
+
+def table_left_engel_set(t, bound):
+    """Indices y with [x, bound y] = 1 for every x, over the table."""
+    inv = np.array(table_inverses(t))
+    out = []
+    for y in range(len(t)):
+        v = np.arange(len(t))
+        for _ in range(bound):
+            v = t[t[inv[v], inv[y]], t[v, y]]
+        if not v.any():
+            out.append(y)
+    return out
+
+
+# degrees, digest of (basis lifts, coset coordinates, structure
+# constants), recorded from the scalar loops
+LIE_RECORDED = {("D4", 2): [[2, 1], "0c0387ef307f8b12"],
+                ("Q8", 2): [[2, 1], "0c0387ef307f8b12"],
+                ("Heis3", 3): [[2, 1], "3b27c9fabc39ee9f"]}
+
+
+def lie_record(group, p):
+    ring = lie_ring(dimension_subgroups(group, p))
+    return [ring.dims, digest((
+        ring.basis_lifts, [sorted(c.items()) for c in ring.coords_of],
+        sorted((k, v.tolist()) for k, v in ring.constants.items())))]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_group_kernels_build_no_table(name):
+    t = fresh(name).table()
+    expected = [table_left_engel_set(t, bound) for bound in (1, 2, 3)]
+    group = fresh(name)
+    with no_table():
+        engel_sets = [[group.index_of(e) for e in left_engel_set(group, b)]
+                      for b in (1, 2, 3)]
+        fitting = fitting_record(group)
+        p = {"D4": 2, "Q8": 2}.get(name)
+        if p is not None:
+            jennings = jennings_record(group, p)
+            lie = lie_record(group, p)
+    assert engel_sets == expected
+    assert fitting == FITTING_RECORDED[name]
+    if p is not None:       # S3 and A4 are not p-groups
+        assert jennings == JENNINGS_RECORDED[(name, p)]
+        assert lie == LIE_RECORDED[(name, p)]
+    assert group._table is None
+
+
+def test_lie_ring_of_heis3_matches_recorded():
+    group = fresh("Heis3")
+    with no_table():
+        assert lie_record(group, 3) == LIE_RECORDED[("Heis3", 3)]
+
+
+def test_dihedral_24000_engel_answers_in_small_memory(tmp_path):
+    # D_{2*12000} has 24,000 elements, above TABLE_CAP; a cached column
+    # per element would be 96 KB each, 2.3 GB in all.  The peak is read
+    # from VmHWM: a child's ru_maxrss starts from the peak of the
+    # process that forked it.
+    pres = tmp_path / "D24000.pres"
+    pres.write_text("gens: a b\nrels: a^12000, b^2, (a b)^2\n")
+    code = ("import sys\n"
+            "from tensq.catalog import resolve_group\n"
+            "from tensq.engel import is_left_n_engel\n"
+            "g = resolve_group('@' + sys.argv[1])[0]\n"
+            "a, b = g.generators\n"
+            "print(g.order(), is_left_n_engel(a, g, 2),"
+            " is_left_n_engel(b, g, 10))\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print([l for l in fh if l.startswith('VmHWM')][0])\n")
+    path = [os.path.dirname(os.path.dirname(tensq.__file__)),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", code, str(pres)], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=300)
+    answers, peak = done.stdout.strip().splitlines()
+    assert answers.split() == ["24000", "True", "False"]
+    label, kib, unit = peak.split()
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(kib) < 150 * 1024
+
+
+# -- invariants and storage ---------------------------------------------------
+
+def test_mu_centrality_check_fires_on_a_non_central_set(monkeypatch):
+    # every element of nu(S3) in place of mu: the group is not abelian,
+    # so the set is not central
+    wrap = perm_module.Subgroup._from_indices.__func__
+
+    def everything(cls, parent, indices):
+        return wrap(cls, parent, range(parent.order()))
+
+    monkeypatch.setattr(perm_module.Subgroup, "_from_indices",
+                        classmethod(everything))
+    with pytest.raises(InvariantError, match="mu is not central"):
+        build_nu(fresh("S3"), get_presentation("S3"), "gens")
+
+
+def test_generic_closure_stores_each_element_once():
+    # C2^6 acting on 4096 points: generator t flips bits 2t and 2t + 1
+    points = np.arange(4096, dtype=np.int32)
+    gens = [Permutation(points ^ (3 << (2 * t))) for t in range(6)]
+    group = FiniteGroup(gens)
+    tracemalloc.start()
+    try:
+        assert group.order() == 64
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 64 * 4096 * 4
+    e = group.element(5)
+    assert not e.images.flags.writeable
+    assert group.index_of(e) == 5
