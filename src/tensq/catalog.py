@@ -93,10 +93,6 @@ def catalog():
     return _entries
 
 
-def catalog_names():
-    return list(catalog())
-
-
 def get_group(name):
     g = _groups.get(name)
     if g is None:
@@ -151,11 +147,6 @@ def resolve_group(designator, limits=None):
         raise KeyError(f"unknown group {designator!r} (try 'catalog list')")
     return (get_group(designator), get_presentation(designator),
             {"kind": "catalog", "name": designator})
-
-
-def nu_capable_names(max_order=16):
-    """Catalog entries within the nu-construction cap."""
-    return [name for name, e in catalog().items() if e.order <= max_order]
 
 
 def p_group_names(max_order=None):

@@ -14,15 +14,22 @@ breadth-first levels, then multiplied by y through y's column.  A
 block of y is decided at once by composing each y's map n times; the
 stacked word of ``engel_stack_identity`` depends on (x1, y1) only
 through c = [x1, y1], so it is swept over all z at once for each
-distinct commutator.  ``fitting_subgroup`` joins normal subgroups as
-product sets, AB of order |A||B|/|A n B|, builds a subgroup only for a
-join the lattice does not hold yet, and runs each member's lower
-central series in the parent's index space.
+distinct commutator.
+
+``fitting_subgroup`` takes one normal closure per rational class (the
+conjugates of the generators of one cyclic subgroup all have the same
+normal closure), joins normal subgroups as product sets, AB of order
+|A||B|/|A n B|, and builds a subgroup only for a join the lattice does
+not hold yet.  It decides nilpotency largest member first: a member
+inside one already found nilpotent is nilpotent, so only the others run
+their lower central series, in the parent's index space, as does the
+final check on the Fitting subgroup itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,17 +142,41 @@ def _bits(sub):
     return sum(1 << i for i in sub.indices())
 
 
+def _mark_rational_class(group, i, marked):
+    """Mark in ``marked`` every conjugate of every generator of the
+    cyclic subgroup of element i: all have the normal closure of i."""
+    col = group.column(i)
+    powers = [i]                    # i, i^2, ..., i^order = 1
+    while powers[-1]:
+        powers.append(int(col[powers[-1]]))
+    frontier = np.array([q for k, q in enumerate(powers, start=1)
+                         if math.gcd(k, len(powers)) == 1], dtype=np.intp)
+    conj = group.conjugation_map()
+    while frontier.size:
+        marked[frontier] = True
+        fresh = np.zeros_like(marked)
+        fresh[conj[:, frontier]] = True
+        frontier = np.flatnonzero(fresh & ~marked)
+
+
 def fitting_subgroup(group):
     """Largest nilpotent normal subgroup, by enumerating the normal
-    subgroup lattice from normal closures of single elements.
+    subgroup lattice from the normal closures of single elements, one
+    per rational class, walked in element order so that each closure
+    kept is the first element's.  Members are tested for nilpotency
+    largest first; a member inside a nilpotent one is not tested.
 
     Independent oracle for the set of left Engel elements of a finite
     group; shares nothing with the Engel iteration.
     """
     normals = {}
+    marked = np.zeros(group.order(), dtype=bool)
     for i in range(group.order()):
+        if marked[i]:
+            continue
         nc = group.normal_closure([group.element(i)])
         normals.setdefault(_bits(nc), nc)
+        _mark_rational_class(group, i, marked)
     work = list(normals.items())
     # Every member is normal, so the join of A and B is the product set
     # AB, of order |A||B|/|A n B|: a member of that order containing A
@@ -168,13 +199,19 @@ def fitting_subgroup(group):
             normals[bits] = joined
             by_order.setdefault(order, []).append(bits)
             work.append((bits, joined))
-    nilpotents = [s for s in normals.values()
-                  if _is_nilpotent_normal(group, s)]
+    # a normal subgroup inside a nilpotent one is nilpotent
+    found = []
+    for bits, s in sorted(normals.items(), key=lambda m: -m[1].order()):
+        if (not any(bits & ~m == 0 for m in found)
+                and _is_nilpotent_normal(group, s)):
+            found.append(bits)
+    nilpotents = [s for bits, s in normals.items()
+                  if any(bits & ~m == 0 for m in found)]
     gens = []
     for s in nilpotents:
         gens.extend(s.generators)
     fit = group.subgroup(list(dict.fromkeys(gens)))
-    invariant(fit.as_group().is_nilpotent(),
+    invariant(_is_nilpotent_normal(group, fit),
               "join of nilpotent normal subgroups failed to be nilpotent")
     return fit
 

@@ -352,10 +352,6 @@ class GradedSubspace:
         b = self.bases.get(degree)
         return 0 if b is None else len(b)
 
-    @property
-    def total_dimension(self):
-        return sum(len(b) for b in self.bases.values())
-
     def is_all_of(self, ring):
         return all(self.dimension(i) == ring.dim(i)
                    for i in range(1, ring.degrees + 1))

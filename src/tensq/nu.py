@@ -618,7 +618,11 @@ def derived_map_check(nu):
                         {"mu_order": nu.mu.order()}))
 
     tgroup = nu.tensor.as_group()
-    mu_in_t = Subgroup(tgroup, nu.mu.elements())
+    # mu's members as elements of the tensor group: the ambient is
+    # regular, so a member's ambient index is its image of 0, and no
+    # ambient column is built per member
+    by_index = {e(0): e for e in tgroup.elements()}
+    mu_in_t = Subgroup(tgroup, [by_index[m] for m in nu.mu.indices()])
     quotient = tgroup.quotient_action(mu_in_t)
     checks.append(Check("|tensor / mu| = |G'|",
                         quotient.order() == gp.order(),
@@ -640,8 +644,9 @@ def derived_map_check(nu):
     checks.append(Check("fibers of rho' are mu-cosets", ok,
                         {"fibers": len(fibers)}))
 
-    central = all(amb.comm_idx(m, amb.index_of(g)) == 0
-                  for m in nu.mu.indices() for g in amb.generators)
+    # s^-1 m s = m for every generator s, with no column cached per m
+    members = np.asarray(nu.mu.indices())
+    central = bool((amb.generator_conjugates(members) == members).all())
     checks.append(Check("mu is central in nu(G)", central, {}))
     return VerificationReport(name="derived-map", checks=checks)
 

@@ -19,14 +19,15 @@ left multiplication by each generator's inverse, one sweep along the
 levels since left and right multiplication commute.  Each whole-group
 kernel is a sweep of that kind, one gather per level over O(N) columns:
 the inverses, (p * g)^-1 = g^-1 * p^-1; the conjugates x^-1 a x of a
-fixed a, g^-1 (p^-1 a p) g; and from these the commutators with a over
-every x, which drive the Engel iterations and ``commutator_sweep``.  A
-single product reads one cached column, element j's right
-multiplication, composed from generator columns along j's word.  For a
-regular group (degree equal to order, identity at point 0, as coset
-enumeration produces) that column is element j's image array, since
-index(e_i * e_j) = e_j(i), so a regular group never stores its
-elements; a generic group stores each one once.
+fixed a, g^-1 (p^-1 a p) g, read from each generator's conjugation map,
+which is built once per group; and from these the commutators with a
+over every x, which drive the Engel iterations and
+``commutator_sweep``.  A single product reads one cached column,
+element j's right multiplication, composed from generator columns
+along j's word.  For a regular group (degree equal to order, identity
+at point 0, as coset enumeration produces) that column is element j's
+image array, since index(e_i * e_j) = e_j(i), so a regular group never
+stores its elements; a generic group stores each one once.
 
 Subgroup closure and the rho sweep of ``build_nu`` gather a whole
 breadth-first level from right-multiplication columns at once and keep
@@ -397,9 +398,11 @@ class FiniteGroup:
         self._right = None          # (k, n): index(element_i * generator_t)
         self._levels = None         # breadth-first (sources, gens, new)
         self._left_inv = None       # (k, n): index(generator_t^-1 * e_i)
+        self._conj = None           # conjugation map and its level steps
         self._inv_idx = None
         self._table = None
         self._orders_idx = None
+        self._lower_central = None
         self._columns = {}          # j -> index(element_i * element_j)
         self._words = {}
 
@@ -580,6 +583,25 @@ class FiniteGroup:
         idx = np.asarray(idx, dtype=np.intp)
         return np.take_along_axis(self._right, left[:, idx], axis=1)
 
+    def _conjugation_sweep(self):
+        """The generators' conjugation map, and the breadth-first levels
+        with each generator replaced by the offset of its row in the
+        flattened map, so that one level of a sweep is one flat gather.
+        Built once per group."""
+        if self._conj is None:
+            n = self.order()
+            conj = self.generator_conjugates(np.arange(n))
+            conj.setflags(write=False)
+            steps = tuple((src, (gen * n)[:, None], new)
+                          for src, gen, new in self.levels())
+            self._conj = (conj, steps)
+        return self._conj
+
+    def conjugation_map(self):
+        """``generator_conjugates`` of every element, built once:
+        ``c[t, i] = index(generator_t^-1 * element_i * generator_t)``."""
+        return self._conjugation_sweep()[0]
+
     def inverse_indices(self):
         """``inv[i] = index(element_i^-1)``, by one sweep along the
         levels: (p * g)^-1 = g^-1 * p^-1."""
@@ -600,12 +622,14 @@ class FiniteGroup:
         product is one gather through a's column."""
         a = np.asarray(idx, dtype=np.intp)
         n = self.order()
-        by_gen = self.generator_conjugates(np.arange(n))
-        conj = np.empty((a.size, n), dtype=np.int32)
-        conj[:, 0] = self.inverse_indices()[a]
-        for src, gen, new in self.levels():
-            conj[:, new] = by_gen[gen, conj[:, src]]
-        return np.take_along_axis(self.right_columns(a.tolist()), conj,
+        by_gen, steps = self._conjugation_sweep()
+        by_gen = by_gen.ravel()
+        # one row per x, so each level gathers whole rows of its sources
+        conj = np.empty((n, a.size), dtype=np.int32)
+        conj[0] = self.inverse_indices()[a]
+        for src, offset, new in steps:
+            conj[new] = by_gen[conj[src] + offset]
+        return np.take_along_axis(self.right_columns(a.tolist()), conj.T,
                                   axis=1)
 
     def column(self, j):
@@ -737,20 +761,23 @@ class FiniteGroup:
         return self.normal_closure(seeds)
 
     def lower_central_series(self):
-        """Terms gamma_1 > gamma_2 > ... down to the first repeated term."""
-        terms = [self.full_subgroup()]
-        while True:
-            prev = terms[-1]
-            seeds = [commutator(h, g)
-                     for h in prev.generators for g in self.generators]
-            nxt = self.normal_closure(seeds)
-            if nxt == prev:
-                break
-            terms.append(nxt)
-            if nxt.order() == 1:
-                break
-        return SeriesReport(kind="lower-central", terms=tuple(terms),
-                            stabilized=True)
+        """Terms gamma_1 > gamma_2 > ... down to the first repeated term,
+        computed once per group."""
+        if self._lower_central is None:
+            terms = [self.full_subgroup()]
+            while True:
+                prev = terms[-1]
+                seeds = [commutator(h, g)
+                         for h in prev.generators for g in self.generators]
+                nxt = self.normal_closure(seeds)
+                if nxt == prev:
+                    break
+                terms.append(nxt)
+                if nxt.order() == 1:
+                    break
+            self._lower_central = SeriesReport(
+                kind="lower-central", terms=tuple(terms), stabilized=True)
+        return self._lower_central
 
     def derived_series(self):
         terms = [self.full_subgroup()]

@@ -24,16 +24,6 @@ class Word:
             if g < 0:
                 raise ValueError("generator indices must be non-negative")
 
-    @classmethod
-    def from_exponents(cls, pairs):
-        """Build from (gen, exponent) pairs with arbitrary integer
-        exponents."""
-        letters = []
-        for g, e in pairs:
-            sign = 1 if e > 0 else -1
-            letters.extend([(g, sign)] * abs(e))
-        return cls(letters)
-
     def __len__(self):
         return len(self.letters)
 

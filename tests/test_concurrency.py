@@ -52,9 +52,10 @@ def test_concurrent_regular_group_cache_fill():
 
 
 def read_index_space(group, start):
-    """Fill the lazy index-space caches (breadth-first levels, left
-    multiplication by the generators' inverses, the inverse sweep, the
-    column cache) in an order set by ``start``, and read them back."""
+    """Fill the lazy caches (breadth-first levels, left multiplication by
+    the generators' inverses, the inverse sweep, the column cache, the
+    generators' conjugation map, the lower central series) in an order
+    set by ``start``, and read them back."""
     n = group.order()
     cols = [(start + 5 * k) % n for k in range(max(1, n // 5))]
     reads = [
@@ -64,6 +65,8 @@ def read_index_space(group, start):
         lambda: group.inverse_indices().tolist(),
         lambda: [group.column(j).tolist() for j in cols],
         lambda: group.commutator_columns(cols[:8]).tolist(),
+        lambda: group.conjugation_map().tolist(),
+        lambda: [t.indices() for t in group.lower_central_series().terms],
     ]
     got = {}
     for k in range(len(reads)):

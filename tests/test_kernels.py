@@ -6,13 +6,15 @@ nu(G) build) runs along breadth-first levels over O(N) columns and
 never reads a Cayley table.  Each is compared with an independent
 version: permutation products, a scalar breadth-first closure, the
 brute-force triple loop of the stacked Engel word, values recorded from
-the earlier scalar and table implementations, and the Cayley table
+the earlier scalar and table implementations, the Fitting subgroup
+from the whole normal-subgroup lattice, and the Cayley table
 itself, which ``table()`` builds only as an oracle.  Inside ``no_table``
 building any table fails, so a kernel that reached for one would fail
 its test.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -35,10 +37,12 @@ from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    get_presentation, left_engel_set, lie_ring,
                    tc_enumerate, tensor_report, to_perm_group,
                    verify_nu_relations)
+from tensq import engel as engel_module
 from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
+from tensq.nu import derived_map_check
 
 
 def product(*groups):
@@ -322,6 +326,86 @@ def test_tableless_closure_and_fitting_agree(name):
             == expected
         assert fitting_record(bare) == FITTING_RECORDED[name]
     assert bare._table is None
+
+
+# -- Fitting subgroup against the whole lattice -------------------------------
+
+def brute_force_fitting(group):
+    """The Fitting subgroup with no work skipped: every element's normal
+    closure, every join of two members, every member tested for
+    nilpotency as a standalone permutation group, and that same test on
+    the result.  Joins are taken in the production order, so the
+    generators agree too.  Returns the subgroup and every member."""
+    normals = {}
+    for i in range(group.order()):
+        nc = group.normal_closure([group.element(i)])
+        normals.setdefault(nc.index_set(), nc)
+    work = list(normals.values())
+    while work:
+        a = work.pop()
+        for b in list(normals.values()):
+            joined = group.subgroup(
+                list(dict.fromkeys(a.generators + b.generators)))
+            if joined.index_set() not in normals:
+                normals[joined.index_set()] = joined
+                work.append(joined)
+    gens = []
+    for s in normals.values():
+        if s.as_group().is_nilpotent():
+            gens.extend(s.generators)
+    fit = group.subgroup(list(dict.fromkeys(gens)))
+    assert fit.as_group().is_nilpotent()
+    return fit, list(normals.values())
+
+
+@contextlib.contextmanager
+def fitting_work():
+    """Count the normal closures and nilpotency tests made inside."""
+    with mock.patch.object(FiniteGroup, "normal_closure", autospec=True,
+                           side_effect=FiniteGroup.normal_closure) as nc, \
+            mock.patch.object(engel_module, "_is_nilpotent_normal",
+                              wraps=engel_module._is_nilpotent_normal) as nil:
+        yield nc, nil
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "D5", "S3xS3",
+                                  "A4xC2", "S4xC2"])
+def test_fitting_matches_brute_force_lattice(name):
+    expected, members = brute_force_fitting(build_product(name))
+    group = build_product(name)
+    with fitting_work() as (_, tests):
+        fit = fitting_subgroup(group)
+    assert fit.order() < group.order()
+    assert fit.indices() == expected.indices()
+    assert fit.generators == expected.generators
+    # every member but those strictly inside the Fitting subgroup is
+    # tested, and then the Fitting subgroup once more
+    inside = [s for s in members if s.index_set() < fit.index_set()]
+    assert inside
+    assert tests.call_count == len(members) - len(inside) + 1
+
+
+def rational_class_count(group):
+    """Classes of elements under conjugation and coprime powers, from
+    permutation products."""
+    els = group.elements()
+    classes = set()
+    for g in els:
+        o = g.order()
+        gens = [g ** k for k in range(1, o + 1) if math.gcd(k, o) == 1]
+        classes.add(frozenset(h.conjugate_by(x).key
+                              for h in gens for x in els))
+    return len(classes)
+
+
+def test_fitting_of_d4xd4_takes_one_closure_per_rational_class():
+    group = build_product("D4xD4")
+    with fitting_work() as (closures, tests):
+        record = fitting_record(group)
+    assert record == FITTING_RECORDED["D4xD4"]
+    assert closures.call_count == rational_class_count(group) == 25
+    # the whole group, then the final check on the Fitting subgroup
+    assert tests.call_count == 2
 
 
 def table_inverses(t):
@@ -633,6 +717,24 @@ def test_mu_centrality_check_fires_on_a_non_central_set(monkeypatch):
                         classmethod(everything))
     with pytest.raises(InvariantError, match="mu is not central"):
         build_nu(fresh("S3"), get_presentation("S3"), "gens")
+
+
+def test_derived_map_check_builds_no_column_per_mu_member():
+    nu = build_nu(fresh("C3xC3"), get_presentation("C3xC3"))
+    tensor_report(nu)
+    built = len(nu.ambient._columns)
+    report = derived_map_check(nu)
+    assert report.passed
+    assert len(nu.ambient._columns) <= built
+
+
+def test_derived_map_centrality_check_fails_on_a_non_central_set():
+    # the tensor subgroup of nu(S3) in place of mu: it is not central
+    nu = build_nu(fresh("S3"), get_presentation("S3"))
+    report = derived_map_check(dataclasses.replace(nu, mu=nu.tensor))
+    central = [c for c in report.checks
+               if c.label == "mu is central in nu(G)"]
+    assert [c.passed for c in central] == [False]
 
 
 def test_generic_closure_stores_each_element_once():
