@@ -6,11 +6,12 @@ compatibility relations
 
     [g1, g2']^g3 = [g1^g3, (g2^g3)'] = [g1, g2']^(g3'),
 
-imposed either over all element triples (via a multiplication-table
-presentation; mode "all") or over generator triples of a compact
-presentation (mode "gens").  The tensor square G (x) G is identified
-with the subgroup [G, G'] of nu(G); the two construction routes are
-never assumed to agree -- route independence is checked per group.
+imposed either over every pair of non-identity elements with the
+conjugator in a generating set (via a multiplication-table presentation;
+mode "all") or over generator triples of a compact presentation (mode
+"gens").  The tensor square G (x) G is identified with the subgroup
+[G, G'] of nu(G); the two construction routes are never assumed to
+agree -- route independence is checked per group.
 
 All verification operations are read-only over an immutable NuGroup and
 may run concurrently.
@@ -104,13 +105,51 @@ def _parse_table_presentation(pres):
     return e, table
 
 
+def _table_generating_set(table, e):
+    """A generating set of the group of ``table``: the elements, in index
+    order, that the ones kept before them do not generate."""
+    span = {e}
+    kept = []
+    for x in range(len(table)):
+        if x in span:
+            continue
+        kept.append(x)
+        # every positive word in the kept elements; G is finite, so
+        # these are the subgroup they generate
+        frontier = list(span)
+        while frontier:
+            new = []
+            for y in frontier:
+                for s in kept:
+                    z = table[y][s]
+                    if z not in span:
+                        span.add(z)
+                        new.append(z)
+            frontier = new
+    return kept
+
+
 def nu_presentation(pres, mode):
     """Double a presentation of G into a presentation of nu(G).
 
-    mode "all": ``pres`` must be a multiplication-table presentation;
-    the compatibility relations range over all element triples, with
-    conjugates evaluated through the table (so each relator stays
-    short).  mode "gens": relations range over generator triples with
+    mode "all": ``pres`` must be a multiplication-table presentation.
+    The compatibility relations are imposed for g1 and g2 over the
+    non-identity elements and g3 over a generating set S of G
+    (``_table_generating_set``), with conjugates evaluated through the
+    table, so each relator stays short.  That presents nu(G):
+
+    * Write P(c) for "[g1, g2']^c = [g1^c, (g2^c)'] for every g1 and
+      g2".  If P(c) and P(d) hold, then P(cd) holds: [g1, g2']^(cd) =
+      [g1^c, (g2^c)']^d, and P(d) applied to the pair (g1^c, g2^c)
+      gives [g1^(cd), (g2^(cd))'].  The same argument works for the
+      conjugator c' d' = (cd)', through the primed table relators.
+    * c^-1 = c^(o(c)-1) and G is finite, so every element is a positive
+      word in S, and P holds for every g3 and every g3'.
+    * A triple with g1 = e or g2 = e follows from the table relator
+      x_e = 1, and from its primed copy: both sides are trivial.
+
+    So there are 2(n^2 + 1) + 2(n - 1)^2 |S| relators for |G| = n.
+    mode "gens": relations range over generator triples with
     conjugation written literally.
     """
     n = pres.ngens
@@ -124,19 +163,17 @@ def nu_presentation(pres, mode):
 
     if mode == "all":
         e, table = _parse_table_presentation(pres)
-        inv = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == e:
-                    inv[i] = j
+        inv = [row.index(e) for row in table]
 
         def conj(i, k):
             return table[table[inv[k]][i]][k]
 
-        for g1 in range(n):
-            for g2 in range(n):
+        conjugators = _table_generating_set(table, e)
+        nontrivial = [g for g in range(n) if g != e]
+        for g1 in nontrivial:
+            for g2 in nontrivial:
                 c = commutator_word(gen(g1), gen(g2 + n))
-                for g3 in range(n):
+                for g3 in conjugators:
                     a = conj(g1, g3)
                     b = conj(g2, g3)
                     rhs_inv = commutator_word(gen(a), gen(b + n)).inverse()
@@ -580,17 +617,29 @@ def verify_decomposition(nu):
               {"tensor_order": nu.tensor.order(), "gprime": gp.order()}),
     ]
 
-    tl_closed = all(amb.mul_idx(u, v) in tl for u in tl for v in tl)
+    # tl = tensor . G' lies in the group generated by X, the generators
+    # of the tensor subgroup and of the left copy of G', and contains X.
+    # If 1 is in tl and tl . s lies in tl for every s in X, then tl holds
+    # every positive word in X, which is all of <X> since nu(G) is
+    # finite; so tl = <X> is a subgroup.  A subgroup containing X passes
+    # both tests, so they equal the pairwise check tl . tl within tl,
+    # and they read one column per member of X, not one per member of tl.
+    x_idx = [amb.index_of(g) for g in nu.tensor.generators] + \
+        [int(nu.left[G.index_of(g)]) for g in gp.generators]
+    members = np.fromiter(tl, dtype=np.intp, count=len(tl))
+    inside = np.zeros(amb.order(), dtype=bool)
+    inside[members] = True
+    tl_closed = 0 in tl and \
+        bool(inside[amb.right_columns(x_idx)[:, members]].all())
     checks.append(Check("tensor . G' is a subgroup", tl_closed,
                         {"order": len(tl)}))
-    normal = True
-    for u in tl:
-        for g in nu_prime.generators:
-            if amb.conj_idx(u, amb.index_of(g)) not in tl:
-                normal = False
-                break
-        if not normal:
-            break
+    # u^g = (g^-1 u) g with g^-1 u = (u^-1 g)^-1: only g's column is read
+    inv = amb.inverse_indices()
+    inv_members = inv[members]
+    normal = all(
+        bool(inside[c[inv[c[inv_members]]]].all())
+        for c in amb.right_columns(
+            [amb.index_of(g) for g in nu_prime.generators]))
     checks.append(Check("tensor . G' is normal in nu(G)'", normal, {}))
     return VerificationReport(name="decomposition", checks=checks)
 

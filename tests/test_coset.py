@@ -15,6 +15,8 @@ from tensq.catalog import catalog
 from tensq import coset
 from tensq.coset import CosetTable
 
+from full_triple import full_triple_nu_presentation
+
 
 def pres(text):
     return parse_presentation(text)
@@ -124,16 +126,22 @@ def _first_generator(name):
 
 def _nu(name, mode, lookahead):
     if mode == "gens":
-        base = get_presentation(name)
+        pres = nu_presentation(get_presentation(name), mode)
     else:
         base = multiplication_table_presentation(get_group(name)).presentation
-    return (nu_presentation(base, mode), (),
-            EnumerationLimits(lookahead_threshold=lookahead))
+        pres = full_triple_nu_presentation(base) if mode == "full" \
+            else nu_presentation(base, mode)
+    return pres, (), EnumerationLimits(lookahead_threshold=lookahead)
 
 
 # sha256 of closed tables (rows of little-endian int32), recorded from
 # the list-of-lists enumerator that scanned every relator from every
-# coset; the closed-relator pre-check must not change a single entry
+# coset; the closed-relator pre-check must not change a single entry.
+# "nu(S3)-all" enumerates the full-triple presentation, with the all
+# route's relators over every element triple.  "nu(S3)-all-reduced"
+# enumerates the all route's own presentation, over non-identity pairs
+# and a generating set of conjugators; it was recorded from the
+# enumerator with the pre-check.
 GOLDEN_TABLES = [
     ("S3/<a>", _s3_subgroup_a,
      "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
@@ -149,8 +157,10 @@ GOLDEN_TABLES = [
      "f5d74147f9e9cd306ac66d0874f639d22d48a723377027a88556f2b660348050"),
     ("nu(Q8)-gens", lambda: _nu("Q8", "gens", 500),
      "e14f9fe0be08f8ba21664ca1691f6f48c9ad61fffe3c2b84334cdfe7cf724791"),
-    ("nu(S3)-all", lambda: _nu("S3", "all", 300),
+    ("nu(S3)-all", lambda: _nu("S3", "full", 300),
      "9922078034a0122e19018ee5a9225aee47bdca5d44451fd55afff62345159511"),
+    ("nu(S3)-all-reduced", lambda: _nu("S3", "all", 300),
+     "461dc6a7235c3e800e2733ecd0179e3fec20c84037c1b7dcc3150e0951e38af1"),
 ]
 
 

@@ -42,7 +42,7 @@ from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
-from tensq.nu import derived_map_check
+from tensq.nu import derived_map_check, verify_decomposition
 
 
 def product(*groups):
@@ -726,6 +726,32 @@ def test_derived_map_check_builds_no_column_per_mu_member():
     report = derived_map_check(nu)
     assert report.passed
     assert len(nu.ambient._columns) <= built
+
+
+def test_decomposition_check_reads_one_column_per_generator():
+    # tensor . G' of nu(C3xC3) has 81 members; its subgroup and normality
+    # checks read the columns of the generators, not of the members
+    nu = build_nu(fresh("C3xC3"), get_presentation("C3xC3"))
+    amb = nu.ambient
+    built = len(amb._columns)
+    assert verify_decomposition(nu).passed
+    grown = len(amb._columns) - built
+    gens = (len(nu.tensor.generators)
+            + len(amb.derived_subgroup().generators)
+            + len(nu.group.derived_subgroup().generators))
+    assert grown <= gens < nu.tensor.order()
+
+
+def test_decomposition_subgroup_check_fails_on_a_non_subgroup():
+    # the tensor subgroup of nu(S3) less one member: tensor . G' is then
+    # no subgroup
+    nu = build_nu(fresh("S3"), get_presentation("S3"))
+    cut = perm_module.Subgroup._from_indices(nu.ambient,
+                                             nu.tensor.indices()[:-1])
+    report = verify_decomposition(dataclasses.replace(nu, tensor=cut))
+    closed = [c for c in report.checks
+              if c.label == "tensor . G' is a subgroup"]
+    assert [c.passed for c in closed] == [False]
 
 
 def test_derived_map_centrality_check_fails_on_a_non_central_set():

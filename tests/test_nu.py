@@ -12,7 +12,11 @@ from tensq import (build_nu, derived_map_check, get_group, get_presentation,
                    route_independence, tensor_order, tensor_report,
                    tensor_square, verify_decomposition, verify_nu_relations,
                    verify_tensor_set_closed)
-from tensq.coset import multiplication_table_presentation
+from tensq.catalog import catalog
+from tensq.coset import (EnumerationLimits, multiplication_table_presentation,
+                         tc_enumerate)
+
+from full_triple import full_triple_nu_presentation
 
 
 def abelian_tensor_order(invariants):
@@ -254,3 +258,29 @@ class TestTablePresentationParsing:
         assert pres.ngens == 4
         names = pres.generator_names
         assert names[2].endswith("'") and names[3].endswith("'")
+
+
+class TestAllRouteRelators:
+    @pytest.mark.parametrize(
+        "name", [n for n, e in catalog().items() if e.order <= 9])
+    def test_closes_like_the_full_triple_oracle(self, name):
+        group = get_group(name)
+        n = group.order()
+        base = multiplication_table_presentation(group).presentation
+        reduced = nu_presentation(base, "all")
+        # the conjugators: each element, in index order, that the ones
+        # kept before it do not generate
+        kept = []
+        for i in range(n):
+            if not group.subgroup([group.element(k) for k in kept]) \
+                    .contains_index(i):
+                kept.append(i)
+        want = tc_enumerate(full_triple_nu_presentation(base), ())
+        # a presentation of a larger group overruns the cap, not 2M cosets
+        limits = EnumerationLimits(max_cosets=max(20_000,
+                                                  8 * want.coset_count))
+        assert tc_enumerate(reduced, (), limits).coset_count == \
+            want.coset_count
+        assert group.subgroup([group.element(k) for k in kept]).order() == n
+        assert len(reduced.relators) == \
+            2 * (n * n + 1) + 2 * (n - 1) ** 2 * len(kept)
