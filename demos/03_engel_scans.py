@@ -17,7 +17,7 @@ for name in ["S3", "D5", "A4", "D4"]:
     g = get_group(name)
     engel = left_engel_set(g, g.order())
     fit = fitting_subgroup(g)
-    agree = {g.index_of(e) for e in engel} == fit.index_set()
+    agree = set(engel) == fit.index_set()
     print(f"{name:4s} |Engel set| = {len(engel):2d}  |Fitting| = "
           f"{fit.order():2d}  {'agree' if agree else 'DISAGREE'}")
 

@@ -77,9 +77,7 @@ def is_left_n_engel(y, ambient, n):
     """True iff [x, n y] = 1 for every x in ``ambient`` (exhaustive)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    yi = ambient.index_of(y) if not isinstance(y, (int, np.integer)) \
-        else int(y)
-    return _is_left_n_engel_idx(yi, ambient, n)
+    return _is_left_n_engel_idx(ambient.as_index(y), ambient, n)
 
 
 def _is_left_n_engel_idx(yi, ambient, n):
@@ -107,8 +105,7 @@ def engel_degree(y, ambient, bound=10):
     at all, or when the true degree exceeds ``bound`` (is_engel stays
     True in that case -- the bound never flips the decision).
     """
-    yi = ambient.index_of(y) if not isinstance(y, (int, np.integer)) \
-        else int(y)
+    yi = ambient.as_index(y)
     # e^(2^k), k = 0, 1, ..., up to a power past the order: an x that
     # reaches 1 under e (which fixes 1) does so within |G| steps
     powers = [ambient.commutator_columns([yi])[0]]
@@ -128,13 +125,14 @@ def engel_degree(y, ambient, bound=10):
 
 
 def left_engel_set(group, bound):
-    """Elements y with [x, n y] = 1 for all x, for some n <= bound."""
+    """Indices of the elements y with [x, n y] = 1 for all x, for some
+    n <= bound."""
     if bound < 1:
         return []
     # 1 is fixed by z |-> [z, y], so y has degree <= bound exactly when
     # [x, bound y] = 1 for every x
     mask = _left_engel_mask(group, range(group.order()), bound)
-    return [group.element(yi) for yi, hit in enumerate(mask) if hit]
+    return [yi for yi, hit in enumerate(mask) if hit]
 
 
 def _bits(sub):
@@ -174,7 +172,7 @@ def fitting_subgroup(group):
     for i in range(group.order()):
         if marked[i]:
             continue
-        nc = group.normal_closure([group.element(i)])
+        nc = group.normal_closure([i])
         normals.setdefault(_bits(nc), nc)
         _mark_rational_class(group, i, marked)
     work = list(normals.items())
@@ -224,7 +222,7 @@ def _is_nilpotent_normal(group, sub):
     term = sub
     while term.order() > 1:
         comms = commutator_sweep(group, term.indices(), sub.indices())
-        nxt = group.subgroup([group.element(c) for c in comms])
+        nxt = group.subgroup(comms)
         if nxt.order() == term.order():
             return False
         term = nxt
@@ -235,8 +233,8 @@ def engel_projection_check(nu, x, y, q, n):
     """If [x, y']^q is left n-Engel in nu(G), then [x, y]^q is left
     n-Engel in G: evaluate both sides exhaustively and report."""
     amb = nu.ambient
-    xi = nu.g_index(x)
-    yi = nu.g_index(y)
+    xi = nu.group.as_index(x)
+    yi = nu.group.as_index(y)
     t = nu.tensor_elem_idx(xi, yi)
     tq = amb.pow_idx(t, q)
     hypothesis = _is_left_n_engel_idx(tq, amb, n)

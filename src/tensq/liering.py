@@ -91,8 +91,7 @@ def dimension_subgroups(group, p):
                     q = p ** k
                     for idx in gterm.indices():
                         gens.setdefault(group.pow_idx(idx, q))
-        d_i = group.subgroup([group.element(g) for g in gens]) if gens \
-            else group.trivial_subgroup()
+        d_i = group.subgroup(gens)
         terms.append(d_i)
         if d_i.order() == 1:
             break
@@ -117,7 +116,7 @@ def jennings_recursion(group, p):
         gens = dict.fromkeys(commutator_sweep(group, prev.indices()))
         for d in half.indices():
             gens.setdefault(group.pow_idx(d, p))
-        d_i = group.subgroup([group.element(g) for g in gens])
+        d_i = group.subgroup(gens)
         terms.append(d_i)
         if d_i.order() == 1:
             break

@@ -139,13 +139,12 @@ def abelian_invariants(sub):
     gens = []
     span = parent.trivial_subgroup()
     for g in sub.generators:
-        if g not in span:
+        if not span.contains_index(g):
             gens.append(g)
             span = parent.subgroup(gens)
     if not gens:
         return []
     k = len(gens)
-    gen_idx = [parent.index_of(g) for g in gens]
     vec_of = {0: (0,) * k}
     queue = [0]
     relations = set()
@@ -154,7 +153,7 @@ def abelian_invariants(sub):
         e = queue[qi]
         qi += 1
         v = vec_of[e]
-        for t, gi in enumerate(gen_idx):
+        for t, gi in enumerate(gens):
             f = parent.mul_idx(e, gi)
             w = v[:t] + (v[t] + 1,) + v[t + 1:]
             if f in vec_of:

@@ -213,19 +213,10 @@ class NuGroup:
     def order(self):
         return self.ambient.order()
 
-    def g_index(self, x):
-        """Coerce a G element (index or permutation) to its index."""
-        if isinstance(x, (int, np.integer)):
-            i = int(x)
-            if not 0 <= i < self.group.order():
-                raise IndexError("element index out of range")
-            return i
-        return self.group.index_of(x)
-
     def tensor_elem_idx(self, x, y):
         """Ambient index of the tensor [x, y'] for x, y in G."""
-        a = self.g_index(x)
-        b = self.g_index(y)
+        a = self.group.as_index(x)
+        b = self.group.as_index(y)
         return self.ambient.comm_idx(int(self.left[a]), int(self.right[b]))
 
     def all_tensor_indices(self):
@@ -285,14 +276,13 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     table = tc_enumerate(pres, (), limits or EnumerationLimits())
     ambient = to_perm_group(table, name=f"nu({group.name or 'G'})")
 
-    gen_idx = [ambient.index_of(g) for g in ambient.generators]
-    rho_gen = []
+    gen_idx = ambient.generator_indices()
+    gsub = group.generator_indices()
     if mode == "all":
         rho_gen = list(range(n)) + list(range(n))
         left = np.array(gen_idx[:n], dtype=np.int32)
         right = np.array(gen_idx[n:], dtype=np.int32)
     else:
-        gsub = [group.index_of(g) for g in group.generators]
         rho_gen = gsub + gsub
         left = np.empty(n, dtype=np.int32)
         right = np.empty(n, dtype=np.int32)
@@ -324,10 +314,9 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
                   "rho is not a homomorphism; "
                   "enumeration is inconsistent")
 
-    gsub = [group.index_of(g) for g in group.generators]
-    seeds = [ambient.element(ambient.comm_idx(int(left[a]), int(right[b])))
-             for a in gsub for b in gsub]
-    tensor = ambient.normal_closure(seeds)
+    tensor = ambient.normal_closure(
+        [ambient.comm_idx(int(left[a]), int(right[b]))
+         for a in gsub for b in gsub])
     mu_idx = [t for t in tensor.indices() if rho[t] == 0]
     mu = Subgroup._from_indices(ambient, tuple(mu_idx))
 
@@ -539,21 +528,21 @@ def verify_tensor_set_closed(nu):
     amb = nu.ambient
     G = nu.group
     witnesses = nu.all_tensor_indices()
-    xset = set(witnesses)
+    members = list(witnesses)
+    inside = np.zeros(amb.order(), dtype=bool)
+    inside[members] = True
     checks = []
     counterexample = None
 
-    gen_idx = [amb.index_of(g) for g in amb.generators]
+    # every conjugate of every witness by every generator, in one gather
+    # and with no column per witness; the first miss, witness-major
+    miss = np.argwhere(~inside[amb.generator_conjugates(members)].T)
     bad = None
-    for x in witnesses:
-        for g in gen_idx:
-            if amb.conj_idx(x, g) not in xset:
-                bad = (x, g)
-                break
-        if bad:
-            break
+    if miss.size:
+        x, t = miss[0].tolist()
+        bad = (members[x], amb.generator_indices()[t])
     checks.append(Check("X is a normal subset", bad is None,
-                        {"set_size": len(xset)}))
+                        {"set_size": len(members)}))
     if bad and counterexample is None:
         counterexample = {"kind": "normality", "tensor": bad[0],
                           "conjugator": bad[1]}
@@ -563,17 +552,17 @@ def verify_tensor_set_closed(nu):
         for x2, (c, d) in witnesses.items():
             got = amb.comm_idx(x1, x2)
             want = nu.tensor_elem_idx(G.comm_idx(a, b), G.comm_idx(c, d))
-            if got != want or got not in xset:
+            if got != want or not inside[got]:
                 bad = (a, b, c, d)
                 break
         if bad:
             break
     checks.append(Check("X is commutator-closed, elementwise", bad is None,
-                        {"pairs": len(xset) ** 2}))
+                        {"pairs": len(members) ** 2}))
     if bad and counterexample is None:
         counterexample = {"kind": "commutator", "tuple": list(bad)}
 
-    span = amb.subgroup([amb.element(x) for x in witnesses])
+    span = amb.subgroup(witnesses)
     checks.append(Check("X generates the tensor subgroup",
                         span.index_set() == nu.tensor.index_set(),
                         {"tensor_order": nu.tensor.order()}))
@@ -624,8 +613,8 @@ def verify_decomposition(nu):
     # finite; so tl = <X> is a subgroup.  A subgroup containing X passes
     # both tests, so they equal the pairwise check tl . tl within tl,
     # and they read one column per member of X, not one per member of tl.
-    x_idx = [amb.index_of(g) for g in nu.tensor.generators] + \
-        [int(nu.left[G.index_of(g)]) for g in gp.generators]
+    x_idx = list(nu.tensor.generators) + \
+        [int(nu.left[g]) for g in gp.generators]
     members = np.fromiter(tl, dtype=np.intp, count=len(tl))
     inside = np.zeros(amb.order(), dtype=bool)
     inside[members] = True
@@ -638,8 +627,7 @@ def verify_decomposition(nu):
     inv_members = inv[members]
     normal = all(
         bool(inside[c[inv[c[inv_members]]]].all())
-        for c in amb.right_columns(
-            [amb.index_of(g) for g in nu_prime.generators]))
+        for c in amb.right_columns(nu_prime.generators))
     checks.append(Check("tensor . G' is normal in nu(G)'", normal, {}))
     return VerificationReport(name="decomposition", checks=checks)
 
@@ -667,11 +655,11 @@ def derived_map_check(nu):
                         {"mu_order": nu.mu.order()}))
 
     tgroup = nu.tensor.as_group()
-    # mu's members as elements of the tensor group: the ambient is
-    # regular, so a member's ambient index is its image of 0, and no
-    # ambient column is built per member
-    by_index = {e(0): e for e in tgroup.elements()}
-    mu_in_t = Subgroup(tgroup, [by_index[m] for m in nu.mu.indices()])
+    # mu in the tensor group's own numbering: the ambient is regular, so
+    # a member's ambient index is its image of 0, and no ambient column
+    # is built per member
+    by_index = {e(0): i for i, e in enumerate(tgroup.elements())}
+    mu_in_t = tgroup.subgroup([by_index[m] for m in nu.mu.indices()])
     quotient = tgroup.quotient_action(mu_in_t)
     checks.append(Check("|tensor / mu| = |G'|",
                         quotient.order() == gp.order(),
@@ -730,9 +718,7 @@ def route_independence(group, presentation, **kwargs):
 
 
 def _plain_equals_normal(nu):
-    amb = nu.ambient
-    gsub = [nu.group.index_of(g) for g in nu.group.generators]
-    seeds = [amb.element(nu.tensor_elem_idx(a, b))
-             for a in gsub for b in gsub]
-    plain = amb.subgroup(seeds)
+    gsub = nu.group.generator_indices()
+    plain = nu.ambient.subgroup([nu.tensor_elem_idx(a, b)
+                                 for a in gsub for b in gsub])
     return plain.index_set() == nu.tensor.index_set()

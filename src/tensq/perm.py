@@ -29,6 +29,14 @@ at point 0, as coset enumeration produces) that column is element j's
 image array, since index(e_i * e_j) = e_j(i), so a regular group never
 stores its elements; a generic group stores each one once.
 
+A subgroup is a closed tuple of its parent's element indices,
+generated by a tuple of element indices, and every subgroup operation
+(closure, normal closure, the derived and lower central series, the
+centre, power subgroups) works on those indices.  Permutations appear
+only at the API edge: a group's ``generators``, ``element``,
+``elements`` and ``index_of``, ``as_index`` for a caller's argument,
+and ``Subgroup.as_group()``.
+
 Subgroup closure and the rho sweep of ``build_nu`` gather a whole
 breadth-first level from right-multiplication columns at once and keep
 first occurrences, which visits elements in exactly the order of a
@@ -524,6 +532,21 @@ class FiniteGroup:
             raise KeyError("permutation is not a member of this group") \
                 from None
 
+    def as_index(self, x):
+        """Element index of ``x``, an index in [0, order) or a member
+        permutation."""
+        if isinstance(x, (int, np.integer)):
+            i = int(x)
+            if not 0 <= i < self.order():
+                raise IndexError("element index out of range")
+            return i
+        return self.index_of(x)
+
+    def generator_indices(self):
+        """Element indices of the generators, in declared order."""
+        self._close()
+        return tuple(self._right[:, 0].tolist())
+
     def __contains__(self, perm):
         try:
             self.index_of(perm)
@@ -730,46 +753,40 @@ class FiniteGroup:
         return Subgroup(self, ())
 
     def full_subgroup(self):
-        return Subgroup(self, self.generators)
+        return Subgroup(self, self.generator_indices())
 
     def normal_closure(self, gens):
-        """Smallest normal subgroup of this group containing ``gens``."""
-        seed = [g if isinstance(g, Permutation) else Permutation(g)
-                for g in gens]
-        seeds = []
-        seen = set()
-        for g in seed:
-            if g.key not in seen:
-                seen.add(g.key)
-                seeds.append(g)
+        """Smallest normal subgroup of this group containing ``gens``:
+        close the seeds, conjugate the newest seeds by the generators
+        (seed-major, generator-minor), add the conjugates outside the
+        closure, and repeat until none is."""
+        seeds = list(dict.fromkeys(self.as_index(g) for g in gens))
+        fresh = seeds
         while True:
             sub = Subgroup(self, seeds)
-            new = []
-            for s in seeds:
-                for g in self.generators:
-                    c = s.conjugate_by(g)
-                    if c not in sub and c.key not in seen:
-                        seen.add(c.key)
-                        new.append(c)
-            if not new:
+            conj = self.generator_conjugates(fresh).T.ravel().tolist()
+            fresh = [c for c in dict.fromkeys(conj)
+                     if not sub.contains_index(c)]
+            if not fresh:
                 return sub
-            seeds.extend(new)
+            seeds += fresh
 
     def derived_subgroup(self):
-        gens = self.generators
-        seeds = [commutator(a, b) for a in gens for b in gens]
-        return self.normal_closure(seeds)
+        gens = self.generator_indices()
+        return self.normal_closure(
+            [self.comm_idx(a, b) for a in gens for b in gens])
 
     def lower_central_series(self):
         """Terms gamma_1 > gamma_2 > ... down to the first repeated term,
         computed once per group."""
         if self._lower_central is None:
+            gens = self.generator_indices()
             terms = [self.full_subgroup()]
             while True:
                 prev = terms[-1]
-                seeds = [commutator(h, g)
-                         for h in prev.generators for g in self.generators]
-                nxt = self.normal_closure(seeds)
+                nxt = self.normal_closure([self.comm_idx(h, g)
+                                           for h in prev.generators
+                                           for g in gens])
                 if nxt == prev:
                     break
                 terms.append(nxt)
@@ -780,11 +797,13 @@ class FiniteGroup:
         return self._lower_central
 
     def derived_series(self):
+        """Terms H > [H, H] > ..., each generated by the commutators of
+        every pair of members of the term before."""
         terms = [self.full_subgroup()]
         while True:
             prev = terms[-1]
-            sub = prev.as_group().derived_subgroup()
-            nxt = Subgroup(self, sub.elements())
+            nxt = Subgroup(self, commutator_sweep(self, prev.indices(),
+                                                  prev.indices()))
             if nxt == prev:
                 break
             terms.append(nxt)
@@ -794,15 +813,12 @@ class FiniteGroup:
                             stabilized=True)
 
     def center(self):
-        gens = self.generators
-        members = [e for e in self.elements()
-                   if all(e * g == g * e for g in gens)]
-        return Subgroup(self, members)
+        """The elements every generator's conjugation map fixes."""
+        fixed = (self.conjugation_map() == np.arange(self.order())).all(axis=0)
+        return Subgroup(self, np.flatnonzero(fixed).tolist())
 
     def is_abelian(self):
-        gens = self.generators
-        return all(commutator(a, b).is_identity()
-                   for a in gens for b in gens)
+        return self.full_subgroup().is_abelian()
 
     def is_nilpotent(self):
         return self.lower_central_series().terms[-1].order() == 1
@@ -843,8 +859,7 @@ class FiniteGroup:
                 coset_id[self.mul_idx(t, i)] = c
         k = len(reps)
         gen_images = []
-        for g in self.generators:
-            gi = self.index_of(g)
+        for gi in self.generator_indices():
             images = np.fromiter(
                 (coset_id[self.mul_idx(rep, gi)] for rep in reps),
                 dtype=np.int32, count=k)
@@ -854,20 +869,14 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """Subgroup of a FiniteGroup, realized as a closed set of element
-    indices of the parent.  Equality is element-set equality."""
+    """Subgroup of a FiniteGroup, realized as a closed tuple of element
+    indices of the parent, generated by a tuple of element indices.
+    Equality is element-set equality."""
 
     def __init__(self, parent, generators):
         self.parent = parent
-        gens = tuple(g if isinstance(g, Permutation) else Permutation(g)
-                     for g in generators)
-        for g in gens:
-            if g.degree != parent.degree:
-                raise AmbientMismatchError(
-                    "subgroup generator degree differs from parent")
-        self._generators = gens
-        gen_idx = [parent.index_of(g) for g in gens]
-        self._indices = self._close_indices(gen_idx)
+        self._generators = tuple(parent.as_index(g) for g in generators)
+        self._indices = self._close_indices(self._generators)
         self._index_set = frozenset(self._indices)
         self._as_group = None
 
@@ -882,22 +891,18 @@ class Subgroup:
 
     @classmethod
     def _from_indices(cls, parent, indices):
-        """Internal: wrap an already-closed index set (generators lazily)."""
+        """Internal: wrap an already-closed index set, generated by its
+        non-identity members."""
         sub = object.__new__(cls)
         sub.parent = parent
-        sub._generators = None
         sub._indices = tuple(indices)
-        sub._index_set = frozenset(indices)
+        sub._generators = tuple(i for i in sub._indices if i)
+        sub._index_set = frozenset(sub._indices)
         sub._as_group = None
         return sub
 
     @property
     def generators(self):
-        if self._generators is None:
-            parent = self.parent
-            self._generators = tuple(
-                parent.element(i) for i in self._indices if i != 0) \
-                or (parent.identity,)
         return self._generators
 
     def indices(self):
@@ -938,20 +943,22 @@ class Subgroup:
         return bool(np.isin(conj, self._indices).all())
 
     def as_group(self):
-        """The subgroup as a standalone FiniteGroup on the same points."""
+        """The subgroup as a standalone FiniteGroup on the same points,
+        generated by the identity when every generator is trivial."""
         if self._as_group is None:
-            gens = self.generators if any(
-                not g.is_identity() for g in self.generators) \
-                else (self.parent.identity,)
-            g = FiniteGroup(gens, max_order=self.parent.max_order,
-                            order_hint=None)
-            self._as_group = g
+            gens = self._generators if any(self._generators) else (0,)
+            self._as_group = FiniteGroup(
+                [self.parent.element(g) for g in gens],
+                max_order=self.parent.max_order)
         return self._as_group
 
     def is_abelian(self):
-        gens = self.generators
-        return all(commutator(a, b).is_identity()
-                   for a in gens for b in gens)
+        """Whether the generators commute pairwise: the products g * h,
+        read from the generators' columns, form a symmetric matrix."""
+        gens = list(self._generators)
+        prods = np.array([self.parent.column(g)[gens] for g in gens],
+                         dtype=np.int32).reshape(len(gens), len(gens))
+        return bool((prods == prods.T).all())
 
 
 @dataclass(frozen=True)
@@ -967,11 +974,5 @@ def power_subgroup(sub, k):
     if k < 1:
         raise ValueError("k must be a positive integer")
     parent = sub.parent
-    gens = []
-    seen = set()
-    for i in sub.indices():
-        j = parent.pow_idx(i, k)
-        if j not in seen:
-            seen.add(j)
-            gens.append(parent.element(j))
-    return Subgroup(parent, gens)
+    return Subgroup(parent, dict.fromkeys(parent.pow_idx(i, k)
+                                          for i in sub.indices()))

@@ -9,6 +9,18 @@ from tensq import (EngelScanConfig, engel_degree, engel_power_scan,
 from tensq.catalog import catalog
 
 
+@pytest.mark.parametrize("index", [-1, 6])
+def test_index_outside_the_group_raises(index):
+    s3 = get_group("S3")
+    calls = [lambda: is_left_n_engel(index, s3, 5),
+             lambda: engel_degree(index, s3),
+             lambda: s3.subgroup([index]),
+             lambda: s3.normal_closure([index])]
+    for call in calls:
+        with pytest.raises(IndexError):
+            call()
+
+
 class TestIsLeftNEngel:
     def test_identity_is_1_engel(self):
         g = get_group("S3")
@@ -62,7 +74,7 @@ class TestLeftEngelSet:
 
     def test_s3_is_a3(self):
         s3 = get_group("S3")
-        got = {s3.index_of(e) for e in left_engel_set(s3, 6)}
+        got = set(left_engel_set(s3, 6))
         a3 = s3.derived_subgroup()
         assert got == a3.index_set()
 
@@ -94,7 +106,7 @@ class TestFitting:
         s4 = get_group("S4")
         fit = fitting_subgroup(s4)
         assert fit.order() == 4
-        engel = {s4.index_of(e) for e in left_engel_set(s4, s4.order())}
+        engel = set(left_engel_set(s4, s4.order()))
         assert engel == fit.index_set()
 
 

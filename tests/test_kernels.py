@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensq
@@ -42,7 +42,9 @@ from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
-from tensq.nu import derived_map_check, verify_decomposition
+from tensq.nu import (derived_map_check, verify_decomposition,
+                      verify_tensor_set_closed)
+from tensq.perm import power_subgroup
 
 
 def product(*groups):
@@ -148,21 +150,42 @@ closure_cases = st.tuples(
     st.integers(1, 40))
 
 
+def scalar_normal_closure(group, seeds):
+    """Normal closure by permutation conjugates: close the seeds, add
+    every conjugate of a seed by a generator that falls outside the
+    closure, and repeat until nothing new appears."""
+    seeds = list(dict.fromkeys(seeds))
+    while True:
+        closed = scalar_closure(group, seeds)
+        new = []
+        for s in seeds:
+            for x in group.generators:
+                c = s.conjugate_by(x)
+                if group.index_of(c) not in closed and c not in new:
+                    new.append(c)
+        if not new:
+            return closed
+        seeds += new
+
+
 @given(closure_cases)
+@example(("S4", [5, 11], 40))     # the normal closure's seed order matters
 @settings(max_examples=60, deadline=None)
 def test_subgroup_indices_match_scalar_closure(case):
     name, picks, chunk = case
     g = get_group(name)
-    gens = [g.element(k % g.order()) for k in picks]
-    scalar = scalar_closure(g, gens)
+    idx = [k % g.order() for k in picks]
+    gens = [g.element(i) for i in idx]
     saved = perm_module.SWEEP_ENTRIES
     perm_module.SWEEP_ENTRIES = chunk       # cut levels into chunks
     try:
-        sub = g.subgroup(gens)
+        sub = g.subgroup(idx)
+        normal = g.normal_closure(idx)
     finally:
         perm_module.SWEEP_ENTRIES = saved
-    assert sub.indices() == scalar
-    assert sub.generators == tuple(gens)
+    assert sub.indices() == scalar_closure(g, gens)
+    assert sub.generators == tuple(idx)
+    assert normal.indices() == scalar_normal_closure(g, gens)
 
 
 @pytest.mark.parametrize("table_cap", [512, 0])
@@ -290,7 +313,8 @@ def build_product(name):
 def fitting_record(group):
     fit = fitting_subgroup(group)
     return [fit.order(), digest(fit.indices()),
-            digest([g.images.tolist() for g in fit.generators])]
+            digest([group.element(g).images.tolist()
+                    for g in fit.generators])]
 
 
 def jennings_record(group, p):
@@ -528,7 +552,7 @@ def test_tableless_regular_group_agrees_with_its_table(nu_of, name, mode):
 
     bare = regular_copy(nu.ambient)
     gens = nu.tensor.generators
-    expected = table_closure(t, [forced.index_of(g) for g in gens])
+    expected = table_closure(t, gens)
     assert bare.subgroup(gens).indices() == expected == nu.tensor.indices()
 
     # rho is the homomorphism that extends its generator images, on
@@ -582,8 +606,7 @@ def test_column_cache_stops_at_its_cap(monkeypatch):
     with no_table():
         assert [[g.mul_idx(i, j) for j in range(n)] for i in range(n)] == \
             t.tolist()
-        assert [g.index_of(e) for e in left_engel_set(g, 3)] == \
-            table_left_engel_set(t, 3)
+        assert left_engel_set(g, 3) == table_left_engel_set(t, 3)
     assert len(g._columns) == 3
 
 
@@ -620,6 +643,35 @@ def test_nu_kernels_build_no_table(mode):
     assert nu.ambient._table is None and group._table is None
 
 
+@contextlib.contextmanager
+def no_permutation():
+    """Making a group element or a subgroup's members as permutations
+    fails inside this block."""
+    def refuse(*args):
+        raise AssertionError("a kernel made a permutation")
+
+    with mock.patch.object(FiniteGroup, "element", refuse), \
+            mock.patch.object(perm_module.Subgroup, "elements", refuse):
+        yield
+
+
+def test_subgroup_kernels_make_no_permutation():
+    s4, heis3, d4, s3 = (fresh(name) for name in ("S4", "Heis3", "D4", "S3"))
+    with no_permutation():
+        fit = fitting_subgroup(s4)
+        jennings = jennings_recursion(heis3, 3)
+        dims = dimension_subgroups(d4, 2)
+        squares = power_subgroup(d4.full_subgroup(), 2)
+        derived = s4.derived_series()
+        nu = build_nu(s3, get_presentation("S3"), "gens")
+    assert fit.order() == 4
+    assert [t.order() for t in jennings.terms] == [27, 3, 1]
+    assert [t.order() for t in dims.terms] == [8, 2, 1]
+    assert squares == d4.center()
+    assert [t.order() for t in derived.terms] == [24, 12, 4, 1]
+    assert (nu.order(), nu.tensor.order()) == (216, 6)
+
+
 def table_left_engel_set(t, bound):
     """Indices y with [x, bound y] = 1 for every x, over the table."""
     inv = np.array(table_inverses(t))
@@ -653,8 +705,7 @@ def test_group_kernels_build_no_table(name):
     expected = [table_left_engel_set(t, bound) for bound in (1, 2, 3)]
     group = fresh(name)
     with no_table():
-        engel_sets = [[group.index_of(e) for e in left_engel_set(group, b)]
-                      for b in (1, 2, 3)]
+        engel_sets = [left_engel_set(group, b) for b in (1, 2, 3)]
         fitting = fitting_record(group)
         p = {"D4": 2, "Q8": 2}.get(name)
         if p is not None:
@@ -761,6 +812,25 @@ def test_derived_map_centrality_check_fails_on_a_non_central_set():
     central = [c for c in report.checks
                if c.label == "mu is central in nu(G)"]
     assert [c.passed for c in central] == [False]
+
+
+def test_tensor_set_normality_check_fails_on_a_non_normal_set(monkeypatch):
+    # the first nine tensors of nu(Q8) in place of X: conjugates of two
+    # of them by different generators leave the set, so the order of the
+    # scan decides which one is reported
+    nu = build_nu(fresh("Q8"), get_presentation("Q8"))
+    amb = nu.ambient
+    part = dict(list(nu.all_tensor_indices().items())[:9])
+    monkeypatch.setattr(nu, "all_tensor_indices", lambda: part)
+    report = verify_tensor_set_closed(nu)
+    normal = [c for c in report.checks if c.label == "X is a normal subset"]
+    assert [c.passed for c in normal] == [False]
+    # the first miss of a loop over witnesses, then generators
+    tensor, conjugator = next(
+        (x, s) for x in part for s in amb.generator_indices()
+        if amb.conj_idx(x, s) not in part)
+    assert report.counterexample == {"kind": "normality", "tensor": tensor,
+                                     "conjugator": conjugator}
 
 
 def test_generic_closure_stores_each_element_once():
