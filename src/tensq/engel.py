@@ -22,8 +22,8 @@ normal closure), joins normal subgroups as product sets, AB of order
 |A||B|/|A n B|, and builds a subgroup only for a join the lattice does
 not hold yet.  It decides nilpotency largest member first: a member
 inside one already found nilpotent is nilpotent, so only the others run
-their lower central series, in the parent's index space, as does the
-final check on the Fitting subgroup itself.
+``Subgroup.lower_central_series``, the one series body, in the parent's
+index space, as does the final check on the Fitting subgroup itself.
 """
 
 from __future__ import annotations
@@ -200,8 +200,7 @@ def fitting_subgroup(group):
     # a normal subgroup inside a nilpotent one is nilpotent
     found = []
     for bits, s in sorted(normals.items(), key=lambda m: -m[1].order()):
-        if (not any(bits & ~m == 0 for m in found)
-                and _is_nilpotent_normal(group, s)):
+        if not any(bits & ~m == 0 for m in found) and s.is_nilpotent():
             found.append(bits)
     nilpotents = [s for bits, s in normals.items()
                   if any(bits & ~m == 0 for m in found)]
@@ -209,24 +208,9 @@ def fitting_subgroup(group):
     for s in nilpotents:
         gens.extend(s.generators)
     fit = group.subgroup(list(dict.fromkeys(gens)))
-    invariant(_is_nilpotent_normal(group, fit),
+    invariant(fit.is_nilpotent(),
               "join of nilpotent normal subgroups failed to be nilpotent")
     return fit
-
-
-def _is_nilpotent_normal(group, sub):
-    """Whether the normal subgroup ``sub`` = N is nilpotent, by its lower
-    central series in the parent's index space: gamma_{i+1}(N) =
-    [gamma_i(N), N].  Both factors are normal in the parent, so the
-    commutators generate each term as a plain subgroup."""
-    term = sub
-    while term.order() > 1:
-        comms = commutator_sweep(group, term.indices(), sub.indices())
-        nxt = group.subgroup(comms)
-        if nxt.order() == term.order():
-            return False
-        term = nxt
-    return True
 
 
 def engel_projection_check(nu, x, y, q, n):

@@ -387,8 +387,7 @@ def tensor_report(nu):
     tensor = nu.tensor
     abelian = tensor.is_abelian()
     invariants = tuple(abelian_invariants(tensor)) if abelian else None
-    tgroup = tensor.as_group()
-    tclass = tgroup.nilpotency_class() if tgroup.is_nilpotent() else None
+    tclass = tensor.nilpotency_class() if tensor.is_nilpotent() else None
     return TensorReport(
         group_order=nu.group.order(),
         nu_order=nu.order(),
@@ -654,16 +653,17 @@ def derived_map_check(nu):
     checks.append(Check("mu = kernel of rho' on the tensor subgroup", ok,
                         {"mu_order": nu.mu.order()}))
 
-    tgroup = nu.tensor.as_group()
-    # mu in the tensor group's own numbering: the ambient is regular, so
-    # a member's ambient index is its image of 0, and no ambient column
-    # is built per member
-    by_index = {e(0): i for i, e in enumerate(tgroup.elements())}
-    mu_in_t = tgroup.subgroup([by_index[m] for m in nu.mu.indices()])
-    quotient = tgroup.quotient_action(mu_in_t)
-    checks.append(Check("|tensor / mu| = |G'|",
-                        quotient.order() == gp.order(),
-                        {"quotient_order": quotient.order(),
+    # the mu-cosets of the tensor subgroup, in the ambient's index
+    # space: the coset of r is column r read at mu, one column per coset
+    labelled = np.zeros(amb.order(), dtype=bool)
+    mu_members = np.asarray(nu.mu.indices())
+    cosets = 0
+    for r in nu.tensor.indices():
+        if not labelled[r]:
+            labelled[amb.column(r)[mu_members]] = True
+            cosets += 1
+    checks.append(Check("|tensor / mu| = |G'|", cosets == gp.order(),
+                        {"quotient_order": cosets,
                          "gprime_order": gp.order()}))
 
     image = {int(rho[t]) for t in nu.tensor.indices()}
@@ -682,8 +682,8 @@ def derived_map_check(nu):
                         {"fibers": len(fibers)}))
 
     # s^-1 m s = m for every generator s, with no column cached per m
-    members = np.asarray(nu.mu.indices())
-    central = bool((amb.generator_conjugates(members) == members).all())
+    central = bool((amb.generator_conjugates(mu_members)
+                    == mu_members).all())
     checks.append(Check("mu is central in nu(G)", central, {}))
     return VerificationReport(name="derived-map", checks=checks)
 

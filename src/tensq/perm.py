@@ -32,10 +32,13 @@ stores its elements; a generic group stores each one once.
 A subgroup is a closed tuple of its parent's element indices,
 generated by a tuple of element indices, and every subgroup operation
 (closure, normal closure, the derived and lower central series, the
-centre, power subgroups) works on those indices.  Permutations appear
-only at the API edge: a group's ``generators``, ``element``,
-``elements`` and ``index_of``, ``as_index`` for a caller's argument,
-and ``Subgroup.as_group()``.
+centre, power subgroups) works on those indices; a subgroup never
+leaves its parent.  The lower central series has one body,
+``Subgroup.lower_central_series`` of a normal subgroup, and a group's
+series, nilpotency test and class are those of its full subgroup.
+Permutations appear only at the API edge: a group's ``generators``,
+``element``, ``elements`` and ``index_of``, and ``as_index`` for a
+caller's argument.
 
 Subgroup closure and the rho sweep of ``build_nu`` gather a whole
 breadth-first level from right-multiplication columns at once and keep
@@ -410,7 +413,7 @@ class FiniteGroup:
         self._inv_idx = None
         self._table = None
         self._orders_idx = None
-        self._lower_central = None
+        self._full = None
         self._columns = {}          # j -> index(element_i * element_j)
         self._words = {}
 
@@ -664,6 +667,8 @@ class FiniteGroup:
         j's image array."""
         c = self._columns.get(j)
         if c is None:
+            if not 0 <= j < self.order():
+                raise IndexError("element index out of range")
             self._close()
             letters, k = [], j
             while k and k not in self._columns:
@@ -694,13 +699,20 @@ class FiniteGroup:
             self._table = _sweep_table(self._right, levels)
         return self._table
 
+    # Each scalar operation rejects a negative index with one comparison;
+    # ``column`` checks j on a cache miss, and ``item`` the upper bound.
+
     def mul_idx(self, i, j):
+        if i < 0:
+            raise IndexError("element index out of range")
         c = self._columns.get(j)
         if c is None:
             c = self.column(j)
         return c.item(i)
 
     def inv_idx(self, i):
+        if i < 0:
+            raise IndexError("element index out of range")
         return self.inverse_indices().item(i)
 
     def conj_idx(self, i, j):
@@ -715,6 +727,8 @@ class FiniteGroup:
         return mul(mul(mul(self.inv_idx(i), self.inv_idx(j)), i), j)
 
     def pow_idx(self, i, n):
+        if i < 0:
+            raise IndexError("element index out of range")
         if n < 0:
             return self.pow_idx(self.inv_idx(i), -n)
         acc = 0
@@ -753,7 +767,10 @@ class FiniteGroup:
         return Subgroup(self, ())
 
     def full_subgroup(self):
-        return Subgroup(self, self.generator_indices())
+        """The whole group as a subgroup of itself, built once."""
+        if self._full is None:
+            self._full = Subgroup(self, self.generator_indices())
+        return self._full
 
     def normal_closure(self, gens):
         """Smallest normal subgroup of this group containing ``gens``:
@@ -773,28 +790,12 @@ class FiniteGroup:
 
     def derived_subgroup(self):
         gens = self.generator_indices()
-        return self.normal_closure(
-            [self.comm_idx(a, b) for a in gens for b in gens])
+        return self.normal_closure(commutator_sweep(self, gens, gens))
 
     def lower_central_series(self):
-        """Terms gamma_1 > gamma_2 > ... down to the first repeated term,
-        computed once per group."""
-        if self._lower_central is None:
-            gens = self.generator_indices()
-            terms = [self.full_subgroup()]
-            while True:
-                prev = terms[-1]
-                nxt = self.normal_closure([self.comm_idx(h, g)
-                                           for h in prev.generators
-                                           for g in gens])
-                if nxt == prev:
-                    break
-                terms.append(nxt)
-                if nxt.order() == 1:
-                    break
-            self._lower_central = SeriesReport(
-                kind="lower-central", terms=tuple(terms), stabilized=True)
-        return self._lower_central
+        """The full subgroup's lower central series, computed once per
+        group."""
+        return self.full_subgroup().lower_central_series()
 
     def derived_series(self):
         """Terms H > [H, H] > ..., each generated by the commutators of
@@ -809,8 +810,7 @@ class FiniteGroup:
             terms.append(nxt)
             if nxt.order() == 1:
                 break
-        return SeriesReport(kind="derived", terms=tuple(terms),
-                            stabilized=True)
+        return SeriesReport(kind="derived", terms=tuple(terms))
 
     def center(self):
         """The elements every generator's conjugation map fixes."""
@@ -821,51 +821,16 @@ class FiniteGroup:
         return self.full_subgroup().is_abelian()
 
     def is_nilpotent(self):
-        return self.lower_central_series().terms[-1].order() == 1
+        return self.full_subgroup().is_nilpotent()
 
     def nilpotency_class(self):
-        series = self.lower_central_series()
-        if series.terms[-1].order() != 1:
-            raise ValueError("group is not nilpotent")
-        return len(series.terms) - 1
+        return self.full_subgroup().nilpotency_class()
 
     def is_p_group(self, p):
         n = self.order()
         while n % p == 0:
             n //= p
         return n == 1
-
-    def quotient_action(self, normal):
-        """Permutation action of the generators on the cosets of ``normal``.
-
-        ``normal`` must be a normal subgroup; the result has order
-        |G| / |N| and acts on coset points numbered by first appearance
-        in element order.
-        """
-        if normal.parent is not self:
-            raise ValueError("subgroup has a different parent group")
-        if not normal.is_normal():
-            raise ValueError("subgroup is not normal")
-        n = self.order()
-        sub_idx = normal.indices()
-        coset_id = [-1] * n
-        reps = []
-        for i in range(n):
-            if coset_id[i] >= 0:
-                continue
-            c = len(reps)
-            reps.append(i)
-            for t in sub_idx:
-                coset_id[self.mul_idx(t, i)] = c
-        k = len(reps)
-        gen_images = []
-        for gi in self.generator_indices():
-            images = np.fromiter(
-                (coset_id[self.mul_idx(rep, gi)] for rep in reps),
-                dtype=np.int32, count=k)
-            gen_images.append(Permutation(images))
-        name = f"{self.name}/N" if self.name else None
-        return FiniteGroup(gen_images, name=name, max_order=self.max_order)
 
 
 class Subgroup:
@@ -878,7 +843,7 @@ class Subgroup:
         self._generators = tuple(parent.as_index(g) for g in generators)
         self._indices = self._close_indices(self._generators)
         self._index_set = frozenset(self._indices)
-        self._as_group = None
+        self._lower_central = None
 
     def _close_indices(self, gen_idx):
         cap = self.parent.max_order
@@ -898,7 +863,7 @@ class Subgroup:
         sub._indices = tuple(indices)
         sub._generators = tuple(i for i in sub._indices if i)
         sub._index_set = frozenset(sub._indices)
-        sub._as_group = None
+        sub._lower_central = None
         return sub
 
     @property
@@ -939,18 +904,12 @@ class Subgroup:
         return f"Subgroup(order={self.order()} of {self.parent!r})"
 
     def is_normal(self):
+        """Whether every generator of the parent conjugates each member
+        into the subgroup, read through a membership mask."""
+        member = np.zeros(self.parent.order(), dtype=bool)
+        member[list(self._indices)] = True
         conj = self.parent.generator_conjugates(self._indices)
-        return bool(np.isin(conj, self._indices).all())
-
-    def as_group(self):
-        """The subgroup as a standalone FiniteGroup on the same points,
-        generated by the identity when every generator is trivial."""
-        if self._as_group is None:
-            gens = self._generators if any(self._generators) else (0,)
-            self._as_group = FiniteGroup(
-                [self.parent.element(g) for g in gens],
-                max_order=self.parent.max_order)
-        return self._as_group
+        return bool(member[conj].all())
 
     def is_abelian(self):
         """Whether the generators commute pairwise: the products g * h,
@@ -960,13 +919,41 @@ class Subgroup:
                          dtype=np.int32).reshape(len(gens), len(gens))
         return bool((prods == prods.T).all())
 
+    def lower_central_series(self):
+        """gamma_1 = N > gamma_2 > ... for N normal in the parent, down to
+        the first repeated or trivial term, computed once: gamma_{i+1} =
+        [gamma_i, N] is normal in the parent, so it is the normal closure
+        of the commutators of gamma_i's generators with N's."""
+        if self._lower_central is None:
+            if not self.is_normal():
+                raise ValueError("subgroup is not normal in its parent")
+            parent = self.parent
+            terms = [self]
+            while terms[-1].order() > 1:
+                nxt = parent.normal_closure(commutator_sweep(
+                    parent, terms[-1].generators, self._generators))
+                if nxt == terms[-1]:
+                    break
+                terms.append(nxt)
+            self._lower_central = SeriesReport(kind="lower-central",
+                                               terms=tuple(terms))
+        return self._lower_central
+
+    def is_nilpotent(self):
+        return self.lower_central_series().terms[-1].order() == 1
+
+    def nilpotency_class(self):
+        series = self.lower_central_series()
+        if series.terms[-1].order() != 1:
+            raise ValueError("subgroup is not nilpotent")
+        return len(series.terms) - 1
+
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """A descending subgroup series with its stabilization flag."""
+    """A descending subgroup series."""
     kind: str
     terms: tuple
-    stabilized: bool
 
 
 def power_subgroup(sub, k):

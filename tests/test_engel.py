@@ -11,11 +11,20 @@ from tensq.catalog import catalog
 
 @pytest.mark.parametrize("index", [-1, 6])
 def test_index_outside_the_group_raises(index):
+    # a negative index must not wrap around to the last elements
     s3 = get_group("S3")
     calls = [lambda: is_left_n_engel(index, s3, 5),
              lambda: engel_degree(index, s3),
              lambda: s3.subgroup([index]),
-             lambda: s3.normal_closure([index])]
+             lambda: s3.normal_closure([index]),
+             lambda: s3.mul_idx(index, 1), lambda: s3.mul_idx(1, index),
+             lambda: s3.inv_idx(index),
+             lambda: s3.conj_idx(index, 1), lambda: s3.conj_idx(1, index),
+             lambda: s3.comm_idx(index, 1), lambda: s3.comm_idx(1, index),
+             lambda: s3.pow_idx(index, 2), lambda: s3.pow_idx(index, -1),
+             lambda: s3.order_of_idx(index), lambda: s3.column(index)]
+    if index < 0:
+        calls.append(lambda: s3.pow_idx(index, 0))
     for call in calls:
         with pytest.raises(IndexError):
             call()

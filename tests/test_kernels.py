@@ -37,14 +37,15 @@ from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    get_presentation, left_engel_set, lie_ring,
                    tc_enumerate, tensor_report, to_perm_group,
                    verify_nu_relations)
-from tensq import engel as engel_module
 from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
 from tensq.nu import (derived_map_check, verify_decomposition,
                       verify_tensor_set_closed)
-from tensq.perm import power_subgroup
+from tensq.perm import Subgroup, power_subgroup
+
+from standalone import standalone_group
 
 
 def product(*groups):
@@ -133,9 +134,25 @@ def test_table_of_a_nu_ambient_subgroup(nu_of):
     # a generic group on 2048 points whose elements come from the
     # regular nu(D4)
     nu = nu_of("D4")
-    tensor = nu.tensor.as_group()
+    tensor = standalone_group(nu.tensor)
     assert tensor.order() == nu.tensor.order()
     assert_table_matches_products(tensor)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, e in catalog().items() if e.order <= 16])
+def test_tensor_series_matches_standalone_group(nu_of, name):
+    # the tensor subgroup's lower central series in the parent's index
+    # space against the series of the same group built from scratch
+    nu = nu_of(name)
+    oracle = standalone_group(nu.tensor)
+    got = nu.tensor.lower_central_series()
+    want = oracle.lower_central_series()
+    assert [t.order() for t in got.terms] == \
+        [t.order() for t in want.terms]
+    want_class = oracle.nilpotency_class() if oracle.is_nilpotent() \
+        else None
+    assert tensor_report(nu).tensor_class == want_class
 
 
 def test_regular_table_matches_products(nu_of):
@@ -357,9 +374,10 @@ def test_tableless_closure_and_fitting_agree(name):
 def brute_force_fitting(group):
     """The Fitting subgroup with no work skipped: every element's normal
     closure, every join of two members, every member tested for
-    nilpotency as a standalone permutation group, and that same test on
-    the result.  Joins are taken in the production order, so the
-    generators agree too.  Returns the subgroup and every member."""
+    nilpotency as a standalone permutation group (``standalone_group``),
+    and that same test on the result.  Joins are taken in the production
+    order, so the generators agree too.  Returns the subgroup and every
+    member."""
     normals = {}
     for i in range(group.order()):
         nc = group.normal_closure([group.element(i)])
@@ -375,20 +393,22 @@ def brute_force_fitting(group):
                 work.append(joined)
     gens = []
     for s in normals.values():
-        if s.as_group().is_nilpotent():
+        if standalone_group(s).is_nilpotent():
             gens.extend(s.generators)
     fit = group.subgroup(list(dict.fromkeys(gens)))
-    assert fit.as_group().is_nilpotent()
+    assert standalone_group(fit).is_nilpotent()
     return fit, list(normals.values())
 
 
 @contextlib.contextmanager
 def fitting_work():
-    """Count the normal closures and nilpotency tests made inside."""
-    with mock.patch.object(FiniteGroup, "normal_closure", autospec=True,
-                           side_effect=FiniteGroup.normal_closure) as nc, \
-            mock.patch.object(engel_module, "_is_nilpotent_normal",
-                              wraps=engel_module._is_nilpotent_normal) as nil:
+    """Count the normal closures and the lower central series (one per
+    nilpotency test) computed inside."""
+    with (mock.patch.object(FiniteGroup, "normal_closure", autospec=True,
+                            side_effect=FiniteGroup.normal_closure) as nc,
+          mock.patch.object(Subgroup, "lower_central_series", autospec=True,
+                            side_effect=Subgroup.lower_central_series)
+          as nil):
         yield nc, nil
 
 
@@ -427,9 +447,12 @@ def test_fitting_of_d4xd4_takes_one_closure_per_rational_class():
     with fitting_work() as (closures, tests):
         record = fitting_record(group)
     assert record == FITTING_RECORDED["D4xD4"]
-    assert closures.call_count == rational_class_count(group) == 25
     # the whole group, then the final check on the Fitting subgroup
     assert tests.call_count == 2
+    # one closure per rational class for the lattice, then two per
+    # nilpotency test: gamma_2 and gamma_3 = 1 of the class-2 group
+    assert rational_class_count(group) == 25
+    assert closures.call_count == 25 + 2 * 2
 
 
 def table_inverses(t):

@@ -235,9 +235,17 @@ class TestSeriesAndFriends:
         derived = s3.derived_subgroup()
         assert derived.order() == 3
         series = s3.lower_central_series()
-        assert series.stabilized
         assert series.terms[-1].order() == 3
         assert not s3.is_nilpotent()
+
+    def test_series_of_a_non_normal_subgroup_is_rejected(self):
+        s3 = get_group("S3")
+        h = s3.subgroup([perm("(0 1)", 3)])
+        assert not h.is_normal()
+        with pytest.raises(ValueError, match="not normal"):
+            h.lower_central_series()
+        with pytest.raises(ValueError, match="not normal"):
+            h.is_nilpotent()
 
     def test_derived_series(self):
         s3 = get_group("S3")
@@ -348,38 +356,6 @@ class TestAbelianInvariants:
         s3 = get_group("S3")
         with pytest.raises(ValueError):
             abelian_invariants(s3.full_subgroup())
-
-
-class TestQuotientAction:
-    def test_trivial_normal_gives_regular(self):
-        s3 = get_group("S3")
-        q = s3.quotient_action(s3.trivial_subgroup())
-        assert q.order() == 6
-        assert q.degree == 6
-
-    def test_full_normal_gives_trivial(self):
-        s3 = get_group("S3")
-        q = s3.quotient_action(s3.full_subgroup())
-        assert q.order() == 1
-
-    def test_s3_mod_a3(self):
-        s3 = get_group("S3")
-        a3 = s3.normal_closure([perm("(0 1 2)", 3)])
-        q = s3.quotient_action(a3)
-        assert q.order() == 2
-        assert q.degree == 2
-
-    def test_rejects_non_normal(self):
-        s3 = get_group("S3")
-        h = s3.subgroup([perm("(0 1)", 3)])
-        with pytest.raises(ValueError):
-            s3.quotient_action(h)
-
-    def test_order_is_exact_quotient(self):
-        for name in ("D4", "Q8", "A4", "C2xC4"):
-            g = get_group(name)
-            n = g.derived_subgroup()
-            assert g.quotient_action(n).order() == g.order() // n.order()
 
 
 class TestGroupFileFormat:

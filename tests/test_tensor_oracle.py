@@ -16,6 +16,8 @@ import itertools
 from tensq import Word, Presentation, get_group, tc_enumerate, to_perm_group
 from tensq.catalog import catalog
 
+from standalone import standalone_group
+
 
 def brown_loday_presentation(group):
     n = group.order()
@@ -55,7 +57,7 @@ def test_symbol_presentation_matches_nu_realization(nu_of):
         assert table.coset_count == nu.tensor.order(), name
         symbol_group = to_perm_group(table)
         assert _order_census(symbol_group) == \
-            _order_census(nu.tensor.as_group()), name
+            _order_census(standalone_group(nu.tensor)), name
 
 
 def test_tensors_satisfy_the_crossed_pairing_relations(nu_of):
