@@ -6,7 +6,7 @@ computed structure ships with exhaustive or seeded verification of the
 identities it is supposed to satisfy.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .catalog import catalog, get_group, get_presentation, resolve_group
 from .coset import (CosetTable, EnumerationLimits,
@@ -25,7 +25,8 @@ from .liering import (GradedElement, GradedLieRing, PGroupSeries,
                       subalgebra_Lp, verify_lazard, verify_lie_axioms)
 from .nu import (NuGroup, TensorReport, VerificationReport, build_nu,
                  derived_map_check, nu_presentation, route_independence,
-                 tensor_order, tensor_report, tensor_square,
+                 symbol_presentation, tensor_order, tensor_report,
+                 tensor_square,
                  verify_nu_relations, verify_tensor_set_closed,
                  verify_decomposition)
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,

@@ -34,6 +34,7 @@ from .nu import (RELATION_FAMILIES, build_nu, derived_map_check,
 from .report import Report, write_report
 
 _ROMAN = list(RELATION_FAMILIES)
+MODES = ("auto", "all", "gens", "symbol")
 
 
 def _parse_lemmas(text):
@@ -86,10 +87,10 @@ def tensor_summary(args, r):
 
 def compute_nu(args, group, pres):
     if args.mode == "auto" and pres is not None:
-        check, nu_all, _ = route_independence(
+        check, nus = route_independence(
             group, pres, limits=_limits(args),
             max_group_order=args.max_group)
-        results = tensor_report(nu_all).to_dict()
+        results = tensor_report(nus["all"]).to_dict()
         results["route_independence"] = check.to_dict()
         passed = check.passed
     else:
@@ -264,14 +265,14 @@ def build_parser():
 
     p = sub.add_parser("tensor", help="tensor square report")
     common(p)
-    p.add_argument("--mode", choices=("auto", "all", "gens"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_tensor, summary=tensor_summary,
                    cache_on=("mode", "max_group"))
 
     p = sub.add_parser("nu", help="build nu(G); default mode cross-checks "
-                                  "both construction routes")
+                                  "the three construction routes")
     common(p)
-    p.add_argument("--mode", choices=("auto", "all", "gens"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,
                    cache_on=("mode", "max_group"))
 

@@ -4,14 +4,54 @@ For a finite group G, nu(G) is the group on two copies of G (the second
 written with a trailing apostrophe, g') subject to the defining
 compatibility relations
 
-    [g1, g2']^g3 = [g1^g3, (g2^g3)'] = [g1, g2']^(g3'),
+    [g1, g2']^g3 = [g1^g3, (g2^g3)'] = [g1, g2']^(g3').
 
-imposed either over every pair of non-identity elements with the
-conjugator in a generating set (via a multiplication-table presentation;
-mode "all") or over generator triples of a compact presentation (mode
-"gens").  The tensor square G (x) G is identified with the subgroup
-[G, G'] of nu(G); the two construction routes are never assumed to
-agree -- route independence is checked per group.
+The tensor square G (x) G is identified with the subgroup [G, G'] of
+nu(G).  There are three construction routes; they are never assumed to
+agree -- route independence compares them per group:
+
+* "all": Todd-Coxeter over a multiplication-table presentation, the
+  relations imposed over every pair of non-identity elements with the
+  conjugator in a generating set (``nu_presentation``);
+* "gens": Todd-Coxeter over generator triples of a compact
+  presentation;
+* "symbol", the default: Todd-Coxeter over Brown and Loday's symbol
+  presentation of G (x) G (``symbol_presentation``), which gives a
+  regular group T of |G (x) G| points, and nu(G) assembled from it.
+  By Rocco (Bol. Soc. Brasil. Mat. 22, 1991), nu(G) = ((G (x) G) . G')
+  . G, so each element is t h' g for unique t in [G, G'] and h, g in G,
+  and nu(G) acts on the points (t, h, g), numbered t n^2 + h n + g for
+  |G| = n.  Right multiplication by a generator x of G, and by its copy
+  y', is
+
+      x:   (t, h, g) -> (t, h, g x),
+      y':  (t, h, g) -> (t c, h y, g),
+           c = (s g s^-1) (x) (s g y g^-1 s^-1),  s = h y,
+
+  since g y' = y' g [g, y'], and the compatibility relations move the
+  tensor [g, y'] left past g and then past s'.  Each column is one
+  gather through T's coset table.  Todd-Coxeter guarantees a regular
+  action; the assembled one is certified regular
+  (``FiniteGroup.is_regular``) before anything reads it.
+
+Every route ends in the same tail, which proves that its regular
+ambient group A, generated by g and g' for g in a generating set S of
+G, is nu(G):
+
+* g |-> g and g |-> g' are injective homomorphisms of G into A, checked
+  on every product, so A satisfies both copies of G's relations;
+* the certificate: for every s in S, conjugation by s and by s' sends
+  [a, b'] to [a^s, (b^s)'] for all n^2 pairs (a, b), read off the n x n
+  array of tensors with one gather per generator.  The argument in the
+  ``nu_presentation`` docstring extends this from the conjugators in S
+  and S' to every g3 and g3'.
+
+So A satisfies every defining relation of nu(G): A is a quotient of
+nu(G).  Its order is n^2 |G (x) G| = |nu(G)|: for the symbol route by
+construction, since T presents G (x) G; for the Todd-Coxeter routes
+because their relators hold in nu(G), which makes nu(G) a quotient of A
+too.  So A is nu(G), for any presentation, proved or not.  The rho
+sweep, the order law and the centrality of mu are checked as well.
 
 All verification operations are read-only over an immutable NuGroup and
 may run concurrently.
@@ -29,7 +69,7 @@ from .coset import (EnumerationLimits, multiplication_table_presentation,
                     tc_enumerate, to_perm_group)
 from .errors import invariant
 from .linalg import abelian_invariants
-from .perm import FiniteGroup, Subgroup, bfs_levels
+from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
 from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
@@ -195,6 +235,83 @@ def nu_presentation(pres, mode):
     return Presentation(names, tuple(relators))
 
 
+# -- the symbol presentation of G (x) G --------------------------------------
+
+
+def _group_arrays(group):
+    """G's products, inverses and conjugates as index arrays:
+    ``mul[i, j] = index(e_i e_j)``, ``inv[i] = index(e_i^-1)`` and
+    ``conj[i, k] = index(e_i^e_k) = index(e_k^-1 e_i e_k)``."""
+    n = group.order()
+    mul = group.right_columns(range(n)).T
+    inv = group.inverse_indices()
+    k = np.arange(n)
+    conj = mul[mul[inv[None, :], k[:, None]], k[None, :]]
+    return mul, inv, conj
+
+
+def symbol_presentation(group):
+    """Brown and Loday's presentation of G (x) G: one generator g (x) h,
+    numbered g n + h for |G| = n, per pair of elements, and the
+    crossed-pairing relators
+
+        (g k) (x) h = (g^k (x) h^k) (k (x) h),
+        g (x) (h k) = (g (x) k) (g^k (x) h^k)
+
+    for every g, h and k, in that order: 2n^3 relators, each of length 3
+    before reduction, read off G's multiplication and conjugation
+    arrays."""
+    mul, _, conj = _group_arrays(group)
+    n = len(mul)
+    g, h, k = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+    sym = conj[g, k] * n + conj[h, k]
+    first = (mul[g, k] * n + h, sym, k * n + h)
+    second = (g * n + mul[h, k], g * n + k, sym)
+    rows = np.stack([np.stack(first, axis=-1), np.stack(second, axis=-1)],
+                    axis=-2).reshape(-1, 3).tolist()
+    names = tuple(f"t{a}_{b}" for a in range(n) for b in range(n))
+    return Presentation(names, tuple(Word(((a, -1), (b, 1), (c, 1)))
+                                     for a, b, c in rows))
+
+
+def _primed_step(mul, inv, conj, y):
+    """Right multiplication by y' on nu(G) = ((G (x) G) . G^phi) . G:
+    t h' g y' = t c s' g with s = h y and the symbol c = (s g s^-1) (x)
+    (s g y g^-1 s^-1).  Returns s over h and c over (h, g)."""
+    n = len(mul)
+    s = mul[:, y]
+    s_inv = inv[s][:, None]
+    a = conj[np.arange(n)[None, :], s_inv]
+    b = conj[conj[y, inv][None, :], s_inv]
+    return s, a * n + b
+
+
+def _assemble_nu(group, limits, name):
+    """nu(G) assembled from the regular group T = G (x) G of the symbol
+    presentation: the point t n^2 + h n + g stands for t h' g, and each
+    generator of G and each primed copy gets one column, gathered
+    through T's closed coset table (column 2c is right multiplication
+    by symbol c).  Certified regular before anything reads it."""
+    table = tc_enumerate(symbol_presentation(group), (), limits).table
+    mul, inv, conj = _group_arrays(group)
+    n = len(mul)
+    size = len(table) * n * n
+    t = (np.arange(len(table)) * (n * n))[:, None, None]
+    h = (np.arange(n) * n)[None, :, None]
+    g = np.arange(n)[None, None, :]
+    gens = group.generator_indices()
+    columns = [(t + h + mul[g, x]).ravel() for x in gens]
+    for y in gens:
+        s, c = _primed_step(mul, inv, conj, y)
+        columns.append((table[:, 2 * c] * (n * n)
+                        + (s * n)[None, :, None] + g).ravel())
+    ambient = FiniteGroup(columns, name=name, regular=True, order_hint=size,
+                          max_order=max(DEFAULT_MAX_ORDER, size))
+    invariant(ambient.is_regular(),
+              "the assembled nu(G) does not act regularly")
+    return ambient
+
+
 # -- the construction --------------------------------------------------------
 
 
@@ -206,6 +323,7 @@ class NuGroup:
     mode: str
     left: np.ndarray          # G element index -> ambient index of g
     right: np.ndarray         # G element index -> ambient index of g'
+    tensors: np.ndarray       # (a, b) -> ambient index of [a, b']
     tensor: Subgroup          # [G, G'] inside the ambient
     mu: Subgroup              # kernel of the derived map, inside the ambient
     rho: np.ndarray           # ambient index -> G element index
@@ -215,20 +333,16 @@ class NuGroup:
 
     def tensor_elem_idx(self, x, y):
         """Ambient index of the tensor [x, y'] for x, y in G."""
-        a = self.group.as_index(x)
-        b = self.group.as_index(y)
-        return self.ambient.comm_idx(int(self.left[a]), int(self.right[b]))
+        return int(self.tensors[self.group.as_index(x),
+                                self.group.as_index(y)])
 
     def all_tensor_indices(self):
         """Ambient indices of {[a, b'] : a, b in G}, deduplicated, with
         one (a, b) witness each, in lexicographic scan order."""
         out = {}
         n = self.group.order()
-        for a in range(n):
-            for b in range(n):
-                t = self.tensor_elem_idx(a, b)
-                if t not in out:
-                    out[t] = (a, b)
+        for i, t in enumerate(self.tensors.ravel().tolist()):
+            out.setdefault(t, divmod(i, n))
         return out
 
 
@@ -245,55 +359,55 @@ def _validate_presentation_for(group, pres):
 
 def build_nu(group, presentation=None, mode="auto", *, limits=None,
              max_group_order=DEFAULT_GROUP_CAP):
-    """Enumerate nu(G) and identify its distinguished pieces.
+    """Build nu(G) and identify its distinguished pieces.
 
     ``mode`` is "all" (multiplication-table route), "gens"
-    (generator-triples route over ``presentation``), or "auto" (gens
-    when a presentation is supplied, else all).  Groups larger than
-    ``max_group_order`` are rejected; raise the cap explicitly for
-    larger experiments.
+    (generator-triples route over ``presentation``), "symbol" (assembled
+    from the symbol presentation of G (x) G), or "auto", which is
+    "symbol".  Groups larger than ``max_group_order`` are rejected;
+    raise the cap explicitly for larger experiments.
     """
     n = group.order()
     if n > max_group_order:
         raise ValueError(
             f"|G| = {n} exceeds the nu-construction cap {max_group_order}; "
             "pass max_group_order explicitly to override")
+    limits = limits or EnumerationLimits()
+    name = f"nu({group.name or 'G'})"
     if mode == "auto":
-        mode = "gens" if presentation is not None else "all"
-    if mode == "gens":
+        mode = "symbol"
+    if mode == "symbol":
+        ambient = _assemble_nu(group, limits, name)
+        images = group.generator_indices()
+    elif mode == "gens":
         if presentation is None:
             raise ValueError("mode 'gens' needs a presentation")
         _validate_presentation_for(group, presentation)
-        base = presentation
-        k = base.ngens
+        table = tc_enumerate(nu_presentation(presentation, mode), (), limits)
+        ambient = to_perm_group(table, name=name)
+        images = group.generator_indices()
     elif mode == "all":
         base = multiplication_table_presentation(group).presentation
-        k = n
+        table = tc_enumerate(nu_presentation(base, mode), (), limits)
+        ambient = to_perm_group(table, name=name)
+        images = tuple(range(n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return _certified_nu(group, ambient, mode, images)
 
-    pres = nu_presentation(base, mode)
-    table = tc_enumerate(pres, (), limits or EnumerationLimits())
-    ambient = to_perm_group(table, name=f"nu({group.name or 'G'})")
 
+def _certified_nu(group, ambient, mode, images):
+    """The tail every route shares.  The ambient group is regular, and
+    its generators are g for g in ``images`` (a generating set of G),
+    then g' for the same g.  Sweep the quotient map rho, read off both
+    copies of G and every tensor [a, b'], prove the ambient group is
+    nu(G) (see the module docstring), then identify the tensor
+    subgroup and mu."""
+    n = group.order()
+    gsub = list(group.generator_indices())
+    images = list(images)
     gen_idx = ambient.generator_indices()
-    gsub = group.generator_indices()
-    if mode == "all":
-        rho_gen = list(range(n)) + list(range(n))
-        left = np.array(gen_idx[:n], dtype=np.int32)
-        right = np.array(gen_idx[n:], dtype=np.int32)
-    else:
-        rho_gen = gsub + gsub
-        left = np.empty(n, dtype=np.int32)
-        right = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            word = group.word(i)
-            li = ri = 0
-            for letter in word:
-                li = ambient.mul_idx(li, gen_idx[letter])
-                ri = ambient.mul_idx(ri, gen_idx[k + letter])
-            left[i] = li
-            right[i] = ri
+    rho_gen = images * 2
 
     # rho: fold the quotient map nu(G) ->> G over a breadth-first sweep,
     # then certify it is a homomorphism on every edge of the Cayley graph.
@@ -305,7 +419,7 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
                        for i in range(n)])
     rho = np.full(N, -1, dtype=np.int32)
     rho[0] = 0
-    for src, gen, new in bfs_levels(R):
+    for src, gen, new in ambient.levels():
         rho[new] = gright[rho[src], gen]
     invariant(bool((rho >= 0).all()),
               "the rho sweep missed elements of nu(G)")
@@ -314,27 +428,56 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
                   "rho is not a homomorphism; "
                   "enumeration is inconsistent")
 
-    tensor = ambient.normal_closure(
-        [ambient.comm_idx(int(left[a]), int(right[b]))
-         for a in gsub for b in gsub])
+    # both copies of G, along G's breadth-first levels: generator j of G
+    # is ambient generator first[j], and j' is k places later
+    k = len(images)
+    first = [images.index(s) for s in gsub]
+    by_left = R[first]
+    by_right = R[[k + f for f in first]]
+    left = np.zeros(n, dtype=np.int32)
+    right = np.zeros(n, dtype=np.int32)
+    for src, gen, new in group.levels():
+        left[new] = by_left[gen, left[src]]
+        right[new] = by_right[gen, right[src]]
+    mul, inv, conj = _group_arrays(group)
+    invariant(len(set(left.tolist())) == n,
+              "the left copy of G is not injective")
+    invariant(len(set(right.tolist())) == n,
+              "the right copy of G is not injective")
+    LC = ambient.right_columns(left)
+    RC = ambient.right_columns(right)
+    # LC[j, left[i]] = index(left(i) left(j)), which must be left(ij)
+    invariant(np.array_equal(LC[:, left], left[mul.T]),
+              "the left copy of G is not a homomorphism")
+    invariant(np.array_equal(RC[:, right], right[mul.T]),
+              "the right copy of G is not a homomorphism")
+    invariant(np.array_equal(rho[left], np.arange(n))
+              and np.array_equal(rho[right], np.arange(n)),
+              "rho does not split the copies of G")
+    invariant(np.array_equal(gen_idx, np.concatenate([left[images],
+                                                      right[images]])),
+              "the generators of nu(G) are not the copies of G's")
+
+    # tensors[a, b] = [left(a), right(b)] = left(a)^-1 right(b)^-1 left(a)
+    # right(b), one gather per factor; left(a)^-1 = left(a^-1), and so
+    # for right
+    step = RC[inv][:, left[inv]].T
+    step = np.take_along_axis(LC, step, axis=1)
+    tensors = RC[np.arange(n)[None, :], step]
+    # the certificate: conjugation by each generator s and by s' sends
+    # [a, b'] to [a^s, (b^s)'] for every pair
+    by = conj[:, rho_gen].T
+    want = tensors[by[:, :, None], by[:, None, :]]
+    got = ambient.generator_conjugates(tensors.ravel()).reshape(want.shape)
+    failed = int((got != want).any(axis=0).sum())
+    invariant(not failed,
+              f"nu(G) certificate fails: conjugation by a generator s or "
+              f"s' does not send [a, b'] to [a^s, (b^s)'] for {failed} of "
+              f"{n * n} pairs (a, b)")
+
+    tensor = ambient.normal_closure(tensors[np.ix_(gsub, gsub)].ravel())
     mu_idx = [t for t in tensor.indices() if rho[t] == 0]
     mu = Subgroup._from_indices(ambient, tuple(mu_idx))
-
-    # construction invariants (theorem-level; failures mean a bug)
-    invariant(len(set(int(i) for i in left)) == n,
-              "the left copy of G is not injective")
-    invariant(len(set(int(i) for i in right)) == n,
-              "the right copy of G is not injective")
-    for i in range(n):
-        for j in range(n):
-            ij = group.mul_idx(i, j)
-            invariant(ambient.mul_idx(int(left[i]), int(left[j])) == left[ij],
-                      "the left copy of G is not a homomorphism")
-            invariant(
-                ambient.mul_idx(int(right[i]), int(right[j])) == right[ij],
-                "the right copy of G is not a homomorphism")
-        invariant(rho[left[i]] == i and rho[right[i]] == i,
-                  "rho does not split the copies of G")
     invariant(N == tensor.order() * n * n,
               f"order law fails: {N} != {tensor.order()} * {n}^2")
     # mu is central: s^-1 m s = m for every generator s
@@ -342,11 +485,11 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     invariant(bool((ambient.generator_conjugates(members) == members).all()),
               "mu is not central")
 
-    rho.setflags(write=False)
-    left.setflags(write=False)
-    right.setflags(write=False)
+    for array in (rho, left, right, tensors):
+        array.setflags(write=False)
     return NuGroup(group=group, ambient=ambient, mode=mode, left=left,
-                   right=right, tensor=tensor, mu=mu, rho=rho)
+                   right=right, tensors=tensors, tensor=tensor, mu=mu,
+                   rho=rho)
 
 
 # -- reports ------------------------------------------------------------------
@@ -438,9 +581,10 @@ def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
     n = G.order()
     left, right = nu.left, nu.right
     mul, inv, comm, conj = amb.mul_idx, amb.inv_idx, amb.comm_idx, amb.conj_idx
+    tensors = nu.tensors.tolist()
 
     def t(a, b):
-        return comm(int(left[a]), int(right[b]))
+        return tensors[a][b]
 
     def fam_i(g, h, x, y):
         lhs = conj(t(g, h), t(x, y))
@@ -449,9 +593,9 @@ def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
 
     def fam_ii(g, h, x):
         vals = {
-            comm(comm(int(left[g]), int(right[h])), int(right[x])),
+            comm(t(g, h), int(right[x])),
             comm(comm(int(left[g]), int(left[h])), int(right[x])),
-            comm(comm(int(left[g]), int(right[h])), int(left[x])),
+            comm(t(g, h), int(left[x])),
             comm(comm(int(right[g]), int(left[h])), int(right[x])),
             comm(comm(int(right[g]), int(right[h])), int(left[x])),
             comm(comm(int(right[g]), int(left[h])), int(left[x])),
@@ -463,12 +607,11 @@ def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
 
     def fam_iv(g, h, x):
         c = G.comm_idx(h, x)
-        return t(g, c) == inv(comm(int(left[c]), int(right[g])))
+        return t(g, c) == inv(t(c, g))
 
     def fam_v(g, h, x, y):
         lhs = comm(t(g, h), t(x, y))
-        rhs = comm(int(left[G.comm_idx(g, h)]),
-                   int(right[G.comm_idx(x, y)]))
+        rhs = t(G.comm_idx(g, h), G.comm_idx(x, y))
         return lhs == rhs
 
     evaluators = {"i": fam_i, "ii": fam_ii, "iii": fam_iii, "iv": fam_iv,
@@ -547,10 +690,11 @@ def verify_tensor_set_closed(nu):
                           "conjugator": bad[1]}
 
     bad = None
+    tensors = nu.tensors.tolist()
     for x1, (a, b) in witnesses.items():
         for x2, (c, d) in witnesses.items():
             got = amb.comm_idx(x1, x2)
-            want = nu.tensor_elem_idx(G.comm_idx(a, b), G.comm_idx(c, d))
+            want = tensors[G.comm_idx(a, b)][G.comm_idx(c, d)]
             if got != want or not inside[got]:
                 bad = (a, b, c, d)
                 break
@@ -642,7 +786,8 @@ def derived_map_check(nu):
     rho = nu.rho
     checks = []
 
-    ok = all(int(rho[nu.tensor_elem_idx(a, b)]) == G.comm_idx(a, b)
+    images = rho[nu.tensors].tolist()
+    ok = all(images[a][b] == G.comm_idx(a, b)
              for a in range(n) for b in range(n))
     checks.append(Check("rho'([a,b']) = [a,b] for all pairs", ok,
                         {"pairs": n * n}))
@@ -689,36 +834,35 @@ def derived_map_check(nu):
 
 
 def route_independence(group, presentation, **kwargs):
-    """Build nu(G) by both routes and compare order, tensor order and
-    tensor structure."""
-    nu_all = build_nu(group, mode="all", **kwargs)
-    nu_gens = build_nu(group, presentation, mode="gens", **kwargs)
-    rep_all = tensor_report(nu_all)
-    rep_gens = tensor_report(nu_gens)
+    """Build nu(G) by all three routes and compare order, tensor order
+    and tensor structure.  Returns the report and the three builds,
+    keyed by mode."""
+    nus = {"all": build_nu(group, mode="all", **kwargs),
+           "gens": build_nu(group, presentation, "gens", **kwargs),
+           "symbol": build_nu(group, mode="symbol", **kwargs)}
+    reps = {mode: tensor_report(nu) for mode, nu in nus.items()}
+
+    def agree(label, field, show=lambda v: v, **extra):
+        values = [getattr(rep, field) for rep in reps.values()]
+        return Check(label, values.count(values[0]) == len(values),
+                     {**{mode: show(v) for mode, v in zip(reps, values)},
+                      **extra})
+
     checks = [
-        Check("nu orders agree", rep_all.nu_order == rep_gens.nu_order,
-              {"all": rep_all.nu_order, "gens": rep_gens.nu_order}),
+        agree("nu orders agree", "nu_order"),
         # plain_equals_normal is recorded per group, not required:
         # whether the generator tensors already generate the tensor
         # subgroup as a plain subgroup
-        Check("tensor orders agree",
-              rep_all.tensor_order == rep_gens.tensor_order,
-              {"all": rep_all.tensor_order, "gens": rep_gens.tensor_order,
-               "plain_equals_normal": _plain_equals_normal(nu_all)}),
-        Check("tensor abelian invariants agree",
-              rep_all.tensor_invariants == rep_gens.tensor_invariants,
-              {"all": list(rep_all.tensor_invariants or ()),
-               "gens": list(rep_gens.tensor_invariants or ())}),
-        Check("tensor nilpotency classes agree",
-              rep_all.tensor_class == rep_gens.tensor_class,
-              {"all": rep_all.tensor_class, "gens": rep_gens.tensor_class}),
+        agree("tensor orders agree", "tensor_order",
+              plain_equals_normal=_plain_equals_normal(nus["all"])),
+        agree("tensor abelian invariants agree", "tensor_invariants",
+              show=lambda v: list(v or ())),
+        agree("tensor nilpotency classes agree", "tensor_class"),
     ]
-    return VerificationReport(name="route-independence", checks=checks), \
-        nu_all, nu_gens
+    return VerificationReport(name="route-independence", checks=checks), nus
 
 
 def _plain_equals_normal(nu):
-    gsub = nu.group.generator_indices()
-    plain = nu.ambient.subgroup([nu.tensor_elem_idx(a, b)
-                                 for a in gsub for b in gsub])
+    gsub = list(nu.group.generator_indices())
+    plain = nu.ambient.subgroup(nu.tensors[np.ix_(gsub, gsub)].ravel())
     return plain.index_set() == nu.tensor.index_set()

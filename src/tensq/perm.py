@@ -515,7 +515,7 @@ class FiniteGroup:
         """Element number ``i`` of the deterministic order."""
         if self._regular:
             return Permutation._raw(self.column(i))
-        return self.elements()[i]
+        return self.elements()[self.as_index(i)]
 
     def index_of(self, perm):
         """Index of ``perm`` in the deterministic order."""
@@ -562,6 +562,7 @@ class FiniteGroup:
         w = self._words.get(i)
         if w is None:
             self._close()
+            i = self.as_index(i)
             chain = []
             j = i
             while True:
@@ -601,6 +602,24 @@ class FiniteGroup:
             left.setflags(write=False)
             self._left_inv = left
         return self._left_inv
+
+    def is_regular(self):
+        """Whether a group built with ``regular=True`` really acts
+        regularly.  Coset enumeration guarantees it; an action assembled
+        any other way needs this certificate.  Left multiplication by
+        each generator's inverse, as the sweep along the levels builds
+        it, must commute with every generator on every point, and those
+        left maps must reach every point from 0.  They then lie in the
+        centraliser of the transitive group the generators make, and act
+        transitively, so that group is semiregular, hence regular."""
+        try:
+            left = self._left_inverses()
+        except ValueError:              # the closure found no single orbit
+            return False
+        if not all(np.array_equal(left[:, r], r[left]) for r in self._right):
+            return False
+        return 1 + sum(new.size for _, _, new in bfs_levels(left)) == \
+            self.order()
 
     def generator_conjugates(self, idx):
         """``c[t, i] = index(generator_t^-1 * element_idx[i] *
@@ -701,6 +720,7 @@ class FiniteGroup:
 
     # Each scalar operation rejects a negative index with one comparison;
     # ``column`` checks j on a cache miss, and ``item`` the upper bound.
+    # ``pow_idx`` checks both bounds, since it reads i only for n != 0.
 
     def mul_idx(self, i, j):
         if i < 0:
@@ -727,7 +747,7 @@ class FiniteGroup:
         return mul(mul(mul(self.inv_idx(i), self.inv_idx(j)), i), j)
 
     def pow_idx(self, i, n):
-        if i < 0:
+        if not 0 <= i < self.order():
             raise IndexError("element index out of range")
         if n < 0:
             return self.pow_idx(self.inv_idx(i), -n)

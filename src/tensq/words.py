@@ -50,24 +50,25 @@ class Word:
         return Word(self.letters * n)
 
     def free_reduce(self):
-        """Cancel adjacent x x^-1 pairs until none remain."""
+        """Cancel adjacent x x^-1 pairs until none remain; a word that
+        is already reduced is returned as it is."""
         out = []
         for letter in self.letters:
             if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
                 out.pop()
             else:
                 out.append(letter)
-        return Word(out)
+        return self if len(out) == len(self.letters) else Word(out)
 
     def cyclic_reduce(self):
         """Freely reduce, then strip matching first/last inverse pairs."""
-        letters = list(self.free_reduce().letters)
+        word = self.free_reduce()
+        letters = word.letters
         while (len(letters) >= 2 and letters[0][0] == letters[-1][0]
                and letters[0][1] == -letters[-1][1]):
-            letters = letters[1:-1]
             # interior may now expose new cancellations
-            letters = list(Word(letters).free_reduce().letters)
-        return Word(letters)
+            letters = Word(letters[1:-1]).free_reduce().letters
+        return word if letters is word.letters else Word(letters)
 
     def evaluate(self, images, identity=None):
         """Multiply out the word over concrete images (left to right).

@@ -147,24 +147,22 @@ def test_c06_derived_map(nu_of):
 
 
 def test_c07_route_independence(nu_of):
-    """All-elements and generator-triples constructions agree on order,
-    tensor order and tensor structure for every compact-presentation
-    entry within the construction cap."""
+    """The all-elements, generator-triples and symbol-assembly
+    constructions agree on order, tensor order and tensor structure for
+    every compact-presentation entry within the construction cap."""
     ok = True
     count = 0
     for name in names_up_to(NU_CAP):
         if get_presentation(name) is None:
             continue
-        nu_all = nu_of(name, "all")
-        nu_gens = nu_of(name, "gens")
-        rep_all = tensor_report(nu_all)
-        rep_gens = tensor_report(nu_gens)
-        ok = ok and rep_all.nu_order == rep_gens.nu_order
-        ok = ok and rep_all.tensor_order == rep_gens.tensor_order
-        ok = ok and rep_all.tensor_invariants == rep_gens.tensor_invariants
-        ok = ok and rep_all.tensor_class == rep_gens.tensor_class
+        reps = [tensor_report(nu_of(name, mode)).to_dict()
+                for mode in ("all", "gens", "symbol")]
+        for rep in reps:
+            del rep["mode"]
+        ok = ok and reps[0] == reps[1] == reps[2]
         count += 1
-    _criterion(7, ok, f"both construction routes agree on {count} groups")
+    _criterion(7, ok, f"the three construction routes agree on {count} "
+                      "groups")
 
 
 def test_c08_dimension_series():

@@ -9,7 +9,7 @@ from tensq import (EngelScanConfig, engel_degree, engel_power_scan,
 from tensq.catalog import catalog
 
 
-@pytest.mark.parametrize("index", [-1, 6])
+@pytest.mark.parametrize("index", [-1, 6, 100])
 def test_index_outside_the_group_raises(index):
     # a negative index must not wrap around to the last elements
     s3 = get_group("S3")
@@ -22,12 +22,13 @@ def test_index_outside_the_group_raises(index):
              lambda: s3.conj_idx(index, 1), lambda: s3.conj_idx(1, index),
              lambda: s3.comm_idx(index, 1), lambda: s3.comm_idx(1, index),
              lambda: s3.pow_idx(index, 2), lambda: s3.pow_idx(index, -1),
-             lambda: s3.order_of_idx(index), lambda: s3.column(index)]
-    if index < 0:
-        calls.append(lambda: s3.pow_idx(index, 0))
+             lambda: s3.pow_idx(index, 0),
+             lambda: s3.order_of_idx(index), lambda: s3.column(index),
+             lambda: s3.element(index), lambda: s3.word(index)]
     for call in calls:
         with pytest.raises(IndexError):
             call()
+    assert index not in s3._words
 
 
 class TestIsLeftNEngel:

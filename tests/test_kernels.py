@@ -549,7 +549,7 @@ def regular_copy(group):
                        order_hint=group.order())
 
 
-@pytest.mark.parametrize("mode", ["all", "gens"])
+@pytest.mark.parametrize("mode", ["all", "gens", "symbol"])
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
 def test_tableless_regular_group_agrees_with_its_table(nu_of, name, mode):
     nu = nu_of(name, mode)
@@ -595,14 +595,22 @@ def test_tableless_regular_group_agrees_with_its_table(nu_of, name, mode):
     assert [rho[i] for i in range(n)] == nu.rho.tolist()
 
 
-def test_nu_build_and_report_build_no_regular_table(nu_of):
-    expected = tensor_report(nu_of("D4")).to_dict()
+def _build_and_report_without_table(nu_of, mode):
+    expected = tensor_report(nu_of("D4", mode)).to_dict()
     group = fresh("D4")
     group.table()
     with no_table():
-        nu = build_nu(group, get_presentation("D4"), "gens")
+        nu = build_nu(group, get_presentation("D4"), mode)
         assert tensor_report(nu).to_dict() == expected
     assert nu.ambient._table is None
+
+
+def test_nu_build_and_report_build_no_regular_table(nu_of):
+    _build_and_report_without_table(nu_of, "gens")
+
+
+def test_symbol_nu_build_and_report_build_no_regular_table(nu_of):
+    _build_and_report_without_table(nu_of, "symbol")
 
 
 def test_regular_group_above_the_table_cap(monkeypatch):
@@ -640,12 +648,12 @@ NU_D4_REPORT = {"group_order": 8, "nu_order": 2048, "tensor_order": 32,
                 "tensor_invariants": [2, 2, 2, 4], "tensor_class": 1}
 
 # (p, m, n) -> digest of the scan's to_dict(), recorded from the table
-# kernel; both routes give the same pairs
+# kernel; every route gives the same pairs
 ENGEL_SCAN_RECORDED = {(3, 1, 1): "3f18372043c3db37",
                        (2, 1, 1): "9d18dd311bc04e06"}
 
 
-@pytest.mark.parametrize("mode", ["all", "gens"])
+@pytest.mark.parametrize("mode", ["all", "gens", "symbol"])
 def test_nu_kernels_build_no_table(mode):
     group = fresh("D4")
     pres = get_presentation("D4") if mode == "gens" else None

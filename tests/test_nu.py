@@ -5,9 +5,12 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
-from tensq import (build_nu, derived_map_check, get_group, get_presentation,
+import tensq.nu as nu_module
+from tensq import (FiniteGroup, InvariantError, Permutation, Presentation,
+                   build_nu, derived_map_check, get_group, get_presentation,
                    invariant_factors_from_cyclic, nu_presentation,
                    route_independence, tensor_order, tensor_report,
                    tensor_square, verify_decomposition, verify_nu_relations,
@@ -15,6 +18,8 @@ from tensq import (build_nu, derived_map_check, get_group, get_presentation,
 from tensq.catalog import catalog
 from tensq.coset import (EnumerationLimits, multiplication_table_presentation,
                          tc_enumerate)
+
+from tensq.cli import main as cli_main
 
 from full_triple import full_triple_nu_presentation
 
@@ -225,10 +230,12 @@ class TestVerification:
 
 class TestRouteIndependence:
     def test_s3(self, nu_of):
-        report, nu_all, nu_gens = route_independence(
+        report, nus = route_independence(
             get_group("S3"), get_presentation("S3"))
         assert report.passed
-        assert nu_all.order() == nu_gens.order() == 216
+        assert sorted(nus) == ["all", "gens", "symbol"]
+        assert {nu.order() for nu in nus.values()} == {216}
+        assert all(set(c.details) >= set(nus) for c in report.checks)
 
     def test_counterexample_surface(self, nu_of):
         # a failing check must be visible in the report structure
@@ -239,11 +246,89 @@ class TestRouteIndependence:
         assert len(as_dict["checks"]) == 5
 
 
+NU_CAPABLE = [n for n, e in catalog().items() if e.order <= 16]
+
+
+class TestSymbolRoute:
+    @pytest.mark.parametrize("name", NU_CAPABLE)
+    def test_report_equals_the_all_route(self, nu_of, name):
+        symbol = tensor_report(nu_of(name, "symbol")).to_dict()
+        every = tensor_report(nu_of(name, "all")).to_dict()
+        assert symbol.pop("mode") == "symbol"
+        every.pop("mode")
+        assert symbol == every
+
+    @pytest.mark.parametrize("mode", ["all", "gens", "symbol"])
+    @pytest.mark.parametrize("name", ["S3", "Q8", "C2xC2"])
+    def test_tensors_are_the_commutators(self, nu_of, name, mode):
+        nu = nu_of(name, mode)
+        amb, n = nu.ambient, nu.group.order()
+        assert nu.tensors.shape == (n, n)
+        assert not nu.tensors.flags.writeable
+        assert [[amb.comm_idx(int(nu.left[a]), int(nu.right[b]))
+                 for b in range(n)] for a in range(n)] == \
+            nu.tensors.tolist()
+
+    def test_certificate_rejects_a_presentation_short_of_nu(self,
+                                                            monkeypatch):
+        # S3's gens presentation without the relators conjugated by g3'
+        # presents a group of 648 elements, not nu(S3) with 216; the
+        # right copy of G still embeds, so the certificate must say so
+        full = nu_module.nu_presentation
+
+        def weakened(pres, mode):
+            out = full(pres, mode)
+            base = 2 * len(pres.relators)
+            # the relators come in pairs: conjugated by g3, then by g3'
+            return Presentation(out.generator_names,
+                                out.relators[:base] + out.relators[base::2])
+
+        group, pres = get_group("S3"), get_presentation("S3")
+        assert tc_enumerate(weakened(pres, "gens"), ()).coset_count == 648
+        monkeypatch.setattr(nu_module, "nu_presentation", weakened)
+        with pytest.raises(InvariantError,
+                           match=r"nu\(G\) certificate fails: .* for \d+ "
+                                 r"of 36 pairs"):
+            build_nu(group, pres, "gens")
+
+    def test_mutated_assembly_raises_and_writes_no_report(self, monkeypatch,
+                                                          tmp_path, capsys):
+        # y in place of g y g^-1 in the column of y'
+        def mutated(mul, inv, conj, y):
+            n = len(mul)
+            s = mul[:, y]
+            s_inv = inv[s][:, None]
+            a = conj[np.arange(n)[None, :], s_inv]
+            b = conj[np.full((1, n), y), s_inv]
+            return s, a * n + b
+
+        monkeypatch.setattr(nu_module, "_primed_step", mutated)
+        with pytest.raises(InvariantError):
+            build_nu(get_group("S3"), mode="symbol")
+        out = tmp_path / "tensor.json"
+        assert cli_main(["tensor", "D4", "--no-cache", "--json",
+                         str(out)]) == 1
+        assert "invariant error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_regularity_certificate(self):
+        # S3 on three points is transitive but not regular; C3 on three
+        # points is regular; <(0 1)> on three points is not transitive
+        s3 = FiniteGroup([Permutation([1, 2, 0]), Permutation([1, 0, 2])],
+                         regular=True, order_hint=3)
+        c3 = FiniteGroup([Permutation([1, 2, 0])], regular=True,
+                         order_hint=3)
+        c2 = FiniteGroup([Permutation([1, 0, 2])], regular=True,
+                         order_hint=3)
+        assert (s3.is_regular(), c3.is_regular(), c2.is_regular()) == \
+            (False, True, False)
+
+
 class TestTensorSquareWrapper:
     def test_one_call_report(self):
         rep = tensor_square(get_group("C4"), get_presentation("C4"))
         assert rep.tensor_order == 4 and rep.nu_order == 64
-        assert rep.mode == "gens"
+        assert rep.mode == "symbol"
 
     def test_all_mode(self):
         rep = tensor_square(get_group("C2"), mode="all")
