@@ -25,13 +25,13 @@ from .liering import (GradedElement, GradedLieRing, PGroupSeries,
                       subalgebra_Lp, verify_lazard, verify_lie_axioms)
 from .nu import (NuGroup, TensorReport, VerificationReport, build_nu,
                  derived_map_check, nu_presentation, route_independence,
-                 symbol_presentation, tensor_order, tensor_report,
-                 tensor_square,
+                 tensor_order, tensor_report, tensor_square,
                  verify_nu_relations, verify_tensor_set_closed,
                  verify_decomposition)
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
                    commutator, format_perm_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)
+from .symbol import symbol_presentation
 from .words import (Presentation, Word, free_reduce, parse_presentation,
                     parse_word)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError, StateError
-from .perm import FiniteGroup, Permutation
+from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Permutation
 from .words import Presentation, Word
 
 # Rows of a fresh table; the array doubles whenever it is full.
@@ -397,16 +397,21 @@ def to_perm_group(table, *, name=None, max_order=None):
     """
     if not table.is_closed():
         raise StateError("table is not closed")
-    n = table.coset_count
     gens = [table.permutation(g) for g in range(table.ngens)]
-    regular = not table.subgroup_words
-    from .perm import DEFAULT_MAX_ORDER
-    kwargs = {"name": name, "regular": regular}
-    if regular:
-        kwargs["order_hint"] = n
-    kwargs["max_order"] = max_order if max_order is not None \
-        else max(DEFAULT_MAX_ORDER, n)
-    return FiniteGroup(gens, **kwargs)
+    return points_group(gens, table.coset_count,
+                        regular=not table.subgroup_words, name=name,
+                        max_order=max_order)
+
+
+def points_group(columns, points, *, regular=True, name=None,
+                 max_order=None):
+    """The group generated by the permutations ``columns`` of ``points``
+    points; a regular one has order ``points`` and point 0 as its
+    identity.  The order cap defaults to the point count, or
+    DEFAULT_MAX_ORDER if that is larger."""
+    return FiniteGroup(columns, name=name, regular=regular,
+                       order_hint=points if regular else None,
+                       max_order=max_order or max(DEFAULT_MAX_ORDER, points))
 
 
 @dataclass(frozen=True)
@@ -433,3 +438,40 @@ def multiplication_table_presentation(group):
             relators.append(Word([(i, 1), (j, 1), (k, -1)]))
     pres = Presentation(names, tuple(relators))
     return TablePresentation(pres, group)
+
+
+def parse_table_presentation(pres):
+    """Recover the multiplication table encoded by a table presentation.
+
+    Returns (identity index, table) where table[i][j] is the product
+    index.  Raises ValueError if the relators are not of table shape.
+    """
+    n = pres.ngens
+    identity = None
+    table = [[-1] * n for _ in range(n)]
+    for rel in pres.relators:
+        letters = rel.letters
+        if len(letters) == 1:
+            g, e = letters[0]
+            if e != 1:
+                raise ValueError("not a multiplication-table presentation")
+            if identity is not None and identity != g:
+                raise ValueError("conflicting identity relators")
+            identity = g
+        elif len(letters) == 3:
+            (i, ei), (j, ej), (k, ek) = letters
+            if (ei, ej, ek) != (1, 1, -1):
+                raise ValueError("not a multiplication-table presentation")
+            table[i][j] = k
+        else:
+            raise ValueError("not a multiplication-table presentation")
+    if identity is None:
+        raise ValueError("table presentation lacks an identity relator")
+    e = identity
+    for x in range(n):
+        table[e][x] = x
+        table[x][e] = x
+    for row in table:
+        if any(v < 0 for v in row):
+            raise ValueError("multiplication table is incomplete")
+    return e, table

@@ -15,24 +15,9 @@ agree -- route independence compares them per group:
   conjugator in a generating set (``nu_presentation``);
 * "gens": Todd-Coxeter over generator triples of a compact
   presentation;
-* "symbol", the default: Todd-Coxeter over Brown and Loday's symbol
-  presentation of G (x) G (``symbol_presentation``), which gives a
-  regular group T of |G (x) G| points, and nu(G) assembled from it.
-  By Rocco (Bol. Soc. Brasil. Mat. 22, 1991), nu(G) = ((G (x) G) . G')
-  . G, so each element is t h' g for unique t in [G, G'] and h, g in G,
-  and nu(G) acts on the points (t, h, g), numbered t n^2 + h n + g for
-  |G| = n.  Right multiplication by a generator x of G, and by its copy
-  y', is
-
-      x:   (t, h, g) -> (t, h, g x),
-      y':  (t, h, g) -> (t c, h y, g),
-           c = (s g s^-1) (x) (s g y g^-1 s^-1),  s = h y,
-
-  since g y' = y' g [g, y'], and the compatibility relations move the
-  tensor [g, y'] left past g and then past s'.  Each column is one
-  gather through T's coset table.  Todd-Coxeter guarantees a regular
-  action; the assembled one is certified regular
-  (``FiniteGroup.is_regular``) before anything reads it.
+* "symbol": Todd-Coxeter over Brown and Loday's symbol presentation
+  of G (x) G, |G (x) G| cosets, and nu(G) assembled from it
+  (``tensq.symbol``).
 
 Every route ends in the same tail, which proves that its regular
 ambient group A, generated by g and g' for g in a generating set S of
@@ -66,13 +51,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coset import (EnumerationLimits, multiplication_table_presentation,
-                    tc_enumerate, to_perm_group)
+                    parse_table_presentation, tc_enumerate, to_perm_group)
 from .errors import invariant
 from .linalg import abelian_invariants
-from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup
+from .perm import FiniteGroup, Subgroup
+from .symbol import assemble_nu, group_arrays
 from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
+# "auto" takes the gens route for a presentation with one generator, of
+# a cyclic group of order n up to this: nu(G) then has n^3 elements, the
+# gens presentation 2r + 2 relators for r relators of G, and that
+# enumeration beats the symbol route's 2n^3 relators up to C11 (C12 and
+# C13 are even, and from C14 on the symbol route is faster).
+GENS_ROUTE_MAX_CYCLIC = 11
 
 
 # -- verification reports -----------------------------------------------------
@@ -106,43 +98,6 @@ class VerificationReport:
 
 
 # -- presentation doubling ----------------------------------------------------
-
-
-def _parse_table_presentation(pres):
-    """Recover the multiplication table encoded by a table presentation.
-
-    Returns (identity index, table) where table[i][j] is the product
-    index.  Raises ValueError if the relators are not of table shape.
-    """
-    n = pres.ngens
-    identity = None
-    table = [[-1] * n for _ in range(n)]
-    for rel in pres.relators:
-        letters = rel.letters
-        if len(letters) == 1:
-            g, e = letters[0]
-            if e != 1:
-                raise ValueError("not a multiplication-table presentation")
-            if identity is not None and identity != g:
-                raise ValueError("conflicting identity relators")
-            identity = g
-        elif len(letters) == 3:
-            (i, ei), (j, ej), (k, ek) = letters
-            if (ei, ej, ek) != (1, 1, -1):
-                raise ValueError("not a multiplication-table presentation")
-            table[i][j] = k
-        else:
-            raise ValueError("not a multiplication-table presentation")
-    if identity is None:
-        raise ValueError("table presentation lacks an identity relator")
-    e = identity
-    for x in range(n):
-        table[e][x] = x
-        table[x][e] = x
-    for row in table:
-        if any(v < 0 for v in row):
-            raise ValueError("multiplication table is incomplete")
-    return e, table
 
 
 def _table_generating_set(table, e):
@@ -202,7 +157,7 @@ def nu_presentation(pres, mode):
         return Word([(i, 1)])
 
     if mode == "all":
-        e, table = _parse_table_presentation(pres)
+        e, table = parse_table_presentation(pres)
         inv = [row.index(e) for row in table]
 
         def conj(i, k):
@@ -233,83 +188,6 @@ def nu_presentation(pres, mode):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return Presentation(names, tuple(relators))
-
-
-# -- the symbol presentation of G (x) G --------------------------------------
-
-
-def _group_arrays(group):
-    """G's products, inverses and conjugates as index arrays:
-    ``mul[i, j] = index(e_i e_j)``, ``inv[i] = index(e_i^-1)`` and
-    ``conj[i, k] = index(e_i^e_k) = index(e_k^-1 e_i e_k)``."""
-    n = group.order()
-    mul = group.right_columns(range(n)).T
-    inv = group.inverse_indices()
-    k = np.arange(n)
-    conj = mul[mul[inv[None, :], k[:, None]], k[None, :]]
-    return mul, inv, conj
-
-
-def symbol_presentation(group):
-    """Brown and Loday's presentation of G (x) G: one generator g (x) h,
-    numbered g n + h for |G| = n, per pair of elements, and the
-    crossed-pairing relators
-
-        (g k) (x) h = (g^k (x) h^k) (k (x) h),
-        g (x) (h k) = (g (x) k) (g^k (x) h^k)
-
-    for every g, h and k, in that order: 2n^3 relators, each of length 3
-    before reduction, read off G's multiplication and conjugation
-    arrays."""
-    mul, _, conj = _group_arrays(group)
-    n = len(mul)
-    g, h, k = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
-    sym = conj[g, k] * n + conj[h, k]
-    first = (mul[g, k] * n + h, sym, k * n + h)
-    second = (g * n + mul[h, k], g * n + k, sym)
-    rows = np.stack([np.stack(first, axis=-1), np.stack(second, axis=-1)],
-                    axis=-2).reshape(-1, 3).tolist()
-    names = tuple(f"t{a}_{b}" for a in range(n) for b in range(n))
-    return Presentation(names, tuple(Word(((a, -1), (b, 1), (c, 1)))
-                                     for a, b, c in rows))
-
-
-def _primed_step(mul, inv, conj, y):
-    """Right multiplication by y' on nu(G) = ((G (x) G) . G^phi) . G:
-    t h' g y' = t c s' g with s = h y and the symbol c = (s g s^-1) (x)
-    (s g y g^-1 s^-1).  Returns s over h and c over (h, g)."""
-    n = len(mul)
-    s = mul[:, y]
-    s_inv = inv[s][:, None]
-    a = conj[np.arange(n)[None, :], s_inv]
-    b = conj[conj[y, inv][None, :], s_inv]
-    return s, a * n + b
-
-
-def _assemble_nu(group, limits, name):
-    """nu(G) assembled from the regular group T = G (x) G of the symbol
-    presentation: the point t n^2 + h n + g stands for t h' g, and each
-    generator of G and each primed copy gets one column, gathered
-    through T's closed coset table (column 2c is right multiplication
-    by symbol c).  Certified regular before anything reads it."""
-    table = tc_enumerate(symbol_presentation(group), (), limits).table
-    mul, inv, conj = _group_arrays(group)
-    n = len(mul)
-    size = len(table) * n * n
-    t = (np.arange(len(table)) * (n * n))[:, None, None]
-    h = (np.arange(n) * n)[None, :, None]
-    g = np.arange(n)[None, None, :]
-    gens = group.generator_indices()
-    columns = [(t + h + mul[g, x]).ravel() for x in gens]
-    for y in gens:
-        s, c = _primed_step(mul, inv, conj, y)
-        columns.append((table[:, 2 * c] * (n * n)
-                        + (s * n)[None, :, None] + g).ravel())
-    ambient = FiniteGroup(columns, name=name, regular=True, order_hint=size,
-                          max_order=max(DEFAULT_MAX_ORDER, size))
-    invariant(ambient.is_regular(),
-              "the assembled nu(G) does not act regularly")
-    return ambient
 
 
 # -- the construction --------------------------------------------------------
@@ -363,9 +241,10 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
 
     ``mode`` is "all" (multiplication-table route), "gens"
     (generator-triples route over ``presentation``), "symbol" (assembled
-    from the symbol presentation of G (x) G), or "auto", which is
-    "symbol".  Groups larger than ``max_group_order`` are rejected;
-    raise the cap explicitly for larger experiments.
+    from the symbol presentation of G (x) G), or "auto": "gens" for a
+    presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC,
+    "symbol" otherwise.  Groups larger than ``max_group_order`` are
+    rejected; raise the cap explicitly for larger experiments.
     """
     n = group.order()
     if n > max_group_order:
@@ -375,9 +254,11 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     limits = limits or EnumerationLimits()
     name = f"nu({group.name or 'G'})"
     if mode == "auto":
-        mode = "symbol"
+        cyclic = presentation is not None and presentation.ngens == 1
+        mode = "gens" if cyclic and n <= GENS_ROUTE_MAX_CYCLIC else "symbol"
+    arrays = group_arrays(group)
     if mode == "symbol":
-        ambient = _assemble_nu(group, limits, name)
+        ambient = assemble_nu(group, arrays, limits, name)
         images = group.generator_indices()
     elif mode == "gens":
         if presentation is None:
@@ -393,10 +274,10 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         images = tuple(range(n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _certified_nu(group, ambient, mode, images)
+    return _certified_nu(group, arrays, ambient, mode, images)
 
 
-def _certified_nu(group, ambient, mode, images):
+def _certified_nu(group, arrays, ambient, mode, images):
     """The tail every route shares.  The ambient group is regular, and
     its generators are g for g in ``images`` (a generating set of G),
     then g' for the same g.  Sweep the quotient map rho, read off both
@@ -404,6 +285,7 @@ def _certified_nu(group, ambient, mode, images):
     nu(G) (see the module docstring), then identify the tensor
     subgroup and mu."""
     n = group.order()
+    mul, inv, conj = arrays
     gsub = list(group.generator_indices())
     images = list(images)
     gen_idx = ambient.generator_indices()
@@ -439,7 +321,6 @@ def _certified_nu(group, ambient, mode, images):
     for src, gen, new in group.levels():
         left[new] = by_left[gen, left[src]]
         right[new] = by_right[gen, right[src]]
-    mul, inv, conj = _group_arrays(group)
     invariant(len(set(left.tolist())) == n,
               "the left copy of G is not injective")
     invariant(len(set(right.tolist())) == n,

@@ -21,7 +21,8 @@ class NuFactory:
         key = (name, mode)
         if key not in self._cache:
             group = get_group(name)
-            pres = get_presentation(name) if mode == "gens" else None
+            pres = get_presentation(name) if mode in ("auto", "gens") \
+                else None
             start = time.monotonic()
             nu = build_nu(group, pres, mode)
             self.durations[key] = time.monotonic() - start

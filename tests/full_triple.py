@@ -5,7 +5,7 @@ relators imposed over all |G|^3 element triples.
 this presentation must close at the same coset count.
 """
 
-from tensq.nu import _parse_table_presentation
+from tensq.coset import parse_table_presentation
 from tensq.words import Presentation, Word, commutator_word, conjugate_word
 
 
@@ -22,7 +22,7 @@ def full_triple_nu_presentation(pres):
     def gen(i):
         return Word([(i, 1)])
 
-    e, table = _parse_table_presentation(pres)
+    e, table = parse_table_presentation(pres)
     inv = [row.index(e) for row in table]
 
     def conj(i, k):

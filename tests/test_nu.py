@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tensq.nu as nu_module
+import tensq.symbol as symbol_module
 from tensq import (FiniteGroup, InvariantError, Permutation, Presentation,
                    build_nu, derived_map_check, get_group, get_presentation,
                    invariant_factors_from_cyclic, nu_presentation,
@@ -17,7 +18,8 @@ from tensq import (FiniteGroup, InvariantError, Permutation, Presentation,
                    verify_tensor_set_closed)
 from tensq.catalog import catalog
 from tensq.coset import (EnumerationLimits, multiplication_table_presentation,
-                         tc_enumerate)
+                         tc_enumerate, to_perm_group)
+from tensq.words import parse_presentation
 
 from tensq.cli import main as cli_main
 
@@ -302,7 +304,7 @@ class TestSymbolRoute:
             b = conj[np.full((1, n), y), s_inv]
             return s, a * n + b
 
-        monkeypatch.setattr(nu_module, "_primed_step", mutated)
+        monkeypatch.setattr(symbol_module, "_primed_step", mutated)
         with pytest.raises(InvariantError):
             build_nu(get_group("S3"), mode="symbol")
         out = tmp_path / "tensor.json"
@@ -328,7 +330,19 @@ class TestTensorSquareWrapper:
     def test_one_call_report(self):
         rep = tensor_square(get_group("C4"), get_presentation("C4"))
         assert rep.tensor_order == 4 and rep.nu_order == 64
-        assert rep.mode == "symbol"
+        assert rep.mode == "gens"
+
+    def test_auto_route_follows_the_presentation(self):
+        # gens for a presentation with one generator up to C11, symbol
+        # for C12, for two generators and without a presentation
+        c12 = parse_presentation("gens: a\nrels: a^12\n")
+        cases = [(get_group(name), get_presentation(name), mode)
+                 for name, mode in [("C2", "gens"), ("C9", "gens"),
+                                    ("C2xC2", "symbol"), ("S3", "symbol")]]
+        cases += [(get_group("C9"), None, "symbol"),
+                  (to_perm_group(tc_enumerate(c12, ())), c12, "symbol")]
+        assert [tensor_square(g, p).mode for g, p, _ in cases] == \
+            [mode for _, _, mode in cases]
 
     def test_all_mode(self):
         rep = tensor_square(get_group("C2"), mode="all")

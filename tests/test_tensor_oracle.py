@@ -6,8 +6,8 @@ crossed-pairing relation families
     (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
     g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
 
-over all elements (``tensq.nu.symbol_presentation``).  Enumerating that
-presentation directly shares nothing with the two Todd-Coxeter routes
+over all elements (``tensq.symbol.symbol_presentation``).  Enumerating
+that presentation directly shares nothing with the two Todd-Coxeter routes
 to nu(G), "all" and "gens", so agreement with each of them is a genuine
 cross-check of the identification g (x) h <-> [g, h'].  The "symbol"
 route assembles nu(G) from this very enumeration, so it is never the
