@@ -108,7 +108,12 @@ def nu_summary(args, r):
 
 
 def compute_verify(args, group, pres):
+    # a run that checks nothing would pass vacuously
     lemmas = _parse_lemmas(args.lemmas)
+    if not lemmas:
+        raise ValueError("--lemmas names no lemma")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     nu = build_nu(group, pres, "auto", limits=_limits(args),
                   max_group_order=args.max_group)
     reports = []

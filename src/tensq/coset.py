@@ -423,10 +423,6 @@ class TablePresentation:
     presentation: Presentation
     group: object
 
-    @property
-    def order(self):
-        return self.presentation.ngens
-
 
 def multiplication_table_presentation(group):
     n = group.order()
@@ -439,39 +435,3 @@ def multiplication_table_presentation(group):
     pres = Presentation(names, tuple(relators))
     return TablePresentation(pres, group)
 
-
-def parse_table_presentation(pres):
-    """Recover the multiplication table encoded by a table presentation.
-
-    Returns (identity index, table) where table[i][j] is the product
-    index.  Raises ValueError if the relators are not of table shape.
-    """
-    n = pres.ngens
-    identity = None
-    table = [[-1] * n for _ in range(n)]
-    for rel in pres.relators:
-        letters = rel.letters
-        if len(letters) == 1:
-            g, e = letters[0]
-            if e != 1:
-                raise ValueError("not a multiplication-table presentation")
-            if identity is not None and identity != g:
-                raise ValueError("conflicting identity relators")
-            identity = g
-        elif len(letters) == 3:
-            (i, ei), (j, ej), (k, ek) = letters
-            if (ei, ej, ek) != (1, 1, -1):
-                raise ValueError("not a multiplication-table presentation")
-            table[i][j] = k
-        else:
-            raise ValueError("not a multiplication-table presentation")
-    if identity is None:
-        raise ValueError("table presentation lacks an identity relator")
-    e = identity
-    for x in range(n):
-        table[e][x] = x
-        table[x][e] = x
-    for row in table:
-        if any(v < 0 for v in row):
-            raise ValueError("multiplication table is incomplete")
-    return e, table

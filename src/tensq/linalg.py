@@ -1,7 +1,9 @@
-"""Integer and mod-p linear algebra used by structure identification.
+"""Abelian invariants and mod-p linear algebra used by structure
+identification.
 
-The Smith normal form runs on plain Python ints (no overflow concerns at
-desk scale); mod-p routines use small numpy arrays.
+An abelian subgroup's invariant factors are read from its p-power
+torsion counts, in its parent's index space; mod-p routines use small
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -11,86 +13,21 @@ import math
 import numpy as np
 
 from .errors import invariant
+from .perm import bfs_levels
 
 
-def smith_normal_form(rows, ncols):
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    ``rows`` is a list of length-``ncols`` integer rows.  Returns the
-    full diagonal d_1 | d_2 | ... | d_ncols (zeros for the free part),
-    each entry non-negative.
-    """
-    m = [list(r) for r in rows]
-    n = ncols
-    diag = []
-    top = 0
-    while top < n:
-        # find a pivot: smallest nonzero absolute value at or below top
-        pivot = None
-        for i in range(top, len(m)):
-            for j in range(top, n):
-                v = m[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-        if pivot is None:
-            diag.extend([0] * (n - top))
-            break
-        pi, pj, _ = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear the pivot column
-            dirty = False
-            a = m[top][top]
-            for i in range(top + 1, len(m)):
-                if m[i][top] != 0:
-                    q = m[i][top] // a
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear the pivot row
-            a = m[top][top]
-            for j in range(top + 1, n):
-                if m[top][j] != 0:
-                    q = m[top][j] // a
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    d = [x for x in diag]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            a, b = d[i], d[j]
-            if a == 0 and b == 0:
-                continue
-            g = math.gcd(a, b)
-            l = 0 if (a == 0 or b == 0) else a * b // g
-            d[i], d[j] = g, l
-    return d
-
-
-def invariant_factors_from_relations(rows, ngens):
-    """Invariant factors d_1 | d_2 | ... of Z^ngens modulo the row lattice.
-
-    The lattice must have full rank (finite quotient); raises otherwise.
-    """
-    diag = smith_normal_form(rows, ngens)
-    if any(x == 0 for x in diag):
-        raise ValueError("relation lattice does not have full rank")
-    return [d for d in diag if d > 1]
+def _prime_factors(n):
+    """``{p: e}`` with n = prod(p^e) over the primes p dividing n."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def invariant_factors_from_cyclic(orders):
@@ -99,18 +36,8 @@ def invariant_factors_from_cyclic(orders):
     # collect prime powers per prime, sorted descending
     powers = {}
     for n in orders:
-        n = int(n)
-        d = 2
-        while d * d <= n:
-            e = 0
-            while n % d == 0:
-                e += 1
-                n //= d
-            if e:
-                powers.setdefault(d, []).append(d ** e)
-            d += 1
-        if n > 1:
-            powers.setdefault(n, []).append(n)
+        for p, e in _prime_factors(int(n)).items():
+            powers.setdefault(p, []).append(p ** e)
     for p in powers:
         powers[p].sort(reverse=True)
     k = max((len(v) for v in powers.values()), default=0)
@@ -127,45 +54,43 @@ def invariant_factors_from_cyclic(orders):
 
 def abelian_invariants(sub):
     """Invariant-factor decomposition d_1 | d_2 | ... of an abelian
-    subgroup, with prod(d_i) == |H|.
+    subgroup A, with prod(d_i) == |A|, from its p-power torsion.
 
-    Works by collecting the relation lattice of a reduced generating set
-    (exponent-vector BFS over the subgroup) and diagonalizing it.
+    For a prime p, x |-> x^p is an endomorphism of A, and the
+    p^k-torsion {x : x^(p^k) = 1} is p^(r_k) times larger than the
+    p^(k-1)-torsion, where r_k counts the cyclic p-factors of A of order
+    at least p^k; so r_k - r_(k+1) of them have order exactly p^k.  The
+    p-th power of every member is one sweep along A's breadth-first
+    levels, since (y g)^p = y^p g^p, with g^p as p gathers through the
+    column of generator g, which the closure of A has already read; the
+    p^k-th powers compose that map.
     """
     if not sub.is_abelian():
         raise ValueError("subgroup is not abelian")
     parent = sub.parent
-    # reduced generating set: drop generators inside the span of the others
-    gens = []
-    span = parent.trivial_subgroup()
-    for g in sub.generators:
-        if not span.contains_index(g):
-            gens.append(g)
-            span = parent.subgroup(gens)
-    if not gens:
-        return []
-    k = len(gens)
-    vec_of = {0: (0,) * k}
-    queue = [0]
-    relations = set()
-    qi = 0
-    while qi < len(queue):
-        e = queue[qi]
-        qi += 1
-        v = vec_of[e]
-        for t, gi in enumerate(gens):
-            f = parent.mul_idx(e, gi)
-            w = v[:t] + (v[t] + 1,) + v[t + 1:]
-            if f in vec_of:
-                rel = tuple(a - b for a, b in zip(w, vec_of[f]))
-                if any(rel):
-                    relations.add(rel)
-            else:
-                vec_of[f] = w
-                queue.append(f)
-    invariant(len(vec_of) == sub.order(),
-              "the generator sweep missed elements of the subgroup")
-    factors = invariant_factors_from_relations(sorted(relations), k)
+    right = parent.right_columns(sub.generators)
+    levels = tuple(bfs_levels(right))
+    members = np.asarray(sub.indices())
+    cyclic = []
+    for p, e in _prime_factors(sub.order()).items():
+        power = np.zeros(parent.order(), dtype=np.int32)
+        for src, gen, new in levels:
+            x = power[src]
+            for _ in range(p):
+                x = right[gen, x]
+            power[new] = x
+        # torsion[k] = |{x : x^(p^k) = 1}|; the p-part of A has exponent
+        # at most p^e, so k = e reaches all of it
+        torsion = [1]
+        x = members
+        for _ in range(e):
+            x = power[x]
+            torsion.append(int(np.count_nonzero(x == 0)))
+        ranks = [_prime_factors(b // a).get(p, 0)
+                 for a, b in zip(torsion, torsion[1:])] + [0]
+        for k in range(1, e + 1):
+            cyclic += [p ** k] * (ranks[k - 1] - ranks[k])
+    factors = invariant_factors_from_cyclic(cyclic)
     invariant(math.prod(factors) == sub.order(),
               "invariant factors do not multiply to the subgroup order")
     return factors

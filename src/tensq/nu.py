@@ -12,7 +12,7 @@ agree -- route independence compares them per group:
 
 * "all": Todd-Coxeter over a multiplication-table presentation, the
   relations imposed over every pair of non-identity elements with the
-  conjugator in a generating set (``nu_presentation``);
+  conjugator among G's generators (``nu_presentation``);
 * "gens": Todd-Coxeter over generator triples of a compact
   presentation;
 * "symbol": Todd-Coxeter over Brown and Loday's symbol presentation
@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import (EnumerationLimits, multiplication_table_presentation,
-                    parse_table_presentation, tc_enumerate, to_perm_group)
+from .coset import (EnumerationLimits, TablePresentation,
+                    multiplication_table_presentation, tc_enumerate,
+                    to_perm_group)
 from .errors import invariant
 from .linalg import abelian_invariants
 from .perm import FiniteGroup, Subgroup
@@ -100,38 +101,15 @@ class VerificationReport:
 # -- presentation doubling ----------------------------------------------------
 
 
-def _table_generating_set(table, e):
-    """A generating set of the group of ``table``: the elements, in index
-    order, that the ones kept before them do not generate."""
-    span = {e}
-    kept = []
-    for x in range(len(table)):
-        if x in span:
-            continue
-        kept.append(x)
-        # every positive word in the kept elements; G is finite, so
-        # these are the subgroup they generate
-        frontier = list(span)
-        while frontier:
-            new = []
-            for y in frontier:
-                for s in kept:
-                    z = table[y][s]
-                    if z not in span:
-                        span.add(z)
-                        new.append(z)
-            frontier = new
-    return kept
-
-
 def nu_presentation(pres, mode):
     """Double a presentation of G into a presentation of nu(G).
 
-    mode "all": ``pres`` must be a multiplication-table presentation.
-    The compatibility relations are imposed for g1 and g2 over the
-    non-identity elements and g3 over a generating set S of G
-    (``_table_generating_set``), with conjugates evaluated through the
-    table, so each relator stays short.  That presents nu(G):
+    mode "all": ``pres`` must be the ``TablePresentation`` of
+    ``multiplication_table_presentation``.  The compatibility relations
+    are imposed for g1 and g2 over the non-identity elements and g3 over
+    G's generators, a generating set S, with conjugates read off G's
+    conjugation array, so each relator stays short.  That presents
+    nu(G):
 
     * Write P(c) for "[g1, g2']^c = [g1^c, (g2^c)'] for every g1 and
       g2".  If P(c) and P(d) hold, then P(cd) holds: [g1, g2']^(cd) =
@@ -147,6 +125,11 @@ def nu_presentation(pres, mode):
     mode "gens": relations range over generator triples with
     conjugation written literally.
     """
+    if mode == "all":
+        if not isinstance(pres, TablePresentation):
+            raise ValueError("mode 'all' needs a multiplication-table "
+                             "presentation")
+        group, pres = pres.group, pres.presentation
     n = pres.ngens
     names = tuple(pres.generator_names) + tuple(
         s + "'" for s in pres.generator_names)
@@ -157,20 +140,16 @@ def nu_presentation(pres, mode):
         return Word([(i, 1)])
 
     if mode == "all":
-        e, table = parse_table_presentation(pres)
-        inv = [row.index(e) for row in table]
-
-        def conj(i, k):
-            return table[table[inv[k]][i]][k]
-
-        conjugators = _table_generating_set(table, e)
-        nontrivial = [g for g in range(n) if g != e]
-        for g1 in nontrivial:
-            for g2 in nontrivial:
+        conj = group_arrays(group)[2].tolist()
+        conjugators = list(dict.fromkeys(
+            s for s in group.generator_indices() if s))
+        # element 0 is the identity
+        for g1 in range(1, n):
+            for g2 in range(1, n):
                 c = commutator_word(gen(g1), gen(g2 + n))
                 for g3 in conjugators:
-                    a = conj(g1, g3)
-                    b = conj(g2, g3)
+                    a = conj[g1][g3]
+                    b = conj[g2][g3]
                     rhs_inv = commutator_word(gen(a), gen(b + n)).inverse()
                     relators.append(conjugate_word(c, gen(g3)) * rhs_inv)
                     relators.append(conjugate_word(c, gen(g3 + n)) * rhs_inv)
@@ -268,8 +247,8 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         ambient = to_perm_group(table, name=name)
         images = group.generator_indices()
     elif mode == "all":
-        base = multiplication_table_presentation(group).presentation
-        table = tc_enumerate(nu_presentation(base, mode), (), limits)
+        tp = multiplication_table_presentation(group)
+        table = tc_enumerate(nu_presentation(tp, mode), (), limits)
         ambient = to_perm_group(table, name=name)
         images = tuple(range(n))
     else:
@@ -297,8 +276,7 @@ def _certified_nu(group, arrays, ambient, mode, images):
     # gright[i, t] is G's element i times the image of generator t.
     N = ambient.order()
     R = ambient.right_columns(gen_idx)
-    gright = np.array([[group.mul_idx(i, r) for r in rho_gen]
-                       for i in range(n)])
+    gright = mul[:, rho_gen]
     rho = np.full(N, -1, dtype=np.int32)
     rho[0] = 0
     for src, gen, new in ambient.levels():

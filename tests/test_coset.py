@@ -128,9 +128,9 @@ def _nu(name, mode, lookahead):
     if mode == "gens":
         pres = nu_presentation(get_presentation(name), mode)
     else:
-        base = multiplication_table_presentation(get_group(name)).presentation
-        pres = full_triple_nu_presentation(base) if mode == "full" \
-            else nu_presentation(base, mode)
+        tp = multiplication_table_presentation(get_group(name))
+        pres = full_triple_nu_presentation(tp) if mode == "full" \
+            else nu_presentation(tp, mode)
     return pres, (), EnumerationLimits(lookahead_threshold=lookahead)
 
 

@@ -37,6 +37,7 @@ from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    get_presentation, left_engel_set, lie_ring,
                    tc_enumerate, tensor_report, to_perm_group,
                    verify_nu_relations)
+from tensq import nu as nu_module
 from tensq import perm as perm_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
@@ -530,13 +531,16 @@ def test_engel_degree_matches_scalar_iteration(name):
 def test_rho_certificate_catches_a_wrong_product(monkeypatch):
     g = fresh("S3")
     a = g.index_of(g.generators[0])
-    right = g.mul_idx
+    right = nu_module.group_arrays
 
-    def wrong(i, j):
+    def wrong(group):
         # a * a reported as a instead of the identity
-        return a if (i, j) == (a, a) else right(i, j)
+        mul, inv, conj = right(group)
+        mul = mul.copy()
+        mul[a, a] = a
+        return mul, inv, conj
 
-    monkeypatch.setattr(g, "mul_idx", wrong)
+    monkeypatch.setattr(nu_module, "group_arrays", wrong)
     with pytest.raises(InvariantError, match="rho is not a homomorphism"):
         build_nu(g, get_presentation("S3"), "gens")
 

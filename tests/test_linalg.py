@@ -4,51 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensq.linalg import (invariant_factors_from_cyclic,
-                          invariant_factors_from_relations, mat_pow_mod,
-                          rref_mod, smith_normal_form)
-
-small_matrices = st.lists(
-    st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-    min_size=1, max_size=5)
-
-
-class TestSmithNormalForm:
-    def test_diagonal_input(self):
-        assert smith_normal_form([[6, 0], [0, 4]], 2) == [2, 12]
-
-    def test_known_case(self):
-        # Z^2 / <(2,0),(0,2)> = C2 x C2
-        assert smith_normal_form([[2, 0], [0, 2]], 2) == [2, 2]
-
-    def test_zero_matrix(self):
-        assert smith_normal_form([[0, 0]], 2) == [0, 0]
-
-    @given(small_matrices)
-    @settings(max_examples=120)
-    def test_divisibility_chain(self, rows):
-        diag = smith_normal_form(rows, 3)
-        nonzero = [d for d in diag if d]
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        # zeros, if any, come after the nonzero part
-        assert diag == nonzero + [0] * (len(diag) - len(nonzero))
-
-    @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                    min_size=3, max_size=3))
-    @settings(max_examples=120)
-    def test_square_determinant_preserved(self, rows):
-        det = round(np.linalg.det(np.array(rows, dtype=float)))
-        diag = smith_normal_form(rows, 3)
-        assert math.prod(diag) == abs(det)
-
-    def test_relations_reject_free_part(self):
-        try:
-            invariant_factors_from_relations([[2, 0]], 2)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("free part must be rejected")
+from tensq.linalg import invariant_factors_from_cyclic, mat_pow_mod, rref_mod
 
 
 class TestCyclicInvariants:

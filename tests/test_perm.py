@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
-                   Permutation, abelian_invariants, commutator,
+                   Permutation, abelian_invariants, build_nu, commutator,
                    format_perm_group, get_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)
 from tensq.catalog import catalog
@@ -341,16 +341,31 @@ class TestAbelianInvariants:
 
     def test_census_oracle(self):
         # the element-order census separates finite abelian groups
-        for name in ("C2", "C4", "C2xC2", "C6", "C8", "C2xC4", "C9",
-                     "C3xC3", "C27"):
-            g = get_group(name)
-            sub = g.full_subgroup()
+        subs = [get_group(name).full_subgroup()
+                for name in ("C2", "C4", "C2xC2", "C6", "C8", "C2xC4",
+                             "C9", "C3xC3", "C27")]
+        c2xc4xc9 = FiniteGroup([perm("(0 1)", 15), perm("(2 3 4 5)", 15),
+                                perm("(6 7 8 9 10 11 12 13 14)", 15)])
+        subs.append(c2xc4xc9.full_subgroup())
+        # the abelian tensor squares: proper subgroups of nu(G), six of
+        # them with four generators; fresh builds, so that no census
+        # has cached a column yet
+        tensors = [build_nu(get_group(name)).tensor
+                   for name, entry in catalog().items() if entry.order <= 16]
+        subs += [t for t in tensors if t.is_abelian()]
+        assert len(subs) == 10 + 15
+        for sub in subs:
+            # the invariants read only the columns the closure cached
+            cached = len(sub.parent._columns)
             inv = abelian_invariants(sub)
-            assert math.prod(inv) == g.order()
+            assert len(sub.parent._columns) == cached
+            assert math.prod(inv) == sub.order()
             for a, b in zip(inv, inv[1:]):
                 assert b % a == 0
-            got = _census([g.order_of_idx(i) for i in range(g.order())])
+            got = _census([sub.parent.order_of_idx(i)
+                           for i in sub.indices()])
             assert got == _cyclic_sum_census(inv)
+        assert abelian_invariants(c2xc4xc9.full_subgroup()) == [2, 36]
 
     def test_rejects_non_abelian(self):
         s3 = get_group("S3")

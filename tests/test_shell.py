@@ -187,6 +187,18 @@ class TestCli:
     def test_verify_bad_lemma_token(self):
         assert self.run("verify", "C2", "--lemmas", "vi", "--no-cache") == 2
 
+    @pytest.mark.parametrize("argv", [("D5", "--samples", "0"),
+                                      ("D5", "--samples", "-3"),
+                                      ("S3", "--lemmas", ",")])
+    def test_verify_rejects_a_run_that_checks_nothing(self, monkeypatch,
+                                                      capsys, argv):
+        def build_nu(*args, **kwargs):
+            raise AssertionError("build_nu called before the usage check")
+        monkeypatch.setattr(cli, "build_nu", build_nu)
+        assert self.run("verify", *argv, "--no-cache") == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: --")
+
     def test_engel(self):
         assert self.run("engel", "C2", "-p", "2", "-m", "1", "-n", "1",
                         "--no-cache") == 0
