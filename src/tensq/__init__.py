@@ -23,15 +23,16 @@ from .liering import (GradedElement, GradedLieRing, PGroupSeries,
                       ad_nilpotency_index, dimension_subgroups,
                       jennings_recursion, lie_nilpotency_class, lie_ring,
                       subalgebra_Lp, verify_lazard, verify_lie_axioms)
-from .nu import (NuGroup, TensorReport, VerificationReport, build_nu,
-                 derived_map_check, nu_presentation, route_independence,
-                 tensor_order, tensor_report, tensor_square,
-                 verify_nu_relations, verify_tensor_set_closed,
-                 verify_decomposition)
+from .nu import (NuGroup, TensorReport, build_nu, nu_presentation,
+                 route_independence, tensor_order, tensor_report,
+                 tensor_square)
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
                    commutator, format_perm_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)
 from .symbol import symbol_presentation
+from .verify import (VerificationReport, derived_map_check,
+                     verify_decomposition, verify_nu_relations,
+                     verify_tensor_set_closed)
 from .words import (Presentation, Word, free_reduce, parse_presentation,
                     parse_word)
 

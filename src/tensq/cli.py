@@ -28,17 +28,19 @@ from .errors import CapacityError, EnumerationLimitError, InvariantError
 from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
                       verify_lie_axioms)
-from .nu import (RELATION_FAMILIES, build_nu, derived_map_check,
-                 route_independence, tensor_report, verify_decomposition,
-                 verify_nu_relations, verify_tensor_set_closed)
+from .nu import build_nu, route_independence, tensor_report
 from .report import Report, write_report
+from .verify import (RELATION_FAMILIES, derived_map_check,
+                     verify_decomposition, verify_nu_relations,
+                     verify_tensor_set_closed)
 
 _ROMAN = list(RELATION_FAMILIES)
 MODES = ("auto", "all", "gens", "symbol")
 
 
 def _parse_lemmas(text):
-    out = []
+    """The lemmas named, each once, in the order first named."""
+    out = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -48,12 +50,12 @@ def _parse_lemmas(text):
             if lo not in _ROMAN or hi not in _ROMAN:
                 raise ValueError(f"bad lemma range {token!r}")
             i, j = _ROMAN.index(lo), _ROMAN.index(hi)
-            out.extend(_ROMAN[i:j + 1])
+            out.update(dict.fromkeys(_ROMAN[i:j + 1]))
         elif token in _ROMAN or token in ("closed", "decomp", "rho"):
-            out.append(token)
+            out[token] = None
         else:
             raise ValueError(f"unknown lemma token {token!r}")
-    return out
+    return list(out)
 
 
 def _limits(args):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import invariant
-from .nu import Check, VerificationReport
+from .verify import Check, VerificationReport
 from .perm import commutator_sweep, sweep_rows
 
 

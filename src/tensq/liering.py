@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import invariant
 from .linalg import extend_basis, mat_pow_mod, rref_mod
-from .nu import Check, VerificationReport
+from .verify import Check, VerificationReport
 from .perm import SeriesReport, commutator_sweep
 
 

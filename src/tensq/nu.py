@@ -37,16 +37,12 @@ construction, since T presents G (x) G; for the Todd-Coxeter routes
 because their relators hold in nu(G), which makes nu(G) a quotient of A
 too.  So A is nu(G), for any presentation, proved or not.  The rho
 sweep, the order law and the centrality of mu are checked as well.
-
-All verification operations are read-only over an immutable NuGroup and
-may run concurrently.
+The checks of a built nu(G) are in ``tensq.verify``.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +53,11 @@ from .errors import invariant
 from .linalg import abelian_invariants
 from .perm import FiniteGroup, Subgroup
 from .symbol import assemble_nu, group_arrays
+# the checks of nu(G) live in .verify; tensq.nu names them too
+from .verify import (RELATION_FAMILIES, Check,
+                     VerificationReport, derived_map_check,
+                     verify_decomposition, verify_nu_relations,
+                     verify_tensor_set_closed)
 from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
@@ -66,36 +67,6 @@ DEFAULT_GROUP_CAP = 16
 # enumeration beats the symbol route's 2n^3 relators up to C11 (C12 and
 # C13 are even, and from C14 on the symbol route is faster).
 GENS_ROUTE_MAX_CYCLIC = 11
-
-
-# -- verification reports -----------------------------------------------------
-
-
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"label": self.label, "passed": self.passed,
-                "details": self.details}
-
-
-@dataclass
-class VerificationReport:
-    name: str
-    checks: list
-    counterexample: dict | None = None
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-                "counterexample": self.counterexample}
 
 
 # -- presentation doubling ----------------------------------------------------
@@ -416,280 +387,6 @@ def tensor_order(x, y, nu, p=None):
         if m == 1:
             min_p_power = order
     return order, min_p_power
-
-
-# -- identity verification ----------------------------------------------------
-
-RELATION_FAMILIES = ("i", "ii", "iii", "iv", "v")
-
-
-def _family_arity(fam):
-    return {"i": 4, "ii": 3, "iii": 2, "iv": 3, "v": 4}[fam]
-
-
-def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
-                        families=RELATION_FAMILIES):
-    """Check the basic tensor-commutator identities in nu(G).
-
-    Exhaustive over all tuples when |G| <= exhaustive_cap, else over
-    ``samples`` seeded uniform tuples.  Family (iii) restricts one slot
-    to the derived subgroup, as the identity requires.
-    """
-    G = nu.group
-    amb = nu.ambient
-    n = G.order()
-    left, right = nu.left, nu.right
-    mul, inv, comm, conj = amb.mul_idx, amb.inv_idx, amb.comm_idx, amb.conj_idx
-    tensors = nu.tensors.tolist()
-
-    def t(a, b):
-        return tensors[a][b]
-
-    def fam_i(g, h, x, y):
-        lhs = conj(t(g, h), t(x, y))
-        rhs = conj(t(g, h), comm(int(left[x]), int(left[y])))
-        return lhs == rhs
-
-    def fam_ii(g, h, x):
-        vals = {
-            comm(t(g, h), int(right[x])),
-            comm(comm(int(left[g]), int(left[h])), int(right[x])),
-            comm(t(g, h), int(left[x])),
-            comm(comm(int(right[g]), int(left[h])), int(right[x])),
-            comm(comm(int(right[g]), int(right[h])), int(left[x])),
-            comm(comm(int(right[g]), int(left[h])), int(left[x])),
-        }
-        return len(vals) == 1
-
-    def fam_iii(g, h):
-        return mul(t(g, h), t(h, g)) == 0
-
-    def fam_iv(g, h, x):
-        c = G.comm_idx(h, x)
-        return t(g, c) == inv(t(c, g))
-
-    def fam_v(g, h, x, y):
-        lhs = comm(t(g, h), t(x, y))
-        rhs = t(G.comm_idx(g, h), G.comm_idx(x, y))
-        return lhs == rhs
-
-    evaluators = {"i": fam_i, "ii": fam_ii, "iii": fam_iii, "iv": fam_iv,
-                  "v": fam_v}
-    derived = G.derived_subgroup().indices()
-    exhaustive = n <= exhaustive_cap
-    rng = random.Random(seed)
-    checks = []
-    counterexample = None
-
-    for fam in families:
-        fn = evaluators[fam]
-        arity = _family_arity(fam)
-        if fam == "iii":
-            if exhaustive:
-                tuples = itertools.chain(
-                    ((g, h) for g in range(n) for h in derived),
-                    ((g, h) for g in derived for h in range(n)))
-            else:
-                tuples = itertools.chain(
-                    ((rng.randrange(n), derived[rng.randrange(len(derived))])
-                     for _ in range(samples // 2)),
-                    ((derived[rng.randrange(len(derived))], rng.randrange(n))
-                     for _ in range(samples - samples // 2)))
-        elif exhaustive:
-            tuples = itertools.product(range(n), repeat=arity)
-        else:
-            tuples = (tuple(rng.randrange(n) for _ in range(arity))
-                      for _ in range(samples))
-        count = 0
-        bad = None
-        for tup in tuples:
-            count += 1
-            if not fn(*tup):
-                bad = tup
-                break
-        passed = bad is None
-        checks.append(Check(
-            label=f"relation ({fam})", passed=passed,
-            details={"checked": count,
-                     "mode": "exhaustive" if exhaustive else "sampled"}))
-        if bad is not None and counterexample is None:
-            counterexample = {
-                "family": fam,
-                "tuple": [int(v) for v in bad],
-                "words": [list(G.word(int(v))) for v in bad],
-            }
-    return VerificationReport(name="nu-relations", checks=checks,
-                              counterexample=counterexample)
-
-
-def verify_tensor_set_closed(nu):
-    """The set X = {[a, b'] : a, b in G} is normal in nu(G) and closed
-    under commutators, with [[a,b'],[c,d']] = [[a,b], [c,d]'] verified
-    elementwise."""
-    amb = nu.ambient
-    G = nu.group
-    witnesses = nu.all_tensor_indices()
-    members = list(witnesses)
-    inside = np.zeros(amb.order(), dtype=bool)
-    inside[members] = True
-    checks = []
-    counterexample = None
-
-    # every conjugate of every witness by every generator, in one gather
-    # and with no column per witness; the first miss, witness-major
-    miss = np.argwhere(~inside[amb.generator_conjugates(members)].T)
-    bad = None
-    if miss.size:
-        x, t = miss[0].tolist()
-        bad = (members[x], amb.generator_indices()[t])
-    checks.append(Check("X is a normal subset", bad is None,
-                        {"set_size": len(members)}))
-    if bad and counterexample is None:
-        counterexample = {"kind": "normality", "tensor": bad[0],
-                          "conjugator": bad[1]}
-
-    bad = None
-    tensors = nu.tensors.tolist()
-    for x1, (a, b) in witnesses.items():
-        for x2, (c, d) in witnesses.items():
-            got = amb.comm_idx(x1, x2)
-            want = tensors[G.comm_idx(a, b)][G.comm_idx(c, d)]
-            if got != want or not inside[got]:
-                bad = (a, b, c, d)
-                break
-        if bad:
-            break
-    checks.append(Check("X is commutator-closed, elementwise", bad is None,
-                        {"pairs": len(members) ** 2}))
-    if bad and counterexample is None:
-        counterexample = {"kind": "commutator", "tuple": list(bad)}
-
-    span = amb.subgroup(witnesses)
-    checks.append(Check("X generates the tensor subgroup",
-                        span.index_set() == nu.tensor.index_set(),
-                        {"tensor_order": nu.tensor.order()}))
-    return VerificationReport(name="tensor-set-closed", checks=checks,
-                              counterexample=counterexample)
-
-
-def verify_decomposition(nu):
-    """Decomposition of the derived subgroup of nu(G) as the iterated
-    internal semidirect product ([G,G'] . G') . (G')'."""
-    amb = nu.ambient
-    G = nu.group
-    nu_prime = amb.derived_subgroup()
-    gp = G.derived_subgroup()
-    t_idx = nu.tensor.indices()
-    l_gp = [int(nu.left[i]) for i in gp.indices()]
-    r_gp = [int(nu.right[i]) for i in gp.indices()]
-
-    tl = set()
-    for t in t_idx:
-        for a in l_gp:
-            tl.add(amb.mul_idx(t, a))
-    tlr = set()
-    for u in tl:
-        for b in r_gp:
-            tlr.add(amb.mul_idx(u, b))
-
-    checks = [
-        Check("tensor meets left copy of G' trivially",
-              len(tl) == len(t_idx) * len(l_gp),
-              {"product_size": len(tl)}),
-        Check("first factor meets right copy of G' trivially",
-              len(tlr) == len(tl) * len(r_gp),
-              {"product_size": len(tlr)}),
-        Check("set product equals the derived subgroup of nu(G)",
-              tlr == nu_prime.index_set(),
-              {"nu_prime_order": nu_prime.order()}),
-        Check("order law |nu(G)'| = |tensor| * |G'|^2",
-              nu_prime.order() ==
-              nu.tensor.order() * gp.order() * gp.order(),
-              {"tensor_order": nu.tensor.order(), "gprime": gp.order()}),
-    ]
-
-    # tl = tensor . G' lies in the group generated by X, the generators
-    # of the tensor subgroup and of the left copy of G', and contains X.
-    # If 1 is in tl and tl . s lies in tl for every s in X, then tl holds
-    # every positive word in X, which is all of <X> since nu(G) is
-    # finite; so tl = <X> is a subgroup.  A subgroup containing X passes
-    # both tests, so they equal the pairwise check tl . tl within tl,
-    # and they read one column per member of X, not one per member of tl.
-    x_idx = list(nu.tensor.generators) + \
-        [int(nu.left[g]) for g in gp.generators]
-    members = np.fromiter(tl, dtype=np.intp, count=len(tl))
-    inside = np.zeros(amb.order(), dtype=bool)
-    inside[members] = True
-    tl_closed = 0 in tl and \
-        bool(inside[amb.right_columns(x_idx)[:, members]].all())
-    checks.append(Check("tensor . G' is a subgroup", tl_closed,
-                        {"order": len(tl)}))
-    # u^g = (g^-1 u) g with g^-1 u = (u^-1 g)^-1: only g's column is read
-    inv = amb.inverse_indices()
-    inv_members = inv[members]
-    normal = all(
-        bool(inside[c[inv[c[inv_members]]]].all())
-        for c in amb.right_columns(nu_prime.generators))
-    checks.append(Check("tensor . G' is normal in nu(G)'", normal, {}))
-    return VerificationReport(name="decomposition", checks=checks)
-
-
-def derived_map_check(nu):
-    """The derived map rho' : [G,G'] -> G', [a,b'] |-> [a,b]; its kernel
-    mu is central and the induced map [G,G']/mu -> G' is an
-    isomorphism."""
-    amb = nu.ambient
-    G = nu.group
-    n = G.order()
-    gp = G.derived_subgroup()
-    rho = nu.rho
-    checks = []
-
-    images = rho[nu.tensors].tolist()
-    ok = all(images[a][b] == G.comm_idx(a, b)
-             for a in range(n) for b in range(n))
-    checks.append(Check("rho'([a,b']) = [a,b] for all pairs", ok,
-                        {"pairs": n * n}))
-
-    mu_set = nu.mu.index_set()
-    ok = all((int(rho[t]) == 0) == (t in mu_set)
-             for t in nu.tensor.indices())
-    checks.append(Check("mu = kernel of rho' on the tensor subgroup", ok,
-                        {"mu_order": nu.mu.order()}))
-
-    # the mu-cosets of the tensor subgroup, in the ambient's index
-    # space: the coset of r is column r read at mu, one column per coset
-    labelled = np.zeros(amb.order(), dtype=bool)
-    mu_members = np.asarray(nu.mu.indices())
-    cosets = 0
-    for r in nu.tensor.indices():
-        if not labelled[r]:
-            labelled[amb.column(r)[mu_members]] = True
-            cosets += 1
-    checks.append(Check("|tensor / mu| = |G'|", cosets == gp.order(),
-                        {"quotient_order": cosets,
-                         "gprime_order": gp.order()}))
-
-    image = {int(rho[t]) for t in nu.tensor.indices()}
-    checks.append(Check("rho' maps the tensor subgroup onto G'",
-                        image == set(gp.indices()), {}))
-
-    # each fiber of rho' is one mu-coset
-    fibers = {}
-    for t in nu.tensor.indices():
-        fibers.setdefault(int(rho[t]), []).append(t)
-    ok = all(len(members) == nu.mu.order() and
-             {amb.mul_idx(t, amb.inv_idx(members[0])) for t in members}
-             == mu_set
-             for members in fibers.values())
-    checks.append(Check("fibers of rho' are mu-cosets", ok,
-                        {"fibers": len(fibers)}))
-
-    # s^-1 m s = m for every generator s, with no column cached per m
-    central = bool((amb.generator_conjugates(mu_members)
-                    == mu_members).all())
-    checks.append(Check("mu is central in nu(G)", central, {}))
-    return VerificationReport(name="derived-map", checks=checks)
 
 
 def route_independence(group, presentation, **kwargs):

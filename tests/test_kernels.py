@@ -6,7 +6,8 @@ nu(G) build) runs along breadth-first levels over O(N) columns and
 never reads a Cayley table.  Each is compared with an independent
 version: permutation products, a scalar breadth-first closure, the
 brute-force triple loop of the stacked Engel word, values recorded from
-the earlier scalar and table implementations, the Fitting subgroup
+the earlier scalar and table implementations, the scalar loops of the
+nu(G) verifiers (``scalar_relations``), the Fitting subgroup
 from the whole normal-subgroup lattice, and the Cayley table
 itself, which ``table()`` builds only as an oracle.  Inside ``no_table``
 building any table fails, so a kernel that reached for one would fail
@@ -39,13 +40,17 @@ from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    verify_nu_relations)
 from tensq import nu as nu_module
 from tensq import perm as perm_module
+from tensq import verify as verify_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
-from tensq.nu import (derived_map_check, verify_decomposition,
-                      verify_tensor_set_closed)
+from tensq.nu import (RELATION_FAMILIES, derived_map_check,
+                      verify_decomposition, verify_tensor_set_closed)
 from tensq.perm import Subgroup, power_subgroup
 
+from scalar_relations import (scalar_commutator_closed, scalar_fibers,
+                              scalar_nu_relations, scalar_rho_on_pairs,
+                              scalar_set_products)
 from standalone import standalone_group
 
 
@@ -645,6 +650,20 @@ def test_column_cache_stops_at_its_cap(monkeypatch):
     assert len(g._columns) == 3
 
 
+@pytest.mark.parametrize("cap", [None, 3 * 24])
+def test_array_products_match_scalar_products(monkeypatch, cap):
+    # with the cap at three columns, the 24 distinct values of b are
+    # read in eight blocks
+    if cap:
+        monkeypatch.setattr(perm_module, "COLUMN_CACHE_ENTRIES", cap)
+    g = fresh("S4")
+    a, b = np.random.default_rng(1).integers(0, 24, size=(2, 6, 50))
+    got = verify_module._products(g, a, b)
+    assert got.shape == a.shape
+    assert got.tolist() == [[g.mul_idx(int(x), int(y)) for x, y in zip(*r)]
+                            for r in zip(a, b)]
+
+
 # -- no kernel builds a Cayley table ------------------------------------------
 
 NU_D4_REPORT = {"group_order": 8, "nu_order": 2048, "tensor_order": 32,
@@ -866,6 +885,165 @@ def test_tensor_set_normality_check_fails_on_a_non_normal_set(monkeypatch):
         if amb.conj_idx(x, s) not in part)
     assert report.counterexample == {"kind": "normality", "tensor": tensor,
                                      "conjugator": conjugator}
+
+
+# -- the array verifiers against their scalar loops ---------------------------
+
+# family orders tried on each corrupted nu(G): the rng stream of the
+# sampled mode runs through the families in this order
+FAMILY_ORDERS = [RELATION_FAMILIES, RELATION_FAMILIES[::-1],
+                 ("iii", "i", "v", "ii", "iv"), ("iv", "ii", "v", "iii", "i")]
+
+
+def corrupted(nu, field, seed):
+    """nu with n of its tensors replaced by other members of X, or one
+    entry y of the right copy of G replaced by an element outside that
+    copy and outside y Z(nu(G)), whose commutators are y's."""
+    rng = random.Random(seed)
+    n = nu.group.order()
+    arr = getattr(nu, field).copy()
+    if field == "tensors":
+        members = sorted(set(arr.ravel().tolist()))
+        for _ in range(n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            arr[a, b] = rng.choice([x for x in members if x != arr[a, b]])
+    else:
+        amb = nu.ambient
+        i = rng.randrange(1, n)
+        same = {amb.mul_idx(int(arr[i]), z) for z in amb.center().indices()}
+        outside = set(range(nu.order())) - set(arr.tolist()) - same
+        arr[i] = rng.choice(sorted(outside))
+    return dataclasses.replace(nu, **{field: arr})
+
+
+# S3 and D4 are checked exhaustively, A4 and C3xC3 sampled.  C3xC3 is
+# abelian, so nu(G)' is central and family (ii), the only one to read
+# the right copy, reads it inside commutators of commutators: no
+# corruption of that copy can show there.  Under each of these seeds
+# every case breaks some family (D4's right copy does not with seed 2).
+@pytest.mark.parametrize("seed", [1, 3, 4])
+@pytest.mark.parametrize("name,samples,field", [
+    ("S3", None, "tensors"), ("S3", None, "right"),
+    ("D4", None, "tensors"), ("D4", None, "right"),
+    ("A4", 300, "tensors"), ("A4", 300, "right"),
+    ("C3xC3", 300, "tensors")])
+def test_relations_match_the_scalar_loop(nu_of, name, samples, field, seed):
+    nu = corrupted(nu_of(name), field, seed)
+    kwargs = {"seed": seed} if samples is None else \
+        {"seed": seed, "samples": samples}
+    for families in FAMILY_ORDERS:
+        want = scalar_nu_relations(nu, families=families, **kwargs)
+        got = verify_nu_relations(nu, families=families, **kwargs)
+        assert got.to_dict() == want.to_dict()
+    assert not want.passed
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, e in catalog().items() if e.order <= 16])
+def test_relations_match_the_scalar_loop_when_they_hold(nu_of, name):
+    nu = nu_of(name)
+    want = scalar_nu_relations(nu, samples=200, seed=5)
+    assert verify_nu_relations(nu, samples=200, seed=5).to_dict() == \
+        want.to_dict()
+    assert want.passed
+
+
+# two tensors of nu(G) swapped: X is unchanged as a set, so it stays
+# normal and generates the tensor subgroup, but two witnesses name the
+# wrong pairs
+SWAPPED_TENSORS = {"Q8": ((3, 3), (2, 3)), "S3": ((1, 2), (3, 4))}
+
+
+def swapped(nu):
+    p, q = SWAPPED_TENSORS[nu.group.name]
+    tensors = nu.tensors.copy()
+    tensors[p], tensors[q] = tensors[q], tensors[p]
+    return dataclasses.replace(nu, tensors=tensors)
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3"])
+def test_commutator_closure_failure_matches_the_scalar_loop(nu_of, name):
+    nu = swapped(nu_of(name))
+    report = verify_tensor_set_closed(nu)
+    bad = scalar_commutator_closed(nu)
+    assert bad is not None
+    assert [c.passed for c in report.checks] == [True, False, True]
+    assert report.counterexample == {"kind": "commutator",
+                                     "tuple": list(bad)}
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3"])
+def test_rho_pair_failure_matches_the_scalar_loop(nu_of, name):
+    # T[a, b] read as T[a + 1, b]
+    nu = nu_of(name)
+    nu = dataclasses.replace(nu, tensors=np.roll(nu.tensors, -1, axis=0))
+    check = derived_map_check(nu).checks[0]
+    assert check.label.startswith("rho'([a,b'])")
+    assert not scalar_rho_on_pairs(nu)
+    assert (check.passed, check.details) == \
+        (False, {"pairs": nu.group.order() ** 2})
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3"])
+@pytest.mark.parametrize("image", ["other", "outside"])
+def test_fiber_failure_matches_the_scalar_loop(nu_of, name, image):
+    # one non-identity tensor sent to another member of G', or to an
+    # element outside G'
+    nu = nu_of(name)
+    gp = nu.group.derived_subgroup().indices()
+    rho = nu.rho.copy()
+    t = next(t for t in nu.tensor.indices() if t)
+    rho[t] = next(g for g in range(nu.group.order())
+                  if g != rho[t] and (g in gp) == (image == "other"))
+    nu = dataclasses.replace(nu, rho=rho)
+    check = next(c for c in derived_map_check(nu).checks
+                 if c.label.startswith("fibers"))
+    ok, fibers = scalar_fibers(nu)
+    assert not ok
+    assert (check.passed, check.details) == (False, {"fibers": fibers})
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3"])
+@pytest.mark.parametrize("field", ["left", "right"])
+def test_set_product_failure_matches_the_scalar_loop(nu_of, name, field):
+    # the right copy of G read as the left one, so (tensor . G') . G''
+    # adds nothing; or a member of the left copy of G' read as a
+    # tensor, so tensor . G' is too small
+    nu = nu_of(name)
+    if field == "right":
+        nu = dataclasses.replace(nu, right=nu.left)
+    else:
+        left = nu.left.copy()
+        left[nu.group.derived_subgroup().indices()[1]] = \
+            next(t for t in nu.tensor.indices() if t)
+        nu = dataclasses.replace(nu, left=left)
+    checks = verify_decomposition(nu).checks
+    tl, tlr = scalar_set_products(nu)
+    assert [c.details for c in checks[:2]] == [{"product_size": len(tl)},
+                                               {"product_size": len(tlr)}]
+    assert [c.passed for c in checks[:3]] == [
+        len(tl) == nu.tensor.order() * len(nu.group.derived_subgroup()
+                                           .indices()),
+        len(tlr) == len(tl) * len(nu.group.derived_subgroup().indices()),
+        tlr == nu.ambient.derived_subgroup().index_set()]
+    assert not all(c.passed for c in checks[:3])
+
+
+def test_array_verifiers_cache_no_more_columns(monkeypatch):
+    # the scalar loops left 49 cached columns on nu(C3xC3), one per
+    # right factor they read; with the cache capped at three columns the
+    # products read their columns in blocks of three, and the reports
+    # are the same
+    def reports():
+        nu = build_nu(fresh("C3xC3"), get_presentation("C3xC3"))
+        out = [verify_nu_relations(nu, samples=2000).to_dict(),
+               verify_tensor_set_closed(nu).to_dict()]
+        return out, len(nu.ambient._columns)
+
+    want, cached = reports()
+    assert cached <= 49
+    monkeypatch.setattr(perm_module, "COLUMN_CACHE_ENTRIES", 3 * 6561)
+    assert reports()[0] == want
 
 
 def test_generic_closure_stores_each_element_once():

@@ -184,6 +184,21 @@ class TestCli:
         assert self.run("verify", "C2", "--lemmas", "ii..iv",
                         "--no-cache") == 0
 
+    def test_verify_runs_a_repeated_lemma_once(self, capsys, tmp_path):
+        report_path = tmp_path / "verify.json"
+        assert self.run("verify", "C2", "--lemmas", "i,i..ii,closed,closed",
+                        "--no-cache", "--json", str(report_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("PASS")] == [
+            "PASS  nu-relations: relation (i)",
+            "PASS  nu-relations: relation (ii)",
+            "PASS  tensor-set-closed: X is a normal subset",
+            "PASS  tensor-set-closed: X is commutator-closed, elementwise",
+            "PASS  tensor-set-closed: X generates the tensor subgroup"]
+        reports = json.loads(report_path.read_text())["results"]["reports"]
+        assert [r["name"] for r in reports] == ["nu-relations",
+                                                "tensor-set-closed"]
+
     def test_verify_bad_lemma_token(self):
         assert self.run("verify", "C2", "--lemmas", "vi", "--no-cache") == 2
 
