@@ -389,7 +389,7 @@ def tc_enumerate(presentation, subgroup_words=(), limits=None):
     return table.run()
 
 
-def to_perm_group(table, *, name=None, max_order=None):
+def to_perm_group(table, *, name=None):
     """Permutation group of the closed table's coset action.
 
     For an enumeration over the trivial subgroup this is the regular
@@ -399,19 +399,16 @@ def to_perm_group(table, *, name=None, max_order=None):
         raise StateError("table is not closed")
     gens = [table.permutation(g) for g in range(table.ngens)]
     return points_group(gens, table.coset_count,
-                        regular=not table.subgroup_words, name=name,
-                        max_order=max_order)
+                        regular=not table.subgroup_words, name=name)
 
 
-def points_group(columns, points, *, regular=True, name=None,
-                 max_order=None):
+def points_group(columns, points, *, regular=True, name=None):
     """The group generated by the permutations ``columns`` of ``points``
     points; a regular one has order ``points`` and point 0 as its
-    identity.  The order cap defaults to the point count, or
-    DEFAULT_MAX_ORDER if that is larger."""
+    identity.  The order cap is the point count, or DEFAULT_MAX_ORDER
+    if that is larger."""
     return FiniteGroup(columns, name=name, regular=regular,
-                       order_hint=points if regular else None,
-                       max_order=max_order or max(DEFAULT_MAX_ORDER, points))
+                       max_order=max(DEFAULT_MAX_ORDER, points))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import invariant
+from .linalg import _prime_factors
 from .verify import Check, VerificationReport
 from .perm import commutator_sweep, sweep_rows
 
@@ -46,8 +47,7 @@ class EngelScanConfig:
     n: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0
-                             for d in range(2, int(self.p ** 0.5) + 1)):
+        if _prime_factors(self.p) != {self.p: 1}:
             raise ValueError("p must be prime")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")

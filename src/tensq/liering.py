@@ -14,6 +14,16 @@ along the breadth-first levels, with no Cayley table, deduplicated in
 the order a loop over element pairs meets the commutators, so each term
 keeps the generators, and the element order, that loop gives it.
 
+The ring is read from index arrays.  Each degree's cosets are labelled
+in one sweep over the parent's index space: D_{i+1} is labelled 0, and
+the k-th basis lift c extends the labelled set L to L c, ..., L c^(p-1),
+one gather per power through c's column, adding multiples of p^k to
+L's labels; the quotient is central, so the labels add.  A label is
+the F_p coordinate vector v of the coset, stored as sum v_k p^k.
+Structure constants are the labels of the lifts' commutators, and each
+bracket span (the terms of the ring's lower central series, L_p(G))
+stacks every bracket into a target degree and row-reduces them once.
+
 Only the bracket structure is realized here (no p-power operation on
 the ring); adjoint maps are matrices over F_p in the full graded basis.
 """
@@ -27,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import invariant
-from .linalg import extend_basis, mat_pow_mod, rref_mod
+from .linalg import _prime_factors, mat_pow_mod, rref_mod
 from .verify import Check, VerificationReport
-from .perm import SeriesReport, commutator_sweep
+from .perm import commutator_sweep
 
 
 def _check_p_group(group, p):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if _prime_factors(p) != {p: 1}:
         raise ValueError("p must be prime")
     if not group.is_p_group(p):
         raise ValueError(f"group of order {group.order()} is not a {p}-group")
@@ -45,7 +55,6 @@ class PGroupSeries:
     trivial term included."""
     p: int
     terms: tuple
-    gamma: SeriesReport
 
     @property
     def length(self):
@@ -73,55 +82,44 @@ def dimension_subgroups(group, p):
     """Evaluate the defining product formula for the dimension
     subgroups literally, term by term, until the series reaches 1."""
     _check_p_group(group, p)
-    gamma = group.lower_central_series()
-    gamma_terms = gamma.terms
     exponent = group.exponent()
     kmax = 0
     while p ** kmax < exponent:
         kmax += 1
+    # (j * p^k, the members of gamma_j raised to p^k), each computed once
+    powers = [(j * p ** k, [group.pow_idx(idx, p ** k)
+                            for idx in gterm.indices()])
+              for j, gterm in enumerate(group.lower_central_series().terms,
+                                        start=1)
+              if gterm.order() > 1
+              for k in range(kmax + 1)]
     terms = []
-    i = 1
-    while True:
-        gens = {}
-        for j, gterm in enumerate(gamma_terms, start=1):
-            if gterm.order() == 1:
-                continue
-            for k in range(kmax + 1):
-                if j * p ** k >= i:
-                    q = p ** k
-                    for idx in gterm.indices():
-                        gens.setdefault(group.pow_idx(idx, q))
-        d_i = group.subgroup(gens)
-        terms.append(d_i)
-        if d_i.order() == 1:
-            break
-        i += 1
-    invariant(len(terms) > 1 or terms[0].order() == 1,
-              "series failed to reach the identity")
-    return PGroupSeries(p=p, terms=tuple(terms), gamma=gamma)
+    while not terms or terms[-1].order() > 1:
+        i = len(terms) + 1
+        terms.append(group.subgroup(dict.fromkeys(
+            idx for weight, members in powers if weight >= i
+            for idx in members)))
+    return PGroupSeries(p=p, terms=tuple(terms))
 
 
 def jennings_recursion(group, p):
     """Independent oracle: D_1 = G, D_i = [D_{i-1}, G] * (D_ceil(i/p))^p,
     with commutators taken exhaustively over element pairs."""
     _check_p_group(group, p)
-    gamma = group.lower_central_series()
     terms = [group.full_subgroup()]
-    if group.order() == 1:
-        return PGroupSeries(p=p, terms=tuple(terms), gamma=gamma)
-    i = 2
-    while True:
-        prev = terms[-1]
-        half = terms[math.ceil(i / p) - 1]
-        gens = dict.fromkeys(commutator_sweep(group, prev.indices()))
+    while terms[-1].order() > 1:
+        half = terms[math.ceil((len(terms) + 1) / p) - 1]
+        gens = dict.fromkeys(commutator_sweep(group, terms[-1].indices()))
         for d in half.indices():
             gens.setdefault(group.pow_idx(d, p))
-        d_i = group.subgroup(gens)
-        terms.append(d_i)
-        if d_i.order() == 1:
-            break
-        i += 1
-    return PGroupSeries(p=p, terms=tuple(terms), gamma=gamma)
+        terms.append(group.subgroup(gens))
+    return PGroupSeries(p=p, terms=tuple(terms))
+
+
+def _digits(labels, p, dim):
+    """F_p coordinates of coset labels sum v_k p^k, on a new last axis."""
+    return np.asarray(labels, dtype=np.int64)[..., None] \
+        // p ** np.arange(dim, dtype=np.int64) % p
 
 
 @dataclass(frozen=True)
@@ -139,27 +137,25 @@ class GradedElement:
 class GradedLieRing:
     """The graded ring sum of D_i/D_{i+1} over F_p.
 
-    Basis representatives per degree are chosen greedily in the parent
-    group's deterministic element order; structure constants are the
-    coordinates of group commutators of the chosen lifts.  Immutable
-    after construction.
+    Basis representatives per degree are chosen greedily in D_i's
+    breadth-first order (``D_i.indices()``): each member not yet in the
+    span of D_{i+1} and the lifts before it is the next lift.  Structure
+    constants are the coordinates of group commutators of the chosen
+    lifts.  Immutable after construction.
     """
 
     def __init__(self, series, shift_transversal=False):
         self.series = series
-        self.p = series.p
+        self.p = p = series.p
         terms = series.terms
-        self.group = terms[0].parent
-        g = self.group
-        p = self.p
-        c = series.length
-        self.degrees = c
+        self.group = g = terms[0].parent
+        self.degrees = c = series.length
         self.dims = []
         self.basis_lifts = []      # per degree: tuple of element indices
-        self.coords_of = []        # per degree: dict element index -> tuple
+        # per degree: label of each element of the parent, -1 outside D_i
+        self.coords_of = []
 
-        for i in range(1, c + 1):
-            d_i, d_next = terms[i - 1], terms[i]
+        for d_i, d_next in zip(terms, terms[1:]):
             quotient = d_i.order() // d_next.order()
             dim = 0
             while p ** dim < quotient:
@@ -167,35 +163,31 @@ class GradedLieRing:
             if p ** dim != quotient:
                 raise ValueError("quotient is not elementary abelian of "
                                  "exponent p")
-            span = set(d_next.index_set())
+            labels = np.full(g.order(), -1, dtype=np.int64)
+            labels[list(d_next.indices())] = 0
             chosen = []
             for idx in d_i.indices():
                 if len(chosen) == dim:
                     break
-                if idx in span:
+                if labels[idx] >= 0:
                     continue
+                span = np.flatnonzero(labels >= 0)
+                x, col = span, g.column(idx)
+                for e in range(1, p):
+                    x = col[x]
+                    invariant(not (labels[x] >= 0).any(),
+                              "coset labeling conflict")
+                    labels[x] = labels[span] + e * p ** len(chosen)
                 chosen.append(idx)
-                powers = [g.pow_idx(idx, e) for e in range(p)]
-                span = {g.mul_idx(s, pe) for s in span for pe in powers}
-            invariant(len(chosen) == dim and len(span) == d_i.order(),
-                      "transversal selection failed")
-            lifts = list(chosen)
+            invariant(np.count_nonzero(labels >= 0) == d_i.order(),
+                      "coset labeling incomplete")
+            lifts = chosen
             if shift_transversal and d_next.order() > 1:
                 t = d_next.indices()[-1]
                 lifts = [g.mul_idx(x, t) for x in chosen]
-            coords = {}
-            for vec in itertools.product(range(p), repeat=dim):
-                rep = 0
-                for t, e in zip(lifts, vec):
-                    rep = g.mul_idx(rep, g.pow_idx(t, e))
-                for dn in d_next.indices():
-                    member = g.mul_idx(rep, dn)
-                    invariant(coords.setdefault(member, vec) == vec,
-                              "coset labeling conflict")
-            invariant(len(coords) == d_i.order(), "coset labeling incomplete")
             self.dims.append(dim)
             self.basis_lifts.append(tuple(lifts))
-            self.coords_of.append(coords)
+            self.coords_of.append(labels)
 
         self.total_dim = sum(self.dims)
         self.offsets = []
@@ -204,21 +196,16 @@ class GradedLieRing:
             self.offsets.append(off)
             off += d
 
+        # comm[j - 1][b, x] = index([element_x, lift b of degree j])
+        comm = [g.commutator_columns(lifts) for lifts in self.basis_lifts]
         self.constants = {}
         for i in range(1, c + 1):
-            for j in range(1, c + 1):
-                if i + j > c:
-                    continue
-                di, dj, dk = self.dims[i - 1], self.dims[j - 1], \
-                    self.dims[i + j - 1]
-                arr = np.zeros((di, dj, dk), dtype=np.int64)
-                for a, xa in enumerate(self.basis_lifts[i - 1]):
-                    for b, yb in enumerate(self.basis_lifts[j - 1]):
-                        z = g.comm_idx(xa, yb)
-                        invariant(terms[i + j - 1].contains_index(z),
-                                  "[D_i, D_j] escaped D_{i+j}")
-                        arr[a, b, :] = self.class_coords(i + j, z)
-                self.constants[(i, j)] = arr
+            for j in range(1, c + 1 - i):
+                labels = self.coords_of[i + j - 1][
+                    comm[j - 1][:, list(self.basis_lifts[i - 1])].T]
+                invariant((labels >= 0).all(), "[D_i, D_j] escaped D_{i+j}")
+                self.constants[(i, j)] = _digits(labels, p,
+                                                 self.dims[i + j - 1])
 
     # -- elements ---------------------------------------------------------
 
@@ -233,7 +220,10 @@ class GradedLieRing:
         term)."""
         if self.dim(degree) == 0:
             return np.zeros(0, dtype=np.int64)
-        return np.array(self.coords_of[degree - 1][idx], dtype=np.int64)
+        label = self.coords_of[degree - 1][idx]
+        if label < 0:
+            raise ValueError(f"element is not in D_{degree}")
+        return _digits(label, self.p, self.dim(degree))
 
     def basis_element(self, degree, t):
         coords = [0] * self.dim(degree)
@@ -309,35 +299,36 @@ def ad_nilpotency_index(elem, ring):
     return None
 
 
+def _bracket_span(ring, left, right, start=None):
+    """Row-reduced bases over F_p, per target degree k, of the brackets
+    [u, v] for every row u of ``left[i]`` and v of ``right[j]`` with
+    i + j = k, together with the rows of ``start[k]``: all of a degree's
+    rows are stacked and reduced once.  Degrees with a zero span are
+    left out."""
+    stacks = {k: [rows] for k, rows in (start or {}).items()}
+    for (i, u), (j, v) in itertools.product(left.items(), right.items()):
+        k = i + j
+        if k <= ring.degrees and ring.dim(k):
+            # w[a, b] = [u_a, v_b]
+            w = np.einsum("as,bt,stk->abk", u, v, ring.constants[(i, j)])
+            stacks.setdefault(k, []).append(w.reshape(-1, ring.dim(k)))
+    spans = {k: rref_mod(np.vstack(rows), ring.p)[0]
+             for k, rows in sorted(stacks.items())}
+    return {k: b for k, b in spans.items() if len(b)}
+
+
 def lie_nilpotency_class(ring):
     """Largest k with the k-th term of the ring's lower central series
     nonzero (0 for the zero ring, 1 for a nonzero abelian ring)."""
     if ring.total_dim == 0:
         return 0
-    current = {i: np.eye(ring.dim(i), dtype=np.int64)
-               for i in range(1, ring.degrees + 1) if ring.dim(i)}
-    k = 1
+    whole = {i: np.eye(ring.dim(i), dtype=np.int64)
+             for i in range(1, ring.degrees + 1) if ring.dim(i)}
+    term, k = whole, 1
     while True:
-        nxt = {}
-        for i, rows in current.items():
-            for d in range(1, ring.degrees + 1):
-                tgt = i + d
-                if tgt > ring.degrees or ring.dim(d) == 0 \
-                        or ring.dim(tgt) == 0:
-                    continue
-                arr = ring.constants[(i, d)]
-                for row in rows:
-                    # rows of vecs: coords of [row, basis_b] per b
-                    vecs = np.tensordot(row, arr, axes=([0], [0])) % ring.p
-                    basis = nxt.get(tgt, np.zeros((0, ring.dim(tgt)),
-                                                  dtype=np.int64))
-                    for vec in vecs:
-                        basis, _ = extend_basis(basis, vec, ring.p)
-                    nxt[tgt] = basis
-        nxt = {d: b for d, b in nxt.items() if len(b)}
-        if not nxt:
+        term = _bracket_span(ring, term, whole)
+        if not term:
             return k
-        current = nxt
         k += 1
 
 
@@ -356,36 +347,17 @@ class GradedSubspace:
                    for i in range(1, ring.degrees + 1))
 
 
-def subalgebra_generated_by_degree_one(ring):
+def subalgebra_Lp(ring):
     """Smallest bracket-closed graded subspace containing the full
     degree-1 component (the subalgebra written L_p(G))."""
     spans = {}
     if ring.degrees >= 1 and ring.dim(1):
         spans[1] = np.eye(ring.dim(1), dtype=np.int64)
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(spans.items())
-        for (i, bi), (j, bj) in itertools.product(items, items):
-            tgt = i + j
-            if tgt > ring.degrees or ring.dim(tgt) == 0:
-                continue
-            arr = ring.constants[(i, j)]
-            for u in bi:
-                vecs = np.tensordot(u, arr, axes=([0], [0]))  # (dj, dk)
-                for v in bj:
-                    w = (v @ vecs) % ring.p
-                    basis = spans.get(tgt, np.zeros((0, ring.dim(tgt)),
-                                                    dtype=np.int64))
-                    basis, added = extend_basis(basis, w, ring.p)
-                    if added:
-                        spans[tgt] = basis
-                        changed = True
-    spans = {d: rref_mod(b, ring.p)[0] for d, b in spans.items() if len(b)}
-    return GradedSubspace(p=ring.p, bases=spans)
-
-
-subalgebra_Lp = subalgebra_generated_by_degree_one
+    while True:
+        grown = _bracket_span(ring, spans, spans, start=spans)
+        if all(len(b) == len(spans.get(k, ())) for k, b in grown.items()):
+            return GradedSubspace(p=ring.p, bases=grown)
+        spans = grown
 
 
 def verify_lie_axioms(ring):
@@ -393,59 +365,47 @@ def verify_lie_axioms(ring):
     group-level additivity of the induced bracket."""
     p = ring.p
     g = ring.group
+    c = ring.degrees
+    const = ring.constants
     checks = []
 
-    ok = True
-    for (i, j), arr in ring.constants.items():
-        rev = ring.constants[(j, i)]
-        if not np.array_equal(arr % p,
-                              (-rev.transpose(1, 0, 2)) % p):
-            ok = False
+    ok = all(np.array_equal(arr % p, -const[(j, i)].transpose(1, 0, 2) % p)
+             for (i, j), arr in const.items())
     checks.append(Check("antisymmetry [u,v] = -[v,u]", ok, {}))
 
-    ok = True
-    for i in range(1, ring.degrees + 1):
-        arr = ring.constants.get((i, i))
-        if arr is None:
-            continue
-        for a in range(ring.dim(i)):
-            if arr[a, a].any():
-                ok = False
+    ok = not any(const[(i, i)].diagonal().any()
+                 for i in range(1, c // 2 + 1))
     checks.append(Check("alternation [u,u] = 0", ok, {}))
 
-    basis = ring.basis()
-    ok = True
-    for u, v, w in itertools.product(basis, repeat=3):
-        s1 = ring.bracket(ring.bracket(u, v), w)
-        s2 = ring.bracket(ring.bracket(v, w), u)
-        s3 = ring.bracket(ring.bracket(w, u), v)
-        deg = u.degree + v.degree + w.degree
-        if deg > ring.degrees:
-            continue
-        total = (np.array(s1.coords) + np.array(s2.coords)
-                 + np.array(s3.coords)) % p
-        if total.any():
-            ok = False
-            break
+    # [[u,v],w] + [[v,w],u] + [[w,u],v] for u, v, w of degrees a, b, d
+    ok = not any(
+        ((np.einsum("uvm,mwk->uvwk", const[(a, b)], const[(a + b, d)])
+          + np.einsum("vwm,muk->uvwk", const[(b, d)], const[(b + d, a)])
+          + np.einsum("wum,mvk->uvwk", const[(d, a)], const[(d + a, b)]))
+         % p).any()
+        for a in range(1, c + 1) for b in range(1, c + 1 - a)
+        for d in range(1, c + 1 - a - b))
     checks.append(Check("Jacobi identity on basis triples", ok,
-                        {"triples": len(basis) ** 3}))
+                        {"triples": ring.total_dim ** 3}))
 
+    # [x_a x_b, y] = [x_a, y] + [x_b, y] in D_{i+j} / D_{i+j+1}, over
+    # every ordered pair of degree-i lifts and degree-j lift y; a label
+    # of -1 is a commutator outside D_{i+j}, from a lift outside D_i
     ok = True
-    for i in range(1, ring.degrees + 1):
-        for j in range(1, ring.degrees + 1):
-            if i + j > ring.degrees:
-                continue
-            for xa, xb in itertools.product(ring.basis_lifts[i - 1],
-                                            repeat=2):
-                prod = g.mul_idx(xa, xb)
-                ca = ring.class_coords(i, xa)
-                cb = ring.class_coords(i, xb)
-                for yb in ring.basis_lifts[j - 1]:
-                    lhs = ring.class_coords(i + j, g.comm_idx(prod, yb))
-                    za = ring.class_coords(i + j, g.comm_idx(xa, yb))
-                    zb = ring.class_coords(i + j, g.comm_idx(xb, yb))
-                    if not np.array_equal(lhs % p, (za + zb) % p):
-                        ok = False
+    comm = [g.commutator_columns(lifts) for lifts in ring.basis_lifts]
+    for i in range(1, c + 1):
+        lifts = list(ring.basis_lifts[i - 1])
+        prods = g.right_columns(lifts)[:, lifts].T    # x_a x_b at [a, b]
+        for j in range(1, c + 1 - i):
+            labels = ring.coords_of[i + j - 1]
+            lhs = labels[comm[j - 1][:, prods]]
+            single = labels[comm[j - 1][:, lifts]]
+            dk = ring.dim(i + j)
+            parts = _digits(single, p, dk)
+            if (lhs < 0).any() or (single < 0).any() or not np.array_equal(
+                    _digits(lhs, p, dk),
+                    (parts[:, :, None] + parts[:, None]) % p):
+                ok = False
     checks.append(Check("bracket is additive over lift products", ok, {}))
     return VerificationReport(name="lie-axioms", checks=checks)
 

@@ -130,26 +130,6 @@ def rref_mod(matrix, p):
     return m[:r], pivots
 
 
-def in_row_space(vec, basis, p):
-    """Whether ``vec`` lies in the mod-p row space spanned by ``basis``."""
-    if len(basis) == 0:
-        return not np.any(np.asarray(vec) % p)
-    stacked = np.vstack([basis, np.asarray(vec).reshape(1, -1)])
-    return rref_mod(stacked, p)[0].shape[0] == rref_mod(basis, p)[0].shape[0]
-
-
-def extend_basis(basis, vec, p):
-    """Add ``vec`` to a row basis if independent; returns (basis, added)."""
-    v = np.asarray(vec, dtype=np.int64) % p
-    if not np.any(v):
-        return basis, False
-    if len(basis) == 0:
-        return v.reshape(1, -1), True
-    if in_row_space(v, basis, p):
-        return basis, False
-    return np.vstack([basis, v]), True
-
-
 def mat_pow_mod(m, k, p):
     """k-th power of a square matrix mod p (k >= 0)."""
     n = m.shape[0]

@@ -386,7 +386,7 @@ class FiniteGroup:
     """
 
     def __init__(self, generators, *, name=None, max_order=DEFAULT_MAX_ORDER,
-                 regular=False, order_hint=None):
+                 regular=False):
         gens = tuple(g if isinstance(g, Permutation) else Permutation(g)
                      for g in generators)
         if not gens:
@@ -401,7 +401,6 @@ class FiniteGroup:
         self.max_order = max_order
         self._degree = degree
         self._regular = bool(regular)
-        self._order_hint = order_hint
         # caches (idempotent fill); _parents is assigned last by a closure
         self._elements = None       # generic: every element, in order
         self._index = None          # generic: image bytes -> index
@@ -471,9 +470,7 @@ class FiniteGroup:
     def _close_regular(self):
         if self._parents is not None:
             return
-        n = self._order_hint if self._order_hint is not None else self._degree
-        if n != self._degree:
-            raise ValueError("regular group must have degree == order")
+        n = self._degree
         if n > self.max_order:
             raise CapacityError(f"group exceeds element cap {self.max_order}")
         # generator t maps point i to index(element_i * generator_t)
@@ -487,7 +484,6 @@ class FiniteGroup:
             raise ValueError("action is not transitive; not a regular group")
         self._right = right
         self._levels = levels
-        self._order_hint = n
         self._parents = parents
 
     def _close(self):
@@ -497,10 +493,11 @@ class FiniteGroup:
             self._close_generic()
 
     def order(self):
-        if self._order_hint is None:
-            self._close()
-            self._order_hint = len(self._parents)
-        return self._order_hint
+        if self._regular:
+            return self._degree
+        if self._parents is None:
+            self._close_generic()
+        return len(self._parents)
 
     def elements(self):
         """All elements in deterministic breadth-first order."""

@@ -36,7 +36,7 @@ def test_concurrent_regular_group_cache_fill():
                 [group.inv_idx(j) for j in cols],
                 group.table().tolist())
 
-    shared = FiniteGroup(amb.generators, regular=True, order_hint=n)
+    shared = FiniteGroup(amb.generators, regular=True)
     starts = list(range(16))
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -47,7 +47,7 @@ def test_concurrent_regular_group_cache_fill():
     finally:
         sys.setswitchinterval(saved)
     for s, got in zip(starts, results):
-        alone = FiniteGroup(amb.generators, regular=True, order_hint=n)
+        alone = FiniteGroup(amb.generators, regular=True)
         assert got == read(alone, s)
 
 
@@ -78,8 +78,7 @@ def read_index_space(group, start):
 def test_concurrent_index_space_cache_fill():
     amb = build_nu(get_group("S3"), get_presentation("S3")).ambient
     s4 = get_group("S4")
-    makers = [lambda: FiniteGroup(amb.generators, regular=True,
-                                  order_hint=amb.order()),
+    makers = [lambda: FiniteGroup(amb.generators, regular=True),
               lambda: FiniteGroup(s4.generators)]
     starts = list(range(16))
     for make in makers:

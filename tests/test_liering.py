@@ -26,6 +26,20 @@ def _c4_x_c4():
                         parse_cycles("(4 5 6 7)", 8)], name="C4xC4")
 
 
+def _wreath_128():
+    # C2 wr C2 wr C2 from a generating set whose basis lifts include an
+    # x with x^2 deeper than degree 2i
+    return FiniteGroup([parse_cycles(c, 8) for c in (
+        "(0 2)(5 6)", "(0 7 2 4 5 1 6 3)", "(0 6)(1 4 7 3)(2 5)")],
+        name="C2wrC2wrC2")
+
+
+def _c4_wr_c2():
+    return FiniteGroup([parse_cycles("(0 1 2 3)", 8),
+                        parse_cycles("(0 4)(1 5)(2 6)(3 7)", 8)],
+                       name="C4wrC2")
+
+
 class TestDimensionSubgroups:
     def test_elementary_abelian(self):
         s = dimension_subgroups(get_group("C2xC2"), 2)
@@ -189,11 +203,8 @@ class TestLazard:
         assert verify_lazard(ring, 6).passed
 
     def test_wreath_product_generating_set(self):
-        # C2 wr C2 wr C2 from a generating set whose basis lifts include
-        # an x with x^2 deeper than degree 2i: the class of x^2 at
-        # degree 2i is zero, as is (ad x~)^2
-        g = FiniteGroup([parse_cycles(c, 8) for c in (
-            "(0 2)(5 6)", "(0 7 2 4 5 1 6 3)", "(0 6)(1 4 7 3)(2 5)")])
+        # the class of x^2 at degree 2i is zero, as is (ad x~)^2
+        g = _wreath_128()
         assert g.order() == 128
         ring = lie_ring(dimension_subgroups(g, 2))
         for q in (2, 4):
@@ -277,3 +288,101 @@ class TestNilpotencyClass:
         for name, p in p_group_names():
             ring = lie_ring(dimension_subgroups(get_group(name), p))
             assert lie_nilpotency_class(ring) <= max(ring.degrees, 1)
+
+
+# graded dimensions, nilpotency class and L_p(G) dimensions per degree,
+# recorded from the scalar loops that labelled cosets one element at a
+# time and grew each bracket span one vector at a time
+LIE_INVARIANTS = {
+    "C2": ([1], 1, {1: 1}),
+    "C3": ([1], 1, {1: 1}),
+    "C4": ([1, 1], 1, {1: 1, 2: 0}),
+    "C2xC2": ([2], 1, {1: 2}),
+    "C5": ([1], 1, {1: 1}),
+    "C8": ([1, 1, 0, 1], 1, {1: 1, 2: 0, 3: 0, 4: 0}),
+    "C2xC4": ([2, 1], 1, {1: 2, 2: 0}),
+    "D4": ([2, 1], 2, {1: 2, 2: 1}),
+    "Q8": ([2, 1], 2, {1: 2, 2: 1}),
+    "C9": ([1, 0, 1], 1, {1: 1, 2: 0, 3: 0}),
+    "C3xC3": ([2], 1, {1: 2}),
+    "Heis3": ([2, 1], 2, {1: 2, 2: 1}),
+    "M27": ([2, 0, 1], 1, {1: 2, 2: 0, 3: 0}),
+    "C27": ([1, 0, 1, 0, 0, 0, 0, 0, 1], 1,
+            {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0}),
+    "C2xD4": ([3, 1], 2, {1: 3, 2: 1}),
+    "C4xC4": ([2, 2], 1, {1: 2, 2: 0}),
+    "D16": ([2, 1, 0, 1, 0, 0, 0, 1], 2,
+            {1: 2, 2: 1, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0}),
+    "C2wrC2wrC2": ([3, 2, 1, 1], 4, {1: 3, 2: 2, 3: 1, 4: 1}),
+    "C4wrC2": ([2, 2, 0, 1], 2, {1: 2, 2: 1, 3: 0, 4: 0}),
+}
+
+LOCAL_2_GROUPS = {"C2xD4": _c2_x_d4, "C4xC4": _c4_x_c4, "D16": _dihedral_32,
+                  "C2wrC2wrC2": _wreath_128, "C4wrC2": _c4_wr_c2}
+
+
+def test_recorded_lie_invariants_cover_every_catalog_p_group():
+    assert {name for name, _ in p_group_names()} == \
+        set(LIE_INVARIANTS) - set(LOCAL_2_GROUPS)
+
+
+@pytest.mark.parametrize("name", list(LIE_INVARIANTS))
+def test_lie_invariants_match_recorded(name):
+    if name in LOCAL_2_GROUPS:
+        g, p = LOCAL_2_GROUPS[name](), 2
+    else:
+        g, p = get_group(name), dict(p_group_names())[name]
+    ring = lie_ring(dimension_subgroups(g, p))
+    sub = subalgebra_Lp(ring)
+    assert (ring.dims, lie_nilpotency_class(ring),
+            {d: sub.dimension(d) for d in range(1, ring.degrees + 1)}) == \
+        LIE_INVARIANTS[name]
+
+
+class TestAxiomChecksCanFail:
+    """Each check of ``verify_lie_axioms`` fails on a ring corrupted to
+    break it."""
+
+    @staticmethod
+    def failing(ring):
+        return [c.label for c in verify_lie_axioms(ring).checks
+                if not c.passed]
+
+    @staticmethod
+    def ring(make):
+        ring = lie_ring(dimension_subgroups(make(), 2))
+        assert verify_lie_axioms(ring).passed
+        return ring
+
+    def test_jacobi(self):
+        # [e_0, e_1] = -[e_1, e_0] for the degree-2 basis e gains 1 in
+        # degree 4: still antisymmetric and alternating, but degree 3 is
+        # zero, so [[u, v], w] over degrees (1, 1, 2) is the whole Jacobi
+        # sum there, and it no longer vanishes
+        ring = self.ring(_c4_wr_c2)
+        arr = ring.constants[(2, 2)]
+        arr[0, 1, 0] = (arr[0, 1, 0] + 1) % 2
+        arr[1, 0, 0] = -arr[0, 1, 0] % 2
+        assert self.failing(ring) == ["Jacobi identity on basis triples"]
+
+    def test_antisymmetry(self):
+        # [e_0, f_0] changes in degree 4 but [f_0, e_0] does not
+        ring = self.ring(_wreath_128)
+        arr = ring.constants[(1, 3)]
+        arr[0, 0, 0] = (arr[0, 0, 0] + 1) % 2
+        assert self.failing(ring) == ["antisymmetry [u,v] = -[v,u]"]
+
+    def test_alternation(self):
+        # over F_2, [u, u] = 1 is still antisymmetric; C2 x D4 has two
+        # degrees, so no basis triple reaches a Jacobi sum
+        ring = self.ring(_c2_x_d4)
+        ring.constants[(1, 1)][0, 0, 0] = 1
+        assert self.failing(ring) == ["alternation [u,u] = 0"]
+
+    def test_additivity(self):
+        # degree-1 elements as the degree-2 lifts: their commutators with
+        # degree-1 lifts leave D_3
+        ring = self.ring(_wreath_128)
+        ring.basis_lifts[1] = ring.basis_lifts[0][:2]
+        assert self.failing(ring) == \
+            ["bracket is additive over lift products"]

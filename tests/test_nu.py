@@ -317,11 +317,9 @@ class TestSymbolRoute:
         # S3 on three points is transitive but not regular; C3 on three
         # points is regular; <(0 1)> on three points is not transitive
         s3 = FiniteGroup([Permutation([1, 2, 0]), Permutation([1, 0, 2])],
-                         regular=True, order_hint=3)
-        c3 = FiniteGroup([Permutation([1, 2, 0])], regular=True,
-                         order_hint=3)
-        c2 = FiniteGroup([Permutation([1, 0, 2])], regular=True,
-                         order_hint=3)
+                         regular=True)
+        c3 = FiniteGroup([Permutation([1, 2, 0])], regular=True)
+        c2 = FiniteGroup([Permutation([1, 0, 2])], regular=True)
         assert (s3.is_regular(), c3.is_regular(), c2.is_regular()) == \
             (False, True, False)
 

@@ -272,6 +272,13 @@ class TestCli:
                         "--no-cache") == 2
         assert "p must be prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "1", "4", "9"])
+    @pytest.mark.parametrize("command", [("engel", "C2", "-m", "1", "-n", "1"),
+                                         ("lie", "C2")])
+    def test_non_prime_p_exit_2(self, capsys, command, p):
+        assert self.run(*command, "-p", p, "--no-cache") == 2
+        assert "p must be prime" in capsys.readouterr().err
+
     def test_invariant_failure_exit_1(self, monkeypatch, capsys):
         monkeypatch.setattr(FiniteGroup, "normal_closure",
                             lambda self, gens: self.trivial_subgroup())
