@@ -16,14 +16,15 @@ stacked word of ``engel_stack_identity`` depends on (x1, y1) only
 through c = [x1, y1], so it is swept over all z at once for each
 distinct commutator.
 
-``fitting_subgroup`` takes one normal closure per rational class (the
-conjugates of the generators of one cyclic subgroup all have the same
-normal closure), joins normal subgroups as product sets, AB of order
-|A||B|/|A n B|, and builds a subgroup only for a join the lattice does
-not hold yet.  It decides nilpotency largest member first: a member
-inside one already found nilpotent is nilpotent, so only the others run
-``Subgroup.lower_central_series``, the one series body, in the parent's
-index space, as does the final check on the Fitting subgroup itself.
+``fitting_subgroup`` reads Fit(G) as the elements x whose normal
+closure <x^G> is nilpotent (by Fitting's theorem the nilpotent normal
+subgroups are closed under products), so no join is ever built.  It
+takes one closure per rational class (the conjugates of the generators
+of one cyclic subgroup all have the same normal closure) and decides
+nilpotency largest first: a closure inside one already found nilpotent
+is nilpotent, so only the others run ``Subgroup.lower_central_series``,
+the one series body, in the parent's index space, as does the final
+check on the Fitting subgroup itself.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ def left_engel_set(group, bound):
     return [yi for yi, hit in enumerate(mask) if hit]
 
 
-def _bits(sub):
-    """A subgroup's element indices as the set bits of an int."""
-    return sum(1 << i for i in sub.indices())
-
-
 def _mark_rational_class(group, i, marked):
     """Mark in ``marked`` every conjugate of every generator of the
     cyclic subgroup of element i: all have the normal closure of i."""
@@ -158,55 +154,30 @@ def _mark_rational_class(group, i, marked):
 
 
 def fitting_subgroup(group):
-    """Largest nilpotent normal subgroup, by enumerating the normal
-    subgroup lattice from the normal closures of single elements, one
-    per rational class, walked in element order so that each closure
-    kept is the first element's.  Members are tested for nilpotency
-    largest first; a member inside a nilpotent one is not tested.
+    """Largest nilpotent normal subgroup, generated by the nilpotent
+    normal closures of single elements, one per rational class walked
+    in element order, with their generators in that order.  The whole
+    group is tested first, so a nilpotent group tests no closure.
 
     Independent oracle for the set of left Engel elements of a finite
     group; shares nothing with the Engel iteration.
     """
-    normals = {}
+    closures = {}
     marked = np.zeros(group.order(), dtype=bool)
     for i in range(group.order()):
-        if marked[i]:
-            continue
-        nc = group.normal_closure([i])
-        normals.setdefault(_bits(nc), nc)
-        _mark_rational_class(group, i, marked)
-    work = list(normals.items())
-    # Every member is normal, so the join of A and B is the product set
-    # AB, of order |A||B|/|A n B|: a member of that order containing A
-    # and B is their join, and only a join no member matches is built.
-    by_order = {}
-    for bits, s in work:
-        by_order.setdefault(s.order(), []).append(bits)
-    while work:
-        abits, a = work.pop()
-        for bbits, b in list(normals.items()):
-            both = abits | bbits
-            order = a.order() * b.order() // (abits & bbits).bit_count()
-            if any(both & ~m == 0 for m in by_order.get(order, ())):
-                continue
-            joined = group.subgroup(
-                list(dict.fromkeys(a.generators + b.generators)))
-            invariant(joined.order() == order,
-                      "join of normal subgroups differs from their product")
-            bits = _bits(joined)
-            normals[bits] = joined
-            by_order.setdefault(order, []).append(bits)
-            work.append((bits, joined))
+        if not marked[i]:
+            nc = group.normal_closure([i])
+            closures.setdefault(nc.index_set(), nc)
+            _mark_rational_class(group, i, marked)
+    whole = group.full_subgroup()
     # a normal subgroup inside a nilpotent one is nilpotent
     found = []
-    for bits, s in sorted(normals.items(), key=lambda m: -m[1].order()):
-        if not any(bits & ~m == 0 for m in found) and s.is_nilpotent():
-            found.append(bits)
-    nilpotents = [s for bits, s in normals.items()
-                  if any(bits & ~m == 0 for m in found)]
-    gens = []
-    for s in nilpotents:
-        gens.extend(s.generators)
+    for members, s in sorted({whole.index_set(): whole, **closures}.items(),
+                             key=lambda m: -len(m[0])):
+        if not any(members <= m for m in found) and s.is_nilpotent():
+            found.append(members)
+    gens = [g for members, s in closures.items()
+            if any(members <= m for m in found) for g in s.generators]
     fit = group.subgroup(list(dict.fromkeys(gens)))
     invariant(fit.is_nilpotent(),
               "join of nilpotent normal subgroups failed to be nilpotent")
@@ -216,6 +187,8 @@ def fitting_subgroup(group):
 def engel_projection_check(nu, x, y, q, n):
     """If [x, y']^q is left n-Engel in nu(G), then [x, y]^q is left
     n-Engel in G: evaluate both sides exhaustively and report."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     amb = nu.ambient
     xi = nu.group.as_index(x)
     yi = nu.group.as_index(y)
@@ -262,6 +235,8 @@ def engel_stack_identity(group, n, p, m):
     everywhere."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
+    if _prime_factors(p) != {p: 1}:
+        raise ValueError("p must be prime")
     order = group.order()
     powers = [p ** j for j in range(m + 1)]
     # the word depends on (x1, y1) only through c: sweep every z at once

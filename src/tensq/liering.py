@@ -82,17 +82,18 @@ def dimension_subgroups(group, p):
     """Evaluate the defining product formula for the dimension
     subgroups literally, term by term, until the series reaches 1."""
     _check_p_group(group, p)
-    exponent = group.exponent()
-    kmax = 0
-    while p ** kmax < exponent:
-        kmax += 1
-    # (j * p^k, the members of gamma_j raised to p^k), each computed once
-    powers = [(j * p ** k, [group.pow_idx(idx, p ** k)
-                            for idx in gterm.indices()])
-              for j, gterm in enumerate(group.lower_central_series().terms,
-                                        start=1)
-              if gterm.order() > 1
-              for k in range(kmax + 1)]
+    # (j * p^k, the members of gamma_j raised to p^k), k = 0, 1, ... up
+    # to the first power that kills every member
+    powers = []
+    for j, gterm in enumerate(group.lower_central_series().terms, start=1):
+        if gterm.order() == 1:
+            continue
+        weight, members = j, list(gterm.indices())
+        powers.append((weight, members))
+        while any(members):
+            weight, members = weight * p, [group.pow_idx(idx, p)
+                                           for idx in members]
+            powers.append((weight, members))
     terms = []
     while not terms or terms[-1].order() > 1:
         i = len(terms) + 1

@@ -377,6 +377,8 @@ def tensor_order(x, y, nu, p=None):
     """Order of the tensor [x, y'] in nu(G); when ``p`` is given, also
     the least p-power killing it (None unless the order is a p-power).
     """
+    if p is not None and p < 2:
+        raise ValueError("p must be at least 2")
     t = nu.tensor_elem_idx(x, y)
     order = nu.ambient.order_of_idx(t)
     min_p_power = None

@@ -844,6 +844,8 @@ class FiniteGroup:
         return self.full_subgroup().nilpotency_class()
 
     def is_p_group(self, p):
+        if p < 2:
+            raise ValueError("p must be at least 2")
         n = self.order()
         while n % p == 0:
             n //= p

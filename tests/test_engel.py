@@ -144,6 +144,10 @@ class TestProjection:
         assert labels["implication holds"]
         assert rep.passed
 
+    def test_rejects_zero_depth(self, nu_of):
+        with pytest.raises(ValueError):
+            engel_projection_check(nu_of("C2"), 1, 1, 1, 0)
+
 
 class TestPowerScan:
     def test_c2_records_one(self, nu_of):
@@ -234,3 +238,7 @@ class TestStackIdentity:
         g = get_group("C2")
         with pytest.raises(ValueError):
             engel_stack_identity(g, 0, 2, 1)
+        # p = 0 would make the top power c^(p^m) = 1 and the word trivial
+        for p in (0, 1, 4):
+            with pytest.raises(ValueError, match="p must be prime"):
+                engel_stack_identity(g, 1, p, 1)

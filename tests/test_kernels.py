@@ -324,7 +324,8 @@ JENNINGS_RECORDED = {
 PRODUCTS = {"S3xS3": ("S3", "S3"), "A4xC2": ("A4", "C2"),
             "D4xC2": ("D4", "C2"), "S3xC3": ("S3", "C3"),
             "S4xC2": ("S4", "C2"), "D4xD4": ("D4", "D4"),
-            "Q8xC4": ("Q8", "C4"), "Heis3xC3": ("Heis3", "C3")}
+            "Q8xC4": ("Q8", "C4"), "Heis3xC3": ("Heis3", "C3"),
+            "S3xC2xC2": ("S3", "C2", "C2"), "S3xQ8": ("S3", "Q8")}
 
 
 def build_product(name):
@@ -433,6 +434,24 @@ def test_fitting_matches_brute_force_lattice(name):
     inside = [s for s in members if s.index_set() < fit.index_set()]
     assert inside
     assert tests.call_count == len(members) - len(inside) + 1
+
+
+@pytest.mark.parametrize("name", ["S3xC2xC2", "S3xQ8"])
+def test_fitting_of_several_closures_matches_brute_force_lattice(name):
+    expected, members = brute_force_fitting(build_product(name))
+    group = build_product(name)
+    with fitting_work() as (_, tests):
+        fit = fitting_subgroup(group)
+    assert fit.indices() == expected.indices()
+    assert fit.generators == expected.generators
+    # Fit(G) is no single element's normal closure, so its generators
+    # come from several nilpotent closures
+    assert fit.index_set() not in {group.normal_closure([i]).index_set()
+                                   for i in range(group.order())}
+    # no more nilpotency tests than the lattice walk's: every member not
+    # strictly inside the Fitting subgroup, then the Fitting subgroup
+    inside = [s for s in members if s.index_set() < fit.index_set()]
+    assert tests.call_count <= len(members) - len(inside) + 1
 
 
 def rational_class_count(group):

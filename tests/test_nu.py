@@ -171,6 +171,13 @@ class TestTensorOrder:
         order, min_pow = tensor_order(1, 1, nu, p=2)
         assert order == 6 and min_pow is None
 
+    def test_rejects_p_below_two(self, nu_of):
+        # p = 1 would divide the order by 1 forever, p = 0 by zero
+        nu = nu_of("C2")
+        for p in (0, 1):
+            with pytest.raises(ValueError):
+                tensor_order(1, 1, nu, p=p)
+
 
 class TestVerification:
     def test_s3_relations_exhaustive(self, nu_of):

@@ -255,6 +255,14 @@ class TestSeriesAndFriends:
         a4 = get_group("A4")
         assert [t.order() for t in a4.derived_series().terms] == [12, 4, 1]
 
+    def test_is_p_group(self):
+        d4 = get_group("D4")
+        assert d4.is_p_group(2) and not d4.is_p_group(3)
+        # p = 1 would divide the order by 1 forever, p = 0 by zero
+        for p in (0, 1):
+            with pytest.raises(ValueError):
+                d4.is_p_group(p)
+
     def test_series_kinds(self):
         g = get_group("D4")
         assert g.lower_central_series().kind == "lower-central"

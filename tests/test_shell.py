@@ -274,7 +274,9 @@ class TestCli:
 
     @pytest.mark.parametrize("p", ["0", "1", "4", "9"])
     @pytest.mark.parametrize("command", [("engel", "C2", "-m", "1", "-n", "1"),
-                                         ("lie", "C2")])
+                                         ("lie", "C2"),
+                                         ("identity-f", "C2", "-n", "1",
+                                          "-m", "1")])
     def test_non_prime_p_exit_2(self, capsys, command, p):
         assert self.run(*command, "-p", p, "--no-cache") == 2
         assert "p must be prime" in capsys.readouterr().err
