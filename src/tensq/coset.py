@@ -10,14 +10,16 @@ Columns come in pairs: column 2g is generator g, column 2g+1 its
 inverse (``col ^ 1`` flips direction).  Row 0 is the subgroup coset.
 
 The table is one ``int32`` array (-1 marks an undefined entry) that
-doubles in place when full; scan, define and coincidence read and write single
-entries through a memoryview of it.  Before HLT scans a block of
-cosets, one numpy gather per relator letter finds every (coset,
-relator) pair that already scans to closure, and only the rest are
-scanned.  Skipping them changes nothing: a closed scan makes no
-deduction, and it stays closed under later definitions and
-coincidences, which only fill entries and merge cosets.  ``verify``
-re-checks a closed table with whole-column gathers.
+doubles in place when full, up to 1 GiB: past that the enumeration
+stops with ``EnumerationLimitError``, like the coset and time limits.
+Scan, define and coincidence read and write single entries through a
+memoryview of it.  Before HLT scans a block of cosets, one numpy
+gather per relator letter finds every (coset, relator) pair that
+already scans to closure, and only the rest are scanned.  Skipping
+them changes nothing: a closed scan makes no deduction, and it stays
+closed under later definitions and coincidences, which only fill
+entries and merge cosets.  ``verify`` re-checks a closed table with
+whole-column gathers.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .errors import EnumerationLimitError, StateError
 from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Permutation
 from .words import Presentation, Word
 
-# Rows of a fresh table; the array doubles whenever it is full.
+# Rows of a fresh table; the array doubles whenever it is full, unless
+# the doubled array would take more than _MAX_TABLE_BYTES.
 _INITIAL_ROWS = 1024
+_MAX_TABLE_BYTES = 1 << 30
 # (coset, relator) pairs per closed-relator pre-check: a block is this
 # many divided by the relator count, and at least one coset.
 _PRECHECK_PAIRS = 4096
@@ -164,6 +168,9 @@ class CosetTable:
 
     def _grow(self):
         rows = len(self._rows)
+        if 2 * self._rows.nbytes > _MAX_TABLE_BYTES:
+            raise self._limit_error(
+                f"table memory limit {_MAX_TABLE_BYTES} bytes exceeded")
         # a scan still holding the old view fails loudly instead of
         # writing to freed memory
         self._t.release()

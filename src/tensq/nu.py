@@ -16,8 +16,8 @@ agree -- route independence compares them per group:
 * "gens": Todd-Coxeter over generator triples of a compact
   presentation;
 * "symbol": Todd-Coxeter over Brown and Loday's symbol presentation
-  of G (x) G, |G (x) G| cosets, and nu(G) assembled from it
-  (``tensq.symbol``).
+  of G (x) G, Tietze-reduced, |G (x) G| cosets, and nu(G) assembled
+  from it (``tensq.symbol``).
 
 Every route ends in the same tail, which proves that its regular
 ambient group A, generated by g and g' for g in a generating set S of
@@ -33,10 +33,11 @@ G, is nu(G):
 
 So A satisfies every defining relation of nu(G): A is a quotient of
 nu(G).  Its order is n^2 |G (x) G| = |nu(G)|: for the symbol route by
-construction, since T presents G (x) G; for the Todd-Coxeter routes
-because their relators hold in nu(G), which makes nu(G) a quotient of A
-too.  So A is nu(G), for any presentation, proved or not.  The rho
-sweep, the order law and the centrality of mu are checked as well.
+construction, since T is certified to be G (x) G; for the Todd-Coxeter
+routes because their relators hold in nu(G), which makes nu(G) a
+quotient of A too.  So A is nu(G), for any presentation, proved or
+not.  The rho sweep, the order law and the centrality of mu are
+checked as well.
 The checks of a built nu(G) are in ``tensq.verify``.
 """
 
@@ -62,11 +63,12 @@ from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
 # "auto" takes the gens route for a presentation with one generator, of
-# a cyclic group of order n up to this: nu(G) then has n^3 elements, the
-# gens presentation 2r + 2 relators for r relators of G, and that
-# enumeration beats the symbol route's 2n^3 relators up to C11 (C12 and
-# C13 are even, and from C14 on the symbol route is faster).
-GENS_ROUTE_MAX_CYCLIC = 11
+# a cyclic group of order n up to this: nu(G) then has n^3 elements and
+# the gens presentation 2r + 2 relators for r relators of G.  That build
+# beats the reduced symbol route up to C5 (2.0 against 2.2 ms, best of
+# 5); from C6 on the symbol route wins (C6 2.8 against 3.2 ms, C9 4.8
+# against 12.6 ms, C13 11.9 against 48.1 ms).
+GENS_ROUTE_MAX_CYCLIC = 5
 
 
 # -- presentation doubling ----------------------------------------------------

@@ -844,8 +844,9 @@ class FiniteGroup:
         return self.full_subgroup().nilpotency_class()
 
     def is_p_group(self, p):
-        if p < 2:
-            raise ValueError("p must be at least 2")
+        """Whether |G| is a power of the prime ``p``."""
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError("p must be prime")
         n = self.order()
         while n % p == 0:
             n //= p

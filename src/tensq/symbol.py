@@ -1,12 +1,42 @@
 """The symbol presentation of G (x) G, and nu(G) assembled from it.
 
-Brown and Loday (Topology 26, 1987) present G (x) G on the symbols
-g (x) h subject to the crossed-pairing relations
-(``symbol_presentation``).  Todd-Coxeter over it, over the trivial
-subgroup, gives a regular group T of |G (x) G| points.  By Rocco (Bol.
-Soc. Brasil. Mat. 22, 1991), nu(G) = ((G (x) G) . G') . G, so each
-element is t h' g for unique t in [G, G'] and h, g in G, and nu(G) acts
-on the points (t, h, g), numbered t n^2 + h n + g for |G| = n.  Right
+Brown and Loday (Topology 26, 1987) present G (x) G on the n^2 symbols
+g (x) h, for |G| = n, subject to 2n^3 crossed-pairing relators of three
+letters each (``symbol_relators``, ``symbol_presentation``).  Most of
+the presentation is redundant, so it is Tietze-reduced before it is
+enumerated (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005): ``tensq.tietze.reduce_symbols`` substitutes, in
+whole-array passes, every relator that reduces to one letter t (t = 1,
+so t goes) or to two letters t u^+-1 of distinct symbols (the larger is
+written as the smaller's letter, inverted).  A substitution replaces a
+letter by a letter or by nothing, so every relator stays within three
+letters and rewriting is index arithmetic.  D4 keeps 17 of its 64
+symbols, A4 17 of 144, Heis3 169 of 729.
+
+Todd-Coxeter over what remains, over the trivial subgroup, gives a
+regular group T, and each of the n^2 symbols acts on it through its
+image.  Two certificates make T = G (x) G:
+
+* the replay (``replay_reduction``) re-reduces, one scalar step at a
+  time, the relator logged for each elimination under the eliminations
+  before it, and each remaining relator's source under all of them.  So
+  the eliminations are equations of G (x) G and the relators
+  enumerated hold in it: G (x) G is a quotient of T, |T| >= |G (x) G|;
+* the relator check (``check_relators``) evaluates all 2n^3 original
+  relators on the symbols' columns of T, in blocks.  So g (x) h |-> its
+  column is a homomorphism onto T: T is a quotient of G (x) G.
+
+Neither is enough alone.  Merging two symbols that are not equal in
+G (x) G enumerates a proper quotient of it, on which every original
+relator still holds (one wrongly merged pair of symbols makes
+|D4 (x) D4| read 8 or 16, not 32); only the replay sees it.  Dropping
+a relator, say by a wrong deduplication, enumerates a group too large,
+whose eliminations and remaining relators all replay; only the relator
+check sees it.
+
+By Rocco (Bol. Soc. Brasil. Mat. 22, 1991), nu(G) = ((G (x) G) . G') .
+G, so each element is t h' g for unique t in [G, G'] and h, g in G, and
+nu(G) acts on the points (t, h, g), numbered t n^2 + h n + g.  Right
 multiplication by a generator x of G, and by its copy y', is
 
     x:   (t, h, g) -> (t, h, g x),
@@ -15,8 +45,8 @@ multiplication by a generator x of G, and by its copy y', is
 
 since g y' = y' g [g, y'], and the compatibility relations move the
 tensor [g, y'] left past g and then past s'.  Each column is one gather
-through T's coset table (``assemble_nu``).  Todd-Coxeter guarantees a
-regular action; the assembled one is certified regular
+through the symbols' columns of T (``assemble_nu``).  Todd-Coxeter
+guarantees a regular action; the assembled one is certified regular
 (``FiniteGroup.is_regular``) before anything reads it, and
 ``tensq.nu`` certifies the result is nu(G) as it does for every route.
 Conjugation is x^k = k^-1 x k, as everywhere in tensq.
@@ -43,28 +73,38 @@ def group_arrays(group):
     return mul, inv, conj
 
 
-def symbol_presentation(group, arrays=None):
-    """Brown and Loday's presentation of G (x) G: one generator g (x) h,
-    numbered g n + h for |G| = n, per pair of elements, and the
-    crossed-pairing relators
+def symbol_relators(arrays):
+    """Brown and Loday's crossed-pairing relators on the symbols g (x) h,
+    numbered g n + h for |G| = n, from G's multiplication and conjugation
+    ``arrays``:
 
         (g k) (x) h = (g^k (x) h^k) (k (x) h),
         g (x) (h k) = (g (x) k) (g^k (x) h^k)
 
-    for every g, h and k, in that order: 2n^3 relators, each of length 3
-    before reduction, read off G's multiplication and conjugation
-    arrays (``arrays``, if the caller has them)."""
-    mul, _, conj = arrays or group_arrays(group)
+    for every g, h and k, in that order: a (2n^3, 3) array whose row
+    (a, b, c) is the relator a^-1 b c."""
+    mul, _, conj = arrays
     n = len(mul)
     g, h, k = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
     sym = conj[g, k] * n + conj[h, k]
     first = (mul[g, k] * n + h, sym, k * n + h)
     second = (g * n + mul[h, k], g * n + k, sym)
-    rows = np.stack([np.stack(first, axis=-1), np.stack(second, axis=-1)],
-                    axis=-2).reshape(-1, 3).tolist()
-    names = tuple(f"t{a}_{b}" for a in range(n) for b in range(n))
-    return Presentation(names, tuple(Word(((a, -1), (b, 1), (c, 1)))
-                                     for a, b, c in rows))
+    return np.stack([np.stack(first, axis=-1), np.stack(second, axis=-1)],
+                    axis=-2).reshape(-1, 3)
+
+
+def _symbol_names(n):
+    return tuple(f"t{a}_{b}" for a in range(n) for b in range(n))
+
+
+def symbol_presentation(group):
+    """The presentation of G (x) G on all n^2 symbols and the 2n^3
+    relators of ``symbol_relators``, each of length 3 before
+    reduction."""
+    rows = symbol_relators(group_arrays(group)).tolist()
+    return Presentation(_symbol_names(group.order()),
+                        tuple(Word(((a, -1), (b, 1), (c, 1)))
+                              for a, b, c in rows))
 
 
 def _primed_step(mul, inv, conj, y):
@@ -80,15 +120,30 @@ def _primed_step(mul, inv, conj, y):
 
 
 def assemble_nu(group, arrays, limits, name):
-    """nu(G) assembled from the regular group T = G (x) G of the symbol
-    presentation: the point t n^2 + h n + g stands for t h' g, and each
-    generator of G and each primed copy gets one column, gathered
-    through T's closed coset table (column 2c is right multiplication
-    by symbol c).  Certified regular before anything reads it."""
-    table = tc_enumerate(symbol_presentation(group, arrays), (),
-                         limits).table
+    """nu(G) assembled from the regular group T = G (x) G: the symbol
+    presentation is reduced and certified by replay (``tensq.tietze``),
+    T is enumerated from what remains, and every symbol's column of T
+    is read through its image and checked against all 2n^3 relators.
+    The point t n^2 + h n + g stands for t h' g, and each generator of
+    G and each primed copy gets one column, gathered through the symbol
+    columns.  Certified regular before anything reads it."""
+    # loaded here, not with the package: a process that never takes
+    # the symbol route does not hold the reduction's code
+    from .tietze import (check_relators, reduce_symbols,
+                         reduced_presentation, replay_reduction,
+                         symbol_columns)
+
     mul, inv, conj = arrays
     n = len(mul)
+    rows = symbol_relators(arrays)
+    reduction = reduce_symbols(rows, n * n)
+    replay_reduction(rows, reduction)
+    table = tc_enumerate(reduced_presentation(reduction, _symbol_names(n)),
+                         (), limits).table
+    symbols = symbol_columns(table, reduction)
+    invariant(check_relators(rows, symbols),
+              "the reduced enumeration of G (x) G fails a relator of the "
+              "symbol presentation")
     size = len(table) * n * n
     t = (np.arange(len(table)) * (n * n))[:, None, None]
     h = (np.arange(n) * n)[None, :, None]
@@ -97,7 +152,7 @@ def assemble_nu(group, arrays, limits, name):
     columns = [(t + h + mul[g, x]).ravel() for x in gens]
     for y in gens:
         s, c = _primed_step(mul, inv, conj, y)
-        columns.append((table[:, 2 * c] * (n * n)
+        columns.append((symbols[:, c] * (n * n)
                         + (s * n)[None, :, None] + g).ravel())
     ambient = points_group(columns, size, name=name)
     invariant(ambient.is_regular(),

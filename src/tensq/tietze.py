@@ -1,0 +1,249 @@
+"""Tietze elimination on the symbol presentation of G (x) G, and the
+two certificates of its result: the replay of the eliminations and the
+check of every original relator (the argument is in ``tensq.symbol``).
+
+A letter is 2s for the symbol s and 2s + 1 for its inverse (so
+``l ^ 1`` inverts it), and -1 is no letter.  A word is a row of three
+letters.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import invariant
+from .words import Presentation, Word
+
+
+def _letters(rows):
+    """The relators a^-1 b c of ``rows`` as rows of letters."""
+    words = 2 * rows
+    words[:, 0] += 1
+    return words
+
+
+def _reduce(words):
+    """Freely and cyclically reduce words of at most three letters,
+    their letters moved to the front."""
+    order = np.argsort(words < 0, axis=1, kind="stable")
+    words = np.take_along_axis(words, order, axis=1)
+    x, y, z = words.T
+    xy = (y >= 0) & (x == y ^ 1)
+    yz = (z >= 0) & (y == z ^ 1)
+    zx = (z >= 0) & (x == z ^ 1)
+    cut = xy | yz | zx
+    words[cut, 0] = np.where(xy, z, np.where(yz, x, y))[cut]
+    words[cut, 1:] = -1
+    return words
+
+
+def _first_occurrences(words):
+    """Indices of the first of each class of non-empty words equal up to
+    rotation and inversion, in order (a sort, not ``np.unique``, which
+    would import numpy.ma)."""
+    # digits letter + 1, so 0 is no letter and a key's zero digits give
+    # its length; the inverse of the largest letter is max + 1
+    base = int(words.max()) + 3
+    x, y, z = (words + 1).T
+    xi, yi, zi = (words ^ 1).T + 1
+
+    def key(a, b, c):
+        return (a * base + b) * base + c
+
+    two = np.minimum.reduce([key(x, y, 0), key(y, x, 0), key(yi, xi, 0),
+                             key(xi, yi, 0)])
+    three = np.minimum.reduce([key(x, y, z), key(y, z, x), key(z, x, y),
+                               key(zi, yi, xi), key(yi, xi, zi),
+                               key(xi, zi, yi)])
+    keys = np.where(z > 0, three, np.where(y > 0, two, key(x, 0, 0)))
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    keep = np.sort(order[first])
+    return keep[words[keep, 0] >= 0]
+
+
+@dataclass(frozen=True)
+class SymbolReduction:
+    """The outcome of ``reduce_symbols`` on the relators ``rows``.
+
+    ``image[s]`` is the letter symbol s equals in G (x) G: 2s for a
+    symbol kept, a kept symbol's letter or -1 (the identity) for one
+    eliminated.  ``log`` lists (symbol, row) in the order of
+    elimination: the relator that justifies it.  ``relators`` are the
+    rows of letters that remain over the kept symbols, and
+    ``sources[i]`` the row ``relators[i]`` was reduced from."""
+    image: np.ndarray
+    log: tuple
+    relators: np.ndarray
+    sources: np.ndarray
+
+    def kept(self):
+        """The symbols kept, in order."""
+        return np.flatnonzero(self.image == 2 * np.arange(len(self.image)))
+
+    def ranks(self):
+        """Each kept symbol's place among the kept ones (0 elsewhere)."""
+        rank = np.zeros(len(self.image), dtype=np.intp)
+        kept = self.kept()
+        rank[kept] = np.arange(len(kept))
+        return rank
+
+
+def reduce_symbols(rows, nsym):
+    """Tietze-eliminate symbols from the relators ``rows`` in whole-array
+    passes.  Each pass substitutes the eliminations so far into every
+    relator, reduces it and drops empty and repeated ones.  A relator
+    that reduces to t^+-1 eliminates t = 1; one that reduces to two
+    letters of distinct symbols writes the larger symbol as the other
+    letter's inverse.  A symbol takes its first such relator, one equal
+    to 1 before the others, and waits for the next pass if its image is
+    eliminated in this one.  Substitution never lengthens a relator, so
+    every word stays within three letters."""
+    words = _letters(rows)
+    sources = np.arange(len(rows))
+    image = 2 * np.arange(nsym)
+    log = []
+    while True:
+        words = _reduce(words)
+        keep = _first_occurrences(words)
+        words, sources = words[keep], sources[keep]
+        x, y, z = words.T
+        one = y < 0
+        two = (y >= 0) & (z < 0) & (x >> 1 != y >> 1)
+        if not (one.any() or two.any()):
+            break
+        x2, y2 = x[two], y[two]
+        larger = x2 >> 1 > y2 >> 1
+        # t u = 1 makes t = u^-1; the image of t's positive letter flips
+        # with the sign of t's letter
+        t = np.concatenate([x[one] >> 1, np.where(larger, x2, y2) >> 1])
+        img = np.concatenate([np.full(int(one.sum()), -1),
+                              np.where(larger, y2 ^ 1 ^ (x2 & 1),
+                                       x2 ^ 1 ^ (y2 & 1))])
+        row = np.concatenate([sources[one], sources[two]])
+        pick = np.lexsort((row, img >= 0, t))
+        t, img, row = t[pick], img[pick], row[pick]
+        first = np.ones(len(t), dtype=bool)
+        first[1:] = t[1:] != t[:-1]
+        gone = np.zeros(nsym, dtype=bool)
+        gone[t[first]] = True
+        take = first & ((img < 0) | ~gone[img >> 1])
+        t, img = t[take], img[take]
+        step = np.arange(2 * nsym)
+        step[2 * t] = img
+        step[2 * t + 1] = np.where(img >= 0, img ^ 1, -1)
+        image = np.where(image >= 0, step[image], -1)
+        words = np.where(words >= 0, step[words], -1)
+        log += zip(t.tolist(), row[take].tolist())
+    # by largest symbol, then smallest: HLT then defines fewer cosets
+    # (Heis3 3,087 against 4,813 in first-occurrence order)
+    symbols = words >> 1
+    order = np.lexsort((np.where(words >= 0, symbols, nsym).min(axis=1),
+                        symbols.max(axis=1)))
+    return SymbolReduction(image=image, log=tuple(log),
+                           relators=words[order], sources=sources[order])
+
+
+def replay_reduction(rows, reduction):
+    """Certify ``reduction`` of the relators ``rows`` one scalar step at
+    a time, sharing no code with ``reduce_symbols``: each logged
+    relator, under the eliminations before it, must reduce to t^+-1 or
+    to t^+-1 u^+-1 for its symbol t and a symbol u still kept; the
+    images so derived must be ``reduction.image``; and each remaining
+    relator must be its source row reduced under them.  Every step
+    rewrites a relator of G (x) G by equations that hold in G (x) G, so
+    the kept symbols generate it and the remaining relators hold in it.
+    Raises InvariantError otherwise."""
+    nsym = len(reduction.image)
+    rows = rows.tolist()
+    direct = [2 * s for s in range(nsym)]
+
+    def resolve(letter):
+        while letter >= 0 and direct[letter >> 1] != letter & ~1:
+            image = direct[letter >> 1]
+            letter = image ^ (letter & 1) if image >= 0 else -1
+        return letter
+
+    def relator(r):
+        a, b, c = rows[r]
+        out = []
+        for letter in (resolve(2 * a + 1), resolve(2 * b), resolve(2 * c)):
+            if letter < 0:
+                continue
+            if out and out[-1] == letter ^ 1:
+                out.pop()
+            else:
+                out.append(letter)
+        while len(out) > 1 and out[0] == out[-1] ^ 1:
+            out = out[1:-1]
+        return out
+
+    for t, r in reduction.log:
+        word = relator(r)
+        symbols = [letter >> 1 for letter in word]
+        invariant(direct[t] == 2 * t and symbols.count(t) == 1
+                  and len(word) <= 2,
+                  f"symbol replay: relator {r} does not eliminate "
+                  f"symbol {t}")
+        if len(word) == 1:
+            direct[t] = -1
+        else:
+            i = symbols.index(t)
+            direct[t] = word[1 - i] ^ 1 ^ (word[i] & 1)
+    invariant([resolve(2 * s) for s in range(nsym)]
+              == reduction.image.tolist(),
+              "symbol replay: the eliminations give other images")
+    for word, r in zip(reduction.relators.tolist(),
+                       reduction.sources.tolist()):
+        invariant([letter for letter in word if letter >= 0] == relator(r),
+                  f"symbol replay: relator {r} does not reduce to the "
+                  "relator kept for it")
+
+
+def reduced_presentation(reduction, names):
+    """The presentation of G (x) G on the symbols ``reduction`` keeps,
+    renumbered in order, and its remaining relators; ``names`` names
+    every symbol."""
+    rank = reduction.ranks().tolist()
+    relators = tuple(Word((rank[letter >> 1], 1 - 2 * (letter & 1))
+                          for letter in word if letter >= 0)
+                     for word in reduction.relators.tolist())
+    return Presentation(tuple(names[s] for s in reduction.kept()),
+                        relators)
+
+
+def symbol_columns(table, reduction):
+    """Right multiplication by every symbol on the points of T, one
+    column each, read through its image: a kept symbol's column of the
+    closed coset ``table`` (its inverse's for an inverse letter), or the
+    identity."""
+    image = reduction.image
+    points = np.arange(len(table), dtype=table.dtype)
+    ext = np.concatenate([table, points[:, None]], axis=1)
+    column = np.where(image >= 0,
+                      2 * reduction.ranks()[image >> 1] + (image & 1),
+                      table.shape[1])
+    return ext[:, column]
+
+
+# (relator, point) pairs per block of the relator check
+_CHECK_PAIRS = 1 << 18
+
+
+def check_relators(rows, columns):
+    """Whether every relator a^-1 b c of ``rows`` holds on the symbol
+    ``columns`` (point by symbol): p b c = p a at every point p, checked
+    in blocks of relators."""
+    by_symbol = np.ascontiguousarray(columns.T)
+    points = by_symbol.shape[1]
+    flat = by_symbol.ravel()
+    block = max(1, _CHECK_PAIRS // points)
+    for lo in range(0, len(rows), block):
+        a, b, c = rows[lo:lo + block].T
+        got = flat[c[:, None] * points + by_symbol[b]]
+        if not np.array_equal(got, by_symbol[a]):
+            return False
+    return True

@@ -79,6 +79,16 @@ class TestEnumeration:
         assert info.value.table.status == "in-progress"
         self._progress(info, "time limit 0.0s exceeded")
 
+    def test_table_memory_limit_reports_progress(self, monkeypatch):
+        # a^5000 outgrows the first 1024 rows of 2 columns (8 KiB); the
+        # doubled table would take 16 KiB
+        monkeypatch.setattr(coset, "_MAX_TABLE_BYTES", 10_000)
+        with pytest.raises(EnumerationLimitError) as info:
+            tc_enumerate(pres("gens: a\nrels: a^5000\n"), ())
+        assert info.value.table.status == "in-progress"
+        assert len(info.value.table._rows) == coset._INITIAL_ROWS
+        self._progress(info, "table memory limit 10000 bytes exceeded")
+
     def test_precheck_stops_when_every_path_is_undefined(self):
         # from a lone coset, a^40000 is undefined after one letter; the
         # pre-check stops at its next test instead of walking all

@@ -338,14 +338,15 @@ class TestTensorSquareWrapper:
         assert rep.mode == "gens"
 
     def test_auto_route_follows_the_presentation(self):
-        # gens for a presentation with one generator up to C11, symbol
-        # for C12, for two generators and without a presentation
-        c12 = parse_presentation("gens: a\nrels: a^12\n")
+        # gens for a presentation with one generator up to C5, symbol
+        # for C6, for two generators and without a presentation
+        c6 = parse_presentation("gens: a\nrels: a^6\n")
         cases = [(get_group(name), get_presentation(name), mode)
-                 for name, mode in [("C2", "gens"), ("C9", "gens"),
-                                    ("C2xC2", "symbol"), ("S3", "symbol")]]
-        cases += [(get_group("C9"), None, "symbol"),
-                  (to_perm_group(tc_enumerate(c12, ())), c12, "symbol")]
+                 for name, mode in [("C2", "gens"), ("C5", "gens"),
+                                    ("C9", "symbol"), ("C2xC2", "symbol"),
+                                    ("S3", "symbol")]]
+        cases += [(get_group("C5"), None, "symbol"),
+                  (to_perm_group(tc_enumerate(c6, ())), c6, "symbol")]
         assert [tensor_square(g, p).mode for g, p, _ in cases] == \
             [mode for _, _, mode in cases]
 

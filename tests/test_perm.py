@@ -262,6 +262,10 @@ class TestSeriesAndFriends:
         for p in (0, 1):
             with pytest.raises(ValueError):
                 d4.is_p_group(p)
+        # |C4| and |C2xC2| are powers of 4, but 4 is no prime
+        for name in ("C4", "C2xC2"):
+            with pytest.raises(ValueError, match="p must be prime"):
+                get_group(name).is_p_group(4)
 
     def test_series_kinds(self):
         g = get_group("D4")

@@ -253,6 +253,14 @@ class TestCli:
     def test_limit_error_exit_2(self):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
 
+    def test_table_memory_limit_exit_2(self, monkeypatch, capsys):
+        # nu(D4) on the all route outgrows the first 1024 rows
+        monkeypatch.setattr(tensq.coset, "_MAX_TABLE_BYTES", 200_000)
+        assert self.run("tensor", "D4", "--mode", "all", "--no-cache") == 2
+        err = capsys.readouterr().err
+        assert "limit error: table memory limit 200000 bytes exceeded" in err
+        assert "cosets defined" in err
+
     @pytest.mark.parametrize("limit", [("--time-limit", "0.01"),
                                        ("--max-cosets", "10")])
     def test_pres_file_obeys_limits(self, tmp_path, capsys, limit):

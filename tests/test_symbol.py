@@ -1,0 +1,190 @@
+"""The reduced symbol route against the full symbol presentation.
+
+``tensq.symbol`` enumerates G (x) G over the symbols that the Tietze
+pass of ``tensq.tietze`` keeps, certified by a replay of the
+eliminations and by a check of all 2n^3 relators.  These tests compare
+it with enumerating the whole presentation, and break each piece of the
+reduction in turn.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import tensq.symbol as symbol
+import tensq.tietze as tietze
+from tensq import (InvariantError, build_nu, get_group, tc_enumerate,
+                   tensor_report, to_perm_group)
+from tensq.catalog import catalog
+
+from standalone import standalone_group
+
+GROUPS = [name for name, entry in catalog().items()
+          if entry.order <= 12] + ["S4"]
+
+
+def _census(group):
+    out = {}
+    for i in range(group.order()):
+        o = group.order_of_idx(i)
+        out[o] = out.get(o, 0) + 1
+    return out
+
+
+def _table_census(presentation):
+    """Element-order census of the regular group of the presentation's
+    enumeration; C1 keeps no symbol, so its group has no generator."""
+    table = tc_enumerate(presentation, ())
+    if not presentation.ngens:
+        return {1: table.coset_count}
+    return _census(to_perm_group(table))
+
+
+def _reduction(name):
+    group = get_group(name)
+    rows = symbol.symbol_relators(symbol.group_arrays(group))
+    return group, rows, tietze.reduce_symbols(rows, group.order() ** 2)
+
+
+def _unreduced(rows, nsym):
+    """Every symbol kept and every relator as it is: the full symbol
+    presentation, in its own order."""
+    return tietze.SymbolReduction(image=2 * np.arange(nsym), log=(),
+                                  relators=tietze._letters(rows),
+                                  sources=np.arange(len(rows)))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
+    group, rows, reduction = _reduction(name)
+    n = group.order()
+    reduced = _table_census(tietze.reduced_presentation(
+        reduction, symbol._symbol_names(n)))
+    full = _table_census(symbol.symbol_presentation(group))
+    assert reduced == full
+
+    nu = build_nu(group, mode="symbol", max_group_order=24)
+    monkeypatch.setattr(tietze, "reduce_symbols", _unreduced)
+    # the unreduced relators are not cyclically reduced, so the replay
+    # would reject them; the relator check still runs
+    monkeypatch.setattr(tietze, "replay_reduction", lambda *args: None)
+    nu_full = build_nu(group, mode="symbol", max_group_order=24)
+    assert nu.tensor.order() == nu_full.tensor.order() == \
+        sum(full.values())
+    assert _census(standalone_group(nu.tensor)) == \
+        _census(standalone_group(nu_full.tensor))
+    assert tensor_report(nu) == tensor_report(nu_full)
+
+
+@pytest.mark.parametrize("name,kept", [("D4", 17), ("A4", 17),
+                                       ("C3xC3", 16), ("Heis3", 169)])
+def test_reduction_keeps_few_symbols(name, kept):
+    group, rows, reduction = _reduction(name)
+    assert len(reduction.kept()) == kept
+    assert len(reduction.log) == group.order() ** 2 - kept
+    words = reduction.relators
+    assert ((words >= 0).sum(axis=1) >= 2).all()
+    tietze.replay_reduction(rows, reduction)
+
+
+def _merged(reduction):
+    """``reduction`` with its last kept symbol t wrongly set equal to its
+    second, u, and logged against a relator that holds t."""
+    kept = reduction.kept()
+    u, t = kept[1], kept[-1]
+    step = np.arange(2 * len(reduction.image))
+    step[2 * t], step[2 * t + 1] = 2 * u, 2 * u + 1
+    image = np.where(reduction.image >= 0, step[reduction.image], -1)
+    words = reduction.relators
+    holds_t = ((words >> 1) == t).any(axis=1)
+    row = int(reduction.sources[np.flatnonzero(holds_t)[0]])
+    return tietze.SymbolReduction(
+        image=image, log=reduction.log + ((int(t), row),),
+        relators=np.where(words >= 0, step[words], -1),
+        sources=reduction.sources)
+
+
+def _corrupting(monkeypatch, corrupt):
+    reduce_symbols = tietze.reduce_symbols
+    monkeypatch.setattr(tietze, "reduce_symbols",
+                        lambda rows, nsym: corrupt(reduce_symbols(rows, nsym)))
+
+
+def test_wrong_merge_passes_the_relator_check_but_not_the_replay(
+        monkeypatch):
+    group, rows, reduction = _reduction("D4")
+    merged = _merged(reduction)
+    table = tc_enumerate(tietze.reduced_presentation(
+        merged, symbol._symbol_names(8)), ()).table
+    # the merged table is a proper quotient of D4 (x) D4, so every
+    # relator holds on it: only the replay sees the merge
+    assert len(table) < 32
+    assert tietze.check_relators(rows, tietze.symbol_columns(table, merged))
+    with pytest.raises(InvariantError, match="symbol replay"):
+        tietze.replay_reduction(rows, merged)
+    _corrupting(monkeypatch, _merged)
+    with pytest.raises(InvariantError, match="symbol replay"):
+        build_nu(group, mode="symbol")
+
+
+def test_flipped_sign_in_the_image_raises(monkeypatch):
+    def flipped(reduction):
+        image = reduction.image.copy()
+        t = int(np.flatnonzero((image >= 0) & (image >> 1 !=
+                                               np.arange(len(image))))[0])
+        image[t] ^= 1
+        return tietze.SymbolReduction(image=image, log=reduction.log,
+                                      relators=reduction.relators,
+                                      sources=reduction.sources)
+
+    _corrupting(monkeypatch, flipped)
+    with pytest.raises(InvariantError, match="other images"):
+        build_nu(get_group("D4"), mode="symbol")
+
+
+def test_corrupted_log_entry_raises(monkeypatch):
+    def corrupted(reduction):
+        # the first elimination, justified by the last one's relator
+        log = list(reduction.log)
+        log[0] = (log[0][0], log[-1][1])
+        return tietze.SymbolReduction(image=reduction.image, log=tuple(log),
+                                      relators=reduction.relators,
+                                      sources=reduction.sources)
+
+    _corrupting(monkeypatch, corrupted)
+    with pytest.raises(InvariantError, match="does not eliminate"):
+        build_nu(get_group("D4"), mode="symbol")
+
+
+def test_relator_check_catches_a_wrong_column(monkeypatch):
+    def swapped(table, reduction):
+        columns = symbol_columns(table, reduction).copy()
+        kept = reduction.kept()
+        columns[:, [kept[1], kept[2]]] = columns[:, [kept[2], kept[1]]]
+        return columns
+
+    symbol_columns = tietze.symbol_columns
+    monkeypatch.setattr(tietze, "symbol_columns", swapped)
+    with pytest.raises(InvariantError, match="fails a relator"):
+        build_nu(get_group("D4"), mode="symbol")
+
+
+def test_build_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, which would add about 1 MB to the
+    # process
+    script = ("import sys\n"
+              "from tensq import build_nu, get_group\n"
+              "build_nu(get_group('A4'))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
