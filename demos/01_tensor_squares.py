@@ -5,12 +5,16 @@ Builds nu(G) for a handful of catalog groups, reads off the tensor
 square [G, G'] inside it, and checks the order law |nu(G)| =
 |G (x) G| * |G|^2.  For abelian G the tensor square is abelian with a
 closed-form order, so the gcd oracle cross-checks the enumeration.
+The oracle and the last section read the crossed module of G (x) G
+alone (``tensor_module``), as ``tensq tensor`` does, with no nu(G)
+assembled.
 """
 
 import math
 
 from tensq import (build_nu, get_group, get_presentation,
-                   invariant_factors_from_cyclic, tensor_report)
+                   invariant_factors_from_cyclic, tensor_module,
+                   tensor_report)
 
 print("=== the order law ===")
 for name in ["C2", "C3", "C2xC2", "S3", "D4", "Q8"]:
@@ -27,8 +31,7 @@ print("=== the abelian oracle ===")
 print("for abelian G with invariant factors d_1 | ... | d_k, the tensor")
 print("square is the direct sum of cyclic groups of order gcd(d_i, d_j):")
 for name, invariants in [("C4", [4]), ("C6", [6]), ("C2xC4", [2, 4])]:
-    nu = build_nu(get_group(name), get_presentation(name))
-    rep = tensor_report(nu)
+    rep = tensor_report(tensor_module(get_group(name)))
     gcds = sorted(math.gcd(a, b) for a in invariants for b in invariants)
     expected = invariant_factors_from_cyclic(gcds)
     print(f"{name:6s} enumerated invariants {list(rep.tensor_invariants)}"
@@ -37,8 +40,7 @@ for name, invariants in [("C4", [4]), ("C6", [6]), ("C2xC4", [2, 4])]:
 
 print()
 print("=== a non-abelian tensor square ===")
-nu = build_nu(get_group("A4"), get_presentation("A4"))
-rep = tensor_report(nu)
+rep = tensor_report(tensor_module(get_group("A4")))
 print(f"A4     |GxG| = {rep.tensor_order}, abelian: {rep.tensor_abelian}, "
       f"nilpotency class: {rep.tensor_class}")
 print("(A4 (x) A4 is the smallest non-abelian tensor square in the catalog)")

@@ -5,12 +5,14 @@ The left Engel elements of a finite group form its Fitting subgroup;
 the iteration z |-> [z, y] is a self-map of a finite set, so the Engel
 property is decided exactly by cycle detection.  In nu(G) we scan, for
 every pair (x, y), the powers 1, p, p^2, ... of the tensor [x, y'] for
-the first one that becomes left n-Engel.
+the first one that becomes left n-Engel.  The scan reads only the
+crossed module of G (x) G (``tensor_module``): the values [z, t] over
+all z in nu(G) are a nu(G)-class in G (x) G times t.
 """
 
-from tensq import (EngelScanConfig, build_nu, engel_power_scan,
-                   engel_stack_identity, fitting_subgroup, get_group,
-                   get_presentation, left_engel_set)
+from tensq import (EngelScanConfig, engel_power_scan, engel_stack_identity,
+                   fitting_subgroup, get_group, left_engel_set,
+                   tensor_module)
 
 print("=== Engel sets vs Fitting subgroups ===")
 for name in ["S3", "D5", "A4", "D4"]:
@@ -23,8 +25,8 @@ for name in ["S3", "D5", "A4", "D4"]:
 
 print()
 print("=== scanning tensor powers for Engel behaviour in nu(D4) ===")
-nu = build_nu(get_group("D4"), get_presentation("D4"))
-scan = engel_power_scan(nu, EngelScanConfig(p=2, m=3, n=2))
+module = tensor_module(get_group("D4"))
+scan = engel_power_scan(module, EngelScanConfig(p=2, m=3, n=2))
 counts = {}
 for q in scan.table.values():
     counts[q] = counts.get(q, 0) + 1
@@ -33,14 +35,14 @@ print(f"every pair satisfied: {scan.all_pairs_satisfied}")
 
 print()
 print("=== scanning nu(S3) with 2-powers ===")
-nu = build_nu(get_group("S3"), get_presentation("S3"))
-scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=1))
+module = tensor_module(get_group("S3"))
+scan = engel_power_scan(module, EngelScanConfig(p=2, m=1, n=1))
 unsat = [pair for pair, q in scan.table.items() if q is None]
 print(f"depth 1 (centrality): {len(unsat)} of {len(scan.table)} pairs have "
       "no valid 2-power")
 print("(2-power powers of a tensor of order divisible by 3 are never "
       "central)")
-scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=2))
+scan = engel_power_scan(module, EngelScanConfig(p=2, m=1, n=2))
 print(f"depth 2: every pair satisfied with q = 1 -- the tensor subgroup "
       "is abelian and normal,")
 print("so each tensor is already left 2-Engel")

@@ -24,8 +24,8 @@ from .liering import (GradedElement, GradedLieRing, PGroupSeries,
                       jennings_recursion, lie_nilpotency_class, lie_ring,
                       subalgebra_Lp, verify_lazard, verify_lie_axioms)
 from .nu import (NuGroup, TensorReport, build_nu, nu_presentation,
-                 route_independence, tensor_order, tensor_report,
-                 tensor_square)
+                 route_independence, tensor_module, tensor_order,
+                 tensor_report, tensor_square)
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
                    commutator, format_perm_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)

@@ -28,7 +28,8 @@ from .errors import CapacityError, EnumerationLimitError, InvariantError
 from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
                       verify_lie_axioms)
-from .nu import build_nu, route_independence, tensor_report
+from .nu import (build_nu, route_independence, tensor_module,
+                 tensor_report, tensor_square)
 from .report import Report, write_report
 from .verify import (RELATION_FAMILIES, derived_map_check,
                      verify_decomposition, verify_nu_relations,
@@ -76,9 +77,9 @@ def _group_payload(descriptor, extra):
 
 
 def compute_tensor(args, group, pres):
-    nu = build_nu(group, pres, args.mode, limits=_limits(args),
-                  max_group_order=args.max_group)
-    return tensor_report(nu).to_dict(), True
+    report = tensor_square(group, pres, args.mode, limits=_limits(args),
+                           max_group_order=args.max_group)
+    return report.to_dict(), True
 
 
 def tensor_summary(args, r):
@@ -96,7 +97,9 @@ def compute_nu(args, group, pres):
         results["route_independence"] = check.to_dict()
         passed = check.passed
     else:
-        results, passed = compute_tensor(args, group, pres)
+        nu = build_nu(group, pres, args.mode, limits=_limits(args),
+                      max_group_order=args.max_group)
+        results, passed = tensor_report(nu).to_dict(), True
     results["passed"] = passed
     return results, passed
 
@@ -143,9 +146,9 @@ def verify_summary(args, r):
 
 def compute_engel(args, group, pres):
     config = EngelScanConfig(p=args.p, m=args.m, n=args.n)
-    nu = build_nu(group, pres, "auto", limits=_limits(args),
-                  max_group_order=args.max_group)
-    scan = engel_power_scan(nu, config)
+    module = tensor_module(group, limits=_limits(args),
+                           max_group_order=args.max_group)
+    scan = engel_power_scan(module, config)
     return scan.to_dict(), scan.all_pairs_satisfied
 
 

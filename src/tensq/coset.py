@@ -412,8 +412,11 @@ def to_perm_group(table, *, name=None):
 def points_group(columns, points, *, regular=True, name=None):
     """The group generated by the permutations ``columns`` of ``points``
     points; a regular one has order ``points`` and point 0 as its
-    identity.  The order cap is the point count, or DEFAULT_MAX_ORDER
-    if that is larger."""
+    identity.  No columns, as in the closed table of a presentation
+    with no generators, give the group of the identity alone.  The
+    order cap is the point count, or DEFAULT_MAX_ORDER if that is
+    larger."""
+    columns = list(columns) or [Permutation.identity(points)]
     return FiniteGroup(columns, name=name, regular=regular,
                        max_order=max(DEFAULT_MAX_ORDER, points))
 

@@ -1,4 +1,4 @@
-"""Left Engel testing in G and in nu(G).
+"""Left Engel testing in G, and of tensors in nu(G) read from G (x) G.
 
 An element y is left n-Engel in a group when the left-normed iterated
 commutator [x, y, y, ..., y] (n copies of y) is trivial for every x of
@@ -15,6 +15,13 @@ block of y is decided at once by composing each y's map n times; the
 stacked word of ``engel_stack_identity`` depends on (x1, y1) only
 through c = [x1, y1], so it is swept over all z at once for each
 distinct commutator.
+
+``engel_power_scan`` asks whether tensor powers c in T = G (x) G are
+left n-Engel in nu(G), and answers in T alone, from the crossed module
+of ``tensq.crossed``: nu(G) = T G' G, so as x runs over nu(G), [x, c] =
+(c^-1)^x c runs over the nu(G)-class of c^-1 times c, which is the
+orbit of c^-1 under T's inner automorphisms and the phi_s; the
+remaining n - 1 steps z |-> [z, c] stay in T.  No nu(G) is assembled.
 
 ``fitting_subgroup`` reads Fit(G) as the elements x whose normal
 closure <x^G> is nilpotent (by Fitting's theorem the nilpotent normal
@@ -207,22 +214,61 @@ def engel_projection_check(nu, x, y, q, n):
     )
 
 
-def engel_power_scan(nu, config):
+def _nu_classes(module):
+    """Each point of T = G (x) G labelled by the least point of its
+    nu(G)-conjugacy class.  nu(G) = T G' G, and g and g' both act on T
+    as phi_g, so the class is the orbit under T's inner automorphisms and
+    the phi_s together: labels fall to the least label among a point's
+    images, and jump to their own label's label, until none moves."""
+    maps = np.concatenate([module.tgroup.conjugation_map(), module.phi])
+    label = np.arange(maps.shape[1])
+    while True:
+        low = np.minimum(label, label[maps].min(axis=0))
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _nu_engel_mask(module, ys, n):
+    """Whether each y of ``ys``, indices of T, has [x, n y] = 1 for every
+    x of nu(G).  As x runs over nu(G), [x, y] = (y^-1)^x y runs over the
+    nu(G)-class of y^-1 times y, inside T, and the n - 1 steps z |->
+    [z, y] after it stay in T: so compose those steps, one row of
+    ``commutator_columns`` each, with right multiplication by y, and read
+    the composite on the class of y^-1.  A block of y at a time."""
+    tgroup = module.tgroup
+    label = _nu_classes(module)
+    inv = tgroup.inverse_indices()
+    out = []
+    step = sweep_rows(tgroup.order())
+    for lo in range(0, len(ys), step):
+        block = ys[lo:lo + step]
+        e = tgroup.commutator_columns(block)
+        v = tgroup.right_columns(block)
+        for _ in range(n - 1):
+            v = np.take_along_axis(e, v, axis=1)
+        inside = label == label[inv[block]][:, None]
+        out.extend((~(inside & (v != 0)).any(axis=1)).tolist())
+    return out
+
+
+def engel_power_scan(module, config):
     """For every pair (x, y) in G x G, the least divisor q of p^m
-    (scanning 1, p, p^2, ...) making [x, y']^q left n-Engel in nu(G)."""
-    amb = nu.ambient
+    (scanning 1, p, p^2, ...) making [x, y']^q left n-Engel in nu(G),
+    decided in T = G (x) G of the crossed ``module``
+    (``tensq.nu.tensor_module``), where the tensor x (x) y is [x, y']."""
+    tgroup = module.tgroup
     qs = [config.p ** j for j in range(config.m + 1)]
-    powers = {}
-    for x, y in itertools.product(range(nu.group.order()), repeat=2):
-        t = nu.tensor_elem_idx(x, y)
-        powers[(x, y)] = [amb.pow_idx(t, q) for q in qs]
+    powers = {t: [tgroup.pow_idx(t, q) for q in qs]
+              for t in dict.fromkeys(module.tensors.ravel().tolist())}
     # every candidate power, decided in one batch
     cands = list(dict.fromkeys(itertools.chain(*powers.values())))
-    hits = dict(zip(cands, _left_engel_mask(amb, cands, config.n)))
+    hits = dict(zip(cands, _nu_engel_mask(module, cands, config.n)))
     result = EngelScanResult(config=config)
-    for pair, tqs in powers.items():
+    for pair, t in np.ndenumerate(module.tensors):
         result.table[pair] = next(
-            (q for q, tq in zip(qs, tqs) if hits[tq]), None)
+            (q for q, tq in zip(qs, powers[int(t)]) if hits[tq]), None)
     return result
 
 

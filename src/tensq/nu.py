@@ -39,6 +39,14 @@ quotient of A too.  So A is nu(G), for any presentation, proved or
 not.  The rho sweep, the order law and the centrality of mu are
 checked as well.
 The checks of a built nu(G) are in ``tensq.verify``.
+
+Where nu(G) is assembled: ``tensq nu`` (route independence included),
+``tensq verify``, and ``tensq tensor`` on the "all" and "gens" routes,
+auto's gens route for one-generator groups up to C5 among them.  On
+the symbol route ``tensq tensor`` (``tensor_square``) and, on every
+group, ``tensq engel`` read only G (x) G: the crossed module of
+``tensor_module`` (``tensq.crossed``), on |G (x) G| points against the
+n^2 |G (x) G| of nu(G).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .coset import (EnumerationLimits, TablePresentation,
 from .errors import invariant
 from .linalg import abelian_invariants
 from .perm import FiniteGroup, Subgroup
-from .symbol import assemble_nu, group_arrays
+from .symbol import assemble_nu, group_arrays, tensor_symbols
 # the checks of nu(G) live in .verify; tensq.nu names them too
 from .verify import (RELATION_FAMILIES, Check,
                      VerificationReport, derived_map_check,
@@ -187,6 +195,24 @@ def _validate_presentation_for(group, pres):
                 f"group generators do not satisfy relator {rel!r}")
 
 
+def _check_cap(group, max_group_order):
+    n = group.order()
+    if n > max_group_order:
+        raise ValueError(
+            f"|G| = {n} exceeds the nu-construction cap {max_group_order}; "
+            "pass max_group_order explicitly to override")
+
+
+def _route(group, presentation, mode):
+    """The route ``mode`` names; "auto" is "gens" for a presentation with
+    one generator and |G| <= GENS_ROUTE_MAX_CYCLIC, "symbol" otherwise."""
+    if mode != "auto":
+        return mode
+    cyclic = presentation is not None and presentation.ngens == 1
+    return "gens" if cyclic and group.order() <= GENS_ROUTE_MAX_CYCLIC \
+        else "symbol"
+
+
 def build_nu(group, presentation=None, mode="auto", *, limits=None,
              max_group_order=DEFAULT_GROUP_CAP):
     """Build nu(G) and identify its distinguished pieces.
@@ -198,19 +224,15 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     "symbol" otherwise.  Groups larger than ``max_group_order`` are
     rejected; raise the cap explicitly for larger experiments.
     """
-    n = group.order()
-    if n > max_group_order:
-        raise ValueError(
-            f"|G| = {n} exceeds the nu-construction cap {max_group_order}; "
-            "pass max_group_order explicitly to override")
+    _check_cap(group, max_group_order)
     limits = limits or EnumerationLimits()
     name = f"nu({group.name or 'G'})"
-    if mode == "auto":
-        cyclic = presentation is not None and presentation.ngens == 1
-        mode = "gens" if cyclic and n <= GENS_ROUTE_MAX_CYCLIC else "symbol"
+    mode = _route(group, presentation, mode)
+    n = group.order()
     arrays = group_arrays(group)
     if mode == "symbol":
-        ambient = assemble_nu(group, arrays, limits, name)
+        symbols, _ = tensor_symbols(arrays, limits)
+        ambient = assemble_nu(group, arrays, symbols, name)
         images = group.generator_indices()
     elif mode == "gens":
         if presentation is None:
@@ -227,6 +249,17 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _certified_nu(group, arrays, ambient, mode, images)
+
+
+def tensor_module(group, *, limits=None, max_group_order=DEFAULT_GROUP_CAP):
+    """The certified crossed module (T, phi, lambda) of G (x) G, read from
+    the reduced symbol enumeration with no nu(G) assembled
+    (``tensq.crossed``).  The cap on |G| is ``build_nu``'s."""
+    _check_cap(group, max_group_order)
+    # loaded here, not with the package, like the symbol reduction
+    from .crossed import crossed_module
+    return crossed_module(group, group_arrays(group),
+                          limits or EnumerationLimits())
 
 
 def _certified_nu(group, arrays, ambient, mode, images):
@@ -354,11 +387,18 @@ class TensorReport:
 
 
 def tensor_square(group, presentation=None, mode="auto", **kwargs):
-    nu = build_nu(group, presentation, mode, **kwargs)
-    return tensor_report(nu)
+    """The tensor-square report on the route ``build_nu`` would take.
+    The symbol route reads the crossed module of G (x) G
+    (``tensor_module``) and assembles no nu(G); "all" and "gens" build
+    nu(G)."""
+    if _route(group, presentation, mode) == "symbol":
+        return tensor_report(tensor_module(group, **kwargs))
+    return tensor_report(build_nu(group, presentation, mode, **kwargs))
 
 
 def tensor_report(nu):
+    """The report of a ``NuGroup`` or of a ``tensq.crossed.CrossedModule``:
+    both carry the group, the tensor subgroup, mu, order() and mode."""
     tensor = nu.tensor
     abelian = tensor.is_abelian()
     invariants = tuple(abelian_invariants(tensor)) if abelian else None

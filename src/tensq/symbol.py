@@ -26,6 +26,8 @@ image.  Two certificates make T = G (x) G:
   relators on the symbols' columns of T, in blocks.  So g (x) h |-> its
   column is a homomorphism onto T: T is a quotient of G (x) G.
 
+``tensor_symbols`` is the enumeration and both certificates.
+
 Neither is enough alone.  Merging two symbols that are not equal in
 G (x) G enumerates a proper quotient of it, on which every original
 relator still holds (one wrongly merged pair of symbols makes
@@ -49,6 +51,9 @@ through the symbols' columns of T (``assemble_nu``).  Todd-Coxeter
 guarantees a regular action; the assembled one is certified regular
 (``FiniteGroup.is_regular``) before anything reads it, and
 ``tensq.nu`` certifies the result is nu(G) as it does for every route.
+nu(G) is assembled for ``tensq nu`` and ``tensq verify``; ``tensq
+tensor`` on this route and ``tensq engel`` read T and its symbol
+columns alone, as the crossed module of ``tensq.crossed``.
 Conjugation is x^k = k^-1 x k, as everywhere in tensq.
 """
 
@@ -119,22 +124,21 @@ def _primed_step(mul, inv, conj, y):
     return s, a * n + b
 
 
-def assemble_nu(group, arrays, limits, name):
-    """nu(G) assembled from the regular group T = G (x) G: the symbol
-    presentation is reduced and certified by replay (``tensq.tietze``),
-    T is enumerated from what remains, and every symbol's column of T
-    is read through its image and checked against all 2n^3 relators.
-    The point t n^2 + h n + g stands for t h' g, and each generator of
-    G and each primed copy gets one column, gathered through the symbol
-    columns.  Certified regular before anything reads it."""
+def tensor_symbols(arrays, limits):
+    """T = G (x) G from the symbol presentation: reduced and certified by
+    replay (``tensq.tietze``), enumerated from what remains, and every
+    symbol's column of T read through its image and checked against all
+    2n^3 relators.  Returns the (|T|, n^2) symbol columns, column g n + h
+    right multiplication by g (x) h on T's points, and the symbols kept,
+    whose columns are the enumeration's generators (none for the trivial
+    group)."""
     # loaded here, not with the package: a process that never takes
     # the symbol route does not hold the reduction's code
     from .tietze import (check_relators, reduce_symbols,
                          reduced_presentation, replay_reduction,
                          symbol_columns)
 
-    mul, inv, conj = arrays
-    n = len(mul)
+    n = len(arrays[0])
     rows = symbol_relators(arrays)
     reduction = reduce_symbols(rows, n * n)
     replay_reduction(rows, reduction)
@@ -144,8 +148,19 @@ def assemble_nu(group, arrays, limits, name):
     invariant(check_relators(rows, symbols),
               "the reduced enumeration of G (x) G fails a relator of the "
               "symbol presentation")
-    size = len(table) * n * n
-    t = (np.arange(len(table)) * (n * n))[:, None, None]
+    return symbols, reduction.kept()
+
+
+def assemble_nu(group, arrays, symbols, name):
+    """nu(G) assembled from the ``symbols`` columns of T = G (x) G
+    (``tensor_symbols``).  The point t n^2 + h n + g stands for t h' g,
+    and each generator of G and each primed copy gets one column,
+    gathered through the symbol columns.  Certified regular before
+    anything reads it."""
+    mul, inv, conj = arrays
+    n = len(mul)
+    size = len(symbols) * n * n
+    t = (np.arange(len(symbols)) * (n * n))[:, None, None]
     h = (np.arange(n) * n)[None, :, None]
     g = np.arange(n)[None, None, :]
     gens = group.generator_indices()

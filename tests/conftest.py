@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from tensq import build_nu, get_group, get_presentation
+from tensq import build_nu, get_group, get_presentation, tensor_module
 
 
 class NuFactory:
@@ -33,3 +33,18 @@ class NuFactory:
 @pytest.fixture(scope="session")
 def nu_of():
     return NuFactory()
+
+
+@pytest.fixture(scope="session")
+def module_of():
+    """Session-wide memo for crossed modules of G (x) G, by group name;
+    groups past the default cap are built with theirs raised."""
+    cache = {}
+
+    def build(name):
+        if name not in cache:
+            group = get_group(name)
+            cache[name] = tensor_module(group,
+                                        max_group_order=group.order())
+        return cache[name]
+    return build

@@ -219,7 +219,7 @@ def test_c09_lie_axioms_and_lazard():
                       f"{count} p-groups")
 
 
-def test_c10_engel_suite(nu_of):
+def test_c10_engel_suite(nu_of, module_of):
     """Projection implication with zero counterexamples (<= 12, all
     pairs, q in {1, p, p^2}); Engel set = Fitting subgroup (<= 16);
     power scans on D4 and Q8 record a q for every pair."""
@@ -245,7 +245,8 @@ def test_c10_engel_suite(nu_of):
 
     scan_ok = True
     for name in ("D4", "Q8"):
-        scan = engel_power_scan(nu_of(name), EngelScanConfig(p=2, m=3, n=2))
+        scan = engel_power_scan(module_of(name),
+                                EngelScanConfig(p=2, m=3, n=2))
         scan_ok = scan_ok and scan.all_pairs_satisfied
     _criterion(10, ok and fitting_ok and scan_ok,
                f"projection ({pairs_checked} instances), Engel set = "

@@ -150,46 +150,46 @@ class TestProjection:
 
 
 class TestPowerScan:
-    def test_c2_records_one(self, nu_of):
-        nu = nu_of("C2")
-        scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=1))
+    def test_c2_records_one(self, module_of):
+        scan = engel_power_scan(module_of("C2"),
+                                EngelScanConfig(p=2, m=1, n=1))
         assert scan.all_pairs_satisfied
         assert all(q == 1 for q in scan.table.values())
 
-    def test_class_two_2_group_all_one(self, nu_of):
-        nu = nu_of("D4")
-        scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=2))
+    def test_class_two_2_group_all_one(self, module_of):
+        scan = engel_power_scan(module_of("D4"),
+                                EngelScanConfig(p=2, m=1, n=2))
         assert all(q == 1 for q in scan.table.values())
 
-    def test_s3_with_2_powers_at_depth_one(self, nu_of):
+    def test_s3_with_2_powers_at_depth_one(self, module_of):
         # depth 1 means centrality: 2-power powers of a tensor with
         # order divisible by 3 can never become central
-        nu = nu_of("S3")
-        scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=1))
-        amb = nu.ambient
+        module = module_of("S3")
+        scan = engel_power_scan(module, EngelScanConfig(p=2, m=1, n=1))
         unsat = {pair for pair, q in scan.table.items() if q is None}
         assert len(unsat) == 18
         for x, y in itertools.product(range(6), repeat=2):
-            t = nu.tensor_elem_idx(x, y)
-            divisible = amb.order_of_idx(t) % 3 == 0
+            t = int(module.tensors[x, y])
+            divisible = module.tgroup.order_of_idx(t) % 3 == 0
             assert ((x, y) in unsat) == divisible
 
-    def test_s3_tensors_already_engel_at_depth_two(self, nu_of):
+    def test_s3_tensors_already_engel_at_depth_two(self, module_of):
         # the tensor subgroup of nu(S3) is abelian and normal, so every
         # tensor is left 2-Engel with q = 1; the scan reports no
         # failures at depth >= 2
-        nu = nu_of("S3")
         for n in (2, 3):
-            scan = engel_power_scan(nu, EngelScanConfig(p=2, m=1, n=n))
+            scan = engel_power_scan(module_of("S3"),
+                                    EngelScanConfig(p=2, m=1, n=n))
             assert scan.all_pairs_satisfied
             assert all(q == 1 for q in scan.table.values())
 
-    def test_minimality_of_recorded_powers(self, nu_of):
+    def test_minimality_of_recorded_powers(self, module_of, nu_of):
+        # the next smaller power, decided over all of nu(G)
         from tensq.engel import _is_left_n_engel_idx
         for name, cfg in [("Q8", EngelScanConfig(p=2, m=3, n=1)),
                           ("D4", EngelScanConfig(p=2, m=3, n=1))]:
             nu = nu_of(name)
-            scan = engel_power_scan(nu, cfg)
+            scan = engel_power_scan(module_of(name), cfg)
             for (x, y), q in scan.table.items():
                 if q is not None and q > 1:
                     t = nu.tensor_elem_idx(x, y)

@@ -36,8 +36,8 @@ from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
                    build_nu, commutator, dimension_subgroups, engel_degree,
                    engel_stack_identity, fitting_subgroup, get_group,
                    get_presentation, left_engel_set, lie_ring,
-                   tc_enumerate, tensor_report, to_perm_group,
-                   verify_nu_relations)
+                   tc_enumerate, tensor_module, tensor_report,
+                   to_perm_group, verify_nu_relations)
 from tensq import nu as nu_module
 from tensq import perm as perm_module
 from tensq import verify as verify_module
@@ -48,6 +48,7 @@ from tensq.nu import (RELATION_FAMILIES, derived_map_check,
                       verify_decomposition, verify_tensor_set_closed)
 from tensq.perm import Subgroup, power_subgroup
 
+from engel_oracle import nu_engel_power_scan
 from scalar_relations import (scalar_commutator_closed, scalar_fibers,
                               scalar_nu_relations, scalar_rho_on_pairs,
                               scalar_set_products)
@@ -702,7 +703,7 @@ def test_nu_kernels_build_no_table(mode):
         nu = build_nu(group, pres, mode)
         report = tensor_report(nu).to_dict()
         relations = verify_nu_relations(nu)
-        scans = {cfg: digest(engel_power_scan(
+        scans = {cfg: digest(nu_engel_power_scan(
             nu, EngelScanConfig(*cfg)).to_dict())
             for cfg in ENGEL_SCAN_RECORDED}
         stack = [engel_stack_identity(group, n, p, m)
@@ -713,6 +714,18 @@ def test_nu_kernels_build_no_table(mode):
     assert stack == [brute_stack_identity(group, n, p, m)
                      for n, p, m in STACK_GRID]
     assert nu.ambient._table is None and group._table is None
+
+
+def test_crossed_module_kernels_build_no_table():
+    with no_table():
+        module = tensor_module(fresh("D4"))
+        report = tensor_report(module).to_dict()
+        scans = {cfg: digest(engel_power_scan(
+            module, EngelScanConfig(*cfg)).to_dict())
+            for cfg in ENGEL_SCAN_RECORDED}
+    assert report == dict(NU_D4_REPORT, mode="symbol")
+    assert scans == ENGEL_SCAN_RECORDED
+    assert module.tgroup._table is None
 
 
 @contextlib.contextmanager

@@ -314,9 +314,10 @@ class TestSymbolRoute:
         monkeypatch.setattr(symbol_module, "_primed_step", mutated)
         with pytest.raises(InvariantError):
             build_nu(get_group("S3"), mode="symbol")
-        out = tmp_path / "tensor.json"
-        assert cli_main(["tensor", "D4", "--no-cache", "--json",
-                         str(out)]) == 1
+        # tensq tensor reads G (x) G alone; tensq nu assembles nu(G)
+        out = tmp_path / "nu.json"
+        assert cli_main(["nu", "D4", "--mode", "symbol", "--no-cache",
+                         "--json", str(out)]) == 1
         assert "invariant error" in capsys.readouterr().err
         assert not out.exists()
 

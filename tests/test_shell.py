@@ -253,6 +253,17 @@ class TestCli:
     def test_limit_error_exit_2(self):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
 
+    @pytest.mark.parametrize("argv", [("tensor", "Heis3"),
+                                      ("engel", "Heis3", "-p", "3", "-m", "1",
+                                       "-n", "2")])
+    def test_cap_without_max_group_exit_2(self, capsys, argv):
+        # both read G (x) G alone, so the cap is checked outside build_nu
+        start = time.monotonic()
+        assert self.run(*argv, "--no-cache") == 2
+        assert time.monotonic() - start < 1.0
+        assert "|G| = 27 exceeds the nu-construction cap 16" in \
+            capsys.readouterr().err
+
     def test_table_memory_limit_exit_2(self, monkeypatch, capsys):
         # nu(D4) on the all route outgrows the first 1024 rows
         monkeypatch.setattr(tensq.coset, "_MAX_TABLE_BYTES", 200_000)
@@ -276,6 +287,7 @@ class TestCli:
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before -p was checked")
         monkeypatch.setattr(cli, "build_nu", build_nu)
+        monkeypatch.setattr(cli, "tensor_module", build_nu)
         assert self.run("engel", "C3xC3", "-p", "4", "-m", "1", "-n", "1",
                         "--no-cache") == 2
         assert "p must be prime" in capsys.readouterr().err
@@ -339,12 +351,14 @@ class TestCli:
 
 def test_tensor_c3xc3_peak_rss(tmp_path):
     # nu(C3xC3) has 6561 elements; an eager Cayley table of it alone is
-    # 86 MB, and the process peaked at about 125 MB with one.  The peak
-    # is read from VmHWM: a child's ru_maxrss starts from the peak of
-    # the process that forked it, here the test runner's.
+    # 86 MB, and the process peaked at about 125 MB with one.  tensq
+    # tensor reads C3xC3 (x) C3xC3 alone, so tensq nu builds nu(C3xC3)
+    # here.  The peak is read from VmHWM: a child's ru_maxrss starts
+    # from the peak of the process that forked it, here the test
+    # runner's.
     code = ("import sys\n"
             "from tensq.cli import main\n"
-            "rc = main(['tensor', 'C3xC3', '--no-cache'])\n"
+            "rc = main(['nu', 'C3xC3', '--mode', 'symbol', '--no-cache'])\n"
             "with open('/proc/self/status') as fh:\n"
             "    print([l for l in fh if l.startswith('VmHWM')][0])\n"
             "sys.exit(rc)\n")

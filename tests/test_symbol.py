@@ -37,11 +37,8 @@ def _census(group):
 
 def _table_census(presentation):
     """Element-order census of the regular group of the presentation's
-    enumeration; C1 keeps no symbol, so its group has no generator."""
-    table = tc_enumerate(presentation, ())
-    if not presentation.ngens:
-        return {1: table.coset_count}
-    return _census(to_perm_group(table))
+    enumeration."""
+    return _census(to_perm_group(tc_enumerate(presentation, ())))
 
 
 def _reduction(name):
@@ -78,6 +75,16 @@ def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
     assert _census(standalone_group(nu.tensor)) == \
         _census(standalone_group(nu_full.tensor))
     assert tensor_report(nu) == tensor_report(nu_full)
+
+
+def test_trivial_group_keeps_no_symbol_and_has_order_one():
+    group, rows, reduction = _reduction("C1")
+    assert len(reduction.kept()) == 0
+    presentation = tietze.reduced_presentation(reduction,
+                                               symbol._symbol_names(1))
+    table = to_perm_group(tc_enumerate(presentation, ()))
+    assert table.order() == 1
+    assert table.generator_indices() == (0,)
 
 
 @pytest.mark.parametrize("name,kept", [("D4", 17), ("A4", 17),
