@@ -164,7 +164,7 @@ def compute_lie(args, group, pres):
     oracle = jennings_recursion(group, args.p)
     ring = lie_ring(series)
     axioms = verify_lie_axioms(ring)
-    qs = [args.lazard] if args.lazard else [args.p, args.p ** 2]
+    qs = [args.p, args.p ** 2] if args.lazard is None else [args.lazard]
     lazard = [verify_lazard(ring, q) for q in qs]
     sub = subalgebra_Lp(ring)
     results = {

@@ -416,7 +416,9 @@ def verify_lazard(ring, q):
     lift x, and the ad-nilpotency bound when x^q = 1.
 
     For x of degree i, (ad x~)^q has degree q*i, so x^q is taken at
-    degree q*i: its class there is zero when x^q lies deeper."""
+    degree q*i: its class there is zero when x^q lies deeper.  The
+    identity is claimed only for q a power of p; any other q raises
+    ValueError."""
     if q < 1:
         raise ValueError("q must be positive")
     g = ring.group
@@ -426,6 +428,8 @@ def verify_lazard(ring, q):
     while qq % p == 0:
         qq //= p
         s += 1
+    if qq != 1:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
     checks = []
     for i in range(1, ring.degrees + 1):
         for t in range(ring.dim(i)):

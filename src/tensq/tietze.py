@@ -1,6 +1,7 @@
 """Tietze elimination on the symbol presentation of G (x) G, and the
-two certificates of its result: the replay of the eliminations and the
-check of every original relator (the argument is in ``tensq.symbol``).
+two certificates of its result: the replay of the eliminations, which
+reads only the relators it names, and the check of every original
+relator, one sweep block at a time (the argument is in ``tensq.symbol``).
 
 A letter is 2s for the symbol s and 2s + 1 for its inverse (so
 ``l ^ 1`` inverts it), and -1 is no letter.  A word is a row of three
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import invariant
+from .perm import sweep_rows
 from .words import Presentation, Word
 
 
@@ -52,12 +54,14 @@ def _first_occurrences(words):
     def key(a, b, c):
         return (a * base + b) * base + c
 
-    two = np.minimum.reduce([key(x, y, 0), key(y, x, 0), key(yi, xi, 0),
-                             key(xi, yi, 0)])
-    three = np.minimum.reduce([key(x, y, z), key(y, z, x), key(z, x, y),
-                               key(zi, yi, xi), key(yi, xi, zi),
-                               key(xi, zi, yi)])
-    keys = np.where(z > 0, three, np.where(y > 0, two, key(x, 0, 0)))
+    # key(x, y, z) is the identity rotation at every length
+    keys = key(x, y, z)
+    three, two = z > 0, (z == 0) & (y > 0)
+    for a, b, c in ((y, z, x), (z, x, y), (zi, yi, xi), (yi, xi, zi),
+                    (xi, zi, yi)):
+        np.minimum(keys, key(a, b, c), out=keys, where=three)
+    for a, b in ((y, x), (yi, xi), (xi, yi)):
+        np.minimum(keys, key(a, b, 0), out=keys, where=two)
     order = np.argsort(keys, kind="stable")
     first = np.ones(len(order), dtype=bool)
     first[1:] = keys[order[1:]] != keys[order[:-1]]
@@ -158,7 +162,6 @@ def replay_reduction(rows, reduction):
     the kept symbols generate it and the remaining relators hold in it.
     Raises InvariantError otherwise."""
     nsym = len(reduction.image)
-    rows = rows.tolist()
     direct = [2 * s for s in range(nsym)]
 
     def resolve(letter):
@@ -168,7 +171,7 @@ def replay_reduction(rows, reduction):
         return letter
 
     def relator(r):
-        a, b, c = rows[r]
+        a, b, c = rows[r].tolist()
         out = []
         for letter in (resolve(2 * a + 1), resolve(2 * b), resolve(2 * c)):
             if letter < 0:
@@ -196,9 +199,9 @@ def replay_reduction(rows, reduction):
     invariant([resolve(2 * s) for s in range(nsym)]
               == reduction.image.tolist(),
               "symbol replay: the eliminations give other images")
-    for word, r in zip(reduction.relators.tolist(),
-                       reduction.sources.tolist()):
-        invariant([letter for letter in word if letter >= 0] == relator(r),
+    for word, r in zip(reduction.relators, reduction.sources.tolist()):
+        invariant([letter for letter in word.tolist() if letter >= 0]
+                  == relator(r),
                   f"symbol replay: relator {r} does not reduce to the "
                   "relator kept for it")
 
@@ -229,18 +232,15 @@ def symbol_columns(table, reduction):
     return ext[:, column]
 
 
-# (relator, point) pairs per block of the relator check
-_CHECK_PAIRS = 1 << 18
-
-
 def check_relators(rows, columns):
     """Whether every relator a^-1 b c of ``rows`` holds on the symbol
     ``columns`` (point by symbol): p b c = p a at every point p, checked
-    in blocks of relators."""
+    for ``perm.sweep_rows(points)`` relators at a time."""
+    # a view: ``symbol_columns`` returns its columns column-major
     by_symbol = np.ascontiguousarray(columns.T)
     points = by_symbol.shape[1]
     flat = by_symbol.ravel()
-    block = max(1, _CHECK_PAIRS // points)
+    block = sweep_rows(points)
     for lo in range(0, len(rows), block):
         a, b, c = rows[lo:lo + block].T
         got = flat[c[:, None] * points + by_symbol[b]]

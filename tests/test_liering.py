@@ -185,7 +185,7 @@ class TestLazard:
 
     def test_abelian_any_q(self):
         ring = lie_ring(dimension_subgroups(get_group("C8"), 2))
-        for q in (2, 3, 4, 8):
+        for q in (1, 2, 4, 8, 16):
             assert verify_lazard(ring, q).passed
 
     def test_q_at_and_beyond_exponent(self):
@@ -199,8 +199,11 @@ class TestLazard:
             assert verify_lazard(ring, q * p).passed      # strictly beyond
 
     def test_q_not_a_p_power(self):
+        # the identity is claimed only for powers of p
         ring = lie_ring(dimension_subgroups(get_group("D4"), 2))
-        assert verify_lazard(ring, 6).passed
+        for q in (3, 6):
+            with pytest.raises(ValueError, match="not a power of p"):
+                verify_lazard(ring, q)
 
     def test_wreath_product_generating_set(self):
         # the class of x^2 at degree 2i is zero, as is (ad x~)^2

@@ -229,6 +229,15 @@ class TestCli:
     def test_lie_rejects_wrong_prime(self):
         assert self.run("lie", "D4", "-p", "3", "--no-cache") == 2
 
+    @pytest.mark.parametrize("q,message", [("0", "q must be positive"),
+                                           ("3", "q = 3 is not a power")])
+    def test_lie_rejects_a_lazard_q_off_the_powers_of_p(self, capsys, q,
+                                                        message):
+        # --lazard 0 is a q of its own, not the default q = p, p^2
+        assert self.run("lie", "D4", "-p", "2", "--lazard", q,
+                        "--no-cache") == 2
+        assert message in capsys.readouterr().err
+
     def test_identity_f(self):
         assert self.run("identity-f", "S3", "-n", "2", "-p", "2",
                         "-m", "1") == 0

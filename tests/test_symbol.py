@@ -11,10 +11,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tensq.perm as perm
 import tensq.symbol as symbol
 import tensq.tietze as tietze
 from tensq import (InvariantError, build_nu, get_group, tc_enumerate,
@@ -178,6 +180,78 @@ def test_relator_check_catches_a_wrong_column(monkeypatch):
     monkeypatch.setattr(tietze, "symbol_columns", swapped)
     with pytest.raises(InvariantError, match="fails a relator"):
         build_nu(get_group("D4"), mode="symbol")
+
+
+def _columns(name):
+    group, rows, reduction = _reduction(name)
+    table = tc_enumerate(tietze.reduced_presentation(
+        reduction, symbol._symbol_names(group.order())), ()).table
+    return rows, reduction, tietze.symbol_columns(table, reduction)
+
+
+def test_relator_check_across_block_boundaries(monkeypatch):
+    rows, reduction, columns = _columns("D4")
+    assert columns.shape == (32, 64) and len(rows) == 1024
+    # 7 relators a block: 146 full blocks and a last one of 2
+    monkeypatch.setattr(perm, "SWEEP_ENTRIES", 7 * 32)
+    assert perm.sweep_rows(32) == 7
+    assert tietze.check_relators(rows, columns)
+    # u^-1 v (e (x) e), with u != v, placed at each end of the relators
+    kept = reduction.kept()
+    wrong = np.array([[kept[1], kept[2], 0]])
+    assert not tietze.check_relators(np.vstack([wrong, rows]), columns)
+    assert not tietze.check_relators(np.vstack([rows, wrong]), columns)
+    # the corruption of test_relator_check_catches_a_wrong_column
+    swapped = columns.copy()
+    swapped[:, [kept[1], kept[2]]] = columns[:, [kept[2], kept[1]]]
+    assert not tietze.check_relators(rows, swapped)
+
+
+@pytest.mark.parametrize("name", ["A4", "C3xC3"])
+def test_relator_check_holds_one_sweep_block_at_a_time(name):
+    rows, _, columns = _columns(name)
+    tracemalloc.start()
+    try:
+        assert tietze.check_relators(rows, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of one block's entries, of at most 8 bytes each
+    assert peak < 8 * perm.SWEEP_ENTRIES * 8
+
+
+@pytest.mark.parametrize("name", ["D4", "A4"])
+def test_replay_reads_only_the_rows_it_names(name):
+    _, rows, reduction = _reduction(name)
+    named = sorted({r for _, r in reduction.log} |
+                   set(reduction.sources.tolist()))
+    garbage = np.random.default_rng(0).integers(
+        0, len(reduction.image), size=rows.shape)
+    garbage[named] = rows[named]
+    assert len(named) < len(rows)
+    tietze.replay_reduction(garbage, reduction)
+
+    # u^-1 u u = u for a kept u: it eliminates no symbol, and no
+    # remaining relator has one letter
+    u = reduction.kept()[-1]
+    for r, match in ((reduction.log[0][1], "does not eliminate"),
+                     (int(reduction.sources[0]), "does not reduce")):
+        altered = rows.copy()
+        altered[r] = u
+        with pytest.raises(InvariantError, match=match):
+            tietze.replay_reduction(altered, reduction)
+
+
+def test_replay_rejects_a_relator_kept_for_another_source():
+    _, rows, reduction = _reduction("D4")
+    sources = reduction.sources.copy()
+    sources[0] = sources[1]
+    moved = tietze.SymbolReduction(image=reduction.image, log=reduction.log,
+                                   relators=reduction.relators,
+                                   sources=sources)
+    with pytest.raises(InvariantError, match="does not reduce to the "
+                                             "relator kept for it"):
+        tietze.replay_reduction(rows, moved)
 
 
 def test_build_does_not_import_numpy_ma():
