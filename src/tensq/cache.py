@@ -1,18 +1,21 @@
 """Result cache: one self-describing file per canonical input digest.
 
 Keys hash the canonical JSON of the inputs (generators or presentation
-text, mode, limits) together with the tool version, so a version bump
-is a cache miss.  Each entry starts with a header line naming its key
-and the SHA-256 of the body that follows.  Writes are atomic
-(write-then-rename); an entry whose header or body digest does not
-match is ignored with a warning and recomputed.  There is no global
-index, so the cache is crash-safe by construction.
+text, mode, limits) together with a version: the CLI passes
+``source_digest()``, so a report cached by other code is a miss.  Each
+entry starts with a header line naming its key and the SHA-256 of the
+body that follows.  Writes are atomic (write-then-rename); an entry
+whose header or body digest does not match is ignored with a warning
+and recomputed.  There is no global index, so the cache is crash-safe
+by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -27,6 +30,16 @@ def cache_dir():
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "tensq")
+
+
+@functools.cache
+def source_digest():
+    """SHA-256 over the package's ``.py`` sources, read one file at a
+    time, once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def cache_key(payload, version):

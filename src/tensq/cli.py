@@ -5,7 +5,9 @@ look up the result cache, compute, build the report, print its summary,
 store it in the cache, write ``--json`` and return the exit status.  A
 subcommand supplies a compute function returning ``(results, passed)``
 and a summary function that derives the printed lines from ``results``
-alone, so a cache hit prints the same lines.
+alone, so a cache hit prints the same lines.  The parser is built once
+per process, on the first ``main`` call; each subcommand takes only the
+options it reads (``--seed`` belongs to ``verify``, which alone samples).
 
 Exit status: 0 when every requested check passes, 1 when a
 counterexample or failed check is found or an internal invariant
@@ -15,12 +17,13 @@ fails, 2 for usage, parse, capacity or enumeration-limit errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import __version__
-from .cache import cache_key, cache_load, cache_store
+from .cache import cache_key, cache_load, cache_store, source_digest
 from .catalog import catalog, resolve_group
 from .coset import EnumerationLimits
 from .engel import EngelScanConfig, engel_power_scan, engel_stack_identity
@@ -77,7 +80,7 @@ def _group_payload(descriptor, extra):
 
 
 def compute_tensor(args, group, pres):
-    report = tensor_square(group, pres, args.mode, limits=_limits(args),
+    report = tensor_square(group, pres, limits=_limits(args),
                            max_group_order=args.max_group)
     return report.to_dict(), True
 
@@ -126,7 +129,7 @@ def compute_verify(args, group, pres):
     if families:
         reports.append(verify_nu_relations(
             nu, exhaustive_cap=args.exhaustive_cap, samples=args.samples,
-            seed=args.seed or 0, families=tuple(families)))
+            seed=args.seed, families=tuple(families)))
     if "closed" in lemmas:
         reports.append(verify_tensor_set_closed(nu))
     if "decomp" in lemmas:
@@ -228,7 +231,7 @@ def run(args):
         payload = _group_payload(desc, {
             "command": args.command,
             **{name: getattr(args, name) for name in args.cache_on}})
-        key = cache_key(payload, __version__)
+        key = cache_key(payload, source_digest())
     start = time.monotonic()
     hit = cache_load(key) if key is not None else None
     if hit is None:
@@ -254,57 +257,55 @@ def run(args):
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tensq",
         description="non-abelian tensor squares, nu-groups, Engel scans "
                     "and graded Lie rings of finite groups")
     parser.add_argument("--version", action="version", version=__version__)
+    # every report records a seed, which only verify's --seed sets
+    parser.set_defaults(seed=None, cache_on=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("group", help="catalog name, @file.perm or @file.pres")
-        p.add_argument("--json", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks")
-        p.add_argument("--max-group", type=int, default=16,
-                       help="cap on |G| for nu-construction")
-        p.add_argument("--max-cosets", type=int, default=2_000_000)
-        p.add_argument("--time-limit", type=float, default=60.0)
-        p.add_argument("--no-cache", action="store_true")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("group", help="catalog name, @file.perm or @file.pres")
+    common.add_argument("--json", help="write the JSON report here")
+    common.add_argument("--max-cosets", type=int, default=2_000_000)
+    common.add_argument("--time-limit", type=float, default=60.0)
+    common.add_argument("--no-cache", action="store_true")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--max-group", type=int, default=16,
+                        help="cap on |G| for nu-construction")
 
-    p = sub.add_parser("tensor", help="tensor square report")
-    common(p)
-    p.add_argument("--mode", choices=MODES, default="auto")
+    p = sub.add_parser("tensor", parents=[capped], help="tensor square report")
     p.set_defaults(compute=compute_tensor, summary=tensor_summary,
-                   cache_on=("mode", "max_group"))
+                   cache_on=("max_group",))
 
-    p = sub.add_parser("nu", help="build nu(G); default mode cross-checks "
-                                  "the three construction routes")
-    common(p)
+    p = sub.add_parser("nu", parents=[capped], help="build nu(G); default "
+                       "mode cross-checks the three construction routes")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,
                    cache_on=("mode", "max_group"))
 
-    p = sub.add_parser("verify", help="verify tensor-commutator identities")
-    common(p)
+    p = sub.add_parser("verify", parents=[capped],
+                       help="verify tensor-commutator identities")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled checks")
     p.add_argument("--lemmas", default="i..v,closed,decomp,rho")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--exhaustive-cap", type=int, default=8)
-    p.set_defaults(compute=compute_verify, summary=verify_summary,
-                   cache_on=())
+    p.set_defaults(compute=compute_verify, summary=verify_summary)
 
-    p = sub.add_parser("engel", help="scan tensor powers for left n-Engel "
-                                     "behaviour in nu(G)")
-    common(p)
+    p = sub.add_parser("engel", parents=[capped], help="scan tensor powers "
+                       "for left n-Engel behaviour in nu(G)")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(compute=compute_engel, summary=engel_summary,
-                   cache_on=())
+    p.set_defaults(compute=compute_engel, summary=engel_summary)
 
-    p = sub.add_parser("lie", help="dimension subgroups and graded Lie ring")
-    common(p)
+    p = sub.add_parser("lie", parents=[common],
+                       help="dimension subgroups and graded Lie ring")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--lazard", type=int, default=None,
                    help="check the adjoint-power identity at this q "
@@ -312,26 +313,23 @@ def build_parser():
     p.set_defaults(compute=compute_lie, summary=lie_summary,
                    cache_on=("p", "lazard"))
 
-    p = sub.add_parser("identity-f", help="evaluate the stacked Engel word "
-                                          "over all triples")
-    common(p)
+    p = sub.add_parser("identity-f", parents=[common], help="evaluate the "
+                       "stacked Engel word over all triples")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.set_defaults(compute=compute_identity_f,
-                   summary=identity_f_summary, cache_on=())
+    p.set_defaults(compute=compute_identity_f, summary=identity_f_summary)
 
     p = sub.add_parser("catalog", help="catalog operations")
     p.add_argument("action", choices=("list",))
     p.add_argument("--json", help="write the JSON report here")
     p.set_defaults(compute=compute_catalog, summary=catalog_summary,
-                   cache_on=(), group=None, seed=None)
+                   group=None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return run(args)
     except InvariantError as exc:

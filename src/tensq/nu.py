@@ -41,12 +41,11 @@ checked as well.
 The checks of a built nu(G) are in ``tensq.verify``.
 
 Where nu(G) is assembled: ``tensq nu`` (route independence included),
-``tensq verify``, and ``tensq tensor`` on the "all" and "gens" routes,
-auto's gens route for one-generator groups up to C5 among them.  On
-the symbol route ``tensq tensor`` (``tensor_square``) and, on every
-group, ``tensq engel`` read only G (x) G: the crossed module of
-``tensor_module`` (``tensq.crossed``), on |G (x) G| points against the
-n^2 |G (x) G| of nu(G).
+``tensq verify``, and ``tensq tensor`` for one-generator groups up to
+C5 (auto's gens route).  Otherwise ``tensq tensor`` (``tensor_square``)
+and, on every group, ``tensq engel`` read only G (x) G: the crossed
+module of ``tensor_module`` (``tensq.crossed``), on |G (x) G| points
+against the n^2 |G (x) G| of nu(G).
 """
 
 from __future__ import annotations
@@ -386,14 +385,13 @@ class TensorReport:
         }
 
 
-def tensor_square(group, presentation=None, mode="auto", **kwargs):
-    """The tensor-square report on the route ``build_nu`` would take.
-    The symbol route reads the crossed module of G (x) G
-    (``tensor_module``) and assembles no nu(G); "all" and "gens" build
-    nu(G)."""
-    if _route(group, presentation, mode) == "symbol":
+def tensor_square(group, presentation=None, **kwargs):
+    """The tensor-square report on the route "auto" takes: the gens
+    route builds nu(G); the symbol route reads the crossed module of
+    G (x) G (``tensor_module``) and assembles no nu(G)."""
+    if _route(group, presentation, "auto") == "symbol":
         return tensor_report(tensor_module(group, **kwargs))
-    return tensor_report(build_nu(group, presentation, mode, **kwargs))
+    return tensor_report(build_nu(group, presentation, "gens", **kwargs))
 
 
 def tensor_report(nu):

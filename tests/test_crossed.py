@@ -118,9 +118,8 @@ def test_tensor_and_engel_build_no_nu(monkeypatch):
         raise AssertionError("nu(G) assembled")
 
     monkeypatch.setattr(nu_module, "build_nu", refuse)
-    for argv in (["tensor", "S3"], ["tensor", "C2", "--mode", "symbol"],
-                 ["tensor", "C9"], ["engel", "C2", "-p", "2", "-m", "1",
-                                    "-n", "1"]):
+    for argv in (["tensor", "S3"], ["tensor", "C9"],
+                 ["engel", "C2", "-p", "2", "-m", "1", "-n", "1"]):
         assert cli_main([*argv, "--no-cache"]) == 0, argv
     # the gens route still builds nu(G)
     with pytest.raises(AssertionError, match="assembled"):

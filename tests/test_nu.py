@@ -352,7 +352,7 @@ class TestTensorSquareWrapper:
             [mode for _, _, mode in cases]
 
     def test_all_mode(self):
-        rep = tensor_square(get_group("C2"), mode="all")
+        rep = tensor_report(build_nu(get_group("C2"), mode="all"))
         assert rep.nu_order == 8 and rep.mode == "all"
 
 

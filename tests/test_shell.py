@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -199,6 +200,68 @@ class TestCli:
         assert [r["name"] for r in reports] == ["nu-relations",
                                                 "tensor-set-closed"]
 
+    def test_parser_built_once(self, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            assert self.run("catalog", "list") == 0
+            once = len(built)
+            assert self.run("catalog", "list") == 0
+            assert once > 0 and len(built) == once
+        finally:
+            cli.build_parser.cache_clear()
+
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "C2", "--mode", "all"),
+        *[(*command, "--seed", "1") for command in (
+            ("tensor", "C2"), ("nu", "C2"),
+            ("engel", "C2", "-p", "2", "-m", "1", "-n", "1"),
+            ("lie", "C4", "-p", "2"),
+            ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1"))],
+        ("lie", "C4", "-p", "2", "--max-group", "27"),
+        ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
+         "--max-group", "27")])
+    def test_option_a_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--no-cache")
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_options_a_command_reads_still_parse(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify", "C2", "--seed", "3"]).seed == 3
+        assert parser.parse_args(["engel", "Heis3", "-p", "3", "-m", "1",
+                                  "-n", "2", "--max-group", "27"]) \
+            .max_group == 27
+
+    def test_report_records_the_seed_sampled_with(self, tmp_path):
+        # verify samples from seed 0 by default; no other command samples
+        for argv, seed in [(("verify", "C2", "--lemmas", "i"), 0),
+                           (("tensor", "C2"), None)]:
+            out = tmp_path / "r.json"
+            assert self.run(*argv, "--no-cache", "--json", str(out)) == 0
+            assert json.loads(out.read_text())["seed"] == seed, argv
+
+    def test_entry_cached_by_other_code_is_a_miss(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # an older tree ran q = 2 and 4 for --lazard 0 and passed
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+        desc = resolve_group("D4")[2]
+        payload = cli._group_payload(desc, {"command": "lie", "p": 2,
+                                            "lazard": 0})
+        stale = Report(command="lie", input=desc, version="0.2.0",
+                       results={"passed": True, "graded_dimensions": [2],
+                                "nilpotency_class": 1})
+        cache_store(cache_key(payload, "0.2.0"), stale.to_json())
+        assert self.run("lie", "D4", "-p", "2", "--lazard", "0") == 2
+        assert "q must be positive" in capsys.readouterr().err
+
     def test_verify_bad_lemma_token(self):
         assert self.run("verify", "C2", "--lemmas", "vi", "--no-cache") == 2
 
@@ -276,7 +339,7 @@ class TestCli:
     def test_table_memory_limit_exit_2(self, monkeypatch, capsys):
         # nu(D4) on the all route outgrows the first 1024 rows
         monkeypatch.setattr(tensq.coset, "_MAX_TABLE_BYTES", 200_000)
-        assert self.run("tensor", "D4", "--mode", "all", "--no-cache") == 2
+        assert self.run("nu", "D4", "--mode", "all", "--no-cache") == 2
         err = capsys.readouterr().err
         assert "limit error: table memory limit 200000 bytes exceeded" in err
         assert "cosets defined" in err
