@@ -273,17 +273,21 @@ def build_parser():
     common.add_argument("--json", help="write the JSON report here")
     common.add_argument("--max-cosets", type=int, default=2_000_000)
     common.add_argument("--time-limit", type=float, default=60.0)
-    common.add_argument("--no-cache", action="store_true")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
     capped.add_argument("--max-group", type=int, default=16,
                         help="cap on |G| for nu-construction")
+    # only the commands with cache_on read the result cache
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("tensor", parents=[capped], help="tensor square report")
+    p = sub.add_parser("tensor", parents=[capped, cached],
+                       help="tensor square report")
     p.set_defaults(compute=compute_tensor, summary=tensor_summary,
                    cache_on=("max_group",))
 
-    p = sub.add_parser("nu", parents=[capped], help="build nu(G); default "
-                       "mode cross-checks the three construction routes")
+    p = sub.add_parser("nu", parents=[capped, cached],
+                       help="build nu(G); default mode cross-checks the "
+                       "three construction routes")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,
                    cache_on=("mode", "max_group"))
@@ -304,7 +308,7 @@ def build_parser():
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(compute=compute_engel, summary=engel_summary)
 
-    p = sub.add_parser("lie", parents=[common],
+    p = sub.add_parser("lie", parents=[common, cached],
                        help="dimension subgroups and graded Lie ring")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--lazard", type=int, default=None,

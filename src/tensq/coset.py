@@ -9,6 +9,19 @@ inputs produce identical tables.
 Columns come in pairs: column 2g is generator g, column 2g+1 its
 inverse (``col ^ 1`` flips direction).  Row 0 is the subgroup coset.
 
+With ``spanning``, generators that generate the presented group, HLT
+makes two passes.  The first defines new cosets only in the columns of
+those generators: in the row fill, and in a relator scan, which stops
+at a gap in any other column and leaves that entry to a deduction.  On
+a presentation where most generators are products of a few (the
+multiplication-table presentation of nu(G)) it defines a fraction of
+the cosets a single pass would.  The second pass is ordinary HLT over
+every column.  It fills each live coset's row and scans every relator
+from it to closure, as a single pass would; the pre-check skips what
+the first pass already closed.  So the closed table is a complete coset
+table whatever ``spanning`` is, even one that does not generate, and
+the coset, time and memory limits bound both passes.
+
 The table is one ``int32`` array (-1 marks an undefined entry) that
 doubles in place when full, up to 1 GiB: past that the enumeration
 stops with ``EnumerationLimitError``, like the coset and time limits.
@@ -62,10 +75,23 @@ class CosetTable:
     practice (nothing mutates them after ``close`` succeeds)."""
 
     def __init__(self, presentation, subgroup_words=(),
-                 limits=EnumerationLimits()):
+                 limits=EnumerationLimits(), spanning=None):
         self.presentation = presentation
         self.ngens = presentation.ngens
         self.ncols = 2 * self.ngens
+        # per HLT pass, a flag per column: whether the pass may define a
+        # new coset there (see the module docstring)
+        self._passes = [(True,) * self.ncols]
+        if spanning is not None:
+            spanning = set(spanning)
+            if not spanning <= set(range(self.ngens)):
+                raise ValueError(
+                    f"spanning generators {sorted(spanning)} are not all "
+                    f"in range({self.ngens})")
+            self._passes.insert(0, tuple(x >> 1 in spanning
+                                         for x in range(self.ncols)))
+        # the lookahead defines none
+        self._no_fill = (False,) * self.ncols
         self.relators = tuple(_columns(r) for r in presentation.relators)
         self.subgroup_words = tuple(_columns(w.free_reduce())
                                     for w in subgroup_words)
@@ -212,7 +238,7 @@ class CosetTable:
                 t[f, word[i]] = b
                 t[b, word[i] ^ 1] = f
                 return
-            if not fill:
+            if not fill[word[i]]:
                 return
             self._define(f, word[i])
             t = self._t
@@ -278,7 +304,7 @@ class CosetTable:
             hi, flags = self._precheck_from(hi)
             for c, open_ in flags.items():
                 if self.p[c] == c:
-                    self._scan_open(c, open_, fill=False)
+                    self._scan_open(c, open_, self._no_fill)
             self._check_time()
 
     def _compact(self):
@@ -306,29 +332,36 @@ class CosetTable:
         self.p = list(range(len(live)))
 
     def _run_hlt(self):
-        lookahead_at = self.limits.lookahead_threshold
+        self._lookahead_at = self.limits.lookahead_threshold
         for w in self.subgroup_words:
-            self._scan(0, w, fill=True)
+            self._scan(0, w, self._passes[-1])
+        for fill in self._passes:
+            self._hlt_pass(fill)
+
+    def _hlt_pass(self, fill):
+        """One HLT pass over the live cosets, in order, that defines new
+        cosets only in the columns ``fill`` flags."""
+        cols = [x for x in range(self.ncols) if fill[x]]
         a = hi = 0
         while a < self._n:
             if a >= hi:
                 hi, flags = self._precheck_from(a)
             if self.p[a] == a:
-                self._scan_open(a, flags[a], fill=True)
+                self._scan_open(a, flags[a], fill)
                 if self.p[a] == a:
-                    for x in range(self.ncols):
+                    for x in cols:
                         if self._t[a, x] < 0:
                             self._define(a, x)
             a += 1
-            if self._n >= lookahead_at:
+            if self._n >= self._lookahead_at:
                 self._lookahead()
                 if self.alive < self._n // 2:
                     a = sum(1 for c in range(a) if self.p[c] == c)
                     self._compact()
                 # a compaction renumbers the cosets of the block
                 hi = a
-                lookahead_at = max(lookahead_at * 2,
-                                   self._n + lookahead_at)
+                self._lookahead_at = max(self._lookahead_at * 2,
+                                         self._n + self._lookahead_at)
             self._check_time()
 
     # -- public -----------------------------------------------------------
@@ -387,12 +420,15 @@ class CosetTable:
         return Permutation(self.table[:, 2 * gen])
 
 
-def tc_enumerate(presentation, subgroup_words=(), limits=None):
+def tc_enumerate(presentation, subgroup_words=(), limits=None,
+                 spanning=None):
     """Enumerate cosets of the subgroup generated by ``subgroup_words``
     in the presented group; returns a closed, compacted, verified
-    table."""
+    table.  ``spanning`` names generators that generate the group: a
+    first pass then defines new cosets only along them (see the module
+    docstring)."""
     table = CosetTable(presentation, subgroup_words,
-                       limits or EnumerationLimits())
+                       limits or EnumerationLimits(), spanning)
     return table.run()
 
 

@@ -12,7 +12,11 @@ agree -- route independence compares them per group:
 
 * "all": Todd-Coxeter over a multiplication-table presentation, the
   relations imposed over every pair of non-identity elements with the
-  conjugator among G's generators (``nu_presentation``);
+  conjugator among G's generators (``nu_presentation``).  Every other
+  generator x_g is a product of those, S, and their primed copies, S',
+  and the table relators deduce its columns, so the enumeration first
+  defines cosets only along S and S', then completes the table over
+  every generator (``tensq.coset``);
 * "gens": Todd-Coxeter over generator triples of a compact
   presentation;
 * "symbol": Todd-Coxeter over Brown and Loday's symbol presentation
@@ -221,7 +225,10 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     from the symbol presentation of G (x) G), or "auto": "gens" for a
     presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC,
     "symbol" otherwise.  Groups larger than ``max_group_order`` are
-    rejected; raise the cap explicitly for larger experiments.
+    rejected; raise the cap explicitly for larger experiments.  The
+    "all" route enumerates with G's generators and their primed copies
+    as ``spanning`` (``tc_enumerate``), so it defines cosets along them
+    first; the other routes enumerate in a single pass.
     """
     _check_cap(group, max_group_order)
     limits = limits or EnumerationLimits()
@@ -242,7 +249,9 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         images = group.generator_indices()
     elif mode == "all":
         tp = multiplication_table_presentation(group)
-        table = tc_enumerate(nu_presentation(tp, mode), (), limits)
+        gens = group.generator_indices()
+        table = tc_enumerate(nu_presentation(tp, mode), (), limits,
+                             spanning=[*gens, *(s + n for s in gens)])
         ambient = to_perm_group(table, name=name)
         images = tuple(range(n))
     else:

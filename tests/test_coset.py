@@ -13,7 +13,9 @@ from tensq import (EnumerationLimitError, EnumerationLimits, StateError,
                    to_perm_group)
 from tensq.catalog import catalog
 from tensq import coset
+import tensq.nu as nu_module
 from tensq.coset import CosetTable
+from tensq.nu import build_nu
 
 from full_triple import full_triple_nu_presentation
 
@@ -135,6 +137,15 @@ def _first_generator(name):
 
 
 def _nu(name, mode, lookahead):
+    if mode == "all-spanning":
+        # spanning: G's generating set S in the table presentation, and
+        # its primed copy S', as the all route passes them
+        group = get_group(name)
+        gens = group.generator_indices()
+        return (nu_presentation(multiplication_table_presentation(group),
+                                "all"), (),
+                EnumerationLimits(lookahead_threshold=lookahead),
+                [*gens, *(s + group.order() for s in gens)])
     if mode == "gens":
         pres = nu_presentation(get_presentation(name), mode)
     else:
@@ -151,7 +162,10 @@ def _nu(name, mode, lookahead):
 # route's relators over every element triple.  "nu(S3)-all-reduced"
 # enumerates the all route's own presentation, over non-identity pairs
 # and a generating set of conjugators; it was recorded from the
-# enumerator with the pre-check.
+# enumerator with the pre-check.  "nu(S3)-all-spanning" enumerates the
+# same presentation as the all route does, with a first pass that
+# defines cosets only along S and S'; it was recorded from the
+# two-pass enumerator.  The nine before it pin ``spanning=None``.
 GOLDEN_TABLES = [
     ("S3/<a>", _s3_subgroup_a,
      "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
@@ -171,6 +185,8 @@ GOLDEN_TABLES = [
      "9922078034a0122e19018ee5a9225aee47bdca5d44451fd55afff62345159511"),
     ("nu(S3)-all-reduced", lambda: _nu("S3", "all", 300),
      "461dc6a7235c3e800e2733ecd0179e3fec20c84037c1b7dcc3150e0951e38af1"),
+    ("nu(S3)-all-spanning", lambda: _nu("S3", "all-spanning", 300),
+     "736d118d41dc127dcb6235d4e54d60395762b6684427b5974dd732e192aa63bc"),
 ]
 
 
@@ -191,6 +207,41 @@ def test_table_grown_under_a_profiler():
     _, make, digest = GOLDEN_TABLES[4]
     assert _digest(cProfile.Profile().runcall(tc_enumerate, *make())) \
         == digest
+
+
+class TestSpanningPass:
+    # cosets the all route defines for nu(G), catalog numbering; with one
+    # HLT pass over every column it defined 6,832, 10,232 and 43,984
+    @pytest.mark.parametrize("name, defined, final", [
+        ("C8", 1124, 512), ("C9", 1776, 729), ("Q8", 19427, 4096)])
+    def test_all_route_cosets_defined(self, monkeypatch, name, defined,
+                                      final):
+        tables = []
+
+        def recording(*args, **kwargs):
+            tables.append(tc_enumerate(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(nu_module, "tc_enumerate", recording)
+        assert build_nu(get_group(name), mode="all").order() == final
+        [table] = tables
+        assert (table.defined, table.coset_count) == (defined, final)
+
+    @pytest.mark.parametrize("part", ["S", "none"])
+    def test_spanning_that_does_not_generate(self, part):
+        # the completing pass over every column still closes the table
+        group = get_group("S3")
+        spanning = list(group.generator_indices()) if part == "S" else []
+        tp = multiplication_table_presentation(group)
+        table = tc_enumerate(nu_presentation(tp, "all"), (), None,
+                             spanning)
+        assert table.is_closed() and table.verify()
+        assert table.coset_count == 216
+
+    @pytest.mark.parametrize("gen", [-1, 2])
+    def test_spanning_generator_out_of_range(self, gen):
+        with pytest.raises(ValueError, match="spanning generators"):
+            tc_enumerate(pres(S3), (), None, [0, gen])
 
 
 class TestVerifyRejects:

@@ -105,10 +105,10 @@ def test_a_corrupted_map_raises(monkeypatch, tmp_path, capsys, call, match):
     _corrupting(monkeypatch, call)
     with pytest.raises(InvariantError, match=match):
         tensor_module(get_group("D4"))
-    for argv in (["tensor", "D4"], ["engel", "D4", "-p", "2", "-m", "1",
-                                    "-n", "1"]):
+    for argv in (["tensor", "D4", "--no-cache"],
+                 ["engel", "D4", "-p", "2", "-m", "1", "-n", "1"]):
         out = tmp_path / "report.json"
-        assert cli_main([*argv, "--no-cache", "--json", str(out)]) == 1
+        assert cli_main([*argv, "--json", str(out)]) == 1
         assert "invariant error: " in capsys.readouterr().err
         assert not out.exists()
 
@@ -118,9 +118,10 @@ def test_tensor_and_engel_build_no_nu(monkeypatch):
         raise AssertionError("nu(G) assembled")
 
     monkeypatch.setattr(nu_module, "build_nu", refuse)
-    for argv in (["tensor", "S3"], ["tensor", "C9"],
+    for argv in (["tensor", "S3", "--no-cache"],
+                 ["tensor", "C9", "--no-cache"],
                  ["engel", "C2", "-p", "2", "-m", "1", "-n", "1"]):
-        assert cli_main([*argv, "--no-cache"]) == 0, argv
+        assert cli_main(argv) == 0, argv
     # the gens route still builds nu(G)
     with pytest.raises(AssertionError, match="assembled"):
         cli_main(["tensor", "C2", "--no-cache"])

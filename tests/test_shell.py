@@ -178,17 +178,16 @@ class TestCli:
         assert self.run("nu", "C2", "--mode", "all", "--no-cache") == 0
 
     def test_verify_s3(self):
-        assert self.run("verify", "S3", "--lemmas", "i..v,closed,decomp,rho",
-                        "--no-cache") == 0
+        assert self.run("verify", "S3", "--lemmas",
+                        "i..v,closed,decomp,rho") == 0
 
     def test_verify_lemma_subset(self):
-        assert self.run("verify", "C2", "--lemmas", "ii..iv",
-                        "--no-cache") == 0
+        assert self.run("verify", "C2", "--lemmas", "ii..iv") == 0
 
     def test_verify_runs_a_repeated_lemma_once(self, capsys, tmp_path):
         report_path = tmp_path / "verify.json"
         assert self.run("verify", "C2", "--lemmas", "i,i..ii,closed,closed",
-                        "--no-cache", "--json", str(report_path)) == 0
+                        "--json", str(report_path)) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("PASS")] == [
             "PASS  nu-relations: relation (i)",
@@ -226,12 +225,28 @@ class TestCli:
             ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1"))],
         ("lie", "C4", "-p", "2", "--max-group", "27"),
         ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
-         "--max-group", "27")])
+         "--max-group", "27"),
+        # only tensor, nu and lie read the result cache
+        ("verify", "C2", "--no-cache"),
+        ("engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--no-cache"),
+        ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
+         "--no-cache")])
     def test_option_a_command_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            self.run(*argv, "--no-cache")
+            self.run(*argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "C2"), ("nu", "C2"), ("lie", "C4", "-p", "2")])
+    def test_no_cache_runs_without_the_cache(self, tmp_path, monkeypatch,
+                                             argv):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+        assert self.run(*argv, "--no-cache") == 0
+        assert not list(cache.glob("*.json"))
+        assert self.run(*argv) == 0
+        assert len(list(cache.glob("*.json"))) == 1
 
     def test_options_a_command_reads_still_parse(self):
         parser = cli.build_parser()
@@ -243,9 +258,9 @@ class TestCli:
     def test_report_records_the_seed_sampled_with(self, tmp_path):
         # verify samples from seed 0 by default; no other command samples
         for argv, seed in [(("verify", "C2", "--lemmas", "i"), 0),
-                           (("tensor", "C2"), None)]:
+                           (("tensor", "C2", "--no-cache"), None)]:
             out = tmp_path / "r.json"
-            assert self.run(*argv, "--no-cache", "--json", str(out)) == 0
+            assert self.run(*argv, "--json", str(out)) == 0
             assert json.loads(out.read_text())["seed"] == seed, argv
 
     def test_entry_cached_by_other_code_is_a_miss(self, tmp_path,
@@ -262,8 +277,9 @@ class TestCli:
         assert self.run("lie", "D4", "-p", "2", "--lazard", "0") == 2
         assert "q must be positive" in capsys.readouterr().err
 
-    def test_verify_bad_lemma_token(self):
-        assert self.run("verify", "C2", "--lemmas", "vi", "--no-cache") == 2
+    def test_verify_bad_lemma_token(self, capsys):
+        assert self.run("verify", "C2", "--lemmas", "vi") == 2
+        assert "unknown lemma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [("D5", "--samples", "0"),
                                       ("D5", "--samples", "-3"),
@@ -273,13 +289,12 @@ class TestCli:
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before the usage check")
         monkeypatch.setattr(cli, "build_nu", build_nu)
-        assert self.run("verify", *argv, "--no-cache") == 2
+        assert self.run("verify", *argv) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: --")
 
     def test_engel(self):
-        assert self.run("engel", "C2", "-p", "2", "-m", "1", "-n", "1",
-                        "--no-cache") == 0
+        assert self.run("engel", "C2", "-p", "2", "-m", "1", "-n", "1") == 0
 
     def test_lie(self, tmp_path):
         report_path = tmp_path / "lie.json"
@@ -316,8 +331,7 @@ class TestCli:
     def test_unsatisfied_scan_exit_1(self):
         # at depth 1 (centrality), 2-power powers of order-divisible-
         # by-3 tensors in nu(S3) never work
-        assert self.run("engel", "S3", "-p", "2", "-m", "1", "-n", "1",
-                        "--no-cache") == 1
+        assert self.run("engel", "S3", "-p", "2", "-m", "1", "-n", "1") == 1
 
     def test_unknown_group_exit_2(self):
         assert self.run("tensor", "Nope", "--no-cache") == 2
@@ -325,13 +339,13 @@ class TestCli:
     def test_limit_error_exit_2(self):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
 
-    @pytest.mark.parametrize("argv", [("tensor", "Heis3"),
+    @pytest.mark.parametrize("argv", [("tensor", "Heis3", "--no-cache"),
                                       ("engel", "Heis3", "-p", "3", "-m", "1",
                                        "-n", "2")])
     def test_cap_without_max_group_exit_2(self, capsys, argv):
         # both read G (x) G alone, so the cap is checked outside build_nu
         start = time.monotonic()
-        assert self.run(*argv, "--no-cache") == 2
+        assert self.run(*argv) == 2
         assert time.monotonic() - start < 1.0
         assert "|G| = 27 exceeds the nu-construction cap 16" in \
             capsys.readouterr().err
@@ -360,17 +374,17 @@ class TestCli:
             raise AssertionError("build_nu called before -p was checked")
         monkeypatch.setattr(cli, "build_nu", build_nu)
         monkeypatch.setattr(cli, "tensor_module", build_nu)
-        assert self.run("engel", "C3xC3", "-p", "4", "-m", "1", "-n", "1",
-                        "--no-cache") == 2
+        assert self.run("engel", "C3xC3", "-p", "4", "-m", "1",
+                        "-n", "1") == 2
         assert "p must be prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", ["0", "1", "4", "9"])
     @pytest.mark.parametrize("command", [("engel", "C2", "-m", "1", "-n", "1"),
-                                         ("lie", "C2"),
+                                         ("lie", "C2", "--no-cache"),
                                          ("identity-f", "C2", "-n", "1",
                                           "-m", "1")])
     def test_non_prime_p_exit_2(self, capsys, command, p):
-        assert self.run(*command, "-p", p, "--no-cache") == 2
+        assert self.run(*command, "-p", p) == 2
         assert "p must be prime" in capsys.readouterr().err
 
     def test_invariant_failure_exit_1(self, monkeypatch, capsys):
@@ -388,9 +402,8 @@ class TestCli:
             (["tensor", "C2", "--no-cache"], "tensor.json"),
             (["nu", "C2", "--no-cache"], "nu.json"),
             (["verify", "C2", "--lemmas", "i..v,closed,decomp,rho",
-              "--seed", "0", "--no-cache"], "verify.json"),
-            (["engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--no-cache"],
-             "engel.json"),
+              "--seed", "0"], "verify.json"),
+            (["engel", "C2", "-p", "2", "-m", "1", "-n", "1"], "engel.json"),
             (["lie", "C4", "-p", "2", "--no-cache"], "lie.json"),
             (["catalog", "list"], "catalog.json"),
             (["identity-f", "C2", "-n", "1", "-p", "2", "-m", "1"],
@@ -407,8 +420,8 @@ class TestCli:
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         for p in (p1, p2):
             assert self.run("verify", "C3xC3", "--lemmas", "i..v", "--seed",
-                            "11", "--samples", "200", "--no-cache",
-                            "--json", str(p)) == 0
+                            "11", "--samples", "200", "--json",
+                            str(p)) == 0
         d1 = json.loads(p1.read_text())
         d2 = json.loads(p2.read_text())
         d1.pop("timing"), d2.pop("timing")
