@@ -8,12 +8,17 @@ body that follows.  Writes are atomic (write-then-rename); an entry
 whose header or body digest does not match is ignored with a warning
 and recomputed.  There is no global index, so the cache is crash-safe
 by construction.
+
+``hashlib`` is imported at the first digest, not with the module: it
+loads OpenSSL's libcrypto, about 3.3 MB of resident memory, and
+``tensq.cli`` imports this module for every command, including those
+that never read the cache (``--no-cache`` runs, ``verify``, ``engel``,
+``identity-f``, ``catalog``).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import pathlib
 import tempfile
@@ -32,11 +37,16 @@ def cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "tensq")
 
 
+def _sha256(data=b""):
+    import hashlib
+    return hashlib.sha256(data)
+
+
 @functools.cache
 def source_digest():
     """SHA-256 over the package's ``.py`` sources, read one file at a
     time, once per process."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -44,7 +54,7 @@ def source_digest():
 
 def cache_key(payload, version):
     body = canonical_json({"payload": payload, "version": version})
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return _sha256(body.encode("utf-8")).hexdigest()
 
 
 def _path_for(key):
@@ -52,7 +62,7 @@ def _path_for(key):
 
 
 def _header(key, body):
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    digest = _sha256(body.encode("utf-8")).hexdigest()
     return f"{_HEADER} {key} {digest}"
 
 

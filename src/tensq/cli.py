@@ -287,7 +287,9 @@ def build_parser():
 
     p = sub.add_parser("nu", parents=[capped, cached],
                        help="build nu(G); default mode cross-checks the "
-                       "three construction routes")
+                       "three construction routes for a catalog name or "
+                       "@file.pres, and takes the auto route alone for "
+                       "@file.perm")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,
                    cache_on=("mode", "max_group"))

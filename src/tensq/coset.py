@@ -22,6 +22,17 @@ the first pass already closed.  So the closed table is a complete coset
 table whatever ``spanning`` is, even one that does not generate, and
 the coset, time and memory limits bound both passes.
 
+The second pass runs only when the first leaves it work.  If no live
+coset's row has an undefined entry, the table is compacted and closed,
+and its closing ``verify`` decides: every entry came from a definition,
+a deduction or a coincidence, so a complete table on which every
+relator closes is the coset table, and the second pass would change no
+entry of it.  Only if ``verify`` rejects the table (a relator scan the
+first pass left open hides a coincidence) is the open table put back
+and the second pass run.  On the all route's presentation of nu(G),
+the first pass left the table complete and closed on all 16 nu-capable
+catalog groups, in catalog and in seeded numberings.
+
 The table is one ``int32`` array (-1 marks an undefined entry) that
 doubles in place when full, up to 1 GiB: past that the enumeration
 stops with ``EnumerationLimitError``, like the coset and time limits.
@@ -81,15 +92,15 @@ class CosetTable:
         self.ncols = 2 * self.ngens
         # per HLT pass, a flag per column: whether the pass may define a
         # new coset there (see the module docstring)
-        self._passes = [(True,) * self.ncols]
+        self._fills = [(True,) * self.ncols]
         if spanning is not None:
             spanning = set(spanning)
             if not spanning <= set(range(self.ngens)):
                 raise ValueError(
                     f"spanning generators {sorted(spanning)} are not all "
                     f"in range({self.ngens})")
-            self._passes.insert(0, tuple(x >> 1 in spanning
-                                         for x in range(self.ncols)))
+            self._fills.insert(0, tuple(x >> 1 in spanning
+                                        for x in range(self.ncols)))
         # the lookahead defines none
         self._no_fill = (False,) * self.ncols
         self.relators = tuple(_columns(r) for r in presentation.relators)
@@ -105,6 +116,8 @@ class CosetTable:
         self.p = [0]
         self.alive = 1
         self.defined = 1
+        # HLT passes run so far
+        self.passes = 0
         self.status = "in-progress"
         self._start = None
         self._deadline = None
@@ -331,16 +344,10 @@ class CosetTable:
         self._n = len(live)
         self.p = list(range(len(live)))
 
-    def _run_hlt(self):
-        self._lookahead_at = self.limits.lookahead_threshold
-        for w in self.subgroup_words:
-            self._scan(0, w, self._passes[-1])
-        for fill in self._passes:
-            self._hlt_pass(fill)
-
     def _hlt_pass(self, fill):
         """One HLT pass over the live cosets, in order, that defines new
         cosets only in the columns ``fill`` flags."""
+        self.passes += 1
         cols = [x for x in range(self.ncols) if fill[x]]
         a = hi = 0
         while a < self._n:
@@ -364,15 +371,43 @@ class CosetTable:
                                          self._n + self._lookahead_at)
             self._check_time()
 
+    def _close(self):
+        self._compact()
+        self.status = "closed"
+        self.verify()
+
+    def _closes_early(self):
+        """Close the table if no live coset's row has an undefined entry
+        and ``verify`` accepts it; otherwise leave it open, as it was."""
+        live = np.array(self.p) == np.arange(self._n)
+        if (self._rows[:self._n].min(axis=1, initial=0)[live] < 0).any():
+            return False
+        saved = self._rows, self._n, self.p
+        try:
+            self._close()
+        except StateError:
+            self._t.release()
+            self._rows, self._n, self.p = saved
+            self._t = memoryview(self._rows)
+            self.status = "in-progress"
+            return False
+        return True
+
     # -- public -----------------------------------------------------------
 
     def run(self):
         self._start = time.monotonic()
         self._deadline = self._start + self.limits.time_limit
-        self._run_hlt()
-        self._compact()
-        self.status = "closed"
-        self.verify()
+        self._lookahead_at = self.limits.lookahead_threshold
+        for w in self.subgroup_words:
+            self._scan(0, w, self._fills[-1])
+        *first, last = self._fills
+        for fill in first:
+            self._hlt_pass(fill)
+            if self._closes_early():
+                return self
+        self._hlt_pass(last)
+        self._close()
         return self
 
     @property

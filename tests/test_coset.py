@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from tensq import (EnumerationLimitError, EnumerationLimits, StateError,
-                   Word, get_group, get_presentation,
+from tensq import (EnumerationLimitError, EnumerationLimits, Presentation,
+                   StateError, Word, get_group, get_presentation,
                    multiplication_table_presentation, nu_presentation,
                    parse_presentation, parse_word, tc_enumerate,
                    to_perm_group)
@@ -227,6 +227,20 @@ class TestSpanningPass:
         [table] = tables
         assert (table.defined, table.coset_count) == (defined, final)
 
+    def test_complete_first_pass_closes_the_table(self, monkeypatch):
+        # the first pass along S and S' leaves no entry of nu(C9)'s table
+        # undefined, and the closing verify accepts it: no second pass
+        tables = []
+
+        def recording(*args, **kwargs):
+            tables.append(tc_enumerate(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(nu_module, "tc_enumerate", recording)
+        assert build_nu(get_group("C9"), mode="all").order() == 729
+        [table] = tables
+        assert table.passes == 1 and table.is_closed()
+
     @pytest.mark.parametrize("part", ["S", "none"])
     def test_spanning_that_does_not_generate(self, part):
         # the completing pass over every column still closes the table
@@ -236,7 +250,33 @@ class TestSpanningPass:
         table = tc_enumerate(nu_presentation(tp, "all"), (), None,
                              spanning)
         assert table.is_closed() and table.verify()
-        assert table.coset_count == 216
+        assert (table.passes, table.coset_count) == (2, 216)
+
+    def test_complete_first_pass_that_verify_rejects(self, monkeypatch):
+        # along a alone the first pass leaves no entry undefined, yet its
+        # four cosets are one: verify rejects the table, the second pass
+        # finds the coincidences and the second verify accepts
+        outcomes = []
+        verify = CosetTable.verify
+
+        def recording(table):
+            try:
+                outcomes.append(verify(table))
+            except StateError:
+                outcomes.append("rejected")
+                raise
+            return True
+
+        monkeypatch.setattr(CosetTable, "verify", recording)
+        trivial = pres("gens: a b\nrels: b^-1 a b a, a^-1 b^2, b\n")
+        table = tc_enumerate(trivial, (), None, [0])
+        assert outcomes == ["rejected", True]
+        assert (table.passes, table.defined, table.coset_count) == (2, 4, 1)
+
+    def test_presentation_without_generators(self):
+        # a table with no columns is complete after the first pass
+        table = tc_enumerate(Presentation((), ()), (), None, [])
+        assert (table.passes, table.coset_count) == (1, 1)
 
     @pytest.mark.parametrize("gen", [-1, 2])
     def test_spanning_generator_out_of_range(self, gen):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,13 @@ class TestCache:
 
     def test_version_bump_changes_key(self):
         assert cache_key({"x": 1}, "0.1.0") != cache_key({"x": 1}, "0.2.0")
+
+    def test_key_is_the_sha256_of_the_canonical_json(self):
+        body = canonical_json({"payload": {"x": 1}, "version": "0.1.0"})
+        key = cache_key({"x": 1}, "0.1.0")
+        assert key == hashlib.sha256(body.encode("utf-8")).hexdigest()
+        assert key == ("1b1cc3c4a56a10989b11e5f77cd9a57d"
+                       "42c31a8b7e5a7c733c828361a0ec9b2f")
 
     def test_corrupt_entry_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
@@ -434,6 +442,19 @@ class TestCli:
                         "--no-cache") == 2
 
 
+def _fresh_interpreter(code, tmp_path, *args):
+    """Run ``code`` in a new Python process that imports this tensq, with
+    the result cache under ``tmp_path``; returns its stdout."""
+    path = [os.path.dirname(os.path.dirname(tensq.__file__)),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, TENSQ_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=300)
+    return done.stdout
+
+
 def test_tensor_c3xc3_peak_rss(tmp_path):
     # nu(C3xC3) has 6561 elements; an eager Cayley table of it alone is
     # 86 MB, and the process peaked at about 125 MB with one.  tensq
@@ -447,12 +468,26 @@ def test_tensor_c3xc3_peak_rss(tmp_path):
             "with open('/proc/self/status') as fh:\n"
             "    print([l for l in fh if l.startswith('VmHWM')][0])\n"
             "sys.exit(rc)\n")
-    path = [os.path.dirname(os.path.dirname(tensq.__file__)),
-            os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, TENSQ_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=300)
-    label, kib, unit = done.stdout.split()[-3:]
+    label, kib, unit = _fresh_interpreter(code, tmp_path).split()[-3:]
     assert (label, unit) == ("VmHWM:", "kB")
     assert int(kib) < 90 * 1024
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("nu C4 --mode all --no-cache", False),
+    ("verify C2", False),
+    ("engel C2 -p 2 -m 1 -n 1", False),
+    ("identity-f C4 -n 1 -p 2 -m 1", False),
+    ("tensor C2", True),
+])
+def test_only_a_cache_lookup_loads_hashlib(tmp_path, argv, loads):
+    # hashlib loads OpenSSL's libcrypto (about 3.3 MB resident), and
+    # only a command that consults the cache hashes anything.  A new
+    # interpreter, since this one has imported hashlib already.
+    code = ("import sys\n"
+            "from tensq.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('_hashlib' in sys.modules)\n"
+            "sys.exit(rc)\n")
+    out = _fresh_interpreter(code, tmp_path, *argv.split())
+    assert out.split()[-1] == str(loads)
