@@ -2,14 +2,16 @@
 """Coset enumeration and the two input file formats.
 
 A presentation enumerates to its regular permutation representation;
-the closed table is re-verified relator by relator, independent of the
-deduction path that produced it.  Groups can also enter as permutation
+the enumerator reads relators as rows of integer letters (2g for
+generator g, 2g + 1 for its inverse), and the closed table is
+re-verified relator by relator, independent of the deduction path that
+produced it.  Groups can also enter as permutation
 files.
 """
 
-from tensq import (build_nu, multiplication_table_presentation,
-                   parse_perm_group, parse_presentation, tc_enumerate,
-                   tensor_report, to_perm_group)
+from tensq import (build_nu, letters, multiplication_table_presentation,
+                   parse_perm_group, parse_presentation, parse_word,
+                   tc_enumerate, tensor_report, to_perm_group)
 
 print("=== enumerate a presentation ===")
 text = """# binary dihedral / quaternion presentation
@@ -17,7 +19,8 @@ gens: a b
 rels: a^4, b^2 a^-2, b^-1 a b a
 """
 pres = parse_presentation(text)
-table = tc_enumerate(pres, ())
+print(f"relators as letter rows: {pres.letters().relators}")
+table = tc_enumerate(pres.letters(), ())
 print(f"<a, b | a^4, b^2=a^2, a^b=a^-1> has {table.coset_count} cosets")
 group = to_perm_group(table, name="Q8-from-presentation")
 census = {}
@@ -38,8 +41,8 @@ print(f"parsed group of order {d4.order()} on {d4.degree} points")
 print()
 print("=== the multiplication-table route ===")
 tp = multiplication_table_presentation(d4)
-print(f"table presentation: {tp.presentation.ngens} generators, "
-      f"{len(tp.presentation.relators)} relators")
+print(f"table presentation: {tp.ngens} generators, "
+      f"{len(tp.relators)} relators")
 nu = build_nu(d4, mode="all")
 rep = tensor_report(nu)
 print(f"nu(D4) from the table route: order {rep.nu_order}, tensor order "
@@ -47,7 +50,7 @@ print(f"nu(D4) from the table route: order {rep.nu_order}, tensor order "
 
 print()
 print("=== enumerating a subgroup's cosets ===")
-from tensq import parse_word
 s3 = parse_presentation("gens: a b\nrels: a^2, b^2, (a b)^3\n")
-sub = tc_enumerate(s3, (parse_word("a", s3.generator_names),))
+sub = tc_enumerate(s3.letters(),
+                   (letters(parse_word("a", s3.generator_names)),))
 print(f"cosets of <a> in <a, b | a^2, b^2, (ab)^3>: {sub.coset_count}")

@@ -9,7 +9,7 @@ identities it is supposed to satisfy.
 __version__ = "0.2.0"
 
 from .catalog import catalog, get_group, get_presentation, resolve_group
-from .coset import (CosetTable, EnumerationLimits,
+from .coset import (CosetTable, EnumerationLimits, LetterPresentation,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
 from .engel import (EngelScanConfig, EngelScanResult, engel_power_scan,
@@ -29,11 +29,10 @@ from .nu import (NuGroup, TensorReport, build_nu, nu_presentation,
 from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
                    commutator, format_perm_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)
-from .symbol import symbol_presentation
 from .verify import (VerificationReport, derived_map_check,
                      verify_decomposition, verify_nu_relations,
                      verify_tensor_set_closed)
-from .words import (Presentation, Word, free_reduce, parse_presentation,
-                    parse_word)
+from .words import (Presentation, Word, free_reduce, letters,
+                    parse_presentation, parse_word)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,8 +6,10 @@ full deduction replay.  Relator scan order is declaration order and new
 cosets fill the first undefined entry in row-major order, so identical
 inputs produce identical tables.
 
-Columns come in pairs: column 2g is generator g, column 2g+1 its
-inverse (``col ^ 1`` flips direction).  Row 0 is the subgroup coset.
+Relators and subgroup words are rows of letters, which are also the
+table's columns: 2g is generator g, 2g + 1 its inverse (``x ^ 1`` flips
+direction) and -1 padding.  Rows are reduced here, relators freely and
+cyclically, subgroup words freely.  Row 0 is the subgroup coset.
 
 With ``spanning``, generators that generate the presented group, HLT
 makes two passes.  The first defines new cosets only in the columns of
@@ -48,6 +50,7 @@ whole-column gathers.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -55,7 +58,6 @@ import numpy as np
 
 from .errors import EnumerationLimitError, StateError
 from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Permutation
-from .words import Presentation, Word
 
 # Rows of a fresh table; the array doubles whenever it is full, unless
 # the doubled array would take more than _MAX_TABLE_BYTES.
@@ -77,8 +79,32 @@ class EnumerationLimits:
     lookahead_threshold: int = 400_000
 
 
-def _columns(word):
-    return tuple(2 * g + (0 if e == 1 else 1) for g, e in word)
+@dataclass(frozen=True)
+class LetterPresentation:
+    """``ngens`` generators and ``relators``, rows of letters."""
+    ngens: int
+    relators: tuple
+
+
+def _reduced(row, ncols, cyclic):
+    """``row`` less padding, freely and, if ``cyclic``, cyclically
+    reduced; ValueError on a letter outside [0, ncols)."""
+    out = []
+    for x in row:
+        if x == -1:
+            continue
+        if not 0 <= x < ncols:
+            raise ValueError(f"letter {x} is outside [0, {ncols}): "
+                             "no such generator")
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while cyclic and i < j and out[i] == out[j] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(out[i:j + 1])
 
 
 class CosetTable:
@@ -87,7 +113,6 @@ class CosetTable:
 
     def __init__(self, presentation, subgroup_words=(),
                  limits=EnumerationLimits(), spanning=None):
-        self.presentation = presentation
         self.ngens = presentation.ngens
         self.ncols = 2 * self.ngens
         # per HLT pass, a flag per column: whether the pass may define a
@@ -103,8 +128,9 @@ class CosetTable:
                                         for x in range(self.ncols)))
         # the lookahead defines none
         self._no_fill = (False,) * self.ncols
-        self.relators = tuple(_columns(r) for r in presentation.relators)
-        self.subgroup_words = tuple(_columns(w.free_reduce())
+        self.relators = tuple(_reduced(r, self.ncols, True)
+                              for r in presentation.relators)
+        self.subgroup_words = tuple(_reduced(w, self.ncols, False)
                                     for w in subgroup_words)
         self.limits = limits
         # Rows [0, _n) are cosets; every row past them stays -1, and at
@@ -124,18 +150,21 @@ class CosetTable:
         self._ticker = 0
         # The pre-check walks relators longest first, so the relators
         # still walking at letter i are a prefix of that order, and
-        # _letters[i] holds their i-th letters.
-        walk = sorted(range(len(self.relators)),
-                      key=lambda r: -len(self.relators[r]))
-        self._rank = np.argsort(walk)
-        words = [self.relators[r] for r in walk]
-        k = len(words)
-        self._letters = []
-        for i in range(len(words[0]) if words else 0):
-            while len(words[k - 1]) <= i:
-                k -= 1
-            self._letters.append(np.array([w[i] for w in words[:k]],
-                                          dtype=np.intp)[:, None])
+        # _letters[i] holds their i-th letters: a slice of one column
+        # of the relators padded to a common length.
+        lengths = [len(w) for w in self.relators]
+        walk = sorted(range(len(lengths)), key=lengths.__getitem__,
+                      reverse=True)
+        self._rank = np.empty(len(walk), dtype=np.intp)
+        self._rank[walk] = np.arange(len(walk))
+        held = (np.array([lengths[r] for r in walk], dtype=np.intp)[:, None]
+                > np.arange(max(lengths, default=0)))
+        padded = np.full(held.shape, -1, dtype=np.intp, order="F")
+        padded[held] = np.fromiter(
+            itertools.chain.from_iterable(self.relators[r] for r in walk),
+            dtype=np.intp, count=sum(lengths))
+        self._letters = [padded[:k, i, None]
+                         for i, k in enumerate(held.sum(axis=0).tolist())]
 
     @property
     def table(self):
@@ -457,8 +486,9 @@ class CosetTable:
 
 def tc_enumerate(presentation, subgroup_words=(), limits=None,
                  spanning=None):
-    """Enumerate cosets of the subgroup generated by ``subgroup_words``
-    in the presented group; returns a closed, compacted, verified
+    """Enumerate cosets of the subgroup generated by ``subgroup_words``,
+    rows of letters, in the group ``presentation`` presents (a
+    ``LetterPresentation``); returns a closed, compacted, verified
     table.  ``spanning`` names generators that generate the group: a
     first pass then defines new cosets only along them (see the module
     docstring)."""
@@ -492,24 +522,11 @@ def points_group(columns, points, *, regular=True, name=None):
                        max_order=max(DEFAULT_MAX_ORDER, points))
 
 
-@dataclass(frozen=True)
-class TablePresentation:
-    """Multiplication-table presentation: one generator per group
-    element (generator i is element i of the deterministic order), with
-    g_i g_j = g_{ij} relators for every pair and the identity generator
-    killed."""
-    presentation: Presentation
-    group: object
-
-
 def multiplication_table_presentation(group):
+    """One generator x_i per element i of ``group``, x_0 = 1 (the
+    identity), and x_i x_j x_ij^-1 for every pair in row-major order."""
     n = group.order()
-    names = tuple(f"x{i}" for i in range(n))
-    relators = [Word([(0, 1)])]
-    for i in range(n):
-        for j in range(n):
-            k = group.mul_idx(i, j)
-            relators.append(Word([(i, 1), (j, 1), (k, -1)]))
-    pres = Presentation(names, tuple(relators))
-    return TablePresentation(pres, group)
-
+    mul = group.right_columns(range(n)).T.tolist()
+    return LetterPresentation(n, ((0,), *((2 * i, 2 * j, 2 * k + 1)
+                                          for i, row in enumerate(mul)
+                                          for j, k in enumerate(row))))

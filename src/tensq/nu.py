@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import (EnumerationLimits, TablePresentation,
+from .coset import (EnumerationLimits, LetterPresentation,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
 from .errors import invariant
@@ -70,7 +70,6 @@ from .verify import (RELATION_FAMILIES, Check,
                      VerificationReport, derived_map_check,
                      verify_decomposition, verify_nu_relations,
                      verify_tensor_set_closed)
-from .words import Presentation, Word, commutator_word, conjugate_word
 
 DEFAULT_GROUP_CAP = 16
 # "auto" takes the gens route for a presentation with one generator, of
@@ -85,10 +84,13 @@ GENS_ROUTE_MAX_CYCLIC = 5
 # -- presentation doubling ----------------------------------------------------
 
 
-def nu_presentation(pres, mode):
-    """Double a presentation of G into a presentation of nu(G).
+def nu_presentation(source, mode):
+    """Double a presentation of G into one of nu(G), in letter rows
+    (``tensq.coset``): G's relators, their primed copies (x' is
+    generator x + k for k generators of G), then two compatibility
+    relators per triple (g1, g2, g3), conjugated by g3, then by g3'.
 
-    mode "all": ``pres`` must be the ``TablePresentation`` of
+    mode "all": ``source`` is G, a ``FiniteGroup``, presented by its
     ``multiplication_table_presentation``.  The compatibility relations
     are imposed for g1 and g2 over the non-identity elements and g3 over
     G's generators, a generating set S, with conjugates read off G's
@@ -106,51 +108,48 @@ def nu_presentation(pres, mode):
       x_e = 1, and from its primed copy: both sides are trivial.
 
     So there are 2(n^2 + 1) + 2(n - 1)^2 |S| relators for |G| = n.
-    mode "gens": relations range over generator triples with
-    conjugation written literally.
+    mode "gens": ``source`` is a ``tensq.words.Presentation`` of G, and
+    the relations range over its generator triples with conjugation
+    written literally.
     """
     if mode == "all":
-        if not isinstance(pres, TablePresentation):
-            raise ValueError("mode 'all' needs a multiplication-table "
-                             "presentation")
-        group, pres = pres.group, pres.presentation
-    n = pres.ngens
-    names = tuple(pres.generator_names) + tuple(
-        s + "'" for s in pres.generator_names)
-    shift = tuple(Word([(g + n, e) for g, e in r]) for r in pres.relators)
-    relators = list(pres.relators) + list(shift)
-
-    def gen(i):
-        return Word([(i, 1)])
-
-    if mode == "all":
-        conj = group_arrays(group)[2].tolist()
-        conjugators = list(dict.fromkeys(
-            s for s in group.generator_indices() if s))
+        if not isinstance(source, FiniteGroup):
+            raise ValueError("mode 'all' needs a group")
+        base = multiplication_table_presentation(source)
+        conj = group_arrays(source)[2].tolist()
         # element 0 is the identity
-        for g1 in range(1, n):
-            for g2 in range(1, n):
-                c = commutator_word(gen(g1), gen(g2 + n))
-                for g3 in conjugators:
-                    a = conj[g1][g3]
-                    b = conj[g2][g3]
-                    rhs_inv = commutator_word(gen(a), gen(b + n)).inverse()
-                    relators.append(conjugate_word(c, gen(g3)) * rhs_inv)
-                    relators.append(conjugate_word(c, gen(g3 + n)) * rhs_inv)
+        pairs = range(1, base.ngens)
+        conjugators = dict.fromkeys(s for s in source.generator_indices()
+                                    if s)
+
+        def conjugate(x, g):
+            return (2 * conj[x][g],)
     elif mode == "gens":
-        for g1 in range(n):
-            for g2 in range(n):
-                c = commutator_word(gen(g1), gen(g2 + n))
-                for g3 in range(n):
-                    a = conjugate_word(gen(g1), gen(g3))
-                    b = Word([(g + n, e)
-                              for g, e in conjugate_word(gen(g2), gen(g3))])
-                    rhs_inv = commutator_word(a, b).inverse()
-                    relators.append(conjugate_word(c, gen(g3)) * rhs_inv)
-                    relators.append(conjugate_word(c, gen(g3 + n)) * rhs_inv)
+        base = source.letters()
+        pairs = conjugators = range(base.ngens)
+
+        def conjugate(x, g):
+            return (2 * g + 1, 2 * x, 2 * g)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return Presentation(names, tuple(relators))
+    n = base.ngens
+    relators = [*base.relators,
+                *(tuple(x + 2 * n for x in r) for r in base.relators)]
+    for g1 in pairs:
+        for g2 in pairs:
+            c = (2 * g1 + 1, 2 * (g2 + n) + 1, 2 * g1, 2 * (g2 + n))
+            for g3 in conjugators:
+                # [a, b']^-1 = b'^-1 a^-1 b' a for a = g1^g3, b = g2^g3
+                a = conjugate(g1, g3)
+                b = tuple(x + 2 * n for x in conjugate(g2, g3))
+                rhs_inv = (*_inverse(b), *_inverse(a), *b, *a)
+                for g in (g3, g3 + n):
+                    relators.append((2 * g + 1, *c, 2 * g, *rhs_inv))
+    return LetterPresentation(2 * n, tuple(relators))
+
+
+def _inverse(row):
+    return tuple(x ^ 1 for x in reversed(row))
 
 
 # -- the construction --------------------------------------------------------
@@ -248,9 +247,8 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         ambient = to_perm_group(table, name=name)
         images = group.generator_indices()
     elif mode == "all":
-        tp = multiplication_table_presentation(group)
         gens = group.generator_indices()
-        table = tc_enumerate(nu_presentation(tp, mode), (), limits,
+        table = tc_enumerate(nu_presentation(group, mode), (), limits,
                              spanning=[*gens, *(s + n for s in gens)])
         ambient = to_perm_group(table, name=name)
         images = tuple(range(n))

@@ -2,16 +2,16 @@
 
 Brown and Loday (Topology 26, 1987) present G (x) G on the n^2 symbols
 g (x) h, for |G| = n, subject to 2n^3 crossed-pairing relators of three
-letters each (``symbol_relators``, ``symbol_presentation``).  Most of
-the presentation is redundant, so it is Tietze-reduced before it is
-enumerated (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005): ``tensq.tietze.reduce_symbols`` substitutes, in
-whole-array passes, every relator that reduces to one letter t (t = 1,
-so t goes) or to two letters t u^+-1 of distinct symbols (the larger is
-written as the smaller's letter, inverted).  A substitution replaces a
-letter by a letter or by nothing, so every relator stays within three
-letters and rewriting is index arithmetic.  D4 keeps 17 of its 64
-symbols, A4 17 of 144, Heis3 169 of 729.
+letters each (``symbol_relators``).  Most of the presentation is
+redundant, so it is Tietze-reduced before it is enumerated (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005):
+``tensq.tietze.reduce_symbols`` substitutes, in whole-array passes,
+every relator that reduces to one letter t (t = 1, so t goes) or to
+two letters t u^+-1 of distinct symbols (the larger is written as the
+smaller's letter, inverted).  A substitution replaces a letter by a
+letter or by nothing, so every relator stays within three letters and
+rewriting is index arithmetic.  D4 keeps 17 of its 64 symbols, A4 17
+of 144, Heis3 169 of 729.
 
 Todd-Coxeter over what remains, over the trivial subgroup, gives a
 regular group T, and each of the n^2 symbols acts on it through its
@@ -64,7 +64,6 @@ import numpy as np
 
 from .coset import points_group, tc_enumerate
 from .errors import invariant
-from .words import Presentation, Word
 
 
 def group_arrays(group):
@@ -99,20 +98,6 @@ def symbol_relators(arrays):
                     axis=-2).reshape(-1, 3)
 
 
-def _symbol_names(n):
-    return tuple(f"t{a}_{b}" for a in range(n) for b in range(n))
-
-
-def symbol_presentation(group):
-    """The presentation of G (x) G on all n^2 symbols and the 2n^3
-    relators of ``symbol_relators``, each of length 3 before
-    reduction."""
-    rows = symbol_relators(group_arrays(group)).tolist()
-    return Presentation(_symbol_names(group.order()),
-                        tuple(Word(((a, -1), (b, 1), (c, 1)))
-                              for a, b, c in rows))
-
-
 def _primed_step(mul, inv, conj, y):
     """Right multiplication by y' on nu(G) = ((G (x) G) . G^phi) . G:
     t h' g y' = t c s' g with s = h y and the symbol c = (s g s^-1) (x)
@@ -135,16 +120,14 @@ def tensor_symbols(arrays, limits):
     group)."""
     # loaded here, not with the package: a process that never takes
     # the symbol route does not hold the reduction's code
-    from .tietze import (check_relators, reduce_symbols,
-                         reduced_presentation, replay_reduction,
+    from .tietze import (check_relators, reduce_symbols, replay_reduction,
                          symbol_columns)
 
     n = len(arrays[0])
     rows = symbol_relators(arrays)
     reduction = reduce_symbols(rows, n * n)
     replay_reduction(rows, reduction)
-    table = tc_enumerate(reduced_presentation(reduction, _symbol_names(n)),
-                         (), limits).table
+    table = tc_enumerate(reduction.presentation(), (), limits).table
     symbols = symbol_columns(table, reduction)
     invariant(check_relators(rows, symbols),
               "the reduced enumeration of G (x) G fails a relator of the "

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coset import LetterPresentation
 from .errors import invariant
 from .perm import sweep_rows
-from .words import Presentation, Word
 
 
 def _letters(rows):
@@ -94,6 +94,14 @@ class SymbolReduction:
         kept = self.kept()
         rank[kept] = np.arange(len(kept))
         return rank
+
+    def presentation(self):
+        """The remaining relators, padded with -1, over the kept symbols
+        renumbered in order: the presentation of G (x) G enumerated."""
+        words = self.relators
+        letters = 2 * self.ranks()[words >> 1] + (words & 1)
+        rows = np.where(words >= 0, letters, -1).tolist()
+        return LetterPresentation(len(self.kept()), tuple(rows))
 
 
 def reduce_symbols(rows, nsym):
@@ -204,18 +212,6 @@ def replay_reduction(rows, reduction):
                   == relator(r),
                   f"symbol replay: relator {r} does not reduce to the "
                   "relator kept for it")
-
-
-def reduced_presentation(reduction, names):
-    """The presentation of G (x) G on the symbols ``reduction`` keeps,
-    renumbered in order, and its remaining relators; ``names`` names
-    every symbol."""
-    rank = reduction.ranks().tolist()
-    relators = tuple(Word((rank[letter >> 1], 1 - 2 * (letter & 1))
-                          for letter in word if letter >= 0)
-                     for word in reduction.relators.tolist())
-    return Presentation(tuple(names[s] for s in reduction.kept()),
-                        relators)
 
 
 def symbol_columns(table, reduction):

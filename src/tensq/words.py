@@ -2,13 +2,16 @@
 
 A word is a tuple of (generator-index, exponent) letters with exponent
 +1 or -1.  Free reduction cancels adjacent inverse pairs; relators are
-kept cyclically reduced.
+kept cyclically reduced.  ``letters`` turns a word into the row of
+integer letters that ``tensq.coset`` enumerates from.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .coset import LetterPresentation
 
 
 class Word:
@@ -108,17 +111,14 @@ class Word:
         return f"Word({self.letters!r})"
 
 
-def commutator_word(a, b):
-    """[a, b] = a^-1 b^-1 a b as a word."""
-    return a.inverse() * b.inverse() * a * b
-
-
-def conjugate_word(a, by):
-    return by.inverse() * a * by
-
-
 def free_reduce(word):
     return word.free_reduce()
+
+
+def letters(word):
+    """``word`` as a row of letters: 2g for generator g, 2g + 1 for its
+    inverse."""
+    return tuple(2 * g + (e < 0) for g, e in word)
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,11 @@ class Presentation:
     @property
     def ngens(self):
         return len(self.generator_names)
+
+    def letters(self):
+        """The ``LetterPresentation`` that ``tc_enumerate`` reads."""
+        return LetterPresentation(self.ngens,
+                                  tuple(map(letters, self.relators)))
 
     def format(self):
         gens = "gens: " + " ".join(self.generator_names)

@@ -5,15 +5,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensq import (EnumerationLimitError, EnumerationLimits, Presentation,
-                   StateError, Word, get_group, get_presentation,
+from tensq import (EnumerationLimitError, EnumerationLimits,
+                   LetterPresentation, StateError, Word, get_group,
+                   get_presentation, letters,
                    multiplication_table_presentation, nu_presentation,
                    parse_presentation, parse_word, tc_enumerate,
                    to_perm_group)
 from tensq.catalog import catalog
 from tensq import coset
 import tensq.nu as nu_module
+import tensq.symbol as symbol
+import tensq.tietze as tietze
 from tensq.coset import CosetTable
 from tensq.nu import build_nu
 
@@ -21,7 +26,14 @@ from full_triple import full_triple_nu_presentation
 
 
 def pres(text):
-    return parse_presentation(text)
+    return parse_presentation(text).letters()
+
+
+def subgroup(text, word):
+    """The presentation ``text`` and the subgroup generated by ``word``,
+    both as letter rows."""
+    p = parse_presentation(text)
+    return p.letters(), (letters(parse_word(word, p.generator_names)),)
 
 
 C2 = "gens: a\nrels: a^2\n"
@@ -40,15 +52,11 @@ class TestEnumeration:
         assert get_group("S3").order() == 6
 
     def test_full_subgroup_single_coset(self):
-        p = pres(C2)
-        word = parse_word("a", p.generator_names)
-        table = tc_enumerate(p, (word,))
+        table = tc_enumerate(*subgroup(C2, "a"))
         assert table.coset_count == 1
 
     def test_proper_subgroup_index(self):
-        p = pres(S3)
-        word = parse_word("a", p.generator_names)
-        table = tc_enumerate(p, (word,))
+        table = tc_enumerate(*subgroup(S3, "a"))
         assert table.coset_count == 3
 
     def test_determinism(self):
@@ -127,13 +135,40 @@ class TestEnumeration:
         assert table.verify()
 
 
+class TestLetterRows:
+    @pytest.mark.parametrize("row", [(0, 4), (7, 6), (-2,)])
+    def test_letter_outside_the_generators_is_rejected(self, row):
+        # two generators have the letters 0 to 3; 4 would read the next
+        # coset's row of the table, even where it cancels
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            CosetTable(LetterPresentation(2, ((0, 0), row)))
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            tc_enumerate(pres(S3), (row,))
+
+    def test_padding_is_skipped(self):
+        padded = LetterPresentation(2, ((0, 0, -1, -1), (2, -1, 2),
+                                        (-1, 0, 2, 0, 2, -1)))
+        assert CosetTable(padded).relators == ((0, 0), (2, 2), (0, 2, 0, 2))
+        assert tc_enumerate(padded).coset_count == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=4))
+    def test_rows_reduce_as_words_do(self, rows):
+        # relators freely and cyclically, subgroup words freely
+        words = [Word((x >> 1, 1 - 2 * (x & 1)) for x in r) for r in rows]
+        table = CosetTable(LetterPresentation(3, rows), rows)
+        assert table.relators == tuple(letters(w.cyclic_reduce())
+                                       for w in words)
+        assert table.subgroup_words == tuple(letters(w.free_reduce())
+                                             for w in words)
+
+
 def _s3_subgroup_a():
-    p = pres(S3)
-    return p, (parse_word("a", p.generator_names),)
+    return subgroup(S3, "a")
 
 
 def _first_generator(name):
-    return get_presentation(name), (Word([(0, 1)]),)
+    return get_presentation(name).letters(), ((0,),)
 
 
 def _nu(name, mode, lookahead):
@@ -142,17 +177,24 @@ def _nu(name, mode, lookahead):
         # its primed copy S', as the all route passes them
         group = get_group(name)
         gens = group.generator_indices()
-        return (nu_presentation(multiplication_table_presentation(group),
-                                "all"), (),
+        return (nu_presentation(group, "all"), (),
                 EnumerationLimits(lookahead_threshold=lookahead),
                 [*gens, *(s + group.order() for s in gens)])
     if mode == "gens":
         pres = nu_presentation(get_presentation(name), mode)
+    elif mode == "full":
+        pres = full_triple_nu_presentation(get_group(name)).letters()
     else:
-        tp = multiplication_table_presentation(get_group(name))
-        pres = full_triple_nu_presentation(tp) if mode == "full" \
-            else nu_presentation(tp, mode)
+        pres = nu_presentation(get_group(name), mode)
     return pres, (), EnumerationLimits(lookahead_threshold=lookahead)
+
+
+def _symbol(name):
+    """The reduced symbol presentation of G (x) G that
+    ``tensq.symbol.tensor_symbols`` enumerates."""
+    group = get_group(name)
+    rows = symbol.symbol_relators(symbol.group_arrays(group))
+    return tietze.reduce_symbols(rows, group.order() ** 2).presentation(), ()
 
 
 # sha256 of closed tables (rows of little-endian int32), recorded from
@@ -166,6 +208,9 @@ def _nu(name, mode, lookahead):
 # same presentation as the all route does, with a first pass that
 # defines cosets only along S and S'; it was recorded from the
 # two-pass enumerator.  The nine before it pin ``spanning=None``.
+# "T(G)-symbol" enumerates the Tietze-reduced symbol presentation of
+# G (x) G, as the symbol route does; recorded when that presentation
+# still went through ``tensq.words``.
 GOLDEN_TABLES = [
     ("S3/<a>", _s3_subgroup_a,
      "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
@@ -187,6 +232,12 @@ GOLDEN_TABLES = [
      "461dc6a7235c3e800e2733ecd0179e3fec20c84037c1b7dcc3150e0951e38af1"),
     ("nu(S3)-all-spanning", lambda: _nu("S3", "all-spanning", 300),
      "736d118d41dc127dcb6235d4e54d60395762b6684427b5974dd732e192aa63bc"),
+    ("T(D4)-symbol", lambda: _symbol("D4"),
+     "57b0a147f87c645a7f1b3a542f84f3f4f76f9791df36be1eb34bc3600b697f2d"),
+    ("T(A4)-symbol", lambda: _symbol("A4"),
+     "46b55cbdb2113dffdd43e485f46d13615540edcc61345f671676cda8a8784d65"),
+    ("T(Heis3)-symbol", lambda: _symbol("Heis3"),
+     "f3aeaeaff723fa2b57528fd816c54892879d46c75204ebd828ffad4ec7182ba5"),
 ]
 
 
@@ -246,8 +297,7 @@ class TestSpanningPass:
         # the completing pass over every column still closes the table
         group = get_group("S3")
         spanning = list(group.generator_indices()) if part == "S" else []
-        tp = multiplication_table_presentation(group)
-        table = tc_enumerate(nu_presentation(tp, "all"), (), None,
+        table = tc_enumerate(nu_presentation(group, "all"), (), None,
                              spanning)
         assert table.is_closed() and table.verify()
         assert (table.passes, table.coset_count) == (2, 216)
@@ -275,7 +325,7 @@ class TestSpanningPass:
 
     def test_presentation_without_generators(self):
         # a table with no columns is complete after the first pass
-        table = tc_enumerate(Presentation((), ()), (), None, [])
+        table = tc_enumerate(LetterPresentation(0, ()), (), None, [])
         assert (table.passes, table.coset_count) == (1, 1)
 
     @pytest.mark.parametrize("gen", [-1, 2])
@@ -307,9 +357,7 @@ class TestVerifyRejects:
 
 class TestToPermGroup:
     def test_single_coset_trivial_group(self):
-        p = pres(C2)
-        word = parse_word("a", p.generator_names)
-        g = to_perm_group(tc_enumerate(p, (word,)))
+        g = to_perm_group(tc_enumerate(*subgroup(C2, "a")))
         assert g.order() == 1
 
     def test_cyclic_four(self):
@@ -334,18 +382,21 @@ class TestToPermGroup:
 class TestMultiplicationTablePresentation:
     def test_trivial_group(self):
         tp = multiplication_table_presentation(get_group("C1"))
-        assert tp.presentation.ngens == 1
-        assert tc_enumerate(tp.presentation, ()).coset_count == 1
+        assert tp.ngens == 1
+        assert tc_enumerate(tp, ()).coset_count == 1
 
     def test_c2(self):
         tp = multiplication_table_presentation(get_group("C2"))
-        assert tp.presentation.ngens == 2
-        assert tc_enumerate(tp.presentation, ()).coset_count == 2
+        assert tp.ngens == 2
+        # x0 = 1, then x_i x_j x_ij^-1 for (i, j) in row-major order
+        assert tp.relators == ((0,), (0, 0, 1), (0, 2, 3), (2, 0, 3),
+                               (2, 2, 1))
+        assert tc_enumerate(tp, ()).coset_count == 2
 
     def test_s3(self):
         tp = multiplication_table_presentation(get_group("S3"))
-        assert tp.presentation.ngens == 6
-        assert tc_enumerate(tp.presentation, ()).coset_count == 6
+        assert tp.ngens == 6
+        assert tc_enumerate(tp, ()).coset_count == 6
 
     def test_every_small_catalog_group_roundtrips(self):
         for name, entry in catalog().items():
@@ -353,5 +404,5 @@ class TestMultiplicationTablePresentation:
                 continue
             group = get_group(name)
             tp = multiplication_table_presentation(group)
-            g2 = to_perm_group(tc_enumerate(tp.presentation, ()))
+            g2 = to_perm_group(tc_enumerate(tp, ()))
             assert g2.order() == group.order(), name

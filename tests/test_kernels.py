@@ -642,7 +642,7 @@ def test_symbol_nu_build_and_report_build_no_regular_table(nu_of):
 
 
 def test_regular_group_above_the_table_cap(monkeypatch):
-    cosets = tc_enumerate(get_presentation("A4"), ())
+    cosets = tc_enumerate(get_presentation("A4").letters(), ())
     t = to_perm_group(cosets).table()
     monkeypatch.setattr(perm_module, "TABLE_CAP", 10)
     g = to_perm_group(cosets)

@@ -10,20 +10,22 @@ import pytest
 
 import tensq.nu as nu_module
 import tensq.symbol as symbol_module
-from tensq import (FiniteGroup, InvariantError, Permutation, Presentation,
-                   build_nu, derived_map_check, get_group, get_presentation,
-                   invariant_factors_from_cyclic, nu_presentation,
-                   route_independence, tensor_order, tensor_report,
-                   tensor_square, verify_decomposition, verify_nu_relations,
-                   verify_tensor_set_closed)
+from tensq import (FiniteGroup, InvariantError, LetterPresentation,
+                   Permutation, build_nu, derived_map_check, get_group,
+                   get_presentation, invariant_factors_from_cyclic,
+                   nu_presentation, route_independence, tensor_order,
+                   tensor_report, tensor_square, verify_decomposition,
+                   verify_nu_relations, verify_tensor_set_closed)
 from tensq.catalog import catalog
-from tensq.coset import (EnumerationLimits, multiplication_table_presentation,
-                         tc_enumerate, to_perm_group)
+from tensq.coset import (CosetTable, EnumerationLimits,
+                         multiplication_table_presentation, tc_enumerate,
+                         to_perm_group)
 from tensq.words import parse_presentation
 
 from tensq.cli import main as cli_main
 
-from full_triple import full_triple_nu_presentation
+from full_triple import (full_triple_nu_presentation,
+                         word_gens_nu_presentation, word_nu_presentation)
 
 
 def abelian_tensor_order(invariants):
@@ -289,8 +291,8 @@ class TestSymbolRoute:
             out = full(pres, mode)
             base = 2 * len(pres.relators)
             # the relators come in pairs: conjugated by g3, then by g3'
-            return Presentation(out.generator_names,
-                                out.relators[:base] + out.relators[base::2])
+            return LetterPresentation(
+                out.ngens, out.relators[:base] + out.relators[base::2])
 
         group, pres = get_group("S3"), get_presentation("S3")
         assert tc_enumerate(weakened(pres, "gens"), ()).coset_count == 648
@@ -347,7 +349,8 @@ class TestTensorSquareWrapper:
                                     ("C9", "symbol"), ("C2xC2", "symbol"),
                                     ("S3", "symbol")]]
         cases += [(get_group("C5"), None, "symbol"),
-                  (to_perm_group(tc_enumerate(c6, ())), c6, "symbol")]
+                  (to_perm_group(tc_enumerate(c6.letters(), ())), c6,
+                   "symbol")]
         assert [tensor_square(g, p).mode for g, p, _ in cases] == \
             [mode for _, _, mode in cases]
 
@@ -358,12 +361,12 @@ class TestTensorSquareWrapper:
 
 class TestTablePresentationParsing:
     def test_nu_presentation_from_table(self):
-        g = get_group("C2")
-        tp = multiplication_table_presentation(g)
-        pres = nu_presentation(tp, "all")
+        # C2's table relators, then their primed copies: x' is x + 2
+        tp = multiplication_table_presentation(get_group("C2"))
+        pres = nu_presentation(get_group("C2"), "all")
         assert pres.ngens == 4
-        names = pres.generator_names
-        assert names[2].endswith("'") and names[3].endswith("'")
+        assert pres.relators[:10] == tp.relators + tuple(
+            tuple(x + 4 for x in r) for r in tp.relators)
 
 
 class TestAllRouteRelators:
@@ -372,11 +375,11 @@ class TestAllRouteRelators:
     def test_closes_like_the_full_triple_oracle(self, name):
         group = get_group(name)
         n = group.order()
-        tp = multiplication_table_presentation(group)
-        reduced = nu_presentation(tp, "all")
+        reduced = nu_presentation(group, "all")
         # the conjugators: G's generators, less the identity and repeats
         conjugators = set(group.generator_indices()) - {0}
-        want = tc_enumerate(full_triple_nu_presentation(tp), ())
+        want = tc_enumerate(full_triple_nu_presentation(group).letters(),
+                            ())
         # a presentation of a larger group overruns the cap, not 2M cosets
         limits = EnumerationLimits(max_cosets=max(20_000,
                                                   8 * want.coset_count))
@@ -384,3 +387,20 @@ class TestAllRouteRelators:
             want.coset_count
         assert len(reduced.relators) == \
             2 * (n * n + 1) + 2 * (n - 1) ** 2 * len(conjugators)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, e in catalog().items() if e.order <= 16])
+    def test_rows_match_the_word_oracle(self, name):
+        # reduced by the enumerator, the index-arithmetic rows are the
+        # Word-built doubling's relators, relator for relator
+        group = get_group(name)
+        rows = CosetTable(nu_presentation(group, "all")).relators
+        assert rows == word_nu_presentation(group).letters().relators
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog() if get_presentation(n) is not None])
+def test_gens_route_rows_match_the_word_oracle(name):
+    pres = get_presentation(name)
+    rows = CosetTable(nu_presentation(pres, "gens")).relators
+    assert rows == word_gens_nu_presentation(pres).letters().relators

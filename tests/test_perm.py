@@ -433,7 +433,7 @@ class TestIndexOps:
     def test_regular_group_index_is_point_image(self):
         from tensq import tc_enumerate, to_perm_group, parse_presentation
         pres = parse_presentation("gens: a b\nrels: a^2, b^2, (a b)^3\n")
-        g = to_perm_group(tc_enumerate(pres, ()))
+        g = to_perm_group(tc_enumerate(pres.letters(), ()))
         assert g.order() == 6
         for i in range(6):
             assert g.index_of(g.element(i)) == i

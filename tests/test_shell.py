@@ -42,7 +42,8 @@ class TestCatalog:
             pres = get_presentation(name)
             if pres is None:
                 continue
-            assert tc_enumerate(pres, ()).coset_count == entry.order, name
+            assert tc_enumerate(pres.letters(), ()).coset_count == \
+                entry.order, name
 
     def test_names_resolve(self):
         g, pres, desc = resolve_group("D4")

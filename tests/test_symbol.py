@@ -24,6 +24,7 @@ from tensq import (InvariantError, build_nu, get_group, tc_enumerate,
 from tensq.catalog import catalog
 
 from standalone import standalone_group
+from symbol_oracle import symbol_presentation
 
 GROUPS = [name for name, entry in catalog().items()
           if entry.order <= 12] + ["S4"]
@@ -60,10 +61,8 @@ def _unreduced(rows, nsym):
 @pytest.mark.parametrize("name", GROUPS)
 def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
     group, rows, reduction = _reduction(name)
-    n = group.order()
-    reduced = _table_census(tietze.reduced_presentation(
-        reduction, symbol._symbol_names(n)))
-    full = _table_census(symbol.symbol_presentation(group))
+    reduced = _table_census(reduction.presentation())
+    full = _table_census(symbol_presentation(group))
     assert reduced == full
 
     nu = build_nu(group, mode="symbol", max_group_order=24)
@@ -82,9 +81,7 @@ def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
 def test_trivial_group_keeps_no_symbol_and_has_order_one():
     group, rows, reduction = _reduction("C1")
     assert len(reduction.kept()) == 0
-    presentation = tietze.reduced_presentation(reduction,
-                                               symbol._symbol_names(1))
-    table = to_perm_group(tc_enumerate(presentation, ()))
+    table = to_perm_group(tc_enumerate(reduction.presentation(), ()))
     assert table.order() == 1
     assert table.generator_indices() == (0,)
 
@@ -127,8 +124,7 @@ def test_wrong_merge_passes_the_relator_check_but_not_the_replay(
         monkeypatch):
     group, rows, reduction = _reduction("D4")
     merged = _merged(reduction)
-    table = tc_enumerate(tietze.reduced_presentation(
-        merged, symbol._symbol_names(8)), ()).table
+    table = tc_enumerate(merged.presentation(), ()).table
     # the merged table is a proper quotient of D4 (x) D4, so every
     # relator holds on it: only the replay sees the merge
     assert len(table) < 32
@@ -184,8 +180,7 @@ def test_relator_check_catches_a_wrong_column(monkeypatch):
 
 def _columns(name):
     group, rows, reduction = _reduction(name)
-    table = tc_enumerate(tietze.reduced_presentation(
-        reduction, symbol._symbol_names(group.order())), ()).table
+    table = tc_enumerate(reduction.presentation(), ()).table
     return rows, reduction, tietze.symbol_columns(table, reduction)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensq import Presentation, Word, tc_enumerate
+from tensq import Presentation, Word, letters, tc_enumerate
 
 fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
 free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
@@ -90,13 +90,14 @@ def _sympy_word(free, gens, letters):
 @given(presentations())
 def test_coset_count_matches_sympy_order(case):
     pres, _, _, group = _both(*case)
-    assert tc_enumerate(pres).coset_count == group.order()
+    assert tc_enumerate(pres.letters()).coset_count == group.order()
 
 
 @settings(max_examples=40, deadline=None)
 @given(subgroup_cases())
 def test_subgroup_index_matches_sympy(case):
-    ngens, relators, letters = case
+    ngens, relators, word = case
     pres, free, gens, group = _both(ngens, relators)
-    expected = group.index([_sympy_word(free, gens, letters)])
-    assert tc_enumerate(pres, (Word(letters),)).coset_count == expected
+    expected = group.index([_sympy_word(free, gens, word)])
+    assert tc_enumerate(pres.letters(),
+                        (letters(Word(word)),)).coset_count == expected

@@ -6,7 +6,7 @@ crossed-pairing relation families
     (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
     g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
 
-over all elements (``tensq.symbol.symbol_presentation``).  Enumerating
+over all elements (``symbol_oracle.symbol_presentation``).  Enumerating
 that presentation directly shares nothing with the two Todd-Coxeter routes
 to nu(G), "all" and "gens", so agreement with each of them is a genuine
 cross-check of the identification g (x) h <-> [g, h'].  The "symbol"
@@ -16,11 +16,11 @@ other side of these comparisons.
 
 import itertools
 
-from tensq import (get_group, get_presentation, symbol_presentation,
-                   tc_enumerate, to_perm_group)
+from tensq import get_group, get_presentation, tc_enumerate, to_perm_group
 from tensq.catalog import catalog
 
 from standalone import standalone_group
+from symbol_oracle import symbol_presentation
 
 
 def _order_census(group):
@@ -51,9 +51,9 @@ def test_symbol_presentation_matches_nu_realization(nu_of):
         amb, tensors = nu.ambient, nu.tensors.ravel().tolist()
         for rel in pres.relators:
             acc = 0
-            for gen, e in rel:
-                t = tensors[gen]
-                acc = amb.mul_idx(acc, t if e == 1 else amb.inv_idx(t))
+            for x in rel:
+                t = tensors[x >> 1]
+                acc = amb.mul_idx(acc, amb.inv_idx(t) if x & 1 else t)
             assert acc == 0, (name, rel)
 
 
