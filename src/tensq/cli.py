@@ -31,8 +31,8 @@ from .errors import CapacityError, EnumerationLimitError, InvariantError
 from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
                       verify_lie_axioms)
-from .nu import (build_nu, route_independence, tensor_module,
-                 tensor_report, tensor_square)
+from .nu import (DEFAULT_GROUP_CAP, build_nu, route_independence,
+                 tensor_module, tensor_report, tensor_square)
 from .report import Report, write_report
 from .verify import (RELATION_FAMILIES, derived_map_check,
                      verify_decomposition, verify_nu_relations,
@@ -80,8 +80,7 @@ def _group_payload(descriptor, extra):
 
 
 def compute_tensor(args, group, pres):
-    report = tensor_square(group, pres, limits=_limits(args),
-                           max_group_order=args.max_group)
+    report = tensor_square(group, pres, limits=_limits(args))
     return report.to_dict(), True
 
 
@@ -149,8 +148,7 @@ def verify_summary(args, r):
 
 def compute_engel(args, group, pres):
     config = EngelScanConfig(p=args.p, m=args.m, n=args.n)
-    module = tensor_module(group, limits=_limits(args),
-                           max_group_order=args.max_group)
+    module = tensor_module(group, limits=_limits(args))
     scan = engel_power_scan(module, config)
     return scan.to_dict(), scan.all_pairs_satisfied
 
@@ -227,7 +225,7 @@ def run(args):
     else:
         group, pres, desc = resolve_group(args.group, _limits(args))
     key = None
-    if args.cache_on and not args.no_cache:
+    if not args.no_cache:
         payload = _group_payload(desc, {
             "command": args.command,
             **{name: getattr(args, name) for name in args.cache_on}})
@@ -264,8 +262,10 @@ def build_parser():
         description="non-abelian tensor squares, nu-groups, Engel scans "
                     "and graded Lie rings of finite groups")
     parser.add_argument("--version", action="version", version=__version__)
-    # every report records a seed, which only verify's --seed sets
-    parser.set_defaults(seed=None, cache_on=())
+    # every report records a seed, which only verify's --seed sets; only
+    # the commands that take --no-cache read the result cache, keyed on
+    # the group, the command and the options named in cache_on
+    parser.set_defaults(seed=None, no_cache=True, cache_on=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -273,17 +273,16 @@ def build_parser():
     common.add_argument("--json", help="write the JSON report here")
     common.add_argument("--max-cosets", type=int, default=2_000_000)
     common.add_argument("--time-limit", type=float, default=60.0)
+    # only the commands that build nu(G) read the cap
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--max-group", type=int, default=16,
+    capped.add_argument("--max-group", type=int, default=DEFAULT_GROUP_CAP,
                         help="cap on |G| for nu-construction")
-    # only the commands with cache_on read the result cache
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("tensor", parents=[capped, cached],
+    p = sub.add_parser("tensor", parents=[common, cached],
                        help="tensor square report")
-    p.set_defaults(compute=compute_tensor, summary=tensor_summary,
-                   cache_on=("max_group",))
+    p.set_defaults(compute=compute_tensor, summary=tensor_summary)
 
     p = sub.add_parser("nu", parents=[capped, cached],
                        help="build nu(G); default mode cross-checks the "
@@ -303,7 +302,7 @@ def build_parser():
     p.add_argument("--exhaustive-cap", type=int, default=8)
     p.set_defaults(compute=compute_verify, summary=verify_summary)
 
-    p = sub.add_parser("engel", parents=[capped], help="scan tensor powers "
+    p = sub.add_parser("engel", parents=[common], help="scan tensor powers "
                        "for left n-Engel behaviour in nu(G)")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)

@@ -25,8 +25,9 @@ generated as in nu(G): the normal closure of the generators' tensors
 s (x) t, here under T's inner automorphisms and the phi_s, and the order
 law says it is all of T.
 
-``tensq nu``, ``tensq verify`` and ``tensq tensor`` on the "all" and
-"gens" routes assemble nu(G) itself (``tensq.nu.build_nu``).
+``tensq nu``, ``tensq verify`` and ``tensq tensor`` on the gens route
+assemble nu(G) itself (``tensq.nu.build_nu``), under its cap on |G|;
+the crossed module takes no cap, as ``tensq.symbol`` bounds T.
 """
 
 from __future__ import annotations

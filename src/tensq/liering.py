@@ -37,14 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import invariant
-from .linalg import _prime_factors, mat_pow_mod, rref_mod
+from .linalg import mat_pow_mod, rref_mod
 from .verify import Check, VerificationReport
 from .perm import commutator_sweep
 
 
 def _check_p_group(group, p):
-    if _prime_factors(p) != {p: 1}:
-        raise ValueError("p must be prime")
+    # is_p_group raises "p must be prime" for any other p
     if not group.is_p_group(p):
         raise ValueError(f"group of order {group.order()} is not a {p}-group")
 
@@ -197,8 +196,12 @@ class GradedLieRing:
             self.offsets.append(off)
             off += d
 
-        # comm[j - 1][b, x] = index([element_x, lift b of degree j])
-        comm = [g.commutator_columns(lifts) for lifts in self.basis_lifts]
+        # commutators[j - 1][b, x] = index([element_x, lift b of degree
+        # j]), read-only; verify_lie_axioms reads them too
+        self.commutators = comm = tuple(
+            g.commutator_columns(lifts) for lifts in self.basis_lifts)
+        for array in comm:
+            array.setflags(write=False)
         self.constants = {}
         for i in range(1, c + 1):
             for j in range(1, c + 1 - i):
@@ -393,7 +396,7 @@ def verify_lie_axioms(ring):
     # every ordered pair of degree-i lifts and degree-j lift y; a label
     # of -1 is a commutator outside D_{i+j}, from a lift outside D_i
     ok = True
-    comm = [g.commutator_columns(lifts) for lifts in ring.basis_lifts]
+    comm = ring.commutators
     for i in range(1, c + 1):
         lifts = list(ring.basis_lifts[i - 1])
         prods = g.right_columns(lifts)[:, lifts].T    # x_a x_b at [a, b]

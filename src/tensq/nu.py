@@ -49,7 +49,9 @@ Where nu(G) is assembled: ``tensq nu`` (route independence included),
 C5 (auto's gens route).  Otherwise ``tensq tensor`` (``tensor_square``)
 and, on every group, ``tensq engel`` read only G (x) G: the crossed
 module of ``tensor_module`` (``tensq.crossed``), on |G (x) G| points
-against the n^2 |G (x) G| of nu(G).
+against the n^2 |G (x) G| of nu(G).  The cap on |G| is ``build_nu``'s
+(the command line's ``--max-group``): only ``tensq nu`` and ``tensq
+verify`` read it.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _check_cap(group, max_group_order):
     if n > max_group_order:
         raise ValueError(
             f"|G| = {n} exceeds the nu-construction cap {max_group_order}; "
-            "pass max_group_order explicitly to override")
+            "raise it with --max-group (build_nu's max_group_order)")
 
 
 def _route(group, presentation, mode):
@@ -257,11 +259,10 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     return _certified_nu(group, arrays, ambient, mode, images)
 
 
-def tensor_module(group, *, limits=None, max_group_order=DEFAULT_GROUP_CAP):
+def tensor_module(group, *, limits=None):
     """The certified crossed module (T, phi, lambda) of G (x) G, read from
     the reduced symbol enumeration with no nu(G) assembled
-    (``tensq.crossed``).  The cap on |G| is ``build_nu``'s."""
-    _check_cap(group, max_group_order)
+    (``tensq.crossed``); the symbol route bounds it, not the cap."""
     # loaded here, not with the package, like the symbol reduction
     from .crossed import crossed_module
     return crossed_module(group, group_arrays(group),
@@ -392,13 +393,14 @@ class TensorReport:
         }
 
 
-def tensor_square(group, presentation=None, **kwargs):
+def tensor_square(group, presentation=None, *, limits=None):
     """The tensor-square report on the route "auto" takes: the gens
-    route builds nu(G); the symbol route reads the crossed module of
-    G (x) G (``tensor_module``) and assembles no nu(G)."""
+    route builds nu(G), of a group within the cap; the symbol route
+    reads the crossed module of G (x) G (``tensor_module``) and
+    assembles no nu(G)."""
     if _route(group, presentation, "auto") == "symbol":
-        return tensor_report(tensor_module(group, **kwargs))
-    return tensor_report(build_nu(group, presentation, "gens", **kwargs))
+        return tensor_report(tensor_module(group, limits=limits))
+    return tensor_report(build_nu(group, presentation, "gens", limits=limits))
 
 
 def tensor_report(nu):

@@ -27,7 +27,8 @@ image.  Two certificates make T = G (x) G:
   block at a time.  So g (x) h |-> its column is a homomorphism onto T:
   T is a quotient of G (x) G.
 
-``tensor_symbols`` is the enumeration and both certificates.
+``tensor_symbols`` is the enumeration and both certificates, within
+two budgets of its own and the enumeration's time limit.
 
 Neither is enough alone.  Merging two symbols that are not equal in
 G (x) G enumerates a proper quotient of it, on which every original
@@ -63,7 +64,16 @@ from __future__ import annotations
 import numpy as np
 
 from .coset import points_group, tc_enumerate
-from .errors import invariant
+from .errors import EnumerationLimitError, invariant
+
+# The symbol route's budgets, checked before the allocation each bounds,
+# as the coset table stops at 1 GiB.  The 2n^3 relator rows admit
+# |G| <= 81 (``tensq tensor`` of C81 peaks at 216 MB RSS).  The |T| n^2
+# symbol column entries, about four copies of which the crossed module's
+# certificates hold, admit C3^3 (14.3 M, 341 MB) and C2^4 (2^24, 855 MB,
+# most of it the coset table of its 225 kept symbols).
+_MAX_RELATOR_ROWS = 1_100_000
+_MAX_SYMBOL_ENTRIES = 1 << 24
 
 
 def group_arrays(group):
@@ -114,22 +124,33 @@ def tensor_symbols(arrays, limits):
     """T = G (x) G from the symbol presentation: reduced and certified by
     replay (``tensq.tietze``), enumerated from what remains, and every
     symbol's column of T read through its image and checked against all
-    2n^3 relators.  Returns the (|T|, n^2) symbol columns, column g n + h
-    right multiplication by g (x) h on T's points, and the symbols kept,
-    whose columns are the enumeration's generators (none for the trivial
-    group)."""
+    2n^3 relators within ``limits.time_limit``.  Returns the (|T|, n^2)
+    symbol columns, column g n + h right multiplication by g (x) h on
+    T's points, and the symbols kept, whose columns are the
+    enumeration's generators (none for the trivial group).  Raises
+    EnumerationLimitError rather than build more relators or column
+    entries than the budgets allow."""
     # loaded here, not with the package: a process that never takes
     # the symbol route does not hold the reduction's code
     from .tietze import (check_relators, reduce_symbols, replay_reduction,
                          symbol_columns)
 
     n = len(arrays[0])
+    if 2 * n ** 3 > _MAX_RELATOR_ROWS:
+        raise EnumerationLimitError(
+            f"symbol relator limit {_MAX_RELATOR_ROWS} exceeded: |G| = {n} "
+            f"has {2 * n ** 3} relators (none built)")
     rows = symbol_relators(arrays)
     reduction = reduce_symbols(rows, n * n)
     replay_reduction(rows, reduction)
     table = tc_enumerate(reduction.presentation(), (), limits).table
+    if len(table) * n * n > _MAX_SYMBOL_ENTRIES:
+        raise EnumerationLimitError(
+            f"symbol column limit {_MAX_SYMBOL_ENTRIES} entries exceeded: "
+            f"|G (x) G| = {len(table)} points times {n * n} symbols (the "
+            f"enumeration closed on {len(reduction.kept())} kept symbols)")
     symbols = symbol_columns(table, reduction)
-    invariant(check_relators(rows, symbols),
+    invariant(check_relators(rows, symbols, limits.time_limit),
               "the reduced enumeration of G (x) G fails a relator of the "
               "symbol presentation")
     return symbols, reduction.kept()

@@ -10,12 +10,13 @@ letters.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coset import LetterPresentation
-from .errors import invariant
+from .errors import EnumerationLimitError, invariant
 from .perm import sweep_rows
 
 
@@ -228,16 +229,25 @@ def symbol_columns(table, reduction):
     return ext[:, column]
 
 
-def check_relators(rows, columns):
+def check_relators(rows, columns, time_limit):
     """Whether every relator a^-1 b c of ``rows`` holds on the symbol
     ``columns`` (point by symbol): p b c = p a at every point p, checked
-    for ``perm.sweep_rows(points)`` relators at a time."""
+    for ``perm.sweep_rows(points)`` relators at a time.  Raises
+    EnumerationLimitError if a block starts more than ``time_limit``
+    seconds in."""
     # a view: ``symbol_columns`` returns its columns column-major
     by_symbol = np.ascontiguousarray(columns.T)
     points = by_symbol.shape[1]
     flat = by_symbol.ravel()
     block = sweep_rows(points)
+    start = time.monotonic()
     for lo in range(0, len(rows), block):
+        elapsed = time.monotonic() - start
+        if elapsed > time_limit:
+            raise EnumerationLimitError(
+                f"time limit {time_limit}s exceeded in the relator check "
+                f"({lo} of {len(rows)} relators checked, {elapsed:.2f}s "
+                "elapsed)")
         a, b, c = rows[lo:lo + block].T
         got = flat[c[:, None] * points + by_symbol[b]]
         if not np.array_equal(got, by_symbol[a]):

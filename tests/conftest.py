@@ -37,14 +37,11 @@ def nu_of():
 
 @pytest.fixture(scope="session")
 def module_of():
-    """Session-wide memo for crossed modules of G (x) G, by group name;
-    groups past the default cap are built with theirs raised."""
+    """Session-wide memo for crossed modules of G (x) G, by group name."""
     cache = {}
 
     def build(name):
         if name not in cache:
-            group = get_group(name)
-            cache[name] = tensor_module(group,
-                                        max_group_order=group.order())
+            cache[name] = tensor_module(get_group(name))
         return cache[name]
     return build

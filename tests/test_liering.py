@@ -126,6 +126,24 @@ class TestGradedRing:
             ring = lie_ring(dimension_subgroups(get_group(name), p))
             assert verify_lie_axioms(ring).passed, name
 
+    def test_commutator_columns_swept_once_per_degree(self, monkeypatch):
+        # verify_lie_axioms reads the sweeps the ring made, read-only
+        calls = []
+        sweep = FiniteGroup.commutator_columns
+
+        def counting(self, idx):
+            calls.append(tuple(idx))
+            return sweep(self, idx)
+
+        monkeypatch.setattr(FiniteGroup, "commutator_columns", counting)
+        for make, p in [(lambda: get_group("Heis3"), 3), (_wreath_128, 2)]:
+            series = dimension_subgroups(make(), p)
+            calls.clear()
+            ring = lie_ring(series)
+            assert verify_lie_axioms(ring).passed
+            assert calls == [tuple(lifts) for lifts in ring.basis_lifts]
+            assert not any(a.flags.writeable for a in ring.commutators)
+
     def test_transversal_choice_is_immaterial(self):
         for name, p in [("D4", 2), ("Q8", 2), ("Heis3", 3), ("M27", 3)]:
             s = dimension_subgroups(get_group(name), p)

@@ -9,6 +9,8 @@ import time
 import pytest
 
 import tensq
+import tensq.symbol
+import tensq.tietze
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
                    resolve_group, tc_enumerate)
 from tensq.cache import cache_key, cache_load, cache_store
@@ -239,7 +241,11 @@ class TestCli:
         ("verify", "C2", "--no-cache"),
         ("engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--no-cache"),
         ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
-         "--no-cache")])
+         "--no-cache"),
+        # only nu and verify build nu(G), so only they read the cap
+        ("tensor", "C2", "--max-group", "27"),
+        ("engel", "C2", "-p", "2", "-m", "1", "-n", "1",
+         "--max-group", "27")])
     def test_option_a_command_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             self.run(*argv)
@@ -260,9 +266,18 @@ class TestCli:
     def test_options_a_command_reads_still_parse(self):
         parser = cli.build_parser()
         assert parser.parse_args(["verify", "C2", "--seed", "3"]).seed == 3
-        assert parser.parse_args(["engel", "Heis3", "-p", "3", "-m", "1",
-                                  "-n", "2", "--max-group", "27"]) \
-            .max_group == 27
+        for command in ("nu", "verify"):
+            assert parser.parse_args([command, "Heis3", "--max-group",
+                                      "27"]).max_group == 27
+        assert parser.parse_args(["nu", "C2"]).max_group == \
+            tensq.nu.DEFAULT_GROUP_CAP
+        # the commands that take --no-cache read the cache unless it is
+        # passed; the others never read it
+        for argv, no_cache in [(["tensor", "C2"], False),
+                               (["tensor", "C2", "--no-cache"], True),
+                               (["engel", "C2", "-p", "2", "-m", "1",
+                                 "-n", "1"], True)]:
+            assert parser.parse_args(argv).no_cache is no_cache, argv
 
     def test_report_records_the_seed_sampled_with(self, tmp_path):
         # verify samples from seed 0 by default; no other command samples
@@ -345,19 +360,72 @@ class TestCli:
     def test_unknown_group_exit_2(self):
         assert self.run("tensor", "Nope", "--no-cache") == 2
 
-    def test_limit_error_exit_2(self):
+    def test_limit_error_exit_2(self, capsys):
         assert self.run("nu", "S4", "--no-cache") == 2   # over the cap
+        assert "error: |G| = 24 exceeds the nu-construction cap 16; raise " \
+            "it with --max-group" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [("tensor", "Heis3", "--no-cache"),
-                                      ("engel", "Heis3", "-p", "3", "-m", "1",
-                                       "-n", "2")])
-    def test_cap_without_max_group_exit_2(self, capsys, argv):
-        # both read G (x) G alone, so the cap is checked outside build_nu
+    @pytest.mark.parametrize("argv,verdict", [
+        (("tensor", "Heis3", "--no-cache"), "tensor order 729"),
+        (("engel", "Heis3", "-p", "3", "-m", "1", "-n", "2"),
+         "all pairs satisfied")], ids=["tensor", "engel"])
+    def test_tensor_and_engel_run_past_the_cap(self, capsys, argv, verdict):
+        # both read G (x) G alone and build no nu(G)
+        assert self.run(*argv) == 0
+        assert verdict in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [("nu", "Heis3", "--no-cache"),
+                                      ("verify", "Heis3")])
+    def test_nu_builds_exit_2_on_the_cap(self, capsys, argv):
         start = time.monotonic()
         assert self.run(*argv) == 2
         assert time.monotonic() - start < 1.0
-        assert "|G| = 27 exceeds the nu-construction cap 16" in \
-            capsys.readouterr().err
+        assert "error: |G| = 27 exceeds the nu-construction cap 16; raise " \
+            "it with --max-group" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget,rc", [(1024, 0), (1023, 2)])
+    def test_relator_budget(self, monkeypatch, capsys, budget, rc):
+        # D4 has 2 * 8^3 = 1024 relators; over budget, none is built
+        monkeypatch.setattr(tensq.symbol, "_MAX_RELATOR_ROWS", budget)
+        if rc:
+            def symbol_relators(arrays):
+                raise AssertionError("relators built over the budget")
+            monkeypatch.setattr(tensq.symbol, "symbol_relators",
+                                symbol_relators)
+        assert self.run("tensor", "D4", "--no-cache") == rc
+        if rc:
+            assert "limit error: symbol relator limit 1023 exceeded: " \
+                "|G| = 8 has 1024 relators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget,rc", [(2048, 0), (2047, 2)])
+    def test_symbol_column_budget(self, monkeypatch, capsys, budget, rc):
+        # |D4 (x) D4| = 32 points times 64 symbols is 2048 entries
+        monkeypatch.setattr(tensq.symbol, "_MAX_SYMBOL_ENTRIES", budget)
+        if rc:
+            def symbol_columns(table, reduction):
+                raise AssertionError("columns allocated over the budget")
+            monkeypatch.setattr(tensq.tietze, "symbol_columns",
+                                symbol_columns)
+        assert self.run("engel", "D4", "-p", "2", "-m", "1", "-n", "1") == rc
+        if rc:
+            assert "limit error: symbol column limit 2047 entries " \
+                "exceeded: |G (x) G| = 32 points times 64 symbols" in \
+                capsys.readouterr().err
+
+    def test_time_limit_stops_the_relator_check(self, monkeypatch, capsys):
+        # the enumeration runs unlimited; the check, one relator a block,
+        # is stopped by the zero time limit
+        enumerate_ = tensq.symbol.tc_enumerate
+        monkeypatch.setattr(tensq.symbol, "tc_enumerate",
+                            lambda pres, words, limits: enumerate_(pres,
+                                                                   words))
+        monkeypatch.setattr(tensq.tietze, "sweep_rows", lambda width: 1)
+        assert self.run("tensor", "D4", "--time-limit", "0",
+                        "--no-cache") == 2
+        err = capsys.readouterr().err
+        assert "limit error: time limit 0.0s exceeded in the relator " \
+            "check (" in err
+        assert " of 1024 relators checked" in err
 
     def test_table_memory_limit_exit_2(self, monkeypatch, capsys):
         # nu(D4) on the all route outgrows the first 1024 rows
