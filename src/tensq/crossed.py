@@ -74,7 +74,7 @@ def _sweep(tgroup, kept, step):
 def crossed_module(group, arrays, limits):
     """The certified crossed module of G (x) G (see the module
     docstring), from G's multiplication, inverse and conjugation
-    ``arrays``."""
+    ``arrays`` (``tensq.symbol.symbol_route_arrays``)."""
     mul, inv, conj = arrays
     n = len(mul)
     symbols, kept = tensor_symbols(arrays, limits)

@@ -66,7 +66,8 @@ from .coset import (EnumerationLimits, LetterPresentation,
 from .errors import invariant
 from .linalg import abelian_invariants
 from .perm import FiniteGroup, Subgroup
-from .symbol import assemble_nu, group_arrays, tensor_symbols
+from .symbol import (assemble_nu, group_arrays, symbol_route_arrays,
+                     tensor_symbols)
 # the checks of nu(G) live in .verify; tensq.nu names them too
 from .verify import (RELATION_FAMILIES, Check,
                      VerificationReport, derived_map_check,
@@ -236,7 +237,7 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     name = f"nu({group.name or 'G'})"
     mode = _route(group, presentation, mode)
     n = group.order()
-    arrays = group_arrays(group)
+    arrays = (symbol_route_arrays if mode == "symbol" else group_arrays)(group)
     if mode == "symbol":
         symbols, _ = tensor_symbols(arrays, limits)
         ambient = assemble_nu(group, arrays, symbols, name)
@@ -265,7 +266,7 @@ def tensor_module(group, *, limits=None):
     (``tensq.crossed``); the symbol route bounds it, not the cap."""
     # loaded here, not with the package, like the symbol reduction
     from .crossed import crossed_module
-    return crossed_module(group, group_arrays(group),
+    return crossed_module(group, symbol_route_arrays(group),
                           limits or EnumerationLimits())
 
 

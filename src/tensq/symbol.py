@@ -27,8 +27,10 @@ image.  Two certificates make T = G (x) G:
   block at a time.  So g (x) h |-> its column is a homomorphism onto T:
   T is a quotient of G (x) G.
 
-``tensor_symbols`` is the enumeration and both certificates, within
-two budgets of its own and the enumeration's time limit.
+``tensor_symbols`` is the enumeration and both certificates, within a
+budget on the symbol columns and one deadline that the enumeration and
+the relator check share; ``symbol_route_arrays`` refuses, before
+building anything, a G with more relators than the relator budget.
 
 Neither is enough alone.  Merging two symbols that are not equal in
 G (x) G enumerates a proper quotient of it, on which every original
@@ -61,17 +63,20 @@ Conjugation is x^k = k^-1 x k, as everywhere in tensq.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .coset import points_group, tc_enumerate
 from .errors import EnumerationLimitError, invariant
 
-# The symbol route's budgets, checked before the allocation each bounds,
-# as the coset table stops at 1 GiB.  The 2n^3 relator rows admit
-# |G| <= 81 (``tensq tensor`` of C81 peaks at 216 MB RSS).  The |T| n^2
-# symbol column entries, about four copies of which the crossed module's
-# certificates hold, admit C3^3 (14.3 M, 341 MB) and C2^4 (2^24, 855 MB,
-# most of it the coset table of its 225 kept symbols).
+# The symbol route's budgets, in the manner of the coset table's 1 GiB.
+# The 2n^3 relator rows, checked before G's n x n arrays are built,
+# admit |G| <= 81 (``tensq tensor`` of C81 peaks at 216 MB RSS).  The
+# |T| n^2 symbol column entries, about four copies of which the
+# certificates hold, are checked once the enumeration closes: they admit
+# C3^3 (14.3 M, 341 MB) and C2^4 (2^24, 855 MB, most of it the coset
+# table, which only the coset limit, 1 GiB and the time limit bound).
 _MAX_RELATOR_ROWS = 1_100_000
 _MAX_SYMBOL_ENTRIES = 1 << 24
 
@@ -86,6 +91,18 @@ def group_arrays(group):
     k = np.arange(n)
     conj = mul[mul[inv[None, :], k[:, None]], k[None, :]]
     return mul, inv, conj
+
+
+def symbol_route_arrays(group):
+    """``group_arrays`` for the symbol route, or EnumerationLimitError,
+    before anything n x n is built, if G's 2n^3 relators are more than
+    the relator budget allows."""
+    n = group.order()
+    if 2 * n ** 3 > _MAX_RELATOR_ROWS:
+        raise EnumerationLimitError(
+            f"symbol relator limit {_MAX_RELATOR_ROWS} exceeded: |G| = {n} "
+            f"has {2 * n ** 3} relators (none built)")
+    return group_arrays(group)
 
 
 def symbol_relators(arrays):
@@ -121,28 +138,27 @@ def _primed_step(mul, inv, conj, y):
 
 
 def tensor_symbols(arrays, limits):
-    """T = G (x) G from the symbol presentation: reduced and certified by
-    replay (``tensq.tietze``), enumerated from what remains, and every
-    symbol's column of T read through its image and checked against all
-    2n^3 relators within ``limits.time_limit``.  Returns the (|T|, n^2)
+    """T = G (x) G from the symbol presentation of G's
+    ``symbol_route_arrays``: reduced and certified by replay
+    (``tensq.tietze``), enumerated from what remains, and every symbol's
+    column of T read through its image and checked against all 2n^3
+    relators, by the enumeration's deadline.  Returns the (|T|, n^2)
     symbol columns, column g n + h right multiplication by g (x) h on
     T's points, and the symbols kept, whose columns are the
     enumeration's generators (none for the trivial group).  Raises
-    EnumerationLimitError rather than build more relators or column
-    entries than the budgets allow."""
+    EnumerationLimitError rather than build more column entries than
+    the budget allows."""
     # loaded here, not with the package: a process that never takes
     # the symbol route does not hold the reduction's code
     from .tietze import (check_relators, reduce_symbols, replay_reduction,
                          symbol_columns)
 
     n = len(arrays[0])
-    if 2 * n ** 3 > _MAX_RELATOR_ROWS:
-        raise EnumerationLimitError(
-            f"symbol relator limit {_MAX_RELATOR_ROWS} exceeded: |G| = {n} "
-            f"has {2 * n ** 3} relators (none built)")
     rows = symbol_relators(arrays)
     reduction = reduce_symbols(rows, n * n)
     replay_reduction(rows, reduction)
+    # the enumeration and the relator check share one deadline
+    deadline = time.monotonic() + limits.time_limit
     table = tc_enumerate(reduction.presentation(), (), limits).table
     if len(table) * n * n > _MAX_SYMBOL_ENTRIES:
         raise EnumerationLimitError(
@@ -150,7 +166,7 @@ def tensor_symbols(arrays, limits):
             f"|G (x) G| = {len(table)} points times {n * n} symbols (the "
             f"enumeration closed on {len(reduction.kept())} kept symbols)")
     symbols = symbol_columns(table, reduction)
-    invariant(check_relators(rows, symbols, limits.time_limit),
+    invariant(check_relators(rows, symbols, deadline),
               "the reduced enumeration of G (x) G fails a relator of the "
               "symbol presentation")
     return symbols, reduction.kept()

@@ -229,25 +229,23 @@ def symbol_columns(table, reduction):
     return ext[:, column]
 
 
-def check_relators(rows, columns, time_limit):
+def check_relators(rows, columns, deadline=None):
     """Whether every relator a^-1 b c of ``rows`` holds on the symbol
     ``columns`` (point by symbol): p b c = p a at every point p, checked
     for ``perm.sweep_rows(points)`` relators at a time.  Raises
-    EnumerationLimitError if a block starts more than ``time_limit``
-    seconds in."""
+    EnumerationLimitError if a block would start after the
+    ``time.monotonic()`` ``deadline``."""
     # a view: ``symbol_columns`` returns its columns column-major
     by_symbol = np.ascontiguousarray(columns.T)
     points = by_symbol.shape[1]
     flat = by_symbol.ravel()
     block = sweep_rows(points)
-    start = time.monotonic()
     for lo in range(0, len(rows), block):
-        elapsed = time.monotonic() - start
-        if elapsed > time_limit:
+        if deadline is not None and time.monotonic() > deadline:
             raise EnumerationLimitError(
-                f"time limit {time_limit}s exceeded in the relator check "
-                f"({lo} of {len(rows)} relators checked, {elapsed:.2f}s "
-                "elapsed)")
+                f"time limit exceeded in the relator check ({lo} of "
+                f"{len(rows)} relators checked by the enumeration's "
+                "deadline)")
         a, b, c = rows[lo:lo + block].T
         got = flat[c[:, None] * points + by_symbol[b]]
         if not np.array_equal(got, by_symbol[a]):

@@ -385,17 +385,31 @@ class TestCli:
 
     @pytest.mark.parametrize("budget,rc", [(1024, 0), (1023, 2)])
     def test_relator_budget(self, monkeypatch, capsys, budget, rc):
-        # D4 has 2 * 8^3 = 1024 relators; over budget, none is built
+        # D4 has 2 * 8^3 = 1024 relators; over budget, neither G's n x n
+        # arrays nor its relators are built
         monkeypatch.setattr(tensq.symbol, "_MAX_RELATOR_ROWS", budget)
         if rc:
-            def symbol_relators(arrays):
-                raise AssertionError("relators built over the budget")
-            monkeypatch.setattr(tensq.symbol, "symbol_relators",
-                                symbol_relators)
+            _refuse_group_arrays(monkeypatch)
         assert self.run("tensor", "D4", "--no-cache") == rc
         if rc:
             assert "limit error: symbol relator limit 1023 exceeded: " \
                 "|G| = 8 has 1024 relators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("tensor", "--no-cache"),
+                                         ("engel", "-p", "2", "-m", "1",
+                                          "-n", "1")],
+                             ids=["tensor", "engel"])
+    def test_group_past_the_relator_budget_exits_2_at_once(
+            self, monkeypatch, capsys, tmp_path, command):
+        # S6 has 2 * 720^3 relators; its arrays are never built
+        path = tmp_path / "sym6.perm"
+        path.write_text("degree 6\n(0 1)\n(0 1 2 3 4 5)\n")
+        _refuse_group_arrays(monkeypatch)
+        name, *flags = command
+        assert self.run(name, f"@{path}", *flags) == 2
+        assert "limit error: symbol relator limit 1100000 exceeded: " \
+            "|G| = 720 has 746496000 relators (none built)" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("budget,rc", [(2048, 0), (2047, 2)])
     def test_symbol_column_budget(self, monkeypatch, capsys, budget, rc):
@@ -413,19 +427,20 @@ class TestCli:
                 capsys.readouterr().err
 
     def test_time_limit_stops_the_relator_check(self, monkeypatch, capsys):
-        # the enumeration runs unlimited; the check, one relator a block,
-        # is stopped by the zero time limit
+        # the enumeration, run unlimited, spends the whole time limit; the
+        # check shares its deadline, so it stops before its first block
         enumerate_ = tensq.symbol.tc_enumerate
-        monkeypatch.setattr(tensq.symbol, "tc_enumerate",
-                            lambda pres, words, limits: enumerate_(pres,
-                                                                   words))
-        monkeypatch.setattr(tensq.tietze, "sweep_rows", lambda width: 1)
-        assert self.run("tensor", "D4", "--time-limit", "0",
+
+        def slow(pres, words, limits):
+            table = enumerate_(pres, words)
+            time.sleep(limits.time_limit + 0.05)
+            return table
+        monkeypatch.setattr(tensq.symbol, "tc_enumerate", slow)
+        assert self.run("tensor", "D4", "--time-limit", "0.1",
                         "--no-cache") == 2
-        err = capsys.readouterr().err
-        assert "limit error: time limit 0.0s exceeded in the relator " \
-            "check (" in err
-        assert " of 1024 relators checked" in err
+        assert "limit error: time limit exceeded in the relator check (0 " \
+            "of 1024 relators checked by the enumeration's deadline)" in \
+            capsys.readouterr().err
 
     def test_table_memory_limit_exit_2(self, monkeypatch, capsys):
         # nu(D4) on the all route outgrows the first 1024 rows
@@ -509,6 +524,17 @@ class TestCli:
         path.write_text("degree 4\n(0 1)\n(2 3)\n")
         assert self.run("nu", f"@{path}", "--mode", "gens",
                         "--no-cache") == 2
+
+
+def _refuse_group_arrays(monkeypatch):
+    """Make building G's n x n arrays or its relators, wherever they are
+    built, fail the test at once."""
+    def refuse(*args):
+        raise AssertionError("built over the relator budget")
+    for module, name in [(tensq.symbol, "group_arrays"),
+                         (tensq.nu, "group_arrays"),
+                         (tensq.symbol, "symbol_relators")]:
+        monkeypatch.setattr(module, name, refuse)
 
 
 def _fresh_interpreter(code, tmp_path, *args):
