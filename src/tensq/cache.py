@@ -9,11 +9,14 @@ whose header or body digest does not match is ignored with a warning
 and recomputed.  There is no global index, so the cache is crash-safe
 by construction.
 
-``hashlib`` is imported at the first digest, not with the module: it
-loads OpenSSL's libcrypto, about 3.3 MB of resident memory, and
-``tensq.cli`` imports this module for every command, including those
-that never read the cache (``--no-cache`` runs, ``verify``, ``engel``,
-``identity-f``, ``catalog``).
+SHA-256 comes from CPython's built-in module (``_sha2`` on 3.12+,
+``_sha256`` before), as ``random.py`` takes SHA-512: ``hashlib`` loads
+OpenSSL's libcrypto, about 3.5 MB of resident memory, for the same
+digest.  Only a build without the built-in hashes falls back to
+``hashlib``.  The module is looked up once, at the first digest, not
+with this module: ``tensq.cli`` imports this module for every command,
+including those that never read the cache (``--no-cache`` runs,
+``verify``, ``engel``, ``identity-f``, ``catalog``).
 """
 
 from __future__ import annotations
@@ -37,9 +40,22 @@ def cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "tensq")
 
 
+@functools.cache
+def _sha256_constructor():
+    # resolved once: a failed import is not cached by the import system,
+    # so a per-digest lookup would search sys.path again each time
+    try:
+        from _sha2 import sha256            # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256      # CPython 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _sha256(data=b""):
-    import hashlib
-    return hashlib.sha256(data)
+    return _sha256_constructor()(data)
 
 
 @functools.cache
@@ -67,18 +83,24 @@ def _header(key, body):
 
 
 def cache_store(key, report_json):
+    """Write ``report_json`` under ``key``.  A write that fails (the
+    directory cannot be made, or a directory sits at the entry's path)
+    warns and stores nothing: the result it would have kept stands."""
     d = cache_dir()
-    os.makedirs(d, exist_ok=True)
+    path = _path_for(key)
     blob = _header(key, report_json) + "\n" + report_json
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(blob)
-        os.replace(tmp, _path_for(key))
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, path)
+    except OSError as exc:
+        warnings.warn(f"could not write cache entry {path}: {exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def cache_load(key):

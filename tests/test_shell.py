@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import tensq.symbol
 import tensq.tietze
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
                    resolve_group, tc_enumerate)
-from tensq.cache import cache_key, cache_load, cache_store
+from tensq.cache import (_header, cache_key, cache_load, cache_store,
+                         source_digest)
 from tensq import cli
 from tensq.cli import main
 from tensq.report import Report, canonical_json
@@ -95,6 +97,20 @@ class TestCache:
         assert key == hashlib.sha256(body.encode("utf-8")).hexdigest()
         assert key == ("1b1cc3c4a56a10989b11e5f77cd9a57d"
                        "42c31a8b7e5a7c733c828361a0ec9b2f")
+        # as the hashlib-based cache keyed a tensor D4 report
+        assert cache_key({"command": "tensor",
+                          "group": {"kind": "catalog", "name": "D4"}},
+                         "0.2.0") == ("f158f176e383a3b9c29f20443e73343b"
+                                      "34bfced413e85b794682c13b80087f51")
+
+    def test_header_and_source_digests_are_sha256(self):
+        report = '{"a": 1}\n'
+        assert _header("k", report) == (
+            "tensq-cache 2 k " + hashlib.sha256(report.encode()).hexdigest())
+        sources = hashlib.sha256()
+        for path in sorted(pathlib.Path(tensq.__file__).parent.glob("*.py")):
+            sources.update(path.read_bytes())
+        assert source_digest() == sources.hexdigest()
 
     def test_corrupt_entry_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
@@ -177,6 +193,37 @@ class TestCli:
         rewritten = cache_load(entry.stem)
         assert rewritten is not None
         assert json.loads(rewritten)["results"] == results
+
+    @pytest.mark.parametrize("blocker", ["file-above", "dir-at-entry"])
+    def test_failed_cache_write_keeps_the_result(self, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 blocker):
+        # a cache that cannot be written warns; the run exits and writes
+        # its report as if the store had worked
+        argv = ("lie", "C4", "-p", "2")
+        want = tmp_path / "want.json"
+        assert self.run(*argv, "--no-cache", "--json", str(want)) == 0
+        cache = tmp_path / "cache"
+        if blocker == "file-above":
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "sub"
+        else:
+            monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+            assert self.run(*argv) == 0
+            [entry] = cache.glob("*.json")
+            entry.unlink()
+            entry.mkdir()
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+        capsys.readouterr()
+        got = tmp_path / "got.json"
+        with pytest.warns(UserWarning, match="could not write cache entry"):
+            assert self.run(*argv, "--json", str(got)) == 0
+        assert capsys.readouterr().out == \
+            "lie C4 (p=2): dims [1, 1], class 1, ok\n"
+        g, w = json.loads(got.read_text()), json.loads(want.read_text())
+        g.pop("timing"), w.pop("timing")
+        assert canonical_json(g) == canonical_json(w)
+        assert not list(cache.parent.glob("**/*.tmp"))
 
     def test_nu_runs_route_check(self, tmp_path):
         report_path = tmp_path / "nu.json"
@@ -568,21 +615,40 @@ def test_tensor_c3xc3_peak_rss(tmp_path):
     assert int(kib) < 90 * 1024
 
 
-@pytest.mark.parametrize("argv, loads", [
-    ("nu C4 --mode all --no-cache", False),
-    ("verify C2", False),
-    ("engel C2 -p 2 -m 1 -n 1", False),
-    ("identity-f C4 -n 1 -p 2 -m 1", False),
-    ("tensor C2", True),
+@pytest.mark.parametrize("argv", [
+    "nu C4 --mode all --no-cache",
+    "verify C2",
+    "engel C2 -p 2 -m 1 -n 1",
+    "identity-f C4 -n 1 -p 2 -m 1",
+    "tensor C2",
+    "lie C4 -p 2",
 ])
-def test_only_a_cache_lookup_loads_hashlib(tmp_path, argv, loads):
-    # hashlib loads OpenSSL's libcrypto (about 3.3 MB resident), and
-    # only a command that consults the cache hashes anything.  A new
-    # interpreter, since this one has imported hashlib already.
+def test_no_command_loads_hashlib(tmp_path, argv):
+    # hashlib loads OpenSSL's libcrypto (about 3.5 MB resident); the
+    # cache digests with CPython's built-in SHA-256, and only a command
+    # that consults the cache loads that.  A new interpreter per run,
+    # since this one has imported hashlib already.
     code = ("import sys\n"
             "from tensq.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print('_hashlib' in sys.modules)\n"
+            "print('_hashlib' in sys.modules,\n"
+            "      '_sha2' in sys.modules or '_sha256' in sys.modules)\n"
             "sys.exit(rc)\n")
-    out = _fresh_interpreter(code, tmp_path, *argv.split())
-    assert out.split()[-1] == str(loads)
+    reads_cache = argv.split()[0] in ("tensor", "lie")
+    # a cached command runs twice on one cache: a miss, then a hit
+    for hit in (False, True) if reads_cache else (False,):
+        out = _fresh_interpreter(code, tmp_path, *argv.split())
+        *lines, flags = out.splitlines()
+        assert flags == f"False {reads_cache}", (argv, hit)
+        assert lines[-1].endswith(" (cached)") == hit, argv
+
+
+def test_digest_falls_back_to_hashlib(tmp_path):
+    # a build without the built-in hashes digests with OpenSSL, to the
+    # same key
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from tensq.cache import cache_key\n"
+            "print(cache_key({'x': 1}, '0.1.0'), '_hashlib' in sys.modules)\n")
+    out = _fresh_interpreter(code, tmp_path)
+    assert out.split() == [cache_key({"x": 1}, "0.1.0"), "True"]
