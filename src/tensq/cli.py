@@ -31,14 +31,17 @@ from .errors import CapacityError, EnumerationLimitError, InvariantError
 from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
                       verify_lie_axioms)
-from .nu import (DEFAULT_GROUP_CAP, build_nu, route_independence,
-                 tensor_module, tensor_report, tensor_square)
+from .nu import (DEFAULT_GROUP_CAP, build_nu, check_group_cap,
+                 route_independence, tensor_module, tensor_report,
+                 tensor_square)
 from .report import Report, write_report
 from .verify import (RELATION_FAMILIES, derived_map_check,
                      verify_decomposition, verify_nu_relations,
                      verify_tensor_set_closed)
 
 _ROMAN = list(RELATION_FAMILIES)
+# verify's checks of nu(G) itself
+_ON_NU = ("closed", "decomp", "rho")
 MODES = ("auto", "all", "gens", "symbol")
 
 
@@ -55,7 +58,7 @@ def _parse_lemmas(text):
                 raise ValueError(f"bad lemma range {token!r}")
             i, j = _ROMAN.index(lo), _ROMAN.index(hi)
             out.update(dict.fromkeys(_ROMAN[i:j + 1]))
-        elif token in _ROMAN or token in ("closed", "decomp", "rho"):
+        elif token in _ROMAN or token in _ON_NU:
             out[token] = None
         else:
             raise ValueError(f"unknown lemma token {token!r}")
@@ -121,20 +124,29 @@ def compute_verify(args, group, pres):
         raise ValueError("--lemmas names no lemma")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    nu = build_nu(group, pres, "auto", limits=_limits(args),
-                  max_group_order=args.max_group)
+    families = tuple(x for x in lemmas if x in _ROMAN)
+    on_nu = any(x in _ON_NU for x in lemmas)
+    if on_nu:
+        # before anything is enumerated
+        check_group_cap(group, args.max_group)
+    module = None
     reports = []
-    families = [x for x in lemmas if x in _ROMAN]
     if families:
+        # the families read G (x) G alone; the symbol route assembles
+        # nu(G) from the same module's columns
+        module = tensor_module(group, limits=_limits(args))
         reports.append(verify_nu_relations(
-            nu, exhaustive_cap=args.exhaustive_cap, samples=args.samples,
-            seed=args.seed, families=tuple(families)))
-    if "closed" in lemmas:
-        reports.append(verify_tensor_set_closed(nu))
-    if "decomp" in lemmas:
-        reports.append(verify_decomposition(nu))
-    if "rho" in lemmas:
-        reports.append(derived_map_check(nu))
+            module, exhaustive_cap=args.exhaustive_cap,
+            samples=args.samples, seed=args.seed, families=families))
+    if on_nu:
+        nu = build_nu(group, pres, "auto", limits=_limits(args),
+                      max_group_order=args.max_group, module=module)
+        if "closed" in lemmas:
+            reports.append(verify_tensor_set_closed(nu))
+        if "decomp" in lemmas:
+            reports.append(verify_decomposition(nu))
+        if "rho" in lemmas:
+            reports.append(derived_map_check(nu))
     passed = all(r.passed for r in reports)
     return {"reports": [r.to_dict() for r in reports], "passed": passed}, \
         passed

@@ -5,9 +5,9 @@ T = [G, G'] = G (x) G normal in it.  Conjugation by g and by g' acts on
 T in the same way, as phi_g(a (x) b) = a^g (x) b^g, since the defining
 relations read [a, b']^g = [a^g, (b^g)'] = [a, b']^(g'); and the
 derived map rho of nu(G) restricts to lambda(a (x) b) = [a, b] on T,
-whose kernel is mu.  So what ``tensq tensor`` and ``tensq engel`` ask
-of nu(G) is answered on T's |G (x) G| points, against the n^2 |T| of
-nu(G).
+whose kernel is mu.  So what ``tensq tensor``, ``tensq engel`` and the
+relation families (i)-(v) of ``tensq verify`` ask of nu(G) is answered
+on T's |G (x) G| points, against the n^2 |T| of nu(G).
 
 T is the regular group of the reduced symbol enumeration
 (``tensq.symbol.tensor_symbols``), certified there by the replay and
@@ -25,9 +25,12 @@ generated as in nu(G): the normal closure of the generators' tensors
 s (x) t, here under T's inner automorphisms and the phi_s, and the order
 law says it is all of T.
 
-``tensq nu``, ``tensq verify`` and ``tensq tensor`` on the gens route
-assemble nu(G) itself (``tensq.nu.build_nu``), under its cap on |G|;
-the crossed module takes no cap, as ``tensq.symbol`` bounds T.
+``tensq nu``, the checks of ``tensq verify`` about nu(G) itself
+(``closed``, ``decomp`` and ``rho``) and ``tensq tensor`` on the gens
+route assemble nu(G) (``tensq.nu.build_nu``), under its cap on |G|;
+``verify`` assembles it on the symbol route from the module's own
+symbol columns, with no second enumeration.  The crossed module takes
+no cap, as ``tensq.symbol`` bounds T.
 """
 
 from __future__ import annotations

@@ -45,13 +45,17 @@ checked as well.
 The checks of a built nu(G) are in ``tensq.verify``.
 
 Where nu(G) is assembled: ``tensq nu`` (route independence included),
-``tensq verify``, and ``tensq tensor`` for one-generator groups up to
-C5 (auto's gens route).  Otherwise ``tensq tensor`` (``tensor_square``)
+``tensq verify`` for the checks about nu(G) itself (``closed``,
+``decomp`` and ``rho``), and ``tensq tensor`` for one-generator groups
+up to C5 (auto's gens route).  Otherwise ``tensq tensor``
+(``tensor_square``), the relation families (i)-(v) of ``tensq verify``
 and, on every group, ``tensq engel`` read only G (x) G: the crossed
 module of ``tensor_module`` (``tensq.crossed``), on |G (x) G| points
-against the n^2 |G (x) G| of nu(G).  The cap on |G| is ``build_nu``'s
-(the command line's ``--max-group``): only ``tensq nu`` and ``tensq
-verify`` read it.
+against the n^2 |G (x) G| of nu(G).  A ``verify`` run that needs both
+on the symbol route enumerates once: ``build_nu`` assembles nu(G) from
+the module's symbol columns.  The cap on |G| is ``build_nu``'s (the
+command line's ``--max-group``): only ``tensq nu`` and those three
+checks of ``tensq verify`` read it.
 """
 
 from __future__ import annotations
@@ -200,7 +204,9 @@ def _validate_presentation_for(group, pres):
                 f"group generators do not satisfy relator {rel!r}")
 
 
-def _check_cap(group, max_group_order):
+def check_group_cap(group, max_group_order):
+    """Refuse a G above the nu-construction cap, before anything is
+    built."""
     n = group.order()
     if n > max_group_order:
         raise ValueError(
@@ -219,7 +225,7 @@ def _route(group, presentation, mode):
 
 
 def build_nu(group, presentation=None, mode="auto", *, limits=None,
-             max_group_order=DEFAULT_GROUP_CAP):
+             max_group_order=DEFAULT_GROUP_CAP, module=None):
     """Build nu(G) and identify its distinguished pieces.
 
     ``mode`` is "all" (multiplication-table route), "gens"
@@ -230,16 +236,20 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     rejected; raise the cap explicitly for larger experiments.  The
     "all" route enumerates with G's generators and their primed copies
     as ``spanning`` (``tc_enumerate``), so it defines cosets along them
-    first; the other routes enumerate in a single pass.
+    first; the other routes enumerate in a single pass.  Given G's
+    crossed ``module`` (``tensor_module``), the symbol route assembles
+    nu(G) from its symbol columns and enumerates nothing; the other
+    routes ignore it.
     """
-    _check_cap(group, max_group_order)
+    check_group_cap(group, max_group_order)
     limits = limits or EnumerationLimits()
     name = f"nu({group.name or 'G'})"
     mode = _route(group, presentation, mode)
     n = group.order()
     arrays = (symbol_route_arrays if mode == "symbol" else group_arrays)(group)
     if mode == "symbol":
-        symbols, _ = tensor_symbols(arrays, limits)
+        symbols = module.symbols if module is not None \
+            else tensor_symbols(arrays, limits)[0]
         ambient = assemble_nu(group, arrays, symbols, name)
         images = group.generator_indices()
     elif mode == "gens":

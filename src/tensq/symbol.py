@@ -55,9 +55,10 @@ through the symbols' columns of T (``assemble_nu``).  Todd-Coxeter
 guarantees a regular action; the assembled one is certified regular
 (``FiniteGroup.is_regular``) before anything reads it, and
 ``tensq.nu`` certifies the result is nu(G) as it does for every route.
-nu(G) is assembled for ``tensq nu`` and ``tensq verify``; ``tensq
-tensor`` on this route and ``tensq engel`` read T and its symbol
-columns alone, as the crossed module of ``tensq.crossed``.
+nu(G) is assembled for ``tensq nu`` and for the checks of ``tensq
+verify`` about nu(G) itself; ``tensq tensor`` on this route, ``tensq
+engel`` and verify's relation families read T and its symbol columns
+alone, as the crossed module of ``tensq.crossed``.
 Conjugation is x^k = k^-1 x k, as everywhere in tensq.
 """
 

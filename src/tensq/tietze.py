@@ -30,8 +30,11 @@ def _letters(rows):
 def _reduce(words):
     """Freely and cyclically reduce words of at most three letters,
     their letters moved to the front."""
-    order = np.argsort(words < 0, axis=1, kind="stable")
-    words = np.take_along_axis(words, order, axis=1)
+    x, y, z = words.T
+    a, b = x >= 0, y >= 0
+    words = np.stack([np.where(a, x, np.where(b, y, z)),
+                      np.where(a & b, y, np.where(a | b, z, -1)),
+                      np.where(a & b, z, -1)], axis=1)
     x, y, z = words.T
     xy = (y >= 0) & (x == y ^ 1)
     yz = (z >= 0) & (y == z ^ 1)
@@ -66,7 +69,9 @@ def _first_occurrences(words):
     order = np.argsort(keys, kind="stable")
     first = np.ones(len(order), dtype=bool)
     first[1:] = keys[order[1:]] != keys[order[:-1]]
-    keep = np.sort(order[first])
+    mark = np.zeros(len(order), dtype=bool)
+    mark[order[first]] = True
+    keep = np.flatnonzero(mark)
     return keep[words[keep, 0] >= 0]
 
 

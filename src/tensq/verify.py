@@ -1,14 +1,18 @@
 """Verification reports, and the checks of nu(G)'s identities.
 
-Each check reads a built nu(G), a ``tensq.nu.NuGroup``: its ambient
-group, the copies ``left`` and ``right`` of G, the n x n array
-``tensors`` of [a, b'], ``rho`` and the subgroups ``tensor`` and ``mu``.
-It evaluates over whole index arrays: a product of ambient elements is
-one gather through the right-multiplication columns of the right
-factors' distinct values, and a relation family runs over all its
-tuples, or all its seeded samples, at once.  The scalar loops these
-replaced are kept in the tests as oracles.  All checks are read-only
-over an immutable NuGroup and may run concurrently.
+The relation families (i)-(v) (``verify_nu_relations``) read the
+crossed module (T, phi, lambda) of G (x) G (``tensq.crossed``): every
+value they compare lies in T = [G, G'], on which G and G' act through
+phi.  The other checks are about nu(G) itself and read a built nu(G),
+a ``tensq.nu.NuGroup``: its ambient group, the copies ``left`` and
+``right`` of G, the n x n array ``tensors`` of [a, b'], ``rho`` and
+the subgroups ``tensor`` and ``mu``.  Each check evaluates over whole
+index arrays: a product of elements is one gather through the
+right-multiplication columns of the right factors' distinct values,
+and a relation family runs over all its tuples, or all its seeded
+samples, at once.  The scalar loops these replaced, and the relation
+families evaluated in nu(G), are kept in the tests as oracles.  All
+checks are read-only over immutable inputs and may run concurrently.
 """
 
 from __future__ import annotations
@@ -97,9 +101,28 @@ def _group_commutators(G):
     return G.commutator_columns(range(G.order())).T
 
 
-def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
+def _actions(module):
+    """``act[g, t] = phi_g(t)``, the index of t^g = t^(g') in T, for
+    every g in G: one sweep along G's breadth-first levels from the
+    ``phi`` rows, since t^(p s) = phi_s(t^p)."""
+    G, phi = module.group, module.phi
+    act = np.empty((G.order(), module.tgroup.order()), dtype=np.int32)
+    act[0] = np.arange(act.shape[1])
+    for src, gen, new in G.levels():
+        act[new] = phi[gen[:, None], act[src]]
+    return act
+
+
+def verify_nu_relations(module, exhaustive_cap=8, samples=10_000, seed=0,
                         families=RELATION_FAMILIES):
-    """Check the basic tensor-commutator identities in nu(G).
+    """Check the basic tensor-commutator identities of nu(G) on the
+    crossed module (T, phi, lambda) of ``tensq.nu.tensor_module``.
+
+    In nu(G), T = [G, G'] is normal, g and g' both act on it as phi_g,
+    and [g', h] = [h, g']^-1.  So every value the identities compare
+    lies in T: [t, x'] = [t, x] = t^-1 phi_x(t), [g', h] = (h (x) g)^-1,
+    [[g,h]', x] = (x (x) [g,h])^-1 and [[g,h], x'] = [g,h] (x) x.  They
+    are evaluated on T's |G (x) G| points, not nu(G)'s n^2 |G (x) G|.
 
     Exhaustive over all tuples when |G| <= exhaustive_cap, else over
     ``samples`` seeded uniform tuples.  Family (iii) restricts one slot
@@ -107,32 +130,29 @@ def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
     counts the tuples up to and including the first failure; a sampled
     family draws none past it.
     """
-    G = nu.group
-    amb = nu.ambient
-    n = G.order()
-    left, right, T = nu.left, nu.right, nu.tensors
+    amb = module.tgroup
+    T = module.tensors
     inv = amb.inverse_indices()
-    gcomm = _group_commutators(G)
+    gcomm = _group_commutators(module.group)
+    act = _actions(module)
 
     def mul(a, b):
         return _products(amb, a, b)
 
-    def comm(a, b):
-        return _commutators(amb, a, b)
-
-    def conj(a, b):
-        return mul(mul(inv[b], a), b)
+    def by(t, x):
+        # [t, x'] = [t, x] = t^-1 phi_x(t)
+        return mul(inv[t], act[x, t])
 
     def fam_i(g, h, x, y):
-        t = T[g, h]
-        return conj(t, T[x, y]) == conj(t, comm(left[x], left[y]))
+        t, s = T[g, h], T[x, y]
+        return mul(mul(inv[s], t), s) == act[gcomm[x, y], t]
 
     def fam_ii(g, h, x):
-        t, rx, lx = T[g, h], right[x], left[x]
-        rl = comm(right[g], left[h])
-        first, *rest = (comm(t, rx), comm(comm(left[g], left[h]), rx),
-                        comm(t, lx), comm(rl, rx),
-                        comm(comm(right[g], right[h]), lx), comm(rl, lx))
+        # nu(G)'s six values, of which [t, x'] and [t, x] are one value
+        # in T, and so are [[g', h], x'] and [[g', h], x]
+        c = gcomm[g, h]
+        first, *rest = (by(T[g, h], x), T[c, x], by(inv[T[h, g]], x),
+                        inv[T[x, c]])
         return np.logical_and.reduce([first == v for v in rest])
 
     def fam_iii(g, h):
@@ -143,10 +163,22 @@ def verify_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
         return T[g, c] == inv[T[c, g]]
 
     def fam_v(g, h, x, y):
-        return comm(T[g, h], T[x, y]) == T[gcomm[g, h], gcomm[x, y]]
+        return _commutators(amb, T[g, h], T[x, y]) == \
+            T[gcomm[g, h], gcomm[x, y]]
 
-    evaluators = {"i": fam_i, "ii": fam_ii, "iii": fam_iii, "iv": fam_iv,
-                  "v": fam_v}
+    return _relation_report(
+        module.group, {"i": fam_i, "ii": fam_ii, "iii": fam_iii,
+                       "iv": fam_iv, "v": fam_v},
+        exhaustive_cap, samples, seed, families)
+
+
+def _relation_report(G, evaluators, exhaustive_cap, samples, seed,
+                    families):
+    """The report of the relation ``families``, each evaluated by
+    ``evaluators[fam]`` over index arrays of G's elements, one per slot,
+    over every tuple or over seeded samples (see
+    ``verify_nu_relations``)."""
+    n = G.order()
     derived = np.asarray(G.derived_subgroup().indices(), dtype=np.intp)
     exhaustive = n <= exhaustive_cap
     rng = random.Random(seed)

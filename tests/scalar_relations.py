@@ -1,8 +1,9 @@
 """Scalar oracles for the nu(G) verifiers.
 
-``tensq.verify`` evaluates each check over whole arrays of tuples.
-These are the loops it replaced: one ``comm_idx`` or ``mul_idx`` per
-tuple, stopping at the first failure.  The relation-family loop returns
+``tensq.verify`` evaluates each check over whole arrays of tuples, and
+``nu_relations`` the relation families in nu(G) itself.  These are the
+loops they replaced: one ``comm_idx`` or ``mul_idx`` per tuple, in
+nu(G), stopping at the first failure.  The relation-family loop returns
 the whole report; the others return what their check reports.
 """
 
@@ -15,7 +16,7 @@ from tensq.verify import (RELATION_FAMILIES, Check, VerificationReport,
 
 def scalar_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
                         families=RELATION_FAMILIES):
-    """``verify_nu_relations``, one tuple at a time: exhaustive when
+    """``nu_relations``, one tuple at a time: exhaustive when
     |G| <= exhaustive_cap, else ``samples`` tuples drawn lazily from
     ``random.Random(seed)``, so no tuple past a family's first failure
     is drawn."""

@@ -81,14 +81,16 @@ def test_c02_abelian_oracle(nu_of):
                       "abelian groups")
 
 
-def test_c03_basic_relations(nu_of):
+def test_c03_basic_relations(module_of):
     """Tensor-commutator identities (i)-(v): exhaustive for |G| <= 8,
-    >= 10^4 seeded tuples for 8 < |G| <= 16; zero counterexamples."""
+    >= 10^4 seeded tuples for 8 < |G| <= 16; zero counterexamples.
+    They are evaluated on the crossed module of G (x) G; the ν(G)
+    evaluation is the oracle of ``test_kernels``."""
     ok = True
     exhaustive = sampled = 0
     for name in names_up_to(NU_CAP):
         g = get_group(name)
-        report = verify_nu_relations(nu_of(name), exhaustive_cap=8,
+        report = verify_nu_relations(module_of(name), exhaustive_cap=8,
                                      samples=10_000, seed=20240)
         ok = ok and report.passed
         want = "exhaustive" if g.order() <= 8 else "sampled"

@@ -8,8 +8,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from tensq import (FiniteGroup, build_nu, get_group, get_presentation,
-                   lie_ring, dimension_subgroups, verify_lazard,
-                   verify_nu_relations, verify_tensor_set_closed)
+                   lie_ring, dimension_subgroups, tensor_module,
+                   verify_lazard, verify_nu_relations,
+                   verify_tensor_set_closed)
 
 
 def test_concurrent_group_cache_fill():
@@ -97,10 +98,13 @@ def test_concurrent_index_space_cache_fill():
 
 
 def test_concurrent_verifications_share_a_nu_group():
-    nu = build_nu(get_group("S3"), get_presentation("S3"))
-    jobs = [lambda: verify_nu_relations(nu).passed,
+    # the relation families read the crossed module the nu(G) build
+    # shares its symbol columns with
+    module = tensor_module(get_group("S3"))
+    nu = build_nu(module.group, get_presentation("S3"), module=module)
+    jobs = [lambda: verify_nu_relations(module).passed,
             lambda: verify_tensor_set_closed(nu).passed,
-            lambda: verify_nu_relations(nu, seed=3).passed,
+            lambda: verify_nu_relations(module, seed=3).passed,
             lambda: verify_tensor_set_closed(nu).passed]
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = [f.result() for f in [pool.submit(j) for j in jobs]]

@@ -7,8 +7,9 @@ never reads a Cayley table.  Each is compared with an independent
 version: permutation products, a scalar breadth-first closure, the
 brute-force triple loop of the stacked Engel word, values recorded from
 the earlier scalar and table implementations, the scalar loops of the
-nu(G) verifiers (``scalar_relations``), the Fitting subgroup
-from the whole normal-subgroup lattice, and the Cayley table
+nu(G) verifiers (``scalar_relations``), the relation families evaluated
+in nu(G) against the crossed module (``nu_relations``), the Fitting
+subgroup from the whole normal-subgroup lattice, and the Cayley table
 itself, which ``table()`` builds only as an oracle.  Inside ``no_table``
 building any table fails, so a kernel that reached for one would fail
 its test.
@@ -49,6 +50,7 @@ from tensq.nu import (RELATION_FAMILIES, derived_map_check,
 from tensq.perm import Subgroup, power_subgroup
 
 from engel_oracle import nu_engel_power_scan
+from nu_relations import nu_relations
 from scalar_relations import (scalar_commutator_closed, scalar_fibers,
                               scalar_nu_relations, scalar_rho_on_pairs,
                               scalar_set_products)
@@ -702,7 +704,7 @@ def test_nu_kernels_build_no_table(mode):
     with no_table():
         nu = build_nu(group, pres, mode)
         report = tensor_report(nu).to_dict()
-        relations = verify_nu_relations(nu)
+        relations = nu_relations(nu)
         scans = {cfg: digest(nu_engel_power_scan(
             nu, EngelScanConfig(*cfg)).to_dict())
             for cfg in ENGEL_SCAN_RECORDED}
@@ -720,10 +722,12 @@ def test_crossed_module_kernels_build_no_table():
     with no_table():
         module = tensor_module(fresh("D4"))
         report = tensor_report(module).to_dict()
+        relations = verify_nu_relations(module)
         scans = {cfg: digest(engel_power_scan(
             module, EngelScanConfig(*cfg)).to_dict())
             for cfg in ENGEL_SCAN_RECORDED}
     assert report == dict(NU_D4_REPORT, mode="symbol")
+    assert relations.passed
     assert scans == ENGEL_SCAN_RECORDED
     assert module.tgroup._table is None
 
@@ -967,7 +971,7 @@ def test_relations_match_the_scalar_loop(nu_of, name, samples, field, seed):
         {"seed": seed, "samples": samples}
     for families in FAMILY_ORDERS:
         want = scalar_nu_relations(nu, families=families, **kwargs)
-        got = verify_nu_relations(nu, families=families, **kwargs)
+        got = nu_relations(nu, families=families, **kwargs)
         assert got.to_dict() == want.to_dict()
     assert not want.passed
 
@@ -977,9 +981,56 @@ def test_relations_match_the_scalar_loop(nu_of, name, samples, field, seed):
 def test_relations_match_the_scalar_loop_when_they_hold(nu_of, name):
     nu = nu_of(name)
     want = scalar_nu_relations(nu, samples=200, seed=5)
-    assert verify_nu_relations(nu, samples=200, seed=5).to_dict() == \
+    assert nu_relations(nu, samples=200, seed=5).to_dict() == \
         want.to_dict()
     assert want.passed
+
+
+# -- the relation families on the crossed module against nu(G) ---------------
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"exhaustive_cap": 1, "samples": 500, "seed": 3}],
+    ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "name", [n for n, e in catalog().items() if e.order <= 16])
+def test_relations_on_the_module_match_nu_g(nu_of, module_of, name, kwargs):
+    # every value rewritten into T = G (x) G, against the same values
+    # computed in nu(G); on C2-C5 nu(G) is the gens route's, so the two
+    # share no enumeration
+    want = nu_relations(nu_of(name), **kwargs).to_dict()
+    assert verify_nu_relations(module_of(name), **kwargs).to_dict() == want
+    assert want["passed"]
+
+
+def test_relations_on_the_module_match_nu_g_past_the_cap():
+    # S4 (x) S4 is not abelian and S4' = A4 has elements of order 3, so
+    # here, unlike on the groups of order <= 16, family (i) tells
+    # phi_[x,y] from phi_[y,x]
+    group = fresh("S4")
+    nu = build_nu(group, max_group_order=24)
+    want = nu_relations(nu, samples=2000, seed=3).to_dict()
+    got = verify_nu_relations(tensor_module(group), samples=2000, seed=3)
+    assert got.to_dict() == want
+    assert want["passed"]
+
+
+@pytest.mark.parametrize("name,entry", [
+    ("S3", (1, 2)), ("D4", (3, 5)), ("Q8", (2, 2))])
+def test_relations_fail_on_a_corrupted_module(module_of, name, entry):
+    # one tensor of T replaced by another element of T: the families
+    # must report a counterexample (on an abelian G they read no tensor
+    # but the trivial ones, since G' = 1)
+    module = module_of(name)
+    tensors = module.tensors.copy()
+    tensors[entry] = (tensors[entry] + 1) % module.tgroup.order()
+    bad = dataclasses.replace(module, tensors=tensors)
+    report = verify_nu_relations(bad)
+    assert not report.passed
+    example = report.counterexample
+    assert example["family"] in RELATION_FAMILIES
+    assert example["words"] == [list(module.group.word(v))
+                                for v in example["tuple"]]
 
 
 # two tensors of nu(G) swapped: X is unchanged as a set, so it stays
@@ -1070,7 +1121,7 @@ def test_array_verifiers_cache_no_more_columns(monkeypatch):
     # are the same
     def reports():
         nu = build_nu(fresh("C3xC3"), get_presentation("C3xC3"))
-        out = [verify_nu_relations(nu, samples=2000).to_dict(),
+        out = [nu_relations(nu, samples=2000).to_dict(),
                verify_tensor_set_closed(nu).to_dict()]
         return out, len(nu.ambient._columns)
 

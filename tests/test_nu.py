@@ -182,13 +182,14 @@ class TestTensorOrder:
 
 
 class TestVerification:
-    def test_s3_relations_exhaustive(self, nu_of):
-        report = verify_nu_relations(nu_of("S3"))
+    def test_s3_relations_exhaustive(self, module_of):
+        report = verify_nu_relations(module_of("S3"))
         assert report.passed
         assert all(c.details["mode"] == "exhaustive" for c in report.checks)
 
-    def test_sampled_mode_for_larger_groups(self, nu_of):
-        report = verify_nu_relations(nu_of("C3xC3"), samples=500, seed=7)
+    def test_sampled_mode_for_larger_groups(self, module_of):
+        report = verify_nu_relations(module_of("C3xC3"), samples=500,
+                                     seed=7)
         assert report.passed
         assert all(c.details["mode"] == "sampled" for c in report.checks)
 
@@ -248,9 +249,9 @@ class TestRouteIndependence:
         assert {nu.order() for nu in nus.values()} == {216}
         assert all(set(c.details) >= set(nus) for c in report.checks)
 
-    def test_counterexample_surface(self, nu_of):
+    def test_counterexample_surface(self, module_of):
         # a failing check must be visible in the report structure
-        report = verify_nu_relations(nu_of("S3"))
+        report = verify_nu_relations(module_of("S3"))
         as_dict = report.to_dict()
         assert as_dict["passed"] is True
         assert as_dict["counterexample"] is None

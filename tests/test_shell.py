@@ -430,6 +430,32 @@ class TestCli:
         assert "error: |G| = 27 exceeds the nu-construction cap 16; raise " \
             "it with --max-group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,rc,enumerations", [
+        (("verify", "D4"), 0, 1),
+        (("verify", "D4", "--lemmas", "closed"), 0, 1),
+        (("verify", "C3", "--lemmas", "rho"), 0, 1),
+        (("verify", "Heis3"), 2, 0),
+        (("verify", "Heis3", "--lemmas", "i..v"), 0, 1)])
+    def test_verify_enumerates_once(self, monkeypatch, capsys, argv, rc,
+                                    enumerations):
+        # the relation families read G (x) G, and the symbol route
+        # assembles nu(G) from its columns; over the cap nothing is
+        # enumerated, unless only the families, which read no cap, run
+        calls = []
+        enumerate_ = tensq.coset.tc_enumerate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return enumerate_(*args, **kwargs)
+        for module in ("tensq.catalog", "tensq.nu", "tensq.symbol"):
+            monkeypatch.setattr(sys.modules[module], "tc_enumerate",
+                                counting)
+        assert self.run(*argv) == rc
+        assert len(calls) == enumerations
+        if rc:
+            assert "exceeds the nu-construction cap 16" in \
+                capsys.readouterr().err
+
     @pytest.mark.parametrize("budget,rc", [(1024, 0), (1023, 2)])
     def test_relator_budget(self, monkeypatch, capsys, budget, rc):
         # D4 has 2 * 8^3 = 1024 relators; over budget, neither G's n x n

@@ -264,3 +264,43 @@ def test_build_does_not_import_numpy_ma():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _reduce_scalar(word):
+    """A word's letters, freely then cyclically reduced, padded with -1."""
+    out = []
+    for letter in word:
+        if letter < 0:
+            continue
+        if out and out[-1] == letter ^ 1:
+            out.pop()
+        else:
+            out.append(letter)
+    while len(out) > 1 and out[0] == out[-1] ^ 1:
+        out = out[1:-1]
+    return out + [-1] * (3 - len(out))
+
+
+@pytest.mark.parametrize("holes", range(8))
+def test_reduce_matches_a_scalar_reduction(holes):
+    # every word over the letters of two symbols, with slot i made no
+    # letter where bit i of ``holes`` is set
+    words = np.array(list(np.ndindex(4, 4, 4)), dtype=np.int64)
+    words[:, [bool(holes >> i & 1) for i in range(3)]] = -1
+    got = tietze._reduce(words.copy())
+    assert got.tolist() == [_reduce_scalar(w) for w in words.tolist()]
+
+
+def test_first_occurrences_keep_the_first_of_each_class():
+    _, rows, _ = _reduction("S3")
+    words = tietze._reduce(tietze._letters(rows))
+    keep = tietze._first_occurrences(words)
+    first = {}
+    for i, word in enumerate(words.tolist()):
+        letters = [x for x in word if x >= 0]
+        if letters:
+            turns = [letters[k:] + letters[:k] for k in range(len(letters))]
+            inverse = [x ^ 1 for x in reversed(letters)]
+            turns += [inverse[k:] + inverse[:k] for k in range(len(letters))]
+            first.setdefault(min(map(tuple, turns)), i)
+    assert keep.tolist() == sorted(first.values())
