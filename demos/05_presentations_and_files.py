@@ -2,14 +2,13 @@
 """Coset enumeration and the two input file formats.
 
 A presentation enumerates to its regular permutation representation;
-the enumerator reads relators as rows of integer letters (2g for
-generator g, 2g + 1 for its inverse), and the closed table is
-re-verified relator by relator, independent of the deduction path that
-produced it.  Groups can also enter as permutation
-files.
+the parser and the enumerator share one word format, rows of integer
+letters (2g for generator g, 2g + 1 for its inverse), and the closed
+table is re-verified relator by relator, independent of the deduction
+path that produced it.  Groups can also enter as permutation files.
 """
 
-from tensq import (build_nu, letters, multiplication_table_presentation,
+from tensq import (build_nu, multiplication_table_presentation,
                    parse_perm_group, parse_presentation, parse_word,
                    tc_enumerate, tensor_report, to_perm_group)
 
@@ -51,6 +50,5 @@ print(f"nu(D4) from the table route: order {rep.nu_order}, tensor order "
 print()
 print("=== enumerating a subgroup's cosets ===")
 s3 = parse_presentation("gens: a b\nrels: a^2, b^2, (a b)^3\n")
-sub = tc_enumerate(s3.letters(),
-                   (letters(parse_word("a", s3.generator_names)),))
+sub = tc_enumerate(s3.letters(), (parse_word("a", s3.generator_names),))
 print(f"cosets of <a> in <a, b | a^2, b^2, (ab)^3>: {sub.coset_count}")

@@ -32,7 +32,6 @@ from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
 from .verify import (VerificationReport, derived_map_check,
                      verify_decomposition, verify_nu_relations,
                      verify_tensor_set_closed)
-from .words import (Presentation, Word, free_reduce, letters,
-                    parse_presentation, parse_word)
+from .words import Presentation, parse_presentation, parse_word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -94,7 +94,7 @@ def tensor_summary(args, r):
 
 
 def compute_nu(args, group, pres):
-    if args.mode == "auto" and pres is not None:
+    if args.mode == "auto":
         check, nus = route_independence(
             group, pres, limits=_limits(args),
             max_group_order=args.max_group)
@@ -298,8 +298,8 @@ def build_parser():
 
     p = sub.add_parser("nu", parents=[capped, cached],
                        help="build nu(G); default mode cross-checks the "
-                       "three construction routes for a catalog name or "
-                       "@file.pres, and takes the auto route alone for "
+                       "construction routes: all three for a catalog name "
+                       "or @file.pres, the all and symbol routes for "
                        "@file.perm")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,

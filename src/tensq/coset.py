@@ -63,6 +63,9 @@ from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Permutation
 # the doubled array would take more than _MAX_TABLE_BYTES.
 _INITIAL_ROWS = 1024
 _MAX_TABLE_BYTES = 1 << 30
+# Rows in use at which HLT first runs a lookahead; the threshold then
+# at least doubles after each one.
+_LOOKAHEAD_THRESHOLD = 400_000
 # (coset, relator) pairs per closed-relator pre-check: a block is this
 # many divided by the relator count, and at least one coset.
 _PRECHECK_PAIRS = 4096
@@ -76,7 +79,6 @@ _WALK_CHECK_LETTERS = 16
 class EnumerationLimits:
     max_cosets: int = 2_000_000
     time_limit: float = 60.0
-    lookahead_threshold: int = 400_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,11 @@ class LetterPresentation:
     """``ngens`` generators and ``relators``, rows of letters."""
     ngens: int
     relators: tuple
+
+
+def inverse_row(row):
+    """The inverse of the word ``row``, as a tuple of letters."""
+    return tuple(x ^ 1 for x in reversed(row))
 
 
 def _reduced(row, ncols, cyclic):
@@ -427,7 +434,7 @@ class CosetTable:
     def run(self):
         self._start = time.monotonic()
         self._deadline = self._start + self.limits.time_limit
-        self._lookahead_at = self.limits.lookahead_threshold
+        self._lookahead_at = _LOOKAHEAD_THRESHOLD
         for w in self.subgroup_words:
             self._scan(0, w, self._fills[-1])
         *first, last = self._fills

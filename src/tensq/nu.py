@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import (EnumerationLimits, LetterPresentation,
+from .coset import (EnumerationLimits, LetterPresentation, inverse_row,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
 from .errors import invariant
@@ -149,14 +149,10 @@ def nu_presentation(source, mode):
                 # [a, b']^-1 = b'^-1 a^-1 b' a for a = g1^g3, b = g2^g3
                 a = conjugate(g1, g3)
                 b = tuple(x + 2 * n for x in conjugate(g2, g3))
-                rhs_inv = (*_inverse(b), *_inverse(a), *b, *a)
+                rhs_inv = (*inverse_row(b), *inverse_row(a), *b, *a)
                 for g in (g3, g3 + n):
                     relators.append((2 * g + 1, *c, 2 * g, *rhs_inv))
     return LetterPresentation(2 * n, tuple(relators))
-
-
-def _inverse(row):
-    return tuple(x ^ 1 for x in reversed(row))
 
 
 # -- the construction --------------------------------------------------------
@@ -197,11 +193,15 @@ def _validate_presentation_for(group, pres):
     if pres.ngens != len(group.generators):
         raise ValueError("presentation must have one generator per "
                          "group generator, in order")
-    images = list(group.generators)
+    # letter 2g is generator g, 2g + 1 its inverse
+    images = [x for s in group.generators for x in (s, s.inverse())]
     for rel in pres.relators:
-        if not rel.evaluate(images, identity=group.identity).is_identity():
+        value = group.identity
+        for x in rel:
+            value = value * images[x]
+        if not value.is_identity():
             raise ValueError(
-                f"group generators do not satisfy relator {rel!r}")
+                f"group generators do not satisfy relator {rel}")
 
 
 def check_group_cap(group, max_group_order):
@@ -451,13 +451,15 @@ def tensor_order(x, y, nu, p=None):
     return order, min_p_power
 
 
-def route_independence(group, presentation, **kwargs):
-    """Build nu(G) by all three routes and compare order, tensor order
-    and tensor structure.  Returns the report and the three builds,
-    keyed by mode."""
-    nus = {"all": build_nu(group, mode="all", **kwargs),
-           "gens": build_nu(group, presentation, "gens", **kwargs),
-           "symbol": build_nu(group, mode="symbol", **kwargs)}
+def route_independence(group, presentation=None, **kwargs):
+    """Build nu(G) by every route the input allows and compare order,
+    tensor order and tensor structure: the all and symbol routes need
+    only G, the gens route a ``presentation``.  Returns the report and
+    the builds, keyed by mode."""
+    modes = ("all", "symbol") if presentation is None \
+        else ("all", "gens", "symbol")
+    nus = {mode: build_nu(group, presentation, mode, **kwargs)
+           for mode in modes}
     reps = {mode: tensor_report(nu) for mode, nu in nus.items()}
 
     def agree(label, field, show=lambda v: v, **extra):

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensq import (EnumerationLimitError, EnumerationLimits,
-                   LetterPresentation, StateError, Word, get_group,
-                   get_presentation, letters,
-                   multiplication_table_presentation, nu_presentation,
-                   parse_presentation, parse_word, tc_enumerate,
-                   to_perm_group)
+                   LetterPresentation, StateError, get_group,
+                   get_presentation, multiplication_table_presentation,
+                   nu_presentation, parse_presentation, parse_word,
+                   tc_enumerate, to_perm_group)
 from tensq.catalog import catalog
 from tensq import coset
 import tensq.nu as nu_module
@@ -33,7 +32,7 @@ def subgroup(text, word):
     """The presentation ``text`` and the subgroup generated by ``word``,
     both as letter rows."""
     p = parse_presentation(text)
-    return p.letters(), (letters(parse_word(word, p.generator_names)),)
+    return p.letters(), (parse_word(word, p.generator_names),)
 
 
 C2 = "gens: a\nrels: a^2\n"
@@ -125,9 +124,9 @@ class TestEnumeration:
         with pytest.raises(EnumerationLimitError, match="time limit"):
             table._open_relators([0])
 
-    def test_lookahead_path(self):
-        table = tc_enumerate(pres(S3), (),
-                             EnumerationLimits(lookahead_threshold=4))
+    def test_lookahead_path(self, monkeypatch):
+        monkeypatch.setattr(coset, "_LOOKAHEAD_THRESHOLD", 4)
+        table = tc_enumerate(pres(S3), ())
         assert table.coset_count == 6
 
     def test_verification_runs_after_close(self):
@@ -154,39 +153,53 @@ class TestLetterRows:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=4))
     def test_rows_reduce_as_words_do(self, rows):
-        # relators freely and cyclically, subgroup words freely
-        words = [Word((x >> 1, 1 - 2 * (x & 1)) for x in r) for r in rows]
+        # relators freely and cyclically, subgroup words freely, as a
+        # rewriting of (generator, +-1) words reduces them
+        words = [[(x >> 1, 1 - 2 * (x & 1)) for x in r] for r in rows]
         table = CosetTable(LetterPresentation(3, rows), rows)
-        assert table.relators == tuple(letters(w.cyclic_reduce())
-                                       for w in words)
-        assert table.subgroup_words == tuple(letters(w.free_reduce())
+        assert table.relators == tuple(_rewritten(w, True) for w in words)
+        assert table.subgroup_words == tuple(_rewritten(w, False)
                                              for w in words)
 
 
-def _s3_subgroup_a():
-    return subgroup(S3, "a")
+def _rewritten(word, cyclic):
+    """``word``, a list of (generator, +-1) letters, less the first
+    adjacent inverse pair (or, if ``cyclic``, an inverse first and last
+    letter) until none is left, as a row of letters."""
+    def inverse(x, y):
+        return x[0] == y[0] and x[1] == -y[1]
+    word = list(word)
+    while True:
+        pairs = [i for i in range(len(word) - 1)
+                 if inverse(word[i], word[i + 1])]
+        if pairs:
+            del word[pairs[0]:pairs[0] + 2]
+        elif cyclic and len(word) > 1 and inverse(word[0], word[-1]):
+            del word[-1], word[0]
+        else:
+            return tuple(2 * g + (e < 0) for g, e in word)
 
 
 def _first_generator(name):
     return get_presentation(name).letters(), ((0,),)
 
 
-def _nu(name, mode, lookahead):
+def _nu(monkeypatch, name, mode, lookahead):
+    monkeypatch.setattr(coset, "_LOOKAHEAD_THRESHOLD", lookahead)
     if mode == "all-spanning":
         # spanning: G's generating set S in the table presentation, and
         # its primed copy S', as the all route passes them
         group = get_group(name)
         gens = group.generator_indices()
-        return (nu_presentation(group, "all"), (),
-                EnumerationLimits(lookahead_threshold=lookahead),
+        return (nu_presentation(group, "all"), (), None,
                 [*gens, *(s + group.order() for s in gens)])
     if mode == "gens":
         pres = nu_presentation(get_presentation(name), mode)
     elif mode == "full":
-        pres = full_triple_nu_presentation(get_group(name)).letters()
+        pres = full_triple_nu_presentation(get_group(name))
     else:
         pres = nu_presentation(get_group(name), mode)
-    return pres, (), EnumerationLimits(lookahead_threshold=lookahead)
+    return pres, ()
 
 
 def _symbol(name):
@@ -210,33 +223,34 @@ def _symbol(name):
 # two-pass enumerator.  The nine before it pin ``spanning=None``.
 # "T(G)-symbol" enumerates the Tietze-reduced symbol presentation of
 # G (x) G, as the symbol route does; recorded when that presentation
-# still went through ``tensq.words``.
+# still went through ``tensq.words``.  Each factory takes pytest's
+# monkeypatch; the nu(G) ones lower the lookahead threshold with it.
 GOLDEN_TABLES = [
-    ("S3/<a>", _s3_subgroup_a,
+    ("S3/<a>", lambda mp: subgroup(S3, "a"),
      "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
-    ("D4/<a>", lambda: _first_generator("D4"),
+    ("D4/<a>", lambda mp: _first_generator("D4"),
      "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
-    ("A4/<a>", lambda: _first_generator("A4"),
+    ("A4/<a>", lambda mp: _first_generator("A4"),
      "134d2bd89be057f27f9df10b8978090dd54f07e991374bd7e43c974d03335602"),
-    ("Q8/<a>", lambda: _first_generator("Q8"),
+    ("Q8/<a>", lambda mp: _first_generator("Q8"),
      "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
-    ("nu(D4)-gens", lambda: _nu("D4", "gens", 500),
+    ("nu(D4)-gens", lambda mp: _nu(mp, "D4", "gens", 500),
      "5466b85be74b2aa87cd2f3befafb17a2cdb868b9a2c1b99eb08cfd4fc0955dc8"),
-    ("nu(A4)-gens", lambda: _nu("A4", "gens", 500),
+    ("nu(A4)-gens", lambda mp: _nu(mp, "A4", "gens", 500),
      "f5d74147f9e9cd306ac66d0874f639d22d48a723377027a88556f2b660348050"),
-    ("nu(Q8)-gens", lambda: _nu("Q8", "gens", 500),
+    ("nu(Q8)-gens", lambda mp: _nu(mp, "Q8", "gens", 500),
      "e14f9fe0be08f8ba21664ca1691f6f48c9ad61fffe3c2b84334cdfe7cf724791"),
-    ("nu(S3)-all", lambda: _nu("S3", "full", 300),
+    ("nu(S3)-all", lambda mp: _nu(mp, "S3", "full", 300),
      "9922078034a0122e19018ee5a9225aee47bdca5d44451fd55afff62345159511"),
-    ("nu(S3)-all-reduced", lambda: _nu("S3", "all", 300),
+    ("nu(S3)-all-reduced", lambda mp: _nu(mp, "S3", "all", 300),
      "461dc6a7235c3e800e2733ecd0179e3fec20c84037c1b7dcc3150e0951e38af1"),
-    ("nu(S3)-all-spanning", lambda: _nu("S3", "all-spanning", 300),
+    ("nu(S3)-all-spanning", lambda mp: _nu(mp, "S3", "all-spanning", 300),
      "736d118d41dc127dcb6235d4e54d60395762b6684427b5974dd732e192aa63bc"),
-    ("T(D4)-symbol", lambda: _symbol("D4"),
+    ("T(D4)-symbol", lambda mp: _symbol("D4"),
      "57b0a147f87c645a7f1b3a542f84f3f4f76f9791df36be1eb34bc3600b697f2d"),
-    ("T(A4)-symbol", lambda: _symbol("A4"),
+    ("T(A4)-symbol", lambda mp: _symbol("A4"),
      "46b55cbdb2113dffdd43e485f46d13615540edcc61345f671676cda8a8784d65"),
-    ("T(Heis3)-symbol", lambda: _symbol("Heis3"),
+    ("T(Heis3)-symbol", lambda mp: _symbol("Heis3"),
      "f3aeaeaff723fa2b57528fd816c54892879d46c75204ebd828ffad4ec7182ba5"),
 ]
 
@@ -248,15 +262,16 @@ def _digest(table):
 
 @pytest.mark.parametrize("make, digest", [g[1:] for g in GOLDEN_TABLES],
                          ids=[g[0] for g in GOLDEN_TABLES])
-def test_closed_table_matches_recorded_digest(make, digest):
-    assert _digest(tc_enumerate(*make())) == digest
+def test_closed_table_matches_recorded_digest(monkeypatch, make, digest):
+    assert _digest(tc_enumerate(*make(monkeypatch))) == digest
 
 
-def test_table_grown_under_a_profiler():
+def test_table_grown_under_a_profiler(monkeypatch):
     # a profiler holds a reference to the array while it grows, so it
     # grows by a copy instead of in place; the table is the same
     _, make, digest = GOLDEN_TABLES[4]
-    assert _digest(cProfile.Profile().runcall(tc_enumerate, *make())) \
+    args = make(monkeypatch)
+    assert _digest(cProfile.Profile().runcall(tc_enumerate, *args)) \
         == digest
 
 

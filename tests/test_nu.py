@@ -57,6 +57,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_nu(get_group("S4"))
 
+    def test_gens_route_rejects_relators_g_does_not_satisfy(self):
+        # S3's generators satisfy a^2 and b^2 but do not commute
+        with pytest.raises(ValueError, match=r"do not satisfy relator "
+                                             r"\(1, 3, 0, 2\)"):
+            build_nu(get_group("S3"), get_presentation("C2xC2"), "gens")
+
     def test_gens_mode_needs_presentation(self):
         with pytest.raises(ValueError):
             build_nu(get_group("C2"), None, "gens")
@@ -379,8 +385,7 @@ class TestAllRouteRelators:
         reduced = nu_presentation(group, "all")
         # the conjugators: G's generators, less the identity and repeats
         conjugators = set(group.generator_indices()) - {0}
-        want = tc_enumerate(full_triple_nu_presentation(group).letters(),
-                            ())
+        want = tc_enumerate(full_triple_nu_presentation(group), ())
         # a presentation of a larger group overruns the cap, not 2M cosets
         limits = EnumerationLimits(max_cosets=max(20_000,
                                                   8 * want.coset_count))
@@ -393,10 +398,10 @@ class TestAllRouteRelators:
         "name", [n for n, e in catalog().items() if e.order <= 16])
     def test_rows_match_the_word_oracle(self, name):
         # reduced by the enumerator, the index-arithmetic rows are the
-        # Word-built doubling's relators, relator for relator
+        # word-built doubling's relators, relator for relator
         group = get_group(name)
         rows = CosetTable(nu_presentation(group, "all")).relators
-        assert rows == word_nu_presentation(group).letters().relators
+        assert rows == CosetTable(word_nu_presentation(group)).relators
 
 
 @pytest.mark.parametrize(
@@ -404,4 +409,4 @@ class TestAllRouteRelators:
 def test_gens_route_rows_match_the_word_oracle(name):
     pres = get_presentation(name)
     rows = CosetTable(nu_presentation(pres, "gens")).relators
-    assert rows == word_gens_nu_presentation(pres).letters().relators
+    assert rows == CosetTable(word_gens_nu_presentation(pres)).relators

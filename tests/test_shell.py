@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import time
@@ -37,8 +39,12 @@ class TestCatalog:
                 continue
             g = get_group(name)
             assert pres.ngens == len(g.generators), name
+            # letter 2i is generator i, 2i + 1 its inverse
+            images = [x for s in g.generators for x in (s, s.inverse())]
             for rel in pres.relators:
-                img = rel.evaluate(list(g.generators), identity=g.identity)
+                img = g.identity
+                for x in rel:
+                    img = img * images[x]
                 assert img.is_identity(), (name, rel)
 
     def test_presentations_enumerate_to_group_order(self):
@@ -592,11 +598,64 @@ class TestCli:
         d1.pop("timing"), d2.pop("timing")
         assert canonical_json(d1) == canonical_json(d2)
 
+    @pytest.mark.parametrize("name, seed, order", [("S3", 1, 216),
+                                                   ("D4", 2, 2048)])
+    def test_nu_checks_the_routes_of_a_perm_file(self, tmp_path, name, seed,
+                                                 order):
+        # a .perm file has no presentation for the gens route; the all
+        # and symbol routes need only G
+        path = _seeded_perm_file(tmp_path, name, seed)
+        report = tmp_path / "nu.json"
+        assert self.run("nu", f"@{path}", "--no-cache", "--json",
+                        str(report)) == 0
+        results = json.loads(report.read_text())["results"]
+        assert (results["nu_order"], results["mode"]) == (order, "all")
+        check = results["route_independence"]
+        assert check["passed"] and results["passed"]
+        assert [c["details"]["all"] == c["details"]["symbol"]
+                and "gens" not in c["details"] for c in check["checks"]] \
+            == [True] * 4
+
+    def test_perm_route_check_catches_a_wrong_symbol_route(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        real = tensq.nu.build_nu
+
+        def wrong(group, presentation=None, mode="auto", **kwargs):
+            # the symbol route builds nu(C2), of order 8, instead
+            if mode == "symbol":
+                group = get_group("C2")
+            return real(group, presentation, mode, **kwargs)
+
+        monkeypatch.setattr(tensq.nu, "build_nu", wrong)
+        path = _seeded_perm_file(tmp_path, "S3", 1)
+        capsys.readouterr()
+        assert self.run("nu", f"@{path}", "--no-cache") == 1
+        assert capsys.readouterr().out == \
+            f"nu @{path}: order 216 (route independence: FAILED)\n"
+
     def test_gens_mode_without_presentation_exit_2(self, tmp_path):
         path = tmp_path / "klein.perm"
         path.write_text("degree 4\n(0 1)\n(2 3)\n")
         assert self.run("nu", f"@{path}", "--mode", "gens",
                         "--no-cache") == 2
+
+
+def _seeded_perm_file(directory, name, seed):
+    """The catalog group ``name`` written to a .perm file with its points
+    relabelled and its generators reordered by a seeded shuffle."""
+    entry = catalog()[name]
+    rng = random.Random(seed)
+    points = list(range(entry.degree))
+    rng.shuffle(points)
+    gens = list(entry.perm_gens)
+    rng.shuffle(gens)
+    relabelled = [re.sub(r"\d+", lambda m: str(points[int(m[0])]), g)
+                  for g in gens]
+    path = directory / f"{name}-{seed}.perm"
+    path.write_text("\n".join([f"degree {entry.degree}", *relabelled])
+                    + "\n")
+    return path
 
 
 def _refuse_group_arrays(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensq import Presentation, Word, letters, tc_enumerate
+from tensq import LetterPresentation, tc_enumerate
 
 fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
 free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
@@ -70,12 +70,18 @@ def subgroup_cases(draw):
     return ngens, relators, draw(st.lists(letters, min_size=1, max_size=4))
 
 
+def _row(letters):
+    """(generator, +-1) letters as the enumerator's row: 2g for
+    generator g, 2g + 1 for its inverse."""
+    return tuple(2 * g + (e < 0) for g, e in letters)
+
+
 def _both(ngens, relators):
     """The presentation for tc_enumerate, and sympy's free group, its
     generators and FpGroup."""
-    names = tuple(f"x{i}" for i in range(ngens))
-    pres = Presentation(names, tuple(Word(r) for r in relators))
-    free, *gens = free_groups.free_group(" ".join(names))
+    pres = LetterPresentation(ngens, tuple(map(_row, relators)))
+    free, *gens = free_groups.free_group(
+        " ".join(f"x{i}" for i in range(ngens)))
     group = fp_groups.FpGroup(free, [_sympy_word(free, gens, r)
                                      for r in relators])
     return pres, free, gens, group
@@ -90,7 +96,7 @@ def _sympy_word(free, gens, letters):
 @given(presentations())
 def test_coset_count_matches_sympy_order(case):
     pres, _, _, group = _both(*case)
-    assert tc_enumerate(pres.letters()).coset_count == group.order()
+    assert tc_enumerate(pres).coset_count == group.order()
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,5 +105,4 @@ def test_subgroup_index_matches_sympy(case):
     ngens, relators, word = case
     pres, free, gens, group = _both(ngens, relators)
     expected = group.index([_sympy_word(free, gens, word)])
-    assert tc_enumerate(pres.letters(),
-                        (letters(Word(word)),)).coset_count == expected
+    assert tc_enumerate(pres, (_row(word),)).coset_count == expected

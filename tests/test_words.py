@@ -1,79 +1,91 @@
+"""The ``.pres`` parser and the letter-row reduction it applies.
+
+A word is a row of letters: 2g is generator g, 2g + 1 its inverse.
+"""
+
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensq import Permutation, Word, free_reduce, parse_presentation, parse_word
+from tensq import (LetterPresentation, Permutation, catalog, get_presentation,
+                   parse_presentation, parse_word)
+from tensq.coset import _reduced, inverse_row
 
-letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
-                   max_size=12)
+rows = st.lists(st.integers(0, 5), max_size=12).map(tuple)
+
+
+def free_reduce(row):
+    return _reduced(row, 6, False)
+
+
+def cyclic_reduce(row):
+    return _reduced(row, 6, True)
 
 
 class TestFreeReduce:
     def test_empty(self):
-        assert free_reduce(Word()) == Word()
+        assert free_reduce(()) == ()
 
     def test_inverse_pair(self):
-        w = Word([(0, 1), (0, -1)])
-        assert free_reduce(w) == Word()
+        assert free_reduce((0, 1)) == ()
 
     def test_cascading(self):
         # x y y^-1 x -> x x
-        w = Word([(0, 1), (1, 1), (1, -1), (0, 1)])
-        assert free_reduce(w) == Word([(0, 1), (0, 1)])
+        assert free_reduce((0, 2, 3, 0)) == (0, 0)
 
-    @given(letters)
+    @given(rows)
     @settings(max_examples=100)
-    def test_idempotent(self, ls):
-        w = Word(ls)
-        assert w.free_reduce().free_reduce() == w.free_reduce()
+    def test_idempotent(self, row):
+        assert free_reduce(free_reduce(row)) == free_reduce(row)
 
-    @given(letters)
+    @given(rows)
     @settings(max_examples=100)
-    def test_word_times_inverse_reduces_to_empty(self, ls):
-        w = Word(ls)
-        assert (w * w.inverse()).free_reduce() == Word()
+    def test_word_times_inverse_reduces_to_empty(self, row):
+        assert free_reduce(row + inverse_row(row)) == ()
 
-    @given(letters)
+    @given(rows)
     @settings(max_examples=100)
-    def test_reduction_preserves_evaluation(self, ls):
-        # evaluate over S3 generators; reduction must not change the value
-        w = Word(ls)
-        images = [Permutation([1, 0, 2]), Permutation([0, 2, 1]),
-                  Permutation([1, 2, 0])]
-        ident = Permutation.identity(3)
-        assert w.evaluate(images, identity=ident) == \
-            w.free_reduce().evaluate(images, identity=ident)
+    def test_reduction_preserves_evaluation(self, row):
+        # evaluate over S3 generators and their inverses; reduction must
+        # not change the value
+        gens = [Permutation([1, 0, 2]), Permutation([0, 2, 1]),
+                Permutation([1, 2, 0])]
+        images = [x for g in gens for x in (g, g.inverse())]
+
+        def evaluate(r):
+            return functools.reduce(operator.mul, (images[x] for x in r),
+                                    Permutation.identity(3))
+        assert evaluate(row) == evaluate(free_reduce(row))
 
 
 class TestCyclicReduce:
     def test_conjugate_collapses(self):
         # a b a^-1 cyclically reduces to b
-        w = Word([(0, 1), (1, 1), (0, -1)])
-        assert w.cyclic_reduce() == Word([(1, 1)])
+        assert cyclic_reduce((0, 2, 1)) == (2,)
 
     def test_nested(self):
-        w = Word([(0, 1), (1, 1), (1, 1), (0, -1)])
-        assert w.cyclic_reduce() == Word([(1, 1), (1, 1)])
+        assert cyclic_reduce((0, 2, 2, 1)) == (2, 2)
 
 
 class TestWordParsing:
     NAMES = ("a", "b")
 
     def test_plain_letters(self):
-        assert parse_word("a b", self.NAMES) == Word([(0, 1), (1, 1)])
+        assert parse_word("a b", self.NAMES) == (0, 2)
 
     def test_powers(self):
-        assert parse_word("a^3", self.NAMES) == Word([(0, 1)] * 3)
-        assert parse_word("a^-2", self.NAMES) == Word([(0, -1)] * 2)
+        assert parse_word("a^3", self.NAMES) == (0, 0, 0)
+        assert parse_word("a^-2", self.NAMES) == (1, 1)
 
     def test_parenthesized_subwords(self):
-        w = parse_word("(a b)^3", self.NAMES)
-        assert w == Word([(0, 1), (1, 1)] * 3)
+        assert parse_word("(a b)^3", self.NAMES) == (0, 2) * 3
 
     def test_nested_parens(self):
         w = parse_word("((a b^-1)^2 a)^-1", self.NAMES)
-        inner = Word([(0, 1), (1, -1)] * 2 + [(0, 1)])
-        assert w == inner.inverse()
+        assert w == inverse_row((0, 3, 0, 3, 0))
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
@@ -93,11 +105,11 @@ rels: a^2, b^2, (a b)^3
     def test_parse(self):
         pres = parse_presentation(self.TEXT)
         assert pres.generator_names == ("a", "b")
-        assert len(pres.relators) == 3
+        assert pres.relators == ((0, 0), (2, 2), (0, 2) * 3)
 
     def test_relators_cyclically_reduced(self):
         pres = parse_presentation("gens: a b\nrels: a b a^-1\n")
-        assert pres.relators == (Word([(1, 1)]),)
+        assert pres.relators == ((2,),)
 
     def test_multiple_rels_lines(self):
         pres = parse_presentation(
@@ -112,11 +124,79 @@ rels: a^2, b^2, (a b)^3
         with pytest.raises(ValueError):
             parse_presentation("gens: a\nrels: b^2\n")
 
-    def test_format_reparses(self):
-        pres = parse_presentation(self.TEXT)
-        again = parse_presentation(pres.format())
-        assert again == pres
-
     def test_missing_gens_line(self):
         with pytest.raises(ValueError):
             parse_presentation("rels: a^2\n")
+
+
+# Letter rows of the catalog presentations and of parser edge cases, as
+# parse_presentation produced them when a presentation still held
+# (generator, +-1) words; the parser must keep every row.
+CATALOG_ROWS = {
+    "C1": ((0,),),
+    "C2": ((0, 0),),
+    "C3": ((0, 0, 0),),
+    "C4": ((0, 0, 0, 0),),
+    "C2xC2": ((0, 0), (2, 2), (1, 3, 0, 2)),
+    "C5": ((0,) * 5,),
+    "C6": ((0,) * 6,),
+    "S3": ((0, 0), (2, 2), (0, 2, 0, 2, 0, 2)),
+    "C8": ((0,) * 8,),
+    "C2xC4": ((0, 0), (2, 2, 2, 2), (1, 3, 0, 2)),
+    "D4": ((0, 0, 0, 0), (2, 2), (0, 2, 0, 2)),
+    "Q8": ((0, 0, 0, 0), (2, 2, 1, 1), (3, 0, 2, 0)),
+    "C9": ((0,) * 9,),
+    "C3xC3": ((0, 0, 0), (2, 2, 2), (1, 3, 0, 2)),
+    "D5": ((0, 0, 0, 0, 0), (2, 2), (0, 2, 0, 2)),
+    "A4": ((0, 0, 0), (2, 2), (0, 2, 0, 2, 0, 2)),
+    "S4": ((0, 0, 0, 0), (2, 2), (0, 2, 0, 2, 0, 2)),
+    "Heis3": ((0, 0, 0), (2, 2, 2), (3, 1, 2, 1, 3, 0, 2, 0),
+              (1, 2, 0, 3, 1, 3, 0, 2)),
+    "M27": ((0,) * 9, (2, 2, 2), (3, 0, 2, 1, 1, 1, 1)),
+    "C27": ((0,) * 27,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ROWS))
+def test_catalog_rows_are_recorded(name):
+    assert get_presentation(name).letters().relators == CATALOG_ROWS[name]
+
+
+def test_every_catalog_presentation_is_recorded():
+    assert {n for n, e in catalog().items() if e.presentation_text} == \
+        set(CATALOG_ROWS)
+
+
+@pytest.mark.parametrize("text, rows", [
+    # nested parentheses: the inverse of a b^-1 a b^-1 a, then b
+    ("gens: a b\nrels: ((a b^-1)^2 a)^-1 b\n", ((1, 2, 1, 2, 1, 2),)),
+    # negative powers, and ^0 as the empty word; b^0 alone is dropped
+    ("gens: a b\nrels: a^-3, b^0 a^2, (a b)^-2, b^0\n",
+     ((1, 1, 1), (0, 0), (3, 1, 3, 1))),
+    # a b b^-1 a^-1 reduces to nothing and is dropped; rels: over two
+    # lines; b a b^-1 cyclically reduces to a
+    ("gens: a b\nrels: a b b^-1 a^-1, a^2\nrels: b a b^-1, (a b)^3\n",
+     ((0, 0), (0,), (0, 2, 0, 2, 0, 2))),
+])
+def test_edge_case_rows_are_recorded(text, rows):
+    pres = parse_presentation(text)
+    assert pres.letters() == LetterPresentation(2, rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gens: a\nrels: c\n", "unknown generator 'c'"),
+    ("gens: a\nrels: ^2\n", "dangling exponent"),
+    ("gens: a\nrels: a ^2 ^3\n", "dangling exponent"),
+])
+def test_parse_error_messages_are_recorded(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["a^b", "a^", "(a b)^-", "b a^ b"])
+def test_caret_without_an_integer_is_rejected(text):
+    # a^b is not read as a b, nor a^ as a
+    with pytest.raises(ValueError, match=r"^exponent '\^-?' is not an "
+                                         r"integer$"):
+        parse_presentation(f"gens: a b\nrels: {text}\n")
