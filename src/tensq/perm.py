@@ -82,17 +82,21 @@ class Permutation:
     __slots__ = ("_images", "_key")
 
     def __init__(self, images):
-        arr = np.asarray(images, dtype=np.int32)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a non-empty 1-d sequence")
+        # checked before the int32 cast, which would truncate a float
+        # and wrap a large integer into range
+        if arr.dtype.kind not in "iu":
+            raise ValueError("images must be integers")
         n = arr.size
-        seen = np.zeros(n, dtype=bool)
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("images out of range")
+        seen = np.zeros(n, dtype=bool)
         seen[arr] = True
         if not seen.all():
             raise ValueError("images is not a bijection")
-        arr = arr.copy()
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self._images = arr
         self._key = None
@@ -313,6 +317,23 @@ def sweep_rows(width):
     return max(1, SWEEP_ENTRIES // width)
 
 
+def least_positions(marks, values, positions):
+    """Set ``marks[v]`` to the least ``positions[i]`` with
+    ``values[i] == v``, for each v in ``values``, where every such mark
+    starts above every position: ``np.minimum.at(marks, values,
+    positions)`` without the kernel of its own that ``ufunc.at`` maps.
+    The scatter runs in reverse, so that numpy's in-order writes leave
+    the least of ascending positions; the loop then lowers every mark
+    still above a position of its value, which makes the result exact
+    whatever the order of the positions or of the writes."""
+    marks[values[::-1]] = positions[::-1]
+    while True:
+        lower = positions < marks[values]
+        if not lower.any():
+            return
+        marks[values[lower]] = positions[lower]
+
+
 def _first_new(values, marks):
     """Positions in ``values`` of the first occurrence of each entry not
     yet seen, in order.  ``marks`` holds -1 at seen element indices and
@@ -321,7 +342,7 @@ def _first_new(values, marks):
     new = values[pos]
     # each new entry's mark takes its least position, which picks out
     # the first occurrences without sorting
-    np.minimum.at(marks, new, pos)
+    least_positions(marks, new, pos)
     pos = pos[marks[new] == pos]
     marks[new] = -1
     return pos
@@ -592,8 +613,8 @@ class FiniteGroup:
             right = self._right
             left = np.empty_like(right)
             # generator t's inverse is the element it maps to 1, the
-            # least entry; then a * (p * g) = (a * p) * g
-            left[:, 0] = right.argmin(axis=1)
+            # place of 0 in its row; then a * (p * g) = (a * p) * g
+            left[:, 0] = np.flatnonzero(right.ravel() == 0) % right.shape[1]
             for src, gen, new in levels:
                 left[:, new] = right[gen, left[:, src]]
             left.setflags(write=False)

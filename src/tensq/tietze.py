@@ -142,7 +142,10 @@ def reduce_symbols(rows, nsym):
                               np.where(larger, y2 ^ 1 ^ (x2 & 1),
                                        x2 ^ 1 ^ (y2 & 1))])
         row = np.concatenate([sources[one], sources[two]])
-        pick = np.lexsort((row, img >= 0, t))
+        # by symbol, eliminations to 1 first, then by relator; the key
+        # stays below 1.5e10 within the symbol route's relator budget
+        pick = np.argsort((2 * t + (img >= 0)) * len(rows) + row,
+                          kind="stable")
         t, img, row = t[pick], img[pick], row[pick]
         first = np.ones(len(t), dtype=bool)
         first[1:] = t[1:] != t[:-1]
@@ -159,8 +162,9 @@ def reduce_symbols(rows, nsym):
     # by largest symbol, then smallest: HLT then defines fewer cosets
     # (Heis3 3,087 against 4,813 in first-occurrence order)
     symbols = words >> 1
-    order = np.lexsort((np.where(words >= 0, symbols, nsym).min(axis=1),
-                        symbols.max(axis=1)))
+    smallest = np.where(words >= 0, symbols, nsym).min(axis=1)
+    order = np.argsort(symbols.max(axis=1) * (nsym + 1) + smallest,
+                       kind="stable")
     return SymbolReduction(image=image, log=tuple(log),
                            relators=words[order], sources=sources[order])
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
                    format_perm_group, get_group, iterated_commutator,
                    parse_cycles, parse_perm_group, power_subgroup)
 from tensq.catalog import catalog
+from tensq.perm import least_positions
 
 
 def perm(text, degree):
@@ -68,6 +70,27 @@ class TestPermutation:
     def test_not_a_bijection_rejected(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
+
+    # cast to int32 before they were checked, these came out [0, 1] or
+    # [1, 0], and a list holding 2**32 + 1 raised OverflowError
+    @pytest.mark.parametrize("images, message", [
+        ([0.5, 1.7], "integers"),
+        ([True, False], "integers"),
+        (["1", "0"], "integers"),
+        (np.array([0, 2**32 + 1]), "out of range"),
+        ([0, 2**32 + 1], "out of range"),
+    ])
+    def test_images_checked_before_the_cast(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation(images)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_integer_images_of_any_width(self, dtype):
+        images = np.array([2, 0, 1], dtype=dtype)
+        p = Permutation(images)
+        images[0] = 0
+        assert p.images.dtype == np.int32
+        assert p.images.tolist() == [2, 0, 1]
 
     def test_cycle_roundtrip(self):
         for text in ["()", "(0 1)", "(0 1)(2 3)", "(0 2 4)(1 3)"]:
@@ -438,3 +461,48 @@ class TestIndexOps:
         for i in range(6):
             assert g.index_of(g.element(i)) == i
             assert int(g.element(i).images[0]) == i
+
+
+def _check_least_positions(marks, values, positions):
+    """``least_positions`` against a scalar loop."""
+    want = marks.tolist()
+    for v, p in zip(values.tolist(), positions.tolist()):
+        want[v] = min(want[v], p)
+    least_positions(marks, values, positions)
+    assert marks.tolist() == want
+
+
+def _positions_case(name):
+    rng = np.random.default_rng(7)
+    if name == "empty":
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if name == "all equal":
+        return np.full(50, 3), np.arange(50)
+    values = rng.integers(0, 5, size=400)         # heavy repeats
+    positions = np.arange(400)
+    if name == "descending":
+        positions = positions[::-1].copy()
+    elif name == "shuffled":
+        positions = rng.permutation(positions)
+    return values, positions
+
+
+# descending and shuffled positions defeat the reversed scatter, so
+# only the correction loop makes them exact
+@pytest.mark.parametrize("name", ["empty", "all equal", "heavy repeats",
+                                  "descending", "shuffled"])
+def test_least_positions_matches_scalar_oracle(name):
+    values, positions = _positions_case(name)
+    marks = np.full(8, 1000, dtype=np.intp)
+    marks[7] = -1                                 # a value not given
+    _check_least_positions(marks, values, positions)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 99)),
+                max_size=60))
+@settings(max_examples=100)
+def test_least_positions_matches_scalar_oracle_on_random_input(pairs):
+    values = np.array([v for v, _ in pairs], dtype=np.intp)
+    positions = np.array([p for _, p in pairs], dtype=np.intp)
+    _check_least_positions(np.full(10, 100, dtype=np.intp), values,
+                           positions)

@@ -7,6 +7,7 @@ it with enumerating the whole presentation, and break each piece of the
 reduction in turn.
 """
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -95,6 +96,46 @@ def test_reduction_keeps_few_symbols(name, kept):
     words = reduction.relators
     assert ((words >= 0).sum(axis=1) >= 2).all()
     tietze.replay_reduction(rows, reduction)
+
+
+# the first 16 hex digits of the sha256 of each reduction's image, log,
+# relators and sources (little-endian int64, in that order), recorded
+# from the pass that ordered its eliminations and relators by
+# np.lexsort; any other sort must give the same order
+REDUCTION_DIGESTS = {
+    "C1": "5197c3ddd1d284fc",
+    "C2": "77b8b65eeeee1039",
+    "C3": "b3f3ca13bd7ba6e5",
+    "C4": "73293b4f4ac1732c",
+    "C2xC2": "03262fe21640b268",
+    "C5": "e36c5fbe4ec4889d",
+    "C6": "a020be4060de4f28",
+    "S3": "cf0afb90aa5417cb",
+    "C8": "12f47193a1600a69",
+    "C2xC4": "b50b90512ea776f0",
+    "D4": "04bf55e81464d57d",
+    "Q8": "5962a2c5639200c0",
+    "C9": "74045d575625044e",
+    "C3xC3": "c104ea523e783938",
+    "D5": "3d8043cfac5ea2e4",
+    "A4": "6d7ba690aa837c25",
+    "S4": "0c3bc1a944731609",
+    "Heis3": "dbd87d73b413334c",
+    "M27": "2bab4b44bbbdf89f",
+    "C27": "72bc83e85e78e435",
+}
+
+
+@pytest.mark.parametrize("name", [name for name, entry in catalog().items()
+                                  if entry.order <= 27])
+def test_reduction_matches_recorded_digest(name):
+    _, _, reduction = _reduction(name)
+    log = np.array(reduction.log, dtype=np.int64).reshape(-1, 2)
+    digest = hashlib.sha256()
+    for part in (reduction.image, log, reduction.relators,
+                 reduction.sources):
+        digest.update(np.ascontiguousarray(part, dtype="<i8").tobytes())
+    assert digest.hexdigest()[:16] == REDUCTION_DIGESTS[name]
 
 
 def _merged(reduction):
