@@ -137,7 +137,7 @@ def resolve_group(designator, limits=None):
                                  "text": text}
         if path.endswith(".pres"):
             pres = parse_presentation(text)
-            table = tc_enumerate(pres.letters(), (), limits)
+            table = tc_enumerate(pres.letters(), limits)
             group = to_perm_group(table, name=stem)
             return group, pres, {"kind": "pres-file", "path": path,
                                  "text": text}

@@ -53,10 +53,11 @@ def _parse_lemmas(text):
         if not token:
             continue
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            if lo not in _ROMAN or hi not in _ROMAN:
+            i, j = (_ROMAN.index(x) if x in _ROMAN else -1
+                    for x in token.split("..", 1))
+            # a reversed range would name no lemma
+            if i < 0 or j < i:
                 raise ValueError(f"bad lemma range {token!r}")
-            i, j = _ROMAN.index(lo), _ROMAN.index(hi)
             out.update(dict.fromkeys(_ROMAN[i:j + 1]))
         elif token in _ROMAN or token in _ON_NU:
             out[token] = None

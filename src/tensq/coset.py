@@ -6,10 +6,12 @@ full deduction replay.  Relator scan order is declaration order and new
 cosets fill the first undefined entry in row-major order, so identical
 inputs produce identical tables.
 
-Relators and subgroup words are rows of letters, which are also the
-table's columns: 2g is generator g, 2g + 1 its inverse (``x ^ 1`` flips
-direction) and -1 padding.  Rows are reduced here, relators freely and
-cyclically, subgroup words freely.  Row 0 is the subgroup coset.
+Cosets are those of the trivial subgroup, so a closed table is the
+regular representation of the presented group: row 0 is the identity,
+and entry [i, x] is element i times letter x.  Relators are rows of
+letters, which are also the table's columns: 2g is generator g, 2g + 1
+its inverse (``x ^ 1`` flips direction) and -1 padding.  Each relator
+is reduced here, freely and cyclically.
 
 With ``spanning``, generators that generate the presented group, HLT
 makes two passes.  The first defines new cosets only in the columns of
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError, StateError
-from .perm import DEFAULT_MAX_ORDER, FiniteGroup, Permutation
+from .perm import FiniteGroup, Permutation
 
 # Rows of a fresh table; the array doubles whenever it is full, unless
 # the doubled array would take more than _MAX_TABLE_BYTES.
@@ -93,9 +95,9 @@ def inverse_row(row):
     return tuple(x ^ 1 for x in reversed(row))
 
 
-def _reduced(row, ncols, cyclic):
-    """``row`` less padding, freely and, if ``cyclic``, cyclically
-    reduced; ValueError on a letter outside [0, ncols)."""
+def _reduced(row, ncols):
+    """``row`` less padding, freely and cyclically reduced; ValueError
+    on a letter outside [0, ncols)."""
     out = []
     for x in row:
         if x == -1:
@@ -108,7 +110,7 @@ def _reduced(row, ncols, cyclic):
         else:
             out.append(x)
     i, j = 0, len(out) - 1
-    while cyclic and i < j and out[i] == out[j] ^ 1:
+    while i < j and out[i] == out[j] ^ 1:
         i += 1
         j -= 1
     return tuple(out[i:j + 1])
@@ -118,8 +120,8 @@ class CosetTable:
     """Mutable state of one enumeration; closed tables are immutable in
     practice (nothing mutates them after ``close`` succeeds)."""
 
-    def __init__(self, presentation, subgroup_words=(),
-                 limits=EnumerationLimits(), spanning=None):
+    def __init__(self, presentation, limits=EnumerationLimits(),
+                 spanning=None):
         self.ngens = presentation.ngens
         self.ncols = 2 * self.ngens
         # per HLT pass, a flag per column: whether the pass may define a
@@ -135,10 +137,8 @@ class CosetTable:
                                         for x in range(self.ncols)))
         # the lookahead defines none
         self._no_fill = (False,) * self.ncols
-        self.relators = tuple(_reduced(r, self.ncols, True)
+        self.relators = tuple(_reduced(r, self.ncols)
                               for r in presentation.relators)
-        self.subgroup_words = tuple(_reduced(w, self.ncols, False)
-                                    for w in subgroup_words)
         self.limits = limits
         # Rows [0, _n) are cosets; every row past them stays -1, and at
         # least one always exists, so a gather from entry -1 reads the
@@ -435,8 +435,6 @@ class CosetTable:
         self._start = time.monotonic()
         self._deadline = self._start + self.limits.time_limit
         self._lookahead_at = _LOOKAHEAD_THRESHOLD
-        for w in self.subgroup_words:
-            self._scan(0, w, self._fills[-1])
         *first, last = self._fills
         for fill in first:
             self._hlt_pass(fill)
@@ -457,8 +455,8 @@ class CosetTable:
 
     def verify(self):
         """Re-check the closed table independently of the deduction path:
-        every relator and subgroup word scans to closure everywhere, and
-        the columns are mutually inverse bijections."""
+        every relator scans to closure everywhere, and the columns are
+        mutually inverse bijections."""
         if self.status != "closed":
             raise StateError("table is not closed")
         # cols[x] is column x, so each gather below is contiguous
@@ -476,57 +474,36 @@ class CosetTable:
                 f = cols[x][f]
             if not np.array_equal(f, cosets):
                 raise StateError("relator does not scan to closure")
-        for word in self.subgroup_words:
-            f = 0
-            for x in word:
-                f = cols[x][f]
-            if f != 0:
-                raise StateError("subgroup word leaves the subgroup coset")
         return True
 
-    def permutation(self, gen):
-        """Action of generator ``gen`` on the cosets."""
-        if self.status != "closed":
-            raise StateError("table is not closed")
-        return Permutation(self.table[:, 2 * gen])
 
-
-def tc_enumerate(presentation, subgroup_words=(), limits=None,
-                 spanning=None):
-    """Enumerate cosets of the subgroup generated by ``subgroup_words``,
-    rows of letters, in the group ``presentation`` presents (a
-    ``LetterPresentation``); returns a closed, compacted, verified
-    table.  ``spanning`` names generators that generate the group: a
-    first pass then defines new cosets only along them (see the module
-    docstring)."""
-    table = CosetTable(presentation, subgroup_words,
-                       limits or EnumerationLimits(), spanning)
+def tc_enumerate(presentation, limits=None, spanning=None):
+    """Enumerate the cosets of the trivial subgroup in the group
+    ``presentation`` presents (a ``LetterPresentation``); returns a
+    closed, compacted, verified table.  ``spanning`` names generators
+    that generate the group: a first pass then defines new cosets only
+    along them (see the module docstring)."""
+    table = CosetTable(presentation, limits or EnumerationLimits(),
+                       spanning)
     return table.run()
 
 
 def to_perm_group(table, *, name=None):
-    """Permutation group of the closed table's coset action.
-
-    For an enumeration over the trivial subgroup this is the regular
-    representation, and the group order equals the coset count.
-    """
+    """The regular permutation group of the closed table: its order is
+    the coset count, and generator g acts as column 2g."""
     if not table.is_closed():
         raise StateError("table is not closed")
-    gens = [table.permutation(g) for g in range(table.ngens)]
-    return points_group(gens, table.coset_count,
-                        regular=not table.subgroup_words, name=name)
+    return points_group(table.table[:, 0::2].T, table.coset_count,
+                        name=name)
 
 
-def points_group(columns, points, *, regular=True, name=None):
-    """The group generated by the permutations ``columns`` of ``points``
-    points; a regular one has order ``points`` and point 0 as its
-    identity.  No columns, as in the closed table of a presentation
-    with no generators, give the group of the identity alone.  The
-    order cap is the point count, or DEFAULT_MAX_ORDER if that is
-    larger."""
+def points_group(columns, points, *, name=None):
+    """The regular group generated by the permutations ``columns`` of
+    ``points`` points, with point 0 as its identity, so its order is
+    ``points``.  No columns, as in the closed table of a presentation
+    with no generators, give the group of the identity alone."""
     columns = list(columns) or [Permutation.identity(points)]
-    return FiniteGroup(columns, name=name, regular=regular,
-                       max_order=max(DEFAULT_MAX_ORDER, points))
+    return FiniteGroup(columns, name=name, regular=True)
 
 
 def multiplication_table_presentation(group):

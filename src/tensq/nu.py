@@ -256,12 +256,12 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         if presentation is None:
             raise ValueError("mode 'gens' needs a presentation")
         _validate_presentation_for(group, presentation)
-        table = tc_enumerate(nu_presentation(presentation, mode), (), limits)
+        table = tc_enumerate(nu_presentation(presentation, mode), limits)
         ambient = to_perm_group(table, name=name)
         images = group.generator_indices()
     elif mode == "all":
         gens = group.generator_indices()
-        table = tc_enumerate(nu_presentation(group, mode), (), limits,
+        table = tc_enumerate(nu_presentation(group, mode), limits,
                              spanning=[*gens, *(s + n for s in gens)])
         ambient = to_perm_group(table, name=name)
         images = tuple(range(n))

@@ -13,21 +13,23 @@ construction; internal caches are filled idempotently (compute fully,
 then assign), which keeps concurrent reads safe.
 
 Every group, regular or generic, is held in index space by the same
-three things: its generators' right-multiplication columns, the
-breadth-first levels ``(sources, generators, new)`` of its closure, and
-left multiplication by each generator's inverse, one sweep along the
-levels since left and right multiplication commute.  Each whole-group
-kernel is a sweep of that kind, one gather per level over O(N) columns:
-the inverses, (p * g)^-1 = g^-1 * p^-1; the conjugates x^-1 a x of a
-fixed a, g^-1 (p^-1 a p) g, read from each generator's conjugation map,
-which is built once per group; and from these the commutators with a
-over every x, which drive the Engel iterations and
+three things, all from one closure: its generators' right-multiplication
+columns (a regular group's generator images, or a generic group's from
+a scalar queue that stores each element once), the breadth-first levels
+``(sources, generators, new)`` and parents that one sweep over them
+gives, and left multiplication by each generator's inverse, one sweep
+along the levels since left and right multiplication commute.  Each
+whole-group kernel is a sweep of that kind, one gather per level over
+O(N) columns: the inverses, (p * g)^-1 = g^-1 * p^-1; the conjugates
+x^-1 a x of a fixed a, g^-1 (p^-1 a p) g, read from each generator's
+conjugation map, which is built once per group; and from these the
+commutators with a over every x, which drive the Engel iterations and
 ``commutator_sweep``.  A single product reads one cached column,
 element j's right multiplication, composed from generator columns
 along j's word.  For a regular group (degree equal to order, identity
-at point 0, as coset enumeration produces) that column is element j's
-image array, since index(e_i * e_j) = e_j(i), so a regular group never
-stores its elements; a generic group stores each one once.
+at point 0, as coset enumeration over the trivial subgroup produces)
+that column is element j's image array, since index(e_i * e_j) =
+e_j(i), so a regular group never stores its elements.
 
 A subgroup is a closed tuple of its parent's element indices,
 generated by a tuple of element indices, and every subgroup operation
@@ -261,7 +263,7 @@ def parse_cycles(text, degree):
     return perm
 
 
-def parse_perm_group(text, *, name=None, max_order=DEFAULT_MAX_ORDER):
+def parse_perm_group(text, *, name=None):
     """Parse the permutation-group file format.
 
     Line 1 is ``degree N``; each further non-empty line is one generator
@@ -286,7 +288,7 @@ def parse_perm_group(text, *, name=None, max_order=DEFAULT_MAX_ORDER):
         raise ValueError("missing 'degree N' line")
     if not gens:
         raise ValueError("no generators given")
-    return FiniteGroup(gens, name=name, max_order=max_order)
+    return FiniteGroup(gens, name=name)
 
 
 def format_perm_group(group):
@@ -403,7 +405,8 @@ class FiniteGroup:
 
     ``regular=True`` marks a regular action with the identity at point 0
     (element index of a member is then its image of 0); coset
-    enumeration produces groups of this kind.
+    enumeration produces groups of this kind.  ``max_order`` caps a
+    generic group's closure; a regular group's order is its degree.
     """
 
     def __init__(self, generators, *, name=None, max_order=DEFAULT_MAX_ORDER,
@@ -456,12 +459,11 @@ class FiniteGroup:
     # -- enumeration ------------------------------------------------------
 
     def _close_generic(self):
-        if self._parents is not None:
-            return
+        """Store every element, found by a scalar queue, and the index
+        of each; return the generators' right-multiplication columns."""
         gens = self.generators
         els = [self.identity]
         index = {els[0].key: 0}
-        parents = [(-1, -1)]
         # right[gi][i] = index(element_i * generator_gi)
         right = [[] for _ in gens]
         i = 0
@@ -480,22 +482,22 @@ class FiniteGroup:
                     f = Permutation._raw(np.frombuffer(k, dtype=np.int32))
                     f._key = k
                     els.append(f)
-                    parents.append((i, gi))
                 right[gi].append(j)
             i += 1
         self._elements = tuple(els)
         self._index = index
-        self._right = np.array(right, dtype=np.int32)
-        self._parents = np.array(parents, dtype=np.int32)
+        return np.array(right, dtype=np.int32)
 
-    def _close_regular(self):
+    def _close(self):
+        """The generators' right-multiplication columns, then one
+        breadth-first sweep over them for the levels and the parents.
+        A regular group's columns are its generators' images, and the
+        sweep reaches every point only if it acts transitively."""
         if self._parents is not None:
             return
-        n = self._degree
-        if n > self.max_order:
-            raise CapacityError(f"group exceeds element cap {self.max_order}")
-        # generator t maps point i to index(element_i * generator_t)
-        right = np.stack([g.images for g in self.generators])
+        right = np.stack([g.images for g in self.generators]) \
+            if self._regular else self._close_generic()
+        n = right.shape[1]
         parents = np.full((n, 2), -1, dtype=np.int32)
         levels = tuple(bfs_levels(right))
         for src, gen, new in levels:
@@ -507,17 +509,10 @@ class FiniteGroup:
         self._levels = levels
         self._parents = parents
 
-    def _close(self):
-        if self._regular:
-            self._close_regular()
-        else:
-            self._close_generic()
-
     def order(self):
         if self._regular:
             return self._degree
-        if self._parents is None:
-            self._close_generic()
+        self._close()
         return len(self._parents)
 
     def elements(self):
@@ -599,10 +594,7 @@ class FiniteGroup:
         """Breadth-first levels ``(sources, generators, new)`` of the
         closure, as ``bfs_levels`` yields them over the generators'
         right-multiplication columns."""
-        if self._levels is None:
-            self._close()
-            if self._levels is None:         # generic
-                self._levels = tuple(bfs_levels(self._right))
+        self._close()
         return self._levels
 
     def _left_inverses(self):
@@ -887,12 +879,9 @@ class Subgroup:
         self._lower_central = None
 
     def _close_indices(self, gen_idx):
-        cap = self.parent.max_order
         order = [0]
         for _, _, new in bfs_levels(self.parent.right_columns(gen_idx)):
             order.extend(new.tolist())
-            if len(order) > cap:
-                raise CapacityError(f"subgroup exceeds element cap {cap}")
         return tuple(order)
 
     @classmethod

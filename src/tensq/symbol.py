@@ -160,7 +160,7 @@ def tensor_symbols(arrays, limits):
     replay_reduction(rows, reduction)
     # the enumeration and the relator check share one deadline
     deadline = time.monotonic() + limits.time_limit
-    table = tc_enumerate(reduction.presentation(), (), limits).table
+    table = tc_enumerate(reduction.presentation(), limits).table
     if len(table) * n * n > _MAX_SYMBOL_ENTRIES:
         raise EnumerationLimitError(
             f"symbol column limit {_MAX_SYMBOL_ENTRIES} entries exceeded: "

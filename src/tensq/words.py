@@ -126,7 +126,7 @@ def parse_presentation(text):
     for chunk in relator_chunks:
         parser = _WordParser(_TOKEN_RE.findall(chunk), name_index)
         while True:
-            row = _reduced(parser.parse_word(), 2 * len(names), True)
+            row = _reduced(parser.parse_word(), 2 * len(names))
             if row:
                 relators.append(row)
             tok = parser.take()

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from tensq import (EnumerationLimitError, EnumerationLimits,
                    LetterPresentation, StateError, get_group,
                    get_presentation, multiplication_table_presentation,
-                   nu_presentation, parse_presentation, parse_word,
-                   tc_enumerate, to_perm_group)
+                   nu_presentation, parse_presentation, tc_enumerate,
+                   to_perm_group)
 from tensq.catalog import catalog
 from tensq import coset
 import tensq.nu as nu_module
@@ -28,39 +28,24 @@ def pres(text):
     return parse_presentation(text).letters()
 
 
-def subgroup(text, word):
-    """The presentation ``text`` and the subgroup generated by ``word``,
-    both as letter rows."""
-    p = parse_presentation(text)
-    return p.letters(), (parse_word(word, p.generator_names),)
-
-
 C2 = "gens: a\nrels: a^2\n"
 S3 = "gens: a b\nrels: a^2, b^2, (a b)^3\n"
 
 
 class TestEnumeration:
     def test_order_two(self):
-        table = tc_enumerate(pres(C2), ())
+        table = tc_enumerate(pres(C2))
         assert table.coset_count == 2
 
     def test_s3(self):
-        table = tc_enumerate(pres(S3), ())
+        table = tc_enumerate(pres(S3))
         assert table.coset_count == 6
         # cross-check against the permutation realization
         assert get_group("S3").order() == 6
 
-    def test_full_subgroup_single_coset(self):
-        table = tc_enumerate(*subgroup(C2, "a"))
-        assert table.coset_count == 1
-
-    def test_proper_subgroup_index(self):
-        table = tc_enumerate(*subgroup(S3, "a"))
-        assert table.coset_count == 3
-
     def test_determinism(self):
-        t1 = tc_enumerate(pres(S3), ())
-        t2 = tc_enumerate(pres(S3), ())
+        t1 = tc_enumerate(pres(S3))
+        t2 = tc_enumerate(pres(S3))
         assert np.array_equal(t1.table, t2.table)
 
     def _progress(self, info, prefix):
@@ -76,7 +61,7 @@ class TestEnumeration:
 
     def test_coset_limit_preserves_table(self):
         with pytest.raises(EnumerationLimitError) as info:
-            tc_enumerate(pres(S3), (), EnumerationLimits(max_cosets=3))
+            tc_enumerate(pres(S3), EnumerationLimits(max_cosets=3))
         assert info.value.table is not None
         assert info.value.table.status == "in-progress"
         self._progress(info, "coset limit 3 exceeded")
@@ -84,7 +69,7 @@ class TestEnumeration:
 
     def test_time_limit_reports_progress(self):
         with pytest.raises(EnumerationLimitError) as info:
-            tc_enumerate(pres(S3), (), EnumerationLimits(time_limit=0.0))
+            tc_enumerate(pres(S3), EnumerationLimits(time_limit=0.0))
         assert info.value.table.status == "in-progress"
         self._progress(info, "time limit 0.0s exceeded")
 
@@ -93,7 +78,7 @@ class TestEnumeration:
         # doubled table would take 16 KiB
         monkeypatch.setattr(coset, "_MAX_TABLE_BYTES", 10_000)
         with pytest.raises(EnumerationLimitError) as info:
-            tc_enumerate(pres("gens: a\nrels: a^5000\n"), ())
+            tc_enumerate(pres("gens: a\nrels: a^5000\n"))
         assert info.value.table.status == "in-progress"
         assert len(info.value.table._rows) == coset._INITIAL_ROWS
         self._progress(info, "table memory limit 10000 bytes exceeded")
@@ -126,11 +111,11 @@ class TestEnumeration:
 
     def test_lookahead_path(self, monkeypatch):
         monkeypatch.setattr(coset, "_LOOKAHEAD_THRESHOLD", 4)
-        table = tc_enumerate(pres(S3), ())
+        table = tc_enumerate(pres(S3))
         assert table.coset_count == 6
 
     def test_verification_runs_after_close(self):
-        table = tc_enumerate(pres(S3), ())
+        table = tc_enumerate(pres(S3))
         assert table.verify()
 
 
@@ -141,8 +126,6 @@ class TestLetterRows:
         # coset's row of the table, even where it cancels
         with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
             CosetTable(LetterPresentation(2, ((0, 0), row)))
-        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
-            tc_enumerate(pres(S3), (row,))
 
     def test_padding_is_skipped(self):
         padded = LetterPresentation(2, ((0, 0, -1, -1), (2, -1, 2),
@@ -153,19 +136,17 @@ class TestLetterRows:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=4))
     def test_rows_reduce_as_words_do(self, rows):
-        # relators freely and cyclically, subgroup words freely, as a
-        # rewriting of (generator, +-1) words reduces them
+        # freely and cyclically, as a rewriting of (generator, +-1)
+        # words reduces them
         words = [[(x >> 1, 1 - 2 * (x & 1)) for x in r] for r in rows]
-        table = CosetTable(LetterPresentation(3, rows), rows)
-        assert table.relators == tuple(_rewritten(w, True) for w in words)
-        assert table.subgroup_words == tuple(_rewritten(w, False)
-                                             for w in words)
+        table = CosetTable(LetterPresentation(3, rows))
+        assert table.relators == tuple(_rewritten(w) for w in words)
 
 
-def _rewritten(word, cyclic):
+def _rewritten(word):
     """``word``, a list of (generator, +-1) letters, less the first
-    adjacent inverse pair (or, if ``cyclic``, an inverse first and last
-    letter) until none is left, as a row of letters."""
+    adjacent inverse pair, or else an inverse first and last letter,
+    until none is left, as a row of letters."""
     def inverse(x, y):
         return x[0] == y[0] and x[1] == -y[1]
     word = list(word)
@@ -174,14 +155,10 @@ def _rewritten(word, cyclic):
                  if inverse(word[i], word[i + 1])]
         if pairs:
             del word[pairs[0]:pairs[0] + 2]
-        elif cyclic and len(word) > 1 and inverse(word[0], word[-1]):
+        elif len(word) > 1 and inverse(word[0], word[-1]):
             del word[-1], word[0]
         else:
             return tuple(2 * g + (e < 0) for g, e in word)
-
-
-def _first_generator(name):
-    return get_presentation(name).letters(), ((0,),)
 
 
 def _nu(monkeypatch, name, mode, lookahead):
@@ -191,7 +168,7 @@ def _nu(monkeypatch, name, mode, lookahead):
         # its primed copy S', as the all route passes them
         group = get_group(name)
         gens = group.generator_indices()
-        return (nu_presentation(group, "all"), (), None,
+        return (nu_presentation(group, "all"), None,
                 [*gens, *(s + group.order() for s in gens)])
     if mode == "gens":
         pres = nu_presentation(get_presentation(name), mode)
@@ -199,7 +176,7 @@ def _nu(monkeypatch, name, mode, lookahead):
         pres = full_triple_nu_presentation(get_group(name))
     else:
         pres = nu_presentation(get_group(name), mode)
-    return pres, ()
+    return (pres,)
 
 
 def _symbol(name):
@@ -207,7 +184,7 @@ def _symbol(name):
     ``tensq.symbol.tensor_symbols`` enumerates."""
     group = get_group(name)
     rows = symbol.symbol_relators(symbol.group_arrays(group))
-    return tietze.reduce_symbols(rows, group.order() ** 2).presentation(), ()
+    return (tietze.reduce_symbols(rows, group.order() ** 2).presentation(),)
 
 
 # sha256 of closed tables (rows of little-endian int32), recorded from
@@ -220,20 +197,12 @@ def _symbol(name):
 # enumerator with the pre-check.  "nu(S3)-all-spanning" enumerates the
 # same presentation as the all route does, with a first pass that
 # defines cosets only along S and S'; it was recorded from the
-# two-pass enumerator.  The nine before it pin ``spanning=None``.
+# two-pass enumerator.  The five before it pin ``spanning=None``.
 # "T(G)-symbol" enumerates the Tietze-reduced symbol presentation of
 # G (x) G, as the symbol route does; recorded when that presentation
 # still went through ``tensq.words``.  Each factory takes pytest's
 # monkeypatch; the nu(G) ones lower the lookahead threshold with it.
 GOLDEN_TABLES = [
-    ("S3/<a>", lambda mp: subgroup(S3, "a"),
-     "9b12c535734673b807e60a9ec402d22a415b8ee70289c6247843927715b73839"),
-    ("D4/<a>", lambda mp: _first_generator("D4"),
-     "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
-    ("A4/<a>", lambda mp: _first_generator("A4"),
-     "134d2bd89be057f27f9df10b8978090dd54f07e991374bd7e43c974d03335602"),
-    ("Q8/<a>", lambda mp: _first_generator("Q8"),
-     "02b8275e427a62aa956cb1cc5bfb538126533528a34b9e6581abf7e3db2705e1"),
     ("nu(D4)-gens", lambda mp: _nu(mp, "D4", "gens", 500),
      "5466b85be74b2aa87cd2f3befafb17a2cdb868b9a2c1b99eb08cfd4fc0955dc8"),
     ("nu(A4)-gens", lambda mp: _nu(mp, "A4", "gens", 500),
@@ -269,7 +238,8 @@ def test_closed_table_matches_recorded_digest(monkeypatch, make, digest):
 def test_table_grown_under_a_profiler(monkeypatch):
     # a profiler holds a reference to the array while it grows, so it
     # grows by a copy instead of in place; the table is the same
-    _, make, digest = GOLDEN_TABLES[4]
+    [(make, digest)] = [g[1:] for g in GOLDEN_TABLES
+                        if g[0] == "nu(D4)-gens"]
     args = make(monkeypatch)
     assert _digest(cProfile.Profile().runcall(tc_enumerate, *args)) \
         == digest
@@ -312,7 +282,7 @@ class TestSpanningPass:
         # the completing pass over every column still closes the table
         group = get_group("S3")
         spanning = list(group.generator_indices()) if part == "S" else []
-        table = tc_enumerate(nu_presentation(group, "all"), (), None,
+        table = tc_enumerate(nu_presentation(group, "all"), None,
                              spanning)
         assert table.is_closed() and table.verify()
         assert (table.passes, table.coset_count) == (2, 216)
@@ -334,62 +304,68 @@ class TestSpanningPass:
 
         monkeypatch.setattr(CosetTable, "verify", recording)
         trivial = pres("gens: a b\nrels: b^-1 a b a, a^-1 b^2, b\n")
-        table = tc_enumerate(trivial, (), None, [0])
+        table = tc_enumerate(trivial, None, [0])
         assert outcomes == ["rejected", True]
         assert (table.passes, table.defined, table.coset_count) == (2, 4, 1)
 
     def test_presentation_without_generators(self):
         # a table with no columns is complete after the first pass
-        table = tc_enumerate(LetterPresentation(0, ()), (), None, [])
+        table = tc_enumerate(LetterPresentation(0, ()), None, [])
         assert (table.passes, table.coset_count) == (1, 1)
 
     @pytest.mark.parametrize("gen", [-1, 2])
     def test_spanning_generator_out_of_range(self, gen):
         with pytest.raises(ValueError, match="spanning generators"):
-            tc_enumerate(pres(S3), (), None, [0, gen])
+            tc_enumerate(pres(S3), None, [0, gen])
 
 
 class TestVerifyRejects:
     def test_inconsistent_columns(self):
-        table = tc_enumerate(pres(S3), ())
+        table = tc_enumerate(pres(S3))
         t = table.table
         t[[0, 1], 0] = t[[1, 0], 0]
         with pytest.raises(StateError, match="inconsistent columns"):
             table.verify()
 
     def test_relator_not_closing(self):
-        table = tc_enumerate(pres(S3), ())
+        table = tc_enumerate(pres(S3))
         table.relators += ((0, 2),)           # a b has order 3, not 1
         with pytest.raises(StateError, match="does not scan to closure"):
-            table.verify()
-
-    def test_subgroup_word_leaving_coset_0(self):
-        table = tc_enumerate(pres(S3), ())    # regular: a moves coset 0
-        table.subgroup_words = ((0,),)
-        with pytest.raises(StateError, match="leaves the subgroup coset"):
             table.verify()
 
 
 class TestToPermGroup:
     def test_single_coset_trivial_group(self):
-        g = to_perm_group(tc_enumerate(*subgroup(C2, "a")))
+        g = to_perm_group(tc_enumerate(get_presentation("C1").letters()))
         assert g.order() == 1
 
     def test_cyclic_four(self):
-        g = to_perm_group(tc_enumerate(pres("gens: a\nrels: a^4\n"), ()))
+        g = to_perm_group(tc_enumerate(pres("gens: a\nrels: a^4\n")))
         assert g.order() == 4
         assert g.generators[0].order() == 4
 
     def test_s3_order_census(self):
-        g = to_perm_group(tc_enumerate(pres(S3), ()))
+        g = to_perm_group(tc_enumerate(pres(S3)))
         census = {}
         for i in range(g.order()):
             o = g.order_of_idx(i)
             census[o] = census.get(o, 0) + 1
         assert census == {1: 1, 2: 3, 3: 2}
 
+    @pytest.mark.parametrize("text, order", [
+        ("gens: a b\nrels: b, a^2\n", 2),         # b is trivial in G
+        ("gens: a b\nrels: a^3, b a^-1\n", 3),     # b repeats a
+        ("gens: a\nrels: a\n", 1),                 # C1
+    ])
+    def test_degenerate_generators_give_a_regular_group(self, text, order):
+        g = to_perm_group(tc_enumerate(pres(text)))
+        assert g.is_regular()
+        assert g.order() == order
+        assert [g.index_of(g.element(i)) for i in range(order)] == \
+            list(range(order))
+
     def test_rejects_open_table(self):
-        table = CosetTable(pres(S3), ())
+        table = CosetTable(pres(S3))
         with pytest.raises(StateError):
             to_perm_group(table)
 
@@ -398,7 +374,7 @@ class TestMultiplicationTablePresentation:
     def test_trivial_group(self):
         tp = multiplication_table_presentation(get_group("C1"))
         assert tp.ngens == 1
-        assert tc_enumerate(tp, ()).coset_count == 1
+        assert tc_enumerate(tp).coset_count == 1
 
     def test_c2(self):
         tp = multiplication_table_presentation(get_group("C2"))
@@ -406,12 +382,12 @@ class TestMultiplicationTablePresentation:
         # x0 = 1, then x_i x_j x_ij^-1 for (i, j) in row-major order
         assert tp.relators == ((0,), (0, 0, 1), (0, 2, 3), (2, 0, 3),
                                (2, 2, 1))
-        assert tc_enumerate(tp, ()).coset_count == 2
+        assert tc_enumerate(tp).coset_count == 2
 
     def test_s3(self):
         tp = multiplication_table_presentation(get_group("S3"))
         assert tp.ngens == 6
-        assert tc_enumerate(tp, ()).coset_count == 6
+        assert tc_enumerate(tp).coset_count == 6
 
     def test_every_small_catalog_group_roundtrips(self):
         for name, entry in catalog().items():
@@ -419,5 +395,5 @@ class TestMultiplicationTablePresentation:
                 continue
             group = get_group(name)
             tp = multiplication_table_presentation(group)
-            g2 = to_perm_group(tc_enumerate(tp, ()))
+            g2 = to_perm_group(tc_enumerate(tp))
             assert g2.order() == group.order(), name

@@ -33,8 +33,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensq
-from tensq import (CapacityError, FiniteGroup, InvariantError, Permutation,
-                   build_nu, commutator, dimension_subgroups, engel_degree,
+from tensq import (FiniteGroup, InvariantError, Permutation, build_nu,
+                   commutator, dimension_subgroups, engel_degree,
                    engel_stack_identity, fitting_subgroup, get_group,
                    get_presentation, left_engel_set, lie_ring,
                    tc_enumerate, tensor_module, tensor_report,
@@ -212,20 +212,6 @@ def test_subgroup_indices_match_scalar_closure(case):
     assert sub.indices() == scalar_closure(g, gens)
     assert sub.generators == tuple(idx)
     assert normal.indices() == scalar_normal_closure(g, gens)
-
-
-@pytest.mark.parametrize("table_cap", [512, 0])
-def test_subgroup_capacity_error_at_max_order(monkeypatch, table_cap):
-    # whether the group has a table built or none, closure ignores it
-    monkeypatch.setattr(perm_module, "TABLE_CAP", table_cap)
-    g = fresh("D4")
-    assert (g.table() is None) == (table_cap == 0)
-    g.max_order = 4
-    rotation = g.generators[0]
-    with no_table():
-        assert g.subgroup([rotation]).order() == 4      # exactly at the cap
-        with pytest.raises(CapacityError):
-            g.subgroup(g.generators)
 
 
 # -- the stacked Engel word ---------------------------------------------------
@@ -644,7 +630,7 @@ def test_symbol_nu_build_and_report_build_no_regular_table(nu_of):
 
 
 def test_regular_group_above_the_table_cap(monkeypatch):
-    cosets = tc_enumerate(get_presentation("A4").letters(), ())
+    cosets = tc_enumerate(get_presentation("A4").letters())
     t = to_perm_group(cosets).table()
     monkeypatch.setattr(perm_module, "TABLE_CAP", 10)
     g = to_perm_group(cosets)

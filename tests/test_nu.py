@@ -302,7 +302,7 @@ class TestSymbolRoute:
                 out.ngens, out.relators[:base] + out.relators[base::2])
 
         group, pres = get_group("S3"), get_presentation("S3")
-        assert tc_enumerate(weakened(pres, "gens"), ()).coset_count == 648
+        assert tc_enumerate(weakened(pres, "gens")).coset_count == 648
         monkeypatch.setattr(nu_module, "nu_presentation", weakened)
         with pytest.raises(InvariantError,
                            match=r"nu\(G\) certificate fails: .* for \d+ "
@@ -356,7 +356,7 @@ class TestTensorSquareWrapper:
                                     ("C9", "symbol"), ("C2xC2", "symbol"),
                                     ("S3", "symbol")]]
         cases += [(get_group("C5"), None, "symbol"),
-                  (to_perm_group(tc_enumerate(c6.letters(), ())), c6,
+                  (to_perm_group(tc_enumerate(c6.letters())), c6,
                    "symbol")]
         assert [tensor_square(g, p).mode for g, p, _ in cases] == \
             [mode for _, _, mode in cases]
@@ -385,11 +385,11 @@ class TestAllRouteRelators:
         reduced = nu_presentation(group, "all")
         # the conjugators: G's generators, less the identity and repeats
         conjugators = set(group.generator_indices()) - {0}
-        want = tc_enumerate(full_triple_nu_presentation(group), ())
+        want = tc_enumerate(full_triple_nu_presentation(group))
         # a presentation of a larger group overruns the cap, not 2M cosets
         limits = EnumerationLimits(max_cosets=max(20_000,
                                                   8 * want.coset_count))
-        assert tc_enumerate(reduced, (), limits).coset_count == \
+        assert tc_enumerate(reduced, limits).coset_count == \
             want.coset_count
         assert len(reduced.relators) == \
             2 * (n * n + 1) + 2 * (n - 1) ** 2 * len(conjugators)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
                    Permutation, abelian_invariants, build_nu, commutator,
-                   format_perm_group, get_group, iterated_commutator,
-                   parse_cycles, parse_perm_group, power_subgroup)
+                   format_perm_group, get_group, get_presentation,
+                   iterated_commutator, parse_cycles, parse_perm_group,
+                   power_subgroup, resolve_group, tc_enumerate,
+                   to_perm_group)
 from tensq.catalog import catalog
 from tensq.perm import least_positions
 
@@ -454,9 +458,9 @@ class TestIndexOps:
         assert get_group("C27").exponent() == 27
 
     def test_regular_group_index_is_point_image(self):
-        from tensq import tc_enumerate, to_perm_group, parse_presentation
+        from tensq import parse_presentation
         pres = parse_presentation("gens: a b\nrels: a^2, b^2, (a b)^3\n")
-        g = to_perm_group(tc_enumerate(pres.letters(), ()))
+        g = to_perm_group(tc_enumerate(pres.letters()))
         assert g.order() == 6
         for i in range(6):
             assert g.index_of(g.element(i)) == i
@@ -506,3 +510,166 @@ def test_least_positions_matches_scalar_oracle_on_random_input(pairs):
     positions = np.array([p for _, p in pairs], dtype=np.intp)
     _check_least_positions(np.full(10, 100, dtype=np.intp), values,
                            positions)
+
+
+# -- the closure, pinned ------------------------------------------------------
+
+def _seeded_perm_text(name, seed):
+    """The catalog group ``name`` as a .perm file: seeded random elements,
+    drawn until they generate it (repeats and the identity included),
+    on points relabelled by a seeded shuffle."""
+    rng = random.Random(seed)
+    group = get_group(name)
+    gens = [group.element(rng.randrange(group.order()))]
+    while FiniteGroup(gens).order() < group.order():
+        gens.append(group.element(rng.randrange(group.order())))
+    sigma = list(range(group.degree))
+    rng.shuffle(sigma)
+    lines = [f"degree {group.degree}"]
+    for g in gens:
+        images = [0] * group.degree
+        for x, y in enumerate(g.images.tolist()):
+            images[sigma[x]] = sigma[y]
+        lines.append(Permutation(images).cycle_string())
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_group(label, directory):
+    """``name`` is the catalog group, ``name/regular`` the closed coset
+    table of its presentation, and ``name/seed-k`` a seeded .perm file
+    of it."""
+    name, _, kind = label.partition("/")
+    if kind == "regular":
+        return to_perm_group(tc_enumerate(get_presentation(name).letters()))
+    if kind.startswith("seed-"):
+        path = directory / f"{name}.perm"
+        path.write_text(_seeded_perm_text(name, int(kind[5:])))
+        return resolve_group(f"@{path}")[0]
+    return get_group(name)
+
+
+def _closure_digest(group):
+    """sha256 of the generators' right-multiplication columns, the
+    breadth-first parents and levels, the inverses and every element's
+    word."""
+    digest = hashlib.sha256()
+    inv = group.inverse_indices()
+    arrays = [group._right, group._parents,
+              *(a for level in group.levels() for a in level), inv]
+    for a in arrays:
+        digest.update(repr(a.shape).encode())
+        digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    digest.update(repr([group.word(i)
+                        for i in range(group.order())]).encode())
+    return digest.hexdigest()
+
+
+_PINNED_GROUPS = [*catalog(), *(f"{n}/regular" for n in catalog()),
+                  "D4/seed-2", "Q8/seed-2", "C2xC4/seed-2", "C9/seed-3",
+                  "C3xC3/seed-2", "Heis3/seed-4", "M27/seed-1"]
+
+# recorded while generic and regular groups still closed by two separate
+# routines, a scalar queue and a breadth-first sweep; one closure must
+# keep every array and word
+CLOSURE_DIGESTS = {
+    "C1":
+        "aafb0c4861696dc9115723a20dc3d501bff748fa16f76c384fea4fe97dfd9f47",
+    "C2":
+        "c2cf498c04504ed43b79e27c770e333910958b8ccd862fb654eb1896e018bba2",
+    "C3":
+        "641fc8a1dab3b56a17ca390699ae5348ddd79c83443e2aa8ad78bba30daf60ac",
+    "C4":
+        "a2b86e44f30f414f0b6735b9eac7151e6f6127504cea497eff8d5295f2486275",
+    "C2xC2":
+        "9c1f8ee691c2dad5225d768e2736a47c0d92ece7501262e9b9537f088b834750",
+    "C5":
+        "6942749f40c3f018af9b9d87585d005a805efcc3cbb57cc6f8f6b8cabea27341",
+    "C6":
+        "855eb1170dce3f624a6523b8150174a2ac2c12430ebb2087f96ed2e95ba0c699",
+    "S3":
+        "1956a24eca23ecb06601796e8a0a703ede369dc75e9a6a006be505924f6f64da",
+    "C8":
+        "23fb28fc076125c11afa9325226b741787f5b13cd003be61f880c06a93d75651",
+    "C2xC4":
+        "b18fc58ac87b2d4102553d208170e2fc3e3392434af1bbf9e59bbb1416c30f3d",
+    "D4":
+        "1a2fc343ba150f3c3f684cd8b56275fb887446ec7289b5ce01c919c01a333a24",
+    "Q8":
+        "3bdb65bea7c6f46199f33279c101dbcb36fef1f649a9546d1723ca205c856ad0",
+    "C9":
+        "7e8f3c6ab684b6763e66e7805028dbcd4254446250367bff72ca91106893a700",
+    "C3xC3":
+        "a6138441beea2c5d5d9f1289b58ff0edfdd2ae7ab8f51c68967f4649e6a3cff7",
+    "D5":
+        "f01d53dfd6b89ddaa90bab21e1997c384830d46236062e4a7cb684aa1179b943",
+    "A4":
+        "3cf45b8c0398955fdf723e4e719ed5fdac91912fb5da9e7d8d41e4ef62d4d256",
+    "S4":
+        "8c6483adeeea455a1461dce8776c0002e0ce4a7f9d6f932b54b079e8ba5eef2a",
+    "Heis3":
+        "2c2e305b683c09e5442d33c3ba1bc2fbc96e9786ef6b55e11d02040b8e215461",
+    "M27":
+        "8400706192f2169d57fc18bdcdadc87897eadd7ee56f192be3c0443fe809babd",
+    "C27":
+        "a17aa777fe08a8929e62fc53803bd69c28eef8429ebd131e796d9712800a5e7d",
+    "C1/regular":
+        "aafb0c4861696dc9115723a20dc3d501bff748fa16f76c384fea4fe97dfd9f47",
+    "C2/regular":
+        "c2cf498c04504ed43b79e27c770e333910958b8ccd862fb654eb1896e018bba2",
+    "C3/regular":
+        "641fc8a1dab3b56a17ca390699ae5348ddd79c83443e2aa8ad78bba30daf60ac",
+    "C4/regular":
+        "a2b86e44f30f414f0b6735b9eac7151e6f6127504cea497eff8d5295f2486275",
+    "C2xC2/regular":
+        "9c1f8ee691c2dad5225d768e2736a47c0d92ece7501262e9b9537f088b834750",
+    "C5/regular":
+        "6942749f40c3f018af9b9d87585d005a805efcc3cbb57cc6f8f6b8cabea27341",
+    "C6/regular":
+        "855eb1170dce3f624a6523b8150174a2ac2c12430ebb2087f96ed2e95ba0c699",
+    "S3/regular":
+        "39d24aa885a37fec016419ad0c7a3c907e381c074164e1ce4751f0ddd31a0f83",
+    "C8/regular":
+        "23fb28fc076125c11afa9325226b741787f5b13cd003be61f880c06a93d75651",
+    "C2xC4/regular":
+        "bd696b961c10b74047bc3b561954f4b6857045fddf3423c05c6c0b25f94fbf3f",
+    "D4/regular":
+        "58a7d4685de58fd9c4462e597dc8e4ef51481d11a1174ed0dd273a590b80d08f",
+    "Q8/regular":
+        "f7eb297951a2eb80a1e94f702138c450dd5a50171b46027193d90809bd032ba6",
+    "C9/regular":
+        "7e8f3c6ab684b6763e66e7805028dbcd4254446250367bff72ca91106893a700",
+    "C3xC3/regular":
+        "64041dafbf9ea331764c419fedaa31f8118f2d424eebc5f9abd27c3e48f94bfd",
+    "D5/regular":
+        "5dddab67993c4eb107f258b90f75401a392a61a16a4382fa75e28ca5d4a3d92b",
+    "A4/regular":
+        "134b6f1edbc8b2b6a7c6f392c1b029b64e60bb011d8ede2bfc5ca62ddbaf41c7",
+    "S4/regular":
+        "5f12f1d7498d0395e29f7af87e31f9abd7abee2e8f08ab86be6ef8d3f9eb0273",
+    "Heis3/regular":
+        "146985049804b02019a1a281601c701d7b526011769530ada9d4e956529fbc74",
+    "M27/regular":
+        "64472a67457646f1a9ecbf9486b4be59d5f598989bd2e4db6b7f635e1132f8d8",
+    "C27/regular":
+        "a17aa777fe08a8929e62fc53803bd69c28eef8429ebd131e796d9712800a5e7d",
+    "D4/seed-2":
+        "5e00d0f8068f30b3956214a55462882bcafed582bb79b138a36a44d0088dac8d",
+    "Q8/seed-2":
+        "335bd64ef112d1d5dbb28ebf594ccaf761b40b2574436c3d5f5366d0b10d8296",
+    "C2xC4/seed-2":
+        "c4197c3ace41f78ffda94b9b60916d697205693ab7489ecb04d84a2f74df5db1",
+    "C9/seed-3":
+        "1551df5317581ea8cf38d213a4e3a9ad702002846afa5ac9bc17cc2d3d90e43a",
+    "C3xC3/seed-2":
+        "1c0924a8c10cd46998261aa18902ca49135021c3e2ba9a1f39b6aaa743d613a9",
+    "Heis3/seed-4":
+        "a97c554ca5f5d31d0c06f7166d46fbaeaf425efd2c5d78b759ef4efec5e429d3",
+    "M27/seed-1":
+        "d13228b939668fd09dfd5f9017500467b1e30e50509d5c80f498edca86cb8335",
+}
+
+
+@pytest.mark.parametrize("label", _PINNED_GROUPS)
+def test_closure_is_pinned(tmp_path, label):
+    group = _pinned_group(label, tmp_path)
+    assert _closure_digest(group) == CLOSURE_DIGESTS[label]

@@ -52,7 +52,7 @@ class TestCatalog:
             pres = get_presentation(name)
             if pres is None:
                 continue
-            assert tc_enumerate(pres.letters(), ()).coset_count == \
+            assert tc_enumerate(pres.letters()).coset_count == \
                 entry.order, name
 
     def test_names_resolve(self):
@@ -358,6 +358,16 @@ class TestCli:
         assert self.run("verify", "C2", "--lemmas", "vi") == 2
         assert "unknown lemma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lemmas", ["v..i,closed", "v..i", "ii..vi"])
+    def test_verify_bad_lemma_range(self, monkeypatch, capsys, lemmas):
+        # a reversed range is an error, not a range of no lemma
+        def build_nu(*args, **kwargs):
+            raise AssertionError("build_nu called before the usage check")
+        monkeypatch.setattr(cli, "build_nu", build_nu)
+        assert self.run("verify", "C2", "--lemmas", lemmas) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad lemma range {lemmas.split(',')[0]!r}\n"
+
     @pytest.mark.parametrize("argv", [("D5", "--samples", "0"),
                                       ("D5", "--samples", "-3"),
                                       ("S3", "--lemmas", ",")])
@@ -510,8 +520,8 @@ class TestCli:
         # check shares its deadline, so it stops before its first block
         enumerate_ = tensq.symbol.tc_enumerate
 
-        def slow(pres, words, limits):
-            table = enumerate_(pres, words)
+        def slow(pres, limits):
+            table = enumerate_(pres)
             time.sleep(limits.time_limit + 0.05)
             return table
         monkeypatch.setattr(tensq.symbol, "tc_enumerate", slow)

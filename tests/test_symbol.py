@@ -42,7 +42,7 @@ def _census(group):
 def _table_census(presentation):
     """Element-order census of the regular group of the presentation's
     enumeration."""
-    return _census(to_perm_group(tc_enumerate(presentation, ())))
+    return _census(to_perm_group(tc_enumerate(presentation)))
 
 
 def _reduction(name):
@@ -82,7 +82,7 @@ def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
 def test_trivial_group_keeps_no_symbol_and_has_order_one():
     group, rows, reduction = _reduction("C1")
     assert len(reduction.kept()) == 0
-    table = to_perm_group(tc_enumerate(reduction.presentation(), ()))
+    table = to_perm_group(tc_enumerate(reduction.presentation()))
     assert table.order() == 1
     assert table.generator_indices() == (0,)
 
@@ -165,7 +165,7 @@ def test_wrong_merge_passes_the_relator_check_but_not_the_replay(
         monkeypatch):
     group, rows, reduction = _reduction("D4")
     merged = _merged(reduction)
-    table = tc_enumerate(merged.presentation(), ()).table
+    table = tc_enumerate(merged.presentation()).table
     # the merged table is a proper quotient of D4 (x) D4, so every
     # relator holds on it: only the replay sees the merge
     assert len(table) < 32
@@ -221,7 +221,7 @@ def test_relator_check_catches_a_wrong_column(monkeypatch):
 
 def _columns(name):
     group, rows, reduction = _reduction(name)
-    table = tc_enumerate(reduction.presentation(), ()).table
+    table = tc_enumerate(reduction.presentation()).table
     return rows, reduction, tietze.symbol_columns(table, reduction)
 
 

@@ -38,7 +38,7 @@ def test_symbol_presentation_matches_nu_realization(nu_of):
         group = get_group(name)
         pres = symbol_presentation(group)
         assert len(pres.relators) == 2 * group.order() ** 3
-        table = tc_enumerate(pres, ())
+        table = tc_enumerate(pres)
         symbol_group = to_perm_group(table)
         modes = ("all", "gens") if get_presentation(name) else ("all",)
         for mode in modes:
