@@ -24,7 +24,9 @@ every column.  It fills each live coset's row and scans every relator
 from it to closure, as a single pass would; the pre-check skips what
 the first pass already closed.  So the closed table is a complete coset
 table whatever ``spanning`` is, even one that does not generate, and
-the coset, time and memory limits bound both passes.
+the coset, time and memory limits bound both passes.  ``to_perm_group``
+builds the group on the ``spanning`` columns alone, so there they must
+generate.
 
 The second pass runs only when the first leaves it work.  If no live
 coset's row has an undefined entry, the table is compacted and closed,
@@ -127,6 +129,8 @@ class CosetTable:
         # per HLT pass, a flag per column: whether the pass may define a
         # new coset there (see the module docstring)
         self._fills = [(True,) * self.ncols]
+        # kept in order: ``to_perm_group`` builds the group on these
+        self.spanning = None if spanning is None else tuple(spanning)
         if spanning is not None:
             spanning = set(spanning)
             if not spanning <= set(range(self.ngens)):
@@ -489,12 +493,19 @@ def tc_enumerate(presentation, limits=None, spanning=None):
 
 
 def to_perm_group(table, *, name=None):
-    """The regular permutation group of the closed table: its order is
-    the coset count, and generator g acts as column 2g."""
+    """The regular permutation group of the closed table, generated by
+    its ``spanning`` generators in order, or by every generator if it
+    has none: generator g acts as column 2g.  The group is closed here,
+    so a ``spanning`` that does not generate raises ValueError (the
+    action is not transitive) instead of giving a group whose order is
+    the coset count and whose levels miss cosets."""
     if not table.is_closed():
         raise StateError("table is not closed")
-    return points_group(table.table[:, 0::2].T, table.coset_count,
-                        name=name)
+    gens = range(table.ngens) if table.spanning is None else table.spanning
+    group = points_group(table.table[:, [2 * g for g in gens]].T,
+                         table.coset_count, name=name)
+    group.order()               # the closure raises on a missed coset
+    return group
 
 
 def points_group(columns, points, *, name=None):

@@ -64,16 +64,6 @@ class CrossedModule:
         return self.group.order() ** 2 * self.tgroup.order()
 
 
-def _sweep(tgroup, kept, step):
-    """The map f on T's points with f(0) = 0 and f(p k) = step(f(p), k)
-    for each child p k of p along T's breadth-first levels, k the
-    generator's symbol."""
-    out = np.zeros(tgroup.order(), dtype=np.int32)
-    for src, gen, new in tgroup.levels():
-        out[new] = step(out[src], kept[gen])
-    return out
-
-
 def crossed_module(group, arrays, limits):
     """The certified crossed module of G (x) G (see the module
     docstring), from G's multiplication, inverse and conjugation
@@ -87,7 +77,7 @@ def crossed_module(group, arrays, limits):
 
     # comm[a n + b] = [a, b] = a^-1 b^-1 a b
     comm = mul[mul[inv[:, None], inv[None, :]], mul].ravel()
-    lam = _sweep(tgroup, kept, lambda v, k: mul[v, comm[k]])
+    lam = tgroup.sweep(0, lambda v, g: mul[v, comm[kept[g]]])
     invariant(np.array_equal(lam[symbols], mul[lam[:, None], comm]),
               "lambda is not a homomorphism: lambda(t (a (x) b)) != "
               "lambda(t) [a, b] on some edge of T")
@@ -97,7 +87,7 @@ def crossed_module(group, arrays, limits):
     for j, s in enumerate(gens):
         # sigma[a n + b] = a^s n + b^s
         sigma = (conj[:, s][:, None] * n + conj[:, s][None, :]).ravel()
-        phi[j] = _sweep(tgroup, kept, lambda v, k: symbols[v, sigma[k]])
+        phi[j] = tgroup.sweep(0, lambda v, g: symbols[v, sigma[kept[g]]])
         invariant(np.array_equal(phi[j][symbols],
                                  symbols[phi[j][:, None], sigma]),
                   f"phi of generator {j} is not an endomorphism: "

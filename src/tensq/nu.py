@@ -16,19 +16,21 @@ agree -- route independence compares them per group:
   generator x_g is a product of those, S, and their primed copies, S',
   and the table relators deduce its columns, so the enumeration first
   defines cosets only along S and S', then completes the table over
-  every generator (``tensq.coset``);
+  every generator (``tensq.coset``).  The group is built on the
+  columns of S and S' alone;
 * "gens": Todd-Coxeter over generator triples of a compact
   presentation;
 * "symbol": Todd-Coxeter over Brown and Loday's symbol presentation
   of G (x) G, Tietze-reduced, |G (x) G| cosets, and nu(G) assembled
   from it (``tensq.symbol``).
 
-Every route ends in the same tail, which proves that its regular
-ambient group A, generated by g and g' for g in a generating set S of
-G, is nu(G):
+Every route ends in the same tail.  On every route the regular ambient
+group A is generated by s for s in G's generating set S, in order, then
+by s' for the same s, and the tail proves that A is nu(G):
 
-* g |-> g and g |-> g' are injective homomorphisms of G into A, checked
-  on every product, so A satisfies both copies of G's relations;
+* g |-> g and g |-> g', each swept over G from the images of S (or S'),
+  are injective homomorphisms of G into A, checked on every product, so
+  A satisfies both copies of G's relations;
 * the certificate: for every s in S, conjugation by s and by s' sends
   [a, b'] to [a^s, (b^s)'] for all n^2 pairs (a, b), read off the n x n
   array of tensors with one gather per generator.  The argument in the
@@ -40,8 +42,8 @@ nu(G).  Its order is n^2 |G (x) G| = |nu(G)|: for the symbol route by
 construction, since T is certified to be G (x) G; for the Todd-Coxeter
 routes because their relators hold in nu(G), which makes nu(G) a
 quotient of A too.  So A is nu(G), for any presentation, proved or
-not.  The rho sweep, the order law and the centrality of mu are
-checked as well.
+not.  That rho is a homomorphism, the order law and the centrality
+of mu are checked as well.
 The checks of a built nu(G) are in ``tensq.verify``.
 
 Where nu(G) is assembled: ``tensq nu`` (route independence included),
@@ -236,7 +238,8 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     rejected; raise the cap explicitly for larger experiments.  The
     "all" route enumerates with G's generators and their primed copies
     as ``spanning`` (``tc_enumerate``), so it defines cosets along them
-    first; the other routes enumerate in a single pass.  Given G's
+    first, and its group is generated by their columns alone, as every
+    route's is; the other routes enumerate in a single pass.  Given G's
     crossed ``module`` (``tensor_module``), the symbol route assembles
     nu(G) from its symbol columns and enumerates nothing; the other
     routes ignore it.
@@ -251,23 +254,20 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         symbols = module.symbols if module is not None \
             else tensor_symbols(arrays, limits)[0]
         ambient = assemble_nu(group, arrays, symbols, name)
-        images = group.generator_indices()
     elif mode == "gens":
         if presentation is None:
             raise ValueError("mode 'gens' needs a presentation")
         _validate_presentation_for(group, presentation)
         table = tc_enumerate(nu_presentation(presentation, mode), limits)
         ambient = to_perm_group(table, name=name)
-        images = group.generator_indices()
     elif mode == "all":
         gens = group.generator_indices()
         table = tc_enumerate(nu_presentation(group, mode), limits,
                              spanning=[*gens, *(s + n for s in gens)])
         ambient = to_perm_group(table, name=name)
-        images = tuple(range(n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _certified_nu(group, arrays, ambient, mode, images)
+    return _certified_nu(group, arrays, ambient, mode)
 
 
 def tensor_module(group, *, limits=None):
@@ -280,19 +280,17 @@ def tensor_module(group, *, limits=None):
                           limits or EnumerationLimits())
 
 
-def _certified_nu(group, arrays, ambient, mode, images):
+def _certified_nu(group, arrays, ambient, mode):
     """The tail every route shares.  The ambient group is regular, and
-    its generators are g for g in ``images`` (a generating set of G),
-    then g' for the same g.  Sweep the quotient map rho, read off both
-    copies of G and every tensor [a, b'], prove the ambient group is
-    nu(G) (see the module docstring), then identify the tensor
-    subgroup and mu."""
+    its generators are s for s in G's generating set S, in order, then
+    s' for the same s.  Sweep the quotient map rho, read off both copies
+    of G and every tensor [a, b'], prove the ambient group is nu(G) (see
+    the module docstring), then identify the tensor subgroup and mu."""
     n = group.order()
     mul, inv, conj = arrays
     gsub = list(group.generator_indices())
-    images = list(images)
     gen_idx = ambient.generator_indices()
-    rho_gen = images * 2
+    rho_gen = gsub * 2
 
     # rho: fold the quotient map nu(G) ->> G over a breadth-first sweep,
     # then certify it is a homomorphism on every edge of the Cayley graph.
@@ -301,28 +299,17 @@ def _certified_nu(group, arrays, ambient, mode, images):
     N = ambient.order()
     R = ambient.right_columns(gen_idx)
     gright = mul[:, rho_gen]
-    rho = np.full(N, -1, dtype=np.int32)
-    rho[0] = 0
-    for src, gen, new in ambient.levels():
-        rho[new] = gright[rho[src], gen]
-    invariant(bool((rho >= 0).all()),
-              "the rho sweep missed elements of nu(G)")
+    rho = ambient.sweep(0, lambda v, g: gright[v, g])
     for t in range(len(gen_idx)):
         invariant(np.array_equal(rho[R[t]], gright[rho, t]),
                   "rho is not a homomorphism; "
                   "enumeration is inconsistent")
 
-    # both copies of G, along G's breadth-first levels: generator j of G
-    # is ambient generator first[j], and j' is k places later
-    k = len(images)
-    first = [images.index(s) for s in gsub]
-    by_left = R[first]
-    by_right = R[[k + f for f in first]]
-    left = np.zeros(n, dtype=np.int32)
-    right = np.zeros(n, dtype=np.int32)
-    for src, gen, new in group.levels():
-        left[new] = by_left[gen, left[src]]
-        right[new] = by_right[gen, right[src]]
+    # both copies of G, swept over G: generator j of G is ambient
+    # generator j, and j' is |S| places later
+    by_left, by_right = R[:len(gsub)], R[len(gsub):]
+    left = group.sweep(0, lambda v, g: by_left[g, v])
+    right = group.sweep(0, lambda v, g: by_right[g, v])
     invariant(len(set(left.tolist())) == n,
               "the left copy of G is not injective")
     invariant(len(set(right.tolist())) == n,
@@ -337,8 +324,8 @@ def _certified_nu(group, arrays, ambient, mode, images):
     invariant(np.array_equal(rho[left], np.arange(n))
               and np.array_equal(rho[right], np.arange(n)),
               "rho does not split the copies of G")
-    invariant(np.array_equal(gen_idx, np.concatenate([left[images],
-                                                      right[images]])),
+    invariant(np.array_equal(gen_idx, np.concatenate([left[gsub],
+                                                      right[gsub]])),
               "the generators of nu(G) are not the copies of G's")
 
     # tensors[a, b] = [left(a), right(b)] = left(a)^-1 right(b)^-1 left(a)

@@ -15,21 +15,24 @@ then assign), which keeps concurrent reads safe.
 Every group, regular or generic, is held in index space by the same
 three things, all from one closure: its generators' right-multiplication
 columns (a regular group's generator images, or a generic group's from
-a scalar queue that stores each element once), the breadth-first levels
-``(sources, generators, new)`` and parents that one sweep over them
-gives, and left multiplication by each generator's inverse, one sweep
-along the levels since left and right multiplication commute.  Each
-whole-group kernel is a sweep of that kind, one gather per level over
-O(N) columns: the inverses, (p * g)^-1 = g^-1 * p^-1; the conjugates
-x^-1 a x of a fixed a, g^-1 (p^-1 a p) g, read from each generator's
-conjugation map, which is built once per group; and from these the
-commutators with a over every x, which drive the Engel iterations and
-``commutator_sweep``.  A single product reads one cached column,
-element j's right multiplication, composed from generator columns
-along j's word.  For a regular group (degree equal to order, identity
-at point 0, as coset enumeration over the trivial subgroup produces)
-that column is element j's image array, since index(e_i * e_j) =
-e_j(i), so a regular group never stores its elements.
+a scalar queue that stores each element once), and the breadth-first
+levels ``(sources, generators, new)`` and parents that one sweep over
+them gives.  A map out of the group is fixed by its value at the
+identity and its step along each generator, so ``FiniteGroup.sweep``
+builds it one gather per level, as element p * g follows its parent p;
+every module maps out of a group that way.  The maps here: left
+multiplication by each generator's inverse, since left and right
+multiplication commute; the inverses, (p * g)^-1 = g^-1 * p^-1; the
+conjugates x^-1 a x of a fixed a, g^-1 (p^-1 a p) g, read from the
+generators' conjugation map, which is built once per group; and from
+these the commutators with a over every x, which drive the Engel
+iterations and ``commutator_sweep``.  A single product reads one
+cached column, element j's right multiplication, composed from
+generator columns along j's word.  For a regular group (degree equal to
+order, identity at point 0, as coset enumeration over the trivial
+subgroup produces) that column is element j's image array, since
+index(e_i * e_j) = e_j(i), so a regular group never stores its
+elements.
 
 A subgroup is a closed tuple of its parent's element indices,
 generated by a tuple of element indices, and every subgroup operation
@@ -42,11 +45,10 @@ Permutations appear only at the API edge: a group's ``generators``,
 ``element``, ``elements`` and ``index_of``, and ``as_index`` for a
 caller's argument.
 
-Subgroup closure and the rho sweep of ``build_nu`` gather a whole
-breadth-first level from right-multiplication columns at once and keep
-first occurrences, which visits elements in exactly the order of a
-scalar queue.  No kernel builds an N x N Cayley table; ``table()``
-builds one on request, up to ``TABLE_CAP``.
+A closure gathers a whole breadth-first level from right-multiplication
+columns at once and keeps first occurrences, which visits elements in
+exactly the order of a scalar queue.  No kernel builds an N x N Cayley
+table; ``table()`` builds one on request, up to ``TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -432,7 +434,7 @@ class FiniteGroup:
         self._right = None          # (k, n): index(element_i * generator_t)
         self._levels = None         # breadth-first (sources, gens, new)
         self._left_inv = None       # (k, n): index(generator_t^-1 * e_i)
-        self._conj = None           # conjugation map and its level steps
+        self._conj = None           # (k, n): the generators' conjugation map
         self._inv_idx = None
         self._table = None
         self._orders_idx = None
@@ -510,8 +512,6 @@ class FiniteGroup:
         self._parents = parents
 
     def order(self):
-        if self._regular:
-            return self._degree
         self._close()
         return len(self._parents)
 
@@ -601,14 +601,13 @@ class FiniteGroup:
         """Left multiplication by each generator's inverse, one row per
         generator: ``l[t, i] = index(generator_t^-1 * element_i)``."""
         if self._left_inv is None:
-            levels = self.levels()
+            self._close()
             right = self._right
-            left = np.empty_like(right)
             # generator t's inverse is the element it maps to 1, the
             # place of 0 in its row; then a * (p * g) = (a * p) * g
-            left[:, 0] = np.flatnonzero(right.ravel() == 0) % right.shape[1]
-            for src, gen, new in levels:
-                left[:, new] = right[gen, left[:, src]]
+            left = self.sweep(np.flatnonzero(right.ravel() == 0)
+                              % right.shape[1],
+                              lambda v, g: right[g[:, None], v]).T
             left.setflags(write=False)
             self._left_inv = left
         return self._left_inv
@@ -638,33 +637,35 @@ class FiniteGroup:
         idx = np.asarray(idx, dtype=np.intp)
         return np.take_along_axis(self._right, left[:, idx], axis=1)
 
-    def _conjugation_sweep(self):
-        """The generators' conjugation map, and the breadth-first levels
-        with each generator replaced by the offset of its row in the
-        flattened map, so that one level of a sweep is one flat gather.
-        Built once per group."""
-        if self._conj is None:
-            n = self.order()
-            conj = self.generator_conjugates(np.arange(n))
-            conj.setflags(write=False)
-            steps = tuple((src, (gen * n)[:, None], new)
-                          for src, gen, new in self.levels())
-            self._conj = (conj, steps)
-        return self._conj
+    def sweep(self, first, step):
+        """The int32 map f with f[0] = ``first`` (a value or a row) and
+        f[p * g] = ``step(f[p], g)``, g a generator's position: one call
+        per breadth-first level, on its sources' values and generators.
+        Each element lies on a level after its parent, so any map out of
+        the group that a value at the identity and a step per generator
+        fix (the inverses, a homomorphism's images) is one sweep."""
+        first = np.asarray(first, dtype=np.int32)
+        out = np.empty((self.order(), *first.shape), dtype=np.int32)
+        out[0] = first
+        for src, gen, new in self.levels():
+            out[new] = step(out[src], gen)
+        return out
 
     def conjugation_map(self):
         """``generator_conjugates`` of every element, built once:
         ``c[t, i] = index(generator_t^-1 * element_i * generator_t)``."""
-        return self._conjugation_sweep()[0]
+        if self._conj is None:
+            conj = self.generator_conjugates(np.arange(self.order()))
+            conj.setflags(write=False)
+            self._conj = conj
+        return self._conj
 
     def inverse_indices(self):
         """``inv[i] = index(element_i^-1)``, by one sweep along the
         levels: (p * g)^-1 = g^-1 * p^-1."""
         if self._inv_idx is None:
             left = self._left_inverses()
-            inv = np.zeros(self.order(), dtype=np.int32)
-            for src, gen, new in self.levels():
-                inv[new] = left[gen, inv[src]]
+            inv = self.sweep(0, lambda v, g: left[g, v])
             inv.setflags(write=False)
             self._inv_idx = inv
         return self._inv_idx
@@ -673,17 +674,14 @@ class FiniteGroup:
         """``c[t, x] = index([element_x, a])`` for a = element idx[t] and
         every x.  [x, a] is the conjugate x^-1 a^-1 x times a; for
         x = p * g that conjugate is g^-1 (p^-1 a^-1 p) g, so the
-        conjugates are one gather per breadth-first level, and the
-        product is one gather through a's column."""
+        conjugates are one sweep, one row per x, and the product is one
+        gather through a's column."""
         a = np.asarray(idx, dtype=np.intp)
         n = self.order()
-        by_gen, steps = self._conjugation_sweep()
-        by_gen = by_gen.ravel()
-        # one row per x, so each level gathers whole rows of its sources
-        conj = np.empty((n, a.size), dtype=np.int32)
-        conj[0] = self.inverse_indices()[a]
-        for src, offset, new in steps:
-            conj[new] = by_gen[conj[src] + offset]
+        # generator g's row of the conjugation map starts at g * n
+        flat = self.conjugation_map().ravel()
+        conj = self.sweep(self.inverse_indices()[a],
+                          lambda v, g: flat[v + (g * n)[:, None]])
         return np.take_along_axis(self.right_columns(a.tolist()), conj.T,
                                   axis=1)
 

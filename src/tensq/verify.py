@@ -105,12 +105,9 @@ def _actions(module):
     """``act[g, t] = phi_g(t)``, the index of t^g = t^(g') in T, for
     every g in G: one sweep along G's breadth-first levels from the
     ``phi`` rows, since t^(p s) = phi_s(t^p)."""
-    G, phi = module.group, module.phi
-    act = np.empty((G.order(), module.tgroup.order()), dtype=np.int32)
-    act[0] = np.arange(act.shape[1])
-    for src, gen, new in G.levels():
-        act[new] = phi[gen[:, None], act[src]]
-    return act
+    phi = module.phi
+    return module.group.sweep(np.arange(module.tgroup.order()),
+                              lambda v, g: phi[g[:, None], v])
 
 
 def verify_nu_relations(module, exhaustive_cap=8, samples=10_000, seed=0,

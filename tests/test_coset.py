@@ -287,6 +287,20 @@ class TestSpanningPass:
         assert table.is_closed() and table.verify()
         assert (table.passes, table.coset_count) == (2, 216)
 
+    @pytest.mark.parametrize("part", ["S", "none"])
+    def test_group_on_a_spanning_that_does_not_generate_raises(self, part):
+        # the table is nu(S3)'s, but S alone generates only the left copy
+        # of S3 in it, and no generator the trivial group: neither acts
+        # transitively on the 216 cosets, and no group of order 216 may
+        # come of them
+        group = get_group("S3")
+        spanning = list(group.generator_indices()) if part == "S" else []
+        table = tc_enumerate(nu_presentation(group, "all"), None,
+                             spanning)
+        assert table.spanning == tuple(spanning)
+        with pytest.raises(ValueError, match="not transitive"):
+            to_perm_group(table)
+
     def test_complete_first_pass_that_verify_rejects(self, monkeypatch):
         # along a alone the first pass leaves no entry undefined, yet its
         # four cosets are one: verify rejects the table, the second pass

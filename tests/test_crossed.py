@@ -11,7 +11,7 @@ import pytest
 
 import tensq.crossed as crossed
 import tensq.nu as nu_module
-from tensq import (EngelScanConfig, InvariantError, build_nu,
+from tensq import (EngelScanConfig, FiniteGroup, InvariantError, build_nu,
                    engel_power_scan, get_group, tensor_module,
                    tensor_report)
 from tensq.catalog import catalog
@@ -83,18 +83,25 @@ def test_maps_are_the_commutator_and_the_action(module_of):
 
 
 def _corrupting(monkeypatch, call):
-    """Make the ``call``-th sweep of each build (0 is lambda, j + 1 is
-    phi of G's generator j) wrong at its last point."""
-    sweep = crossed._sweep
-    swept = []
+    """Make the ``call``-th sweep over T of each build (0 is lambda,
+    j + 1 is phi of G's generator j) wrong at its last point."""
+    make, sweep = crossed.points_group, FiniteGroup.sweep
+    swept = {}                  # each build's T -> its sweeps so far
 
-    def corrupt(tgroup, kept, step):
-        out = sweep(tgroup, kept, step)
-        if sum(t is tgroup for t in swept) == call:
-            out[-1] ^= 1
-        swept.append(tgroup)
+    def recording(*args, **kwargs):
+        tgroup = make(*args, **kwargs)
+        swept[tgroup] = 0
+        return tgroup
+
+    def corrupt(group, first, step):
+        out = sweep(group, first, step)
+        if group in swept:
+            if swept[group] == call:
+                out[-1] ^= 1
+            swept[group] += 1
         return out
-    monkeypatch.setattr(crossed, "_sweep", corrupt)
+    monkeypatch.setattr(crossed, "points_group", recording)
+    monkeypatch.setattr(FiniteGroup, "sweep", corrupt)
 
 
 @pytest.mark.parametrize("call,match", [

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -16,7 +17,7 @@ from tensq import (FiniteGroup, InvariantError, LetterPresentation,
                    nu_presentation, route_independence, tensor_order,
                    tensor_report, tensor_square, verify_decomposition,
                    verify_nu_relations, verify_tensor_set_closed)
-from tensq.catalog import catalog
+from tensq.catalog import catalog, resolve_group
 from tensq.coset import (CosetTable, EnumerationLimits,
                          multiplication_table_presentation, tc_enumerate,
                          to_perm_group)
@@ -339,6 +340,96 @@ class TestSymbolRoute:
         c2 = FiniteGroup([Permutation([1, 0, 2])], regular=True)
         assert (s3.is_regular(), c3.is_regular(), c2.is_regular()) == \
             (False, True, False)
+
+
+# G's generating set with a trivial or a repeated generator: inputs
+# where a remap of the ambient's generators onto G's could go wrong
+DEGENERATE_PRES = {
+    "b-trivial": "gens: a b\nrels: b, a^2\n",
+    "b-repeats-a": "gens: a b\nrels: a^3, b a^-1\n",
+    "D4-and-c": "gens: a b c\nrels: a^4, b^2, (a b)^2, c a^-1\n",
+}
+
+
+def _layout_input(label, directory):
+    """A catalog group with its presentation, ``name/seed-k`` a seeded
+    .perm file of it (no presentation), or a ``DEGENERATE_PRES`` file."""
+    from test_perm import _seeded_perm_text
+    name, _, kind = label.partition("/")
+    if label in DEGENERATE_PRES:
+        path = directory / f"{label}.pres"
+        path.write_text(DEGENERATE_PRES[label])
+    elif kind:
+        path = directory / f"{name}.perm"
+        path.write_text(_seeded_perm_text(name, int(kind[5:])))
+    else:
+        return get_group(name), get_presentation(name)
+    return resolve_group(f"@{path}")[:2]
+
+
+class TestAmbientLayout:
+    """Every route hands the certification tail an ambient group
+    generated by G's generating set S, in order, then by S'."""
+
+    # a .perm file gives no presentation, so no gens route
+    @pytest.mark.parametrize("label, mode", [
+        *((label, mode) for label in (*NU_CAPABLE, *DEGENERATE_PRES)
+          for mode in ("all", "gens", "symbol")),
+        ("D4/seed-2", "all"), ("D4/seed-2", "symbol")])
+    def test_generated_by_s_then_s_primed(self, nu_of, tmp_path, label,
+                                          mode):
+        if label in NU_CAPABLE:
+            nu = nu_of(label, mode)
+        else:
+            nu = build_nu(*_layout_input(label, tmp_path), mode)
+        gsub = list(nu.group.generator_indices())
+        gens = nu.ambient.generator_indices()
+        assert len(gens) == 2 * len(gsub)
+        assert list(gens) == [*nu.left[gsub].tolist(),
+                              *nu.right[gsub].tolist()]
+
+
+def _all_routes_agree(group_order, nu_order, tensor_order, mu_order,
+                      invariants):
+    """The ``results`` of ``tensq nu @G.pres --json`` for an abelian
+    G (x) G on which the all, gens and symbol routes agree."""
+    def agree(label, value, **extra):
+        return {"label": label, "passed": True,
+                "details": {"all": value, "gens": value, "symbol": value,
+                            **extra}}
+    return {
+        "group_order": group_order, "nu_order": nu_order,
+        "tensor_order": tensor_order, "mu_order": mu_order,
+        "tensor_abelian": True, "tensor_class": 1,
+        "tensor_invariants": invariants, "mode": "all", "passed": True,
+        "route_independence": {
+            "name": "route-independence", "passed": True,
+            "counterexample": None,
+            "checks": [agree("nu orders agree", nu_order),
+                       agree("tensor orders agree", tensor_order,
+                             plain_equals_normal=True),
+                       agree("tensor abelian invariants agree", invariants),
+                       agree("tensor nilpotency classes agree", 1)]},
+    }
+
+
+# recorded while the all route's ambient was generated by every x_g and
+# x_g' and the certification tail remapped G's generators onto them
+@pytest.mark.parametrize("label, want", [
+    ("b-trivial", _all_routes_agree(2, 8, 2, 2, [2])),
+    ("b-repeats-a", _all_routes_agree(3, 27, 3, 3, [3])),
+    ("D4-and-c", _all_routes_agree(8, 2048, 32, 16, [2, 2, 2, 4])),
+])
+def test_degenerate_generating_sets_report_as_recorded(tmp_path, capsys,
+                                                       label, want):
+    path = tmp_path / f"{label}.pres"
+    path.write_text(DEGENERATE_PRES[label])
+    out = tmp_path / "nu.json"
+    assert cli_main(["nu", f"@{path}", "--no-cache", "--json",
+                     str(out)]) == 0
+    assert json.loads(out.read_text())["results"] == want
+    assert capsys.readouterr().out == \
+        f"nu @{path}: order {want['nu_order']} (route independence: ok)\n"
 
 
 class TestTensorSquareWrapper:

@@ -673,3 +673,41 @@ CLOSURE_DIGESTS = {
 def test_closure_is_pinned(tmp_path, label):
     group = _pinned_group(label, tmp_path)
     assert _closure_digest(group) == CLOSURE_DIGESTS[label]
+
+
+# -- one sweep along the levels -----------------------------------------------
+
+@pytest.mark.parametrize("label", [*catalog(), "Heis3/seed-4", "M27/seed-1"])
+def test_sweep_of_a_homomorphism_is_the_product_along_each_word(tmp_path,
+                                                                label):
+    group = _pinned_group(label, tmp_path)
+    d = group.degree
+    # H = G x C2 on d + 2 points, G's points shuffled and its generators
+    # listed in reverse after the C2's, so H numbers its elements its own
+    # way; embed(g) is g's image in H
+    sigma = list(range(d))
+    random.Random(7).shuffle(sigma)
+
+    def embed(g):
+        images = list(range(d + 2))
+        for x, y in enumerate(g.images.tolist()):
+            images[sigma[x]] = sigma[y]
+        return Permutation(images)
+
+    swap = Permutation([*range(d), d + 1, d])
+    H = FiniteGroup([swap, *(embed(g) for g in reversed(group.generators))])
+    images = [H.index_of(embed(g)) for g in group.generators]
+    by_gen = H.right_columns(images)
+    row = np.array([0, H.index_of(swap), H.order() - 1])
+    for first in (0, row):
+        # f(p * g) = f(p) * embed(g), for a value or a row of values
+        f = group.sweep(first, lambda v, g: by_gen[g, v.T].T)
+        assert f.shape == (group.order(), *np.shape(first))
+        for i in range(group.order()):
+            want = np.atleast_1d(first).tolist()
+            for j in group.word(i):
+                want = [H.mul_idx(h, images[j]) for h in want]
+            assert np.atleast_1d(f[i]).tolist() == want
+    # and the 0-d sweep is the embedding itself
+    f = group.sweep(0, lambda v, g: by_gen[g, v]).tolist()
+    assert [H.element(h) for h in f] == [embed(g) for g in group.elements()]
