@@ -9,6 +9,7 @@ identities it is supposed to satisfy.
 __version__ = "0.2.0"
 
 from .catalog import catalog, get_group, get_presentation, resolve_group
+from .closure import SeriesReport, Subgroup, power_subgroup
 from .coset import (CosetTable, EnumerationLimits, LetterPresentation,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
@@ -26,9 +27,9 @@ from .liering import (GradedElement, GradedLieRing, PGroupSeries,
 from .nu import (NuGroup, TensorReport, build_nu, nu_presentation,
                  route_independence, tensor_module, tensor_order,
                  tensor_report, tensor_square)
-from .perm import (FiniteGroup, Permutation, SeriesReport, Subgroup,
-                   commutator, format_perm_group, iterated_commutator,
-                   parse_cycles, parse_perm_group, power_subgroup)
+from .perm import FiniteGroup, format_perm_group, parse_perm_group
+from .permutation import (Permutation, commutator, iterated_commutator,
+                          parse_cycles)
 from .verify import (VerificationReport, derived_map_check,
                      verify_decomposition, verify_nu_relations,
                      verify_tensor_set_closed)

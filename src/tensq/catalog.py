@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass
 
 from .coset import tc_enumerate, to_perm_group
-from .perm import FiniteGroup, parse_cycles, parse_perm_group
+from .perm import FiniteGroup, parse_perm_group
+from .permutation import parse_cycles
 from .words import parse_presentation
 
 

@@ -61,7 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError, StateError
-from .perm import FiniteGroup, Permutation
+from .perm import FiniteGroup
+from .permutation import Permutation
 
 # Rows of a fresh table; the array doubles whenever it is full, unless
 # the doubled array would take more than _MAX_TABLE_BYTES.

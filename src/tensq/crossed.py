@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closure import Subgroup
 from .coset import points_group
 from .errors import invariant
-from .perm import FiniteGroup, Subgroup
+from .perm import FiniteGroup
 from .symbol import tensor_symbols
 
 

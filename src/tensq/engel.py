@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closure import commutator_sweep, sweep_rows
 from .errors import invariant
 from .linalg import _prime_factors
 from .verify import Check, VerificationReport
-from .perm import commutator_sweep, sweep_rows
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closure import commutator_sweep
 from .errors import invariant
-from .linalg import mat_pow_mod, rref_mod
+from .linalg import contract, mat_pow_mod, rref_mod
 from .verify import Check, VerificationReport
-from .perm import commutator_sweep
 
 
 def _check_p_group(group, p):
@@ -117,9 +117,11 @@ def jennings_recursion(group, p):
 
 
 def _digits(labels, p, dim):
-    """F_p coordinates of coset labels sum v_k p^k, on a new last axis."""
-    return np.asarray(labels, dtype=np.int64)[..., None] \
-        // p ** np.arange(dim, dtype=np.int64) % p
+    """F_p coordinates of coset labels sum v_k p^k, on a new last axis.
+    The powers p^k are Python integers: a numpy ``**`` would map a
+    kernel nothing else in a run calls."""
+    powers = np.array([p ** k for k in range(dim)], dtype=np.int64)
+    return np.asarray(labels, dtype=np.int64)[..., None] // powers % p
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ class GradedLieRing:
         arr = self.constants[(u.degree, v.degree)]
         uu = np.array(u.coords, dtype=np.int64)
         vv = np.array(v.coords, dtype=np.int64)
-        out = np.einsum("abk,a,b->k", arr, uu, vv) % self.p
+        out = contract(vv, contract(uu, arr)) % self.p
         return GradedElement(k, tuple(int(x) for x in out))
 
     # -- adjoint maps -------------------------------------------------------
@@ -279,10 +281,11 @@ class GradedLieRing:
                 k = j + d
                 if k > self.degrees or self.dim(j) == 0 or self.dim(k) == 0:
                     continue
-                block = np.tensordot(self.constants[(j, d)], vv,
-                                     axes=([1], [0]))  # (dim j, dim k)
+                # block[k, s] = sum_t v_t c[s, t, k]: (dim k, dim j)
+                block = contract(vv, self.constants[(j, d)]
+                                 .transpose(1, 2, 0))
                 oj, ok = self.offsets[j - 1], self.offsets[k - 1]
-                mat[ok:ok + self.dim(k), oj:oj + self.dim(j)] += block.T
+                mat[ok:ok + self.dim(k), oj:oj + self.dim(j)] += block
         return mat % self.p
 
 
@@ -299,7 +302,7 @@ def ad_nilpotency_index(elem, ring):
     for n in range(1, ring.total_dim + 2):
         if not m.any():
             return n
-        m = (m @ a) % ring.p
+        m = contract(m, a) % ring.p
     return None
 
 
@@ -313,8 +316,9 @@ def _bracket_span(ring, left, right, start=None):
     for (i, u), (j, v) in itertools.product(left.items(), right.items()):
         k = i + j
         if k <= ring.degrees and ring.dim(k):
-            # w[a, b] = [u_a, v_b]
-            w = np.einsum("as,bt,stk->abk", u, v, ring.constants[(i, j)])
+            # w[a, b] = [u_a, v_b] = sum_s u[a, s] sum_t v[b, t] c[s, t]
+            vc = contract(v, ring.constants[(i, j)].transpose(1, 0, 2))
+            w = contract(u, vc.transpose(1, 0, 2))
             stacks.setdefault(k, []).append(w.reshape(-1, ring.dim(k)))
     spans = {k: rref_mod(np.vstack(rows), ring.p)[0]
              for k, rows in sorted(stacks.items())}
@@ -373,19 +377,20 @@ def verify_lie_axioms(ring):
     const = ring.constants
     checks = []
 
-    ok = all(np.array_equal(arr % p, -const[(j, i)].transpose(1, 0, 2) % p)
-             for (i, j), arr in const.items())
+    ok = not any(((arr + const[(j, i)].transpose(1, 0, 2)) % p).any()
+                 for (i, j), arr in const.items())
     checks.append(Check("antisymmetry [u,v] = -[v,u]", ok, {}))
 
     ok = not any(const[(i, i)].diagonal().any()
                  for i in range(1, c // 2 + 1))
     checks.append(Check("alternation [u,u] = 0", ok, {}))
 
-    # [[u,v],w] + [[v,w],u] + [[w,u],v] for u, v, w of degrees a, b, d
+    # [[u,v],w] + [[v,w],u] + [[w,u],v] for u, v, w of degrees a, b, d;
+    # the second and third terms come out indexed (v, w, u) and (w, u, v)
     ok = not any(
-        ((np.einsum("uvm,mwk->uvwk", const[(a, b)], const[(a + b, d)])
-          + np.einsum("vwm,muk->uvwk", const[(b, d)], const[(b + d, a)])
-          + np.einsum("wum,mvk->uvwk", const[(d, a)], const[(d + a, b)]))
+        ((contract(const[(a, b)], const[(a + b, d)])
+          + contract(const[(b, d)], const[(b + d, a)]).transpose(2, 0, 1, 3)
+          + contract(const[(d, a)], const[(d + a, b)]).transpose(1, 2, 0, 3))
          % p).any()
         for a in range(1, c + 1) for b in range(1, c + 1 - a)
         for d in range(1, c + 1 - a - b))

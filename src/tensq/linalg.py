@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import invariant
-from .perm import bfs_levels
+from .closure import bfs_levels
 
 
 def _prime_factors(n):
@@ -130,6 +130,18 @@ def rref_mod(matrix, p):
     return m[:r], pivots
 
 
+def contract(a, b):
+    """Sum over the last axis of ``a`` and the first of ``b``:
+    ``c[..., j] = sum_m a[..., m] * b[m, j]`` for any trailing axes j of
+    ``b``, as ``np.tensordot(a, b, 1)`` gives.  It is one broadcast
+    product and one sum over the shared axis, kernels the group closure
+    already maps, so the Lie ring's contractions fault in no numpy code
+    of their own (``einsum``, ``tensordot`` and ``matmul`` map 64 kB
+    blocks each).  Shapes are explicit, so a zero-length axis is fine."""
+    spread = a.reshape(a.shape + (1,) * (b.ndim - 1))
+    return (spread * b).sum(axis=a.ndim - 1)
+
+
 def mat_pow_mod(m, k, p):
     """k-th power of a square matrix mod p (k >= 0)."""
     n = m.shape[0]
@@ -137,7 +149,7 @@ def mat_pow_mod(m, k, p):
     base = np.array(m, dtype=np.int64) % p
     while k:
         if k & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
+            result = contract(result, base) % p
+        base = contract(base, base) % p
         k >>= 1
     return result

@@ -66,12 +66,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closure import Subgroup
 from .coset import (EnumerationLimits, LetterPresentation, inverse_row,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
 from .errors import invariant
 from .linalg import abelian_invariants
-from .perm import FiniteGroup, Subgroup
+from .perm import FiniteGroup
 from .symbol import (assemble_nu, group_arrays, symbol_route_arrays,
                      tensor_symbols)
 # the checks of nu(G) live in .verify; tensq.nu names them too

@@ -23,7 +23,7 @@ image.  Two certificates make T = G (x) G:
   the eliminations are equations of G (x) G and the relators
   enumerated hold in it: G (x) G is a quotient of T, |T| >= |G (x) G|;
 * the relator check (``check_relators``) evaluates all 2n^3 original
-  relators on the symbols' columns of T, one ``perm.SWEEP_ENTRIES``
+  relators on the symbols' columns of T, one ``closure.SWEEP_ENTRIES``
   block at a time.  So g (x) h |-> its column is a homomorphism onto T:
   T is a quotient of G (x) G.
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closure import sweep_rows
 from .coset import LetterPresentation
 from .errors import EnumerationLimitError, invariant
-from .perm import sweep_rows
 
 
 def _letters(rows):
@@ -241,7 +241,7 @@ def symbol_columns(table, reduction):
 def check_relators(rows, columns, deadline=None):
     """Whether every relator a^-1 b c of ``rows`` holds on the symbol
     ``columns`` (point by symbol): p b c = p a at every point p, checked
-    for ``perm.sweep_rows(points)`` relators at a time.  Raises
+    for ``closure.sweep_rows(points)`` relators at a time.  Raises
     EnumerationLimitError if a block would start after the
     ``time.monotonic()`` ``deadline``."""
     # a view: ``symbol_columns`` returns its columns column-major

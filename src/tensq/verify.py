@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import perm
+from . import closure, perm
 
 
 # -- verification reports -----------------------------------------------------
@@ -390,7 +390,7 @@ def derived_map_check(nu):
     # each fiber of rho' is one mu-coset: |mu| members t, each t r^-1 in
     # mu for r the first member; these |mu| products are all of mu
     first = np.full(n, t_idx.size)
-    perm.least_positions(first, images, np.arange(t_idx.size))
+    closure.least_positions(first, images, np.arange(t_idx.size))
     reps = t_idx[first[images]]
     ok = bool((sizes[sizes > 0] == nu.mu.order()).all()) and \
         bool(in_mu[_products(amb, t_idx, amb.inverse_indices()[reps])].all())

@@ -39,6 +39,7 @@ from tensq import (FiniteGroup, InvariantError, Permutation, build_nu,
                    get_presentation, left_engel_set, lie_ring,
                    tc_enumerate, tensor_module, tensor_report,
                    to_perm_group, verify_nu_relations)
+from tensq import closure as closure_module
 from tensq import nu as nu_module
 from tensq import perm as perm_module
 from tensq import verify as verify_module
@@ -47,7 +48,7 @@ from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
 from tensq.nu import (RELATION_FAMILIES, derived_map_check,
                       verify_decomposition, verify_tensor_set_closed)
-from tensq.perm import Subgroup, power_subgroup
+from tensq.closure import Subgroup, power_subgroup
 
 from engel_oracle import nu_engel_power_scan
 from nu_relations import nu_relations
@@ -196,22 +197,42 @@ def scalar_normal_closure(group, seeds):
 
 @given(closure_cases)
 @example(("S4", [5, 11], 40))     # the normal closure's seed order matters
+@example(("Heis3", [1, 2, 3], 4))  # one row a chunk: levels are cut
 @settings(max_examples=60, deadline=None)
 def test_subgroup_indices_match_scalar_closure(case):
     name, picks, chunk = case
     g = get_group(name)
-    idx = [k % g.order() for k in picks]
+    n = g.order()                       # g's own closure is not counted
+    idx = [k % n for k in picks]
     gens = [g.element(i) for i in idx]
-    saved = perm_module.SWEEP_ENTRIES
-    perm_module.SWEEP_ENTRIES = chunk       # cut levels into chunks
-    try:
-        sub = g.subgroup(idx)
-        normal = g.normal_closure(idx)
-    finally:
-        perm_module.SWEEP_ENTRIES = saved
+
+    def closures(sizes):
+        """The subgroup and the normal closure, with the size of each
+        chunk that a breadth-first level is gathered in."""
+        first_new = closure_module._first_new
+
+        def counted(values, marks):
+            sizes.append(values.size)
+            return first_new(values, marks)
+
+        with mock.patch.object(closure_module, "_first_new", counted):
+            return g.subgroup(idx), g.normal_closure(idx)
+
+    whole = []
+    closures(whole)                     # one call per level, uncut
+    chunks = []
+    with mock.patch.object(closure_module, "SWEEP_ENTRIES", chunk):
+        sub, normal = closures(chunks)
     assert sub.indices() == scalar_closure(g, gens)
     assert sub.generators == tuple(idx)
     assert normal.indices() == scalar_normal_closure(g, gens)
+    # every candidate is gathered once, in chunks of max(1, chunk // k)
+    # rows of k, so a level larger than that is cut into more calls
+    k = max(len(idx), len(normal.generators), 1)
+    assert sum(chunks) == sum(whole)
+    assert max(chunks, default=0) <= max(chunk, k)
+    if max(whole, default=0) > max(chunk, k):
+        assert len(chunks) > len(whole)
 
 
 # -- the stacked Engel word ---------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensq.linalg import invariant_factors_from_cyclic, mat_pow_mod, rref_mod
+from tensq.linalg import (contract, invariant_factors_from_cyclic,
+                          mat_pow_mod, rref_mod)
 
 
 class TestCyclicInvariants:
@@ -32,3 +34,34 @@ class TestModP:
         m = np.array([[0, 1], [0, 0]])
         assert not mat_pow_mod(m, 2, 2).any()
         assert np.array_equal(mat_pow_mod(m, 0, 2), np.eye(2, dtype=int))
+
+
+# (shape of a, shape of b): the Lie ring's contractions, and zero-length
+# shared, leading and trailing axes
+CONTRACTIONS = [((4,), (4, 3, 2)), ((3, 4), (4, 5)), ((2, 3, 4), (4, 3, 5)),
+                ((5,), (5,)), ((0,), (0, 2, 3)), ((2, 0), (0, 3)),
+                ((0, 3), (3, 2)), ((2, 3), (3, 0)), ((2, 3, 0), (0, 4, 1))]
+
+
+@pytest.mark.parametrize("shapes", CONTRACTIONS)
+def test_contract_matches_einsum(shapes):
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    a = rng.integers(-50, 50, size=shapes[0], dtype=np.int64)
+    b = rng.integers(-50, 50, size=shapes[1], dtype=np.int64)
+    got = contract(a, b)
+    lhs = "abc"[:a.ndim - 1] + "m"
+    rhs = "m" + "xyz"[:b.ndim - 1]
+    want = np.einsum(f"{lhs},{rhs}->{lhs[:-1] + rhs[1:]}", a, b)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_mat_pow_mod_matches_matmul(n, p):
+    rng = np.random.default_rng(10 * n + p)
+    m = rng.integers(-20, 20, size=(n, n), dtype=np.int64)
+    want = np.eye(n, dtype=np.int64)
+    for k in range(10):
+        assert np.array_equal(mat_pow_mod(m, k, p), want)
+        want = np.matmul(want, m) % p

@@ -15,7 +15,7 @@ from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
                    power_subgroup, resolve_group, tc_enumerate,
                    to_perm_group)
 from tensq.catalog import catalog
-from tensq.perm import least_positions
+from tensq.closure import least_positions
 
 
 def perm(text, degree):

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import tensq.perm as perm
+import tensq.closure as closure
 import tensq.symbol as symbol
 import tensq.tietze as tietze
 from tensq import (InvariantError, build_nu, get_group, tc_enumerate,
@@ -229,8 +229,8 @@ def test_relator_check_across_block_boundaries(monkeypatch):
     rows, reduction, columns = _columns("D4")
     assert columns.shape == (32, 64) and len(rows) == 1024
     # 7 relators a block: 146 full blocks and a last one of 2
-    monkeypatch.setattr(perm, "SWEEP_ENTRIES", 7 * 32)
-    assert perm.sweep_rows(32) == 7
+    monkeypatch.setattr(closure, "SWEEP_ENTRIES", 7 * 32)
+    assert closure.sweep_rows(32) == 7
     assert tietze.check_relators(rows, columns)
     # u^-1 v (e (x) e), with u != v, placed at each end of the relators
     kept = reduction.kept()
@@ -253,7 +253,7 @@ def test_relator_check_holds_one_sweep_block_at_a_time(name):
     finally:
         tracemalloc.stop()
     # a few arrays of one block's entries, of at most 8 bytes each
-    assert peak < 8 * perm.SWEEP_ENTRIES * 8
+    assert peak < 8 * closure.SWEEP_ENTRIES * 8
 
 
 @pytest.mark.parametrize("name", ["D4", "A4"])
