@@ -13,10 +13,12 @@ SHA-256 comes from CPython's built-in module (``_sha2`` on 3.12+,
 ``_sha256`` before), as ``random.py`` takes SHA-512: ``hashlib`` loads
 OpenSSL's libcrypto, about 3.5 MB of resident memory, for the same
 digest.  Only a build without the built-in hashes falls back to
-``hashlib``.  The module is looked up once, at the first digest, not
-with this module: ``tensq.cli`` imports this module for every command,
-including those that never read the cache (``--no-cache`` runs,
-``verify``, ``engel``, ``identity-f``, ``catalog``).
+``hashlib``.  The module is looked up once, at the first digest.
+
+The package defers this module: ``import tensq`` registers it, and it
+runs when a command that reads the cache starts, so a command that
+never reads it (``--no-cache`` runs, ``verify``, ``engel``,
+``identity-f``, ``catalog``) never compiles it.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import words
 from .coset import tc_enumerate, to_perm_group
 from .perm import FiniteGroup, parse_perm_group
 from .permutation import parse_cycles
-from .words import parse_presentation
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def get_presentation(name):
             raise KeyError(f"unknown catalog group {name!r}")
         if entry.presentation_text is None:
             return None
-        p = parse_presentation(entry.presentation_text)
+        p = words.parse_presentation(entry.presentation_text)
         _presentations[name] = p
     return p
 
@@ -137,7 +137,7 @@ def resolve_group(designator, limits=None):
             return group, None, {"kind": "perm-file", "path": path,
                                  "text": text}
         if path.endswith(".pres"):
-            pres = parse_presentation(text)
+            pres = words.parse_presentation(text)
             table = tc_enumerate(pres.letters(), limits)
             group = to_perm_group(table, name=stem)
             return group, pres, {"kind": "pres-file", "path": path,

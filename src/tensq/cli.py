@@ -22,15 +22,11 @@ import json
 import sys
 import time
 
-from . import __version__
-from .cache import cache_key, cache_load, cache_store, source_digest
+from . import __version__, _run_deferred, cache, liering
 from .catalog import catalog, resolve_group
 from .coset import EnumerationLimits
 from .engel import EngelScanConfig, engel_power_scan, engel_stack_identity
 from .errors import CapacityError, EnumerationLimitError, InvariantError
-from .liering import (dimension_subgroups, jennings_recursion, lie_ring,
-                      lie_nilpotency_class, subalgebra_Lp, verify_lazard,
-                      verify_lie_axioms)
 from .nu import (DEFAULT_GROUP_CAP, build_nu, check_group_cap,
                  route_independence, tensor_module, tensor_report,
                  tensor_square)
@@ -174,19 +170,19 @@ def engel_summary(args, r):
 
 
 def compute_lie(args, group, pres):
-    series = dimension_subgroups(group, args.p)
-    oracle = jennings_recursion(group, args.p)
-    ring = lie_ring(series)
-    axioms = verify_lie_axioms(ring)
+    series = liering.dimension_subgroups(group, args.p)
+    oracle = liering.jennings_recursion(group, args.p)
+    ring = liering.lie_ring(series)
+    axioms = liering.verify_lie_axioms(ring)
     qs = [args.p, args.p ** 2] if args.lazard is None else [args.lazard]
-    lazard = [verify_lazard(ring, q) for q in qs]
-    sub = subalgebra_Lp(ring)
+    lazard = [liering.verify_lazard(ring, q) for q in qs]
+    sub = liering.subalgebra_Lp(ring)
     results = {
         "p": args.p,
         "series_orders": [t.order() for t in series.terms],
         "series_matches_recursion": series.termwise_equal(oracle),
         "graded_dimensions": list(ring.dims),
-        "nilpotency_class": lie_nilpotency_class(ring),
+        "nilpotency_class": liering.lie_nilpotency_class(ring),
         "Lp_dimensions": {str(d): sub.dimension(d)
                           for d in range(1, ring.degrees + 1)},
         "axioms": axioms.to_dict(),
@@ -232,6 +228,12 @@ def catalog_summary(args, r):
 
 def run(args):
     """Run one parsed subcommand end to end; returns the exit status."""
+    # the deferred modules the command reads run before anything of the
+    # job is built: run among its objects, their code would hold pages
+    # that the job frees
+    deferred = args.deferred if args.no_cache else (*args.deferred, cache)
+    for module in deferred:
+        _run_deferred(module)
     if args.group is None:
         group = pres = None
         desc = {"action": args.action}
@@ -242,9 +244,9 @@ def run(args):
         payload = _group_payload(desc, {
             "command": args.command,
             **{name: getattr(args, name) for name in args.cache_on}})
-        key = cache_key(payload, source_digest())
+        key = cache.cache_key(payload, cache.source_digest())
     start = time.monotonic()
-    hit = cache_load(key) if key is not None else None
+    hit = cache.cache_load(key) if key is not None else None
     if hit is None:
         results, passed = args.compute(args, group, pres)
     else:
@@ -262,7 +264,7 @@ def run(args):
     for line in lines:
         print(line)
     if key is not None and hit is None:
-        cache_store(key, report.to_json())
+        cache.cache_store(key, report.to_json())
     if args.json:
         write_report(report, args.json)
     return 0 if passed else 1
@@ -277,8 +279,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     # every report records a seed, which only verify's --seed sets; only
     # the commands that take --no-cache read the result cache, keyed on
-    # the group, the command and the options named in cache_on
-    parser.set_defaults(seed=None, no_cache=True, cache_on=())
+    # the group, the command and the options named in cache_on;
+    # deferred names the deferred tensq modules its compute reads
+    parser.set_defaults(seed=None, no_cache=True, cache_on=(), deferred=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -329,7 +332,7 @@ def build_parser():
                    help="check the adjoint-power identity at this q "
                         "(default: p and p^2)")
     p.set_defaults(compute=compute_lie, summary=lie_summary,
-                   cache_on=("p", "lazard"))
+                   cache_on=("p", "lazard"), deferred=(liering,))
 
     p = sub.add_parser("identity-f", parents=[common], help="evaluate the "
                        "stacked Engel word over all triples")

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -736,6 +737,81 @@ def test_no_command_loads_hashlib(tmp_path, argv):
         *lines, flags = out.splitlines()
         assert flags == f"False {reads_cache}", (argv, hit)
         assert lines[-1].endswith(" (cached)") == hit, argv
+
+
+def test_package_exports_only_its_api():
+    assert len(set(tensq.__all__)) == len(tensq.__all__) == 64
+    for name in tensq.__all__:
+        value = getattr(tensq, name)
+        assert not isinstance(value, types.ModuleType), name
+    namespace = {}
+    exec("from tensq import *", namespace)
+    assert not [v for v in namespace.values()
+                if isinstance(v, types.ModuleType)]
+
+
+# each module the package defers, with a name that only its run binds
+_DEFERRED = {"liering": "lie_ring", "cache": "cache_load",
+             "words": "parse_presentation"}
+
+
+@pytest.mark.parametrize("argv, rc, ran", [
+    ("", None, []),
+    ("nu @C4.perm --mode all --no-cache", 0, []),
+    # C4's catalog presentation is parsed, so words runs too
+    ("lie C4 -p 2", 0, ["cache", "liering", "words"]),
+    ("tensor C2", 0, ["cache", "words"]),
+    # lie runs liering and cache before it reads the group
+    ("lie @missing.perm -p 2", 2, ["cache", "liering"]),
+])
+def test_command_runs_only_the_deferred_modules_it_reads(tmp_path, argv,
+                                                         rc, ran):
+    # a new interpreter per case, since this one has run all three
+    (tmp_path / "C4.perm").write_text("degree 4\n(0 1 2 3)\n")
+    code = ("import json, os, sys\n"
+            "import tensq\n"
+            "if len(sys.argv) > 3:\n"
+            "    from tensq.cli import main\n"
+            "    os.chdir(sys.argv[2])\n"
+            "    assert main(sys.argv[4:]) == int(sys.argv[3])\n"
+            "deferred = json.loads(sys.argv[1])\n"
+            "print(json.dumps(sorted(\n"
+            "    m for m, name in deferred.items()\n"
+            "    if name in vars(sys.modules['tensq.' + m]))))\n")
+    args = [json.dumps(_DEFERRED)]
+    if argv:
+        args += [str(tmp_path), str(rc), *argv.split()]
+    out = _fresh_interpreter(code, tmp_path, *args)
+    assert json.loads(out.splitlines()[-1]) == ran
+
+
+def test_deferred_module_runs_once_for_racing_readers(tmp_path):
+    # eight threads look up a name of the unrun liering at once: each
+    # waits for the one run, and none sees its half-built namespace
+    code = ("import sys, threading\n"
+            "import tensq\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(8, timeout=60)\n"
+            "got, errors = [], []\n"
+            "def read():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        got.append(tensq.liering.lie_ring)\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "print(errors)\n"
+            "print(sum(t.is_alive() for t in threads), len(got),\n"
+            "      len({id(f) for f in got}),\n"
+            "      got[0] is sys.modules['tensq.liering'].lie_ring)\n")
+    errors, counts = _fresh_interpreter(code, tmp_path).splitlines()
+    assert errors == "[]"
+    # no thread left running; eight reads of one function
+    assert counts == "0 8 1 True"
 
 
 def test_digest_falls_back_to_hashlib(tmp_path):
