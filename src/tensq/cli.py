@@ -7,7 +7,8 @@ subcommand supplies a compute function returning ``(results, passed)``
 and a summary function that derives the printed lines from ``results``
 alone, so a cache hit prints the same lines.  The parser is built once
 per process, on the first ``main`` call; each subcommand takes only the
-options it reads (``--seed`` belongs to ``verify``, which alone samples).
+options it reads (``--seed`` belongs to ``verify``, which records it in
+the report; no check reads it).
 
 Exit status: 0 when every requested check passes, 1 when a
 counterexample or failed check is found or an internal invariant
@@ -119,8 +120,6 @@ def compute_verify(args, group, pres):
     lemmas = _parse_lemmas(args.lemmas)
     if not lemmas:
         raise ValueError("--lemmas names no lemma")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     families = tuple(x for x in lemmas if x in _ROMAN)
     on_nu = any(x in _ON_NU for x in lemmas)
     if on_nu:
@@ -132,9 +131,7 @@ def compute_verify(args, group, pres):
         # the families read G (x) G alone; the symbol route assembles
         # nu(G) from the same module's columns
         module = tensor_module(group, limits=_limits(args))
-        reports.append(verify_nu_relations(
-            module, exhaustive_cap=args.exhaustive_cap,
-            samples=args.samples, seed=args.seed, families=families))
+        reports.append(verify_nu_relations(module, families=families))
     if on_nu:
         nu = build_nu(group, pres, "auto", limits=_limits(args),
                       max_group_order=args.max_group, module=module)
@@ -312,10 +309,8 @@ def build_parser():
     p = sub.add_parser("verify", parents=[capped],
                        help="verify tensor-commutator identities")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled checks")
+                   help="recorded in the report; no check reads it")
     p.add_argument("--lemmas", default="i..v,closed,decomp,rho")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--exhaustive-cap", type=int, default=8)
     p.set_defaults(compute=compute_verify, summary=verify_summary)
 
     p = sub.add_parser("engel", parents=[common], help="scan tensor powers "

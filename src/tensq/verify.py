@@ -9,15 +9,14 @@ a ``tensq.nu.NuGroup``: its ambient group, the copies ``left`` and
 the subgroups ``tensor`` and ``mu``.  Each check evaluates over whole
 index arrays: a product of elements is one gather through the
 right-multiplication columns of the right factors' distinct values,
-and a relation family runs over all its tuples, or all its seeded
-samples, at once.  The scalar loops these replaced, and the relation
-families evaluated in nu(G), are kept in the tests as oracles.  All
-checks are read-only over immutable inputs and may run concurrently.
+and a relation family runs over every one of its tuples, in blocks.
+The scalar loops these replaced, and the relation families evaluated in
+nu(G), are kept in the tests as oracles.  All checks are read-only over
+immutable inputs and may run concurrently.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +109,22 @@ def _actions(module):
                               lambda v, g: phi[g[:, None], v])
 
 
-def verify_nu_relations(module, exhaustive_cap=8, samples=10_000, seed=0,
-                        families=RELATION_FAMILIES):
+def _first_failure(holds, firsts, seconds):
+    """The first pair (a, b) of ``firsts`` x ``seconds``, row by row,
+    with ``holds(a, b)`` False, or None: the rows are evaluated
+    ``closure.sweep_rows(seconds.size)`` at a time, up to the first
+    block that fails."""
+    step = closure.sweep_rows(seconds.size)
+    for lo in range(0, firsts.size, step):
+        a = np.repeat(firsts[lo:lo + step], seconds.size)
+        b = np.tile(seconds, a.size // seconds.size)
+        fails = np.flatnonzero(~holds(a, b))
+        if fails.size:
+            return int(a[fails[0]]), int(b[fails[0]])
+    return None
+
+
+def verify_nu_relations(module, families=RELATION_FAMILIES):
     """Check the basic tensor-commutator identities of nu(G) on the
     crossed module (T, phi, lambda) of ``tensq.nu.tensor_module``.
 
@@ -121,17 +134,41 @@ def verify_nu_relations(module, exhaustive_cap=8, samples=10_000, seed=0,
     [[g,h]', x] = (x (x) [g,h])^-1 and [[g,h], x'] = [g,h] (x) x.  They
     are evaluated on T's |G (x) G| points, not nu(G)'s n^2 |G (x) G|.
 
-    Exhaustive over all tuples when |G| <= exhaustive_cap, else over
-    ``samples`` seeded uniform tuples.  Family (iii) restricts one slot
-    to the derived subgroup, as the identity requires.  ``checked``
-    counts the tuples up to and including the first failure; a sampled
-    family draws none past it.
+    Every tuple is checked, in lexicographic order; family (iii)
+    restricts one slot to the derived subgroup, as the identity
+    requires, and takes the pairs with the second slot in G' first.
+    ``checked`` counts the tuples up to and including the first failure,
+    or all of them when the family holds.  A pair (g, h) is read at its
+    position q = g n + h.  Families (i) and (v) read it only through its
+    key (T[g, h], [g, h]), so they run over the pairs of keys, each key
+    at its first position: the first failing pair of keys is the first
+    failing pair of pairs.
     """
+    G = module.group
+    n = G.order()
     amb = module.tgroup
-    T = module.tensors
     inv = amb.inverse_indices()
-    gcomm = _group_commutators(module.group)
+    T = module.tensors
+    t_at = T.ravel()
+    c_at = _group_commutators(G).ravel()
     act = _actions(module)
+    derived = np.asarray(G.derived_subgroup().indices(), dtype=np.intp)
+    every = np.arange(n)
+    pairs = np.concatenate(
+        [[np.repeat(every, derived.size), np.tile(derived, n)],
+         [np.repeat(derived, n), np.tile(every, derived.size)]], axis=1)
+
+    # the first position of each value of T, then every position whose
+    # [g, h] is not its first position's: on a certified module, where
+    # lambda(g (x) h) = [g, h], there are none
+    squares = np.arange(n * n)
+    least = np.full(amb.order(), n * n)
+    closure.least_positions(least, t_at, squares)
+    rep = least[t_at]
+    marked = np.zeros(n * n, dtype=bool)
+    marked[rep] = True
+    marked[c_at != c_at[rep]] = True
+    keys = np.flatnonzero(marked)
 
     def mul(a, b):
         return _products(amb, a, b)
@@ -140,94 +177,53 @@ def verify_nu_relations(module, exhaustive_cap=8, samples=10_000, seed=0,
         # [t, x'] = [t, x] = t^-1 phi_x(t)
         return mul(inv[t], act[x, t])
 
-    def fam_i(g, h, x, y):
-        t, s = T[g, h], T[x, y]
-        return mul(mul(inv[s], t), s) == act[gcomm[x, y], t]
+    def fam_i(p, q):
+        t, s = t_at[p], t_at[q]
+        return mul(mul(inv[s], t), s) == act[c_at[q], t]
 
-    def fam_ii(g, h, x):
+    def fam_ii(g, q):
         # nu(G)'s six values, of which [t, x'] and [t, x] are one value
         # in T, and so are [[g', h], x'] and [[g', h], x]
-        c = gcomm[g, h]
+        h, x = q // n, q % n
+        c = c_at[g * n + h]
         first, *rest = (by(T[g, h], x), T[c, x], by(inv[T[h, g]], x),
                         inv[T[x, c]])
         return np.logical_and.reduce([first == v for v in rest])
 
-    def fam_iii(g, h):
+    def fam_iii(_, j):
+        g, h = pairs[:, j]
         return mul(T[g, h], T[h, g]) == 0
 
-    def fam_iv(g, h, x):
-        c = gcomm[h, x]
-        return T[g, c] == inv[T[c, g]]
+    def fam_iv(g, q):
+        return T[g, c_at[q]] == inv[T[c_at[q], g]]
 
-    def fam_v(g, h, x, y):
-        return _commutators(amb, T[g, h], T[x, y]) == \
-            T[gcomm[g, h], gcomm[x, y]]
+    def fam_v(p, q):
+        return _commutators(amb, t_at[p], t_at[q]) == T[c_at[p], c_at[q]]
 
-    return _relation_report(
-        module.group, {"i": fam_i, "ii": fam_ii, "iii": fam_iii,
-                       "iv": fam_iv, "v": fam_v},
-        exhaustive_cap, samples, seed, families)
-
-
-def _relation_report(G, evaluators, exhaustive_cap, samples, seed,
-                    families):
-    """The report of the relation ``families``, each evaluated by
-    ``evaluators[fam]`` over index arrays of G's elements, one per slot,
-    over every tuple or over seeded samples (see
-    ``verify_nu_relations``)."""
-    n = G.order()
-    derived = np.asarray(G.derived_subgroup().indices(), dtype=np.intp)
-    exhaustive = n <= exhaustive_cap
-    rng = random.Random(seed)
-
-    def every_tuple(fam):
-        if fam == "iii":
-            every, d = np.arange(n), derived
-            return np.concatenate(
-                [[np.repeat(every, d.size), np.tile(d, n)],
-                 [np.repeat(d, n), np.tile(every, d.size)]], axis=1)
-        arity = _family_arity(fam)
-        return np.indices((n,) * arity).reshape(arity, -1)
-
-    def draw(fam, count):
-        """The first ``count`` sampled tuples, one row per slot."""
-        below, d = rng.randrange, derived.tolist()
-        arity = _family_arity(fam)
-        if fam == "iii":
-            half = min(count, samples // 2)
-            tuples = [(below(n), d[below(len(d))]) for _ in range(half)]
-            tuples += [(d[below(len(d))], below(n))
-                       for _ in range(count - half)]
-        else:
-            tuples = [[below(n) for _ in range(arity)]
-                      for _ in range(count)]
-        return np.array(tuples, dtype=np.intp).reshape(count, arity).T
-
+    # each family's evaluation over the pairs of its first and second
+    # slots, and its tuples; (iii) has one first slot, 0
+    walks = {"i": (fam_i, keys, keys, n ** 4),
+             "ii": (fam_ii, every, squares, n ** 3),
+             "iii": (fam_iii, np.zeros(1, dtype=np.intp),
+                     np.arange(pairs.shape[1]), pairs.shape[1]),
+             "iv": (fam_iv, every, squares, n ** 3),
+             "v": (fam_v, keys, keys, n ** 4)}
     checks = []
     counterexample = None
     for fam in families:
-        if exhaustive:
-            tuples = every_tuple(fam)
-        else:
-            state = rng.getstate()
-            tuples = draw(fam, samples)
-        ok = evaluators[fam](*tuples)
-        fails = np.flatnonzero(~ok)
-        checked = int(fails[0]) + 1 if fails.size else ok.size
-        if fails.size and not exhaustive:       # redraw up to the failure
-            rng.setstate(state)
-            draw(fam, checked)
+        holds, firsts, seconds, size = walks[fam]
+        bad = _first_failure(holds, firsts, seconds)
         checks.append(Check(
-            label=f"relation ({fam})", passed=not fails.size,
-            details={"checked": checked,
-                     "mode": "exhaustive" if exhaustive else "sampled"}))
-        if fails.size and counterexample is None:
-            bad = tuples[:, fails[0]].tolist()
-            counterexample = {
-                "family": fam,
-                "tuple": bad,
-                "words": [list(G.word(v)) for v in bad],
-            }
+            label=f"relation ({fam})", passed=bad is None,
+            details={"checked": size if bad is None
+                     else bad[0] * n * n + bad[1] + 1, "mode": "exhaustive"}))
+        if bad is not None and counterexample is None:
+            a, b = bad
+            slots = pairs[:, b].tolist() if fam == "iii" else \
+                [*(divmod(a, n) if _family_arity(fam) == 4 else [a]),
+                 *divmod(b, n)]
+            counterexample = {"family": fam, "tuple": slots,
+                              "words": [list(G.word(v)) for v in slots]}
     return VerificationReport(name="nu-relations", checks=checks,
                               counterexample=counterexample)
 

@@ -8,18 +8,14 @@ the whole report; the others return what their check reports.
 """
 
 import itertools
-import random
 
 from tensq.verify import (RELATION_FAMILIES, Check, VerificationReport,
                           _family_arity)
 
 
-def scalar_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
-                        families=RELATION_FAMILIES):
-    """``nu_relations``, one tuple at a time: exhaustive when
-    |G| <= exhaustive_cap, else ``samples`` tuples drawn lazily from
-    ``random.Random(seed)``, so no tuple past a family's first failure
-    is drawn."""
+def scalar_nu_relations(nu, families=RELATION_FAMILIES):
+    """``nu_relations``, one tuple at a time, stopping at each family's
+    first failure."""
     G = nu.group
     amb = nu.ambient
     n = G.order()
@@ -61,8 +57,6 @@ def scalar_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
     evaluators = {"i": fam_i, "ii": fam_ii, "iii": fam_iii, "iv": fam_iv,
                   "v": fam_v}
     derived = G.derived_subgroup().indices()
-    exhaustive = n <= exhaustive_cap
-    rng = random.Random(seed)
     checks = []
     counterexample = None
 
@@ -70,21 +64,11 @@ def scalar_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
         fn = evaluators[fam]
         arity = _family_arity(fam)
         if fam == "iii":
-            if exhaustive:
-                tuples = itertools.chain(
-                    ((g, h) for g in range(n) for h in derived),
-                    ((g, h) for g in derived for h in range(n)))
-            else:
-                tuples = itertools.chain(
-                    ((rng.randrange(n), derived[rng.randrange(len(derived))])
-                     for _ in range(samples // 2)),
-                    ((derived[rng.randrange(len(derived))], rng.randrange(n))
-                     for _ in range(samples - samples // 2)))
-        elif exhaustive:
-            tuples = itertools.product(range(n), repeat=arity)
+            tuples = itertools.chain(
+                ((g, h) for g in range(n) for h in derived),
+                ((g, h) for g in derived for h in range(n)))
         else:
-            tuples = (tuple(rng.randrange(n) for _ in range(arity))
-                      for _ in range(samples))
+            tuples = itertools.product(range(n), repeat=arity)
         count = 0
         bad = None
         for tup in tuples:
@@ -95,8 +79,7 @@ def scalar_nu_relations(nu, exhaustive_cap=8, samples=10_000, seed=0,
         passed = bad is None
         checks.append(Check(
             label=f"relation ({fam})", passed=passed,
-            details={"checked": count,
-                     "mode": "exhaustive" if exhaustive else "sampled"}))
+            details={"checked": count, "mode": "exhaustive"}))
         if bad is not None and counterexample is None:
             counterexample = {
                 "family": fam,

@@ -82,27 +82,21 @@ def test_c02_abelian_oracle(nu_of):
 
 
 def test_c03_basic_relations(module_of):
-    """Tensor-commutator identities (i)-(v): exhaustive for |G| <= 8,
-    >= 10^4 seeded tuples for 8 < |G| <= 16; zero counterexamples.
-    They are evaluated on the crossed module of G (x) G; the ν(G)
-    evaluation is the oracle of ``test_kernels``."""
+    """Tensor-commutator identities (i)-(v) on every tuple, for every
+    catalog group of order <= 16; zero counterexamples.  They are
+    evaluated on the crossed module of G (x) G; the ν(G) evaluation is
+    the oracle of ``test_kernels``."""
     ok = True
-    exhaustive = sampled = 0
-    for name in names_up_to(NU_CAP):
+    names = names_up_to(NU_CAP)
+    for name in names:
         g = get_group(name)
-        report = verify_nu_relations(module_of(name), exhaustive_cap=8,
-                                     samples=10_000, seed=20240)
-        ok = ok and report.passed
-        want = "exhaustive" if g.order() <= 8 else "sampled"
-        ok = ok and all(c.details["mode"] == want for c in report.checks)
-        if want == "exhaustive":
-            exhaustive += 1
-        else:
-            sampled += 1
-            ok = ok and all(c.details["checked"] >= 10_000
-                            for c in report.checks)
-    _criterion(3, ok, f"relations (i)-(v): {exhaustive} groups exhaustive, "
-                      f"{sampled} groups sampled, zero counterexamples")
+        n, d = g.order(), g.derived_subgroup().order()
+        report = verify_nu_relations(module_of(name))
+        ok = ok and report.passed and [c.details for c in report.checks] \
+            == [{"checked": k, "mode": "exhaustive"}
+                for k in (n ** 4, n ** 3, 2 * n * d, n ** 3, n ** 4)]
+    _criterion(3, ok, f"relations (i)-(v): {len(names)} groups, every "
+                      "tuple, zero counterexamples")
 
 
 def test_c04_tensor_set_closed(nu_of):

@@ -51,7 +51,7 @@ from tensq.nu import (RELATION_FAMILIES, derived_map_check,
 from tensq.closure import Subgroup, power_subgroup
 
 from engel_oracle import nu_engel_power_scan
-from nu_relations import nu_relations
+from nu_relations import module_relations, nu_relations
 from scalar_relations import (scalar_commutator_closed, scalar_fibers,
                               scalar_nu_relations, scalar_rho_on_pairs,
                               scalar_set_products)
@@ -934,8 +934,8 @@ def test_tensor_set_normality_check_fails_on_a_non_normal_set(monkeypatch):
 
 # -- the array verifiers against their scalar loops ---------------------------
 
-# family orders tried on each corrupted nu(G): the rng stream of the
-# sampled mode runs through the families in this order
+# family orders tried on each corrupted nu(G): the counterexample is the
+# first failing tuple of the first family, in the order requested
 FAMILY_ORDERS = [RELATION_FAMILIES, RELATION_FAMILIES[::-1],
                  ("iii", "i", "v", "ii", "iv"), ("iv", "ii", "v", "iii", "i")]
 
@@ -961,24 +961,19 @@ def corrupted(nu, field, seed):
     return dataclasses.replace(nu, **{field: arr})
 
 
-# S3 and D4 are checked exhaustively, A4 and C3xC3 sampled.  C3xC3 is
-# abelian, so nu(G)' is central and family (ii), the only one to read
-# the right copy, reads it inside commutators of commutators: no
+# C3xC3 is abelian, so nu(G)' is central and family (ii), the only one
+# to read the right copy, reads it inside commutators of commutators: no
 # corruption of that copy can show there.  Under each of these seeds
 # every case breaks some family (D4's right copy does not with seed 2).
 @pytest.mark.parametrize("seed", [1, 3, 4])
-@pytest.mark.parametrize("name,samples,field", [
-    ("S3", None, "tensors"), ("S3", None, "right"),
-    ("D4", None, "tensors"), ("D4", None, "right"),
-    ("A4", 300, "tensors"), ("A4", 300, "right"),
-    ("C3xC3", 300, "tensors")])
-def test_relations_match_the_scalar_loop(nu_of, name, samples, field, seed):
+@pytest.mark.parametrize("name,field", [
+    ("S3", "tensors"), ("S3", "right"), ("D4", "tensors"), ("D4", "right"),
+    ("A4", "tensors"), ("A4", "right"), ("C3xC3", "tensors")])
+def test_relations_match_the_scalar_loop(nu_of, name, field, seed):
     nu = corrupted(nu_of(name), field, seed)
-    kwargs = {"seed": seed} if samples is None else \
-        {"seed": seed, "samples": samples}
     for families in FAMILY_ORDERS:
-        want = scalar_nu_relations(nu, families=families, **kwargs)
-        got = nu_relations(nu, families=families, **kwargs)
+        want = scalar_nu_relations(nu, families=families)
+        got = nu_relations(nu, families=families)
         assert got.to_dict() == want.to_dict()
     assert not want.passed
 
@@ -987,26 +982,27 @@ def test_relations_match_the_scalar_loop(nu_of, name, samples, field, seed):
     "name", [n for n, e in catalog().items() if e.order <= 16])
 def test_relations_match_the_scalar_loop_when_they_hold(nu_of, name):
     nu = nu_of(name)
-    want = scalar_nu_relations(nu, samples=200, seed=5)
-    assert nu_relations(nu, samples=200, seed=5).to_dict() == \
-        want.to_dict()
+    want = scalar_nu_relations(nu)
+    assert nu_relations(nu).to_dict() == want.to_dict()
     assert want.passed
 
 
 # -- the relation families on the crossed module against nu(G) ---------------
 
 
-@pytest.mark.parametrize("kwargs", [
-    {}, {"exhaustive_cap": 1, "samples": 500, "seed": 3}],
-    ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("families", [
+    RELATION_FAMILIES, RELATION_FAMILIES[::-1]], ids=["exhaustive",
+                                                      "reversed"])
 @pytest.mark.parametrize(
     "name", [n for n, e in catalog().items() if e.order <= 16])
-def test_relations_on_the_module_match_nu_g(nu_of, module_of, name, kwargs):
+def test_relations_on_the_module_match_nu_g(nu_of, module_of, name,
+                                            families):
     # every value rewritten into T = G (x) G, against the same values
     # computed in nu(G); on C2-C5 nu(G) is the gens route's, so the two
     # share no enumeration
-    want = nu_relations(nu_of(name), **kwargs).to_dict()
-    assert verify_nu_relations(module_of(name), **kwargs).to_dict() == want
+    want = nu_relations(nu_of(name), families=families).to_dict()
+    got = verify_nu_relations(module_of(name), families=families)
+    assert got.to_dict() == want
     assert want["passed"]
 
 
@@ -1016,28 +1012,47 @@ def test_relations_on_the_module_match_nu_g_past_the_cap():
     # phi_[x,y] from phi_[y,x]
     group = fresh("S4")
     nu = build_nu(group, max_group_order=24)
-    want = nu_relations(nu, samples=2000, seed=3).to_dict()
-    got = verify_nu_relations(tensor_module(group), samples=2000, seed=3)
-    assert got.to_dict() == want
+    want = nu_relations(nu).to_dict()
+    assert verify_nu_relations(tensor_module(group)).to_dict() == want
     assert want["passed"]
 
 
-@pytest.mark.parametrize("name,entry", [
-    ("S3", (1, 2)), ("D4", (3, 5)), ("Q8", (2, 2))])
-def test_relations_fail_on_a_corrupted_module(module_of, name, entry):
-    # one tensor of T replaced by another element of T: the families
-    # must report a counterexample (on an abelian G they read no tensor
-    # but the trivial ones, since G' = 1)
-    module = module_of(name)
+# one tensor of T replaced by another element of T: the families must
+# report a counterexample (on an abelian G they read no tensor but the
+# trivial ones, since G' = 1)
+CORRUPTED_ENTRIES = {"S3": (1, 2), "D4": (3, 5), "Q8": (2, 2)}
+
+
+def raised(module, entry):
     tensors = module.tensors.copy()
     tensors[entry] = (tensors[entry] + 1) % module.tgroup.order()
-    bad = dataclasses.replace(module, tensors=tensors)
-    report = verify_nu_relations(bad)
+    return dataclasses.replace(module, tensors=tensors)
+
+
+@pytest.mark.parametrize("name,entry", CORRUPTED_ENTRIES.items())
+def test_relations_fail_on_a_corrupted_module(module_of, name, entry):
+    report = verify_nu_relations(raised(module_of(name), entry))
     assert not report.passed
     example = report.counterexample
     assert example["family"] in RELATION_FAMILIES
-    assert example["words"] == [list(module.group.word(v))
+    assert example["words"] == [list(module_of(name).group.word(v))
                                 for v in example["tuple"]]
+
+
+# S4 with T[23, 22] raised: T takes the raised value at an earlier
+# position, with another [g, h], so keyed on T[g, h] alone (23, 22) is
+# never evaluated and family (i) passes; every tuple fails it at 15,551
+@pytest.mark.parametrize("name,entry", [*CORRUPTED_ENTRIES.items(),
+                                        ("S4", (23, 22))])
+def test_key_pairs_report_what_every_tuple_reports(module_of, name, entry):
+    # families (i) and (v) run over pairs of keys (T[g, h], [g, h]);
+    # on a corrupted module the keys of equal tensors differ in [g, h]
+    bad = raised(module_of(name), entry)
+    for families in FAMILY_ORDERS:
+        want = module_relations(bad, families=families).to_dict()
+        assert verify_nu_relations(bad, families=families).to_dict() == \
+            want
+    assert not want["passed"]
 
 
 # two tensors of nu(G) swapped: X is unchanged as a set, so it stays
@@ -1128,7 +1143,7 @@ def test_array_verifiers_cache_no_more_columns(monkeypatch):
     # are the same
     def reports():
         nu = build_nu(fresh("C3xC3"), get_presentation("C3xC3"))
-        out = [nu_relations(nu, samples=2000).to_dict(),
+        out = [nu_relations(nu).to_dict(),
                verify_tensor_set_closed(nu).to_dict()]
         return out, len(nu.ambient._columns)
 

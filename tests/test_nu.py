@@ -194,12 +194,6 @@ class TestVerification:
         assert report.passed
         assert all(c.details["mode"] == "exhaustive" for c in report.checks)
 
-    def test_sampled_mode_for_larger_groups(self, module_of):
-        report = verify_nu_relations(module_of("C3xC3"), samples=500,
-                                     seed=7)
-        assert report.passed
-        assert all(c.details["mode"] == "sampled" for c in report.checks)
-
     def test_d4_relation_iv_mirror(self, nu_of):
         # [g, [h,x]'] equals the inverse of [[h,x], g']
         nu = nu_of("D4")

@@ -299,7 +299,10 @@ class TestCli:
         # only nu and verify build nu(G), so only they read the cap
         ("tensor", "C2", "--max-group", "27"),
         ("engel", "C2", "-p", "2", "-m", "1", "-n", "1",
-         "--max-group", "27")])
+         "--max-group", "27"),
+        # verify checks every tuple: it takes no sample count and no cap
+        ("verify", "C2", "--samples", "1000"),
+        ("verify", "C2", "--exhaustive-cap", "27")])
     def test_option_a_command_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             self.run(*argv)
@@ -334,7 +337,8 @@ class TestCli:
             assert parser.parse_args(argv).no_cache is no_cache, argv
 
     def test_report_records_the_seed_sampled_with(self, tmp_path):
-        # verify samples from seed 0 by default; no other command samples
+        # verify records its --seed, 0 by default, though no check reads
+        # it; no other command takes one
         for argv, seed in [(("verify", "C2", "--lemmas", "i"), 0),
                            (("tensor", "C2", "--no-cache"), None)]:
             out = tmp_path / "r.json"
@@ -369,8 +373,8 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: bad lemma range {lemmas.split(',')[0]!r}\n"
 
-    @pytest.mark.parametrize("argv", [("D5", "--samples", "0"),
-                                      ("D5", "--samples", "-3"),
+    @pytest.mark.parametrize("argv", [("D5", "--lemmas", ""),
+                                      ("D5", "--lemmas", ",,"),
                                       ("S3", "--lemmas", ",")])
     def test_verify_rejects_a_run_that_checks_nothing(self, monkeypatch,
                                                       capsys, argv):
@@ -602,8 +606,7 @@ class TestCli:
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         for p in (p1, p2):
             assert self.run("verify", "C3xC3", "--lemmas", "i..v", "--seed",
-                            "11", "--samples", "200", "--json",
-                            str(p)) == 0
+                            "11", "--json", str(p)) == 0
         d1 = json.loads(p1.read_text())
         d2 = json.loads(p2.read_text())
         d1.pop("timing"), d2.pop("timing")
