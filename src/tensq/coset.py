@@ -34,10 +34,12 @@ and its closing ``verify`` decides: every entry came from a definition,
 a deduction or a coincidence, so a complete table on which every
 relator closes is the coset table, and the second pass would change no
 entry of it.  Only if ``verify`` rejects the table (a relator scan the
-first pass left open hides a coincidence) is the open table put back
-and the second pass run.  On the all route's presentation of nu(G),
-the first pass left the table complete and closed on all 16 nu-capable
-catalog groups, in catalog and in seeded numberings.
+first pass left open hides a coincidence) does the second pass run, on
+the compacted table: compaction keeps every entry and the live cosets
+in order, so the pass scans the same cosets in the same order.  On the
+all route's presentation of nu(G), the first pass left the table
+complete and closed on all 16 nu-capable catalog groups, in catalog
+and in seeded numberings.
 
 The table is one ``int32`` array (-1 marks an undefined entry) that
 doubles in place when full, up to 1 GiB: past that the enumeration
@@ -49,7 +51,10 @@ already scans to closure, and only the rest are scanned.  Skipping
 them changes nothing: a closed scan makes no deduction, and it stays
 closed under later definitions and coincidences, which only fill
 entries and merge cosets.  ``verify`` re-checks a closed table with
-whole-column gathers.
+whole-column gathers.  Nothing copies the table: compaction relabels
+it and closing trims its spare rows, both in place, and ``verify``
+gathers from its columns, so the 1 GiB bounds the enumeration's memory
+up to O(rows) of union-find and temporaries.
 """
 
 from __future__ import annotations
@@ -247,21 +252,27 @@ class CosetTable:
         return b
 
     def _grow(self):
-        rows = len(self._rows)
         if 2 * self._rows.nbytes > _MAX_TABLE_BYTES:
             raise self._limit_error(
                 f"table memory limit {_MAX_TABLE_BYTES} bytes exceeded")
+        self._resize(2 * len(self._rows))
+
+    def _resize(self, rows):
+        """Give the array ``rows`` rows; the rows it gains are -1."""
+        old = len(self._rows)
         # a scan still holding the old view fails loudly instead of
         # writing to freed memory
         self._t.release()
         try:
             # in place, so the old and the new array never coexist
-            self._rows.resize((2 * rows, self.ncols))
+            self._rows.resize((rows, self.ncols))
         except ValueError:
             # something else (a profiler, say) still refers to the array
-            self._rows = np.concatenate([self._rows,
-                                         np.empty_like(self._rows)])
-        self._rows[rows:] = -1
+            resized = np.empty((rows, self.ncols), dtype=np.int32)
+            kept = min(old, rows)
+            resized[:kept] = self._rows[:kept]
+            self._rows = resized
+        self._rows[old:] = -1
         self._t = memoryview(self._rows)
 
     def _scan(self, a, word, fill):
@@ -362,28 +373,25 @@ class CosetTable:
             self._check_time()
 
     def _compact(self):
-        """Renumber live cosets in discovery order."""
+        """Renumber live cosets in discovery order, in place."""
         n = self._n
-        p = np.array(self.p, dtype=np.intp)
-        rep = p
-        while True:
-            nxt = rep[rep]
-            if np.array_equal(nxt, rep):
-                break
-            rep = nxt
-        live = np.flatnonzero(p == np.arange(n))
-        old_to_new = np.empty(n, dtype=np.int32)
-        old_to_new[live] = np.arange(len(live), dtype=np.int32)
-        rows = np.full((len(live) + 1, self.ncols), -1, dtype=np.int32)
-        kept = self._rows[live]
-        defined = kept >= 0
-        kept[defined] = old_to_new[rep[kept[defined]]]
-        rows[:len(live)] = kept
-        self._t.release()
-        self._rows = rows
-        self._t = memoryview(rows)
-        self._n = len(live)
-        self.p = list(range(len(live)))
+        rep = np.array(self.p, dtype=np.intp)
+        while not np.array_equal(rep[rep], rep):
+            rep = rep[rep]
+        live = np.flatnonzero(rep == np.arange(n))
+        k = len(live)
+        # each coset's new label is its representative's; entry -1 reads
+        # relabel[-1], so an undefined entry stays undefined
+        relabel = np.full(n + 1, -1, dtype=np.int32)
+        relabel[live] = np.arange(k, dtype=np.int32)
+        relabel[:n] = relabel[rep]
+        del rep
+        # live[i] >= i, and each column is gathered before it is written
+        for x in range(self.ncols):
+            self._rows[:k, x] = relabel[self._rows[live, x]]
+        self._rows[k:n] = -1
+        self._n = k
+        self.p = list(range(k))
 
     def _hlt_pass(self, fill):
         """One HLT pass over the live cosets, in order, that defines new
@@ -414,22 +422,21 @@ class CosetTable:
 
     def _close(self):
         self._compact()
+        # no spare rows: the closed array is the cosets and a free row
+        self._resize(self._n + 1)
         self.status = "closed"
         self.verify()
 
     def _closes_early(self):
         """Close the table if no live coset's row has an undefined entry
-        and ``verify`` accepts it; otherwise leave it open, as it was."""
+        and ``verify`` accepts it; otherwise leave it open, compacted if
+        ``verify`` rejected it."""
         live = np.array(self.p) == np.arange(self._n)
         if (self._rows[:self._n].min(axis=1, initial=0)[live] < 0).any():
             return False
-        saved = self._rows, self._n, self.p
         try:
             self._close()
         except StateError:
-            self._t.release()
-            self._rows, self._n, self.p = saved
-            self._t = memoryview(self._rows)
             self.status = "in-progress"
             return False
         return True
@@ -464,19 +471,22 @@ class CosetTable:
         mutually inverse bijections."""
         if self.status != "closed":
             raise StateError("table is not closed")
-        # cols[x] is column x, so each gather below is contiguous
-        cols = self.table.T.astype(np.intp)
-        n = cols.shape[1]
+        table = self.table
+        n = len(table)
         cosets = np.arange(n)
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
+        if table.size and (table.min() < 0 or table.max() >= n):
             raise StateError("closed table has inconsistent columns")
+        # cols[x] is column x of the table, an int32 view: no copy
+        cols = list(table.T)
         for x in range(self.ncols):
             if not np.array_equal(cols[x ^ 1][cols[x]], cosets):
                 raise StateError("closed table has inconsistent columns")
+        # an intp index, as numpy takes it; an int32 one is cast per gather
+        f = np.empty(n, dtype=np.intp)
         for word in self.relators:
-            f = cosets
+            f[:] = cosets
             for x in word:
-                f = cols[x][f]
+                f[:] = cols[x][f]
             if not np.array_equal(f, cosets):
                 raise StateError("relator does not scan to closure")
         return True

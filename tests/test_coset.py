@@ -2,6 +2,7 @@ import cProfile
 import hashlib
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,112 @@ class TestSpanningPass:
     def test_spanning_generator_out_of_range(self, gen):
         with pytest.raises(ValueError, match="spanning generators"):
             tc_enumerate(pres(S3), None, [0, gen])
+
+
+def _compacted_out_of_place(table):
+    """The rows the compaction wrote before it worked in place: the live
+    cosets' rows, in order, relabelled through the union-find, in a new
+    array with one free row past them."""
+    n = table._n
+    p = np.array(table.p, dtype=np.intp)
+    rep = p
+    while True:
+        nxt = rep[rep]
+        if np.array_equal(nxt, rep):
+            break
+        rep = nxt
+    live = np.flatnonzero(p == np.arange(n))
+    old_to_new = np.empty(n, dtype=np.int32)
+    old_to_new[live] = np.arange(len(live), dtype=np.int32)
+    rows = np.full((len(live) + 1, table.ncols), -1, dtype=np.int32)
+    kept = table._rows[live]
+    defined = kept >= 0
+    kept[defined] = old_to_new[rep[kept[defined]]]
+    rows[:len(live)] = kept
+    return rows
+
+
+class TestCompaction:
+    # nu(S3)'s all-route presentation enumerated in a single pass: at a
+    # lookahead threshold of 300 the pass compacts 336 rows to 142 live
+    # cosets, with undefined entries left in them, before it closes
+    def _enumerate(self, monkeypatch):
+        monkeypatch.setattr(coset, "_LOOKAHEAD_THRESHOLD", 300)
+        return tc_enumerate(nu_presentation(get_group("S3"), "all"))
+
+    def test_in_place_compaction_matches_the_out_of_place_one(
+            self, monkeypatch):
+        seen = []
+        compact = CosetTable._compact
+
+        def checked(table):
+            want = _compacted_out_of_place(table)
+            rows_before, n_before = len(table._rows), table._n
+            compact(table)
+            k = table._n
+            assert len(table._rows) == rows_before
+            assert np.array_equal(table._rows[:k + 1], want)
+            assert (table._rows[k:] == -1).all()
+            seen.append((n_before, k, int((want[:k] < 0).sum())))
+
+        monkeypatch.setattr(CosetTable, "_compact", checked)
+        table = self._enumerate(monkeypatch)
+        assert table.coset_count == 216 and table.is_closed()
+        # a mid-pass compaction with dead cosets and undefined entries,
+        # then the closing one
+        mid, last = seen
+        assert mid[1] < mid[0] and mid[2] > 0
+        assert last[1] == 216 and last[2] == 0
+
+    def test_closed_table_matches_the_out_of_place_compaction(
+            self, monkeypatch):
+        in_place = self._enumerate(monkeypatch).table.copy()
+
+        def out_of_place(table):
+            rows = _compacted_out_of_place(table)
+            table._t.release()
+            table._rows = rows
+            table._t = memoryview(rows)
+            table._n = len(rows) - 1
+            table.p = list(range(table._n))
+
+        monkeypatch.setattr(CosetTable, "_compact", out_of_place)
+        assert np.array_equal(self._enumerate(monkeypatch).table, in_place)
+
+
+def test_closing_holds_one_table(monkeypatch):
+    # nu(C9)'s all route (729 cosets of 36 columns, 105 kB, from 1,776
+    # defined): compaction and verify allocate O(rows), not a copy of
+    # the table, and the closed array has no spare rows
+    peaks = {}
+
+    def traced(name):
+        method = getattr(CosetTable, name)
+
+        def run(table):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return method(table)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        return run
+
+    for name in ("_compact", "verify"):
+        monkeypatch.setattr(CosetTable, name, traced(name))
+    group = get_group("C9")
+    gens = group.generator_indices()
+    tracemalloc.start()
+    try:
+        table = tc_enumerate(nu_presentation(group, "all"), None,
+                             [*gens, *(s + 9 for s in gens)])
+    finally:
+        tracemalloc.stop()
+    assert table.coset_count == 729
+    assert len(table._rows) == table.coset_count + 1
+    assert set(peaks) == {"_compact", "verify"}
+    for name, peak in peaks.items():
+        assert peak < table.table.nbytes / 2, (name, peak)
 
 
 class TestVerifyRejects:
