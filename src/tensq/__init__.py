@@ -5,11 +5,14 @@ Everything runs at desk scale over explicit permutation groups; each
 computed structure ships with exhaustive or seeded verification of the
 identities it is supposed to satisfy.
 
-``liering``, ``cache`` and ``words`` are deferred: importing the package
+``liering``, ``cache``, ``words`` and the nu(G) stack (``coset``,
+``symbol``, ``nu`` and ``verify``) are deferred: importing the package
 registers them without running them, and each runs on the first lookup
 of a name it does not yet hold, so a command that never reads one never
-compiles it.  The package's names from ``liering`` and ``words`` are
-looked up there on use (PEP 562).
+compiles it.  ``lie``, ``identity-f``, ``left_engel_set`` and
+``fitting_subgroup`` on a ``.perm`` group compile none of the stack.
+The package's names from deferred modules are looked up there on use
+(PEP 562).
 """
 
 import importlib.util
@@ -68,37 +71,44 @@ def _defer(name):
 
 # registered before anything below imports them
 cache = _defer("cache")
+coset = _defer("coset")
 liering = _defer("liering")
+nu = _defer("nu")
+symbol = _defer("symbol")
+verify = _defer("verify")
 words = _defer("words")
 
 from .catalog import catalog, get_group, get_presentation, resolve_group
 from .closure import SeriesReport, Subgroup, power_subgroup
-from .coset import (CosetTable, EnumerationLimits, LetterPresentation,
-                    multiplication_table_presentation, tc_enumerate,
-                    to_perm_group)
 from .engel import (EngelScanConfig, EngelScanResult, engel_power_scan,
                     engel_stack_identity, engel_projection_check,
                     engel_degree, fitting_subgroup, is_left_n_engel,
                     left_engel_set)
 from .errors import (AmbientMismatchError, CapacityError,
-                     EnumerationLimitError, InvariantError, StateError)
+                     EnumerationLimitError, EnumerationLimits,
+                     InvariantError, StateError)
 from .linalg import abelian_invariants, invariant_factors_from_cyclic
-from .nu import (NuGroup, TensorReport, build_nu, nu_presentation,
-                 route_independence, tensor_module, tensor_order,
-                 tensor_report, tensor_square)
 from .perm import FiniteGroup, format_perm_group, parse_perm_group
 from .permutation import (Permutation, commutator, iterated_commutator,
                           parse_cycles)
-from .verify import (VerificationReport, derived_map_check,
-                     verify_decomposition, verify_nu_relations,
-                     verify_tensor_set_closed)
+from .report import VerificationReport
 
 _DEFERRED_NAMES = {
+    **dict.fromkeys(("CosetTable", "LetterPresentation",
+                     "multiplication_table_presentation", "tc_enumerate",
+                     "to_perm_group"), coset),
     **dict.fromkeys(("GradedElement", "GradedLieRing", "PGroupSeries",
                      "ad_nilpotency_index", "dimension_subgroups",
                      "jennings_recursion", "lie_nilpotency_class",
                      "lie_ring", "subalgebra_Lp", "verify_lazard",
                      "verify_lie_axioms"), liering),
+    **dict.fromkeys(("NuGroup", "TensorReport", "build_nu",
+                     "nu_presentation", "route_independence",
+                     "tensor_module", "tensor_order", "tensor_report",
+                     "tensor_square"), nu),
+    **dict.fromkeys(("derived_map_check", "verify_decomposition",
+                     "verify_nu_relations", "verify_tensor_set_closed"),
+                    verify),
     **dict.fromkeys(("Presentation", "parse_presentation", "parse_word"),
                     words),
 }

@@ -13,8 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import words
-from .coset import tc_enumerate, to_perm_group
+from . import coset, words
 from .perm import FiniteGroup, parse_perm_group
 from .permutation import parse_cycles
 
@@ -138,8 +137,8 @@ def resolve_group(designator, limits=None):
                                  "text": text}
         if path.endswith(".pres"):
             pres = words.parse_presentation(text)
-            table = tc_enumerate(pres.letters(), limits)
-            group = to_perm_group(table, name=stem)
+            table = coset.tc_enumerate(pres.letters(), limits)
+            group = coset.to_perm_group(table, name=stem)
             return group, pres, {"kind": "pres-file", "path": path,
                                  "text": text}
         raise ValueError("group files must end in .perm or .pres")

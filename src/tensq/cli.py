@@ -10,6 +10,25 @@ per process, on the first ``main`` call; each subcommand takes only the
 options it reads (``--seed`` belongs to ``verify``, which records it in
 the report; no check reads it).
 
+Each subcommand also names the deferred modules (``tensq/__init__``) its
+compute reads, and ``run`` runs them before it resolves the group:
+``tensor``, ``nu``, ``verify`` and ``engel`` run ``coset``, ``symbol``
+and ``nu``; ``verify`` also runs the ``verify`` module, which no route
+reads; ``lie`` runs ``liering``; and every command that reads the result
+cache runs ``cache``.  So ``lie`` and ``identity-f`` on a ``.perm`` group
+compile none of the nu(G) stack.  This module calls ``nu`` and
+``verify`` through the module objects.
+
+Run in the middle of a job, a module's compile would leave its pages
+among the job's objects.  Even run first, a module compiled after the
+imports keeps more of its compile transient resident than one compiled
+with them, and the more the larger the module: compiled after ``import
+tensq.cli``, the former one-module ``coset`` (3,358 AST nodes) left
+0.45 MB more anonymous memory, and ``coset`` with ``cosetrows`` 0.09
+MB.  So the modules ``nu`` and ``tensor`` compile late are under 2,000
+nodes each: ``coset`` and ``cosetrows``, ``nu`` and ``nugroup``, and
+``symbol``.
+
 Exit status: 0 when every requested check passes, 1 when a
 counterexample or failed check is found or an internal invariant
 fails, 2 for usage, parse, capacity or enumeration-limit errors.
@@ -23,23 +42,38 @@ import json
 import sys
 import time
 
-from . import __version__, _run_deferred, cache, liering
+from . import (__version__, _run_deferred, cache, coset, liering, nu,
+               symbol, verify)
 from .catalog import catalog, resolve_group
-from .coset import EnumerationLimits
 from .engel import EngelScanConfig, engel_power_scan, engel_stack_identity
-from .errors import CapacityError, EnumerationLimitError, InvariantError
-from .nu import (DEFAULT_GROUP_CAP, build_nu, check_group_cap,
-                 route_independence, tensor_module, tensor_report,
-                 tensor_square)
-from .report import Report, write_report
-from .verify import (RELATION_FAMILIES, derived_map_check,
-                     verify_decomposition, verify_nu_relations,
-                     verify_tensor_set_closed)
+from .errors import (DEFAULT_GROUP_CAP, CapacityError, EnumerationLimitError,
+                     EnumerationLimits, InvariantError)
+from .report import RELATION_FAMILIES, Report, write_report
 
 _ROMAN = list(RELATION_FAMILIES)
 # verify's checks of nu(G) itself
 _ON_NU = ("closed", "decomp", "rho")
 MODES = ("auto", "all", "gens", "symbol")
+# the deferred modules of the commands that build G (x) G or nu(G)
+_NU_STACK = (coset, symbol, nu)
+# the names cli calls on nu and verify, looked up there (PEP 562), so
+# that cli.build_nu is nu.build_nu, as when cli imported them
+_CALLED = {
+    **dict.fromkeys(("build_nu", "check_group_cap", "route_independence",
+                     "tensor_module", "tensor_report", "tensor_square"),
+                    nu),
+    **dict.fromkeys(("derived_map_check", "verify_decomposition",
+                     "verify_nu_relations", "verify_tensor_set_closed"),
+                    verify),
+}
+
+
+def __getattr__(name):
+    module = _CALLED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return getattr(module, name)
 
 
 def _parse_lemmas(text):
@@ -81,7 +115,7 @@ def _group_payload(descriptor, extra):
 
 
 def compute_tensor(args, group, pres):
-    report = tensor_square(group, pres, limits=_limits(args))
+    report = nu.tensor_square(group, pres, limits=_limits(args))
     return report.to_dict(), True
 
 
@@ -93,16 +127,16 @@ def tensor_summary(args, r):
 
 def compute_nu(args, group, pres):
     if args.mode == "auto":
-        check, nus = route_independence(
+        check, nus = nu.route_independence(
             group, pres, limits=_limits(args),
             max_group_order=args.max_group)
-        results = tensor_report(nus["all"]).to_dict()
+        results = nu.tensor_report(nus["all"]).to_dict()
         results["route_independence"] = check.to_dict()
         passed = check.passed
     else:
-        nu = build_nu(group, pres, args.mode, limits=_limits(args),
-                      max_group_order=args.max_group)
-        results, passed = tensor_report(nu).to_dict(), True
+        built = nu.build_nu(group, pres, args.mode, limits=_limits(args),
+                            max_group_order=args.max_group)
+        results, passed = nu.tensor_report(built).to_dict(), True
     results["passed"] = passed
     return results, passed
 
@@ -124,23 +158,23 @@ def compute_verify(args, group, pres):
     on_nu = any(x in _ON_NU for x in lemmas)
     if on_nu:
         # before anything is enumerated
-        check_group_cap(group, args.max_group)
+        nu.check_group_cap(group, args.max_group)
     module = None
     reports = []
     if families:
         # the families read G (x) G alone; the symbol route assembles
         # nu(G) from the same module's columns
-        module = tensor_module(group, limits=_limits(args))
-        reports.append(verify_nu_relations(module, families=families))
+        module = nu.tensor_module(group, limits=_limits(args))
+        reports.append(verify.verify_nu_relations(module, families=families))
     if on_nu:
-        nu = build_nu(group, pres, "auto", limits=_limits(args),
-                      max_group_order=args.max_group, module=module)
+        built = nu.build_nu(group, pres, "auto", limits=_limits(args),
+                            max_group_order=args.max_group, module=module)
         if "closed" in lemmas:
-            reports.append(verify_tensor_set_closed(nu))
+            reports.append(verify.verify_tensor_set_closed(built))
         if "decomp" in lemmas:
-            reports.append(verify_decomposition(nu))
+            reports.append(verify.verify_decomposition(built))
         if "rho" in lemmas:
-            reports.append(derived_map_check(nu))
+            reports.append(verify.derived_map_check(built))
     passed = all(r.passed for r in reports)
     return {"reports": [r.to_dict() for r in reports], "passed": passed}, \
         passed
@@ -154,7 +188,7 @@ def verify_summary(args, r):
 
 def compute_engel(args, group, pres):
     config = EngelScanConfig(p=args.p, m=args.m, n=args.n)
-    module = tensor_module(group, limits=_limits(args))
+    module = nu.tensor_module(group, limits=_limits(args))
     scan = engel_power_scan(module, config)
     return scan.to_dict(), scan.all_pairs_satisfied
 
@@ -295,7 +329,8 @@ def build_parser():
 
     p = sub.add_parser("tensor", parents=[common, cached],
                        help="tensor square report")
-    p.set_defaults(compute=compute_tensor, summary=tensor_summary)
+    p.set_defaults(compute=compute_tensor, summary=tensor_summary,
+                   deferred=_NU_STACK)
 
     p = sub.add_parser("nu", parents=[capped, cached],
                        help="build nu(G); default mode cross-checks the "
@@ -304,21 +339,23 @@ def build_parser():
                        "@file.perm")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.set_defaults(compute=compute_nu, summary=nu_summary,
-                   cache_on=("mode", "max_group"))
+                   cache_on=("mode", "max_group"), deferred=_NU_STACK)
 
     p = sub.add_parser("verify", parents=[capped],
                        help="verify tensor-commutator identities")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the report; no check reads it")
     p.add_argument("--lemmas", default="i..v,closed,decomp,rho")
-    p.set_defaults(compute=compute_verify, summary=verify_summary)
+    p.set_defaults(compute=compute_verify, summary=verify_summary,
+                   deferred=(*_NU_STACK, verify))
 
     p = sub.add_parser("engel", parents=[common], help="scan tensor powers "
                        "for left n-Engel behaviour in nu(G)")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(compute=compute_engel, summary=engel_summary)
+    p.set_defaults(compute=compute_engel, summary=engel_summary,
+                   deferred=_NU_STACK)
 
     p = sub.add_parser("lie", parents=[common, cached],
                        help="dimension subgroups and graded Lie ring")

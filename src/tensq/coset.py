@@ -65,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, StateError
+from .cosetrows import CosetRows
+from .errors import EnumerationLimits, StateError
 from .perm import FiniteGroup
 from .permutation import Permutation
 
@@ -83,12 +84,6 @@ _PRECHECK_PAIRS = 4096
 # whether every path still walking has stopped at an undefined entry.
 # Most relators are shorter, so their walks pay for neither test.
 _WALK_CHECK_LETTERS = 16
-
-
-@dataclass(frozen=True)
-class EnumerationLimits:
-    max_cosets: int = 2_000_000
-    time_limit: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,11 @@ def _reduced(row, ncols):
     return tuple(out[i:j + 1])
 
 
-class CosetTable:
+class CosetTable(CosetRows):
     """Mutable state of one enumeration; closed tables are immutable in
-    practice (nothing mutates them after ``close`` succeeds)."""
+    practice (nothing mutates them after ``close`` succeeds).  The rows
+    and the operations on them are ``tensq.cosetrows.CosetRows``'s; this
+    class sets them up, caps their memory and drives the HLT passes."""
 
     def __init__(self, presentation, limits=EnumerationLimits(),
                  spanning=None):
@@ -183,130 +180,13 @@ class CosetTable:
         self._letters = [padded[:k, i, None]
                          for i, k in enumerate(held.sum(axis=0).tolist())]
 
-    @property
-    def table(self):
-        """Coset table: entry [c, x] is the coset c.x, or -1 if undefined."""
-        return self._rows[:self._n]
-
-    # -- union-find over coset labels ------------------------------------
-
-    def _rep(self, k):
-        p = self.p
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
-
-    def _merge(self, k, lam, queue):
-        k = self._rep(k)
-        lam = self._rep(lam)
-        if k != lam:
-            lo, hi = (k, lam) if k < lam else (lam, k)
-            self.p[hi] = lo
-            self.alive -= 1
-            queue.append(hi)
-
-    def _coincidence(self, a, b):
-        queue = []
-        self._merge(a, b, queue)
-        t = self._t
-        qi = 0
-        while qi < len(queue):
-            g = queue[qi]
-            qi += 1
-            for x in range(self.ncols):
-                d = t[g, x]
-                if d >= 0:
-                    t[d, x ^ 1] = -1
-                    mu = self._rep(g)
-                    nu = self._rep(d)
-                    if t[mu, x] >= 0:
-                        self._merge(nu, t[mu, x], queue)
-                    elif t[nu, x ^ 1] >= 0:
-                        self._merge(mu, t[nu, x ^ 1], queue)
-                    else:
-                        t[mu, x] = nu
-                        t[nu, x ^ 1] = mu
-
-    # -- scanning ----------------------------------------------------------
-
-    def _define(self, a, x):
-        if self.alive >= self.limits.max_cosets:
-            raise self._limit_error(
-                f"coset limit {self.limits.max_cosets} exceeded")
-        self._ticker += 1
-        if self._ticker >= 4096:
-            self._ticker = 0
-            self._check_time()
-        b = self._n
-        if b + 1 == len(self._rows):
-            self._grow()
-        self._n = b + 1
-        self.p.append(b)
-        self.alive += 1
-        self.defined += 1
-        self._t[a, x] = b
-        self._t[b, x ^ 1] = a
-        return b
-
     def _grow(self):
         if 2 * self._rows.nbytes > _MAX_TABLE_BYTES:
             raise self._limit_error(
                 f"table memory limit {_MAX_TABLE_BYTES} bytes exceeded")
         self._resize(2 * len(self._rows))
 
-    def _resize(self, rows):
-        """Give the array ``rows`` rows; the rows it gains are -1."""
-        old = len(self._rows)
-        # a scan still holding the old view fails loudly instead of
-        # writing to freed memory
-        self._t.release()
-        try:
-            # in place, so the old and the new array never coexist
-            self._rows.resize((rows, self.ncols))
-        except ValueError:
-            # something else (a profiler, say) still refers to the array
-            resized = np.empty((rows, self.ncols), dtype=np.int32)
-            kept = min(old, rows)
-            resized[:kept] = self._rows[:kept]
-            self._rows = resized
-        self._rows[old:] = -1
-        self._t = memoryview(self._rows)
-
-    def _scan(self, a, word, fill):
-        t = self._t
-        i, j = 0, len(word) - 1
-        f = b = a
-        while True:
-            while i <= j:
-                d = t[f, word[i]]
-                if d < 0:
-                    break
-                f = d
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
-            while j >= i:
-                d = t[b, word[j] ^ 1]
-                if d < 0:
-                    break
-                b = d
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
-                return
-            if j == i:
-                t[f, word[i]] = b
-                t[b, word[i] ^ 1] = f
-                return
-            if not fill[word[i]]:
-                return
-            self._define(f, word[i])
-            t = self._t
+    # -- the closed-relator pre-check --------------------------------------
 
     def _open_relators(self, cosets):
         """Boolean (cosets, relators) array: True where the relator does
@@ -350,17 +230,6 @@ class CosetTable:
             if self.p[c] != c:
                 return
 
-    def _check_time(self):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise self._limit_error(
-                f"time limit {self.limits.time_limit}s exceeded")
-
-    def _limit_error(self, what):
-        elapsed = time.monotonic() - self._start
-        return EnumerationLimitError(
-            f"{what} ({self.alive} live cosets, {self.defined} cosets "
-            f"defined, {elapsed:.2f}s elapsed)", table=self)
-
     # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
@@ -371,27 +240,6 @@ class CosetTable:
                 if self.p[c] == c:
                     self._scan_open(c, open_, self._no_fill)
             self._check_time()
-
-    def _compact(self):
-        """Renumber live cosets in discovery order, in place."""
-        n = self._n
-        rep = np.array(self.p, dtype=np.intp)
-        while not np.array_equal(rep[rep], rep):
-            rep = rep[rep]
-        live = np.flatnonzero(rep == np.arange(n))
-        k = len(live)
-        # each coset's new label is its representative's; entry -1 reads
-        # relabel[-1], so an undefined entry stays undefined
-        relabel = np.full(n + 1, -1, dtype=np.int32)
-        relabel[live] = np.arange(k, dtype=np.int32)
-        relabel[:n] = relabel[rep]
-        del rep
-        # live[i] >= i, and each column is gathered before it is written
-        for x in range(self.ncols):
-            self._rows[:k, x] = relabel[self._rows[live, x]]
-        self._rows[k:n] = -1
-        self._n = k
-        self.p = list(range(k))
 
     def _hlt_pass(self, fill):
         """One HLT pass over the live cosets, in order, that defines new
@@ -441,7 +289,7 @@ class CosetTable:
             return False
         return True
 
-    # -- public -----------------------------------------------------------
+    # -- public ------------------------------------------------------------
 
     def run(self):
         self._start = time.monotonic()
@@ -455,41 +303,6 @@ class CosetTable:
         self._hlt_pass(last)
         self._close()
         return self
-
-    @property
-    def coset_count(self):
-        if self.status == "closed":
-            return len(self.table)
-        return self.alive
-
-    def is_closed(self):
-        return self.status == "closed"
-
-    def verify(self):
-        """Re-check the closed table independently of the deduction path:
-        every relator scans to closure everywhere, and the columns are
-        mutually inverse bijections."""
-        if self.status != "closed":
-            raise StateError("table is not closed")
-        table = self.table
-        n = len(table)
-        cosets = np.arange(n)
-        if table.size and (table.min() < 0 or table.max() >= n):
-            raise StateError("closed table has inconsistent columns")
-        # cols[x] is column x of the table, an int32 view: no copy
-        cols = list(table.T)
-        for x in range(self.ncols):
-            if not np.array_equal(cols[x ^ 1][cols[x]], cosets):
-                raise StateError("closed table has inconsistent columns")
-        # an intp index, as numpy takes it; an int32 one is cast per gather
-        f = np.empty(n, dtype=np.intp)
-        for word in self.relators:
-            f[:] = cosets
-            for x in word:
-                f[:] = cols[x][f]
-            if not np.array_equal(f, cosets):
-                raise StateError("relator does not scan to closure")
-        return True
 
 
 def tc_enumerate(presentation, limits=None, spanning=None):

@@ -1,0 +1,216 @@
+"""The rows of a coset table and the operations HLT enumeration is
+built from (``tensq.coset``): union-find over coset labels, coincidence
+processing, definition, relator scans, resizing, the limits, compaction
+and the closing ``verify``.
+
+``tensq.coset.CosetTable`` is the one subclass.  It sets up the rows'
+state (``__init__``), supplies ``_grow`` (the table's memory cap) and
+drives the passes.  The class is split across the two modules so that
+each compiles in a small transient: ``coset`` is deferred, and a module
+compiled after the imports keeps most of its compile transient resident
+for the command that ran it (``tensq.cli``).
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .errors import EnumerationLimitError, StateError
+
+
+class CosetRows:
+    """The table array, ``_rows`` (-1 marks an undefined entry), its
+    memoryview ``_t``, the first ``_n`` rows in use and the union-find
+    list ``p``, with the operations on them."""
+
+    @property
+    def table(self):
+        """Coset table: entry [c, x] is the coset c.x, or -1 if undefined."""
+        return self._rows[:self._n]
+
+    # -- union-find over coset labels --------------------------------------
+
+    def _rep(self, k):
+        p = self.p
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
+        return r
+
+    def _merge(self, k, lam, queue):
+        k = self._rep(k)
+        lam = self._rep(lam)
+        if k != lam:
+            lo, hi = (k, lam) if k < lam else (lam, k)
+            self.p[hi] = lo
+            self.alive -= 1
+            queue.append(hi)
+
+    def _coincidence(self, a, b):
+        queue = []
+        self._merge(a, b, queue)
+        t = self._t
+        qi = 0
+        while qi < len(queue):
+            g = queue[qi]
+            qi += 1
+            for x in range(self.ncols):
+                d = t[g, x]
+                if d >= 0:
+                    t[d, x ^ 1] = -1
+                    mu = self._rep(g)
+                    nu = self._rep(d)
+                    if t[mu, x] >= 0:
+                        self._merge(nu, t[mu, x], queue)
+                    elif t[nu, x ^ 1] >= 0:
+                        self._merge(mu, t[nu, x ^ 1], queue)
+                    else:
+                        t[mu, x] = nu
+                        t[nu, x ^ 1] = mu
+
+    # -- definition and scanning -------------------------------------------
+
+    def _define(self, a, x):
+        if self.alive >= self.limits.max_cosets:
+            raise self._limit_error(
+                f"coset limit {self.limits.max_cosets} exceeded")
+        self._ticker += 1
+        if self._ticker >= 4096:
+            self._ticker = 0
+            self._check_time()
+        b = self._n
+        if b + 1 == len(self._rows):
+            self._grow()
+        self._n = b + 1
+        self.p.append(b)
+        self.alive += 1
+        self.defined += 1
+        self._t[a, x] = b
+        self._t[b, x ^ 1] = a
+        return b
+
+    def _resize(self, rows):
+        """Give the array ``rows`` rows; the rows it gains are -1."""
+        old = len(self._rows)
+        # a scan still holding the old view fails loudly instead of
+        # writing to freed memory
+        self._t.release()
+        try:
+            # in place, so the old and the new array never coexist
+            self._rows.resize((rows, self.ncols))
+        except ValueError:
+            # something else (a profiler, say) still refers to the array
+            resized = np.empty((rows, self.ncols), dtype=np.int32)
+            kept = min(old, rows)
+            resized[:kept] = self._rows[:kept]
+            self._rows = resized
+        self._rows[old:] = -1
+        self._t = memoryview(self._rows)
+
+    def _scan(self, a, word, fill):
+        t = self._t
+        i, j = 0, len(word) - 1
+        f = b = a
+        while True:
+            while i <= j:
+                d = t[f, word[i]]
+                if d < 0:
+                    break
+                f = d
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i:
+                d = t[b, word[j] ^ 1]
+                if d < 0:
+                    break
+                b = d
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if j == i:
+                t[f, word[i]] = b
+                t[b, word[i] ^ 1] = f
+                return
+            if not fill[word[i]]:
+                return
+            self._define(f, word[i])
+            t = self._t
+
+    # -- limits ------------------------------------------------------------
+
+    def _check_time(self):
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise self._limit_error(
+                f"time limit {self.limits.time_limit}s exceeded")
+
+    def _limit_error(self, what):
+        elapsed = time.monotonic() - self._start
+        return EnumerationLimitError(
+            f"{what} ({self.alive} live cosets, {self.defined} cosets "
+            f"defined, {elapsed:.2f}s elapsed)", table=self)
+
+    # -- compaction and the closed table -----------------------------------
+
+    def _compact(self):
+        """Renumber live cosets in discovery order, in place."""
+        n = self._n
+        rep = np.array(self.p, dtype=np.intp)
+        while not np.array_equal(rep[rep], rep):
+            rep = rep[rep]
+        live = np.flatnonzero(rep == np.arange(n))
+        k = len(live)
+        # each coset's new label is its representative's; entry -1 reads
+        # relabel[-1], so an undefined entry stays undefined
+        relabel = np.full(n + 1, -1, dtype=np.int32)
+        relabel[live] = np.arange(k, dtype=np.int32)
+        relabel[:n] = relabel[rep]
+        del rep
+        # live[i] >= i, and each column is gathered before it is written
+        for x in range(self.ncols):
+            self._rows[:k, x] = relabel[self._rows[live, x]]
+        self._rows[k:n] = -1
+        self._n = k
+        self.p = list(range(k))
+
+    @property
+    def coset_count(self):
+        if self.status == "closed":
+            return len(self.table)
+        return self.alive
+
+    def is_closed(self):
+        return self.status == "closed"
+
+    def verify(self):
+        """Re-check the closed table independently of the deduction path:
+        every relator scans to closure everywhere, and the columns are
+        mutually inverse bijections."""
+        if self.status != "closed":
+            raise StateError("table is not closed")
+        table = self.table
+        n = len(table)
+        cosets = np.arange(n)
+        if table.size and (table.min() < 0 or table.max() >= n):
+            raise StateError("closed table has inconsistent columns")
+        # cols[x] is column x of the table, an int32 view: no copy
+        cols = list(table.T)
+        for x in range(self.ncols):
+            if not np.array_equal(cols[x ^ 1][cols[x]], cosets):
+                raise StateError("closed table has inconsistent columns")
+        # an intp index, as numpy takes it; an int32 one is cast per gather
+        f = np.empty(n, dtype=np.intp)
+        for word in self.relators:
+            f[:] = cosets
+            for x in word:
+                f[:] = cols[x][f]
+            if not np.array_equal(f, cosets):
+                raise StateError("relator does not scan to closure")
+        return True

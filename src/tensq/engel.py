@@ -45,7 +45,7 @@ import numpy as np
 from .closure import commutator_sweep, sweep_rows
 from .errors import invariant
 from .linalg import _prime_factors
-from .verify import Check, VerificationReport
+from .report import Check, VerificationReport
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types and enumeration limits shared across the package.
+
+The limits live here, beside the errors they raise, so that the command
+line builds them without importing ``coset`` or ``nu``.
+"""
+
+from dataclasses import dataclass
+
+# the default cap on |G| for the nu-construction (``tensq.nu.build_nu``
+# and the command line's ``--max-group``)
+DEFAULT_GROUP_CAP = 16
+
+
+@dataclass(frozen=True)
+class EnumerationLimits:
+    """Caps on one coset enumeration: cosets defined and seconds."""
+    max_cosets: int = 2_000_000
+    time_limit: float = 60.0
 
 
 class CapacityError(RuntimeError):

@@ -39,7 +39,7 @@ import numpy as np
 from .closure import commutator_sweep
 from .errors import invariant
 from .linalg import contract, mat_pow_mod, rref_mod
-from .verify import Check, VerificationReport
+from .report import Check, VerificationReport
 
 
 def _check_p_group(group, p):

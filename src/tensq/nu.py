@@ -43,8 +43,8 @@ construction, since T is certified to be G (x) G; for the Todd-Coxeter
 routes because their relators hold in nu(G), which makes nu(G) a
 quotient of A too.  So A is nu(G), for any presentation, proved or
 not.  That rho is a homomorphism, the order law and the centrality
-of mu are checked as well.
-The checks of a built nu(G) are in ``tensq.verify``.
+of mu are checked as well (``tensq.nugroup``, which also holds
+``NuGroup``).  The checks of a built nu(G) are in ``tensq.verify``.
 
 Where nu(G) is assembled: ``tensq nu`` (route independence included),
 ``tensq verify`` for the checks about nu(G) itself (``closed``,
@@ -66,22 +66,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import Subgroup
-from .coset import (EnumerationLimits, LetterPresentation, inverse_row,
+from .coset import (LetterPresentation, inverse_row,
                     multiplication_table_presentation, tc_enumerate,
                     to_perm_group)
-from .errors import invariant
+from .errors import DEFAULT_GROUP_CAP, EnumerationLimits
 from .linalg import abelian_invariants
+# tensq.nu names NuGroup and RELATION_FAMILIES too
+from .nugroup import NuGroup, certified_nu
 from .perm import FiniteGroup
+from .report import RELATION_FAMILIES, Check, VerificationReport
 from .symbol import (assemble_nu, group_arrays, symbol_route_arrays,
                      tensor_symbols)
-# the checks of nu(G) live in .verify; tensq.nu names them too
-from .verify import (RELATION_FAMILIES, Check,
-                     VerificationReport, derived_map_check,
-                     verify_decomposition, verify_nu_relations,
-                     verify_tensor_set_closed)
 
-DEFAULT_GROUP_CAP = 16
 # "auto" takes the gens route for a presentation with one generator, of
 # a cyclic group of order n up to this: nu(G) then has n^3 elements and
 # the gens presentation 2r + 2 relators for r relators of G.  That build
@@ -161,37 +157,6 @@ def nu_presentation(source, mode):
 # -- the construction --------------------------------------------------------
 
 
-@dataclass
-class NuGroup:
-    """nu(G), enumerated; immutable after construction."""
-    group: FiniteGroup
-    ambient: FiniteGroup
-    mode: str
-    left: np.ndarray          # G element index -> ambient index of g
-    right: np.ndarray         # G element index -> ambient index of g'
-    tensors: np.ndarray       # (a, b) -> ambient index of [a, b']
-    tensor: Subgroup          # [G, G'] inside the ambient
-    mu: Subgroup              # kernel of the derived map, inside the ambient
-    rho: np.ndarray           # ambient index -> G element index
-
-    def order(self):
-        return self.ambient.order()
-
-    def tensor_elem_idx(self, x, y):
-        """Ambient index of the tensor [x, y'] for x, y in G."""
-        return int(self.tensors[self.group.as_index(x),
-                                self.group.as_index(y)])
-
-    def all_tensor_indices(self):
-        """Ambient indices of {[a, b'] : a, b in G}, deduplicated, with
-        one (a, b) witness each, in lexicographic scan order."""
-        out = {}
-        n = self.group.order()
-        for i, t in enumerate(self.tensors.ravel().tolist()):
-            out.setdefault(t, divmod(i, n))
-        return out
-
-
 def _validate_presentation_for(group, pres):
     if pres.ngens != len(group.generators):
         raise ValueError("presentation must have one generator per "
@@ -268,7 +233,7 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
         ambient = to_perm_group(table, name=name)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _certified_nu(group, arrays, ambient, mode)
+    return certified_nu(group, arrays, ambient, mode)
 
 
 def tensor_module(group, *, limits=None):
@@ -279,88 +244,6 @@ def tensor_module(group, *, limits=None):
     from .crossed import crossed_module
     return crossed_module(group, symbol_route_arrays(group),
                           limits or EnumerationLimits())
-
-
-def _certified_nu(group, arrays, ambient, mode):
-    """The tail every route shares.  The ambient group is regular, and
-    its generators are s for s in G's generating set S, in order, then
-    s' for the same s.  Sweep the quotient map rho, read off both copies
-    of G and every tensor [a, b'], prove the ambient group is nu(G) (see
-    the module docstring), then identify the tensor subgroup and mu."""
-    n = group.order()
-    mul, inv, conj = arrays
-    gsub = list(group.generator_indices())
-    gen_idx = ambient.generator_indices()
-    rho_gen = gsub * 2
-
-    # rho: fold the quotient map nu(G) ->> G over a breadth-first sweep,
-    # then certify it is a homomorphism on every edge of the Cayley graph.
-    # R[t] is right multiplication by generator t of nu(G), and
-    # gright[i, t] is G's element i times the image of generator t.
-    N = ambient.order()
-    R = ambient.right_columns(gen_idx)
-    gright = mul[:, rho_gen]
-    rho = ambient.sweep(0, lambda v, g: gright[v, g])
-    for t in range(len(gen_idx)):
-        invariant(np.array_equal(rho[R[t]], gright[rho, t]),
-                  "rho is not a homomorphism; "
-                  "enumeration is inconsistent")
-
-    # both copies of G, swept over G: generator j of G is ambient
-    # generator j, and j' is |S| places later
-    by_left, by_right = R[:len(gsub)], R[len(gsub):]
-    left = group.sweep(0, lambda v, g: by_left[g, v])
-    right = group.sweep(0, lambda v, g: by_right[g, v])
-    invariant(len(set(left.tolist())) == n,
-              "the left copy of G is not injective")
-    invariant(len(set(right.tolist())) == n,
-              "the right copy of G is not injective")
-    LC = ambient.right_columns(left)
-    RC = ambient.right_columns(right)
-    # LC[j, left[i]] = index(left(i) left(j)), which must be left(ij)
-    invariant(np.array_equal(LC[:, left], left[mul.T]),
-              "the left copy of G is not a homomorphism")
-    invariant(np.array_equal(RC[:, right], right[mul.T]),
-              "the right copy of G is not a homomorphism")
-    invariant(np.array_equal(rho[left], np.arange(n))
-              and np.array_equal(rho[right], np.arange(n)),
-              "rho does not split the copies of G")
-    invariant(np.array_equal(gen_idx, np.concatenate([left[gsub],
-                                                      right[gsub]])),
-              "the generators of nu(G) are not the copies of G's")
-
-    # tensors[a, b] = [left(a), right(b)] = left(a)^-1 right(b)^-1 left(a)
-    # right(b), one gather per factor; left(a)^-1 = left(a^-1), and so
-    # for right
-    step = RC[inv][:, left[inv]].T
-    step = np.take_along_axis(LC, step, axis=1)
-    tensors = RC[np.arange(n)[None, :], step]
-    # the certificate: conjugation by each generator s and by s' sends
-    # [a, b'] to [a^s, (b^s)'] for every pair
-    by = conj[:, rho_gen].T
-    want = tensors[by[:, :, None], by[:, None, :]]
-    got = ambient.generator_conjugates(tensors.ravel()).reshape(want.shape)
-    failed = int((got != want).any(axis=0).sum())
-    invariant(not failed,
-              f"nu(G) certificate fails: conjugation by a generator s or "
-              f"s' does not send [a, b'] to [a^s, (b^s)'] for {failed} of "
-              f"{n * n} pairs (a, b)")
-
-    tensor = ambient.normal_closure(tensors[np.ix_(gsub, gsub)].ravel())
-    mu_idx = [t for t in tensor.indices() if rho[t] == 0]
-    mu = Subgroup._from_indices(ambient, tuple(mu_idx))
-    invariant(N == tensor.order() * n * n,
-              f"order law fails: {N} != {tensor.order()} * {n}^2")
-    # mu is central: s^-1 m s = m for every generator s
-    members = np.asarray(mu.indices())
-    invariant(bool((ambient.generator_conjugates(members) == members).all()),
-              "mu is not central")
-
-    for array in (rho, left, right, tensors):
-        array.setflags(write=False)
-    return NuGroup(group=group, ambient=ambient, mode=mode, left=left,
-                   right=right, tensors=tensors, tensor=tensor, mu=mu,
-                   rho=rho)
 
 
 # -- reports ------------------------------------------------------------------
@@ -474,3 +357,17 @@ def _plain_equals_normal(nu):
     gsub = list(nu.group.generator_indices())
     plain = nu.ambient.subgroup(nu.tensors[np.ix_(gsub, gsub)].ravel())
     return plain.index_set() == nu.tensor.index_set()
+
+
+# the checks of nu(G) live in the deferred .verify, which no route runs;
+# tensq.nu names them too, looked up there (PEP 562)
+_CHECKS = ("derived_map_check", "verify_decomposition",
+           "verify_nu_relations", "verify_tensor_set_closed")
+
+
+def __getattr__(name):
+    if name not in _CHECKS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    from . import verify
+    return getattr(verify, name)

@@ -61,7 +61,8 @@ def parse_perm_group(text, *, name=None):
     """Parse the permutation-group file format.
 
     Line 1 is ``degree N``; each further non-empty line is one generator
-    in cycle notation.  ``#`` starts a comment.
+    in cycle notation.  ``#`` starts a comment.  A file with no
+    generator line presents the trivial group, as one ``()`` line does.
     """
     degree = None
     gens = []
@@ -80,9 +81,7 @@ def parse_perm_group(text, *, name=None):
         gens.append(parse_cycles(line, degree))
     if degree is None:
         raise ValueError("missing 'degree N' line")
-    if not gens:
-        raise ValueError("no generators given")
-    return FiniteGroup(gens, name=name)
+    return FiniteGroup(gens or [Permutation.identity(degree)], name=name)
 
 
 def format_perm_group(group):

@@ -1,8 +1,11 @@
-"""Structured JSON reports.
+"""Structured JSON reports, and the verification reports they carry.
 
 Reports are schema-versioned and deterministic for fixed inputs and
 seeds; the ``timing`` block is the one field excluded from byte
-comparisons.
+comparisons.  ``Check`` and ``VerificationReport`` are the results of
+every check in the package (``tensq.verify``, ``tensq.engel``,
+``tensq.liering``); they live here, so that a module reporting checks
+imports none of ``verify``'s code.
 """
 
 from __future__ import annotations
@@ -12,6 +15,36 @@ from dataclasses import dataclass, field
 
 SCHEMA = 1
 TOOL = "tensq"
+
+# the relation families (i)-(v) of nu(G) (``tensq.verify``)
+RELATION_FAMILIES = ("i", "ii", "iii", "iv", "v")
+
+
+@dataclass
+class Check:
+    label: str
+    passed: bool
+    details: dict = field(default_factory=dict)
+
+    def to_dict(self):
+        return {"label": self.label, "passed": self.passed,
+                "details": self.details}
+
+
+@dataclass
+class VerificationReport:
+    name: str
+    checks: list
+    counterexample: dict | None = None
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self):
+        return {"name": self.name, "passed": self.passed,
+                "checks": [c.to_dict() for c in self.checks],
+                "counterexample": self.counterexample}
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Verification reports, and the checks of nu(G)'s identities.
+"""The checks of nu(G)'s identities.
 
 The relation families (i)-(v) (``verify_nu_relations``) read the
 crossed module (T, phi, lambda) of G (x) G (``tensq.crossed``): every
@@ -12,51 +12,19 @@ right-multiplication columns of the right factors' distinct values,
 and a relation family runs over every one of its tuples, in blocks.
 The scalar loops these replaced, and the relation families evaluated in
 nu(G), are kept in the tests as oracles.  All checks are read-only over
-immutable inputs and may run concurrently.
+immutable inputs and may run concurrently.  Their results are
+``tensq.report``'s ``Check`` and ``VerificationReport``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import closure, perm
-
-
-# -- verification reports -----------------------------------------------------
-
-
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"label": self.label, "passed": self.passed,
-                "details": self.details}
-
-
-@dataclass
-class VerificationReport:
-    name: str
-    checks: list
-    counterexample: dict | None = None
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-                "counterexample": self.counterexample}
+from .report import RELATION_FAMILIES, Check, VerificationReport
 
 
 # -- identity verification ----------------------------------------------------
-
-RELATION_FAMILIES = ("i", "ii", "iii", "iv", "v")
 
 
 def _family_arity(fam):

@@ -434,11 +434,17 @@ degree 4
         g = parse_perm_group("degree 2\n()\n")
         assert g.order() == 1
 
+    def test_no_generator_line(self):
+        # only "degree N" presents the trivial group, as a () line does
+        g = parse_perm_group("# trivial\ndegree 3\n\n")
+        assert (g.order(), g.degree) == (1, 3)
+        assert [p.key for p in g.generators] == \
+            [p.key for p in parse_perm_group("degree 3\n()\n").generators]
+
     def test_errors(self):
-        with pytest.raises(ValueError):
-            parse_perm_group("(0 1)\n")
-        with pytest.raises(ValueError):
-            parse_perm_group("degree 3\n")
+        for text in ("(0 1)\n", "", "degree 0\n", "degree 2\n(0 2)\n"):
+            with pytest.raises(ValueError):
+                parse_perm_group(text)
 
 
 class TestIndexOps:

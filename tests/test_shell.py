@@ -368,7 +368,7 @@ class TestCli:
         # a reversed range is an error, not a range of no lemma
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before the usage check")
-        monkeypatch.setattr(cli, "build_nu", build_nu)
+        monkeypatch.setattr(tensq.nu, "build_nu", build_nu)
         assert self.run("verify", "C2", "--lemmas", lemmas) == 2
         assert capsys.readouterr().err == \
             f"error: bad lemma range {lemmas.split(',')[0]!r}\n"
@@ -380,7 +380,7 @@ class TestCli:
                                                       capsys, argv):
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before the usage check")
-        monkeypatch.setattr(cli, "build_nu", build_nu)
+        monkeypatch.setattr(tensq.nu, "build_nu", build_nu)
         assert self.run("verify", *argv) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: --")
@@ -468,7 +468,8 @@ class TestCli:
         def counting(*args, **kwargs):
             calls.append(args[0])
             return enumerate_(*args, **kwargs)
-        for module in ("tensq.catalog", "tensq.nu", "tensq.symbol"):
+        # catalog enumerates a .pres file through the coset module
+        for module in ("tensq.coset", "tensq.nu", "tensq.symbol"):
             monkeypatch.setattr(sys.modules[module], "tc_enumerate",
                                 counting)
         assert self.run(*argv) == rc
@@ -558,8 +559,8 @@ class TestCli:
     def test_engel_rejects_p_before_building_nu(self, monkeypatch, capsys):
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before -p was checked")
-        monkeypatch.setattr(cli, "build_nu", build_nu)
-        monkeypatch.setattr(cli, "tensor_module", build_nu)
+        monkeypatch.setattr(tensq.nu, "build_nu", build_nu)
+        monkeypatch.setattr(tensq.nu, "tensor_module", build_nu)
         assert self.run("engel", "C3xC3", "-p", "4", "-m", "1",
                         "-n", "1") == 2
         assert "p must be prime" in capsys.readouterr().err
@@ -653,6 +654,22 @@ class TestCli:
         path.write_text("degree 4\n(0 1)\n(2 3)\n")
         assert self.run("nu", f"@{path}", "--mode", "gens",
                         "--no-cache") == 2
+
+    @pytest.mark.parametrize("argv", [("tensor", "--no-cache"),
+                                      ("lie", "-p", "2", "--no-cache"),
+                                      ("verify",)],
+                             ids=["tensor", "lie", "verify"])
+    def test_perm_file_without_generators_is_trivial(self, tmp_path, argv):
+        # "degree N" alone presents the trivial group, as with a () line
+        results = []
+        for name, text in (("bare", "degree 4\n"),
+                           ("identity", "degree 4\n()\n")):
+            path, report = tmp_path / f"{name}.perm", tmp_path / "r.json"
+            path.write_text(text)
+            assert self.run(argv[0], f"@{path}", *argv[1:], "--json",
+                            str(report)) == 0
+            results.append(json.loads(report.read_text())["results"])
+        assert results[0] == results[1]
 
 
 def _seeded_perm_file(directory, name, seed):
@@ -755,28 +772,50 @@ def test_package_exports_only_its_api():
 
 # each module the package defers, with a name that only its run binds
 _DEFERRED = {"liering": "lie_ring", "cache": "cache_load",
-             "words": "parse_presentation"}
+             "words": "parse_presentation", "coset": "tc_enumerate",
+             "symbol": "tensor_symbols", "nu": "build_nu",
+             "verify": "verify_nu_relations"}
+# what every command that builds G (x) G or nu(G) runs: no route reads
+# verify
+_NU_STACK = ["coset", "nu", "symbol"]
 
 
 @pytest.mark.parametrize("argv, rc, ran", [
+    # the imports of a perfbench worker
     ("", None, []),
-    ("nu @C4.perm --mode all --no-cache", 0, []),
-    # C4's catalog presentation is parsed, so words runs too
-    ("lie C4 -p 2", 0, ["cache", "liering", "words"]),
-    ("tensor C2", 0, ["cache", "words"]),
+    ("nu @C4.perm --mode all --no-cache", 0, _NU_STACK),
+    # C4's catalog presentation is parsed, so words runs too, and with
+    # it coset, whose letter rows words builds
+    ("lie C4 -p 2", 0, ["cache", "coset", "liering", "words"]),
+    ("tensor C2", 0, ["cache", *_NU_STACK, "words"]),
     # lie runs liering and cache before it reads the group
     ("lie @missing.perm -p 2", 2, ["cache", "liering"]),
+    # the pgroup commands on a .perm group compile no nu(G) code
+    ("identity-f @C4.perm -n 2 -p 2 -m 1", 0, []),
+    ("lie @C4.perm -p 2 --no-cache", 0, ["liering"]),
+    ("library @C4.perm", None, []),
+    # tensor runs coset with the stack, before it enumerates the file
+    ("tensor @C4.pres --no-cache", 0, [*_NU_STACK, "words"]),
+    ("verify @C4.perm", 0, [*_NU_STACK, "verify"]),
 ])
 def test_command_runs_only_the_deferred_modules_it_reads(tmp_path, argv,
                                                          rc, ran):
-    # a new interpreter per case, since this one has run all three
+    # a new interpreter per case, since this one has run them all;
+    # "library" calls left_engel_set and fitting_subgroup, as the
+    # pgroup benchmark does
     (tmp_path / "C4.perm").write_text("degree 4\n(0 1 2 3)\n")
+    (tmp_path / "C4.pres").write_text("gens: a\nrels: a^4\n")
     code = ("import json, os, sys\n"
-            "import tensq\n"
+            "import numpy, tensq.cli, tensq.engel, tensq.catalog\n"
             "if len(sys.argv) > 3:\n"
-            "    from tensq.cli import main\n"
             "    os.chdir(sys.argv[2])\n"
-            "    assert main(sys.argv[4:]) == int(sys.argv[3])\n"
+            "    if sys.argv[4] == 'library':\n"
+            "        g = tensq.resolve_group(sys.argv[5])[0]\n"
+            "        assert len(tensq.engel.left_engel_set(g, 10)) == 4\n"
+            "        assert tensq.engel.fitting_subgroup(g).order() == 4\n"
+            "    else:\n"
+            "        rc = tensq.cli.main(sys.argv[4:])\n"
+            "        assert rc == int(sys.argv[3])\n"
             "deferred = json.loads(sys.argv[1])\n"
             "print(json.dumps(sorted(\n"
             "    m for m, name in deferred.items()\n"
@@ -786,6 +825,16 @@ def test_command_runs_only_the_deferred_modules_it_reads(tmp_path, argv,
         args += [str(tmp_path), str(rc), *argv.split()]
     out = _fresh_interpreter(code, tmp_path, *args)
     assert json.loads(out.splitlines()[-1]) == ran
+
+
+def test_every_exported_name_is_its_modules_object():
+    # the package's names from deferred modules resolve to the objects
+    # their modules define, and dir() lists each
+    listed = dir(tensq)
+    for name in tensq.__all__:
+        value = getattr(tensq, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in listed, name
 
 
 def test_deferred_module_runs_once_for_racing_readers(tmp_path):
