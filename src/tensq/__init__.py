@@ -2,15 +2,17 @@
 construction, with Engel scans and graded Lie rings of p-groups.
 
 Everything runs at desk scale over explicit permutation groups; each
-computed structure ships with exhaustive or seeded verification of the
-identities it is supposed to satisfy.
+computed structure ships with exhaustive verification of the identities
+it is supposed to satisfy.
 
 ``liering``, ``cache``, ``words`` and the nu(G) stack (``coset``,
 ``symbol``, ``nu`` and ``verify``) are deferred: importing the package
 registers them without running them, and each runs on the first lookup
 of a name it does not yet hold, so a command that never reads one never
-compiles it.  ``lie``, ``identity-f``, ``left_engel_set`` and
-``fitting_subgroup`` on a ``.perm`` group compile none of the stack.
+compiles it.  ``liering`` and ``verify`` import their other halves,
+``liecheck`` and ``nucheck``, when they run.  ``lie``, ``identity-f``,
+``left_engel_set`` and ``fitting_subgroup`` on a ``.perm`` group compile
+none of the stack.
 The package's names from deferred modules are looked up there on use
 (PEP 562).
 """

@@ -932,6 +932,31 @@ def test_tensor_set_normality_check_fails_on_a_non_normal_set(monkeypatch):
                                      "conjugator": conjugator}
 
 
+def test_tensor_generation_check_matches_the_closure_of_every_witness(
+        nu_of, monkeypatch):
+    # the check closes the witnesses that lie outside the closure of
+    # those before them; the closure of every witness at once, as the
+    # check read before, gives the same verdict and tensor_order on every
+    # catalog group within the cap, for all of X and for its first half
+    verdicts = []
+    for name, entry in catalog().items():
+        if entry.order > nu_module.DEFAULT_GROUP_CAP:
+            continue
+        nu = nu_of(name)
+        witnesses = nu.all_tensor_indices()
+        half = list(witnesses.items())[:(len(witnesses) + 1) // 2]
+        for part in (witnesses, dict(half)):
+            monkeypatch.setattr(nu, "all_tensor_indices", lambda: part)
+            check = next(c for c in verify_tensor_set_closed(nu).checks
+                         if c.label == "X generates the tensor subgroup")
+            span = nu.ambient.subgroup(part)
+            assert (check.passed, check.details) == (
+                span.index_set() == nu.tensor.index_set(),
+                {"tensor_order": nu.tensor.order()}), name
+            verdicts.append(check.passed)
+    assert True in verdicts and False in verdicts
+
+
 # -- the array verifiers against their scalar loops ---------------------------
 
 # family orders tried on each corrupted nu(G): the counterexample is the

@@ -770,14 +770,15 @@ def test_package_exports_only_its_api():
                 if isinstance(v, types.ModuleType)]
 
 
-# each module the package defers, with a name that only its run binds
-_DEFERRED = {"liering": "lie_ring", "cache": "cache_load",
-             "words": "parse_presentation", "coset": "tc_enumerate",
-             "symbol": "tensor_symbols", "nu": "build_nu",
-             "verify": "verify_nu_relations"}
+# the tensq modules that a perfbench worker's imports run
+_IMPORTED = ["catalog", "cli", "closure", "engel", "errors", "linalg",
+             "perm", "permutation", "report"]
 # what every command that builds G (x) G or nu(G) runs: no route reads
-# verify
-_NU_STACK = ["coset", "nu", "symbol"]
+# verify or nucheck
+_NU_STACK = ["coset", "cosetrows", "nu", "nugroup", "symbol"]
+# what the symbol route adds: the Tietze reduction, its certificates
+# and the crossed module
+_SYMBOL_ROUTE = ["crossed", "tietze", "tietzecert"]
 
 
 @pytest.mark.parametrize("argv, rc, ran", [
@@ -786,45 +787,77 @@ _NU_STACK = ["coset", "nu", "symbol"]
     ("nu @C4.perm --mode all --no-cache", 0, _NU_STACK),
     # C4's catalog presentation is parsed, so words runs too, and with
     # it coset, whose letter rows words builds
-    ("lie C4 -p 2", 0, ["cache", "coset", "liering", "words"]),
-    ("tensor C2", 0, ["cache", *_NU_STACK, "words"]),
-    # lie runs liering and cache before it reads the group
-    ("lie @missing.perm -p 2", 2, ["cache", "liering"]),
+    ("lie C4 -p 2", 0, ["cache", "coset", "cosetrows", "liecheck",
+                        "liering", "words"]),
+    # tensor takes C2 to C5 on the gens route, with no Tietze reduction
+    ("tensor C2", 0, sorted(["cache", *_NU_STACK, "words"])),
+    # lie runs both halves of liering, and cache, before it reads the
+    # group
+    ("lie @missing.perm -p 2", 2, ["cache", "liecheck", "liering"]),
     # the pgroup commands on a .perm group compile no nu(G) code
     ("identity-f @C4.perm -n 2 -p 2 -m 1", 0, []),
-    ("lie @C4.perm -p 2 --no-cache", 0, ["liering"]),
+    ("lie @C4.perm -p 2 --no-cache", 0, ["liecheck", "liering"]),
     ("library @C4.perm", None, []),
     # tensor runs coset with the stack, before it enumerates the file
-    ("tensor @C4.pres --no-cache", 0, [*_NU_STACK, "words"]),
-    ("verify @C4.perm", 0, [*_NU_STACK, "verify"]),
+    ("tensor @C4.pres --no-cache", 0, sorted([*_NU_STACK, "words"])),
+    # both halves of verify; its relation families take the symbol route
+    ("verify @C4.perm", 0, sorted([*_NU_STACK, *_SYMBOL_ROUTE, "nucheck",
+                                   "verify"])),
 ])
 def test_command_runs_only_the_deferred_modules_it_reads(tmp_path, argv,
                                                          rc, ran):
-    # a new interpreter per case, since this one has run them all;
-    # "library" calls left_engel_set and fitting_subgroup, as the
-    # pgroup benchmark does
+    # a new interpreter per case, since this one has run them all.  A
+    # module has run when it is in sys.modules and not still deferred;
+    # "library" calls left_engel_set and fitting_subgroup, as the pgroup
+    # benchmark does
     (tmp_path / "C4.perm").write_text("degree 4\n(0 1 2 3)\n")
     (tmp_path / "C4.pres").write_text("gens: a\nrels: a^4\n")
     code = ("import json, os, sys\n"
             "import numpy, tensq.cli, tensq.engel, tensq.catalog\n"
-            "if len(sys.argv) > 3:\n"
-            "    os.chdir(sys.argv[2])\n"
-            "    if sys.argv[4] == 'library':\n"
-            "        g = tensq.resolve_group(sys.argv[5])[0]\n"
+            "def ran():\n"
+            "    return {n.removeprefix('tensq.')\n"
+            "            for n, m in list(sys.modules.items())\n"
+            "            if n.startswith('tensq.')\n"
+            "            and not isinstance(m, tensq._Deferred)}\n"
+            "imported = ran()\n"
+            "if len(sys.argv) > 2:\n"
+            "    os.chdir(sys.argv[1])\n"
+            "    if sys.argv[3] == 'library':\n"
+            "        g = tensq.resolve_group(sys.argv[4])[0]\n"
             "        assert len(tensq.engel.left_engel_set(g, 10)) == 4\n"
             "        assert tensq.engel.fitting_subgroup(g).order() == 4\n"
             "    else:\n"
-            "        rc = tensq.cli.main(sys.argv[4:])\n"
-            "        assert rc == int(sys.argv[3])\n"
-            "deferred = json.loads(sys.argv[1])\n"
-            "print(json.dumps(sorted(\n"
-            "    m for m, name in deferred.items()\n"
-            "    if name in vars(sys.modules['tensq.' + m]))))\n")
-    args = [json.dumps(_DEFERRED)]
-    if argv:
-        args += [str(tmp_path), str(rc), *argv.split()]
+            "        rc = tensq.cli.main(sys.argv[3:])\n"
+            "        assert rc == int(sys.argv[2])\n"
+            "print(json.dumps([sorted(imported),\n"
+            "                  sorted(ran() - imported)]))\n")
+    args = [str(tmp_path), str(rc), *argv.split()] if argv else []
     out = _fresh_interpreter(code, tmp_path, *args)
-    assert json.loads(out.splitlines()[-1]) == ran
+    assert json.loads(out.splitlines()[-1]) == [_IMPORTED, ran]
+
+
+def test_every_tracer_target_resolves_after_the_imports(tmp_path):
+    # perfbench's tracer takes each target's module from sys.modules
+    # after import tensq.cli, and its function or method from there; a
+    # moved name that no longer resolves breaks --trace 1
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    code = ("import json, sys\n"
+            "import tensq.cli\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from spans import TARGETS\n"
+            "missing = []\n"
+            "for module, attr, *_ in TARGETS:\n"
+            "    owner = sys.modules.get(module)\n"
+            "    for part in attr.split('.'):\n"
+            "        owner = getattr(owner, part, None)\n"
+            "    if not callable(owner):\n"
+            "        missing.append(f'{module}.{attr}')\n"
+            "print(json.dumps([len(TARGETS), missing]))\n")
+    out = _fresh_interpreter(code, tmp_path, bench)
+    count, missing = json.loads(out.splitlines()[-1])
+    assert count > 0
+    assert missing == []
 
 
 def test_every_exported_name_is_its_modules_object():
