@@ -297,10 +297,14 @@ def run(args):
         lines[-1] += " (cached)"
     for line in lines:
         print(line)
-    if key is not None and hit is None:
-        cache.cache_store(key, report.to_json())
+    store = key is not None and hit is None
+    # one encoding for both: the cached and the written report are the
+    # same bytes
+    text = report.to_json() if store or args.json else None
+    if store:
+        cache.cache_store(key, text)
     if args.json:
-        write_report(report, args.json)
+        write_report(text, args.json)
     return 0 if passed else 1
 
 

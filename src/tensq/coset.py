@@ -2,9 +2,22 @@
 
 HLT enumeration with a lookahead-and-compact pass.  Coincidences are
 handled with the standard union-find over coset representatives and
-full deduction replay.  Relator scan order is declaration order and new
-cosets fill the first undefined entry in row-major order, so identical
-inputs produce identical tables.
+full deduction replay.  Relators are scanned in declaration order, each
+distinct reduced row once, where it first appears, and new cosets fill
+the first undefined entry in row-major order, so identical inputs
+produce identical tables.
+
+Skipping a repeated row changes nothing where its first copy's scan
+completes: that scan leaves the relator closed at the coset, and a
+closed scan stays closed (see the pre-check below), so every later copy
+would have scanned to closure and made no deduction.  A one-letter scan
+always completes, in a deduction, a coincidence or a closed scan, and
+in a pass that may define cosets in every column so does every scan.
+The one place a skip could differ is a longer repeat in a pass along
+``spanning`` alone, where a scan can stop at a gap; the presentations
+tensq builds repeat only one-letter rows (nu(G)'s multiplication-table
+presentation repeats x_e = 1 and x_e' = 1), so there the tables are
+those of scanning every copy.  ``verify`` still checks every row.
 
 Cosets are those of the trivial subgroup, so a closed table is the
 regular representation of the presented group: row 0 is the identity,
@@ -146,6 +159,10 @@ class CosetTable(CosetRows):
         self._no_fill = (False,) * self.ncols
         self.relators = tuple(_reduced(r, self.ncols)
                               for r in presentation.relators)
+        # each distinct row once, in order of first appearance: the
+        # pre-check and the HLT passes walk these (see the module
+        # docstring), ``verify`` every row
+        self._distinct = tuple(dict.fromkeys(self.relators))
         self.limits = limits
         # Rows [0, _n) are cosets; every row past them stays -1, and at
         # least one always exists, so a gather from entry -1 reads the
@@ -166,7 +183,7 @@ class CosetTable(CosetRows):
         # still walking at letter i are a prefix of that order, and
         # _letters[i] holds their i-th letters: a slice of one column
         # of the relators padded to a common length.
-        lengths = [len(w) for w in self.relators]
+        lengths = [len(w) for w in self._distinct]
         walk = sorted(range(len(lengths)), key=lengths.__getitem__,
                       reverse=True)
         self._rank = np.empty(len(walk), dtype=np.intp)
@@ -175,7 +192,7 @@ class CosetTable(CosetRows):
                 > np.arange(max(lengths, default=0)))
         padded = np.full(held.shape, -1, dtype=np.intp, order="F")
         padded[held] = np.fromiter(
-            itertools.chain.from_iterable(self.relators[r] for r in walk),
+            itertools.chain.from_iterable(self._distinct[r] for r in walk),
             dtype=np.intp, count=sum(lengths))
         self._letters = [padded[:k, i, None]
                          for i, k in enumerate(held.sum(axis=0).tolist())]
@@ -189,11 +206,11 @@ class CosetTable(CosetRows):
     # -- the closed-relator pre-check --------------------------------------
 
     def _open_relators(self, cosets):
-        """Boolean (cosets, relators) array: True where the relator does
-        not yet scan to closure from the coset (an entry on its path is
-        undefined or it ends elsewhere)."""
+        """Boolean (cosets, distinct relators) array: True where the
+        relator does not yet scan to closure from the coset (an entry on
+        its path is undefined or it ends elsewhere)."""
         start = np.array(cosets, dtype=np.intp)
-        f = np.empty((len(self.relators), len(start)), dtype=np.intp)
+        f = np.empty((len(self._distinct), len(start)), dtype=np.intp)
         f[:] = start
         flat = self._rows.reshape(-1)
         # an undefined entry (-1) indexes the free last row, all -1
@@ -213,7 +230,7 @@ class CosetTable(CosetRows):
         """Pre-check the next block of live cosets from ``a`` on.  Returns
         the end of the block and, for each of its live cosets, the flags
         of its open relators."""
-        block = max(1, _PRECHECK_PAIRS // max(1, len(self.relators)))
+        block = max(1, _PRECHECK_PAIRS // max(1, len(self._distinct)))
         live = []
         c = a
         while c < self._n and len(live) < block:
@@ -223,12 +240,11 @@ class CosetTable(CosetRows):
         return c, dict(zip(live, self._open_relators(live)))
 
     def _scan_open(self, c, open_relators, fill):
-        """Scan from live coset ``c`` the relators flagged open, in
-        declaration order, until one kills ``c``."""
-        for r in np.flatnonzero(open_relators).tolist():
-            self._scan(c, self.relators[r], fill)
-            if self.p[c] != c:
-                return
+        """Scan from live coset ``c`` the distinct relators flagged open,
+        in order of first appearance, until one kills ``c``."""
+        rows = self._distinct
+        self._scan_rows(c, [rows[r] for r in
+                            np.flatnonzero(open_relators).tolist()], fill)
 
     # -- HLT ---------------------------------------------------------------
 

@@ -3,6 +3,11 @@ built from (``tensq.coset``): union-find over coset labels, coincidence
 processing, definition, relator scans, resizing, the limits, compaction
 and the closing ``verify``.
 
+The scans from one coset are one loop, ``_scan_rows``, over the rows
+the pre-check left open, with no call per scan: HLT spends most of its
+time there.  ``coset`` passes it each distinct relator once; ``verify``
+checks every row.
+
 ``tensq.coset.CosetTable`` is the one subclass.  It sets up the rows'
 state (``__init__``), supplies ``_grow`` (the table's memory cap) and
 drives the passes.  The class is split across the two modules so that
@@ -111,38 +116,46 @@ class CosetRows:
         self._rows[old:] = -1
         self._t = memoryview(self._rows)
 
-    def _scan(self, a, word, fill):
+    def _scan_rows(self, a, rows, fill):
+        """Scan the words ``rows`` from live coset ``a``, in order, until
+        one kills ``a``.  A scan that stops at an undefined entry defines
+        a new coset there if ``fill`` flags its column, and otherwise
+        leaves the entry to a deduction."""
+        p = self.p
         t = self._t
-        i, j = 0, len(word) - 1
-        f = b = a
-        while True:
-            while i <= j:
-                d = t[f, word[i]]
-                if d < 0:
+        for word in rows:
+            i, j = 0, len(word) - 1
+            f = b = a
+            while True:
+                while i <= j:
+                    d = t[f, word[i]]
+                    if d < 0:
+                        break
+                    f = d
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self._coincidence(f, b)
                     break
-                f = d
-                i += 1
-            if i > j:
-                if f != b:
+                while j >= i:
+                    d = t[b, word[j] ^ 1]
+                    if d < 0:
+                        break
+                    b = d
+                    j -= 1
+                if j < i:
                     self._coincidence(f, b)
-                return
-            while j >= i:
-                d = t[b, word[j] ^ 1]
-                if d < 0:
                     break
-                b = d
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
+                if j == i:
+                    t[f, word[i]] = b
+                    t[b, word[i] ^ 1] = f
+                    break
+                if not fill[word[i]]:
+                    break
+                self._define(f, word[i])
+                t = self._t
+            if p[a] != a:
                 return
-            if j == i:
-                t[f, word[i]] = b
-                t[b, word[i] ^ 1] = f
-                return
-            if not fill[word[i]]:
-                return
-            self._define(f, word[i])
-            t = self._t
 
     # -- limits ------------------------------------------------------------
 

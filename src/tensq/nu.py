@@ -113,7 +113,10 @@ def nu_presentation(source, mode):
     * A triple with g1 = e or g2 = e follows from the table relator
       x_e = 1, and from its primed copy: both sides are trivial.
 
-    So there are 2(n^2 + 1) + 2(n - 1)^2 |S| relators for |G| = n.
+    So there are 2(n^2 + 1) + 2(n - 1)^2 |S| relators for |G| = n.  Of
+    them 4n - 2 repeat x_e = 1 or x_e' = 1 once reduced: the table
+    relators x_i x_j x_ij^-1 with i = e or j = e, and their primed
+    copies.  The enumerator scans each once (``tensq.coset``).
     mode "gens": ``source`` is a ``tensq.words.Presentation`` of G, and
     the relations range over its generator triples with conjugation
     written literally.

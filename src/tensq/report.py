@@ -78,6 +78,7 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report, path):
+def write_report(text, path):
+    """Write ``text``, a report's ``to_json()``, to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        fh.write(text)

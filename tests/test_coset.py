@@ -1,5 +1,6 @@
 import cProfile
 import hashlib
+from collections import Counter
 import re
 import time
 import tracemalloc
@@ -199,6 +200,10 @@ def _symbol(name):
 # same presentation as the all route does, with a first pass that
 # defines cosets only along S and S'; it was recorded from the
 # two-pass enumerator.  The five before it pin ``spanning=None``.
+# "nu(C8)-all-spanning" and "nu(C9)-all-spanning" enumerate the all
+# route's presentation as the all route does, in catalog numbering at
+# the default lookahead threshold; they were recorded from the
+# enumerator that scanned every copy of a repeated relator.
 # "T(G)-symbol" enumerates the Tietze-reduced symbol presentation of
 # G (x) G, as the symbol route does; recorded when that presentation
 # still went through ``tensq.words``.  Each factory takes pytest's
@@ -216,6 +221,12 @@ GOLDEN_TABLES = [
      "461dc6a7235c3e800e2733ecd0179e3fec20c84037c1b7dcc3150e0951e38af1"),
     ("nu(S3)-all-spanning", lambda mp: _nu(mp, "S3", "all-spanning", 300),
      "736d118d41dc127dcb6235d4e54d60395762b6684427b5974dd732e192aa63bc"),
+    ("nu(C8)-all-spanning",
+     lambda mp: _nu(mp, "C8", "all-spanning", coset._LOOKAHEAD_THRESHOLD),
+     "7695de290ef3e93887fad075f3329fb8b879bc531619511f350696ed48daf3e7"),
+    ("nu(C9)-all-spanning",
+     lambda mp: _nu(mp, "C9", "all-spanning", coset._LOOKAHEAD_THRESHOLD),
+     "d50361d83030ed790cef537e764841175dc880f33e69ccb464db9cb6712e2bbb"),
     ("T(D4)-symbol", lambda mp: _symbol("D4"),
      "57b0a147f87c645a7f1b3a542f84f3f4f76f9791df36be1eb34bc3600b697f2d"),
     ("T(A4)-symbol", lambda mp: _symbol("A4"),
@@ -332,6 +343,118 @@ class TestSpanningPass:
     def test_spanning_generator_out_of_range(self, gen):
         with pytest.raises(ValueError, match="spanning generators"):
             tc_enumerate(pres(S3), None, [0, gen])
+
+
+def _scan_one(table, a, word, fill):
+    """One HLT scan of ``word`` from live coset ``a``, a call of its own."""
+    t = table._t
+    i, j = 0, len(word) - 1
+    f = b = a
+    while True:
+        while i <= j and t[f, word[i]] >= 0:
+            f = t[f, word[i]]
+            i += 1
+        if i > j:
+            if f != b:
+                table._coincidence(f, b)
+            return
+        while j >= i and t[b, word[j] ^ 1] >= 0:
+            b = t[b, word[j] ^ 1]
+            j -= 1
+        if j < i:
+            table._coincidence(f, b)
+            return
+        if j == i:
+            t[f, word[i]] = b
+            t[b, word[i] ^ 1] = f
+            return
+        if not fill[word[i]]:
+            return
+        table._define(f, word[i])
+        t = table._t
+
+
+class EveryCopy(CosetTable):
+    """The enumerator that scans every copy of a repeated relator: from
+    each live coset, every row whose relator the pre-check left open, in
+    declaration order, one ``_scan_one`` each."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._index = {w: k for k, w in enumerate(self._distinct)}
+
+    def _scan_open(self, c, open_relators, fill):
+        for word in self.relators:
+            if open_relators[self._index[word]]:
+                _scan_one(self, c, word, fill)
+                if self.p[c] != c:
+                    return
+
+
+def _outcome(cls, presentation, limits, spanning):
+    """What ``cls`` leaves of an enumeration: status, cosets defined,
+    passes and the table, closed or as a limit left it."""
+    table = cls(presentation, limits, spanning)
+    try:
+        table.run()
+    except EnumerationLimitError as err:
+        assert err.table is table
+    return table.status, table.defined, table.passes, table.table.tolist()
+
+
+def _nu_spanning_all(name):
+    group = get_group(name)
+    gens = group.generator_indices()
+    return (nu_presentation(group, "all"),
+            [*gens, *(s + group.order() for s in gens)])
+
+
+NU_CAPABLE = [name for name, entry in catalog().items()
+              if entry.order <= nu_module.DEFAULT_GROUP_CAP]
+
+
+class TestRepeatedRelators:
+    # the enumerator scans each distinct reduced row once; skipping the
+    # repeats must not change a single entry, count or pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_skipping_repeats_is_exact(self, data):
+        ngens = data.draw(st.integers(1, 3))
+        row = st.lists(st.integers(0, 2 * ngens - 1), min_size=1,
+                       max_size=6)
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        copies = data.draw(st.lists(st.sampled_from(rows), min_size=1,
+                                    max_size=4))
+        relators = data.draw(st.permutations(rows + copies))
+        presentation = LetterPresentation(ngens, relators)
+        limits = EnumerationLimits(max_cosets=300)
+        assert len(set(CosetTable(presentation).relators)) < len(relators)
+        assert _outcome(CosetTable, presentation, limits, None) == \
+            _outcome(EveryCopy, presentation, limits, None)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in NU_CAPABLE if catalog()[n].order <= 9])
+    def test_all_route_enumeration_is_exact(self, name):
+        presentation, spanning = _nu_spanning_all(name)
+        limits = EnumerationLimits()
+        assert _outcome(CosetTable, presentation, limits, spanning) == \
+            _outcome(EveryCopy, presentation, limits, spanning)
+
+    @pytest.mark.parametrize("name", NU_CAPABLE)
+    def test_only_the_all_route_repeats_and_only_one_letter(self, name):
+        # x_e = 1, x_e' = 1 and the 2n - 1 table relators x_i x_j x_ij^-1
+        # with i = e or j = e, which reduce to them: 4n - 2 repeats
+        group = get_group(name)
+        n = group.order()
+        rows = CosetTable(nu_presentation(group, "all")).relators
+        repeats = Counter(rows)
+        assert len(rows) - len(repeats) == 4 * n - 2
+        assert {w for w, k in repeats.items() if k > 1} == {(0,), (2 * n,)}
+        for pres_ in (nu_presentation(get_presentation(name), "gens"),
+                      *_symbol(name)):
+            rows = CosetTable(pres_).relators
+            assert len(set(rows)) == len(rows)
 
 
 def _compacted_out_of_place(table):

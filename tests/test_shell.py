@@ -181,6 +181,25 @@ class TestCli:
         c.pop("timing"), w.pop("timing")
         assert canonical_json(c) == canonical_json(w)
 
+    def test_cold_run_encodes_its_report_once(self, tmp_path, monkeypatch):
+        # the cache entry's body and the --json file are the same bytes,
+        # from one to_json call
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+        calls = []
+        to_json = Report.to_json
+
+        def counted(report, *args, **kwargs):
+            calls.append(report.command)
+            return to_json(report, *args, **kwargs)
+
+        monkeypatch.setattr(Report, "to_json", counted)
+        path = tmp_path / "r.json"
+        assert self.run("lie", "C4", "-p", "2", "--json", str(path)) == 0
+        assert calls == ["lie"]
+        [entry] = cache.glob("*.json")
+        assert cache_load(entry.stem).encode() == path.read_bytes()
+
     @pytest.mark.parametrize("damage", ["truncate", "empty-results",
                                         "undecodable"])
     def test_damaged_cache_body_recomputed(self, tmp_path, monkeypatch,
