@@ -57,8 +57,9 @@ and in seeded numberings.
 The table is one ``int32`` array (-1 marks an undefined entry) that
 doubles in place when full, up to 1 GiB: past that the enumeration
 stops with ``EnumerationLimitError``, like the coset and time limits.
-Scan, define and coincidence read and write single entries through a
-memoryview of it.  Before HLT scans a block of cosets, one numpy
+Scan, define and coincidence read and write single entries through
+one 1-D memoryview per column, strided slices of one flat view of it
+(``tensq.cosetrows``).  Before HLT scans a block of cosets, one numpy
 gather per relator letter finds every (coset, relator) pair that
 already scans to closure, and only the rest are scanned.  Skipping
 them changes nothing: a closed scan makes no deduction, and it stays
@@ -168,7 +169,7 @@ class CosetTable(CosetRows):
         # least one always exists, so a gather from entry -1 reads the
         # last row and an undefined entry stays undefined along a path.
         self._rows = np.full((_INITIAL_ROWS, self.ncols), -1, dtype=np.int32)
-        self._t = memoryview(self._rows)
+        self._views()
         self._n = 1
         self.p = [0]
         self.alive = 1
@@ -228,8 +229,8 @@ class CosetTable(CosetRows):
 
     def _precheck_from(self, a):
         """Pre-check the next block of live cosets from ``a`` on.  Returns
-        the end of the block and, for each of its live cosets, the flags
-        of its open relators."""
+        the end of the block and, for each of its live cosets, the
+        indices of its open distinct relators, ascending."""
         block = max(1, _PRECHECK_PAIRS // max(1, len(self._distinct)))
         live = []
         c = a
@@ -237,40 +238,38 @@ class CosetTable(CosetRows):
             if self.p[c] == c:
                 live.append(c)
             c += 1
-        return c, dict(zip(live, self._open_relators(live)))
-
-    def _scan_open(self, c, open_relators, fill):
-        """Scan from live coset ``c`` the distinct relators flagged open,
-        in order of first appearance, until one kills ``c``."""
-        rows = self._distinct
-        self._scan_rows(c, [rows[r] for r in
-                            np.flatnonzero(open_relators).tolist()], fill)
+        # row-major, so each coset's indices are one ascending run
+        which, relators = np.nonzero(self._open_relators(live))
+        ends = np.bincount(which, minlength=len(live)).cumsum().tolist()
+        relators = relators.tolist()
+        return c, {coset: relators[lo:hi] for coset, lo, hi
+                   in zip(live, [0, *ends], ends)}
 
     # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
         hi = 0
         while hi < self._n:
-            hi, flags = self._precheck_from(hi)
-            for c, open_ in flags.items():
+            hi, open_ = self._precheck_from(hi)
+            for c, relators in open_.items():
                 if self.p[c] == c:
-                    self._scan_open(c, open_, self._no_fill)
+                    self._scan_rows(c, relators, self._no_fill)
             self._check_time()
 
     def _hlt_pass(self, fill):
         """One HLT pass over the live cosets, in order, that defines new
         cosets only in the columns ``fill`` flags."""
         self.passes += 1
-        cols = [x for x in range(self.ncols) if fill[x]]
+        fill_cols = [x for x in range(self.ncols) if fill[x]]
         a = hi = 0
         while a < self._n:
             if a >= hi:
-                hi, flags = self._precheck_from(a)
+                hi, open_ = self._precheck_from(a)
             if self.p[a] == a:
-                self._scan_open(a, flags[a], fill)
+                self._scan_rows(a, open_[a], fill)
                 if self.p[a] == a:
-                    for x in cols:
-                        if self._t[a, x] < 0:
+                    for x in fill_cols:
+                        if self._cols[x][a] < 0:
                             self._define(a, x)
             a += 1
             if self._n >= self._lookahead_at:

@@ -3,10 +3,15 @@ built from (``tensq.coset``): union-find over coset labels, coincidence
 processing, definition, relator scans, resizing, the limits, compaction
 and the closing ``verify``.
 
-The scans from one coset are one loop, ``_scan_rows``, over the rows
-the pre-check left open, with no call per scan: HLT spends most of its
-time there.  ``coset`` passes it each distinct relator once; ``verify``
-checks every row.
+The scans from one coset are one loop, ``_scan_rows``, over the
+indices of the distinct relators the pre-check left open, with no call
+per scan: HLT spends most of its time there.  ``coset`` passes it each
+distinct relator once; ``verify`` checks every row.  Every single entry
+is read and written through ``_cols``, one 1-D memoryview per column:
+``_cols[x][c]`` indexes one dimension, where a 2-D view builds a tuple
+and takes the multi-dimensional subscript path on every access.  The
+views are strided slices of one flat view of the array, which costs no
+ndarray per column.
 
 ``tensq.coset.CosetTable`` is the one subclass.  It sets up the rows'
 state (``__init__``), supplies ``_grow`` (the table's memory cap) and
@@ -27,8 +32,9 @@ from .errors import EnumerationLimitError, StateError
 
 class CosetRows:
     """The table array, ``_rows`` (-1 marks an undefined entry), its
-    memoryview ``_t``, the first ``_n`` rows in use and the union-find
-    list ``p``, with the operations on them."""
+    column views ``_cols`` (entry [c, x] is ``_cols[x][c]``), the first
+    ``_n`` rows in use and the union-find list ``p``, with the
+    operations on them."""
 
     @property
     def table(self):
@@ -58,24 +64,23 @@ class CosetRows:
     def _coincidence(self, a, b):
         queue = []
         self._merge(a, b, queue)
-        t = self._t
         qi = 0
         while qi < len(queue):
             g = queue[qi]
             qi += 1
-            for x in range(self.ncols):
-                d = t[g, x]
+            for col, inv in self._pairs:
+                d = col[g]
                 if d >= 0:
-                    t[d, x ^ 1] = -1
+                    inv[d] = -1
                     mu = self._rep(g)
                     nu = self._rep(d)
-                    if t[mu, x] >= 0:
-                        self._merge(nu, t[mu, x], queue)
-                    elif t[nu, x ^ 1] >= 0:
-                        self._merge(mu, t[nu, x ^ 1], queue)
+                    if col[mu] >= 0:
+                        self._merge(nu, col[mu], queue)
+                    elif inv[nu] >= 0:
+                        self._merge(mu, inv[nu], queue)
                     else:
-                        t[mu, x] = nu
-                        t[nu, x ^ 1] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
 
     # -- definition and scanning -------------------------------------------
 
@@ -94,16 +99,28 @@ class CosetRows:
         self.p.append(b)
         self.alive += 1
         self.defined += 1
-        self._t[a, x] = b
-        self._t[b, x ^ 1] = a
+        cols = self._cols
+        cols[x][a] = b
+        cols[x ^ 1][b] = a
         return b
+
+    def _views(self):
+        """Point ``_cols`` at the columns of ``_rows``, and ``_pairs`` at
+        (column x, column x ^ 1), in column order, the same views, for
+        the coincidence.  ``reshape(-1)`` also flattens a table with no
+        columns, which ``cast`` would refuse."""
+        flat = memoryview(self._rows.reshape(-1))
+        cols = self._cols = [flat[x::self.ncols] for x in range(self.ncols)]
+        self._pairs = [(cols[x], cols[x ^ 1]) for x in range(self.ncols)]
 
     def _resize(self, rows):
         """Give the array ``rows`` rows; the rows it gains are -1."""
         old = len(self._rows)
-        # a scan still holding the old view fails loudly instead of
-        # writing to freed memory
-        self._t.release()
+        # Every view refers to the array, and numpy resizes in place only
+        # an array nothing else refers to.  Released, a view a scan still
+        # holds raises ValueError instead of writing to freed memory.
+        for col in self._cols:
+            col.release()
         try:
             # in place, so the old and the new array never coexist
             self._rows.resize((rows, self.ncols))
@@ -114,21 +131,25 @@ class CosetRows:
             resized[:kept] = self._rows[:kept]
             self._rows = resized
         self._rows[old:] = -1
-        self._t = memoryview(self._rows)
+        self._views()
 
-    def _scan_rows(self, a, rows, fill):
-        """Scan the words ``rows`` from live coset ``a``, in order, until
+    def _scan_rows(self, a, relators, fill):
+        """Scan the distinct relators ``relators`` (indices into
+        ``_distinct``, ascending) from live coset ``a``, in order, until
         one kills ``a``.  A scan that stops at an undefined entry defines
         a new coset there if ``fill`` flags its column, and otherwise
         leaves the entry to a deduction."""
         p = self.p
-        t = self._t
-        for word in rows:
+        words = self._distinct
+        # re-read after every definition: a grow replaces the views
+        cols = self._cols
+        for r in relators:
+            word = words[r]
             i, j = 0, len(word) - 1
             f = b = a
             while True:
                 while i <= j:
-                    d = t[f, word[i]]
+                    d = cols[word[i]][f]
                     if d < 0:
                         break
                     f = d
@@ -138,7 +159,7 @@ class CosetRows:
                         self._coincidence(f, b)
                     break
                 while j >= i:
-                    d = t[b, word[j] ^ 1]
+                    d = cols[word[j] ^ 1][b]
                     if d < 0:
                         break
                     b = d
@@ -147,13 +168,13 @@ class CosetRows:
                     self._coincidence(f, b)
                     break
                 if j == i:
-                    t[f, word[i]] = b
-                    t[b, word[i] ^ 1] = f
+                    cols[word[i]][f] = b
+                    cols[word[i] ^ 1][b] = f
                     break
                 if not fill[word[i]]:
                     break
                 self._define(f, word[i])
-                t = self._t
+                cols = self._cols
             if p[a] != a:
                 return
 

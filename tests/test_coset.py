@@ -257,6 +257,73 @@ def test_table_grown_under_a_profiler(monkeypatch):
         == digest
 
 
+def _growing_from_two_rows(monkeypatch, name):
+    """The arguments of GOLDEN_TABLES entry ``name``, with tables that
+    start at two rows, so that every enumeration grows at each power
+    of two: inside scans, row fills and the lookahead."""
+    monkeypatch.setattr(coset, "_INITIAL_ROWS", 2)
+    [(make, digest)] = [g[1:] for g in GOLDEN_TABLES if g[0] == name]
+    return make(monkeypatch), digest
+
+
+def _record_resizes(monkeypatch):
+    """A list that gets, for every ``_resize``, the rows asked for and
+    whether ``_rows`` stayed the same array.  Only ids are compared: a
+    reference held here would send numpy to the copy path."""
+    resizes = []
+    resize = CosetTable._resize
+
+    def recording(table, rows):
+        before = id(table._rows)
+        resize(table, rows)
+        resizes.append((rows, id(table._rows) == before))
+
+    monkeypatch.setattr(CosetTable, "_resize", recording)
+    return resizes
+
+
+@pytest.mark.parametrize("name", [g[0] for g in GOLDEN_TABLES])
+def test_table_grown_from_two_rows_matches_recorded_digest(monkeypatch,
+                                                           name):
+    args, digest = _growing_from_two_rows(monkeypatch, name)
+    assert _digest(tc_enumerate(*args)) == digest
+
+
+@pytest.mark.parametrize("name", ["nu(C9)-all-spanning", "nu(D4)-gens"])
+def test_table_grown_from_two_rows_under_a_profiler(monkeypatch, name):
+    # every grow takes the copy path, and the table is the same
+    args, digest = _growing_from_two_rows(monkeypatch, name)
+    resizes = _record_resizes(monkeypatch)
+    table = cProfile.Profile().runcall(tc_enumerate, *args)
+    assert _digest(table) == digest
+    assert len(resizes) > 5 and not any(kept for _, kept in resizes)
+
+
+class TestGrowth:
+    def test_every_grow_is_in_place(self, monkeypatch):
+        # nu(C9)'s all route from two rows: the array doubles to 2,048
+        # rows and closes at 730, each time in place
+        args, digest = _growing_from_two_rows(monkeypatch,
+                                              "nu(C9)-all-spanning")
+        resizes = _record_resizes(monkeypatch)
+        assert _digest(tc_enumerate(*args)) == digest
+        grows = [(2 << k, True) for k in range(1, 11)]
+        assert resizes == [*grows, (730, True)]
+
+    def test_a_view_taken_before_a_grow_is_released(self):
+        table = CosetTable(pres(C2))
+        table._define(0, 0)
+        stale = table._cols[0]
+        rows = len(table._rows)
+        table._grow()
+        with pytest.raises(ValueError):
+            stale[0]
+        with pytest.raises(ValueError):
+            stale[0] = 1
+        assert table._cols[0][0] == 1 and table._cols[1][1] == 0
+        assert table._cols[0][rows] == -1 and len(table._rows) == 2 * rows
+
+
 class TestSpanningPass:
     # cosets the all route defines for nu(G), catalog numbering; with one
     # HLT pass over every column it defined 6,832, 10,232 and 43,984
@@ -347,31 +414,31 @@ class TestSpanningPass:
 
 def _scan_one(table, a, word, fill):
     """One HLT scan of ``word`` from live coset ``a``, a call of its own."""
-    t = table._t
+    cols = table._cols
     i, j = 0, len(word) - 1
     f = b = a
     while True:
-        while i <= j and t[f, word[i]] >= 0:
-            f = t[f, word[i]]
+        while i <= j and cols[word[i]][f] >= 0:
+            f = cols[word[i]][f]
             i += 1
         if i > j:
             if f != b:
                 table._coincidence(f, b)
             return
-        while j >= i and t[b, word[j] ^ 1] >= 0:
-            b = t[b, word[j] ^ 1]
+        while j >= i and cols[word[j] ^ 1][b] >= 0:
+            b = cols[word[j] ^ 1][b]
             j -= 1
         if j < i:
             table._coincidence(f, b)
             return
         if j == i:
-            t[f, word[i]] = b
-            t[b, word[i] ^ 1] = f
+            cols[word[i]][f] = b
+            cols[word[i] ^ 1][b] = f
             return
         if not fill[word[i]]:
             return
         table._define(f, word[i])
-        t = table._t
+        cols = table._cols
 
 
 class EveryCopy(CosetTable):
@@ -383,9 +450,10 @@ class EveryCopy(CosetTable):
         super().__init__(*args)
         self._index = {w: k for k, w in enumerate(self._distinct)}
 
-    def _scan_open(self, c, open_relators, fill):
+    def _scan_rows(self, c, open_relators, fill):
+        open_relators = set(open_relators)
         for word in self.relators:
-            if open_relators[self._index[word]]:
+            if self._index[word] in open_relators:
                 _scan_one(self, c, word, fill)
                 if self.p[c] != c:
                     return
@@ -518,9 +586,10 @@ class TestCompaction:
 
         def out_of_place(table):
             rows = _compacted_out_of_place(table)
-            table._t.release()
+            for col in table._cols:
+                col.release()
             table._rows = rows
-            table._t = memoryview(rows)
+            table._views()
             table._n = len(rows) - 1
             table.p = list(range(table._n))
 
