@@ -54,21 +54,23 @@ all route's presentation of nu(G), the first pass left the table
 complete and closed on all 16 nu-capable catalog groups, in catalog
 and in seeded numberings.
 
-The table is one ``int32`` array (-1 marks an undefined entry) that
-doubles in place when full, up to 1 GiB: past that the enumeration
-stops with ``EnumerationLimitError``, like the coset and time limits.
-Scan, define and coincidence read and write single entries through
-one 1-D memoryview per column, strided slices of one flat view of it
+The table is one ``int32`` array, reserved once at 1 GiB of memory
+whose pages stay virtual until written, so the enumeration holds only
+the rows it reaches.  0 marks an undefined entry: cosets are numbered
+from 1, and row 0, all 0, is where a gather from one lands.  Past the
+reservation's last row the enumeration stops with
+``EnumerationLimitError``, like the coset and time limits.  Scan,
+define and coincidence read and write single entries through one 1-D
+memoryview per column, strided slices of one flat view of it
 (``tensq.cosetrows``).  Before HLT scans a block of cosets, one numpy
 gather per relator letter finds every (coset, relator) pair that
 already scans to closure, and only the rest are scanned.  Skipping
 them changes nothing: a closed scan makes no deduction, and it stays
 closed under later definitions and coincidences, which only fill
-entries and merge cosets.  ``verify`` re-checks a closed table with
-whole-column gathers.  Nothing copies the table: compaction relabels
-it and closing trims its spare rows, both in place, and ``verify``
-gathers from its columns, so the 1 GiB bounds the enumeration's memory
-up to O(rows) of union-find and temporaries.
+entries and merge cosets.  Compaction relabels the table in place and
+hands the pages of the rows it frees back.  Closing copies out the
+live cosets, 0-based, and releases the reservation once ``verify`` has
+re-checked the copy with whole-column gathers.
 """
 
 from __future__ import annotations
@@ -84,9 +86,7 @@ from .errors import EnumerationLimits, StateError
 from .perm import FiniteGroup
 from .permutation import Permutation
 
-# Rows of a fresh table; the array doubles whenever it is full, unless
-# the doubled array would take more than _MAX_TABLE_BYTES.
-_INITIAL_ROWS = 1024
+# Bytes reserved for a coset table: its memory limit.
 _MAX_TABLE_BYTES = 1 << 30
 # Rows in use at which HLT first runs a lookahead; the threshold then
 # at least doubles after each one.
@@ -137,7 +137,7 @@ class CosetTable(CosetRows):
     """Mutable state of one enumeration; closed tables are immutable in
     practice (nothing mutates them after ``close`` succeeds).  The rows
     and the operations on them are ``tensq.cosetrows.CosetRows``'s; this
-    class sets them up, caps their memory and drives the HLT passes."""
+    class sets them up and drives the HLT passes."""
 
     def __init__(self, presentation, limits=EnumerationLimits(),
                  spanning=None):
@@ -165,13 +165,10 @@ class CosetTable(CosetRows):
         # docstring), ``verify`` every row
         self._distinct = tuple(dict.fromkeys(self.relators))
         self.limits = limits
-        # Rows [0, _n) are cosets; every row past them stays -1, and at
-        # least one always exists, so a gather from entry -1 reads the
-        # last row and an undefined entry stays undefined along a path.
-        self._rows = np.full((_INITIAL_ROWS, self.ncols), -1, dtype=np.int32)
-        self._views()
+        self._reserve(_MAX_TABLE_BYTES)
+        # coset 1 is the subgroup's; p[0] = 0 stands for row 0
         self._n = 1
-        self.p = [0]
+        self.p = [0, 1]
         self.alive = 1
         self.defined = 1
         # HLT passes run so far
@@ -198,12 +195,6 @@ class CosetTable(CosetRows):
         self._letters = [padded[:k, i, None]
                          for i, k in enumerate(held.sum(axis=0).tolist())]
 
-    def _grow(self):
-        if 2 * self._rows.nbytes > _MAX_TABLE_BYTES:
-            raise self._limit_error(
-                f"table memory limit {_MAX_TABLE_BYTES} bytes exceeded")
-        self._resize(2 * len(self._rows))
-
     # -- the closed-relator pre-check --------------------------------------
 
     def _open_relators(self, cosets):
@@ -214,7 +205,7 @@ class CosetTable(CosetRows):
         f = np.empty((len(self._distinct), len(start)), dtype=np.intp)
         f[:] = start
         flat = self._rows.reshape(-1)
-        # an undefined entry (-1) indexes the free last row, all -1
+        # an undefined entry (0) indexes row 0, all 0
         for i, letters in enumerate(self._letters, 1):
             step = f[:len(letters)]
             step *= self.ncols
@@ -222,7 +213,7 @@ class CosetTable(CosetRows):
             step[:] = flat[step]
             if i % _WALK_CHECK_LETTERS == 0:
                 # every path still walking is undefined: all stay open
-                if not (step >= 0).any():
+                if not step.any():
                     break
                 self._check_time()
         return (f != start)[self._rank].T
@@ -234,7 +225,7 @@ class CosetTable(CosetRows):
         block = max(1, _PRECHECK_PAIRS // max(1, len(self._distinct)))
         live = []
         c = a
-        while c < self._n and len(live) < block:
+        while c <= self._n and len(live) < block:
             if self.p[c] == c:
                 live.append(c)
             c += 1
@@ -248,8 +239,8 @@ class CosetTable(CosetRows):
     # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
-        hi = 0
-        while hi < self._n:
+        hi = 1
+        while hi <= self._n:
             hi, open_ = self._precheck_from(hi)
             for c, relators in open_.items():
                 if self.p[c] == c:
@@ -261,20 +252,22 @@ class CosetTable(CosetRows):
         cosets only in the columns ``fill`` flags."""
         self.passes += 1
         fill_cols = [x for x in range(self.ncols) if fill[x]]
-        a = hi = 0
-        while a < self._n:
+        a = hi = 1
+        while a <= self._n:
             if a >= hi:
                 hi, open_ = self._precheck_from(a)
             if self.p[a] == a:
                 self._scan_rows(a, open_[a], fill)
                 if self.p[a] == a:
                     for x in fill_cols:
-                        if self._cols[x][a] < 0:
+                        if not self._cols[x][a]:
                             self._define(a, x)
             a += 1
             if self._n >= self._lookahead_at:
                 self._lookahead()
                 if self.alive < self._n // 2:
+                    # a's new label: 1 and the live cosets before it,
+                    # and p[0] == 0 counts the 1
                     a = sum(1 for c in range(a) if self.p[c] == c)
                     self._compact()
                 # a compaction renumbers the cosets of the block
@@ -285,22 +278,24 @@ class CosetTable(CosetRows):
 
     def _close(self):
         self._compact()
-        # no spare rows: the closed array is the cosets and a free row
-        self._resize(self._n + 1)
+        self._table = self._rows[1:self._n + 1] - 1
         self.status = "closed"
         self.verify()
+        # the last references to the reservation: dropped, it is unmapped
+        del self._map, self._rows, self._cols, self._pairs
 
     def _closes_early(self):
         """Close the table if no live coset's row has an undefined entry
         and ``verify`` accepts it; otherwise leave it open, compacted if
         ``verify`` rejected it."""
-        live = np.array(self.p) == np.arange(self._n)
-        if (self._rows[:self._n].min(axis=1, initial=0)[live] < 0).any():
+        live = np.array(self.p[1:]) == np.arange(1, self._n + 1)
+        if not self._rows[1:self._n + 1].all(axis=1)[live].all():
             return False
         try:
             self._close()
         except StateError:
             self.status = "in-progress"
+            del self._table
             return False
         return True
 

@@ -1,7 +1,7 @@
 """The rows of a coset table and the operations HLT enumeration is
 built from (``tensq.coset``): union-find over coset labels, coincidence
-processing, definition, relator scans, resizing, the limits, compaction
-and the closing ``verify``.
+processing, the reservation, definition, relator scans, the limits,
+compaction and the closing ``verify``.
 
 The scans from one coset are one loop, ``_scan_rows``, over the
 indices of the distinct relators the pre-check left open, with no call
@@ -11,18 +11,20 @@ is read and written through ``_cols``, one 1-D memoryview per column:
 ``_cols[x][c]`` indexes one dimension, where a 2-D view builds a tuple
 and takes the multi-dimensional subscript path on every access.  The
 views are strided slices of one flat view of the array, which costs no
-ndarray per column.
+ndarray per column, and the array never moves, so they stay valid
+until the table closes.
 
 ``tensq.coset.CosetTable`` is the one subclass.  It sets up the rows'
-state (``__init__``), supplies ``_grow`` (the table's memory cap) and
-drives the passes.  The class is split across the two modules so that
-each compiles in a small transient: ``coset`` is deferred, and a module
-compiled after the imports keeps most of its compile transient resident
-for the command that ran it (``tensq.cli``).
+state (``__init__``) and drives the passes.  The class is split across
+the two modules so that each compiles in a small transient: ``coset``
+is deferred, and a module compiled after the imports keeps most of its
+compile transient resident for the command that ran it
+(``tensq.cli``).
 """
 
 from __future__ import annotations
 
+import mmap
 import time
 
 import numpy as np
@@ -31,15 +33,20 @@ from .errors import EnumerationLimitError, StateError
 
 
 class CosetRows:
-    """The table array, ``_rows`` (-1 marks an undefined entry), its
-    column views ``_cols`` (entry [c, x] is ``_cols[x][c]``), the first
-    ``_n`` rows in use and the union-find list ``p``, with the
-    operations on them."""
+    """The table array, ``_rows``, its column views ``_cols`` (entry
+    [c, x] is ``_cols[x][c]``), the cosets 1 to ``_n`` and the
+    union-find list ``p``, with the operations on them.  0 marks an
+    undefined entry, and row 0, all 0, is no coset: a gather from an
+    undefined entry reads it, so an undefined entry stays undefined
+    along a path."""
 
     @property
     def table(self):
-        """Coset table: entry [c, x] is the coset c.x, or -1 if undefined."""
-        return self._rows[:self._n]
+        """Coset table, 0-based: entry [c, x] is the coset c.x, or -1 if
+        undefined."""
+        if self.status == "closed":
+            return self._table
+        return self._rows[1:self._n + 1] - 1
 
     # -- union-find over coset labels --------------------------------------
 
@@ -70,13 +77,13 @@ class CosetRows:
             qi += 1
             for col, inv in self._pairs:
                 d = col[g]
-                if d >= 0:
-                    inv[d] = -1
+                if d:
+                    inv[d] = 0
                     mu = self._rep(g)
                     nu = self._rep(d)
-                    if col[mu] >= 0:
+                    if col[mu]:
                         self._merge(nu, col[mu], queue)
-                    elif inv[nu] >= 0:
+                    elif inv[nu]:
                         self._merge(mu, inv[nu], queue)
                     else:
                         col[mu] = nu
@@ -92,46 +99,34 @@ class CosetRows:
         if self._ticker >= 4096:
             self._ticker = 0
             self._check_time()
-        b = self._n
-        if b + 1 == len(self._rows):
-            self._grow()
-        self._n = b + 1
+        b = self._n + 1
+        if b == len(self._rows):
+            raise self._limit_error(
+                f"table memory limit {len(self._map)} bytes exceeded")
+        self._n = b
         self.p.append(b)
         self.alive += 1
         self.defined += 1
-        cols = self._cols
-        cols[x][a] = b
-        cols[x ^ 1][b] = a
+        self._cols[x][a] = b
+        self._cols[x ^ 1][b] = a
         return b
 
-    def _views(self):
-        """Point ``_cols`` at the columns of ``_rows``, and ``_pairs`` at
-        (column x, column x ^ 1), in column order, the same views, for
-        the coincidence.  ``reshape(-1)`` also flattens a table with no
-        columns, which ``cast`` would refuse."""
+    def _reserve(self, nbytes):
+        """Reserve ``nbytes`` of anonymous memory, all 0, as ``_rows``;
+        point ``_cols`` at its columns and ``_pairs`` at (column x,
+        column x ^ 1), for the coincidence.  Not np.zeros: numpy advises
+        huge pages for an array this size, which makes a small table
+        resident 2 MiB at a time.  ``count`` and ``reshape(-1)`` serve a
+        table with no columns, which ``cast`` would refuse."""
+        self._map = mmap.mmap(-1, nbytes,
+                              flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        rows = nbytes // (4 * max(1, self.ncols))
+        self._rows = np.frombuffer(
+            self._map, dtype=np.int32,
+            count=rows * self.ncols).reshape(rows, self.ncols)
         flat = memoryview(self._rows.reshape(-1))
         cols = self._cols = [flat[x::self.ncols] for x in range(self.ncols)]
         self._pairs = [(cols[x], cols[x ^ 1]) for x in range(self.ncols)]
-
-    def _resize(self, rows):
-        """Give the array ``rows`` rows; the rows it gains are -1."""
-        old = len(self._rows)
-        # Every view refers to the array, and numpy resizes in place only
-        # an array nothing else refers to.  Released, a view a scan still
-        # holds raises ValueError instead of writing to freed memory.
-        for col in self._cols:
-            col.release()
-        try:
-            # in place, so the old and the new array never coexist
-            self._rows.resize((rows, self.ncols))
-        except ValueError:
-            # something else (a profiler, say) still refers to the array
-            resized = np.empty((rows, self.ncols), dtype=np.int32)
-            kept = min(old, rows)
-            resized[:kept] = self._rows[:kept]
-            self._rows = resized
-        self._rows[old:] = -1
-        self._views()
 
     def _scan_rows(self, a, relators, fill):
         """Scan the distinct relators ``relators`` (indices into
@@ -141,7 +136,6 @@ class CosetRows:
         leaves the entry to a deduction."""
         p = self.p
         words = self._distinct
-        # re-read after every definition: a grow replaces the views
         cols = self._cols
         for r in relators:
             word = words[r]
@@ -150,7 +144,7 @@ class CosetRows:
             while True:
                 while i <= j:
                     d = cols[word[i]][f]
-                    if d < 0:
+                    if not d:
                         break
                     f = d
                     i += 1
@@ -160,7 +154,7 @@ class CosetRows:
                     break
                 while j >= i:
                     d = cols[word[j] ^ 1][b]
-                    if d < 0:
+                    if not d:
                         break
                     b = d
                     j -= 1
@@ -174,7 +168,6 @@ class CosetRows:
                 if not fill[word[i]]:
                     break
                 self._define(f, word[i])
-                cols = self._cols
             if p[a] != a:
                 return
 
@@ -194,25 +187,32 @@ class CosetRows:
     # -- compaction and the closed table -----------------------------------
 
     def _compact(self):
-        """Renumber live cosets in discovery order, in place."""
+        """Renumber live cosets 1 to k in discovery order, in place."""
         n = self._n
         rep = np.array(self.p, dtype=np.intp)
         while not np.array_equal(rep[rep], rep):
             rep = rep[rep]
-        live = np.flatnonzero(rep == np.arange(n))
-        k = len(live)
-        # each coset's new label is its representative's; entry -1 reads
-        # relabel[-1], so an undefined entry stays undefined
-        relabel = np.full(n + 1, -1, dtype=np.int32)
-        relabel[live] = np.arange(k, dtype=np.int32)
-        relabel[:n] = relabel[rep]
+        # row 0 is its own representative, so it keeps label 0 and an
+        # undefined entry stays undefined
+        live = np.flatnonzero(rep == np.arange(n + 1))
+        k = len(live) - 1
+        # each coset's new label is its representative's
+        relabel = np.empty(n + 1, dtype=np.int32)
+        relabel[live] = np.arange(k + 1, dtype=np.int32)
+        relabel = relabel[rep]
         del rep
         # live[i] >= i, and each column is gathered before it is written
         for x in range(self.ncols):
-            self._rows[:k, x] = relabel[self._rows[live, x]]
-        self._rows[k:n] = -1
+            self._rows[:k + 1, x] = relabel[self._rows[live, x]]
+        self._rows[k + 1:n + 1] = 0
+        # and hand their whole pages back, so that they are not resident
+        # beside a closing copy of the live rows
+        start = -(-(k + 1) * 4 * self.ncols // mmap.PAGESIZE) * mmap.PAGESIZE
+        end = (n + 1) * 4 * self.ncols
+        if start < end:
+            self._map.madvise(mmap.MADV_DONTNEED, start, end - start)
         self._n = k
-        self.p = list(range(k))
+        self.p = list(range(k + 1))
 
     @property
     def coset_count(self):

@@ -27,7 +27,7 @@ class AmbientMismatchError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """Coset enumeration hit its coset or time limit.
+    """Coset enumeration hit its coset, time or table memory limit.
 
     The partial table is preserved on the ``table`` attribute for diagnostics.
     """

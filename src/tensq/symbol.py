@@ -76,8 +76,9 @@ from .errors import EnumerationLimitError, invariant
 # admit |G| <= 81 (``tensq tensor`` of C81 peaks at 216 MB RSS).  The
 # |T| n^2 symbol column entries, about four copies of which the
 # certificates hold, are checked once the enumeration closes: they admit
-# C3^3 (14.3 M, 341 MB) and C2^4 (2^24, 855 MB, most of it the coset
-# table, which only the coset limit, 1 GiB and the time limit bound).
+# C3^3 (14.3 M, 238 MB) and C2^4 (2^24, 408 MB, 263 MB of it the
+# enumeration, which only the coset limit, the table's 1 GiB and the
+# time limit bound).
 _MAX_RELATOR_ROWS = 1_100_000
 _MAX_SYMBOL_ENTRIES = 1 << 24
 

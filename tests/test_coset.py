@@ -1,6 +1,6 @@
-import cProfile
 import hashlib
 from collections import Counter
+import os
 import re
 import time
 import tracemalloc
@@ -76,13 +76,16 @@ class TestEnumeration:
         self._progress(info, "time limit 0.0s exceeded")
 
     def test_table_memory_limit_reports_progress(self, monkeypatch):
-        # a^5000 outgrows the first 1024 rows of 2 columns (8 KiB); the
-        # doubled table would take 16 KiB
+        # a^5000 needs 5,000 cosets; 10,000 bytes reserve 1,250 rows of 2
+        # columns, row 0 and cosets 1 to 1,249, and the limit is hit at
+        # the next
         monkeypatch.setattr(coset, "_MAX_TABLE_BYTES", 10_000)
         with pytest.raises(EnumerationLimitError) as info:
             tc_enumerate(pres("gens: a\nrels: a^5000\n"))
-        assert info.value.table.status == "in-progress"
-        assert len(info.value.table._rows) == coset._INITIAL_ROWS
+        table = info.value.table
+        assert table.status == "in-progress"
+        assert table._rows.shape == (1250, 2)
+        assert table.defined == table._n == 1249
         self._progress(info, "table memory limit 10000 bytes exceeded")
 
     def test_precheck_stops_when_every_path_is_undefined(self):
@@ -99,17 +102,17 @@ class TestEnumeration:
                     yield letters
 
         table._letters = Counting(table._letters)
-        assert table._open_relators([0]).tolist() == [[True, True]]
+        assert table._open_relators([1]).tolist() == [[True, True]]
         assert len(walked) == coset._WALK_CHECK_LETTERS
 
     def test_precheck_checks_the_time_limit(self):
         table = CosetTable(pres("gens: a\nrels: a^40000\n"))
         table._start = time.monotonic()
         table._deadline = table._start - 1.0
-        for c in range(coset._WALK_CHECK_LETTERS):
+        for c in range(1, coset._WALK_CHECK_LETTERS + 1):
             table._define(c, 0)  # defined steps past the first test
         with pytest.raises(EnumerationLimitError, match="time limit"):
-            table._open_relators([0])
+            table._open_relators([1])
 
     def test_lookahead_path(self, monkeypatch):
         monkeypatch.setattr(coset, "_LOOKAHEAD_THRESHOLD", 4)
@@ -247,83 +250,6 @@ def test_closed_table_matches_recorded_digest(monkeypatch, make, digest):
     assert _digest(tc_enumerate(*make(monkeypatch))) == digest
 
 
-def test_table_grown_under_a_profiler(monkeypatch):
-    # a profiler holds a reference to the array while it grows, so it
-    # grows by a copy instead of in place; the table is the same
-    [(make, digest)] = [g[1:] for g in GOLDEN_TABLES
-                        if g[0] == "nu(D4)-gens"]
-    args = make(monkeypatch)
-    assert _digest(cProfile.Profile().runcall(tc_enumerate, *args)) \
-        == digest
-
-
-def _growing_from_two_rows(monkeypatch, name):
-    """The arguments of GOLDEN_TABLES entry ``name``, with tables that
-    start at two rows, so that every enumeration grows at each power
-    of two: inside scans, row fills and the lookahead."""
-    monkeypatch.setattr(coset, "_INITIAL_ROWS", 2)
-    [(make, digest)] = [g[1:] for g in GOLDEN_TABLES if g[0] == name]
-    return make(monkeypatch), digest
-
-
-def _record_resizes(monkeypatch):
-    """A list that gets, for every ``_resize``, the rows asked for and
-    whether ``_rows`` stayed the same array.  Only ids are compared: a
-    reference held here would send numpy to the copy path."""
-    resizes = []
-    resize = CosetTable._resize
-
-    def recording(table, rows):
-        before = id(table._rows)
-        resize(table, rows)
-        resizes.append((rows, id(table._rows) == before))
-
-    monkeypatch.setattr(CosetTable, "_resize", recording)
-    return resizes
-
-
-@pytest.mark.parametrize("name", [g[0] for g in GOLDEN_TABLES])
-def test_table_grown_from_two_rows_matches_recorded_digest(monkeypatch,
-                                                           name):
-    args, digest = _growing_from_two_rows(monkeypatch, name)
-    assert _digest(tc_enumerate(*args)) == digest
-
-
-@pytest.mark.parametrize("name", ["nu(C9)-all-spanning", "nu(D4)-gens"])
-def test_table_grown_from_two_rows_under_a_profiler(monkeypatch, name):
-    # every grow takes the copy path, and the table is the same
-    args, digest = _growing_from_two_rows(monkeypatch, name)
-    resizes = _record_resizes(monkeypatch)
-    table = cProfile.Profile().runcall(tc_enumerate, *args)
-    assert _digest(table) == digest
-    assert len(resizes) > 5 and not any(kept for _, kept in resizes)
-
-
-class TestGrowth:
-    def test_every_grow_is_in_place(self, monkeypatch):
-        # nu(C9)'s all route from two rows: the array doubles to 2,048
-        # rows and closes at 730, each time in place
-        args, digest = _growing_from_two_rows(monkeypatch,
-                                              "nu(C9)-all-spanning")
-        resizes = _record_resizes(monkeypatch)
-        assert _digest(tc_enumerate(*args)) == digest
-        grows = [(2 << k, True) for k in range(1, 11)]
-        assert resizes == [*grows, (730, True)]
-
-    def test_a_view_taken_before_a_grow_is_released(self):
-        table = CosetTable(pres(C2))
-        table._define(0, 0)
-        stale = table._cols[0]
-        rows = len(table._rows)
-        table._grow()
-        with pytest.raises(ValueError):
-            stale[0]
-        with pytest.raises(ValueError):
-            stale[0] = 1
-        assert table._cols[0][0] == 1 and table._cols[1][1] == 0
-        assert table._cols[0][rows] == -1 and len(table._rows) == 2 * rows
-
-
 class TestSpanningPass:
     # cosets the all route defines for nu(G), catalog numbering; with one
     # HLT pass over every column it defined 6,832, 10,232 and 43,984
@@ -383,11 +309,14 @@ class TestSpanningPass:
     def test_complete_first_pass_that_verify_rejects(self, monkeypatch):
         # along a alone the first pass leaves no entry undefined, yet its
         # four cosets are one: verify rejects the table, the second pass
-        # finds the coincidences and the second verify accepts
+        # finds the coincidences in the same reservation and the second
+        # verify accepts, which releases it
         outcomes = []
+        reservations = []
         verify = CosetTable.verify
 
         def recording(table):
+            reservations.append(table._rows)
             try:
                 outcomes.append(verify(table))
             except StateError:
@@ -399,6 +328,8 @@ class TestSpanningPass:
         trivial = pres("gens: a b\nrels: b^-1 a b a, a^-1 b^2, b\n")
         table = tc_enumerate(trivial, None, [0])
         assert outcomes == ["rejected", True]
+        assert reservations[0] is reservations[1]
+        assert not hasattr(table, "_rows")
         assert (table.passes, table.defined, table.coset_count) == (2, 4, 1)
 
     def test_presentation_without_generators(self):
@@ -418,14 +349,14 @@ def _scan_one(table, a, word, fill):
     i, j = 0, len(word) - 1
     f = b = a
     while True:
-        while i <= j and cols[word[i]][f] >= 0:
+        while i <= j and cols[word[i]][f]:
             f = cols[word[i]][f]
             i += 1
         if i > j:
             if f != b:
                 table._coincidence(f, b)
             return
-        while j >= i and cols[word[j] ^ 1][b] >= 0:
+        while j >= i and cols[word[j] ^ 1][b]:
             b = cols[word[j] ^ 1][b]
             j -= 1
         if j < i:
@@ -438,7 +369,6 @@ def _scan_one(table, a, word, fill):
         if not fill[word[i]]:
             return
         table._define(f, word[i])
-        cols = table._cols
 
 
 class EveryCopy(CosetTable):
@@ -526,9 +456,9 @@ class TestRepeatedRelators:
 
 
 def _compacted_out_of_place(table):
-    """The rows the compaction wrote before it worked in place: the live
-    cosets' rows, in order, relabelled through the union-find, in a new
-    array with one free row past them."""
+    """The rows the compaction writes, built in a new array: row 0, all
+    0, then the live cosets' rows, in order, relabelled 1 to k through
+    the union-find."""
     n = table._n
     p = np.array(table.p, dtype=np.intp)
     rep = p
@@ -537,14 +467,14 @@ def _compacted_out_of_place(table):
         if np.array_equal(nxt, rep):
             break
         rep = nxt
-    live = np.flatnonzero(p == np.arange(n))
-    old_to_new = np.empty(n, dtype=np.int32)
-    old_to_new[live] = np.arange(len(live), dtype=np.int32)
-    rows = np.full((len(live) + 1, table.ncols), -1, dtype=np.int32)
+    live = np.flatnonzero(p[1:] == np.arange(1, n + 1)) + 1
+    old_to_new = np.zeros(n + 1, dtype=np.int32)
+    old_to_new[live] = np.arange(1, len(live) + 1, dtype=np.int32)
+    rows = np.zeros((len(live) + 1, table.ncols), dtype=np.int32)
     kept = table._rows[live]
-    defined = kept >= 0
+    defined = kept != 0
     kept[defined] = old_to_new[rep[kept[defined]]]
-    rows[:len(live)] = kept
+    rows[1:] = kept
     return rows
 
 
@@ -563,13 +493,13 @@ class TestCompaction:
 
         def checked(table):
             want = _compacted_out_of_place(table)
-            rows_before, n_before = len(table._rows), table._n
+            rows, n_before = table._rows, table._n
             compact(table)
             k = table._n
-            assert len(table._rows) == rows_before
-            assert np.array_equal(table._rows[:k + 1], want)
-            assert (table._rows[k:] == -1).all()
-            seen.append((n_before, k, int((want[:k] < 0).sum())))
+            assert table._rows is rows
+            assert np.array_equal(rows[:k + 1], want)
+            assert not rows[k + 1:n_before + 1].any()
+            seen.append((n_before, k, int((want[1:] == 0).sum())))
 
         monkeypatch.setattr(CosetTable, "_compact", checked)
         table = self._enumerate(monkeypatch)
@@ -586,12 +516,10 @@ class TestCompaction:
 
         def out_of_place(table):
             rows = _compacted_out_of_place(table)
-            for col in table._cols:
-                col.release()
-            table._rows = rows
-            table._views()
+            table._rows[:len(rows)] = rows
+            table._rows[len(rows):table._n + 1] = 0
             table._n = len(rows) - 1
-            table.p = list(range(table._n))
+            table.p = list(range(len(rows)))
 
         monkeypatch.setattr(CosetTable, "_compact", out_of_place)
         assert np.array_equal(self._enumerate(monkeypatch).table, in_place)
@@ -600,7 +528,8 @@ class TestCompaction:
 def test_closing_holds_one_table(monkeypatch):
     # nu(C9)'s all route (729 cosets of 36 columns, 105 kB, from 1,776
     # defined): compaction and verify allocate O(rows), not a copy of
-    # the table, and the closed array has no spare rows
+    # the table, and the closed table is an array of its own, of exactly
+    # the cosets, with no reference left to the reservation
     peaks = {}
 
     def traced(name):
@@ -626,10 +555,41 @@ def test_closing_holds_one_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert table.coset_count == 729
-    assert len(table._rows) == table.coset_count + 1
+    assert table.table.shape == (729, 36) and table.table.base is None
+    assert not any(hasattr(table, a) for a in ("_rows", "_cols", "_pairs"))
     assert set(peaks) == {"_compact", "verify"}
     for name, peak in peaks.items():
         assert peak < table.table.nbytes / 2, (name, peak)
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="no /proc/self/statm")
+def test_reservation_stays_virtual_until_written():
+    # T(Heis3)'s symbol presentation has 338 columns, so the 1 GiB holds
+    # 794,187 rows; 1,000 cosets write about 1,000 rows (1.35 MB), and
+    # only the pages they write become resident: at most two 2 MiB pages
+    # where the kernel backs every anonymous mapping with huge pages,
+    # against the whole 1 GiB for a reservation filled when made
+    presentation = _symbol("Heis3")
+    before = _resident_bytes()
+    table = CosetTable(*presentation)
+    assert table._rows.nbytes > (1 << 30) - 338 * 4
+    built = _resident_bytes()
+    for c in range(1, 1001):
+        table._define(c, 0)
+    written = _resident_bytes()
+    assert table._n == 1001
+    assert written - before < 5 << 20, written - before
+    # merged into coset 1, the other 1,000 leave no page resident
+    table.p = [0] + [1] * 1001
+    table._compact()
+    assert table._n == 1 and not table._rows[2:1002].any()
+    assert _resident_bytes() - built < (written - built) / 4
 
 
 class TestVerifyRejects:
