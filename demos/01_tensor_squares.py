@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tensor squares of small groups, two ways.
 
-Builds nu(G) for a handful of catalog groups, reads off the tensor
-square [G, G'] inside it, and checks the order law |nu(G)| =
-|G (x) G| * |G|^2.  For abelian G the tensor square is abelian with a
+Builds nu(G) on the symbol route (``build_nu``'s default) for a
+handful of catalog groups, reads off the tensor square [G, G'] inside
+it, and checks the order law |nu(G)| = |G (x) G| * |G|^2.  For abelian G the tensor square is abelian with a
 closed-form order, so the gcd oracle cross-checks the enumeration.
 The oracle and the last section read the crossed module of G (x) G
 alone (``tensor_module``), as ``tensq tensor`` does, with no nu(G)
@@ -12,14 +12,13 @@ assembled.
 
 import math
 
-from tensq import (build_nu, get_group, get_presentation,
-                   invariant_factors_from_cyclic, tensor_module,
-                   tensor_report)
+from tensq import (build_nu, get_group, invariant_factors_from_cyclic,
+                   tensor_module, tensor_report)
 
 print("=== the order law ===")
 for name in ["C2", "C3", "C2xC2", "S3", "D4", "Q8"]:
     group = get_group(name)
-    nu = build_nu(group, get_presentation(name))
+    nu = build_nu(group)
     rep = tensor_report(nu)
     law = rep.nu_order == rep.tensor_order * rep.group_order ** 2
     print(f"{name:6s} |G|={rep.group_order:3d}  |GxG|={rep.tensor_order:3d}"

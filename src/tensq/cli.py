@@ -105,15 +105,6 @@ def _limits(args):
                              time_limit=args.time_limit)
 
 
-def _group_payload(descriptor, extra):
-    payload = {"input": descriptor, **extra}
-    if descriptor.get("kind") == "catalog":
-        entry = catalog()[descriptor["name"]]
-        payload["perm_gens"] = list(entry.perm_gens)
-        payload["presentation"] = entry.presentation_text
-    return payload
-
-
 # -- per-command compute and summary -----------------------------------------
 
 
@@ -170,7 +161,7 @@ def compute_verify(args, group, pres):
         module = nu.tensor_module(group, limits=_limits(args))
         reports.append(verify.verify_nu_relations(module, families=families))
     if on_nu:
-        built = nu.build_nu(group, pres, "auto", limits=_limits(args),
+        built = nu.build_nu(group, mode="symbol", limits=_limits(args),
                             max_group_order=args.max_group, module=module)
         if "closed" in lemmas:
             reports.append(verify.verify_tensor_set_closed(built))
@@ -275,9 +266,10 @@ def run(args):
         group, pres, desc = resolve_group(args.group, _limits(args))
     key = None
     if not args.no_cache:
-        payload = _group_payload(desc, {
-            "command": args.command,
-            **{name: getattr(args, name) for name in args.cache_on}})
+        # the source digest hashes catalog.py, so a catalog name keys
+        # its generators and presentation too
+        payload = {"input": desc, "command": args.command,
+                   **{name: getattr(args, name) for name in args.cache_on}}
         key = cache.cache_key(payload, cache.source_digest())
     start = time.monotonic()
     hit = cache.cache_load(key) if key is not None else None
@@ -325,8 +317,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("group", help="catalog name, @file.perm or @file.pres")
     common.add_argument("--json", help="write the JSON report here")
-    common.add_argument("--max-cosets", type=int, default=2_000_000)
-    common.add_argument("--time-limit", type=float, default=60.0)
+    common.add_argument("--max-cosets", type=int,
+                        default=EnumerationLimits.max_cosets)
+    common.add_argument("--time-limit", type=float,
+                        default=EnumerationLimits.time_limit)
     # only the commands that build nu(G) read the cap
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
     capped.add_argument("--max-group", type=int, default=DEFAULT_GROUP_CAP,

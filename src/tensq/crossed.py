@@ -26,11 +26,12 @@ s (x) t, here under T's inner automorphisms and the phi_s, and the order
 law says it is all of T.
 
 ``tensq nu``, the checks of ``tensq verify`` about nu(G) itself
-(``closed``, ``decomp`` and ``rho``) and ``tensq tensor`` on the gens
-route assemble nu(G) (``tensq.nu.build_nu``), under its cap on |G|;
-``verify`` assembles it on the symbol route from the module's own
-symbol columns, with no second enumeration.  The crossed module takes
-no cap, as ``tensq.symbol`` bounds T.
+(``closed``, ``decomp`` and ``rho``) and ``tensq tensor`` of a
+one-generator presentation up to C5 assemble nu(G)
+(``tensq.nu.build_nu``), under its cap on |G|.  ``verify`` assembles
+it on the symbol route, on every group, from the symbol columns of the
+module it already built, with no second enumeration.  The crossed
+module takes no cap, as ``tensq.symbol`` bounds T.
 """
 
 from __future__ import annotations

@@ -49,15 +49,15 @@ of mu are checked as well (``tensq.nugroup``, which also holds
 Where nu(G) is assembled: ``tensq nu`` (route independence included),
 ``tensq verify`` for the checks about nu(G) itself (``closed``,
 ``decomp`` and ``rho``), and ``tensq tensor`` for one-generator groups
-up to C5 (auto's gens route).  Otherwise ``tensq tensor``
-(``tensor_square``), the relation families (i)-(v) of ``tensq verify``
-and, on every group, ``tensq engel`` read only G (x) G: the crossed
-module of ``tensor_module`` (``tensq.crossed``), on |G (x) G| points
-against the n^2 |G (x) G| of nu(G).  A ``verify`` run that needs both
-on the symbol route enumerates once: ``build_nu`` assembles nu(G) from
-the module's symbol columns.  The cap on |G| is ``build_nu``'s (the
-command line's ``--max-group``): only ``tensq nu`` and those three
-checks of ``tensq verify`` read it.
+up to C5 (``tensor_square``'s gens route).  Otherwise ``tensq tensor``,
+the relation families (i)-(v) of ``tensq verify`` and, on every group,
+``tensq engel`` read only G (x) G: the crossed module of
+``tensor_module`` (``tensq.crossed``), on |G (x) G| points against the
+n^2 |G (x) G| of nu(G).  ``tensq verify`` enumerates once on every
+group: ``build_nu`` assembles nu(G) on the symbol route from the
+symbol columns of the module the families read.  The cap on |G| is
+``build_nu``'s (the command line's ``--max-group``): only ``tensq nu``
+and those three checks of ``tensq verify`` read it.
 """
 
 from __future__ import annotations
@@ -78,12 +78,13 @@ from .report import RELATION_FAMILIES, Check, VerificationReport
 from .symbol import (assemble_nu, group_arrays, symbol_route_arrays,
                      tensor_symbols)
 
-# "auto" takes the gens route for a presentation with one generator, of
-# a cyclic group of order n up to this: nu(G) then has n^3 elements and
-# the gens presentation 2r + 2 relators for r relators of G.  That build
-# beats the reduced symbol route up to C5 (2.0 against 2.2 ms, best of
-# 5); from C6 on the symbol route wins (C6 2.8 against 3.2 ms, C9 4.8
-# against 12.6 ms, C13 11.9 against 48.1 ms).
+# ``tensor_square`` builds nu(G) on the gens route, not the crossed
+# module of G (x) G, for a presentation with one generator of a cyclic
+# group of order up to this.  Two reasons keep it: that report is 0.3 to
+# 0.5 ms faster on C3 and C4 and within 0.1 ms on C2 and C5 (best of 9,
+# 2-core Xeon), the module winning from C6 on; and perfbench's tracer
+# test requires ``tensq tensor C2`` to build nu(C2), 8 elements, through
+# ``tc_enumerate`` and ``to_perm_group``.
 GENS_ROUTE_MAX_CYCLIC = 5
 
 
@@ -185,25 +186,14 @@ def check_group_cap(group, max_group_order):
             "raise it with --max-group (build_nu's max_group_order)")
 
 
-def _route(group, presentation, mode):
-    """The route ``mode`` names; "auto" is "gens" for a presentation with
-    one generator and |G| <= GENS_ROUTE_MAX_CYCLIC, "symbol" otherwise."""
-    if mode != "auto":
-        return mode
-    cyclic = presentation is not None and presentation.ngens == 1
-    return "gens" if cyclic and group.order() <= GENS_ROUTE_MAX_CYCLIC \
-        else "symbol"
-
-
-def build_nu(group, presentation=None, mode="auto", *, limits=None,
+def build_nu(group, presentation=None, mode="symbol", *, limits=None,
              max_group_order=DEFAULT_GROUP_CAP, module=None):
     """Build nu(G) and identify its distinguished pieces.
 
     ``mode`` is "all" (multiplication-table route), "gens"
-    (generator-triples route over ``presentation``), "symbol" (assembled
-    from the symbol presentation of G (x) G), or "auto": "gens" for a
-    presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC,
-    "symbol" otherwise.  Groups larger than ``max_group_order`` are
+    (generator-triples route over ``presentation``, which only it
+    reads) or "symbol" (assembled from the symbol presentation of
+    G (x) G), the default.  Groups larger than ``max_group_order`` are
     rejected; raise the cap explicitly for larger experiments.  The
     "all" route enumerates with G's generators and their primed copies
     as ``spanning`` (``tc_enumerate``), so it defines cosets along them
@@ -216,7 +206,6 @@ def build_nu(group, presentation=None, mode="auto", *, limits=None,
     check_group_cap(group, max_group_order)
     limits = limits or EnumerationLimits()
     name = f"nu({group.name or 'G'})"
-    mode = _route(group, presentation, mode)
     n = group.order()
     arrays = (symbol_route_arrays if mode == "symbol" else group_arrays)(group)
     if mode == "symbol":
@@ -279,13 +268,15 @@ class TensorReport:
 
 
 def tensor_square(group, presentation=None, *, limits=None):
-    """The tensor-square report on the route "auto" takes: the gens
-    route builds nu(G), of a group within the cap; the symbol route
-    reads the crossed module of G (x) G (``tensor_module``) and
-    assembles no nu(G)."""
-    if _route(group, presentation, "auto") == "symbol":
-        return tensor_report(tensor_module(group, limits=limits))
-    return tensor_report(build_nu(group, presentation, "gens", limits=limits))
+    """The tensor-square report: from nu(G) built on the gens route for
+    a presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC,
+    otherwise from the crossed module of G (x) G (``tensor_module``),
+    with no nu(G) assembled."""
+    if presentation is not None and presentation.ngens == 1 \
+            and group.order() <= GENS_ROUTE_MAX_CYCLIC:
+        return tensor_report(build_nu(group, presentation, "gens",
+                                      limits=limits))
+    return tensor_report(tensor_module(group, limits=limits))
 
 
 def tensor_report(nu):

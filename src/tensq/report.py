@@ -56,8 +56,8 @@ class Report:
     timing: dict = field(default_factory=dict)
     version: str = ""
 
-    def to_dict(self, include_timing=True):
-        out = {
+    def to_dict(self):
+        return {
             "schema": SCHEMA,
             "tool": TOOL,
             "version": self.version,
@@ -65,13 +65,11 @@ class Report:
             "input": self.input,
             "seed": self.seed,
             "results": self.results,
+            "timing": self.timing,
         }
-        if include_timing:
-            out["timing"] = self.timing
-        return out
 
-    def to_json(self, include_timing=True):
-        return canonical_json(self.to_dict(include_timing=include_timing))
+    def to_json(self):
+        return canonical_json(self.to_dict())
 
 
 def canonical_json(obj):

@@ -89,7 +89,7 @@ def symbol_columns(table, reduction):
     return ext[:, column]
 
 
-def check_relators(rows, columns, deadline=None):
+def check_relators(rows, columns, deadline):
     """Whether every relator a^-1 b c of ``rows`` holds on the symbol
     ``columns`` (point by symbol): p b c = p a at every point p, checked
     for ``closure.sweep_rows(points)`` relators at a time.  Raises
@@ -101,7 +101,7 @@ def check_relators(rows, columns, deadline=None):
     flat = by_symbol.ravel()
     block = sweep_rows(points)
     for lo in range(0, len(rows), block):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise EnumerationLimitError(
                 f"time limit exceeded in the relator check ({lo} of "
                 f"{len(rows)} relators checked by the enumeration's "

@@ -17,12 +17,11 @@ class NuFactory:
         self._cache = {}
         self.durations = {}
 
-    def __call__(self, name, mode="auto"):
+    def __call__(self, name, mode="symbol"):
         key = (name, mode)
         if key not in self._cache:
             group = get_group(name)
-            pres = get_presentation(name) if mode in ("auto", "gens") \
-                else None
+            pres = get_presentation(name) if mode == "gens" else None
             start = time.monotonic()
             nu = build_nu(group, pres, mode)
             self.durations[key] = time.monotonic() - start

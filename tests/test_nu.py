@@ -68,6 +68,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_nu(get_group("C2"), None, "gens")
 
+    def test_auto_is_not_a_route(self):
+        # "auto" names tensq nu's comparison of the routes, not a route
+        with pytest.raises(ValueError, match="unknown mode 'auto'"):
+            build_nu(get_group("C2"), get_presentation("C2"), "auto")
+
     def test_gens_mode_validates_presentation(self):
         wrong = get_presentation("D4")
         with pytest.raises(ValueError):

@@ -136,13 +136,6 @@ class TestReports:
         text = r.to_json()
         assert text.index('"a"') < text.index('"b"')
 
-    def test_timing_excluded_on_request(self):
-        r = Report(command="x", input={}, results={}, version="0.1.0",
-                   timing={"seconds": 1.23})
-        with_t = json.loads(r.to_json())
-        without_t = json.loads(r.to_json(include_timing=False))
-        assert "timing" in with_t and "timing" not in without_t
-
 
 class TestCli:
     def run(self, *argv):
@@ -369,8 +362,7 @@ class TestCli:
         # an older tree ran q = 2 and 4 for --lazard 0 and passed
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
         desc = resolve_group("D4")[2]
-        payload = cli._group_payload(desc, {"command": "lie", "p": 2,
-                                            "lazard": 0})
+        payload = {"input": desc, "command": "lie", "p": 2, "lazard": 0}
         stale = Report(command="lie", input=desc, version="0.2.0",
                        results={"passed": True, "graded_dimensions": [2],
                                 "nilpotency_class": 1})
@@ -475,12 +467,15 @@ class TestCli:
         (("verify", "D4", "--lemmas", "closed"), 0, 1),
         (("verify", "C3", "--lemmas", "rho"), 0, 1),
         (("verify", "Heis3"), 2, 0),
-        (("verify", "Heis3", "--lemmas", "i..v"), 0, 1)])
+        (("verify", "Heis3", "--lemmas", "i..v"), 0, 1),
+        (("verify", "C2"), 0, 1),
+        (("verify", "C5", "--lemmas", "i,closed"), 0, 1)])
     def test_verify_enumerates_once(self, monkeypatch, capsys, argv, rc,
                                     enumerations):
         # the relation families read G (x) G, and the symbol route
-        # assembles nu(G) from its columns; over the cap nothing is
-        # enumerated, unless only the families, which read no cap, run
+        # assembles nu(G) from its columns, on cyclic groups too; over
+        # the cap nothing is enumerated, unless only the families, which
+        # read no cap, run
         calls = []
         enumerate_ = tensq.coset.tc_enumerate
 
@@ -655,7 +650,7 @@ class TestCli:
                                                            capsys):
         real = tensq.nu.build_nu
 
-        def wrong(group, presentation=None, mode="auto", **kwargs):
+        def wrong(group, presentation=None, mode="symbol", **kwargs):
             # the symbol route builds nu(C2), of order 8, instead
             if mode == "symbol":
                 group = get_group("C2")

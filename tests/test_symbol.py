@@ -8,6 +8,7 @@ reduction in turn.
 """
 
 import hashlib
+import math
 import os
 import pathlib
 import subprocess
@@ -169,7 +170,8 @@ def test_wrong_merge_passes_the_relator_check_but_not_the_replay(
     # the merged table is a proper quotient of D4 (x) D4, so every
     # relator holds on it: only the replay sees the merge
     assert len(table) < 32
-    assert tietze.check_relators(rows, tietze.symbol_columns(table, merged))
+    assert tietze.check_relators(
+        rows, tietze.symbol_columns(table, merged), math.inf)
     with pytest.raises(InvariantError, match="symbol replay"):
         tietze.replay_reduction(rows, merged)
     _corrupting(monkeypatch, _merged)
@@ -231,16 +233,18 @@ def test_relator_check_across_block_boundaries(monkeypatch):
     # 7 relators a block: 146 full blocks and a last one of 2
     monkeypatch.setattr(closure, "SWEEP_ENTRIES", 7 * 32)
     assert closure.sweep_rows(32) == 7
-    assert tietze.check_relators(rows, columns)
+    assert tietze.check_relators(rows, columns, math.inf)
     # u^-1 v (e (x) e), with u != v, placed at each end of the relators
     kept = reduction.kept()
     wrong = np.array([[kept[1], kept[2], 0]])
-    assert not tietze.check_relators(np.vstack([wrong, rows]), columns)
-    assert not tietze.check_relators(np.vstack([rows, wrong]), columns)
+    assert not tietze.check_relators(np.vstack([wrong, rows]), columns,
+                                     math.inf)
+    assert not tietze.check_relators(np.vstack([rows, wrong]), columns,
+                                     math.inf)
     # the corruption of test_relator_check_catches_a_wrong_column
     swapped = columns.copy()
     swapped[:, [kept[1], kept[2]]] = columns[:, [kept[2], kept[1]]]
-    assert not tietze.check_relators(rows, swapped)
+    assert not tietze.check_relators(rows, swapped, math.inf)
 
 
 @pytest.mark.parametrize("name", ["A4", "C3xC3"])
@@ -248,7 +252,7 @@ def test_relator_check_holds_one_sweep_block_at_a_time(name):
     rows, _, columns = _columns(name)
     tracemalloc.start()
     try:
-        assert tietze.check_relators(rows, columns)
+        assert tietze.check_relators(rows, columns, math.inf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
