@@ -20,7 +20,7 @@ with it: ``coset`` runs ``cosetrows``, ``nu`` runs ``nugroup``,
 ``liering`` runs ``liecheck`` and ``verify`` runs ``nucheck``.  So
 ``lie`` and ``identity-f`` on a ``.perm`` group compile none of the
 nu(G) stack.  This module calls ``nu``, ``verify`` and ``liering``
-through the module objects.
+through the module objects, and forwards only ``build_nu``.
 
 Run in the middle of a job, a module's compile would leave its pages
 among the job's objects.  Even run first, a module compiled after the
@@ -59,24 +59,15 @@ _ON_NU = ("closed", "decomp", "rho")
 MODES = ("auto", "all", "gens", "symbol")
 # the deferred modules of the commands that build G (x) G or nu(G)
 _NU_STACK = (coset, symbol, nu)
-# the names cli calls on nu and verify, looked up there (PEP 562), so
-# that cli.build_nu is nu.build_nu, as when cli imported them
-_CALLED = {
-    **dict.fromkeys(("build_nu", "check_group_cap", "route_independence",
-                     "tensor_module", "tensor_report", "tensor_square"),
-                    nu),
-    **dict.fromkeys(("derived_map_check", "verify_decomposition",
-                     "verify_nu_relations", "verify_tensor_set_closed"),
-                    verify),
-}
 
 
+# cli.build_nu is nu.build_nu, looked up there (PEP 562): perfbench's
+# tracer reads it here
 def __getattr__(name):
-    module = _CALLED.get(name)
-    if module is None:
+    if name != "build_nu":
         raise AttributeError(f"module {__name__!r} has no attribute "
                              f"{name!r}")
-    return getattr(module, name)
+    return nu.build_nu
 
 
 def _parse_lemmas(text):

@@ -206,11 +206,11 @@ class Subgroup:
         return f"Subgroup(order={self.order()} of {self.parent!r})"
 
     def is_normal(self):
-        """Whether every generator of the parent conjugates each member
-        into the subgroup, read through a membership mask."""
+        """Whether every generator of the parent conjugates the
+        subgroup's generators, whose words are its members, into it."""
         member = np.zeros(self.parent.order(), dtype=bool)
         member[list(self._indices)] = True
-        conj = self.parent.generator_conjugates(self._indices)
+        conj = self.parent.generator_conjugates(self._generators)
         return bool(member[conj].all())
 
     def is_abelian(self):

@@ -13,7 +13,8 @@ T is the regular group of the reduced symbol enumeration
 (``tensq.symbol.tensor_symbols``), certified there by the replay and
 the 2n^3 relators, and it carries the n^2 symbol columns.  lambda and
 each phi_s, for s in G's generating set, are swept along T's
-breadth-first levels and certified on every (point, symbol) edge:
+breadth-first levels and certified on every (point, symbol) edge,
+``closure.sweep_rows(n^2)`` points at a time:
 
     lambda(p (a (x) b)) = lambda(p) [a, b],
     phi_s(p (a (x) b)) = phi_s(p) (a^s (x) b^s).
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import Subgroup
+from .closure import Subgroup, sweep_rows
 from .coset import points_group
 from .errors import invariant
 from .perm import FiniteGroup
@@ -80,7 +81,10 @@ def crossed_module(group, arrays, limits):
     # comm[a n + b] = [a, b] = a^-1 b^-1 a b
     comm = mul[mul[inv[:, None], inv[None, :]], mul].ravel()
     lam = tgroup.sweep(0, lambda v, g: mul[v, comm[kept[g]]])
-    invariant(np.array_equal(lam[symbols], mul[lam[:, None], comm]),
+    step = sweep_rows(n * n)
+    blocks = [slice(lo, lo + step) for lo in range(0, len(symbols), step)]
+    invariant(all(np.array_equal(lam[symbols[b]], mul[lam[b, None], comm])
+                  for b in blocks),
               "lambda is not a homomorphism: lambda(t (a (x) b)) != "
               "lambda(t) [a, b] on some edge of T")
 
@@ -90,8 +94,9 @@ def crossed_module(group, arrays, limits):
         # sigma[a n + b] = a^s n + b^s
         sigma = (conj[:, s][:, None] * n + conj[:, s][None, :]).ravel()
         phi[j] = tgroup.sweep(0, lambda v, g: symbols[v, sigma[kept[g]]])
-        invariant(np.array_equal(phi[j][symbols],
-                                 symbols[phi[j][:, None], sigma]),
+        invariant(all(np.array_equal(phi[j][symbols[b]],
+                                     symbols[phi[j][b, None], sigma])
+                      for b in blocks),
                   f"phi of generator {j} is not an endomorphism: "
                   "phi(t (a (x) b)) != phi(t) (a^s (x) b^s) on some edge "
                   "of T")

@@ -39,11 +39,10 @@ import numpy as np
 
 from .closure import commutator_sweep
 from .errors import invariant
-# _digits decodes the ring's labels; the rest are re-exported, and read
-# from here by their callers
-from .liecheck import (GradedSubspace, _digits, ad_nilpotency_index,
-                       lie_nilpotency_class, subalgebra_Lp, verify_lazard,
-                       verify_lie_axioms)
+# _digits decodes the ring's labels; cli and the package (tensq.__init__)
+# read the rest from here, and perfbench's tracer wraps the checks here
+from .liecheck import (_digits, ad_nilpotency_index, lie_nilpotency_class,
+                       subalgebra_Lp, verify_lazard, verify_lie_axioms)
 from .linalg import contract
 
 

@@ -71,10 +71,10 @@ from .coset import (LetterPresentation, inverse_row,
                     to_perm_group)
 from .errors import DEFAULT_GROUP_CAP, EnumerationLimits
 from .linalg import abelian_invariants
-# tensq.nu names NuGroup and RELATION_FAMILIES too
+# NuGroup is package API, read from here (tensq.__init__)
 from .nugroup import NuGroup, certified_nu
 from .perm import FiniteGroup
-from .report import RELATION_FAMILIES, Check, VerificationReport
+from .report import Check, VerificationReport
 from .symbol import (assemble_nu, group_arrays, symbol_route_arrays,
                      tensor_symbols)
 

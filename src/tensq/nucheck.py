@@ -3,28 +3,62 @@ lemmas of ``tensq verify``.
 
 Each reads a built nu(G), a ``tensq.nu.NuGroup``: its ambient group,
 the copies ``left`` and ``right`` of G, the n x n array ``tensors`` of
-[a, b'], ``rho`` and the subgroups ``tensor`` and ``mu``.  Products and
-commutators over index arrays are ``tensq.verify``'s, imported in the
-functions that use them: ``verify`` imports and re-exports every check
-here, and this module imports nothing from it at load, so running either
-half never meets the other half-built.  All checks are read-only over
-immutable inputs and may run concurrently.
+[a, b'], ``rho`` and the subgroups ``tensor`` and ``mu``.  The products
+and commutators over index arrays that these checks and the relation
+families of ``tensq.verify`` read are here too; ``verify`` imports them
+and every check here, and this module imports nothing from it.  All
+checks are read-only over immutable inputs and may run concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import closure
+from . import closure, perm
 from .report import Check, VerificationReport
+
+
+def _products(amb, a, b):
+    """``index(a[i] * b[i])`` in ``amb`` over index arrays of one shape:
+    a gather through the columns of b's distinct values, read in blocks
+    of at most ``perm.COLUMN_CACHE_ENTRIES`` entries."""
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    n = amb.order()
+    seen = np.zeros(n, dtype=bool)
+    seen[b] = True
+    values = np.flatnonzero(seen)
+    rank = np.zeros(n, dtype=np.intp)
+    rank[values] = np.arange(values.size)
+    row = rank[b]
+    step = max(1, perm.COLUMN_CACHE_ENTRIES // n)
+    if values.size <= step:
+        return amb.right_columns(values.tolist())[row, a]
+    out = np.empty(b.shape, dtype=np.int32)
+    for lo in range(0, values.size, step):
+        part = (row >= lo) & (row < lo + step)
+        block = amb.right_columns(values[lo:lo + step].tolist())
+        out[part] = block[row[part] - lo, a[part]]
+    return out
+
+
+def _commutators(amb, a, b):
+    """[a, b] = a^-1 b^-1 a b over index arrays, multiplied left to right
+    as ``comm_idx`` does, so it reads the columns of b^-1, a and b."""
+    inv = amb.inverse_indices()
+    p = _products(amb, inv[a], inv[b])
+    return _products(amb, _products(amb, p, a), b)
+
+
+def _group_commutators(G):
+    """``c[a, b] = index([a, b])`` for all a, b in G."""
+    return G.commutator_columns(range(G.order())).T
 
 
 def verify_tensor_set_closed(nu):
     """The set X = {[a, b'] : a, b in G} is normal in nu(G) and closed
     under commutators, with [[a,b'],[c,d']] = [[a,b], [c,d]'] verified
     elementwise."""
-    from .verify import _commutators, _group_commutators
-
     amb = nu.ambient
     G = nu.group
     witnesses = nu.all_tensor_indices()
@@ -81,8 +115,6 @@ def verify_tensor_set_closed(nu):
 
 def _product_set(amb, xs, ys):
     """The distinct products x y, x in ``xs`` and y in ``ys``, ascending."""
-    from .verify import _products
-
     prods = _products(amb, np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
     seen = np.zeros(amb.order(), dtype=bool)
     seen[prods] = True
@@ -148,8 +180,6 @@ def derived_map_check(nu):
     """The derived map rho' : [G,G'] -> G', [a,b'] |-> [a,b]; its kernel
     mu is central and the induced map [G,G']/mu -> G' is an
     isomorphism."""
-    from .verify import _group_commutators, _products
-
     amb = nu.ambient
     G = nu.group
     n = G.order()

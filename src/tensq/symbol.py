@@ -73,10 +73,10 @@ from .errors import EnumerationLimitError, invariant
 
 # The symbol route's budgets, in the manner of the coset table's 1 GiB.
 # The 2n^3 relator rows, checked before G's n x n arrays are built,
-# admit |G| <= 81 (``tensq tensor`` of C81 peaks at 216 MB RSS).  The
-# |T| n^2 symbol column entries, about four copies of which the
-# certificates hold, are checked once the enumeration closes: they admit
-# C3^3 (14.3 M, 238 MB) and C2^4 (2^24, 408 MB, 263 MB of it the
+# admit |G| <= 81 (``tensq tensor`` of C81 peaks at 212 MB RSS).  The
+# |T| n^2 symbol column entries, which the certificates read a sweep
+# block at a time, are checked once the enumeration closes: they admit
+# C3^3 (14.3 M, 158 MB) and C2^4 (2^24, 403 MB, 263 MB of it the
 # enumeration, which only the coset limit, the table's 1 GiB and the
 # time limit bound).
 _MAX_RELATOR_ROWS = 1_100_000
@@ -152,8 +152,8 @@ def tensor_symbols(arrays, limits):
     the budget allows."""
     # loaded here, not with the package: a process that never takes
     # the symbol route does not hold the reduction's code
-    from .tietze import (check_relators, reduce_symbols, replay_reduction,
-                         symbol_columns)
+    from .tietze import reduce_symbols
+    from .tietzecert import check_relators, replay_reduction, symbol_columns
 
     n = len(arrays[0])
     rows = symbol_relators(arrays)

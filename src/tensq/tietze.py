@@ -1,8 +1,8 @@
 """Tietze elimination on the symbol presentation of G (x) G.  The two
-certificates of its result are in ``tensq.tietzecert``, imported back
-here: the replay of the eliminations, which reads only the relators it
-names, and the check of every original relator, one sweep block at a
-time (the argument is in ``tensq.symbol``).
+certificates of its result are in ``tensq.tietzecert``: the replay of
+the eliminations, which reads only the relators it names, and the check
+of every original relator, one sweep block at a time (the argument is
+in ``tensq.symbol``).
 
 A letter is 2s for the symbol s and 2s + 1 for its inverse (so
 ``l ^ 1`` inverts it), and -1 is no letter.  A word is a row of three
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import LetterPresentation
-# re-exported, and read from here by its callers
-from .tietzecert import check_relators, replay_reduction, symbol_columns
 
 
 def _letters(rows):

@@ -5,9 +5,8 @@ original relator on them (``check_relators``).  The argument is in
 ``tensq.symbol``.
 
 A letter is 2s for the symbol s and 2s + 1 for its inverse, and -1 is
-no letter, as in ``tensq.tietze``.  ``tietze`` imports every name here
-back; this module imports nothing from it, so running either half never
-meets the other half-built.
+no letter, as in ``tensq.tietze``, from which this module imports
+nothing.
 """
 
 from __future__ import annotations

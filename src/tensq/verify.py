@@ -4,12 +4,13 @@ The relation families (i)-(v) (``verify_nu_relations``) read the
 crossed module (T, phi, lambda) of G (x) G (``tensq.crossed``): every
 value they compare lies in T = [G, G'], on which G and G' act through
 phi.  The checks of nu(G) itself (``verify_tensor_set_closed``,
-``verify_decomposition`` and ``derived_map_check``) are in
-``tensq.nucheck``, imported back here, so a ``verify`` run compiles two
-modules of under 2,000 AST nodes each.  Each check evaluates over whole
-index arrays: a product of elements is one gather through the
-right-multiplication columns of the right factors' distinct values,
-and a relation family runs over every one of its tuples, in blocks.
+``verify_decomposition`` and ``derived_map_check``) and the products
+over index arrays that both read are in ``tensq.nucheck``, imported
+here, so a ``verify`` run compiles two modules of under 2,000 AST nodes
+each.  Each check evaluates over whole index arrays: a product of
+elements is one gather through the right-multiplication columns of the
+right factors' distinct values, and a relation family runs over every
+one of its tuples, in blocks.
 The scalar loops these replaced, and the relation families evaluated in
 nu(G), are kept in the tests as oracles.  All checks are read-only over
 immutable inputs and may run concurrently.  Their results are
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import closure, perm
-# re-exported, and read from here by its callers
-from .nucheck import (derived_map_check, verify_decomposition,
+from . import closure
+# cli, tensq.nu and the package read the three checks from here
+from .nucheck import (_commutators, _group_commutators, _products,
+                      derived_map_check, verify_decomposition,
                       verify_tensor_set_closed)
 from .report import RELATION_FAMILIES, Check, VerificationReport
 
@@ -32,43 +34,6 @@ from .report import RELATION_FAMILIES, Check, VerificationReport
 
 def _family_arity(fam):
     return {"i": 4, "ii": 3, "iii": 2, "iv": 3, "v": 4}[fam]
-
-
-def _products(amb, a, b):
-    """``index(a[i] * b[i])`` in ``amb`` over index arrays of one shape:
-    a gather through the columns of b's distinct values, read in blocks
-    of at most ``perm.COLUMN_CACHE_ENTRIES`` entries."""
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
-    n = amb.order()
-    seen = np.zeros(n, dtype=bool)
-    seen[b] = True
-    values = np.flatnonzero(seen)
-    rank = np.zeros(n, dtype=np.intp)
-    rank[values] = np.arange(values.size)
-    row = rank[b]
-    step = max(1, perm.COLUMN_CACHE_ENTRIES // n)
-    if values.size <= step:
-        return amb.right_columns(values.tolist())[row, a]
-    out = np.empty(b.shape, dtype=np.int32)
-    for lo in range(0, values.size, step):
-        part = (row >= lo) & (row < lo + step)
-        block = amb.right_columns(values[lo:lo + step].tolist())
-        out[part] = block[row[part] - lo, a[part]]
-    return out
-
-
-def _commutators(amb, a, b):
-    """[a, b] = a^-1 b^-1 a b over index arrays, multiplied left to right
-    as ``comm_idx`` does, so it reads the columns of b^-1, a and b."""
-    inv = amb.inverse_indices()
-    p = _products(amb, inv[a], inv[b])
-    return _products(amb, _products(amb, p, a), b)
-
-
-def _group_commutators(G):
-    """``c[a, b] = index([a, b])`` for all a, b in G."""
-    return G.commutator_columns(range(G.order())).T
 
 
 def _actions(module):

@@ -15,9 +15,9 @@ equal to the library's shows that its key reduction loses no failure;
 
 import numpy as np
 
-from tensq.verify import (RELATION_FAMILIES, Check, VerificationReport,
-                          _actions, _commutators, _family_arity,
-                          _group_commutators, _products)
+from tensq.nucheck import _commutators, _group_commutators, _products
+from tensq.report import RELATION_FAMILIES, Check, VerificationReport
+from tensq.verify import _actions, _family_arity
 
 
 def every_tuple_report(G, evaluators, families):

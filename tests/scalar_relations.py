@@ -9,8 +9,8 @@ the whole report; the others return what their check reports.
 
 import itertools
 
-from tensq.verify import (RELATION_FAMILIES, Check, VerificationReport,
-                          _family_arity)
+from tensq.report import RELATION_FAMILIES, Check, VerificationReport
+from tensq.verify import _family_arity
 
 
 def scalar_nu_relations(nu, families=RELATION_FAMILIES):

@@ -11,7 +11,7 @@ from tensq import (FiniteGroup, build_nu, get_group, get_presentation,
                    lie_ring, dimension_subgroups, tensor_module,
                    verify_lazard, verify_nu_relations,
                    verify_tensor_set_closed)
-from tensq.verify import RELATION_FAMILIES
+from tensq.report import RELATION_FAMILIES
 
 
 def test_concurrent_group_cache_fill():

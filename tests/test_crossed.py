@@ -6,9 +6,12 @@ T = G (x) G, with G's action phi and the commutator map lambda
 the assembled nu(G) gives, and break lambda and phi in turn.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tensq.closure as closure
 import tensq.crossed as crossed
 import tensq.nu as nu_module
 from tensq import (EngelScanConfig, FiniteGroup, InvariantError, build_nu,
@@ -82,9 +85,10 @@ def test_maps_are_the_commutator_and_the_action(module_of):
     assert set(module.mu.indices()) == set(np.flatnonzero(module.lam == 0))
 
 
-def _corrupting(monkeypatch, call):
+def _corrupting(monkeypatch, call, point=-1):
     """Make the ``call``-th sweep over T of each build (0 is lambda,
-    j + 1 is phi of G's generator j) wrong at its last point."""
+    j + 1 is phi of G's generator j) wrong at ``point``: 0 there
+    becomes 1, and anything else 0."""
     make, sweep = crossed.points_group, FiniteGroup.sweep
     swept = {}                  # each build's T -> its sweeps so far
 
@@ -97,17 +101,19 @@ def _corrupting(monkeypatch, call):
         out = sweep(group, first, step)
         if group in swept:
             if swept[group] == call:
-                out[-1] ^= 1
+                out[point] = 0 if out[point] else 1
             swept[group] += 1
         return out
     monkeypatch.setattr(crossed, "points_group", recording)
     monkeypatch.setattr(FiniteGroup, "sweep", corrupt)
 
 
-@pytest.mark.parametrize("call,match", [
-    (0, "lambda is not a homomorphism"),
-    (1, "phi of generator 0 is not an endomorphism"),
-    (2, "phi of generator 1 is not an endomorphism")])
+MATCHES = ["lambda is not a homomorphism",
+           "phi of generator 0 is not an endomorphism",
+           "phi of generator 1 is not an endomorphism"]
+
+
+@pytest.mark.parametrize("call,match", enumerate(MATCHES))
 def test_a_corrupted_map_raises(monkeypatch, tmp_path, capsys, call, match):
     _corrupting(monkeypatch, call)
     with pytest.raises(InvariantError, match=match):
@@ -118,6 +124,44 @@ def test_a_corrupted_map_raises(monkeypatch, tmp_path, capsys, call, match):
         assert cli_main([*argv, "--json", str(out)]) == 1
         assert "invariant error: " in capsys.readouterr().err
         assert not out.exists()
+
+
+# T(Heis3)'s 729 points are certified closure.sweep_rows(729) = 11 at a
+# time, in 67 blocks: the first, a middle and the last point
+@pytest.mark.parametrize("point", [0, 364, 728])
+@pytest.mark.parametrize("call,match", enumerate(MATCHES))
+def test_every_block_of_the_certificates_is_checked(monkeypatch, call, match,
+                                                     point):
+    assert closure.sweep_rows(27 * 27) == 11
+    _corrupting(monkeypatch, call, point)
+    with pytest.raises(InvariantError, match=match):
+        tensor_module(get_group("Heis3"))
+
+
+def test_the_certificates_allocate_a_block_at_a_time(monkeypatch):
+    # the certificates run from crossed's first sweep_rows call up to the
+    # tensor closure; what they allocate is measured between the two
+    window = {}
+    sweep_rows, closure_of = crossed.sweep_rows, crossed._tensor_closure
+
+    def opening(width):
+        tracemalloc.reset_peak()
+        window["base"] = tracemalloc.get_traced_memory()[0]
+        return sweep_rows(width)
+
+    def closing(*args):
+        window["peak"] = tracemalloc.get_traced_memory()[1]
+        return closure_of(*args)
+
+    monkeypatch.setattr(crossed, "sweep_rows", opening)
+    monkeypatch.setattr(crossed, "_tensor_closure", closing)
+    tracemalloc.start()
+    try:
+        module = tensor_module(get_group("Heis3"))
+    finally:
+        tracemalloc.stop()
+    # one piece, lam[symbols] alone, is symbols.nbytes (2.1 MB)
+    assert window["peak"] - window["base"] < module.symbols.nbytes / 4
 
 
 def test_tensor_and_engel_build_no_nu(monkeypatch):

@@ -42,12 +42,13 @@ from tensq import (FiniteGroup, InvariantError, Permutation, build_nu,
 from tensq import closure as closure_module
 from tensq import nu as nu_module
 from tensq import perm as perm_module
-from tensq import verify as verify_module
+from tensq import nucheck as nucheck_module
 from tensq.catalog import catalog
 from tensq.engel import EngelScanConfig, engel_power_scan
 from tensq.liering import jennings_recursion
-from tensq.nu import (RELATION_FAMILIES, derived_map_check,
-                      verify_decomposition, verify_tensor_set_closed)
+from tensq.nu import (derived_map_check, verify_decomposition,
+                      verify_tensor_set_closed)
+from tensq.report import RELATION_FAMILIES
 from tensq.closure import Subgroup, power_subgroup
 
 from engel_oracle import nu_engel_power_scan
@@ -686,7 +687,7 @@ def test_array_products_match_scalar_products(monkeypatch, cap):
         monkeypatch.setattr(perm_module, "COLUMN_CACHE_ENTRIES", cap)
     g = fresh("S4")
     a, b = np.random.default_rng(1).integers(0, 24, size=(2, 6, 50))
-    got = verify_module._products(g, a, b)
+    got = nucheck_module._products(g, a, b)
     assert got.shape == a.shape
     assert got.tolist() == [[g.mul_idx(int(x), int(y)) for x, y in zip(*r)]
                             for r in zip(a, b)]

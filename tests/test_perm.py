@@ -274,6 +274,23 @@ class TestSeriesAndFriends:
         with pytest.raises(ValueError, match="not normal"):
             h.is_nilpotent()
 
+    def test_is_normal_conjugates_the_generators_alone(self, monkeypatch):
+        # A3 in S3 is generated by (0 1 2), which (0 1) conjugates to
+        # (0 2 1): a member that is not a generator
+        s3 = get_group("S3")
+        conjugates = FiniteGroup.generator_conjugates
+        asked = []
+
+        def recording(group, idx):
+            asked.append(len(idx))
+            return conjugates(group, idx)
+
+        monkeypatch.setattr(FiniteGroup, "generator_conjugates", recording)
+        assert s3.subgroup([perm("(0 1 2)", 3)]).is_normal()
+        assert not s3.subgroup([perm("(0 1)", 3)]).is_normal()
+        # one column per generator, not one per member (3 and 2)
+        assert asked == [1, 1]
+
     def test_derived_series(self):
         s3 = get_group("S3")
         series = s3.derived_series()

@@ -14,7 +14,7 @@ import pytest
 
 import tensq
 import tensq.symbol
-import tensq.tietze
+import tensq.tietzecert
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
                    resolve_group, tc_enumerate)
 from tensq.cache import (_header, cache_key, cache_load, cache_store,
@@ -527,7 +527,7 @@ class TestCli:
         if rc:
             def symbol_columns(table, reduction):
                 raise AssertionError("columns allocated over the budget")
-            monkeypatch.setattr(tensq.tietze, "symbol_columns",
+            monkeypatch.setattr(tensq.tietzecert, "symbol_columns",
                                 symbol_columns)
         assert self.run("engel", "D4", "-p", "2", "-m", "1", "-n", "1") == rc
         if rc:

@@ -21,6 +21,7 @@ import pytest
 import tensq.closure as closure
 import tensq.symbol as symbol
 import tensq.tietze as tietze
+import tensq.tietzecert as tietzecert
 from tensq import (InvariantError, build_nu, get_group, tc_enumerate,
                    tensor_report, to_perm_group)
 from tensq.catalog import catalog
@@ -71,7 +72,7 @@ def test_reduced_route_matches_the_full_presentation(name, monkeypatch):
     monkeypatch.setattr(tietze, "reduce_symbols", _unreduced)
     # the unreduced relators are not cyclically reduced, so the replay
     # would reject them; the relator check still runs
-    monkeypatch.setattr(tietze, "replay_reduction", lambda *args: None)
+    monkeypatch.setattr(tietzecert, "replay_reduction", lambda *args: None)
     nu_full = build_nu(group, mode="symbol", max_group_order=24)
     assert nu.tensor.order() == nu_full.tensor.order() == \
         sum(full.values())
@@ -96,7 +97,7 @@ def test_reduction_keeps_few_symbols(name, kept):
     assert len(reduction.log) == group.order() ** 2 - kept
     words = reduction.relators
     assert ((words >= 0).sum(axis=1) >= 2).all()
-    tietze.replay_reduction(rows, reduction)
+    tietzecert.replay_reduction(rows, reduction)
 
 
 # the first 16 hex digits of the sha256 of each reduction's image, log,
@@ -170,10 +171,10 @@ def test_wrong_merge_passes_the_relator_check_but_not_the_replay(
     # the merged table is a proper quotient of D4 (x) D4, so every
     # relator holds on it: only the replay sees the merge
     assert len(table) < 32
-    assert tietze.check_relators(
-        rows, tietze.symbol_columns(table, merged), math.inf)
+    assert tietzecert.check_relators(
+        rows, tietzecert.symbol_columns(table, merged), math.inf)
     with pytest.raises(InvariantError, match="symbol replay"):
-        tietze.replay_reduction(rows, merged)
+        tietzecert.replay_reduction(rows, merged)
     _corrupting(monkeypatch, _merged)
     with pytest.raises(InvariantError, match="symbol replay"):
         build_nu(group, mode="symbol")
@@ -215,8 +216,8 @@ def test_relator_check_catches_a_wrong_column(monkeypatch):
         columns[:, [kept[1], kept[2]]] = columns[:, [kept[2], kept[1]]]
         return columns
 
-    symbol_columns = tietze.symbol_columns
-    monkeypatch.setattr(tietze, "symbol_columns", swapped)
+    symbol_columns = tietzecert.symbol_columns
+    monkeypatch.setattr(tietzecert, "symbol_columns", swapped)
     with pytest.raises(InvariantError, match="fails a relator"):
         build_nu(get_group("D4"), mode="symbol")
 
@@ -224,7 +225,7 @@ def test_relator_check_catches_a_wrong_column(monkeypatch):
 def _columns(name):
     group, rows, reduction = _reduction(name)
     table = tc_enumerate(reduction.presentation()).table
-    return rows, reduction, tietze.symbol_columns(table, reduction)
+    return rows, reduction, tietzecert.symbol_columns(table, reduction)
 
 
 def test_relator_check_across_block_boundaries(monkeypatch):
@@ -233,18 +234,18 @@ def test_relator_check_across_block_boundaries(monkeypatch):
     # 7 relators a block: 146 full blocks and a last one of 2
     monkeypatch.setattr(closure, "SWEEP_ENTRIES", 7 * 32)
     assert closure.sweep_rows(32) == 7
-    assert tietze.check_relators(rows, columns, math.inf)
+    assert tietzecert.check_relators(rows, columns, math.inf)
     # u^-1 v (e (x) e), with u != v, placed at each end of the relators
     kept = reduction.kept()
     wrong = np.array([[kept[1], kept[2], 0]])
-    assert not tietze.check_relators(np.vstack([wrong, rows]), columns,
-                                     math.inf)
-    assert not tietze.check_relators(np.vstack([rows, wrong]), columns,
-                                     math.inf)
+    assert not tietzecert.check_relators(np.vstack([wrong, rows]), columns,
+                                         math.inf)
+    assert not tietzecert.check_relators(np.vstack([rows, wrong]), columns,
+                                         math.inf)
     # the corruption of test_relator_check_catches_a_wrong_column
     swapped = columns.copy()
     swapped[:, [kept[1], kept[2]]] = columns[:, [kept[2], kept[1]]]
-    assert not tietze.check_relators(rows, swapped, math.inf)
+    assert not tietzecert.check_relators(rows, swapped, math.inf)
 
 
 @pytest.mark.parametrize("name", ["A4", "C3xC3"])
@@ -252,7 +253,7 @@ def test_relator_check_holds_one_sweep_block_at_a_time(name):
     rows, _, columns = _columns(name)
     tracemalloc.start()
     try:
-        assert tietze.check_relators(rows, columns, math.inf)
+        assert tietzecert.check_relators(rows, columns, math.inf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,7 +270,7 @@ def test_replay_reads_only_the_rows_it_names(name):
         0, len(reduction.image), size=rows.shape)
     garbage[named] = rows[named]
     assert len(named) < len(rows)
-    tietze.replay_reduction(garbage, reduction)
+    tietzecert.replay_reduction(garbage, reduction)
 
     # u^-1 u u = u for a kept u: it eliminates no symbol, and no
     # remaining relator has one letter
@@ -279,7 +280,7 @@ def test_replay_reads_only_the_rows_it_names(name):
         altered = rows.copy()
         altered[r] = u
         with pytest.raises(InvariantError, match=match):
-            tietze.replay_reduction(altered, reduction)
+            tietzecert.replay_reduction(altered, reduction)
 
 
 def test_replay_rejects_a_relator_kept_for_another_source():
@@ -291,7 +292,7 @@ def test_replay_rejects_a_relator_kept_for_another_source():
                                    sources=sources)
     with pytest.raises(InvariantError, match="does not reduce to the "
                                              "relator kept for it"):
-        tietze.replay_reduction(rows, moved)
+        tietzecert.replay_reduction(rows, moved)
 
 
 def test_build_does_not_import_numpy_ma():
