@@ -15,10 +15,14 @@ OpenSSL's libcrypto, about 3.5 MB of resident memory, for the same
 digest.  Only a build without the built-in hashes falls back to
 ``hashlib``.  The module is looked up once, at the first digest.
 
+Entries are bytes: a report is its UTF-8 JSON, and the symbol columns
+of G (x) G that ``tensor``, ``verify`` and ``engel`` share are the
+binary body of ``tensq.crossed.encode_symbols``.
+
 The package defers this module: ``import tensq`` registers it, and it
 runs when a command that reads the cache starts, so a command that
-never reads it (``--no-cache`` runs, ``verify``, ``engel``,
-``identity-f``, ``catalog``) never compiles it.
+never reads it (``--no-cache`` runs, ``identity-f``, ``catalog``) never
+compiles it.
 """
 
 from __future__ import annotations
@@ -70,9 +74,14 @@ def source_digest():
     return digest.hexdigest()
 
 
+def digest(data):
+    """The SHA-256 of the bytes ``data``, in hex."""
+    return _sha256(data).hexdigest()
+
+
 def cache_key(payload, version):
     body = canonical_json({"payload": payload, "version": version})
-    return _sha256(body.encode("utf-8")).hexdigest()
+    return digest(body.encode("utf-8"))
 
 
 def _path_for(key):
@@ -80,23 +89,22 @@ def _path_for(key):
 
 
 def _header(key, body):
-    digest = _sha256(body.encode("utf-8")).hexdigest()
-    return f"{_HEADER} {key} {digest}"
+    return f"{_HEADER} {key} {digest(body)}\n".encode("ascii")
 
 
-def cache_store(key, report_json):
-    """Write ``report_json`` under ``key``.  A write that fails (the
+def cache_store(key, body):
+    """Write the bytes ``body`` under ``key``.  A write that fails (the
     directory cannot be made, or a directory sits at the entry's path)
     warns and stores nothing: the result it would have kept stands."""
     d = cache_dir()
     path = _path_for(key)
-    blob = _header(key, report_json) + "\n" + report_json
     tmp = None
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header(key, body))
+            fh.write(body)
         os.replace(tmp, path)
     except OSError as exc:
         warnings.warn(f"could not write cache entry {path}: {exc}")
@@ -106,16 +114,15 @@ def cache_store(key, report_json):
 
 
 def cache_load(key):
-    """Cached report JSON for ``key``, or None (cold, corrupt or
+    """The bytes cached under ``key``, or None (cold, corrupt or
     damaged)."""
     path = _path_for(key)
     try:
-        # undecodable bytes become U+FFFD, so the digest check rejects them
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            blob = fh.read()
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            body = fh.read()
     except OSError:
         return None
-    header, _, body = blob.partition("\n")
     if header != _header(key, body):
         warnings.warn(f"ignoring corrupt cache entry {path}")
         return None

@@ -5,8 +5,12 @@ look up the result cache, compute, build the report, print its summary,
 store it in the cache, write ``--json`` and return the exit status.  A
 subcommand supplies a compute function returning ``(results, passed)``
 and a summary function that derives the printed lines from ``results``
-alone, so a cache hit prints the same lines.  The parser is built once
-per process, on the first ``main`` call; each subcommand takes only the
+alone, so a cache hit prints the same lines.  ``tensor``, ``nu`` and
+``lie`` cache their reports.  ``verify`` and ``engel`` do not, but they
+and ``tensor`` share one entry per group in the same cache, the
+certified symbol columns of G (x) G (``_tensor_module``), so that the
+three enumerate it once between them.  The parser is built once per
+process, on the first ``main`` call; each subcommand takes only the
 options it reads (``--seed`` belongs to ``verify``, which records it in
 the report; no check reads it).
 
@@ -14,13 +18,13 @@ Each subcommand also names the deferred modules (``tensq/__init__``) its
 compute reads, and ``run`` runs them before it resolves the group:
 ``tensor``, ``nu``, ``verify`` and ``engel`` run ``coset``, ``symbol``
 and ``nu``; ``verify`` also runs the ``verify`` module, which no route
-reads; ``lie`` runs ``liering``; and every command that reads the result
-cache runs ``cache``.  A deferred module runs the modules it imports
-with it: ``coset`` runs ``cosetrows``, ``nu`` runs ``nugroup``,
-``liering`` runs ``liecheck`` and ``verify`` runs ``nucheck``.  So
-``lie`` and ``identity-f`` on a ``.perm`` group compile none of the
-nu(G) stack.  This module calls ``nu``, ``verify`` and ``liering``
-through the module objects, and forwards only ``build_nu``.
+reads; ``lie`` runs ``liering``; and each of these commands runs
+``cache`` unless given ``--no-cache``.  A deferred module runs the
+modules it imports with it: ``coset`` runs ``cosetrows``, ``nu`` runs
+``nugroup``, ``liering`` runs ``liecheck`` and ``verify`` runs
+``nucheck``.  So ``lie`` and ``identity-f`` on a ``.perm`` group compile
+none of the nu(G) stack.  This module calls ``nu``, ``verify`` and
+``liering`` through the module objects, and forwards only ``build_nu``.
 
 Run in the middle of a job, a module's compile would leave its pages
 among the job's objects.  Even run first, a module compiled after the
@@ -53,9 +57,6 @@ from .errors import (DEFAULT_GROUP_CAP, CapacityError, EnumerationLimitError,
                      EnumerationLimits, InvariantError)
 from .report import RELATION_FAMILIES, Report, write_report
 
-_ROMAN = list(RELATION_FAMILIES)
-# verify's checks of nu(G) itself
-_ON_NU = ("closed", "decomp", "rho")
 MODES = ("auto", "all", "gens", "symbol")
 # the deferred modules of the commands that build G (x) G or nu(G)
 _NU_STACK = (coset, symbol, nu)
@@ -70,27 +71,6 @@ def __getattr__(name):
     return nu.build_nu
 
 
-def _parse_lemmas(text):
-    """The lemmas named, each once, in the order first named."""
-    out = {}
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ".." in token:
-            i, j = (_ROMAN.index(x) if x in _ROMAN else -1
-                    for x in token.split("..", 1))
-            # a reversed range would name no lemma
-            if i < 0 or j < i:
-                raise ValueError(f"bad lemma range {token!r}")
-            out.update(dict.fromkeys(_ROMAN[i:j + 1]))
-        elif token in _ROMAN or token in _ON_NU:
-            out[token] = None
-        else:
-            raise ValueError(f"unknown lemma token {token!r}")
-    return list(out)
-
-
 def _limits(args):
     return EnumerationLimits(max_cosets=args.max_cosets,
                              time_limit=args.time_limit)
@@ -99,9 +79,29 @@ def _limits(args):
 # -- per-command compute and summary -----------------------------------------
 
 
+def _tensor_module(args, group):
+    """G's crossed module (``tensq.crossed``).  Unless --no-cache, its
+    certified symbol columns are read from the result cache's entry for
+    G's multiplication table, and written there once enumerated."""
+    from . import crossed
+    arrays = symbol.symbol_route_arrays(group)
+    key = None if args.no_cache else cache.cache_key(
+        crossed.entry_payload(arrays), cache.source_digest())
+    loaded = key and crossed.decode_symbols(cache.cache_load(key), arrays)
+    module = crossed.crossed_module(group, arrays, _limits(args), loaded)
+    if module.loaded:
+        args.symbols = "cache"
+    elif key:
+        cache.cache_store(key, crossed.encode_symbols(module))
+    return module
+
+
 def compute_tensor(args, group, pres):
-    report = nu.tensor_square(group, pres, limits=_limits(args))
-    return report.to_dict(), True
+    if nu.squares_on_gens_route(group, pres):
+        built = nu.build_nu(group, pres, "gens", limits=_limits(args))
+    else:
+        built = _tensor_module(args, group)
+    return nu.tensor_report(built).to_dict(), True
 
 
 def tensor_summary(args, r):
@@ -135,21 +135,17 @@ def nu_summary(args, r):
 
 
 def compute_verify(args, group, pres):
-    # a run that checks nothing would pass vacuously
-    lemmas = _parse_lemmas(args.lemmas)
-    if not lemmas:
-        raise ValueError("--lemmas names no lemma")
-    families = tuple(x for x in lemmas if x in _ROMAN)
-    on_nu = any(x in _ON_NU for x in lemmas)
+    lemmas = verify.parse_lemmas(args.lemmas)
+    families = tuple(x for x in lemmas if x in RELATION_FAMILIES)
+    on_nu = len(families) < len(lemmas)
     if on_nu:
         # before anything is enumerated
         nu.check_group_cap(group, args.max_group)
-    module = None
+    # the families read G (x) G alone; the symbol route assembles nu(G)
+    # from the same module's columns
+    module = _tensor_module(args, group)
     reports = []
     if families:
-        # the families read G (x) G alone; the symbol route assembles
-        # nu(G) from the same module's columns
-        module = nu.tensor_module(group, limits=_limits(args))
         reports.append(verify.verify_nu_relations(module, families=families))
     if on_nu:
         built = nu.build_nu(group, mode="symbol", limits=_limits(args),
@@ -173,7 +169,7 @@ def verify_summary(args, r):
 
 def compute_engel(args, group, pres):
     config = EngelScanConfig(p=args.p, m=args.m, n=args.n)
-    module = nu.tensor_module(group, limits=_limits(args))
+    module = _tensor_module(args, group)
     scan = engel_power_scan(module, config)
     return scan.to_dict(), scan.all_pairs_satisfied
 
@@ -256,7 +252,7 @@ def run(args):
     else:
         group, pres, desc = resolve_group(args.group, _limits(args))
     key = None
-    if not args.no_cache:
+    if not args.no_cache and args.cache_on is not None:
         # the source digest hashes catalog.py, so a catalog name keys
         # its generators and presentation too
         payload = {"input": desc, "command": args.command,
@@ -273,6 +269,8 @@ def run(args):
     timing = {"seconds": time.monotonic() - start}
     if hit is not None:
         timing["cache"] = "hit"
+    if args.symbols is not None:
+        timing["symbols"] = args.symbols
     report = Report(command=args.command, input=desc, results=results,
                     seed=args.seed, version=__version__, timing=timing)
     lines = args.summary(args, results)
@@ -285,7 +283,7 @@ def run(args):
     # same bytes
     text = report.to_json() if store or args.json else None
     if store:
-        cache.cache_store(key, text)
+        cache.cache_store(key, text.encode("utf-8"))
     if args.json:
         write_report(text, args.json)
     return 0 if passed else 1
@@ -299,10 +297,13 @@ def build_parser():
                     "and graded Lie rings of finite groups")
     parser.add_argument("--version", action="version", version=__version__)
     # every report records a seed, which only verify's --seed sets; only
-    # the commands that take --no-cache read the result cache, keyed on
-    # the group, the command and the options named in cache_on;
-    # deferred names the deferred tensq modules its compute reads
-    parser.set_defaults(seed=None, no_cache=True, cache_on=(), deferred=())
+    # the commands that take --no-cache read the result cache.  Those
+    # that cache their report key it on the group, the command and the
+    # options named in cache_on (None: the report is not cached);
+    # symbols is "cache" once G (x) G is read from it.  deferred names
+    # the deferred tensq modules its compute reads
+    parser.set_defaults(seed=None, no_cache=True, cache_on=None,
+                        symbols=None, deferred=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -322,7 +323,7 @@ def build_parser():
     p = sub.add_parser("tensor", parents=[common, cached],
                        help="tensor square report")
     p.set_defaults(compute=compute_tensor, summary=tensor_summary,
-                   deferred=_NU_STACK)
+                   cache_on=(), deferred=_NU_STACK)
 
     p = sub.add_parser("nu", parents=[capped, cached],
                        help="build nu(G); default mode cross-checks the "
@@ -333,7 +334,7 @@ def build_parser():
     p.set_defaults(compute=compute_nu, summary=nu_summary,
                    cache_on=("mode", "max_group"), deferred=_NU_STACK)
 
-    p = sub.add_parser("verify", parents=[capped],
+    p = sub.add_parser("verify", parents=[capped, cached],
                        help="verify tensor-commutator identities")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the report; no check reads it")
@@ -341,8 +342,9 @@ def build_parser():
     p.set_defaults(compute=compute_verify, summary=verify_summary,
                    deferred=(*_NU_STACK, verify))
 
-    p = sub.add_parser("engel", parents=[common], help="scan tensor powers "
-                       "for left n-Engel behaviour in nu(G)")
+    p = sub.add_parser("engel", parents=[common, cached],
+                       help="scan tensor powers for left n-Engel "
+                       "behaviour in nu(G)")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)

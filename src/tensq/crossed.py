@@ -33,19 +33,37 @@ one-generator presentation up to C5 assemble nu(G)
 it on the symbol route, on every group, from the symbol columns of the
 module it already built, with no second enumeration.  The crossed
 module takes no cap, as ``tensq.symbol`` bounds T.
+
+The command line keeps the certified symbol columns and kept symbols in
+its result cache, one entry per multiplication table of G
+(``encode_symbols``), so that ``tensq tensor``, ``tensq verify`` and
+``tensq engel`` enumerate G (x) G once between them.  An entry read back
+(``decode_symbols``) stands in for the enumeration only once all 2n^3
+relators hold on its columns again, which makes T a quotient of
+G (x) G; that it is no proper one, which the replay showed when the
+entry was written, is trusted, as a cached report is.  An entry that
+does not decode or fails a relator is recomputed, with a warning.
 """
 
 from __future__ import annotations
 
+import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+# deferred: only a lookup of a symbols entry runs it
+from . import cache
 from .closure import Subgroup, sweep_rows
 from .coset import points_group
 from .errors import invariant
 from .perm import FiniteGroup
-from .symbol import tensor_symbols
+from .symbol import symbol_relators, tensor_symbols
+from .tietzecert import check_relators
+
+# a symbols entry is little-endian int32 words throughout
+_WORD = np.dtype("<i4")
 
 
 @dataclass
@@ -55,11 +73,13 @@ class CrossedModule:
     group: FiniteGroup
     tgroup: FiniteGroup       # T = G (x) G, regular; generated by symbols
     symbols: np.ndarray       # (|T|, n^2): right multiplication by a (x) b
+    kept: np.ndarray          # the symbols whose columns generate T
     tensors: np.ndarray       # (a, b) -> T index of a (x) b
     lam: np.ndarray           # T index -> G index of lambda(t)
     phi: np.ndarray           # (k, |T|): phi of G's generator j, row j
     tensor: Subgroup          # all of T, generated as in nu(G)
     mu: Subgroup              # ker lambda
+    loaded: bool              # symbols and kept read back, not enumerated
     mode: str = "symbol"
 
     def order(self):
@@ -67,13 +87,21 @@ class CrossedModule:
         return self.group.order() ** 2 * self.tgroup.order()
 
 
-def crossed_module(group, arrays, limits):
+def crossed_module(group, arrays, limits, loaded=None):
     """The certified crossed module of G (x) G (see the module
     docstring), from G's multiplication, inverse and conjugation
-    ``arrays`` (``tensq.symbol.symbol_route_arrays``)."""
+    ``arrays`` (``tensq.symbol.symbol_route_arrays``).  The symbol
+    columns and kept symbols ``loaded`` by ``decode_symbols``, if any,
+    stand in for ``tensor_symbols`` once every relator holds on them."""
     mul, inv, conj = arrays
     n = len(mul)
-    symbols, kept = tensor_symbols(arrays, limits)
+    if loaded is not None and not check_relators(
+            symbol_relators(arrays), loaded[0],
+            time.monotonic() + limits.time_limit):
+        warnings.warn("recomputing a cached G (x) G that fails a relator "
+                      "of the symbol presentation")
+        loaded = None
+    symbols, kept = loaded or tensor_symbols(arrays, limits)
     name = group.name or "G"
     tgroup = points_group(symbols[:, kept].T, len(symbols),
                           name=f"{name} (x) {name}")
@@ -110,11 +138,50 @@ def crossed_module(group, arrays, limits):
     mu = Subgroup._from_indices(tgroup,
                                 members[lam[members] == 0].tolist())
 
-    for array in (symbols, tensors, lam, phi):
+    for array in (symbols, kept, tensors, lam, phi):
         array.setflags(write=False)
     return CrossedModule(group=group, tgroup=tgroup, symbols=symbols,
-                         tensors=tensors, lam=lam, phi=phi, tensor=tensor,
-                         mu=mu)
+                         kept=kept, tensors=tensors, lam=lam, phi=phi,
+                         tensor=tensor, mu=mu, loaded=loaded is not None)
+
+
+def entry_payload(arrays):
+    """What a symbols entry is keyed on (``tensq.cache.cache_key``): the
+    SHA-256 of the multiplication table in G's ``arrays``, as
+    little-endian int32, so that each numbering of G's elements has an
+    entry of its own."""
+    return {"symbols": cache.digest(arrays[0].astype(_WORD).tobytes())}
+
+
+def encode_symbols(module):
+    """The body of ``module``'s symbols entry: |T|, the number of kept
+    symbols, the kept symbols and then T's symbol columns one after
+    another, as little-endian int32 words."""
+    head = np.array([len(module.symbols), len(module.kept), *module.kept],
+                    dtype=_WORD)
+    columns = np.ascontiguousarray(module.symbols.T, dtype=_WORD)
+    return b"".join([head.tobytes(), memoryview(columns)])
+
+
+def decode_symbols(body, arrays):
+    """The symbol columns, column-major as ``tensq.tietzecert``'s
+    ``symbol_columns`` returns them, and the kept symbols of an entry
+    ``body`` of ``encode_symbols`` for the G of ``arrays``, as read-only
+    views of it; None, with a warning unless ``body`` is None, when it is
+    not such an entry."""
+    if body is None:
+        return None
+    nsym = len(arrays[0]) ** 2
+    words = np.frombuffer(body, dtype=_WORD, count=len(body) // 4)
+    points, k = words[:2].tolist() if len(words) > 2 else (0, 0)
+    kept, by_symbol = words[2:2 + k], words[2 + k:]
+    if 4 * len(words) == len(body) and points > 0 and 0 <= k <= nsym \
+            and by_symbol.size == points * nsym and (words[2:] >= 0).all() \
+            and (kept < nsym).all() and (by_symbol < points).all():
+        return by_symbol.reshape(nsym, points).T, kept
+    warnings.warn("recomputing a cached G (x) G of the wrong length or "
+                  "shape")
+    return None
 
 
 def _tensor_closure(tgroup, phi, generator_tensors):

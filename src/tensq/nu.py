@@ -55,7 +55,8 @@ the relation families (i)-(v) of ``tensq verify`` and, on every group,
 ``tensor_module`` (``tensq.crossed``), on |G (x) G| points against the
 n^2 |G (x) G| of nu(G).  ``tensq verify`` enumerates once on every
 group: ``build_nu`` assembles nu(G) on the symbol route from the
-symbol columns of the module the families read.  The cap on |G| is
+symbol columns of the crossed module it builds for the families.  The
+cap on |G| is
 ``build_nu``'s (the command line's ``--max-group``): only ``tensq nu``
 and those three checks of ``tensq verify`` read it.
 """
@@ -267,13 +268,18 @@ class TensorReport:
         }
 
 
+def squares_on_gens_route(group, presentation):
+    """Whether ``tensor_square`` reads nu(G) built on the gens route: for
+    a presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC."""
+    return presentation is not None and presentation.ngens == 1 \
+        and group.order() <= GENS_ROUTE_MAX_CYCLIC
+
+
 def tensor_square(group, presentation=None, *, limits=None):
-    """The tensor-square report: from nu(G) built on the gens route for
-    a presentation with one generator and |G| <= GENS_ROUTE_MAX_CYCLIC,
-    otherwise from the crossed module of G (x) G (``tensor_module``),
-    with no nu(G) assembled."""
-    if presentation is not None and presentation.ngens == 1 \
-            and group.order() <= GENS_ROUTE_MAX_CYCLIC:
+    """The tensor-square report: from nu(G) on the gens route where
+    ``squares_on_gens_route``, otherwise from the crossed module of
+    G (x) G (``tensor_module``), with no nu(G) assembled."""
+    if squares_on_gens_route(group, presentation):
         return tensor_report(build_nu(group, presentation, "gens",
                                       limits=limits))
     return tensor_report(tensor_module(group, limits=limits))

@@ -78,14 +78,20 @@ def symbol_columns(table, reduction):
     """Right multiplication by every symbol on the points of T, one
     column each, read through its image: a kept symbol's column of the
     closed coset ``table`` (its inverse's for an inverse letter), or the
-    identity."""
+    identity.  Column-major, so that each symbol's column is contiguous,
+    and filled ``closure.sweep_rows`` points at a time, with no copy of
+    the table."""
     image = reduction.image
-    points = np.arange(len(table), dtype=table.dtype)
-    ext = np.concatenate([table, points[:, None]], axis=1)
-    column = np.where(image >= 0,
-                      2 * reduction.ranks()[image >> 1] + (image & 1),
-                      table.shape[1])
-    return ext[:, column]
+    identity = image < 0
+    read = np.flatnonzero(~identity)
+    column = 2 * reduction.ranks()[image[read] >> 1] + (image[read] & 1)
+    by_symbol = np.empty((len(image), len(table)), dtype=table.dtype)
+    step = sweep_rows(len(image))
+    for lo in range(0, len(table), step):
+        block = by_symbol[:, lo:lo + step]
+        block[read] = table[lo:lo + step, column].T
+        block[identity] = np.arange(lo, lo + block.shape[1])
+    return by_symbol.T
 
 
 def check_relators(rows, columns, deadline):

@@ -29,6 +29,36 @@ from .nucheck import (_commutators, _group_commutators, _products,
 from .report import RELATION_FAMILIES, Check, VerificationReport
 
 
+# the checks of nu(G) itself, as ``--lemmas`` names them
+NU_CHECKS = ("closed", "decomp", "rho")
+
+
+def parse_lemmas(text):
+    """The lemmas a ``--lemmas`` ``text`` names, each once, in the order
+    first named: relation families, ranges of them such as "i..v", and
+    ``NU_CHECKS``.  ValueError for an unknown token or a reversed range,
+    which would name no lemma, and for a text that names none, whose run
+    would pass vacuously."""
+    out = {}
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if ".." in token:
+            i, j = (RELATION_FAMILIES.index(x) if x in RELATION_FAMILIES
+                    else -1 for x in token.split("..", 1))
+            if i < 0 or j < i:
+                raise ValueError(f"bad lemma range {token!r}")
+            out.update(dict.fromkeys(RELATION_FAMILIES[i:j + 1]))
+        elif token in RELATION_FAMILIES or token in NU_CHECKS:
+            out[token] = None
+        else:
+            raise ValueError(f"unknown lemma token {token!r}")
+    if not out:
+        raise ValueError("--lemmas names no lemma")
+    return list(out)
+
+
 # -- identity verification ----------------------------------------------------
 
 

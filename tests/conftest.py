@@ -29,6 +29,17 @@ class NuFactory:
         return self._cache[key]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_dir(tmp_path_factory):
+    """The result cache of every test run: a directory of the session's
+    own, never ``~/.cache/tensq``.  A test that needs a cold cache sets
+    TENSQ_CACHE_DIR itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        path = tmp_path_factory.mktemp("cache")
+        patch.setenv("TENSQ_CACHE_DIR", str(path))
+        yield path
+
+
 @pytest.fixture(scope="session")
 def nu_of():
     return NuFactory()

@@ -13,6 +13,7 @@ import types
 import pytest
 
 import tensq
+import tensq.crossed
 import tensq.symbol
 import tensq.tietzecert
 from tensq import (FiniteGroup, catalog, get_group, get_presentation,
@@ -92,8 +93,11 @@ class TestCache:
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
         key = cache_key({"x": 1}, "0.1.0")
         assert cache_load(key) is None          # cold
-        cache_store(key, '{"a": 1}\n')
-        assert cache_load(key) == '{"a": 1}\n'
+        cache_store(key, b'{"a": 1}\n')
+        assert cache_load(key) == b'{"a": 1}\n'
+        # a body is any bytes, a binary one too
+        cache_store(key, bytes(range(256)))
+        assert cache_load(key) == bytes(range(256))
 
     def test_version_bump_changes_key(self):
         assert cache_key({"x": 1}, "0.1.0") != cache_key({"x": 1}, "0.2.0")
@@ -111,9 +115,10 @@ class TestCache:
                                       "34bfced413e85b794682c13b80087f51")
 
     def test_header_and_source_digests_are_sha256(self):
-        report = '{"a": 1}\n'
+        report = b'{"a": 1}\n'
         assert _header("k", report) == (
-            "tensq-cache 2 k " + hashlib.sha256(report.encode()).hexdigest())
+            "tensq-cache 2 k " + hashlib.sha256(report).hexdigest()
+            + "\n").encode()
         sources = hashlib.sha256()
         for path in sorted(pathlib.Path(tensq.__file__).parent.glob("*.py")):
             sources.update(path.read_bytes())
@@ -122,7 +127,7 @@ class TestCache:
     def test_corrupt_entry_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
         key = cache_key({"x": 2}, "0.1.0")
-        cache_store(key, '{"a": 1}\n')
+        cache_store(key, b'{"a": 1}\n')
         victim = tmp_path / (key + ".json")
         victim.write_text("garbage\n")
         with pytest.warns(UserWarning):
@@ -191,7 +196,7 @@ class TestCli:
         assert self.run("lie", "C4", "-p", "2", "--json", str(path)) == 0
         assert calls == ["lie"]
         [entry] = cache.glob("*.json")
-        assert cache_load(entry.stem).encode() == path.read_bytes()
+        assert cache_load(entry.stem) == path.read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncate", "empty-results",
                                         "undecodable"])
@@ -303,9 +308,11 @@ class TestCli:
         ("lie", "C4", "-p", "2", "--max-group", "27"),
         ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
          "--max-group", "27"),
-        # only tensor, nu and lie read the result cache
-        ("verify", "C2", "--no-cache"),
-        ("engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--no-cache"),
+        # verify and engel read nu's --mode and lie's --lazard no more
+        # than the others do
+        ("verify", "C2", "--mode", "all"),
+        ("engel", "C2", "-p", "2", "-m", "1", "-n", "1", "--lazard", "2"),
+        # identity-f reads no result cache
         ("identity-f", "C2", "-n", "1", "-p", "2", "-m", "1",
          "--no-cache"),
         # only nu and verify build nu(G), so only they read the cap
@@ -322,7 +329,9 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ("tensor", "C2"), ("nu", "C2"), ("lie", "C4", "-p", "2")])
+        ("tensor", "C2"), ("nu", "C2"), ("lie", "C4", "-p", "2"),
+        # one entry, G (x) G's, as neither caches its report
+        ("verify", "C2"), ("engel", "C2", "-p", "2", "-m", "1", "-n", "1")])
     def test_no_cache_runs_without_the_cache(self, tmp_path, monkeypatch,
                                              argv):
         cache = tmp_path / "cache"
@@ -342,10 +351,14 @@ class TestCli:
             tensq.nu.DEFAULT_GROUP_CAP
         # the commands that take --no-cache read the cache unless it is
         # passed; the others never read it
+        engel = ["engel", "C2", "-p", "2", "-m", "1", "-n", "1"]
         for argv, no_cache in [(["tensor", "C2"], False),
                                (["tensor", "C2", "--no-cache"], True),
-                               (["engel", "C2", "-p", "2", "-m", "1",
-                                 "-n", "1"], True)]:
+                               (engel, False),
+                               ([*engel, "--no-cache"], True),
+                               (["verify", "C2", "--no-cache"], True),
+                               (["identity-f", "C2", "-n", "1", "-p", "2",
+                                 "-m", "1"], True)]:
             assert parser.parse_args(argv).no_cache is no_cache, argv
 
     def test_report_records_the_seed_sampled_with(self, tmp_path):
@@ -366,7 +379,7 @@ class TestCli:
         stale = Report(command="lie", input=desc, version="0.2.0",
                        results={"passed": True, "graded_dimensions": [2],
                                 "nilpotency_class": 1})
-        cache_store(cache_key(payload, "0.2.0"), stale.to_json())
+        cache_store(cache_key(payload, "0.2.0"), stale.to_json().encode())
         assert self.run("lie", "D4", "-p", "2", "--lazard", "0") == 2
         assert "q must be positive" in capsys.readouterr().err
 
@@ -470,12 +483,14 @@ class TestCli:
         (("verify", "Heis3", "--lemmas", "i..v"), 0, 1),
         (("verify", "C2"), 0, 1),
         (("verify", "C5", "--lemmas", "i,closed"), 0, 1)])
-    def test_verify_enumerates_once(self, monkeypatch, capsys, argv, rc,
-                                    enumerations):
+    def test_verify_enumerates_once(self, monkeypatch, capsys, tmp_path,
+                                    argv, rc, enumerations):
         # the relation families read G (x) G, and the symbol route
         # assembles nu(G) from its columns, on cyclic groups too; over
         # the cap nothing is enumerated, unless only the families, which
-        # read no cap, run
+        # read no cap, run.  On a cold cache: a stored G (x) G is not
+        # enumerated at all
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
         calls = []
         enumerate_ = tensq.coset.tc_enumerate
 
@@ -529,7 +544,8 @@ class TestCli:
                 raise AssertionError("columns allocated over the budget")
             monkeypatch.setattr(tensq.tietzecert, "symbol_columns",
                                 symbol_columns)
-        assert self.run("engel", "D4", "-p", "2", "-m", "1", "-n", "1") == rc
+        assert self.run("engel", "D4", "-p", "2", "-m", "1", "-n", "1",
+                        "--no-cache") == rc
         if rc:
             assert "limit error: symbol column limit 2047 entries " \
                 "exceeded: |G (x) G| = 32 points times 64 symbols" in \
@@ -574,7 +590,7 @@ class TestCli:
         def build_nu(*args, **kwargs):
             raise AssertionError("build_nu called before -p was checked")
         monkeypatch.setattr(tensq.nu, "build_nu", build_nu)
-        monkeypatch.setattr(tensq.nu, "tensor_module", build_nu)
+        monkeypatch.setattr(tensq.crossed, "crossed_module", build_nu)
         assert self.run("engel", "C3xC3", "-p", "4", "-m", "1",
                         "-n", "1") == 2
         assert "p must be prime" in capsys.readouterr().err
@@ -764,13 +780,16 @@ def test_no_command_loads_hashlib(tmp_path, argv):
             "print('_hashlib' in sys.modules,\n"
             "      '_sha2' in sys.modules or '_sha256' in sys.modules)\n"
             "sys.exit(rc)\n")
-    reads_cache = argv.split()[0] in ("tensor", "lie")
-    # a cached command runs twice on one cache: a miss, then a hit
+    command = argv.split()[0]
+    reads_cache = "--no-cache" not in argv and command != "identity-f"
+    # a command that reads the cache runs twice on one cache: a miss,
+    # then a hit (of its report, or of verify's and engel's G (x) G)
     for hit in (False, True) if reads_cache else (False,):
         out = _fresh_interpreter(code, tmp_path, *argv.split())
         *lines, flags = out.splitlines()
         assert flags == f"False {reads_cache}", (argv, hit)
-        assert lines[-1].endswith(" (cached)") == hit, argv
+        assert lines[-1].endswith(" (cached)") == (
+            hit and command in ("tensor", "lie")), argv
 
 
 def test_package_exports_only_its_api():
@@ -815,8 +834,9 @@ _SYMBOL_ROUTE = ["crossed", "tietze", "tietzecert"]
     # tensor runs coset with the stack, before it enumerates the file
     ("tensor @C4.pres --no-cache", 0, sorted([*_NU_STACK, "words"])),
     # both halves of verify; its relation families take the symbol route
-    ("verify @C4.perm", 0, sorted([*_NU_STACK, *_SYMBOL_ROUTE, "nucheck",
-                                   "verify"])),
+    # and read G (x) G from the cache
+    ("verify @C4.perm", 0, sorted(["cache", *_NU_STACK, *_SYMBOL_ROUTE,
+                                   "nucheck", "verify"])),
 ])
 def test_command_runs_only_the_deferred_modules_it_reads(tmp_path, argv,
                                                          rc, ran):
