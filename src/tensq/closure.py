@@ -1,8 +1,18 @@
 """Breadth-first closure in index space, and subgroups as index sets.
 
-A closure gathers a whole breadth-first level from right-multiplication
-columns at once and keeps first occurrences, which visits elements in
-exactly the order of a scalar queue.
+A closure expands each breadth-first level at the cost of its own
+size, and visits elements in exactly the order of a scalar queue.  A
+small level, of at most ``QUEUE_ENTRIES`` (element, generator)
+products, is a scalar queue over memoryviews of the right-multiplication
+columns and of the marks; a larger one gathers the columns a chunk of
+``SWEEP_ENTRIES`` products at a time and keeps first occurrences.  One
+closure switches between the two from level to level as its frontier
+grows and shrinks.  A group given by permutations, which has no
+columns yet, closes once, level by level, in ``close_images``: it
+gathers its products' images ``CLOSE_ENTRIES`` entries at a time, looks
+each up by its bytes, and records each new element's source and
+generator as it finds it, which gives the columns and the levels
+together.
 
 A subgroup is a closed tuple of its parent's element indices,
 generated by a tuple of element indices, and every subgroup operation
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientMismatchError
+from .errors import AmbientMismatchError, CapacityError
 
 # Entries one step of an index-space sweep gathers: a breadth-first
 # level is cut into chunks of about this many (element, generator)
@@ -30,6 +40,17 @@ from .errors import AmbientMismatchError
 # hundreds of generators, and a sweep of whole-group rows (commutators,
 # Engel steps) takes about this many entries' worth of rows at a time.
 SWEEP_ENTRIES = 8192
+# Image entries of products one step of ``close_images`` gathers.  Its
+# transients (the sources' images, the gather's intp index, the
+# products and their bytes) take about 20 bytes an entry: a step of
+# SWEEP_ENTRIES held about 100 kB at once, and a ``lie`` run on an
+# order-243 group ended with about 60 kB more resident than at this
+# size, which is as fast.
+CLOSE_ENTRIES = 1024
+# Products up to which a breadth-first level is expanded by a scalar
+# queue: below about this many, numpy's overhead per call (a gather, a
+# search for first occurrences) costs more than the products do.
+QUEUE_ENTRIES = 128
 # Mark of an element index that a sweep has not reached yet; larger
 # than any position in a gathered chunk.
 _UNSEEN = np.iinfo(np.intp).max
@@ -95,30 +116,97 @@ def bfs_levels(right):
     Yields one ``(sources, column positions, new elements)`` per level:
     element ``new[i]`` is ``sources[i]`` times the element of column
     ``positions[i]``, and every source lies on an earlier level.  The
-    new elements come in the order a scalar queue discovers them, since
-    each chunk of a level is gathered row-major and keeps first
-    occurrences."""
+    new elements come in the order a scalar queue discovers them: a
+    level of at most ``QUEUE_ENTRIES`` products is one, over
+    memoryviews of the columns and the marks, and a larger level is
+    gathered row-major, a chunk at a time, keeping first occurrences."""
     k, n = right.shape
     if not k:
         return
     marks = np.full(n, _UNSEEN, dtype=np.intp)
     marks[0] = -1
+    seen = memoryview(marks)
+    cols = memoryview(right)
     step = sweep_rows(k)
     frontier = np.zeros(1, dtype=np.intp)
     while True:
         level = []
-        for lo in range(0, frontier.size, step):
-            src = frontier[lo:lo + step]
-            cand = right[:, src].T.ravel()
-            pos = _first_new(cand, marks)
-            if pos.size:
-                level.append((src[pos // k], pos % k, cand[pos]))
+        if frontier.size * k <= QUEUE_ENTRIES:
+            src, gen, new = [], [], []
+            for p in frontier.tolist():
+                for t in range(k):
+                    v = cols[t, p]
+                    if seen[v] > 0:
+                        seen[v] = -1
+                        src.append(p)
+                        gen.append(t)
+                        new.append(v)
+            if new:
+                level.append((np.array(src), np.array(gen), np.array(new)))
+        else:
+            for lo in range(0, frontier.size, step):
+                src = frontier[lo:lo + step]
+                cand = right[:, src].T.ravel()
+                pos = _first_new(cand, marks)
+                if pos.size:
+                    level.append((src[pos // k], pos % k, cand[pos]))
         if not level:
             return
         src, gen, new = level[0] if len(level) == 1 else (
             np.concatenate(part) for part in zip(*level))
         yield src, gen, new
         frontier = new
+
+
+def close_images(gens, cap):
+    """Close the permutations whose images are the rows of ``gens`` and
+    store each element once, as its key (its int32 image bytes).  The
+    elements found so far are expanded in order, ``CLOSE_ENTRIES``
+    image entries of products at a time, source-major and
+    generator-minor, and each product is looked up by its bytes, so
+    elements are numbered in the order of a scalar queue, and each new
+    element's source and generator are recorded as it is found.
+    Returns the index (key -> element index), the generators'
+    right-multiplication columns and the breadth-first levels, as
+    ``bfs_levels`` would yield them over those columns.  Raises
+    CapacityError past ``cap`` elements."""
+    k, d = gens.shape
+    width = 4 * d
+    keys = [np.arange(d, dtype=np.int32).tobytes()]
+    index = {keys[0]: 0}
+    # right[i * k + t] = index(element_i * generator_t); element j > 0
+    # is sources[j - 1] times generator gen[j - 1]; level i starts at
+    # element starts[i]
+    right, sources, gen, starts = [], [], [], [0]
+    step = max(1, CLOSE_ENTRIES // (k * d))
+    a = 0
+    while a < len(keys):
+        b = min(a + step, len(keys))
+        images = np.frombuffer(b"".join(keys[a:b]), dtype=np.int32)
+        buf = gens[:, images.reshape(b - a, d)].swapaxes(0, 1).tobytes()
+        for i in range((b - a) * k):
+            key = buf[i * width:(i + 1) * width]
+            j = index.get(key)
+            if j is None:
+                j = len(keys)
+                if j >= cap:
+                    raise CapacityError(f"group exceeds element cap {cap}")
+                index[key] = j
+                keys.append(key)
+                if a + i // k >= starts[-1]:
+                    starts.append(j)
+                sources.append(a + i // k)
+                gen.append(i % k)
+            right.append(j)
+        a = b
+    n = len(keys)
+    sources = np.array(sources, dtype=np.int32)
+    gen = np.array(gen)
+    new = np.arange(n, dtype=np.int32)
+    levels = tuple((sources[a - 1:b - 1], gen[a - 1:b - 1], new[a:b])
+                   for a, b in zip(starts[1:], starts[2:] + [n]))
+    right = np.array(right, dtype=np.int32).reshape(n, k)
+    return index, right.T.copy(), levels
 
 
 def commutator_sweep(group, rows, cols=None):

@@ -8,10 +8,14 @@ then assign), which keeps concurrent reads safe.
 
 Every group, regular or generic, is held in index space by the same
 three things, all from one closure: its generators' right-multiplication
-columns (a regular group's generator images, or a generic group's from
-a scalar queue that stores each element once), and the breadth-first
-levels ``(sources, generators, new)`` and parents that one sweep over
-them gives (``tensq.closure.bfs_levels``).  A map out of the group is
+columns, the breadth-first levels ``(sources, generators, new)`` and
+the parents.  A regular group's columns are its generators' images, and
+one ``tensq.closure.bfs_levels`` sweep over them gives the levels.  A
+generic group closes once, level by level, in
+``tensq.closure.close_images``: each product is looked up by its image
+bytes, each element is stored once, as its key, and each new element's
+source and generator are recorded as it is found; its permutations are
+built only when ``elements`` is asked for.  A map out of the group is
 fixed by its value at the identity and its step along each generator,
 so ``FiniteGroup.sweep`` builds it one gather per level, as element
 p * g follows its parent p; every module maps out of a group that way.
@@ -44,8 +48,8 @@ import re
 import numpy as np
 
 from .closure import (SeriesReport, Subgroup, _sweep_table, bfs_levels,
-                      commutator_sweep)
-from .errors import AmbientMismatchError, CapacityError
+                      close_images, commutator_sweep, sweep_rows)
+from .errors import AmbientMismatchError
 from .permutation import Permutation, parse_cycles
 
 DEFAULT_MAX_ORDER = 100_000
@@ -55,6 +59,20 @@ TABLE_CAP = 20_000
 # Entries one group's column cache holds; past it a column is composed
 # anew each time, so no sweep over a large group caches an N x N table.
 COLUMN_CACHE_ENTRIES = 1 << 24
+
+
+def _from_key(key):
+    """The permutation whose image bytes are ``key``, its images a view
+    of the key, so that it stores no second copy of them."""
+    p = Permutation._raw(np.frombuffer(key, dtype=np.int32))
+    p._key = key
+    return p
+
+
+def _along_rows(rows, idx):
+    """``rows[t, idx[t, i]]``: ``np.take_along_axis(rows, idx, axis=1)``
+    as one gather, without its index-building calls."""
+    return rows[np.arange(len(rows))[:, None], idx]
 
 
 def parse_perm_group(text, *, name=None):
@@ -116,7 +134,7 @@ class FiniteGroup:
         self._degree = degree
         self._regular = bool(regular)
         # caches (idempotent fill); _parents is assigned last by a closure
-        self._elements = None       # generic: every element, in order
+        self._elements = None       # every element, in order, on request
         self._index = None          # generic: image bytes -> index
         self._parents = None        # (n, 2): breadth-first parent, generator
         self._right = None          # (k, n): index(element_i * generator_t)
@@ -148,48 +166,22 @@ class FiniteGroup:
 
     # -- enumeration ------------------------------------------------------
 
-    def _close_generic(self):
-        """Store every element, found by a scalar queue, and the index
-        of each; return the generators' right-multiplication columns."""
-        gens = self.generators
-        els = [self.identity]
-        index = {els[0].key: 0}
-        # right[gi][i] = index(element_i * generator_gi)
-        right = [[] for _ in gens]
-        i = 0
-        while i < len(els):
-            e = els[i]
-            for gi, g in enumerate(gens):
-                k = (e * g).key
-                j = index.get(k)
-                if j is None:
-                    if len(els) >= self.max_order:
-                        raise CapacityError(
-                            f"group exceeds element cap {self.max_order}")
-                    j = index[k] = len(els)
-                    # the element's images are a view of its key, so
-                    # each element is stored once
-                    f = Permutation._raw(np.frombuffer(k, dtype=np.int32))
-                    f._key = k
-                    els.append(f)
-                right[gi].append(j)
-            i += 1
-        self._elements = tuple(els)
-        self._index = index
-        return np.array(right, dtype=np.int32)
-
     def _close(self):
-        """The generators' right-multiplication columns, then one
-        breadth-first sweep over them for the levels and the parents.
-        A regular group's columns are its generators' images, and the
-        sweep reaches every point only if it acts transitively."""
+        """The generators' right-multiplication columns, the
+        breadth-first levels and the parents.  A generic group's come
+        from its one level-wise closure; a regular group's columns are
+        its generators' images, one ``bfs_levels`` sweep over them gives
+        the levels, and it reaches every point only if the group acts
+        transitively."""
         if self._parents is not None:
             return
-        right = np.stack([g.images for g in self.generators]) \
-            if self._regular else self._close_generic()
+        right = np.stack([g.images for g in self.generators])
+        if self._regular:
+            levels = tuple(bfs_levels(right))
+        else:
+            self._index, right, levels = close_images(right, self.max_order)
         n = right.shape[1]
         parents = np.full((n, 2), -1, dtype=np.int32)
-        levels = tuple(bfs_levels(right))
         for src, gen, new in levels:
             parents[new, 0] = src
             parents[new, 1] = gen
@@ -200,16 +192,20 @@ class FiniteGroup:
         self._parents = parents
 
     def order(self):
-        self._close()
+        if self._parents is None:
+            self._close()
         return len(self._parents)
 
     def elements(self):
-        """All elements in deterministic breadth-first order."""
+        """All elements in deterministic breadth-first order, built on
+        the first call."""
         if self._elements is None:
-            self._close()
-            if self._elements is None:       # regular
-                self._elements = tuple(self.element(i)
-                                       for i in range(self.order()))
+            if self._regular:
+                els = tuple(self.element(i) for i in range(self.order()))
+            else:
+                self._close()
+                els = tuple(map(_from_key, self._index))
+            self._elements = els
         return self._elements
 
     def element(self, i):
@@ -323,7 +319,7 @@ class FiniteGroup:
         generator_t)``: one left and one right gather per generator."""
         left = self._left_inverses()
         idx = np.asarray(idx, dtype=np.intp)
-        return np.take_along_axis(self._right, left[:, idx], axis=1)
+        return _along_rows(self._right, left[:, idx])
 
     def sweep(self, first, step):
         """The int32 map f with f[0] = ``first`` (a value or a row) and
@@ -340,10 +336,17 @@ class FiniteGroup:
         return out
 
     def conjugation_map(self):
-        """``generator_conjugates`` of every element, built once:
+        """``generator_conjugates`` of every element, built once a
+        ``sweep_rows(k)`` block of points at a time, so that no gather
+        of the k left maps over every point is held beside it:
         ``c[t, i] = index(generator_t^-1 * element_i * generator_t)``."""
         if self._conj is None:
-            conj = self.generator_conjugates(np.arange(self.order()))
+            right, left = self._right, self._left_inverses()
+            conj = np.empty_like(right)
+            step = sweep_rows(len(right))
+            for lo in range(0, conj.shape[1], step):
+                conj[:, lo:lo + step] = _along_rows(right,
+                                                    left[:, lo:lo + step])
             conj.setflags(write=False)
             self._conj = conj
         return self._conj
@@ -370,8 +373,7 @@ class FiniteGroup:
         flat = self.conjugation_map().ravel()
         conj = self.sweep(self.inverse_indices()[a],
                           lambda v, g: flat[v + (g * n)[:, None]])
-        return np.take_along_axis(self.right_columns(a.tolist()), conj.T,
-                                  axis=1)
+        return _along_rows(self.right_columns(a.tolist()), conj.T)
 
     def column(self, j):
         """Right multiplication by element j: ``c[i] = index(element_i *

@@ -219,11 +219,14 @@ def test_subgroup_indices_match_scalar_closure(case):
         with mock.patch.object(closure_module, "_first_new", counted):
             return g.subgroup(idx), g.normal_closure(idx)
 
-    whole = []
-    closures(whole)                     # one call per level, uncut
-    chunks = []
-    with mock.patch.object(closure_module, "SWEEP_ENTRIES", chunk):
-        sub, normal = closures(chunks)
+    # every level gathered, as a small level taken by the scalar queue
+    # makes no _first_new call
+    with mock.patch.object(closure_module, "QUEUE_ENTRIES", 0):
+        whole = []
+        closures(whole)                 # one call per level, uncut
+        chunks = []
+        with mock.patch.object(closure_module, "SWEEP_ENTRIES", chunk):
+            sub, normal = closures(chunks)
     assert sub.indices() == scalar_closure(g, gens)
     assert sub.generators == tuple(idx)
     assert normal.indices() == scalar_normal_closure(g, gens)
@@ -234,6 +237,78 @@ def test_subgroup_indices_match_scalar_closure(case):
     assert max(chunks, default=0) <= max(chunk, k)
     if max(whole, default=0) > max(chunk, k):
         assert len(chunks) > len(whole)
+
+
+def queue_levels(right):
+    """Breadth-first levels of a scalar queue over right-multiplication
+    columns, as lists of (source, column position, new element)."""
+    rows = right.tolist()
+    seen = {0}
+    levels = []
+    frontier = [0]
+    while frontier:
+        level = []
+        for s in frontier:
+            for t, row in enumerate(rows):
+                if row[s] not in seen:
+                    seen.add(row[s])
+                    level.append((s, t, row[s]))
+        if level:
+            levels.append(level)
+        frontier = [v for _, _, v in level]
+    return levels
+
+
+def swept_levels(right):
+    return [list(zip(*(a.tolist() for a in level)))
+            for level in closure_module.bfs_levels(right)]
+
+
+def _subgroup_columns():
+    rng = random.Random(11)
+    for name in ["S4", "Heis3", "D4", "A4", "M27", "C27"]:
+        g = get_group(name)
+        yield g.right_columns(g.generator_indices())
+        for size in (1, 2, 3, 5):
+            yield g.right_columns(rng.sample(range(g.order()), size))
+
+
+def _regular_columns():
+    """C4096, C2^16 and C3^9 by their right-multiplication columns:
+    levels of one element, and levels that grow past QUEUE_ENTRIES and
+    shrink below it again."""
+    points = np.arange(4096)
+    yield ((points + 1) % 4096)[None]
+    points = np.arange(1 << 16)
+    yield np.stack([points ^ (1 << t) for t in range(16)])
+    digits = np.arange(3 ** 9)
+    yield np.stack([digits - digits // 3 ** t % 3 * 3 ** t
+                    + (digits // 3 ** t + 1) % 3 * 3 ** t
+                    for t in range(9)])
+
+
+@pytest.mark.parametrize("entries", [0, None, 10 ** 9],
+                         ids=["gathered", "default", "queue"])
+def test_bfs_levels_match_a_scalar_queue(entries):
+    # every level gathered, each level on the path of its size, and
+    # every level by the scalar queue give the same levels
+    patch = contextlib.nullcontext() if entries is None else \
+        mock.patch.object(closure_module, "QUEUE_ENTRIES", entries)
+    with patch:
+        for right in _subgroup_columns():
+            assert swept_levels(right) == queue_levels(right)
+
+
+def test_regular_bfs_levels_cross_the_queue_bound():
+    for right in _regular_columns():
+        right = right.astype(np.int32)
+        k = len(right)
+        levels = queue_levels(right)
+        sizes = [len(level) * k for level in levels]
+        if k > 1:
+            assert min(sizes) <= closure_module.QUEUE_ENTRIES < max(sizes)
+        assert swept_levels(right) == levels
+        assert 1 + sum(map(len, levels)) == right.shape[1]
 
 
 # -- the stacked Engel word ---------------------------------------------------

@@ -1,7 +1,11 @@
 import hashlib
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from tensq import (AmbientMismatchError, CapacityError, FiniteGroup,
                    power_subgroup, resolve_group, tc_enumerate,
                    to_perm_group)
 from tensq.catalog import catalog
-from tensq.closure import least_positions
+from tensq import closure as closure_module
+from tensq.closure import bfs_levels, least_positions
 
 
 def perm(text, degree):
@@ -696,6 +701,91 @@ CLOSURE_DIGESTS = {
 def test_closure_is_pinned(tmp_path, label):
     group = _pinned_group(label, tmp_path)
     assert _closure_digest(group) == CLOSURE_DIGESTS[label]
+
+
+def _two_pass_closure(group):
+    """The generators' columns, levels, parents and index as two passes
+    gave them: a scalar queue over permutation products (a regular
+    group's columns are its generators' images), then ``bfs_levels``
+    over those columns with every level gathered."""
+    gens = group.generators
+    index = None
+    if group._regular:
+        right = np.stack([g.images for g in gens])
+    else:
+        els = [group.identity]
+        index = {els[0].key: 0}
+        right = [[] for _ in gens]
+        for e in els:
+            for t, g in enumerate(gens):
+                key = (e * g).key
+                if key not in index:
+                    index[key] = len(els)
+                    els.append(e * g)
+                right[t].append(index[key])
+        right = np.array(right, dtype=np.int32)
+    with mock.patch.object(closure_module, "QUEUE_ENTRIES", 0):
+        levels = list(bfs_levels(right))
+    parents = np.full((right.shape[1], 2), -1, dtype=np.int32)
+    for src, gen, new in levels:
+        parents[new] = np.stack([src, gen], axis=1)
+    return right, levels, parents, index
+
+
+def _workload_p_groups():
+    """The eight order-32..256 p-groups of the pgroup benchmark, on the
+    generators the benchmark builds them with."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    entries = catalog()
+    d4, heis3 = (workloads.catalog_group(entries[n]) for n in ("D4", "Heis3"))
+    return {g.name: FiniteGroup([Permutation(list(x)) for x in g.gens])
+            for g in workloads.generated_p_groups(d4, heis3)}
+
+
+_WORKLOAD_P_GROUPS = _workload_p_groups()
+
+
+@pytest.mark.parametrize("label", [*_PINNED_GROUPS, *_WORKLOAD_P_GROUPS])
+def test_one_pass_closure_matches_two_passes(tmp_path, label):
+    group = _WORKLOAD_P_GROUPS.get(label) or _pinned_group(label, tmp_path)
+    right, levels, parents, index = _two_pass_closure(group)
+    assert len(group.levels()) == len(levels)
+    assert np.array_equal(group._right, right)
+    for got, want in zip(group.levels(), levels):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(group._parents, parents)
+    if index is None:
+        assert group._index is None
+    else:
+        assert list(group._index.items()) == list(index.items())
+        assert [e.key for e in group.elements()] == list(index)
+
+
+def test_generic_closure_stops_at_max_order():
+    for name in ("S4", "Heis3", "C27"):
+        gens = get_group(name).generators
+        n = get_group(name).order()
+        assert FiniteGroup(gens, max_order=n).order() == n
+        with pytest.raises(CapacityError):
+            FiniteGroup(gens, max_order=n - 1).order()
+    # one source a chunk, so that a level is gathered in several
+    gens = _WORKLOAD_P_GROUPS["C3wrC3"].generators
+    with mock.patch.object(closure_module, "CLOSE_ENTRIES", 1):
+        group = FiniteGroup(gens, max_order=81)
+        assert group.order() == 81
+        with pytest.raises(CapacityError):
+            FiniteGroup(gens, max_order=80).order()
+    right, levels, parents, index = _two_pass_closure(group)
+    assert np.array_equal(group._right, right)
+    assert np.array_equal(group._parents, parents)
+    assert list(group._index.items()) == list(index.items())
 
 
 # -- one sweep along the levels -----------------------------------------------
